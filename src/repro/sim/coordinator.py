@@ -51,21 +51,32 @@ from __future__ import annotations
 import multiprocessing
 
 from repro.errors import SimulationError
-from repro.sim.runner import RunResult, World
+from repro.sim.runner import ADDITIVE_COUNTERS, RunResult, World
 
 __all__ = ["shard_bounds", "run_sharded"]
 
 
-def _recv(conn):
-    """Receive one worker frame, surfacing shipped worker failures.
+def _recv(index: int, conns: list, procs: list, bounds: list):
+    """Receive one frame from worker ``index``, surfacing its failures.
 
-    Returns ``(message, frame size)`` so the caller can meter the pipe.
+    A worker that raised ships its traceback as an ``"error"`` frame; one
+    that died outright (killed, ``os._exit``, OOM) just closes the pipe —
+    both become a :class:`SimulationError` naming the shard.  Returns
+    ``(message, frame size)`` so the caller can meter the pipe.
     """
     from repro.sim.shard import _recv_msg
 
-    msg, nbytes = _recv_msg(conn)
+    try:
+        msg, nbytes = _recv_msg(conns[index])
+    except (EOFError, OSError):
+        procs[index].join(_EXIT_WAIT_SECONDS)
+        lo, hi = bounds[index]
+        raise SimulationError(
+            f"shard {index} (parties [{lo}, {hi})) died mid-run with "
+            f"exit code {procs[index].exitcode}"
+        ) from None
     if msg[0] == "error":
-        raise SimulationError(f"shard worker failed:\n{msg[1]}")
+        raise SimulationError(f"shard {index} worker failed:\n{msg[1]}")
     return msg, nbytes
 
 
@@ -92,6 +103,10 @@ def shard_bounds(n: int, shards: int) -> list[tuple[int, int]]:
 #: a record produced inside a window provably lands at or after the
 #: window's end.
 _LOOKAHEAD_GUARD = 1e-9
+
+#: How long a worker whose pipe hit EOF gets to finish exiting before its
+#: exit code is reported (``None`` in the message if it is still alive).
+_EXIT_WAIT_SECONDS = 5.0
 
 
 def run_sharded(world: World, *, until: float | None = None) -> RunResult:
@@ -121,8 +136,6 @@ def run_sharded(world: World, *, until: float | None = None) -> RunResult:
                 "instrumentation": {
                     "name": parent_instr.name,
                     "recycle_events": parent_instr.recycle_events,
-                    "timeline": parent_instr.timeline,
-                    "batch_deliveries": parent_instr.batch_deliveries,
                 },
             }
             from repro.sim.shard import _send_msg, _shard_main
@@ -137,8 +150,8 @@ def run_sharded(world: World, *, until: float | None = None) -> RunResult:
 
         bytes_sent = 0
         next_times: list[float | None] = []
-        for conn in conns:
-            (tag, next_time), nbytes = _recv(conn)
+        for index in range(shards):
+            (tag, next_time), nbytes = _recv(index, conns, procs, bounds)
             assert tag == "ready"
             next_times.append(next_time)
             bytes_sent += nbytes
@@ -219,7 +232,7 @@ def run_sharded(world: World, *, until: float | None = None) -> RunResult:
                     inbound[index] = []
                     inbound_min[index] = None
                 for index in stepped:
-                    msg, nbytes = _recv(conns[index])
+                    msg, nbytes = _recv(index, conns, procs, bounds)
                     tag, out, fresh, next_time = msg
                     assert tag == "stepped"
                     bytes_sent += nbytes
@@ -246,8 +259,8 @@ def run_sharded(world: World, *, until: float | None = None) -> RunResult:
         for conn in conns:
             bytes_sent += _send_msg(conn, ("finish",))
         summaries = []
-        for conn in conns:
-            msg, nbytes = _recv(conn)
+        for index in range(shards):
+            msg, nbytes = _recv(index, conns, procs, bounds)
             summaries.append(msg[1])
             bytes_sent += nbytes
         for proc in procs:
@@ -265,11 +278,6 @@ def run_sharded(world: World, *, until: float | None = None) -> RunResult:
     for summary in summaries:
         commits.update(summary["commits"])
         commit_times.update(summary["commit_times"])
-    final_time = (
-        float(until)
-        if horizon_hit
-        else max(s["final_time"] for s in summaries)
-    )
     return RunResult(
         n=world.n,
         f=world.f,
@@ -278,34 +286,13 @@ def run_sharded(world: World, *, until: float | None = None) -> RunResult:
         commit_global_times=commit_times,
         commit_rounds={},
         start_offsets=list(world.start_offsets),
-        messages_sent=sum(s["messages_sent"] for s in summaries),
-        final_time=final_time,
-        events_processed=sum(s["events_processed"] for s in summaries),
-        events_recycled=sum(s["events_recycled"] for s in summaries),
-        bucket_appends=sum(s["bucket_appends"] for s in summaries),
-        heap_pushes_avoided=sum(
-            s["heap_pushes_avoided"] for s in summaries
-        ),
-        timeline=parent_instr.timeline,
-        deliveries_batched=sum(
-            s["deliveries_batched"] for s in summaries
-        ),
-        delivery_runs_batched=sum(
-            s["delivery_runs_batched"] for s in summaries
-        ),
-        quorum_checks=sum(s["quorum_checks"] for s in summaries),
-        votes_batched=sum(s["votes_batched"] for s in summaries),
-        equivocations_detected=sum(
-            s["equivocations_detected"] for s in summaries
+        final_time=(
+            float(until)
+            if horizon_hit
+            else max(s["final_time"] for s in summaries)
         ),
         instrumentation=parent_instr.name,
         rounds_recorded=False,
-        faults_injected=sum(s["faults_injected"] for s in summaries),
-        messages_dropped=sum(s["messages_dropped"] for s in summaries),
-        messages_duplicated=sum(
-            s["messages_duplicated"] for s in summaries
-        ),
-        messages_held=sum(s["messages_held"] for s in summaries),
         partition_windows=(
             world.fault_injector.partition_windows
             if world.fault_injector is not None else 0
@@ -314,4 +301,8 @@ def run_sharded(world: World, *, until: float | None = None) -> RunResult:
         shard_batches_exchanged=batches,
         shard_bytes_sent=bytes_sent,
         shard_barrier_rounds=barrier_rounds,
+        **{
+            name: sum(s[name] for s in summaries)
+            for name in ADDITIVE_COUNTERS
+        },
     )

@@ -89,9 +89,11 @@ class EventQueue:
     enters the heap's hot path.
 
     :class:`~repro.sim.timeline.BucketTimeline` subclasses this queue and
-    replaces the heap with a bucketed calendar (same observable pop order);
-    the cell allocation/recycling machinery and the live/cancelled
-    bookkeeping below are shared by both backends.
+    replaces the heap with a bucketed calendar (same observable pop order)
+    — the queue every :class:`~repro.sim.scheduler.Simulator` runs on.
+    The cell allocation/recycling machinery and the live/cancelled
+    bookkeeping below are shared by both; the heap ordering stays as the
+    reference ``tests/sim/test_timeline.py`` drives the calendar against.
     """
 
     def __init__(self, *, recycle: bool = False) -> None:
@@ -102,7 +104,7 @@ class EventQueue:
         self._recycle = recycle
         self._free: list[Event] = []
         self.events_recycled = 0  # transient cells reused from the freelist
-        #: Calendar-backend counters; a heap queue never moves them off 0.
+        #: Calendar counters; the heap queue itself never moves them off 0.
         self.bucket_appends = 0
         self.heap_pushes_avoided = 0
 

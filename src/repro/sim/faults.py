@@ -8,7 +8,7 @@ case: a declarative :class:`FaultPlan` of timed primitives, compiled into
 a :class:`FaultInjector` that the :class:`~repro.sim.network.Network`
 consults at its two seams —
 
-* the **send/schedule seam** (``multicast``/``_schedule_copy``): per
+* the **send/schedule seam** (``Network._emit_routed``): per
   scheduled copy the injector may drop it, duplicate it, jitter it,
   hold it across a partition window, or stretch it through a GST-churn
   asynchrony window;

@@ -71,24 +71,8 @@ class Instrumentation:
         transcripts: bool = True,
         envelopes: bool = False,
         recycle_events: bool = False,
-        timeline: str = "bucket",
-        batch_deliveries: bool = True,
     ):
         self.name = name
-        #: Allow the network to fold a multicast's equal-delay copies
-        #: into one ``_deliver_many`` run event.  On by default in every
-        #: preset — the network additionally requires that no per-copy
-        #: observer (accountant, envelope log) and no fault injector is
-        #: attached, so under ``full``/``rounds`` the per-copy path is
-        #: forced regardless.  ``False`` forces per-copy scheduling even
-        #: with observers off; the batched-delivery parity suite uses it
-        #: to pin byte-identical outcomes across both paths.
-        self.batch_deliveries = batch_deliveries
-        #: Event-queue backend for the world's simulator.  ``"bucket"``
-        #: (the calendar timeline) is the default in every preset —
-        #: backends replay byte-identical schedules, so this is a pure
-        #: performance knob; ``"heap"`` is kept for parity checks.
-        self.timeline = timeline
         self.accountant: RoundAccountant | None = (
             RoundAccountant() if rounds else None
         )

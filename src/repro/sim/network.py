@@ -13,22 +13,34 @@ The network realizes the paper's adversarial message scheduling:
 * messages that arrive before the recipient has started its protocol are
   buffered and handed over at the recipient's start (local time 0).
 
+Every send — unicast, multicast, retransmission, and the sharded
+network's remote ranges — runs one four-stage pipeline: **price** (the
+policy or the override yields one delay per recipient), **instant**
+(``Network._fan_out`` turns delays into quantized delivery instants: the
+only place the INF-drop, negative-delay and pre-start rules live),
+**run** (consecutive copies sharing an instant are grouped) and **emit**
+(each run goes to the network's emitter).  The emitter is chosen once per
+network: ``_emit_run`` folds an unobserved run into one ``_deliver_many``
+event and otherwise schedules ``_deliver`` events; ``_emit_routed`` takes
+over when a per-copy seam is attached.
+
 Observability is routed through the world's
 :class:`~repro.sim.instrumentation.Instrumentation` bundle: deliveries are
 recorded as atomic steps with the accountant (for Definition 9-10 round
 latency) and in-flight messages are captured as envelopes — both only when
 the bundle enables them; a disabled observer costs the hot path nothing.
 
-Fault injection (:mod:`repro.sim.faults`) hooks the same two seams: the
-schedule side (``_schedule_copy``: drop/duplicate/jitter/hold/churn per
-priced copy) and the delivery side (``_deliver``: discard arrivals into a
-crash window).  A world without a fault plan has no injector at all, so
-the unfaulted path replays byte-identically.
+Fault injection (:mod:`repro.sim.faults`) hooks two seams: the schedule
+side (``_emit_routed``: drop/duplicate/jitter/hold/churn per priced copy)
+and the delivery side (``_deliver``: discard arrivals into a crash
+window).  A world without a fault plan has no injector at all, so the
+unfaulted path replays byte-identically.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable
+from functools import partial
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.errors import SimulationError
 from repro.crypto.messages import digest
@@ -44,6 +56,10 @@ if TYPE_CHECKING:
 
 #: Delivery callback: (sender, payload) -> None
 DeliverFn = Callable[[PartyId, Any], None]
+#: Run emitter: (sender, recipients, start, end, payload, deliver_time,
+#: send_time, order_key | None) -> order_key | None — schedules
+#: ``recipients[start:end]``, digesting the payload if it has to.
+Emitter = Callable[..., "bytes | None"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,8 +96,7 @@ class Network:
         # stays byte-identical to a build without fault injection.
         self._injector = fault_injector
         # Opt-in reliable channel (ack + bounded-backoff retransmission):
-        # like the injector, ``None`` when unused, and its presence forces
-        # the per-copy path (registration and ack happen per copy).
+        # like the injector, ``None`` when unused.
         if reliable_link is not None:
             from repro.sim.retransmit import ReliableChannel
 
@@ -90,14 +105,21 @@ class Network:
             )
         else:
             self._reliable = None
+        # Both seams act per copy (registration, routing and ack), so
+        # their presence swaps the emitter for the whole network.
+        self._emit: Emitter = (
+            self._emit_run
+            if fault_injector is None and reliable_link is None
+            else self._emit_routed
+        )
         self._n = n
         self._byzantine = byzantine
         self._start_offsets = start_offsets or [0.0] * n
         if len(self._start_offsets) != n:
             raise SimulationError("start_offsets length must equal n")
         # When every party starts at the same offset, a multicast's
-        # delivery time depends only on the delay — the batched fan-out
-        # then reuses one quantized time per distinct delay value.
+        # delivery time depends only on the delay — the fan-out then
+        # reuses one quantized time per run of equal delays.
         first = self._start_offsets[0]
         self._common_offset = (
             first if all(o == first for o in self._start_offsets) else None
@@ -111,6 +133,9 @@ class Network:
         # n >= 501, and lazy construction keeps world setup O(n) (a
         # receive-only party never pays for a list it does not use).
         self._fanouts: list[list[PartyId] | None] = [None] * n
+        #: The parties this network delivers to itself: everyone, unless a
+        #: subclass narrows it (the sharded transport's ``[lo, hi)``).
+        self._local = range(n)
         # Bind the observers once; ``None`` dead-strips their hot-path use.
         self._accountant = (
             instrumentation.accountant if instrumentation is not None else None
@@ -118,19 +143,15 @@ class Network:
         self._envelopes = (
             instrumentation.envelopes if instrumentation is not None else None
         )
-        # Run batching: a multicast's equal-delay copies become *one*
-        # transient event (``_deliver_many``).  Only legal when nothing
-        # observes or perturbs individual copies — the gate below also
-        # requires accountant/envelopes/injector to be absent; this flag
-        # is the instrumentation bundle's explicit opt-out so parity
-        # suites can force the per-copy path with observers off.
-        self._batch_runs = bool(
-            getattr(instrumentation, "batch_deliveries", True)
+        # Per-copy observers: while either is attached every copy stays
+        # its own ``_deliver`` event (see ``_emit_run``).
+        self._observed = (
+            self._accountant is not None or self._envelopes is not None
         )
         self.messages_sent = 0
         self.messages_delivered = 0
         #: Copies delivered through batched run events, and the number of
-        #: such run events (0 whenever the per-copy path is forced).
+        #: such run events (0 while an observer or per-copy seam is attached).
         self.deliveries_batched = 0
         self.delivery_runs_batched = 0
 
@@ -152,12 +173,20 @@ class Network:
         self._inboxes[party] = deliver
 
     def _fanout_for(self, sender: PartyId) -> list[PartyId]:
-        """The cached everyone-but-sender recipient list."""
+        """The cached every-local-party-but-sender recipient list."""
         recipients = self._fanouts[sender]
         if recipients is None:
-            recipients = [r for r in range(self._n) if r != sender]
+            recipients = [r for r in self._local if r != sender]
             self._fanouts[sender] = recipients
         return recipients
+
+    def _targets(self, sender: PartyId) -> Sequence[tuple[Sequence, Emitter]]:
+        """The ``(recipients, emitter)`` pairs one multicast fans out to."""
+        return ((self._fanout_for(sender), self._emit),)
+
+    def _unicast_emitter(self, recipient: PartyId) -> Emitter:
+        """The emitter a copy addressed to ``recipient`` goes through."""
+        return self._emit
 
     def send(
         self,
@@ -172,8 +201,25 @@ class Network:
         ``delay_override`` is only legal when the sender or the recipient
         is Byzantine (the model lets the adversary choose any delay on
         links touching a corrupted party).  ``INF`` drops the message.
+        A fan-out of one: the same pipeline as :meth:`multicast`.
         """
-        self._send_one(sender, recipient, payload, delay_override, None)
+        if not 0 <= recipient < self._n:
+            raise SimulationError(f"recipient {recipient} out of range")
+        send_time = self._sim.now
+        if self._injector is not None and self._injector.block_send(
+            sender, send_time
+        ):
+            return  # sender is inside a crash window: nothing leaves it
+        if delay_override is None:
+            delay = self._policy.delay(sender, recipient, payload, send_time)
+        else:
+            self._check_override(sender, (recipient,))
+            delay = delay_override
+        self.messages_sent += 1
+        self._fan_out(
+            sender, (recipient,), (delay,), payload, send_time,
+            self._unicast_emitter(recipient),
+        )
 
     def multicast(
         self,
@@ -190,240 +236,296 @@ class Network:
         quorums that include the sender's own vote.
 
         The whole fan-out samples **one delay vector** from the policy
-        (``delays_for_multicast``), computes **one** scheduling
-        ``order_key`` digest — and none at all if the adversary drops
-        every copy — and crosses the scheduler boundary **once per
-        distinct delivery instant** (``schedule_batch``): on the calendar
+        (``delays_for_multicast``) — or, for a Byzantine
+        ``delay_override``, repeats the override after one endpoint check
+        — and hands it to :meth:`_fan_out`, which computes **one**
+        scheduling ``order_key`` digest (none at all if the adversary
+        drops every copy) and crosses the scheduler boundary **once per
+        run** of copies sharing a delivery instant: on the calendar
         timeline a fixed-delay multicast's n-1 copies cost one bucket
-        lookup total.  Byzantine ``delay_override`` fan-outs keep the
-        exact per-recipient path (the override, not the policy, sets the
-        delay).
+        lookup total.
         """
-        injector = self._injector
-        if injector is not None and injector.block_send(
-            sender, self._sim.now
+        send_time = self._sim.now
+        if self._injector is not None and self._injector.block_send(
+            sender, send_time
         ):
             return  # sender is inside a crash window: nothing leaves it
-        if delay_override is not None:
-            order_key = None
-            for recipient in self._fanout_for(sender):
-                order_key = self._send_one(
-                    sender, recipient, payload, delay_override, order_key
+        order_key = None
+        for recipients, emit in self._targets(sender):
+            if delay_override is None:
+                delays = self._policy.delays_for_multicast(
+                    sender, recipients, payload, send_time
                 )
-            self._deliver_self(sender, payload, include_self, order_key)
-            return
+            else:
+                self._check_override(sender, recipients)
+                delays = [delay_override] * len(recipients)
+            self.messages_sent += len(recipients)
+            order_key = self._fan_out(
+                sender, recipients, delays, payload, send_time, emit,
+                order_key,
+            )
+        if include_self:
+            self.messages_sent += 1
+            # Straight to the run emitter: a self-delivery is never
+            # routed through the injector or tracked by the channel.
+            self._emit_run(
+                sender, (sender,), 0, 1, payload, send_time, send_time,
+                order_key,
+            )
 
-        recipients = self._fanout_for(sender)
-        delays = self._policy.delays_for_multicast(
-            sender, recipients, payload, self._sim.now
-        )
+    def _check_override(
+        self, sender: PartyId, recipients: Sequence[PartyId]
+    ) -> None:
+        """Reject a ``delay_override`` on any honest-to-honest link."""
+        if sender in self._byzantine:
+            return
+        for recipient in recipients:
+            if recipient not in self._byzantine:
+                raise SimulationError(
+                    "delay overrides require a Byzantine endpoint "
+                    f"({sender}->{recipient} are both honest)"
+                )
+
+    def _fan_out(
+        self,
+        sender: PartyId,
+        recipients: Sequence[PartyId],
+        delays: Sequence[float],
+        payload: Any,
+        send_time: float,
+        emit: Emitter,
+        order_key: bytes | None = None,
+    ) -> bytes | None:
+        """Turn priced delays into delivery instants and emit them as runs.
+
+        The single home of the delivery rules, shared by unicast,
+        multicast, retransmission and the sharded remote ranges: a copy
+        sent at ``send_time`` with delay ``d`` lands at
+        ``quantize(max(send_time + d, start offset))`` (pre-start
+        arrivals are buffered until the recipient starts), ``INF`` drops
+        it, and a negative delay is a policy bug that raises before
+        anything is scheduled.  Consecutive copies that share an instant
+        — equal delays under a common start offset — form one *run*,
+        handed to ``emit`` in recipient order, so the schedule's
+        ``(time, priority, order_key)`` ordering, and hence every party's
+        inbox order, does not depend on how a run is emitted.
+
+        The scheduling ``order_key`` is threaded through the emitters and
+        back to the caller (each takes the key so far, ``None`` until
+        someone needed it, and returns it): the digest is deferred until a
+        copy is actually scheduled, so a message the adversary withholds
+        forever — or the fault plan drops on every link — is never
+        encoded at all.
+        """
         if len(delays) != len(recipients):
             raise SimulationError(
                 f"policy returned {len(delays)} delays for "
                 f"{len(recipients)} recipients"
             )
-        send_time = self._sim.now
-        order_key = None
-        self.messages_sent += len(recipients)
-        if (
-            self._batch_runs
-            and self._common_offset is not None
-            and injector is None
-            and self._reliable is None
-            and self._accountant is None
-            and self._envelopes is None
-        ):
-            # Fully batched fan-out: each run of >= 2 equal delays is one
-            # transient event carrying the recipient slice; the per-copy
-            # loop moves inside ``_deliver_many``.  Legal only with no
-            # per-copy observer (accountant/envelopes) and no injector —
-            # their seams are per copy — and only for runs delivered
-            # strictly after ``send_time`` (a same-instant run's copies
-            # would already be consumed when a reaction to the first copy
-            # schedules, losing the per-copy tie-break the heap gives).
-            order_key = self._multicast_runs(
-                sender, recipients, delays, payload, send_time
-            )
-        elif (
-            self._common_offset is not None
-            and injector is None
-            and self._reliable is None
-        ):
-            # Batched fast fan-out: with one start offset for everyone,
-            # the delivery time is a pure function of the delay, so runs
-            # of equal delays (every fixed/Gst-stable policy) share one
-            # quantize call and are flushed as one ``schedule_batch``
-            # (identical seq assignment to a per-copy loop, so the
-            # schedule is byte-identical).  Delivery rules are the same
-            # as ``_schedule_copy``'s: INF drops, negatives raise, the
-            # order key is only digested once a copy is actually
-            # scheduled.  Accountant/envelope observers, when enabled,
-            # record per copy while the batch is assembled — same order
-            # as the per-copy path.
-            offset = self._common_offset
-            accountant = self._accountant
-            envelopes = self._envelopes
-            schedule_batch = self._sim.schedule_batch
-            deliver = self._deliver
-            prev_delay: float | None = None
-            deliver_time = 0.0
-            batch: list[tuple] = []
-            for recipient, delay in zip(recipients, delays):
-                if delay != prev_delay:
-                    if batch:
-                        schedule_batch(
-                            deliver_time, deliver, batch,
-                            order_key=order_key, label="deliver",
-                            transient=True,
-                        )
-                        batch = []
-                    if delay == INF:
-                        prev_delay, deliver_time = delay, INF
-                        continue
-                    if delay < 0:
-                        raise SimulationError(
-                            f"policy produced negative delay {delay}"
-                        )
-                    prev_delay = delay
-                    deliver_time = quantize(max(send_time + delay, offset))
-                    if order_key is None:
-                        order_key = digest(payload)
-                elif deliver_time == INF:
-                    continue
-                msg_id = (
-                    accountant.register_send()
-                    if accountant is not None
-                    else None
+        if delays:
+            # One C-level pass rules out a negative delay before anything
+            # is scheduled: ``count`` for the common all-equal vector (one
+            # repeated float object, matched by identity — a twentieth of
+            # a ``min`` over 1000 copies), ``min`` for the rest.
+            lowest = delays[0]
+            if delays.count(lowest) != len(delays):
+                lowest = min(delays)
+            if lowest < 0:
+                raise SimulationError(
+                    f"policy produced negative delay {lowest}"
                 )
-                if envelopes is not None:
-                    envelopes.append(
-                        Envelope(
-                            sender, recipient, payload, send_time,
-                            deliver_time,
-                        )
-                    )
-                batch.append((sender, recipient, payload, msg_id))
-            if batch:
-                schedule_batch(
-                    deliver_time, deliver, batch, order_key=order_key,
-                    label="deliver", transient=True,
-                )
-        else:
-            for recipient, delay in zip(recipients, delays):
-                order_key = self._schedule_copy(
-                    sender, recipient, payload, delay, send_time, order_key
-                )
-        self._deliver_self(sender, payload, include_self, order_key)
-
-    def _multicast_runs(
-        self,
-        sender: PartyId,
-        recipients: list[PartyId],
-        delays: list[float],
-        payload: Any,
-        send_time: float,
-    ) -> bytes | None:
-        """Schedule a fan-out as one event per equal-delay run.
-
-        Delivery rules match ``_schedule_copy``: INF runs are dropped,
-        negative delays raise, times are quantized against the common
-        start offset, and the order-key digest happens only once a run is
-        actually scheduled.  Runs are flushed in recipient order, so the
-        schedule's ``(time, priority, order_key)`` ordering — and hence
-        every party's inbox order — is identical to the per-copy path.
-        """
-        offset = self._common_offset
-        order_key = None
+        common = self._common_offset
+        offsets = self._start_offsets
         prev_delay: float | None = None
-        deliver_time = 0.0
+        deliver_time = INF  # INF: no run in progress (or a dropped one)
         start = 0
         for idx, delay in enumerate(delays):
             if delay == prev_delay:
                 continue
-            if idx > start and deliver_time != INF:
-                if order_key is None:
-                    order_key = digest(payload)
-                self._schedule_run(
-                    sender, recipients, start, idx, payload,
-                    deliver_time, send_time, order_key,
+            if deliver_time != INF:
+                order_key = emit(
+                    sender, recipients, start, idx, payload, deliver_time,
+                    send_time, order_key,
                 )
             start = idx
-            prev_delay = delay
-            if delay == INF:
-                deliver_time = INF
+            if common is None:
+                # Staggered starts: the instant depends on the recipient,
+                # so every copy is its own run (``prev_delay`` stays unset).
+                earliest = offsets[recipients[idx]]
             else:
-                if delay < 0:
-                    raise SimulationError(
-                        f"policy produced negative delay {delay}"
-                    )
-                deliver_time = quantize(max(send_time + delay, offset))
-        end = len(delays)
-        if end > start and deliver_time != INF:
-            if order_key is None:
-                order_key = digest(payload)
-            self._schedule_run(
-                sender, recipients, start, end, payload,
+                prev_delay = delay
+                earliest = common
+            # An INF delay stays INF here, which drops the run.
+            deliver_time = quantize(max(send_time + delay, earliest))
+        if deliver_time != INF:
+            order_key = emit(
+                sender, recipients, start, len(delays), payload,
                 deliver_time, send_time, order_key,
             )
         return order_key
 
-    def _schedule_run(
+    def _observe(
         self,
         sender: PartyId,
-        recipients: list[PartyId],
+        recipient: PartyId,
+        payload: Any,
+        send_time: float,
+        deliver_time: float,
+    ) -> int | None:
+        """Record one scheduled copy with the attached per-copy observers;
+        returns the accountant's message id (``None`` without one)."""
+        msg_id = (
+            self._accountant.register_send()
+            if self._accountant is not None
+            else None
+        )
+        if self._envelopes is not None:
+            self._envelopes.append(
+                Envelope(sender, recipient, payload, send_time, deliver_time)
+            )
+        return msg_id
+
+    # Every emitter schedules with a static label: formatting
+    # "deliver s->r" per message was a measurable slice of the delivery
+    # hot path at n >= 100, and the endpoints stay recoverable from the
+    # event's bound ``args``.  Binding the arguments on the event (instead
+    # of a ``partial``) avoids one allocation per message, and
+    # ``transient=True`` lets the arena-mode queue recycle the event cell
+    # after delivery — the network never retains delivery-event handles.
+
+    def _emit_run(
+        self,
+        sender: PartyId,
+        recipients: Sequence[PartyId],
         start: int,
         end: int,
         payload: Any,
         deliver_time: float,
         send_time: float,
-        order_key: bytes,
-    ) -> None:
-        """Schedule one equal-delay run: a single ``_deliver_many`` event
-        for real runs, the classic per-copy events for singletons (same
-        event shape, seq and cost as before) and for same-instant runs
-        (their copies must stay individually orderable against reactions
-        the run itself triggers)."""
+        order_key: bytes | None,
+    ) -> bytes:
+        """Emit one run when no per-copy seam is attached.
+
+        A run of >= 2 copies nobody observes becomes a single
+        ``_deliver_many`` event carrying the recipient slice.  Singletons
+        stay one ``_deliver`` event each; so do the copies of an observed
+        run (the accountant and the envelope log record per copy, while
+        the batch is assembled) and of a run landing at ``send_time``
+        itself — a same-instant run's copies would already be consumed
+        when a reaction to the first copy schedules, losing the per-copy
+        tie-break the queue gives.  ``schedule_batch`` assigns the same
+        sequence numbers as a per-copy loop, so every shape replays the
+        same schedule.
+        """
+        if order_key is None:
+            order_key = digest(payload)
         count = end - start
-        if count == 1:
+        observed = self._observed
+        if count == 1 and not observed:
             self._sim.schedule_at(
-                deliver_time,
-                self._deliver,
-                order_key=order_key,
-                label="deliver",
+                deliver_time, self._deliver, order_key=order_key,
+                label="deliver", transient=True,
                 args=(sender, recipients[start], payload, None),
-                transient=True,
             )
-            return
-        if deliver_time <= send_time:
+        elif observed or deliver_time <= send_time:
+            copies = [
+                (
+                    sender, recipient, payload,
+                    self._observe(
+                        sender, recipient, payload, send_time, deliver_time
+                    ) if observed else None,
+                )
+                for recipient in recipients[start:end]
+            ]
             self._sim.schedule_batch(
-                deliver_time,
-                self._deliver,
-                [(sender, r, payload, None) for r in recipients[start:end]],
-                order_key=order_key,
-                label="deliver",
+                deliver_time, self._deliver, copies, order_key=order_key,
+                label="deliver", transient=True,
+            )
+        else:
+            self.delivery_runs_batched += 1
+            self.deliveries_batched += count
+            # The full fan-out reuses the cached recipient list itself (the
+            # cache is write-once, so the event cannot observe a mutation).
+            run = (
+                recipients
+                if count == len(recipients)
+                else recipients[start:end]
+            )
+            self._sim.schedule_at(
+                deliver_time, self._deliver_many, order_key=order_key,
+                label="deliver-run", args=(sender, run, payload),
                 transient=True,
             )
-            return
-        # The full fan-out reuses the cached recipient list itself (the
-        # cache is write-once, so the event cannot observe a mutation).
-        run = (
-            recipients
-            if count == len(recipients)
-            else recipients[start:end]
-        )
-        self.delivery_runs_batched += 1
-        self.deliveries_batched += count
-        self._sim.schedule_at(
-            deliver_time,
-            self._deliver_many,
-            order_key=order_key,
-            label="deliver-run",
-            args=(sender, run, payload),
-            transient=True,
-        )
+        return order_key
+
+    def _emit_routed(
+        self,
+        sender: PartyId,
+        recipients: Sequence[PartyId],
+        start: int,
+        end: int,
+        payload: Any,
+        deliver_time: float,
+        send_time: float,
+        order_key: bytes | None,
+        transfer: "_Transfer | None" = None,
+    ) -> bytes | None:
+        """Emit one run copy by copy through the per-copy seams.
+
+        Reliable-channel seam: each cross-party copy is tracked *before*
+        the injector gets a chance to drop it — recovering exactly that
+        loss is the channel's job (a retransmission passes the
+        ``transfer`` it is re-sending instead).  Fault seam: the injector
+        may drop, retime, or duplicate the copy; every surviving instant
+        becomes one ``_deliver`` (or ``_deliver_tracked``) event, and only
+        then is the payload digested.
+        """
+        injector = self._injector
+        reliable = self._reliable
+        observed = self._observed
+        schedule_at = self._sim.schedule_at
+        for idx in range(start, end):
+            recipient = recipients[idx]
+            tracked = transfer
+            if (
+                tracked is None
+                and reliable is not None
+                and recipient != sender
+            ):
+                tracked = reliable.register(sender, recipient, payload)
+            if injector is None:
+                instants = (deliver_time,)
+            else:
+                instants = injector.route(
+                    sender, recipient, send_time, deliver_time
+                )
+            for instant in instants:
+                if order_key is None:
+                    order_key = digest(payload)
+                instant = quantize(instant)
+                msg_id = (
+                    self._observe(
+                        sender, recipient, payload, send_time, instant
+                    )
+                    if observed
+                    else None
+                )
+                if tracked is None:
+                    schedule_at(
+                        instant, self._deliver, order_key=order_key,
+                        label="deliver", transient=True,
+                        args=(sender, recipient, payload, msg_id),
+                    )
+                else:
+                    schedule_at(
+                        instant, self._deliver_tracked, order_key=order_key,
+                        label="deliver", transient=True,
+                        args=(sender, recipient, payload, msg_id, tracked),
+                    )
+        return order_key
 
     def _deliver_many(
-        self, sender: PartyId, recipients: list[PartyId], payload: Any
+        self, sender: PartyId, recipients: Sequence[PartyId], payload: Any
     ) -> None:
         """Deliver one payload to a whole run of recipients.
 
@@ -444,153 +546,6 @@ class Network:
                 delivered += 1
                 inbox(sender, payload)
         self.messages_delivered += delivered
-
-    def _deliver_self(
-        self,
-        sender: PartyId,
-        payload: Any,
-        include_self: bool,
-        order_key: bytes | None,
-    ) -> None:
-        if not include_self:
-            return
-        if order_key is None:
-            order_key = digest(payload)
-        self.messages_sent += 1
-        self._schedule_delivery(
-            sender, sender, payload, self._sim.now, order_key
-        )
-
-    def _send_one(
-        self,
-        sender: PartyId,
-        recipient: PartyId,
-        payload: Any,
-        delay_override: float | None,
-        order_key: bytes | None,
-    ) -> bytes | None:
-        """Send one copy; returns the order key once a delivery needed it.
-
-        ``order_key=None`` defers the digest until a copy is actually
-        scheduled — a message the adversary withholds forever is never
-        encoded at all (matching the pre-cache behavior).
-        """
-        if not 0 <= recipient < self._n:
-            raise SimulationError(f"recipient {recipient} out of range")
-        send_time = self._sim.now
-        if self._injector is not None and self._injector.block_send(
-            sender, send_time
-        ):
-            return order_key
-        if delay_override is not None:
-            if sender not in self._byzantine and recipient not in self._byzantine:
-                raise SimulationError(
-                    "delay overrides require a Byzantine endpoint "
-                    f"({sender}->{recipient} are both honest)"
-                )
-            delay = delay_override
-        else:
-            delay = self._policy.delay(sender, recipient, payload, send_time)
-        self.messages_sent += 1
-        return self._schedule_copy(
-            sender, recipient, payload, delay, send_time, order_key
-        )
-
-    def _schedule_copy(
-        self,
-        sender: PartyId,
-        recipient: PartyId,
-        payload: Any,
-        delay: float,
-        send_time: float,
-        order_key: bytes | None,
-    ) -> bytes | None:
-        """Schedule one already-priced copy; the single home of the
-        per-copy delivery rules (INF drop, negative-delay check, pre-start
-        buffering, time quantization, deferred order-key digest) shared by
-        the unicast/override path and the batched multicast fan-out."""
-        if delay == INF:
-            return order_key
-        if delay < 0:
-            raise SimulationError(f"policy produced negative delay {delay}")
-        deliver_time = quantize(
-            max(send_time + delay, self._start_offsets[recipient])
-        )
-        # Reliable-channel seam: track the copy *before* the injector gets
-        # a chance to drop it — recovering exactly that loss is the
-        # channel's job.  Self-deliveries never route through here.
-        transfer = (
-            self._reliable.register(sender, recipient, payload)
-            if self._reliable is not None and recipient != sender
-            else None
-        )
-        if self._injector is not None:
-            # Fault seam: the injector may drop, retime, or duplicate
-            # this copy.  The order-key digest stays lazy — a copy the
-            # plan drops is never encoded, like an INF-delayed one.
-            deliveries = self._injector.route(
-                sender, recipient, send_time, deliver_time
-            )
-            if not deliveries:
-                return order_key
-            if order_key is None:
-                order_key = digest(payload)
-            for faulted_time in deliveries:
-                self._schedule_delivery(
-                    sender, recipient, payload,
-                    quantize(faulted_time), order_key, transfer,
-                )
-            return order_key
-        if order_key is None:
-            order_key = digest(payload)
-        self._schedule_delivery(
-            sender, recipient, payload, deliver_time, order_key, transfer
-        )
-        return order_key
-
-    def _schedule_delivery(
-        self,
-        sender: PartyId,
-        recipient: PartyId,
-        payload: Any,
-        deliver_time: float,
-        order_key: bytes,
-        transfer: "_Transfer | None" = None,
-    ) -> None:
-        msg_id = (
-            self._accountant.register_send()
-            if self._accountant is not None
-            else None
-        )
-        if self._envelopes is not None:
-            self._envelopes.append(
-                Envelope(sender, recipient, payload, self._sim.now, deliver_time)
-            )
-        # A static label: formatting "deliver s->r" per message was a
-        # measurable slice of the delivery hot path at n >= 100, and the
-        # endpoints stay recoverable from the event's bound ``args``.
-        # Binding the arguments on the event (instead of a ``partial``)
-        # avoids one allocation per message, and ``transient=True`` lets
-        # the arena-mode queue recycle the event cell after delivery —
-        # the network never retains delivery-event handles.
-        if transfer is not None:
-            self._sim.schedule_at(
-                deliver_time,
-                self._deliver_tracked,
-                order_key=order_key,
-                label="deliver",
-                args=(sender, recipient, payload, msg_id, transfer),
-                transient=True,
-            )
-            return
-        self._sim.schedule_at(
-            deliver_time,
-            self._deliver,
-            order_key=order_key,
-            label="deliver",
-            args=(sender, recipient, payload, msg_id),
-            transient=True,
-        )
 
     def _deliver(
         self,
@@ -659,8 +614,7 @@ class Network:
         ``False``); its chain keeps ticking and resumes after recovery.
         """
         send_time = self._sim.now
-        injector = self._injector
-        if injector is not None and injector.block_send(
+        if self._injector is not None and self._injector.block_send(
             transfer.sender, send_time
         ):
             return False
@@ -669,29 +623,11 @@ class Network:
         )
         if delay == INF:
             return False
-        if delay < 0:
-            raise SimulationError(f"policy produced negative delay {delay}")
-        deliver_time = quantize(
-            max(
-                send_time + delay,
-                self._start_offsets[transfer.recipient],
-            )
-        )
         self.messages_sent += 1
-        order_key = digest(transfer.payload)
-        if injector is not None:
-            deliveries = injector.route(
-                transfer.sender, transfer.recipient, send_time, deliver_time
-            )
-            for faulted_time in deliveries:
-                self._schedule_delivery(
-                    transfer.sender, transfer.recipient, transfer.payload,
-                    quantize(faulted_time), order_key, transfer,
-                )
-            return True
-        self._schedule_delivery(
-            transfer.sender, transfer.recipient, transfer.payload,
-            deliver_time, order_key, transfer,
+        self._fan_out(
+            transfer.sender, (transfer.recipient,), (delay,),
+            transfer.payload, send_time,
+            partial(self._emit_routed, transfer=transfer),
         )
         return True
 

@@ -26,12 +26,13 @@ force the "retransmit raced the ack" duplicate.
 
 Determinism: the timer chain is a pure function of the send schedule
 (no RNG of its own; resend delays come from the world's seeded policy
-and the injector's plan-seeded stream), so both timeline backends
-replay the same retransmission schedule.
+and the injector's plan-seeded stream), so every preset — and the
+reference heap queue — replays the same retransmission schedule.
 
 Off by default: a world without a ``reliable_link`` has no channel at
-all — the network's fast paths (including the batched fan-outs) stay
-byte-identical, which CI pins next to the faults-off parity gate.
+all — the network keeps its run emitter (batched fan-outs included) and
+stays byte-identical, which
+``test_retransmit.py::test_off_by_default_stays_byte_identical`` pins.
 """
 from __future__ import annotations
 

@@ -73,8 +73,7 @@ class World:
         self.instrumentation.mark_attached()
         self.accountant = self.instrumentation.accountant
         self.sim = Simulator(
-            recycle_events=self.instrumentation.recycle_events,
-            timeline=self.instrumentation.timeline,
+            recycle_events=self.instrumentation.recycle_events
         )
         self.registry = self._build_registry(n)
         #: Protocol label for invariant-violation context (chaos sets it).
@@ -416,7 +415,6 @@ class World:
             events_recycled=self.sim.events_recycled,
             bucket_appends=self.sim.bucket_appends,
             heap_pushes_avoided=self.sim.heap_pushes_avoided,
-            timeline=self.sim.timeline,
             deliveries_batched=self.network.deliveries_batched,
             delivery_runs_batched=self.network.delivery_runs_batched,
             quorum_checks=self.instrumentation.quorum_checks,
@@ -456,15 +454,13 @@ class RunResult:
     events_recycled: int = 0
     #: Calendar-timeline counters: events appended to time buckets, and
     #: pushes that skipped a heap sift because their instant's bucket was
-    #: already live.  Both 0 when the run used the ``"heap"`` backend.
+    #: already live.
     bucket_appends: int = 0
     heap_pushes_avoided: int = 0
-    #: Event-queue backend the run used (``"bucket"`` / ``"heap"``).
-    timeline: str = "bucket"
     #: Copies delivered through batched ``_deliver_many`` run events and
-    #: the number of such events; both 0 whenever the per-copy delivery
-    #: path was forced (accountant attached, fault injector present, or
-    #: ``batch_deliveries=False``).
+    #: the number of such events; both 0 whenever every copy had to stay
+    #: its own event (an observer, the fault injector or the reliable
+    #: channel attached).
     deliveries_batched: int = 0
     delivery_runs_batched: int = 0
     #: Tally updates across every party's quorum trackers.
@@ -543,6 +539,20 @@ class RunResult:
             missing = [p for p in self.honest_ids if p not in self.commits]
             raise ValueError(f"honest parties never committed: {missing}")
         return max(self.commit_rounds.values())
+
+
+#: ``RunResult`` counters a sharded run merges by summing its workers'
+#: results — the one list a new per-shard counter is added to.  The rest
+#: merge by rule in :func:`repro.sim.coordinator.run_sharded`: commits
+#: and commit times union, ``final_time`` is the latest (or the horizon).
+ADDITIVE_COUNTERS = (
+    "messages_sent", "events_processed", "events_recycled",
+    "bucket_appends", "heap_pushes_avoided",
+    "deliveries_batched", "delivery_runs_batched",
+    "quorum_checks", "votes_batched", "equivocations_detected",
+    "faults_injected", "messages_dropped", "messages_duplicated",
+    "messages_held",
+)
 
 
 def run_broadcast(

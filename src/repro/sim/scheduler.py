@@ -23,26 +23,15 @@ class Simulator:
     only, so under ``full`` instrumentation event identity semantics are
     untouched.
 
-    ``timeline`` selects the queue backend: ``"bucket"`` (the default)
-    is the calendar timeline of :mod:`repro.sim.timeline` — O(1) FIFO
-    appends per quantized instant; ``"heap"`` is the classic binary heap.
-    Both replay byte-identical schedules for the same pushes; the heap
-    stays available as the reference semantics for parity tests.
+    The queue is the calendar timeline of :mod:`repro.sim.timeline` — O(1)
+    FIFO appends per quantized instant.  Its base class, the binary-heap
+    :class:`~repro.sim.events.EventQueue`, replays byte-identical
+    schedules for the same pushes and is what the parity tests compare
+    it against.
     """
 
-    def __init__(
-        self, *, recycle_events: bool = False, timeline: str = "bucket"
-    ) -> None:
-        if timeline == "bucket":
-            self._queue: EventQueue = BucketTimeline(recycle=recycle_events)
-        elif timeline == "heap":
-            self._queue = EventQueue(recycle=recycle_events)
-        else:
-            raise SimulationError(
-                f"unknown timeline backend {timeline!r}; "
-                "expected 'bucket' or 'heap'"
-            )
-        self.timeline = timeline
+    def __init__(self, *, recycle_events: bool = False) -> None:
+        self._queue: EventQueue = BucketTimeline(recycle=recycle_events)
         self._now = 0.0
         self._running = False
         self._events_processed = 0
@@ -79,13 +68,13 @@ class Simulator:
 
     @property
     def bucket_appends(self) -> int:
-        """Events appended to calendar buckets (0 on the heap backend)."""
+        """Events appended to calendar buckets."""
         return self._queue.bucket_appends
 
     @property
     def heap_pushes_avoided(self) -> int:
         """Pushes that skipped an O(log n) heap sift because their
-        instant's bucket already existed (0 on the heap backend)."""
+        instant's bucket already existed."""
         return self._queue.heap_pushes_avoided
 
     def schedule_at(

@@ -5,19 +5,22 @@ by ``k`` worker processes, each owning a contiguous party range
 ``[lo, hi)`` and its own local simulator/timeline.  This module is what
 runs *inside* a worker:
 
-* :class:`ShardNetwork` — the range-partitioned transport.  Local
-  recipients ride the stock :class:`~repro.sim.network.Network` fast
-  paths unchanged; remote recipients (at most two contiguous ranges:
-  everything below ``lo`` and everything at/above ``hi``) are priced
-  through the same delay policy and appended to ``outbuf`` *at send
-  time* as ``(sender, payload, lo, hi, deliver_time)`` records — the
-  delivery instant travels on the wire, so the sending worker's own
-  timeline carries no cross-shard events at all and the receiving worker
-  can schedule the copies wherever its window has not yet run.  No
-  per-copy objects ever cross the process boundary: a fan-out run
-  travels as one record, and each payload object crosses a given
-  (source, destination) shard pair exactly once (later records carry a
-  small integer ref).
+* :class:`ShardNetwork` — the range-partitioned transport.  It runs the
+  stock :class:`~repro.sim.network.Network` pipeline (price → instant →
+  run → emit) for every recipient and overrides only *which* recipients
+  are local and which emitter the rest go through: remote recipients (at
+  most two contiguous ranges: everything below ``lo`` and everything
+  at/above ``hi``) are priced through the same delay policy and the same
+  ``_fan_out`` rules, and ``_emit_remote`` appends each run to ``outbuf``
+  *at send time* as a ``(sender, payload, lo, hi, deliver_time)`` record
+  (routed through the fault injector at the source, copy by copy, when a
+  plan is compiled in) — the delivery instant travels on the wire, so
+  the sending worker's own timeline carries no cross-shard events at all
+  and the receiving worker can schedule the copies wherever its window
+  has not yet run.  No per-copy objects ever cross the process boundary:
+  a fan-out run travels as one record, and each payload object crosses a
+  given (source, destination) shard pair exactly once (later records
+  carry a small integer ref).
 
 * :class:`_ShardRegistry` — the PKI with issued-signature shipping.  The
   ideal-signature model verifies by membership in the issued set, which
@@ -48,7 +51,7 @@ from __future__ import annotations
 import heapq
 import pickle
 from array import array
-from typing import Any
+from typing import Any, Sequence
 
 from repro.crypto.messages import digest, seed_digest, stable_digest
 from repro.crypto.signatures import KeyRegistry
@@ -56,7 +59,7 @@ from repro.errors import SimulationError
 from repro.sim.clock import quantize
 from repro.sim.instrumentation import Instrumentation
 from repro.sim.network import Network
-from repro.sim.runner import World
+from repro.sim.runner import ADDITIVE_COUNTERS, World
 from repro.types import INF, PartyId
 
 __all__ = ["ShardNetwork", "_ShardRegistry", "_ShardWorld", "_shard_main"]
@@ -120,195 +123,76 @@ class _ShardRegistry(KeyRegistry):
 class ShardNetwork(Network):
     """Transport for one worker's party range ``[lo, hi)``.
 
-    Local traffic is the stock network (the cached fan-out list is just
-    clipped to the range); remote traffic is priced identically and
-    becomes outbox events — see the module docstring.
+    Every send runs the stock pipeline; this class only says which
+    recipients are local (the cached fan-out list is clipped to the
+    range) and routes the rest through :meth:`_emit_remote`, which turns
+    priced runs into outbox records — see the module docstring.
     """
 
     def __init__(self, *args, lo: int, hi: int, **kwargs):
         super().__init__(*args, **kwargs)
-        self._lo = lo
-        self._hi = hi
+        self._local = range(lo, hi)
         #: Cross-shard runs recorded at *send* time, as
         #: ``(sender, payload, lo, hi, deliver_time)`` records; drained
         #: by the worker loop after every barrier step.
         self.outbuf: list[tuple[PartyId, Any, int, int, float]] = []
-        self._remote_ranges = [
-            r for r in (range(0, lo), range(hi, self._n)) if len(r)
+        # Remote recipients are at most two contiguous ranges; a multicast
+        # prices each through the same policy and pipeline as the local
+        # fan-out, only the emitter differs.
+        self._remote_targets = [
+            (remote, self._emit_remote)
+            for remote in (range(0, lo), range(hi, self._n))
+            if len(remote)
         ]
 
-    def _fanout_for(self, sender: PartyId) -> list[PartyId]:
-        recipients = self._fanouts[sender]
-        if recipients is None:
-            recipients = [
-                r for r in range(self._lo, self._hi) if r != sender
-            ]
-            self._fanouts[sender] = recipients
-        return recipients
+    def _targets(self, sender: PartyId):
+        return ((self._fanout_for(sender), self._emit), *self._remote_targets)
 
-    def send(
+    def _unicast_emitter(self, recipient: PartyId):
+        return self._emit if recipient in self._local else self._emit_remote
+
+    def _check_override(self, sender: PartyId, recipients) -> None:
+        raise SimulationError(
+            "delay overrides require the single-process path "
+            "(sharded worlds carry no Byzantine behaviors)"
+        )
+
+    def _emit_remote(
         self,
         sender: PartyId,
-        recipient: PartyId,
+        recipients: Sequence[PartyId],
+        start: int,
+        end: int,
         payload: Any,
-        *,
-        delay_override: float | None = None,
-    ) -> None:
-        if self._lo <= recipient < self._hi:
-            super().send(
-                sender, recipient, payload, delay_override=delay_override
-            )
-            return
-        if delay_override is not None:
-            raise SimulationError(
-                "delay overrides require the single-process path "
-                "(sharded worlds carry no Byzantine behaviors)"
-            )
-        if not 0 <= recipient < self._n:
-            raise SimulationError(f"recipient {recipient} out of range")
-        send_time = self._sim.now
-        injector = self._injector
-        if injector is not None and injector.block_send(sender, send_time):
-            return  # crash seam, before pricing — like ``_send_one``
-        delay = self._policy.delay(sender, recipient, payload, send_time)
-        self.messages_sent += 1
-        if delay == INF:
-            return
-        if delay < 0:
-            raise SimulationError(f"policy produced negative delay {delay}")
-        deliver_time = quantize(
-            max(send_time + delay, self._common_offset)
-        )
-        outbuf = self.outbuf
-        if injector is not None:
-            # Fault seam at the *source*: the copy is dropped, retimed,
-            # or duplicated here, and only the surviving records cross
-            # the barrier — mirroring ``_schedule_copy``.
-            for faulted_time in injector.route(
+        deliver_time: float,
+        send_time: float,
+        order_key: bytes | None,
+    ) -> bytes | None:
+        """Emit one cross-shard run as ``outbuf`` records.
+
+        Without a plan the whole run is one record.  With one compiled
+        in, the fault seam applies at the *source*: each copy is dropped,
+        retimed, or duplicated here, exactly like the single-process
+        per-copy emitter, and only the surviving records cross the
+        barrier.  No order key is needed (or computed) here: the
+        destination digests the payload itself when it queues the record.
+        """
+        # Runs are contiguous: remote ranges are, and so is a unicast.
+        lo = recipients[start]
+        hi = lo + end - start
+        if self._injector is None:
+            self.outbuf.append((sender, payload, lo, hi, deliver_time))
+            return order_key
+        route = self._injector.route
+        for recipient in range(lo, hi):
+            for faulted_time in route(
                 sender, recipient, send_time, deliver_time
             ):
-                outbuf.append((
+                self.outbuf.append((
                     sender, payload, recipient, recipient + 1,
                     quantize(faulted_time),
                 ))
-            return
-        outbuf.append(
-            (sender, payload, recipient, recipient + 1, deliver_time)
-        )
-
-    def multicast(
-        self,
-        sender: PartyId,
-        payload: Any,
-        *,
-        include_self: bool = True,
-        delay_override: float | None = None,
-    ) -> None:
-        if delay_override is not None:
-            raise SimulationError(
-                "delay overrides require the single-process path "
-                "(sharded worlds carry no Byzantine behaviors)"
-            )
-        # Local fan-out (plus self-delivery): the stock fast paths.
-        super().multicast(sender, payload, include_self=include_self)
-        send_time = self._sim.now
-        injector = self._injector
-        if injector is not None and injector.party_down(sender, send_time):
-            # Crashed sender: ``super().multicast`` already charged the
-            # one ``block_send`` this fan-out costs (matching the
-            # single-process early return); the remote ranges are never
-            # priced, so no link counter ticks.
-            return
-        offset = self._common_offset
-        policy = self._policy
-        outbuf = self.outbuf
-        if injector is not None:
-            # Per-copy remote fan-out: each copy routes through the
-            # fault seam exactly like the single-process per-copy loop
-            # (an injector forces that path there too — no run folding).
-            for remote in self._remote_ranges:
-                delays = policy.delays_for_multicast(
-                    sender, remote, payload, send_time
-                )
-                self.messages_sent += len(remote)
-                for recipient, delay in zip(remote, delays):
-                    if delay == INF:
-                        continue
-                    if delay < 0:
-                        raise SimulationError(
-                            f"policy produced negative delay {delay}"
-                        )
-                    deliver_time = quantize(max(send_time + delay, offset))
-                    for faulted_time in injector.route(
-                        sender, recipient, send_time, deliver_time
-                    ):
-                        outbuf.append((
-                            sender, payload, recipient, recipient + 1,
-                            quantize(faulted_time),
-                        ))
-            return
-        # Remote fan-out: price each range through the same policy and
-        # fold equal-delay runs into one record each, mirroring
-        # ``_multicast_runs``' INF/negative/quantize rules.
-        for remote in self._remote_ranges:
-            delays = policy.delays_for_multicast(
-                sender, remote, payload, send_time
-            )
-            self.messages_sent += len(remote)
-            base = remote.start
-            prev_delay: float | None = None
-            deliver_time = 0.0
-            start = 0
-            for idx, delay in enumerate(delays):
-                if delay == prev_delay:
-                    continue
-                if idx > start and deliver_time != INF:
-                    outbuf.append((
-                        sender, payload, base + start, base + idx,
-                        deliver_time,
-                    ))
-                start = idx
-                prev_delay = delay
-                if delay == INF:
-                    deliver_time = INF
-                else:
-                    if delay < 0:
-                        raise SimulationError(
-                            f"policy produced negative delay {delay}"
-                        )
-                    deliver_time = quantize(max(send_time + delay, offset))
-            end = len(delays)
-            if end > start and deliver_time != INF:
-                outbuf.append(
-                    (sender, payload, base + start, base + end, deliver_time)
-                )
-
-    def _deliver_many_checked(
-        self, sender: PartyId, recipients: range, payload: Any
-    ) -> None:
-        """Injector-aware twin of ``_deliver_many`` for inbound runs.
-
-        Cross-shard copies route through the fault seam at their
-        *source*; the only per-copy check left at the destination is the
-        recipient-side crash window (``block_delivery``), applied in the
-        same inbox-then-window order as ``_deliver`` so the fault
-        counters merge to the single-process totals exactly.
-        """
-        self._sim.note_logical_events(len(recipients) - 1)
-        injector = self._injector
-        now = self._sim.now
-        inboxes = self._inboxes
-        delivered = 0
-        for recipient in recipients:
-            inbox = inboxes[recipient]
-            if inbox is None:
-                continue
-            if injector.block_delivery(recipient, now):
-                continue
-            delivered += 1
-            inbox(sender, payload)
-        self.messages_delivered += delivered
-
+        return order_key
 
 
 class _ShardWorld(World):
@@ -442,8 +326,6 @@ def _shard_loop(conn, spec: dict) -> None:
             transcripts=False,
             envelopes=False,
             recycle_events=parent["recycle_events"],
-            timeline=parent["timeline"],
-            batch_deliveries=parent["batch_deliveries"],
         ),
         protocol_name=spec["protocol_name"],
         fault_plan=spec["fault_plan"],
@@ -452,15 +334,21 @@ def _shard_loop(conn, spec: dict) -> None:
     sim = world.sim
     net: ShardNetwork = world.network
     registry: _ShardRegistry = world.registry
-    instrumentation = world.instrumentation
     injector = world.fault_injector
-    # Inbound runs only need the recipient-side crash seam when a plan
-    # is compiled in; without one the unchecked tight loop is identical
-    # to PR 9's wire behavior.
-    deliver_run = (
-        net._deliver_many_checked if injector is not None
-        else net._deliver_many
-    )
+    note = sim.note_logical_events
+    if injector is None:
+        deliver_run = net._deliver_many
+    else:
+        # With a plan compiled in, cross-shard copies were routed through
+        # the fault seam at their *source*; what is left at the
+        # destination is the recipient-side crash window, which the stock
+        # per-copy ``_deliver`` applies — so the fault counters merge to
+        # the single-process totals exactly.
+        def deliver_run(snd, run, payload):
+            note(len(run) - 1)
+            for recipient in run:
+                net._deliver(snd, recipient, payload, None)
+
     # Payload ref tables: inbound per source shard, outbound per
     # destination shard.  Outbound tables key by ``id`` with the pin list
     # holding a strong reference (so the id cannot be recycled); a
@@ -476,50 +364,21 @@ def _shard_loop(conn, spec: dict) -> None:
     heappush = heapq.heappush
     heappop = heapq.heappop
     seq = 0
-    note = sim.note_logical_events
     _send_msg(conn, ("ready", sim.next_event_time()))
     while True:
         msg, _ = _recv_msg(conn)
         if msg[0] == "finish":
-            honest = world.honest_parties()
+            result = world.result()
             _send_msg(conn, (
                 "done",
                 {
-                    "commits": {
-                        p.id: p.committed_value
-                        for p in honest
-                        if p.has_committed
+                    "commits": result.commits,
+                    "commit_times": result.commit_global_times,
+                    "final_time": result.final_time,
+                    **{
+                        name: getattr(result, name)
+                        for name in ADDITIVE_COUNTERS
                     },
-                    "commit_times": {
-                        p.id: p.commit_global_time
-                        for p in honest
-                        if p.has_committed
-                    },
-                    "messages_sent": net.messages_sent,
-                    "final_time": sim.now,
-                    "events_processed": sim.events_processed,
-                    "events_recycled": sim.events_recycled,
-                    "bucket_appends": sim.bucket_appends,
-                    "heap_pushes_avoided": sim.heap_pushes_avoided,
-                    "deliveries_batched": net.deliveries_batched,
-                    "delivery_runs_batched": net.delivery_runs_batched,
-                    "quorum_checks": instrumentation.quorum_checks,
-                    "votes_batched": instrumentation.votes_batched,
-                    "equivocations_detected": (
-                        instrumentation.equivocations_detected
-                    ),
-                    "faults_injected": (
-                        injector.faults_injected if injector else 0
-                    ),
-                    "messages_dropped": (
-                        injector.messages_dropped if injector else 0
-                    ),
-                    "messages_duplicated": (
-                        injector.messages_duplicated if injector else 0
-                    ),
-                    "messages_held": (
-                        injector.messages_held if injector else 0
-                    ),
                 },
             ))
             conn.close()
@@ -551,65 +410,35 @@ def _shard_loop(conn, spec: dict) -> None:
                     recs[i], recs[i + 2], recs[i + 3], payload,
                 ))
                 seq += 1
+        # The window is ``[step_time, window_end)`` — or, with no lookahead
+        # (``window_end == step_time``), exactly the instant ``step_time``
+        # — and under a horizon never runs past ``until`` (the coordinator
+        # reports the horizon as hit and stamps ``final_time`` itself).
         if window_end == step_time:
-            # No lookahead: run exactly the instant, local events first,
-            # then the inbound copies landing at it (plus any local
-            # cascade they trigger at the same instant).
-            sim.run(until=step_time)
-            if inqueue and inqueue[0][0] <= step_time:
-                sim.advance_now(step_time)
-                while inqueue and inqueue[0][0] <= step_time:
-                    _, _, _, snd, run_lo, run_hi, payload = heappop(
-                        inqueue
-                    )
-                    note(1)
-                    deliver_run(snd, range(run_lo, run_hi), payload)
-                sim.run(until=step_time)
-        elif until is None:
-            # Window mode, no horizon (the hot path): alternate between
-            # draining local events up to the next inbound instant
-            # (inclusive — local first on ties) and delivering that
-            # instant's inbound copies; finish with one ``run_before``
-            # over whatever local tail remains inside the window.
-            while True:
-                head = inqueue[0] if inqueue else None
-                if head is None or head[0] >= window_end:
-                    sim.run_before(window_end)
-                    break
-                instant = head[0]
-                sim.run(until=instant)
-                sim.advance_now(instant)
-                while inqueue and inqueue[0][0] == instant:
-                    _, _, _, snd, run_lo, run_hi, payload = heappop(
-                        inqueue
-                    )
-                    note(1)
-                    deliver_run(snd, range(run_lo, run_hi), payload)
+            strict, last = INF, step_time
         else:
-            # Window mode under a horizon: same merge, but nothing past
-            # ``until`` may run (the coordinator reports the horizon as
-            # hit and stamps ``final_time`` itself).
-            while True:
-                head_time = inqueue[0][0] if inqueue else None
-                next_local = sim.next_event_time()
-                if next_local is not None and (
-                    head_time is None or next_local <= head_time
-                ):
-                    instant = next_local
+            strict, last = window_end, INF if until is None else until
+        # One merge loop: drain local events up to the next inbound
+        # instant (inclusive — local first on ties), deliver that
+        # instant's inbound copies, repeat; once no inbound record is
+        # left inside the window, run the local tail (including, at a
+        # single instant, the cascade the inbound copies triggered).
+        while True:
+            instant = inqueue[0][0] if inqueue else INF
+            if instant >= strict or instant > last:
+                if last < strict:
+                    sim.run(until=last)
                 else:
-                    if head_time is None:
-                        break
-                    instant = head_time
-                if instant >= window_end or instant > until:
-                    break
-                sim.run(until=instant)
-                sim.advance_now(instant)
-                while inqueue and inqueue[0][0] == instant:
-                    _, _, _, snd, run_lo, run_hi, payload = heappop(
-                        inqueue
-                    )
-                    note(1)
-                    deliver_run(snd, range(run_lo, run_hi), payload)
+                    # ``run_before`` leaves ``now`` at the last real
+                    # event, which the merged ``final_time`` reports.
+                    sim.run_before(strict)
+                break
+            sim.run(until=instant)
+            sim.advance_now(instant)
+            while inqueue and inqueue[0][0] == instant:
+                _, _, _, snd, run_lo, run_hi, payload = heappop(inqueue)
+                note(1)
+                deliver_run(snd, range(run_lo, run_hi), payload)
         out: dict[int, tuple[list, array, array]] = {}
         if net.outbuf:
             for sender, payload, run_lo, run_hi, deliver_time in (

@@ -16,8 +16,8 @@ append — O(1), no sift — and the per-instant heap is touched once per
 ``(priority, order_key, seq)`` when the bucket is first drained, so the
 observable pop order — ``(time, priority, order_key, seq)``, with ``seq``
 the global insertion sequence — is **byte-identical** to the heap
-backend's in every instrumentation preset; `tests/sim/test_timeline.py`
-drives both backends through randomized schedules to pin that down.
+queue's in every instrumentation preset; `tests/sim/test_timeline.py`
+drives both queues through randomized schedules to pin that down.
 
 Same-instant pushes that arrive *while their instant is being drained*
 (every multicast's self-delivery fires at ``now``) are merge-inserted
@@ -28,10 +28,10 @@ bulk compaction trigger inherited from :class:`~repro.sim.events.
 EventQueue` rebuilds the buckets without dead entries.
 
 The queue-facing API is exactly :class:`~repro.sim.events.EventQueue`'s
-(it subclasses it, replacing only the ordering structure), so
-:class:`~repro.sim.scheduler.Simulator` treats the backends
-interchangeably; ``timeline="bucket"`` is the default everywhere, with
-the heap retained for parity checks and as the reference semantics.
+(it subclasses it, replacing only the ordering structure).
+:class:`~repro.sim.scheduler.Simulator` always runs on the calendar;
+the heap base class doubles as the reference semantics the parity
+tests compare it against.
 """
 from __future__ import annotations
 

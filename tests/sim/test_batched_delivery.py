@@ -4,9 +4,10 @@ Run batching (one ``_deliver_many`` event per equal-delay fan-out run)
 and vote batching (one staged ``add_batch`` per uniform forwarded
 quorum) are pure performance transforms: the same seed must yield the
 same commits, message counts, logical event counts and tally counters
-with either path.  This suite pins that equivalence across presets,
-timeline backends and the explicit ``batch_deliveries`` opt-out, plus
-the counter relationships the benchmarks report.
+with either path.  This suite pins that equivalence across presets —
+``"perf-observed"`` forces the per-copy path the way production does, by
+attaching an envelope observer to the otherwise bare ``perf`` preset —
+plus the counter relationships the benchmarks report.
 """
 import pytest
 
@@ -26,19 +27,16 @@ CASES = {
 }
 
 
-def _instrumentation(preset, timeline, batch):
+def _instrumentation(preset):
     if preset == "full":
-        return Instrumentation(
-            name="full", rounds=True, transcripts=True,
-            timeline=timeline, batch_deliveries=batch,
-        )
+        return Instrumentation(name="full", rounds=True, transcripts=True)
     return Instrumentation(
-        name="perf", rounds=False, transcripts=False,
-        recycle_events=True, timeline=timeline, batch_deliveries=batch,
+        name="perf", rounds=False, transcripts=False, recycle_events=True,
+        envelopes=preset == "perf-observed",
     )
 
 
-def _run(case, preset, timeline, batch, *, delay):
+def _run(case, preset, *, delay):
     cls, n, f, kwargs = CASES[case]
     if delay == "fixed":
         policy = FixedDelay(0.37)
@@ -49,7 +47,7 @@ def _run(case, preset, timeline, batch, *, delay):
         f=f,
         party_factory=cls.factory(broadcaster=0, input_value="v", **kwargs),
         delay_policy=policy,
-        instrumentation=_instrumentation(preset, timeline, batch),
+        instrumentation=_instrumentation(preset),
     )
 
 
@@ -69,33 +67,23 @@ class TestBatchedDeliveryParity:
     @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("delay", ["fixed", "uniform"])
     def test_same_seed_same_outcome_all_modes(self, case, delay):
-        base = None
-        for preset in ("full", "perf"):
-            for timeline in ("bucket", "heap"):
-                for batch in (True, False):
-                    outcome = _outcome(
-                        _run(case, preset, timeline, batch, delay=delay)
-                    )
-                    if base is None:
-                        base = outcome
-                    else:
-                        assert outcome == base, (
-                            f"{case}/{delay}: {preset}/{timeline}/"
-                            f"batch={batch} diverged"
-                        )
+        base = _outcome(_run(case, "full", delay=delay))
+        for preset in ("perf", "perf-observed"):
+            outcome = _outcome(_run(case, preset, delay=delay))
+            assert outcome == base, f"{case}/{delay}: {preset} diverged"
 
     def test_zero_delay_runs_stay_per_copy(self):
         # Same-instant deliveries keep per-copy scheduling (reaction
         # ordering at one instant is seq-sensitive), so a zero-delay
         # policy must never produce a batched run.
-        result = _run("brb_2round", "perf", "bucket", True, delay="fixed")
+        result = _run("brb_2round", "perf", delay="fixed")
         assert result.deliveries_batched > 0  # sanity: 0.37 > 0 batches
         zero = run_broadcast(
             n=13,
             f=4,
             party_factory=Brb2Round.factory(broadcaster=0, input_value="v"),
             delay_policy=FixedDelay(0.0),
-            instrumentation=_instrumentation("perf", "bucket", True),
+            instrumentation=_instrumentation("perf"),
         )
         assert zero.deliveries_batched == 0
         assert zero.delivery_runs_batched == 0
@@ -104,25 +92,25 @@ class TestBatchedDeliveryParity:
 
 class TestBatchedDeliveryCounters:
     def test_perf_counts_batched_runs_full_stays_per_copy(self):
-        perf = _run("brb_2round", "perf", "bucket", True, delay="fixed")
-        full = _run("brb_2round", "full", "bucket", True, delay="fixed")
+        perf = _run("brb_2round", "perf", delay="fixed")
         # perf: no per-copy observer, so fixed-delay fan-outs batch.
         assert perf.deliveries_batched > 0
         assert perf.delivery_runs_batched > 0
-        # full: the accountant observes every copy — per-copy forced.
-        assert full.deliveries_batched == 0
-        assert full.delivery_runs_batched == 0
-        # events_processed counts *logical* deliveries in both paths.
-        assert perf.events_processed == full.events_processed
+        # full: the accountant observes every copy — per-copy forced;
+        # so does a lone envelope observer on the perf preset.
+        for preset in ("full", "perf-observed"):
+            observed = _run("brb_2round", preset, delay="fixed")
+            assert observed.deliveries_batched == 0
+            assert observed.delivery_runs_batched == 0
+            # events_processed counts *logical* deliveries in both paths.
+            assert perf.events_processed == observed.events_processed
 
     def test_votes_batched_counts_vectorized_absorbs(self):
         # Stragglers receive quorum forwards before terminating, so the
         # vectorized vote path activates under spread-out delays...
-        spread = _run("brb_2round", "perf", "bucket", True, delay="uniform")
+        spread = _run("brb_2round", "perf", delay="uniform")
         assert spread.votes_batched > 0
         # ...and is instrumentation-invariant: the vote path is chosen
         # by message *content*, not by the delivery mode.
-        spread_full = _run(
-            "brb_2round", "full", "bucket", True, delay="uniform"
-        )
+        spread_full = _run("brb_2round", "full", delay="uniform")
         assert spread_full.votes_batched == spread.votes_batched

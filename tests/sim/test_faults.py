@@ -309,8 +309,7 @@ class TestFaultInjector:
 
 
 def _run_brb(
-    *, plan=None, monitors=None, preset="full", timeline="bucket", seed=3,
-    n=7, f=2,
+    *, plan=None, monitors=None, preset="full", seed=3, n=7, f=2,
 ):
     presets = {
         "full": dict(rounds=True, transcripts=True),
@@ -321,9 +320,7 @@ def _run_brb(
         n=n,
         f=f,
         delay_policy=UniformDelay(0.0, 1.0, seed=seed),
-        instrumentation=Instrumentation(
-            name=preset, timeline=timeline, **presets[preset]
-        ),
+        instrumentation=Instrumentation(name=preset, **presets[preset]),
         fault_plan=plan,
         monitors=monitors,
     )
@@ -346,16 +343,9 @@ class TestWorldIntegration:
         """The CI faults-off parity claim: an *attached but empty* plan
         exercises the injector code path yet changes nothing."""
         for preset in ("full", "rounds", "perf"):
-            for timeline in ("heap", "bucket"):
-                baseline = _snapshot(
-                    _run_brb(preset=preset, timeline=timeline)
-                )
-                empty = _snapshot(
-                    _run_brb(
-                        plan=FaultPlan(), preset=preset, timeline=timeline
-                    )
-                )
-                assert baseline == empty, (preset, timeline)
+            baseline = _snapshot(_run_brb(preset=preset))
+            empty = _snapshot(_run_brb(plan=FaultPlan(), preset=preset))
+            assert baseline == empty, preset
 
     def test_crash_within_budget_spares_live_parties(self):
         plan = FaultPlan(crashes=(Crash(5, 0.0), Crash(6, 0.0)))
@@ -394,10 +384,12 @@ class TestWorldIntegration:
         }
         assert outcomes["full"] == outcomes["rounds"] == outcomes["perf"]
 
-    def test_partition_heal_flush_deterministic_across_backends(self):
-        """Same seed => identical post-heal flush schedule on the heap
-        and the bucket calendar (the injector RNG is consumed in
-        scheduling order, which both backends share)."""
+    def test_partition_heal_flush_deterministic_across_backends(
+        self, reference_queue
+    ):
+        """Same seed => identical post-heal flush schedule in every
+        preset and on the reference heap queue (the injector RNG is
+        consumed in scheduling order, which all of them share)."""
         plan = FaultPlan(
             partitions=(
                 Partition(
@@ -411,10 +403,11 @@ class TestWorldIntegration:
             seed=29,
         )
         snapshots = [
-            _snapshot(_run_brb(plan=plan, timeline=timeline, preset=preset))
+            _snapshot(_run_brb(plan=plan, preset=preset))
             for preset in ("full", "perf")
-            for timeline in ("heap", "bucket")
         ]
+        with reference_queue():
+            snapshots.append(_snapshot(_run_brb(plan=plan)))
         assert len(set(snapshots)) == 1
         result = _run_brb(plan=plan)
         assert result.messages_held > 0

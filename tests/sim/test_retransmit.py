@@ -135,16 +135,12 @@ PRESETS = {
 }
 
 
-def _run_brb(
-    *, plan=None, link=None, preset="full", timeline="bucket", seed=3
-):
+def _run_brb(*, plan=None, link=None, preset="full", seed=3):
     world = World(
         n=7,
         f=2,
         delay_policy=UniformDelay(0.0, 1.0, seed=seed),
-        instrumentation=Instrumentation(
-            name=preset, timeline=timeline, **PRESETS[preset]
-        ),
+        instrumentation=Instrumentation(name=preset, **PRESETS[preset]),
         fault_plan=plan,
         reliable_link=link,
     )
@@ -207,12 +203,9 @@ class TestNetworkIntegration:
         """The CI retransmission-off parity claim: ``reliable_link=None``
         is indistinguishable from a build without the channel."""
         for preset in ("full", "rounds", "perf"):
-            for timeline in ("heap", "bucket"):
-                bare = _snapshot(_run_brb(preset=preset, timeline=timeline))
-                off = _snapshot(
-                    _run_brb(link=None, preset=preset, timeline=timeline)
-                )
-                assert bare == off, (preset, timeline)
+            bare = _snapshot(_run_brb(preset=preset))
+            off = _snapshot(_run_brb(link=None, preset=preset))
+            assert bare == off, preset
 
     def test_channel_on_without_loss_changes_no_outcome(self):
         bare = _run_brb()
@@ -223,19 +216,21 @@ class TestNetworkIntegration:
         assert on.retransmissions == 0
         assert on.acks_sent > 0  # every cross-party copy was acked
 
-    def test_retry_schedule_deterministic_across_presets_and_backends(self):
-        snapshots = [
-            _snapshot(
+    def test_retry_schedule_deterministic_across_presets_and_backends(
+        self, reference_queue
+    ):
+        def run(preset):
+            return _snapshot(
                 _run_brb(
                     plan=TOTAL_LOSS,
                     link=ReliableLink(rto=1.5, backoff=1.5, max_retries=3),
                     preset=preset,
-                    timeline=timeline,
                 )
             )
-            for preset in ("full", "perf")
-            for timeline in ("heap", "bucket")
-        ]
+
+        snapshots = [run("full"), run("perf")]
+        with reference_queue():
+            snapshots.append(run("full"))
         assert len(set(snapshots)) == 1
 
     def test_counters_absent_without_channel(self):

@@ -14,9 +14,12 @@ semantics need global per-copy visibility must silently fall back — and
 the coordinator's zero-delay convergence (same-instant cross-shard
 cascades re-step until quiescent).
 """
+import os
+from contextlib import nullcontext
+
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.protocols.brb_2round import Brb2Round
 from repro.protocols.psync.vbb_5f1 import PsyncVbb5f1
 from repro.sim.coordinator import shard_bounds
@@ -80,6 +83,19 @@ def _counter_plan(n: int) -> FaultPlan:
     )
 
 
+def _perf():
+    return Instrumentation(
+        name="perf", rounds=False, transcripts=False, recycle_events=True
+    )
+
+
+def _queue(timeline, reference_queue):
+    """The ``timeline`` axis: ``"heap"`` runs the whole world — forked
+    workers included — on the reference queue, ``"bucket"`` on the
+    production calendar."""
+    return reference_queue() if timeline == "heap" else nullcontext()
+
+
 def _run(case, *, shards, instrumentation, delay=None, **kwargs):
     protocol, n, f, extra = CASES[case]
     return run_broadcast(
@@ -114,40 +130,48 @@ class TestShardBounds:
 class TestShardCountIndependence:
     @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("timeline", ["bucket", "heap"])
-    def test_perf_preset_parity(self, case, timeline):
-        instrumentation = lambda: Instrumentation(  # noqa: E731
-            name="perf", rounds=False, transcripts=False,
-            recycle_events=True, timeline=timeline,
-        )
-        baseline = _run(case, shards=1, instrumentation=instrumentation())
-        assert baseline.shards == 1
-        assert baseline.shard_batches_exchanged == 0
-        assert baseline.all_honest_committed()
-        for shards in (2, 4):
-            result = _run(
-                case, shards=shards, instrumentation=instrumentation()
-            )
-            assert result.shards == shards
-            assert result.shard_batches_exchanged > 0
-            assert result.timeline == timeline
-            for field in INVARIANT_FIELDS:
-                assert getattr(result, field) == getattr(
-                    baseline, field
-                ), field
+    def test_perf_preset_parity(self, case, timeline, reference_queue):
+        with _queue(timeline, reference_queue):
+            baseline = _run(case, shards=1, instrumentation=_perf())
+            assert baseline.shards == 1
+            assert baseline.shard_batches_exchanged == 0
+            assert baseline.all_honest_committed()
+            for shards in (2, 4):
+                result = _run(case, shards=shards, instrumentation=_perf())
+                assert result.shards == shards
+                assert result.shard_batches_exchanged > 0
+                # The workers really ran on the requested queue.
+                assert (result.bucket_appends > 0) == (timeline == "bucket")
+                for field in INVARIANT_FIELDS:
+                    assert getattr(result, field) == getattr(
+                        baseline, field
+                    ), field
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_batch_deliveries_off_parity(self, case):
-        instrumentation = lambda: Instrumentation(  # noqa: E731
-            name="perf", rounds=False, transcripts=False,
-            recycle_events=True, batch_deliveries=False,
+        # The per-copy path, forced the way production forces it.  On one
+        # process: an envelope observer (observers refuse sharding, so
+        # this is the shards=1 reference).  Across shards: a compiled-in
+        # (empty) counter-stream plan, whose injector routes every copy.
+        observed = _run(
+            case, shards=1,
+            instrumentation=Instrumentation(
+                name="perf", rounds=False, transcripts=False,
+                recycle_events=True, envelopes=True,
+            ),
         )
-        baseline = _run(case, shards=1, instrumentation=instrumentation())
-        result = _run(case, shards=2, instrumentation=instrumentation())
-        assert result.shards == 2
-        assert baseline.deliveries_batched == 0
-        assert result.deliveries_batched == 0
+        folded = _run(case, shards=1, instrumentation=_perf())
+        routed = _run(
+            case, shards=2, instrumentation=_perf(),
+            fault_plan=FaultPlan(stream="counter"),
+        )
+        assert routed.shards == 2
+        assert folded.deliveries_batched > 0
+        assert observed.deliveries_batched == 0
+        assert routed.deliveries_batched == 0
         for field in INVARIANT_FIELDS:
-            assert getattr(result, field) == getattr(baseline, field), field
+            assert getattr(observed, field) == getattr(folded, field), field
+            assert getattr(routed, field) == getattr(folded, field), field
 
     def test_per_link_delay_parity(self):
         protocol, n, f, _ = CASES["brb_2round"]
@@ -236,18 +260,20 @@ class TestCounterStreamParity:
     @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("timeline", ["bucket", "heap"])
     @pytest.mark.parametrize("with_plan", [False, True])
-    def test_counter_delay_parity(self, case, timeline, with_plan):
+    def test_counter_delay_parity(
+        self, case, timeline, with_plan, reference_queue
+    ):
+        with _queue(timeline, reference_queue):
+            self._check_counter_delay_parity(case, with_plan)
+
+    def _check_counter_delay_parity(self, case, with_plan):
         _, n, _, _ = CASES[case]
-        instrumentation = lambda: Instrumentation(  # noqa: E731
-            name="perf", rounds=False, transcripts=False,
-            recycle_events=True, timeline=timeline,
-        )
         delay = lambda: UniformDelay(  # noqa: E731
             0.05, 1.0, seed=17, stream="counter"
         )
         plan = _counter_plan(n) if with_plan else None
         baseline = _run(
-            case, shards=1, instrumentation=instrumentation(),
+            case, shards=1, instrumentation=_perf(),
             delay=delay(), fault_plan=plan,
         )
         assert baseline.shards == 1
@@ -259,12 +285,11 @@ class TestCounterStreamParity:
         fields = INVARIANT_FIELDS + (FAULT_FIELDS if with_plan else ())
         for shards in (2, 4):
             result = _run(
-                case, shards=shards, instrumentation=instrumentation(),
+                case, shards=shards, instrumentation=_perf(),
                 delay=delay(), fault_plan=plan,
             )
             assert result.shards == shards
             assert result.shard_batches_exchanged > 0
-            assert result.timeline == timeline
             for field in fields:
                 assert getattr(result, field) == getattr(
                     baseline, field
@@ -283,6 +308,25 @@ class TestCounterStreamParity:
         assert sharded.shard_barrier_rounds <= (
             sharded.shard_batches_exchanged + sharded.events_processed
         )
+
+
+class TestWorkerFailure:
+    def test_killed_worker_names_its_shard(self):
+        # A worker that dies without a traceback frame (OOM kill,
+        # ``os._exit``) just closes its pipe; the coordinator must say
+        # which shard died and how, not surface a bare ``EOFError``.
+        # With shards=2 the factory only ever runs inside the workers.
+        world = World(
+            n=7, f=2, delay_policy=FixedDelay(1.0),
+            instrumentation="perf", shards=2,
+        )
+        world.populate(lambda world, pid: os._exit(3))
+        assert world.shards == 2
+        with pytest.raises(
+            SimulationError,
+            match=r"shard 0 \(parties \[0, 4\)\) died .* exit code 3",
+        ):
+            world.run()
 
 
 class TestForcedSingleProcess:

@@ -217,8 +217,16 @@ class TestCancelledTransientRecycling:
 
 
 class TestSimulatorParity:
-    def _cascade_log(self, timeline: str, *, until=None, max_events=None):
-        sim = Simulator(recycle_events=True, timeline=timeline)
+    """One ``Simulator`` script, replayed on the heap and the calendar."""
+
+    @staticmethod
+    def _on_both(reference_queue, script):
+        with reference_queue():
+            heap = script()
+        return heap, script()
+
+    def _cascade_log(self, *, until=None, max_events=None):
+        sim = Simulator(recycle_events=True)
         rng = random.Random(7)
         log = []
         spawned = [0]
@@ -237,24 +245,29 @@ class TestSimulatorParity:
         final = sim.run(until=until, max_events=max_events)
         return log, final, sim.pending_events(), sim.events_processed
 
-    def test_run_to_quiescence_identical(self):
-        assert self._cascade_log("heap") == self._cascade_log("bucket")
+    def test_run_to_quiescence_identical(self, reference_queue):
+        heap, bucket = self._on_both(reference_queue, self._cascade_log)
+        assert heap == bucket
 
-    def test_until_horizon_identical(self):
-        assert self._cascade_log("heap", until=2.5) == self._cascade_log(
-            "bucket", until=2.5
+    def test_until_horizon_identical(self, reference_queue):
+        heap, bucket = self._on_both(
+            reference_queue, lambda: self._cascade_log(until=2.5)
         )
+        assert heap == bucket
 
-    def test_max_events_horizon_identical(self):
-        assert self._cascade_log("heap", max_events=37) == self._cascade_log(
-            "bucket", max_events=37
+    def test_max_events_horizon_identical(self, reference_queue):
+        heap, bucket = self._on_both(
+            reference_queue, lambda: self._cascade_log(max_events=37)
         )
+        assert heap == bucket
 
-    def test_same_instant_push_during_drain_matches_heap(self):
+    def test_same_instant_push_during_drain_matches_heap(
+        self, reference_queue
+    ):
         """Self-delivery pattern: scheduling at ``now`` mid-instant."""
 
-        def run(timeline: str):
-            sim = Simulator(timeline=timeline)
+        def run():
+            sim = Simulator()
             log = []
 
             def primary(tag: int) -> None:
@@ -272,23 +285,22 @@ class TestSimulatorParity:
             sim.run()
             return log
 
-        assert run("heap") == run("bucket")
+        heap, bucket = self._on_both(reference_queue, run)
+        assert heap == bucket
 
-    def test_unknown_timeline_rejected(self):
-        from repro.errors import SimulationError
+    def test_patch_selects_the_queue(self, reference_queue):
+        # Guards the fixture itself: were the swap a no-op, every parity
+        # test here would compare the calendar with itself.
+        with reference_queue():
+            assert type(Simulator()._queue) is EventQueue
+        assert type(Simulator()._queue) is BucketTimeline
 
-        with pytest.raises(SimulationError):
-            Simulator(timeline="wheel")
 
-
-def _outcome(cls, kwargs, policy, preset: dict, timeline: str):
-    instrumentation = Instrumentation(
-        name="parity", timeline=timeline, **preset
-    )
+def _outcome(cls, kwargs, policy, preset: dict):
     result = run_broadcast(
         party_factory=cls.factory(broadcaster=0, input_value="v"),
         delay_policy=policy,
-        instrumentation=instrumentation,
+        instrumentation=Instrumentation(name="parity", **preset),
         **kwargs,
     )
     return (
@@ -309,7 +321,11 @@ _PRESETS = {
 
 
 class TestRunResultParity:
-    """Same seed, heap vs. bucket: identical outcomes, every preset."""
+    """Same seed, heap vs. bucket: identical outcomes, every preset.
+
+    The one world-level heap-vs-calendar comparison; the other suites run
+    on the production queue only.
+    """
 
     @pytest.mark.parametrize("preset", sorted(_PRESETS))
     @pytest.mark.parametrize(
@@ -320,36 +336,43 @@ class TestRunResultParity:
         ],
     )
     @pytest.mark.parametrize("seed", [1, 42])
-    def test_snapshots_identical(self, preset, cls, kwargs, seed):
-        snapshots = [
-            _outcome(
+    def test_snapshots_identical(
+        self, preset, cls, kwargs, seed, reference_queue
+    ):
+        def run():
+            return _outcome(
                 cls, kwargs, UniformDelay(0.0, 1.0, seed=seed),
-                _PRESETS[preset], timeline,
+                _PRESETS[preset],
             )
-            for timeline in ("heap", "bucket")
-        ]
-        assert snapshots[0] == snapshots[1]
-        assert snapshots[0][0]  # the run actually committed something
 
-    def test_fixed_delay_ties_identical(self):
+        with reference_queue():
+            heap = run()
+        assert heap == run()
+        assert heap[0]  # the run actually committed something
+
+    def test_fixed_delay_ties_identical(self, reference_queue):
         for preset in _PRESETS.values():
-            snapshots = [
-                _outcome(
-                    Brb2Round, dict(n=16, f=5), FixedDelay(1.0), preset,
-                    timeline,
+            def run():
+                return _outcome(
+                    Brb2Round, dict(n=16, f=5), FixedDelay(1.0), preset
                 )
-                for timeline in ("heap", "bucket")
-            ]
-            assert snapshots[0] == snapshots[1]
 
-    def test_counters_flow_into_run_result(self):
-        result = run_broadcast(
-            n=16, f=5,
-            party_factory=Brb2Round.factory(broadcaster=0, input_value="v"),
-            delay_policy=FixedDelay(1.0),
-            instrumentation="perf",
-        )
-        assert result.timeline == "bucket"
+            with reference_queue():
+                heap = run()
+            assert heap == run()
+
+    def test_counters_flow_into_run_result(self, reference_queue):
+        def run():
+            return run_broadcast(
+                n=16, f=5,
+                party_factory=Brb2Round.factory(
+                    broadcaster=0, input_value="v"
+                ),
+                delay_policy=FixedDelay(1.0),
+                instrumentation="perf",
+            )
+
+        result = run()
         # Every *physical* event went through a bucket append; batched
         # delivery runs fold extra logical deliveries into one event, so
         # the physical count is the logical one minus the folded copies.
@@ -360,16 +383,8 @@ class TestRunResultParity:
         )
         assert result.deliveries_batched > 0
         assert result.heap_pushes_avoided > 0
-        heap_result = run_broadcast(
-            n=16, f=5,
-            party_factory=Brb2Round.factory(broadcaster=0, input_value="v"),
-            delay_policy=FixedDelay(1.0),
-            instrumentation=Instrumentation(
-                name="heap-perf", rounds=False, transcripts=False,
-                recycle_events=True, timeline="heap",
-            ),
-        )
-        assert heap_result.timeline == "heap"
+        with reference_queue():
+            heap_result = run()
         assert heap_result.bucket_appends == 0
         assert heap_result.heap_pushes_avoided == 0
         assert heap_result.commits == result.commits
