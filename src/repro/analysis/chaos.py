@@ -36,6 +36,8 @@ from typing import Any, Callable
 
 from repro.analysis.engine import SweepEngine, SweepTask
 from repro.errors import InvariantViolation
+from repro.protocols import PROTOCOLS
+from repro.protocols.psync.base import round_robin_leader
 from repro.sim.faults import (
     Crash,
     CrashLeader,
@@ -161,32 +163,13 @@ def _spec_for(protocol: str, tier: str) -> ChaosSpec:
 
 
 def _protocol_class(name: str):
-    """Resolve a chaos protocol label to its party class (lazy imports)."""
-    if name == "brb_2round":
-        from repro.protocols.brb_2round import Brb2Round
-        return Brb2Round
-    if name == "brb_bracha":
-        from repro.protocols.brb_bracha import BrachaBrb
-        return BrachaBrb
-    if name == "psync_vbb_5f1":
-        from repro.protocols.psync.vbb_5f1 import PsyncVbb5f1
-        return PsyncVbb5f1
-    if name == "psync_pbft":
-        from repro.protocols.psync.pbft import PbftPsync
-        return PbftPsync
-    if name == "psync_fab":
-        from repro.protocols.psync.fab import FabPsync
-        return FabPsync
-    if name == "bb_2delta":
-        from repro.protocols.sync.bb_2delta import Bb2Delta
-        return Bb2Delta
-    if name == "dolev_strong":
-        from repro.protocols.dolev_strong import DolevStrongBb
-        return DolevStrongBb
-    raise ValueError(
-        f"unknown chaos protocol {name!r}; "
-        f"expected one of {sorted(CHAOS_SPECS)}"
-    )
+    """Resolve a chaos protocol label to its party class."""
+    if name not in CHAOS_SPECS:
+        raise ValueError(
+            f"unknown chaos protocol {name!r}; "
+            f"expected one of {sorted(CHAOS_SPECS)}"
+        )
+    return PROTOCOLS[name]
 
 
 # ---------------------------------------------------------------------- #
@@ -457,7 +440,9 @@ def run_chaos_plan(
     stream = "counter" if counter_mode else "sequential"
     spec = _spec_for(protocol, tier)
     cls = _protocol_class(protocol)
-    plan = plan.resolve_leaders(lambda view: (0 + view - 1) % spec.n)
+    plan = plan.resolve_leaders(
+        lambda view: round_robin_leader(0, view, spec.n)
+    )
     quiet = plan.quiet_time(reliable)
     deadline = quiet + spec.slack
     kwargs: dict[str, Any] = {}
@@ -559,6 +544,7 @@ def run_chaos_plan(
         "messages_held": result.messages_held,
         "partition_windows": result.partition_windows,
         "messages_sent": result.messages_sent,
+        "events_processed": result.events_processed,
         "commits": len(result.commits),
         "commit_views": commit_views,
         "max_commit_view": max(commit_views) if commit_views else None,

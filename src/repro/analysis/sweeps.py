@@ -21,6 +21,7 @@ from repro.analysis.latency import (
     measure_sync_good_case,
 )
 from repro.net.synchrony import SynchronyModel
+from repro.protocols import PROTOCOLS
 from repro.protocols.dolev_strong import DolevStrongBb
 from repro.protocols.sync.bb_2delta import Bb2Delta
 from repro.protocols.sync.bb_delta_15delta import BbDelta15Delta
@@ -266,19 +267,18 @@ def sweep_async_rounds(
     )
 
 
+#: Protocol families the latency-distribution sweep accepts.
+DISTRIBUTION_PROTOCOLS = ("brb_2round", "psync_vbb_5f1")
+
+
 def _distribution_protocol(name: str):
     """Resolve a latency-distribution protocol family by bench label."""
-    from repro.protocols.brb_2round import Brb2Round
-    from repro.protocols.psync.vbb_5f1 import PsyncVbb5f1
-
-    families = {"brb_2round": Brb2Round, "psync_vbb_5f1": PsyncVbb5f1}
-    try:
-        return families[name]
-    except KeyError:
+    if name not in DISTRIBUTION_PROTOCOLS:
         raise ValueError(
             f"unknown distribution protocol {name!r}; "
-            f"expected one of {sorted(families)}"
-        ) from None
+            f"expected one of {sorted(DISTRIBUTION_PROTOCOLS)}"
+        )
+    return PROTOCOLS[name]
 
 
 def _random_delay_point(

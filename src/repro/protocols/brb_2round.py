@@ -29,28 +29,14 @@ def _vote_quorum_message(quorum: tuple) -> tuple:
     return (VOTE_QUORUM, quorum)
 
 
-def _uniform_vote_value(votes) -> Value | None:
-    """The single value a well-formed vote run supports, else ``None``.
-
-    The batched vote path only handles runs where every item is a
-    structurally valid ``(VOTE, v)`` signature over one ``v`` (every
-    honest quorum forward is); mixed or malformed runs — only a
-    Byzantine sender produces them — fall back to the scalar loop.
-    """
-    value: Value | None = None
-    for vote in votes:
-        if not isinstance(vote, SignedPayload):
-            return None
-        body = vote.payload
-        if not (
-            isinstance(body, tuple) and len(body) == 2 and body[0] == VOTE
-        ):
-            return None
-        if value is None:
-            value = body[1]
-        elif body[1] != value:
-            return None
-    return value
+def _vote_value(vote: SignedPayload) -> Value | None:
+    """The value a structurally valid ``<vote, v>_i`` votes for, else
+    ``None`` (outer signature not checked)."""
+    try:
+        tag, value = vote.payload
+    except (TypeError, ValueError):
+        return None
+    return value if tag == VOTE else None
 
 
 class Brb2Round(BroadcastParty):
@@ -97,19 +83,31 @@ class Brb2Round(BroadcastParty):
             self.multicast(self.make_proposal(self.input_value))
 
     def on_message(self, sender: PartyId, payload: Any) -> None:
-        kind = payload[0]
+        # Every 2-round-BRB message is a pair; anything else is dropped.
+        # Shape is checked by the unpack itself (here and in ``_on_vote``):
+        # on the n^2 vote deliveries an explicit isinstance/len test costs
+        # 6 % of a run, a ``try`` that does not raise costs nothing.
+        try:
+            kind, body = payload
+        except (TypeError, ValueError):
+            return
         if kind == PROPOSE and sender == self.broadcaster:
-            self._on_proposal(payload[1])
+            self._on_proposal(body)
         elif kind == VOTE:
-            self._on_vote(payload[1])
-        elif kind == VOTE_QUORUM:
-            votes = payload[1]
-            value = _uniform_vote_value(votes)
-            if value is None or not self.on_votes_batch(
-                value, [vote.signer for vote in votes], votes
-            ):
-                for vote in votes:
+            self._on_vote(body)
+        elif kind == VOTE_QUORUM and isinstance(body, tuple):
+            # A forwarded quorum: one staged batch with the signatures
+            # deferred to the crossing, else vote by vote.
+            run = self.stage_vote_run(
+                self._votes, body, _vote_value, threshold=self.quorum
+            )
+            if run is None:
+                for vote in body:
                     self._on_vote(vote)
+            else:
+                value, staged = run
+                self._votes.commit_staged(staged)
+                self._commit_on_quorum(value, staged.crossing_mask)
 
     def _on_proposal(self, value: Value) -> None:
         # Step 2: Vote for the first proposal only.
@@ -120,9 +118,14 @@ class Brb2Round(BroadcastParty):
         self.multicast(self.make_vote(self.signer, value, body=body))
 
     def _on_vote(self, signed_vote) -> None:
-        if not self.verify(signed_vote):
+        if not isinstance(signed_vote, SignedPayload) or not self.verify(
+            signed_vote
+        ):
             return
-        tag, value = signed_vote.payload
+        try:
+            tag, value = signed_vote.payload
+        except (TypeError, ValueError):
+            return
         if tag != VOTE:
             return
         count = self._votes.add(value, signed_vote.signer, signed_vote)
@@ -134,32 +137,13 @@ class Brb2Round(BroadcastParty):
         if count == self.quorum and not self.has_committed:
             self._commit_on_quorum(value)
 
-    def on_votes_batch(self, value, signers, payloads) -> bool:
-        """Vectorized vote path for a forwarded ``VOTE_QUORUM``.
-
-        Absorbs the whole same-value run in one staged ``add_batch``
-        with signature verification deferred to the threshold crossing;
-        any batch that does not cross (or fails verification) is left
-        to the caller's scalar loop, which replays the eager semantics
-        exactly.
-        """
-        if self.has_committed:
-            return False
-        mask = self.absorb_vote_batch(
-            self._votes, value, signers, payloads, threshold=self.quorum
-        )
-        if mask is None:
-            return False
-        self._commit_on_quorum(value, mask)
-        return True
-
     def _commit_on_quorum(self, value: Value, mask: int | None = None) -> None:
         """The crossing action: forward the quorum, commit, terminate.
 
         ``mask`` pins the supporter set the forwarded message is built
         from; the scalar path omits it (its current mask *is* the
-        crossing mask), the batch path passes the staged crossing mask
-        so an oversize batch still forwards exactly ``n - f`` votes.
+        crossing mask), a staged run passes its crossing mask so an
+        oversize run still forwards exactly ``n - f`` votes.
         """
         self.multicast(
             self._votes.quorum_payload(

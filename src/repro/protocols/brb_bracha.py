@@ -10,7 +10,7 @@ the paper's Section 7 highlights for the unauthenticated setting.
         send <ready, v> to all (once).
     (4) Deliver.  On 2f+1 readies for v, commit v and terminate.
 
-This protocol stays off the vectorized vote path (``on_votes_batch``) by
+This protocol never stages a vote run (``Party.stage_vote_run``), by
 design: every message carries exactly one unauthenticated echo/ready —
 there is nothing to batch-verify and no multi-vote message whose run
 could be absorbed in one tally.  Batched *delivery* still applies (a

@@ -19,11 +19,9 @@ from __future__ import annotations
 from typing import Any
 
 from repro.crypto.signatures import SignedPayload
-from repro.errors import ConfigurationError
-from repro.protocols.base import BroadcastParty
-from repro.protocols.psync.certificates import ExternalValidity, always_valid
-from repro.protocols.quorum import QuorumTracker, commit_quorum, honest_majority
-from repro.types import PartyId, Value, validate_resilience
+from repro.protocols.psync.base import ViewChangeParty
+from repro.protocols.quorum import QuorumTracker, honest_majority
+from repro.types import PartyId, Value
 
 PROPOSE = "fab-propose"
 VOTE = "fab-vote"
@@ -32,76 +30,22 @@ VIEWCHANGE = "fab-viewchange"
 VIEWCHANGES = "fab-viewchanges"
 
 
-class FabPsync(BroadcastParty):
+class FabPsync(ViewChangeParty):
     """One replica of the simplified FaB protocol."""
 
     #: Overridable so lower-bound witnesses can instantiate the protocol
     #: below its designed resilience (Theorem 7 strawman).
     RESILIENCE = "5f+1"
+    PROPOSE_TAG = PROPOSE
+    VIEWCHANGE_TAG = VIEWCHANGE
+    VIEWCHANGES_TAG = VIEWCHANGES
 
-    def __init__(
-        self,
-        world,
-        party_id: PartyId,
-        *,
-        broadcaster: PartyId,
-        input_value: Value | None = None,
-        big_delta: float = 1.0,
-        external_validity: ExternalValidity = always_valid,
-        fallback_value: Value = "fallback",
-        max_view: int = 50,
-    ):
-        super().__init__(
-            world, party_id, broadcaster=broadcaster, input_value=input_value
-        )
-        validate_resilience(self.n, self.f, requirement=self.RESILIENCE)
-        if big_delta <= 0:
-            raise ConfigurationError(f"Delta must be > 0, got {big_delta}")
-        self.big_delta = big_delta
-        self.external_validity = external_validity
-        self.fallback_value = fallback_value
-        self.max_view = max_view
-        self.quorum = commit_quorum(self.n, self.f)
+    def __init__(self, world, party_id: PartyId, **kwargs: Any):
+        super().__init__(world, party_id, **kwargs)
         # Majority of any quorum of 4f+1.
         self.majority = honest_majority(self.n, self.f)
-        self.current_view = 1
-        self.latest_vote: tuple[Value, int] | None = None
-        self._voted_in: set[int] = set()
-        self._timed_out: set[int] = set()
-        self._advanced_past: set[int] = set()
-        # Quorum accounting per (view, value) for votes, per view for
-        # view changes (arrival-ordered forwards, as before).
+        # Quorum accounting per (view, value), arrival-ordered forwards.
         self._votes = self.quorum_tracker()
-        self._viewchanges = self.quorum_tracker()
-        self._pending_proposals: dict[int, SignedPayload] = {}
-        self._proposed_in: set[int] = set()
-
-    def leader_of(self, view: int) -> PartyId:
-        return (self.broadcaster + view - 1) % self.n
-
-    def on_start(self) -> None:
-        self.note_view(1)
-        self._arm_view_timer(1)
-        if self.is_broadcaster:
-            self.multicast(
-                self.signer.sign((PROPOSE, self.input_value, 1, None))
-            )
-
-    def on_recover(self) -> None:
-        """Back from a crash window: restore view-timer liveness.
-
-        A timeout that fired while down left ``_timed_out`` marked but
-        its VIEWCHANGE multicast suppressed — re-announce it; otherwise
-        re-arm the (stale) view timer from the current instant.
-        """
-        if self.terminated or self.has_committed:
-            return
-        view = self.current_view
-        if view in self._timed_out:
-            reported = self.latest_vote[0] if self.latest_vote else None
-            self.multicast(self.signer.sign((VIEWCHANGE, view, reported)))
-        else:
-            self._arm_view_timer(view)
 
     def on_message(self, sender: PartyId, payload: Any) -> None:
         if isinstance(payload, SignedPayload):
@@ -115,8 +59,11 @@ class FabPsync(BroadcastParty):
                 self._on_vote(payload)
             elif kind == VIEWCHANGE:
                 self._on_viewchange(payload)
-            return
-        if isinstance(payload, tuple) and payload:
+        elif (
+            isinstance(payload, tuple)
+            and len(payload) == 2
+            and isinstance(payload[1], tuple)
+        ):
             if payload[0] == VOTES:
                 for msg in payload[1]:
                     self._on_vote(msg)
@@ -128,41 +75,11 @@ class FabPsync(BroadcastParty):
     # propose / vote / commit
     # ------------------------------------------------------------------ #
 
-    def _on_proposal(self, proposal: SignedPayload) -> None:
-        if not self.verify(proposal):
-            return
-        _, value, view, justification = proposal.payload
-        if not isinstance(view, int) or view < 1:
-            return
-        if proposal.signer != self.leader_of(view):
-            return
-        if view > self.current_view:
-            self._pending_proposals.setdefault(view, proposal)
-            return
-        if view < self.current_view:
-            return
-        if view in self._voted_in or view in self._timed_out:
-            return
-        if not self.external_validity(value):
-            return
-        if not self._justified(view, value, justification):
-            return
-        self._voted_in.add(view)
-        self.latest_vote = (value, view)
+    def _vote(self, view: int, value: Value) -> None:
         self.multicast(self.signer.sign((VOTE, value, view)))
 
-    def _justified(self, view: int, value: Value, justification) -> bool:
-        if view == 1:
-            return True
-        majority = self._majority_value(view - 1, justification)
-        if majority is ...:
-            return False
-        if majority is None:
-            return True
-        return majority == value
-
-    def _majority_value(self, vc_view: int, justification):
-        """Value reported by >= 2f+1 view-change messages, if any.
+    def _carried_value(self, vc_view: int, justification):
+        """``(value,)`` reported by >= 2f+1 view-change messages, if any.
 
         Returns ``...`` for malformed justifications, ``None`` when no
         value reaches the majority threshold.
@@ -176,23 +93,15 @@ class FabPsync(BroadcastParty):
         reports = QuorumTracker(first_vote_only=True)
         contributors = 0
         for msg in justification:
-            if not isinstance(msg, SignedPayload) or not self.verify(msg):
+            if self._viewchange_view(msg) != vc_view:
                 continue
-            body = msg.payload
-            if not (
-                isinstance(body, tuple)
-                and len(body) == 3
-                and body[0] == VIEWCHANGE
-                and body[1] == vc_view
-            ):
-                continue
-            if reports.add(body[2], msg.signer):
+            if reports.add(msg.payload[2], msg.signer):
                 contributors += 1
         if contributors < self.quorum:
             return ...
         for value, count in reports.value_counts().items():
             if value is not None and count >= self.majority:
-                return value
+                return (value,)
         return None
 
     def _on_vote(self, msg: SignedPayload) -> None:
@@ -213,72 +122,6 @@ class FabPsync(BroadcastParty):
             self.commit(value)
             self.terminate()
 
-    # ------------------------------------------------------------------ #
-    # timeouts and view change
-    # ------------------------------------------------------------------ #
-
-    def _arm_view_timer(self, view: int) -> None:
-        self.after_local_delay(
-            4 * self.big_delta, lambda: self._maybe_timeout(view)
-        )
-
-    def _maybe_timeout(self, view: int) -> None:
-        if self.has_committed or self.current_view != view:
-            return
-        if view in self._timed_out:
-            return
-        self._timed_out.add(view)
-        reported = self.latest_vote[0] if self.latest_vote else None
-        self.multicast(self.signer.sign((VIEWCHANGE, view, reported)))
-
-    def _on_viewchange(self, msg: SignedPayload) -> None:
-        if not isinstance(msg, SignedPayload) or not self.verify(msg):
-            return
-        body = msg.payload
-        if not (
-            isinstance(body, tuple) and len(body) == 3 and body[0] == VIEWCHANGE
-        ):
-            return
-        view = body[1]
-        if not isinstance(view, int) or view < 1:
-            return
-        self._viewchanges.add(view, msg.signer, msg)
-        if view in self._advanced_past or view + 1 <= self.current_view:
-            return
-        if view + 1 > self.max_view:
-            return
-        if self._viewchanges.count(view) >= self.quorum:
-            self._advanced_past.add(view)
-            self.multicast(
-                (VIEWCHANGES, tuple(self._viewchanges.entries(view))),
-                include_self=False,
-            )
-            self._enter_view(view + 1)
-
-    def _enter_view(self, view: int) -> None:
-        self.current_view = view
-        self.note_view(view)
-        self._arm_view_timer(view)
-        if self.leader_of(view) == self.id:
-            self._propose_new_view(view)
-        pending = self._pending_proposals.pop(view, None)
-        if pending is not None:
-            self._on_proposal(pending)
-
-    def _propose_new_view(self, view: int) -> None:
-        if view in self._proposed_in:
-            return
-        self._proposed_in.add(view)
-        justification = tuple(self._viewchanges.entries(view - 1))
-        majority = self._majority_value(view - 1, justification)
-        if majority is ...:
-            return
-        if majority is None:
-            value = (
-                self.input_value
-                if self.input_value is not None
-                else self.fallback_value
-            )
-        else:
-            value = majority
-        self.multicast(self.signer.sign((PROPOSE, value, view, justification)))
+    def _viewchange_report(self) -> Value | None:
+        # The latest vote: views only grow, so it is the last one.
+        return self._voted[max(self._voted)] if self._voted else None

@@ -15,11 +15,8 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.crypto.signatures import SignedPayload
-from repro.errors import ConfigurationError
-from repro.protocols.base import BroadcastParty
-from repro.protocols.psync.certificates import ExternalValidity, always_valid
-from repro.protocols.quorum import commit_quorum
-from repro.types import PartyId, Value, validate_resilience
+from repro.protocols.psync.base import ViewChangeParty
+from repro.types import PartyId, Value
 
 PROPOSE = "pbft-propose"
 PREPARE = "pbft-prepare"
@@ -41,77 +38,23 @@ class PreparedCert:
         return (self.value, self.view, self.prepares)
 
 
-class PbftPsync(BroadcastParty):
+class PbftPsync(ViewChangeParty):
     """One replica of single-shot PBFT."""
 
-    def __init__(
-        self,
-        world,
-        party_id: PartyId,
-        *,
-        broadcaster: PartyId,
-        input_value: Value | None = None,
-        big_delta: float = 1.0,
-        external_validity: ExternalValidity = always_valid,
-        fallback_value: Value = "fallback",
-        max_view: int = 50,
-    ):
-        super().__init__(
-            world, party_id, broadcaster=broadcaster, input_value=input_value
-        )
-        validate_resilience(self.n, self.f, requirement="3f+1")
-        if big_delta <= 0:
-            raise ConfigurationError(f"Delta must be > 0, got {big_delta}")
-        self.big_delta = big_delta
-        self.external_validity = external_validity
-        self.fallback_value = fallback_value
-        self.max_view = max_view
-        self.quorum = commit_quorum(self.n, self.f)
-        self.current_view = 1
+    RESILIENCE = "3f+1"
+    PROPOSE_TAG = PROPOSE
+    VIEWCHANGE_TAG = VIEWCHANGE
+    VIEWCHANGES_TAG = VIEWCHANGES
+
+    def __init__(self, world, party_id: PartyId, **kwargs: Any):
+        super().__init__(world, party_id, **kwargs)
         self.prepared: PreparedCert | None = None  # my lock
-        self._voted_prepare: set[int] = set()
         self._sent_commit: set[int] = set()
-        self._timed_out: set[int] = set()
-        self._advanced_past: set[int] = set()
-        # Quorum accounting per (view, value) for prepares/commit votes
-        # and per view for view changes.  Certificates and forwards use
-        # arrival-ordered entries, matching the dict buckets they replace.
+        # Quorum accounting per (view, value) for prepares/commit votes.
+        # Certificates and forwards use arrival-ordered entries, matching
+        # the dict buckets they replace.
         self._prepares = self.quorum_tracker()
         self._commits = self.quorum_tracker()
-        self._viewchanges = self.quorum_tracker()
-        self._pending_proposals: dict[int, SignedPayload] = {}
-        self._proposed_in: set[int] = set()
-
-    def leader_of(self, view: int) -> PartyId:
-        return (self.broadcaster + view - 1) % self.n
-
-    # ------------------------------------------------------------------ #
-    # lifecycle
-    # ------------------------------------------------------------------ #
-
-    def on_start(self) -> None:
-        self.note_view(1)
-        self._arm_view_timer(1)
-        if self.is_broadcaster:
-            proposal = self.signer.sign((PROPOSE, self.input_value, 1, None))
-            self.multicast(proposal)
-
-    def on_recover(self) -> None:
-        """Back from a crash window: restore view-timer liveness.
-
-        Timers fired while down leave ``_timed_out`` marked but their
-        VIEWCHANGE multicast suppressed — without re-announcing it here
-        the recovered party never rejoins the view change.  Otherwise
-        the pending timer (armed pre-crash from a stale local instant)
-        is re-armed from *now*.
-        """
-        if self.terminated or self.has_committed:
-            return
-        view = self.current_view
-        if view in self._timed_out:
-            self.multicast(self.signer.sign((VIEWCHANGE, view, self.prepared)))
-        else:
-            self._arm_view_timer(view)
 
     def on_message(self, sender: PartyId, payload: Any) -> None:
         if isinstance(payload, SignedPayload):
@@ -127,8 +70,11 @@ class PbftPsync(BroadcastParty):
                 self._on_commit_vote(payload)
             elif kind == VIEWCHANGE:
                 self._on_viewchange(payload)
-            return
-        if isinstance(payload, tuple) and payload:
+        elif (
+            isinstance(payload, tuple)
+            and len(payload) == 2
+            and isinstance(payload[1], tuple)
+        ):
             if payload[0] == COMMITS:
                 for msg in payload[1]:
                     self._on_commit_vote(msg)
@@ -140,40 +86,11 @@ class PbftPsync(BroadcastParty):
     # propose / prepare
     # ------------------------------------------------------------------ #
 
-    def _on_proposal(self, proposal: SignedPayload) -> None:
-        if not self.verify(proposal):
-            return
-        _, value, view, justification = proposal.payload
-        if not isinstance(view, int) or view < 1:
-            return
-        if proposal.signer != self.leader_of(view):
-            return
-        if view > self.current_view:
-            self._pending_proposals.setdefault(view, proposal)
-            return
-        if view < self.current_view:
-            return
-        if view in self._voted_prepare or view in self._timed_out:
-            return
-        if not self.external_validity(value):
-            return
-        if not self._justified(view, value, justification):
-            return
-        self._voted_prepare.add(view)
+    def _vote(self, view: int, value: Value) -> None:
         self.multicast(self.signer.sign((PREPARE, value, view)))
 
-    def _justified(self, view: int, value: Value, justification) -> bool:
-        if view == 1:
-            return True
-        highest = self._highest_prepared(view - 1, justification)
-        if highest is ...:
-            return False
-        if highest is None:
-            return True  # nothing prepared: leader may propose anything
-        return highest.value == value
-
-    def _highest_prepared(self, vc_view: int, justification):
-        """Validate a view-change set; return highest prepared cert.
+    def _carried_value(self, vc_view: int, justification):
+        """``(value,)`` of the highest valid prepared certificate in the set.
 
         Returns ``...`` (Ellipsis) when the justification is malformed,
         ``None`` when it is valid but contains no prepared certificate.
@@ -182,35 +99,14 @@ class PbftPsync(BroadcastParty):
             return ...
         seen: dict[PartyId, PreparedCert | None] = {}
         for msg in justification:
-            parsed = self._parse_viewchange(msg, vc_view)
-            if parsed is ...:
-                continue
-            signer, cert = parsed
-            seen.setdefault(signer, cert)
+            if self._viewchange_view(msg) == vc_view:
+                seen.setdefault(msg.signer, msg.payload[2])
         if len(seen) < self.quorum:
             return ...
         certs = [c for c in seen.values() if c is not None]
         if not certs:
             return None
-        return max(certs, key=lambda c: c.view)
-
-    def _parse_viewchange(self, msg, vc_view: int):
-        if not isinstance(msg, SignedPayload) or not self.verify(msg):
-            return ...
-        body = msg.payload
-        if not (
-            isinstance(body, tuple) and len(body) == 3 and body[0] == VIEWCHANGE
-        ):
-            return ...
-        _, view, cert = body
-        if view != vc_view:
-            return ...
-        if cert is not None:
-            if not isinstance(cert, PreparedCert):
-                return ...
-            if not self._prepared_cert_valid(cert):
-                return ...
-        return msg.signer, cert
+        return (max(certs, key=lambda c: c.view).value,)
 
     def _prepared_cert_valid(self, cert: PreparedCert) -> bool:
         if not self.external_validity(cert.value):
@@ -232,7 +128,10 @@ class PbftPsync(BroadcastParty):
     def _on_prepare(self, msg: SignedPayload) -> None:
         if not self.verify(msg):
             return
-        _, value, view = msg.payload
+        body = msg.payload
+        if not (isinstance(body, tuple) and len(body) == 3):
+            return
+        _, value, view = body
         if not isinstance(view, int) or view < 1:
             return
         if not self.external_validity(value):
@@ -266,83 +165,21 @@ class PbftPsync(BroadcastParty):
             self.terminate()
 
     # ------------------------------------------------------------------ #
-    # timeouts and view change
+    # view change: report the lock, accept only valid certificates
     # ------------------------------------------------------------------ #
 
-    def _arm_view_timer(self, view: int) -> None:
-        self.after_local_delay(
-            4 * self.big_delta, lambda: self._maybe_timeout(view)
-        )
-
-    def _maybe_timeout(self, view: int) -> None:
-        if self.has_committed or self.current_view != view:
-            return
-        if view in self._timed_out:
-            return
-        self._timed_out.add(view)
-        self.multicast(self.signer.sign((VIEWCHANGE, view, self.prepared)))
-
-    def _on_viewchange(self, msg: SignedPayload) -> None:
-        parsed_view = self._viewchange_view(msg)
-        if parsed_view is None:
-            return
-        view = parsed_view
-        self._viewchanges.add(view, msg.signer, msg)
-        if view in self._advanced_past or view + 1 <= self.current_view:
-            return
-        if view + 1 > self.max_view:
-            return
-        if self._viewchanges.count(view) >= self.quorum:
-            self._advanced_past.add(view)
-            self.multicast(
-                (VIEWCHANGES, tuple(self._viewchanges.entries(view))),
-                include_self=False,
-            )
-            self._enter_view(view + 1)
+    def _viewchange_report(self) -> PreparedCert | None:
+        return self.prepared
 
     def _viewchange_view(self, msg) -> int | None:
-        if not isinstance(msg, SignedPayload) or not self.verify(msg):
+        """The view of a valid ``<VIEWCHANGE, view, cert-or-None>_i``."""
+        view = super()._viewchange_view(msg)
+        if view is None:
             return None
-        body = msg.payload
-        if not (
-            isinstance(body, tuple) and len(body) == 3 and body[0] == VIEWCHANGE
-        ):
-            return None
-        view = body[1]
-        if not isinstance(view, int) or view < 1:
-            return None
-        cert = body[2]
+        cert = msg.payload[2]
         if cert is not None and (
             not isinstance(cert, PreparedCert)
             or not self._prepared_cert_valid(cert)
         ):
             return None
         return view
-
-    def _enter_view(self, view: int) -> None:
-        self.current_view = view
-        self.note_view(view)
-        self._arm_view_timer(view)
-        if self.leader_of(view) == self.id:
-            self._propose_new_view(view)
-        pending = self._pending_proposals.pop(view, None)
-        if pending is not None:
-            self._on_proposal(pending)
-
-    def _propose_new_view(self, view: int) -> None:
-        if view in self._proposed_in:
-            return
-        self._proposed_in.add(view)
-        justification = tuple(self._viewchanges.entries(view - 1))
-        highest = self._highest_prepared(view - 1, justification)
-        if highest is ... :
-            return  # cannot justify (should not happen after the quorum)
-        if highest is None:
-            value = (
-                self.input_value
-                if self.input_value is not None
-                else self.fallback_value
-            )
-        else:
-            value = highest.value
-        self.multicast(self.signer.sign((PROPOSE, value, view, justification)))

@@ -34,20 +34,16 @@ from __future__ import annotations
 from typing import Any
 
 from repro.crypto.signatures import SignedPayload
-from repro.errors import ConfigurationError
-from repro.protocols.base import BroadcastParty
-from repro.protocols.quorum import commit_quorum
+from repro.protocols.psync.base import ViewParty
 from repro.protocols.psync.certificates import (
     VAL,
     Certificate,
     CertificateChecker,
-    ExternalValidity,
-    always_valid,
     make_bottom_entry,
     make_leader_pair,
     make_value_entry,
 )
-from repro.types import BOTTOM, PartyId, Value, validate_resilience
+from repro.types import BOTTOM, PartyId, Value
 
 PROPOSE = "propose"
 VOTE = "vote"
@@ -57,35 +53,14 @@ TIMEOUTS = "timeouts"
 STATUS = "status"
 
 
-class PsyncVbb5f1(BroadcastParty):
+class PsyncVbb5f1(ViewParty):
     """One replica of the (5f-1)-psync-VBB protocol."""
 
     #: Overridable for experiments probing the resilience boundary.
     RESILIENCE = "5f-1"
 
-    def __init__(
-        self,
-        world,
-        party_id: PartyId,
-        *,
-        broadcaster: PartyId,
-        input_value: Value | None = None,
-        big_delta: float = 1.0,
-        external_validity: ExternalValidity = always_valid,
-        fallback_value: Value = "fallback",
-        max_view: int = 50,
-    ):
-        super().__init__(
-            world, party_id, broadcaster=broadcaster, input_value=input_value
-        )
-        validate_resilience(self.n, self.f, requirement=self.RESILIENCE)
-        if big_delta <= 0:
-            raise ConfigurationError(f"Delta must be > 0, got {big_delta}")
-        self.big_delta = big_delta
-        self.external_validity = external_validity
-        self.fallback_value = fallback_value
-        self.max_view = max_view
-        self.quorum = commit_quorum(self.n, self.f)
+    def __init__(self, world, party_id: PartyId, **kwargs: Any):
+        super().__init__(world, party_id, **kwargs)
         # All parties of one world share the content-keyed valid-verdict
         # memo (same registry, same leader schedule, same validity
         # predicate), so a certificate re-built by another party hits.
@@ -95,7 +70,7 @@ class PsyncVbb5f1(BroadcastParty):
             f=self.f,
             registry=self.registry,
             leader_of=self.leader_of,
-            external_validity=external_validity,
+            external_validity=self.external_validity,
             valid_memo=(
                 shared_memo("vbb-valid-certs")
                 if shared_memo is not None
@@ -105,7 +80,7 @@ class PsyncVbb5f1(BroadcastParty):
         # Entry-key parse cache, shared by every party of the world (one
         # leader schedule, one validity predicate): a quorum forward's
         # entries are the same objects at every recipient, so the n-th
-        # ``_uniform_entry_key`` walk is an identity hit per entry.
+        # parse of the staged run is an identity hit per entry.
         # Positive verdicts only — a failed parse can flip to a pass once
         # the embedded pair's signature lands in the append-only issued
         # set, so negatives are never cached.
@@ -115,11 +90,7 @@ class PsyncVbb5f1(BroadcastParty):
             if identity_memo is not None
             else None
         )
-        self.current_view = 1
         self.highest_cert = Certificate.genesis()
-        self._voted_pair: dict[int, SignedPayload] = {}  # view -> my entry
-        self._timed_out: set[int] = set()
-        self._advanced_past: set[int] = set()  # views whose timeout quorum fired
         # Quorum accounting: commit votes are tallied per (view, value)
         # with the quorum-forward message memoized world-wide and the
         # vote entries themselves in the world-shared store (reads are
@@ -130,58 +101,20 @@ class PsyncVbb5f1(BroadcastParty):
         self._votes = self.quorum_tracker("vbb-votes", shared_entries=True)
         self._timeout_entries = self.quorum_tracker()
         self._statuses = self.quorum_tracker()
-        self._pending_proposals: dict[int, tuple[PartyId, Any]] = {}
-        self._proposed_in: set[int] = set()
-
-    # ------------------------------------------------------------------ #
-    # schedule
-    # ------------------------------------------------------------------ #
-
-    def leader_of(self, view: int) -> PartyId:
-        """Round-robin leaders; view 1 is led by the broadcaster."""
-        return (self.broadcaster + view - 1) % self.n
 
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
 
-    def on_start(self) -> None:
-        self.note_view(1)
-        self._arm_view_timer(1)
-        if self.leader_of(1) == self.id and self.is_broadcaster:
-            pair = make_leader_pair(self.signer, self.input_value, 1)
-            proposal = self.signer.sign((PROPOSE, pair, BOTTOM))
-            self.multicast(proposal)
-
-    def on_recover(self) -> None:
-        """Back from a crash window: restore view-timer liveness.
-
-        A timeout that fired while down left ``_timed_out`` marked but
-        its TIMEOUT multicast suppressed — re-announce the same entry;
-        otherwise re-arm the (stale) view timer from the current
-        instant.
-        """
-        if self.terminated or self.has_committed:
-            return
-        view = self.current_view
-        if view in self._timed_out:
-            if view in self._voted_pair:
-                entry = self._voted_pair[view]
-            else:
-                entry = make_bottom_entry(
-                    self.signer,
-                    view,
-                    pair=self.shared_payload((VAL, BOTTOM, view)),
-                )
-            self.multicast((TIMEOUT, view, entry))
-        else:
-            self._arm_view_timer(view)
+    def _propose_initial(self) -> None:
+        pair = make_leader_pair(self.signer, self.input_value, 1)
+        self.multicast(self.signer.sign((PROPOSE, pair, BOTTOM)))
 
     def on_message(self, sender: PartyId, payload: Any) -> None:
         if isinstance(payload, SignedPayload):
             body = payload.payload
             if isinstance(body, tuple) and body and body[0] == PROPOSE:
-                self._on_proposal(sender, payload)
+                self._on_proposal(payload)
             elif isinstance(body, tuple) and body and body[0] == STATUS:
                 self._on_status(payload)
             return
@@ -189,40 +122,43 @@ class PsyncVbb5f1(BroadcastParty):
             return
         kind = payload[0]
         if kind == VOTE:
-            self._on_vote_entry(payload[1])
-        elif kind == VOTES:
-            entries = payload[2]
-            key = self._uniform_entry_key(entries)
-            if key is None or not self.on_votes_batch(
-                key, [entry.signer for entry in entries], entries
-            ):
-                for entry in entries:
-                    self._on_vote_entry(entry)
-        elif kind == TIMEOUT:
-            self._on_timeout_entry(payload[1], payload[2])
-        elif kind == TIMEOUTS:
-            for entry in payload[2]:
-                self._on_timeout_entry(payload[1], entry)
+            if len(payload) == 2:
+                self._on_vote_entry(payload[1])
+        elif len(payload) == 3:  # (kind, view, entry or entries)
+            _, view, body = payload
+            if kind == TIMEOUT:
+                self._on_timeout_entry(view, body)
+            elif isinstance(body, tuple):
+                if kind == VOTES:
+                    self._on_vote_run(body)
+                elif kind == TIMEOUTS:
+                    for entry in body:
+                        self._on_timeout_entry(view, entry)
 
     # ------------------------------------------------------------------ #
     # step 1 + 2: propose and vote
     # ------------------------------------------------------------------ #
 
-    def _on_proposal(self, sender: PartyId, proposal: SignedPayload) -> None:
+    def _on_proposal(self, proposal: SignedPayload) -> None:
         view = self._proposal_view(proposal)
         if view is None:
             return
         if view > self.current_view:
-            self._pending_proposals.setdefault(view, (sender, proposal))
-            return
-        if view == self.current_view:
+            self._pending_proposals.setdefault(view, proposal)
+        elif view == self.current_view:
             self._maybe_vote(proposal)
+
+    def _replay_proposal(self, proposal: SignedPayload) -> None:
+        self._maybe_vote(proposal)  # its view was checked when buffered
 
     def _proposal_view(self, proposal: SignedPayload) -> int | None:
         """Extract and sanity-check the view of a proposal message."""
         if not self.verify(proposal):
             return None
-        _, pair, _ = proposal.payload
+        body = proposal.payload
+        if not (isinstance(body, tuple) and len(body) == 3):
+            return None
+        pair = body[1]
         if not isinstance(pair, SignedPayload) or not self.verify(pair):
             return None
         inner = pair.payload
@@ -239,7 +175,7 @@ class PsyncVbb5f1(BroadcastParty):
 
     def _maybe_vote(self, proposal: SignedPayload) -> None:
         view = self.current_view
-        if view in self._voted_pair or view in self._timed_out:
+        if view in self._voted or view in self._timed_out:
             return
         _, pair, justification = proposal.payload
         _, value, _ = pair.payload
@@ -248,7 +184,7 @@ class PsyncVbb5f1(BroadcastParty):
         if not self._justified(view, value, justification):
             return
         entry = make_value_entry(self.signer, pair)
-        self._voted_pair[view] = entry
+        self._voted[view] = entry
         self.multicast((VOTE, entry))
 
     def _justified(self, view: int, value: Value, justification) -> bool:
@@ -315,59 +251,40 @@ class PsyncVbb5f1(BroadcastParty):
     # ------------------------------------------------------------------ #
 
     def _on_vote_entry(self, entry: SignedPayload) -> None:
-        parsed = self._parse_value_entry(entry)
-        if parsed is None:
+        key = self._parse_value_entry(entry)
+        if key is None:
             return
-        view, value = parsed
-        count = self._votes.add((view, value), entry.signer, entry)
+        count = self._votes.add(key, entry.signer, entry)
         # The equality test fires exactly at the quorum crossing, so the
         # sorted vote quorum is materialized (and shared world-wide) once.
         if count == self.quorum and not self.has_committed:
-            self.multicast(
-                self._votes.quorum_payload(
-                    (view, value), lambda q: (VOTES, view, q)
-                ),
-                include_self=False,
-            )
-            self.commit(value)
-            self.terminate()
+            self._commit_on_quorum(key)
 
-    def _uniform_entry_key(self, entries) -> tuple[int, Value] | None:
-        """The single ``(view, value)`` a well-formed VOTES run supports.
-
-        ``None`` for a mixed or malformed run — only a Byzantine sender
-        produces one; every honest quorum forward countersigns one
-        leader pair.  Outer entry signatures are *not* checked here (the
-        batch path defers them to the quorum crossing); the embedded
-        leader pair is verified once per shared object.
-        """
-        first = None
-        for entry in entries:
-            item = (
-                self._parse_entry_body(entry)
-                if isinstance(entry, SignedPayload)
-                else None
-            )
-            if item is None or (first is not None and item != first):
-                return None
-            first = item
-        return first
-
-    def on_votes_batch(self, key, signers, payloads) -> bool:
-        """Vectorized commit-vote path for a forwarded ``VOTES`` quorum.
-
-        Absorbs the whole same-pair run in one staged batch with outer
-        signatures deferred to the threshold crossing; a batch that does
-        not cross (or fails verification) is left to the caller's scalar
-        loop, which replays the eager semantics exactly.
-        """
-        if self.has_committed:
-            return False
-        mask = self.absorb_vote_batch(
-            self._votes, key, signers, payloads, threshold=self.quorum
+    def _on_vote_run(self, entries: tuple) -> None:
+        """A forwarded ``VOTES`` quorum: one staged batch, outer entry
+        signatures deferred to the crossing (the embedded leader pair is
+        verified once per shared object by the parse); else per entry."""
+        run = self.stage_vote_run(
+            self._votes, entries, self._parse_entry_body,
+            threshold=self.quorum,
         )
-        if mask is None:
-            return False
+        if run is None:
+            for entry in entries:
+                self._on_vote_entry(entry)
+            return
+        key, staged = run
+        self._votes.commit_staged(staged)
+        self._commit_on_quorum(key, staged.crossing_mask)
+
+    def _commit_on_quorum(
+        self, key: tuple[int, Value], mask: int | None = None
+    ) -> None:
+        """The crossing action: forward the quorum, commit, terminate.
+
+        ``mask`` pins the forwarded supporter set: the scalar path omits
+        it (its current mask *is* the crossing mask), a staged run passes
+        its crossing mask so an oversize run still forwards ``n - f``.
+        """
         view, value = key
         self.multicast(
             self._votes.quorum_payload(
@@ -377,7 +294,6 @@ class PsyncVbb5f1(BroadcastParty):
         )
         self.commit(value)
         self.terminate()
-        return True
 
     def _parse_value_entry(
         self, entry: SignedPayload
@@ -423,29 +339,16 @@ class PsyncVbb5f1(BroadcastParty):
     # step 4: timeout
     # ------------------------------------------------------------------ #
 
-    def _arm_view_timer(self, view: int) -> None:
-        self.after_local_delay(
-            4 * self.big_delta, lambda: self._maybe_timeout(view)
-        )
-
-    def _maybe_timeout(self, view: int) -> None:
-        if self.has_committed or self.current_view != view:
-            return
-        self._do_timeout(view)
-
-    def _do_timeout(self, view: int) -> None:
-        if view in self._timed_out:
-            return
-        self._timed_out.add(view)
-        if view in self._voted_pair:
-            entry = self._voted_pair[view]
-        else:
+    def _timeout_message(self, view: int) -> tuple:
+        """The voted pair of ``view`` if voted, else a signed bottom pair."""
+        entry = self._voted.get(view)
+        if entry is None:
             entry = make_bottom_entry(
                 self.signer,
                 view,
                 pair=self.shared_payload((VAL, BOTTOM, view)),
             )
-        self.multicast((TIMEOUT, view, entry))
+        return (TIMEOUT, view, entry)
 
     # ------------------------------------------------------------------ #
     # step 5: new view
@@ -458,13 +361,13 @@ class PsyncVbb5f1(BroadcastParty):
         if parsed is None:
             return
         self._timeout_entries.add(view, parsed.contributor, entry)
-        if view in self._advanced_past or view + 1 <= self.current_view:
-            return
-        if view + 1 > self.max_view:
+        if not self._may_advance(view):
             return
         subset = self._new_view_trigger(view)
         if subset is None:
             return
+        # ``_advance`` spelled out: Step 5 updates the highest certificate
+        # and sends this party's own timeout between forward and entry.
         self._advanced_past.add(view)
         self.multicast((TIMEOUTS, view, tuple(subset)), include_self=False)
         cert = Certificate(view=view, entries=tuple(subset))
@@ -511,17 +414,11 @@ class PsyncVbb5f1(BroadcastParty):
             return non_leader
         return None
 
-    def _enter_view(self, view: int) -> None:
-        self.current_view = view
-        self.note_view(view)
-        self._arm_view_timer(view)
+    def _on_enter_view(self, view: int) -> None:
         status_msg = self.signer.sign(
             self.shared_payload((STATUS, view - 1, self.highest_cert))
         )
         self.send(self.leader_of(view), status_msg)
-        pending = self._pending_proposals.pop(view, None)
-        if pending is not None:
-            self._maybe_vote(pending[1])
 
     # ------------------------------------------------------------------ #
     # step 6: status (new leader proposes)
@@ -575,10 +472,7 @@ class PsyncVbb5f1(BroadcastParty):
             if status.locked_value is not None:
                 return status.locked_value, statuses
         # Highest certificates lock "any" (genesis): free choice.
-        value = self.input_value if self.input_value is not None else (
-            self.fallback_value
-        )
-        return value, statuses
+        return self._own_value(), statuses
 
     # ------------------------------------------------------------------ #
     # re-check proposals when the view advances past buffered ones

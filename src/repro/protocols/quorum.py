@@ -98,11 +98,12 @@ class StagedBatch:
     """An uncommitted :meth:`QuorumTracker.add_batch`: acceptance decided,
     tracker state untouched.
 
-    Staging lets the vectorized vote path decide *whether* to absorb a
-    whole arrival run before mutating anything: the deferred-verify
-    wiring stages the batch, checks the signatures only if the batch
-    would cross its threshold, then either commits the staged result or
-    discards it and replays the eager per-vote path.  A staged batch is
+    Staging lets :meth:`repro.sim.process.Party.stage_vote_run` — the
+    one caller — decide *whether* to absorb a whole arrival run before
+    mutating anything: it stages the batch and checks the signatures
+    only if the batch would cross its threshold; the protocol then
+    either commits the staged result or, handed ``None``, runs its
+    per-vote path.  A staged batch is
     a snapshot — committing it after any other ``add`` on the same
     tracker is a caller bug (the acceptance decisions would be stale).
     """
@@ -279,7 +280,7 @@ class QuorumTracker:
         return mask.bit_count()
 
     # ------------------------------------------------------------------ #
-    # the vectorized path: whole arrival runs in one pass
+    # batches: whole arrival runs in one pass (Party.stage_vote_run)
     # ------------------------------------------------------------------ #
 
     def stage_batch(
@@ -546,7 +547,7 @@ class QuorumTracker:
         byte-identical messages, so sharing changes object identity only.
 
         ``mask`` selects a supporter subset (default: the full current
-        mask).  The vectorized vote path passes the batch's *crossing*
+        mask).  A staged vote run passes the batch's *crossing*
         mask so a quorum forwarded after absorbing an oversize batch is
         built from exactly the supporters the scalar path would have had
         at its threshold crossing — same memo key, same bytes.

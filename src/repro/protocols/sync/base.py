@@ -116,63 +116,6 @@ class SyncBroadcastParty(BroadcastParty):
         )
 
     # ------------------------------------------------------------------ #
-    # vectorized vote path
-    # ------------------------------------------------------------------ #
-
-    def handle_vote_batch(
-        self, votes, *, parse_vote, threshold, on_crossed, on_vote
-    ) -> None:
-        """Vectorized tally for a run of forwarded votes (a quorum batch).
-
-        ``parse_vote`` structurally validates one vote *without* its
-        outer signature and returns ``(tally_key, broadcaster_value)``
-        (``broadcaster_value`` may be ``None`` for protocols whose votes
-        embed no proposal) or ``None`` for a malformed body.  When every
-        vote in the run parses to the same pair, the whole run is staged
-        on :attr:`votes` in one pass — one bitmask OR instead of one
-        ``add`` per vote — and, only if the batch itself crosses
-        ``threshold``, pays its signatures with a single
-        :meth:`~repro.crypto.signatures.KeyRegistry.verify_batch`, then
-        fires ``on_crossed(key, crossing_mask)``.  The crossing mask
-        pins the supporter set at the threshold so an oversize batch
-        still forwards exactly the bytes the scalar crossing would.
-
-        Any deviation — a mixed or malformed run, a batch that does not
-        cross, a bad signature — leaves the tracker untouched and falls
-        back to the eager per-vote loop ``on_vote``, which replays the
-        scalar semantics (including which forged vote is dropped and
-        where equivocation is first noted) by construction.
-        """
-        first = None
-        uniform = bool(votes)
-        for vote in votes:
-            item = (
-                parse_vote(vote) if isinstance(vote, SignedPayload) else None
-            )
-            if item is None or (first is not None and item != first):
-                uniform = False
-                break
-            first = item
-        if uniform:
-            key, value = first
-            staged = self.votes.stage_batch(
-                key,
-                [(vote.signer, vote) for vote in votes],
-                threshold=threshold,
-            )
-            if staged.crossed and self.registry.verify_batch(votes):
-                # Note the broadcaster value before the tally mutates,
-                # matching the scalar order (note precedes every add) so
-                # the equivocation hook observes the same tracker state.
-                if value is not None:
-                    self.note_broadcaster_value(value)
-                self.votes.commit_staged(staged)
-                on_crossed(key, staged.crossing_mask)
-                return
-        for vote in votes:
-            on_vote(vote)
-
-    # ------------------------------------------------------------------ #
     # BA fallback
     # ------------------------------------------------------------------ #
 
@@ -199,3 +142,33 @@ class SyncBroadcastParty(BroadcastParty):
 
     def on_protocol_message(self, sender: PartyId, payload: Any) -> None:
         """Protocol hook: non-BA messages."""
+
+    def absorb_forward(
+        self, payload: Any, tag: str, *, threshold: int, on_crossed
+    ) -> None:
+        """A forwarded vote tuple ``(tag, votes)``; anything else is dropped.
+
+        The votes are staged as one run (:meth:`Party.stage_vote_run`
+        with the subclass's ``_vote_key``); a run that crosses
+        ``threshold`` is committed to the tally and handed to
+        ``on_crossed(key, crossing_mask)``, any other goes vote by vote
+        through the subclass's ``_on_vote``.
+        """
+        if not (
+            isinstance(payload, tuple)
+            and len(payload) == 2
+            and payload[0] == tag
+            and isinstance(payload[1], tuple)
+        ):
+            return
+        votes = payload[1]
+        run = self.stage_vote_run(
+            self.votes, votes, self._vote_key, threshold=threshold
+        )
+        if run is None:
+            for vote in votes:
+                self._on_vote(vote)
+            return
+        key, staged = run
+        self.votes.commit_staged(staged)
+        on_crossed(key, staged.crossing_mask)

@@ -61,14 +61,10 @@ class Bb2Delta(SyncBroadcastParty):
         if isinstance(payload, SignedPayload):
             self._on_vote(payload)
             return
-        if isinstance(payload, tuple) and payload and payload[0] == VOTE_QUORUM:
-            self.handle_vote_batch(
-                payload[1],
-                parse_vote=self._parse_vote_body,
-                threshold=self.quorum,
-                on_crossed=self._on_quorum,
-                on_vote=self._on_vote,
-            )
+        self.absorb_forward(
+            payload, VOTE_QUORUM, threshold=self.quorum,
+            on_crossed=self._on_quorum,
+        )
 
     def _on_proposal(self, value: Value) -> None:
         # Step 2: vote for the first valid proposal only.
@@ -77,32 +73,31 @@ class Bb2Delta(SyncBroadcastParty):
         self._voted = True
         self.multicast(self.signer.sign(self.shared_payload((VOTE, value))))
 
-    def _parse_vote_body(self, vote: SignedPayload):
+    def _vote_key(self, vote: SignedPayload) -> Value | None:
         """Tally key of a structurally valid vote (no outer verify).
 
         2delta-BB votes carry the bare value (no embedded proposal), so
         there is no broadcaster value to note.
         """
         body = vote.payload
-        if not (isinstance(body, tuple) and len(body) == 2 and body[0] == VOTE):
-            return None
-        return body[1], None
+        if isinstance(body, tuple) and len(body) == 2 and body[0] == VOTE:
+            return body[1]
+        return None
 
     def _on_vote(self, vote: SignedPayload) -> None:
-        if not self.verify(vote):
+        if not isinstance(vote, SignedPayload) or not self.verify(vote):
             return
-        parsed = self._parse_vote_body(vote)
-        if parsed is None:
+        value = self._vote_key(vote)
+        if value is None:
             return
-        value = parsed[0]
         count = self.votes.add(value, vote.signer, vote)
         if count >= self.quorum and value not in self._forwarded:
             self._on_quorum(value)
 
     def _on_quorum(self, value: Value, mask: int | None = None) -> None:
         # Step 3: forward the quorum, lock, maybe commit.  ``mask`` pins
-        # the supporter set at the threshold crossing for the batch path
-        # (an oversize batch forwards the same bytes the scalar crossing
+        # the supporter set at the threshold crossing for a staged run
+        # (an oversize run forwards the same bytes the scalar crossing
         # would); scalar callers omit it — their current mask *is* the
         # crossing mask, thanks to the ``_forwarded`` guard.
         if value in self._forwarded:

@@ -98,14 +98,10 @@ class BbDelta15Delta(SyncBroadcastParty):
         if isinstance(payload, SignedPayload):
             self._on_vote(payload)
             return
-        if isinstance(payload, tuple) and payload and payload[0] == VOTE_BATCH:
-            self.handle_vote_batch(
-                payload[1],
-                parse_vote=self._parse_vote_body,
-                threshold=self.f + 1,
-                on_crossed=self._on_votes_crossed,
-                on_vote=self._on_vote,
-            )
+        self.absorb_forward(
+            payload, VOTE_BATCH, threshold=self.f + 1,
+            on_crossed=self._on_votes_crossed,
+        )
 
     # ------------------------------------------------------------------ #
     # steps 2 + 3: forward and early-vote per grid point
@@ -141,10 +137,10 @@ class BbDelta15Delta(SyncBroadcastParty):
     # step 4: commit and lock
     # ------------------------------------------------------------------ #
 
-    def _parse_vote_body(self, vote: SignedPayload):
-        """Tally key + broadcaster value of a structurally valid vote.
+    def _vote_key(self, vote: SignedPayload) -> tuple[float, Value] | None:
+        """Tally key ``(d, value)`` of a structurally valid vote.
 
-        The outer vote signature is *not* checked here — the batch path
+        The outer vote signature is *not* checked here — a staged run
         defers it to the grid-point crossing (the embedded proposal is
         verified, once per shared object, by ``parse_proposal``).
         """
@@ -157,23 +153,21 @@ class BbDelta15Delta(SyncBroadcastParty):
         value = self.parse_proposal(proposal)
         if value is None:
             return None
-        return (float(d), value), value
+        return float(d), value
 
     def _on_vote(self, vote: SignedPayload) -> None:
-        if not self.verify(vote):
+        if not isinstance(vote, SignedPayload) or not self.verify(vote):
             return
-        parsed = self._parse_vote_body(vote)
-        if parsed is None:
+        key = self._vote_key(vote)
+        if key is None:
             return
-        key, value = parsed
-        self.note_broadcaster_value(value)
+        self.note_broadcaster_value(key[1])
         if self.votes.add(key, vote.signer, vote) == self.f + 1:
             self._quorum_times[key] = self.local_time()
             self._on_quorum(key)
 
-    def _on_votes_crossed(
-        self, key: tuple[float, Value], mask: int
-    ) -> None:
+    def _on_votes_crossed(self, key: tuple[float, Value], mask: int) -> None:
+        self.note_broadcaster_value(key[1])
         self._quorum_times[key] = self.local_time()
         self._on_quorum(key, mask)
 

@@ -60,14 +60,10 @@ class BbDelta2Delta(SyncBroadcastParty):
         if isinstance(payload, SignedPayload):
             self._on_vote(payload)
             return
-        if isinstance(payload, tuple) and payload and payload[0] == VOTE_BATCH:
-            self.handle_vote_batch(
-                payload[1],
-                parse_vote=self._parse_vote_body,
-                threshold=self.f + 1,
-                on_crossed=self._on_quorum,
-                on_vote=self._on_vote,
-            )
+        self.absorb_forward(
+            payload, VOTE_BATCH, threshold=self.f + 1,
+            on_crossed=self._on_votes_crossed,
+        )
 
     def _on_proposal(
         self, sender: PartyId, value: Value, proposal: SignedPayload
@@ -93,31 +89,31 @@ class BbDelta2Delta(SyncBroadcastParty):
             self.signer.sign(self.shared_payload((VOTE, proposal)))
         )
 
-    def _parse_vote_body(self, vote: SignedPayload):
-        """Tally key + broadcaster value of a structurally valid vote.
+    def _vote_key(self, vote: SignedPayload) -> Value | None:
+        """Tally key (the broadcaster's value) of a structurally valid vote.
 
-        The outer vote signature is *not* checked here — the batch path
+        The outer vote signature is *not* checked here — a staged run
         defers it to the threshold crossing (the embedded proposal is
         verified, once per shared object, by ``parse_proposal``).
         """
         body = vote.payload
-        if not (isinstance(body, tuple) and len(body) == 2 and body[0] == VOTE):
-            return None
-        value = self.parse_proposal(body[1])
-        if value is None:
-            return None
-        return value, value
+        if isinstance(body, tuple) and len(body) == 2 and body[0] == VOTE:
+            return self.parse_proposal(body[1])
+        return None
 
     def _on_vote(self, vote: SignedPayload) -> None:
-        if not self.verify(vote):
+        if not isinstance(vote, SignedPayload) or not self.verify(vote):
             return
-        parsed = self._parse_vote_body(vote)
-        if parsed is None:
+        value = self._vote_key(vote)
+        if value is None:
             return
-        value = parsed[0]
         self.note_broadcaster_value(value)
         if self.votes.add(value, vote.signer, vote) == self.f + 1:
             self._on_quorum(value)
+
+    def _on_votes_crossed(self, value: Value, mask: int) -> None:
+        self.note_broadcaster_value(value)  # votes embed the proposal
+        self._on_quorum(value, mask)
 
     def _on_quorum(self, value: Value, mask: int | None = None) -> None:
         if value not in self._forwarded:

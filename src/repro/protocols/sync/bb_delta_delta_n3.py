@@ -80,14 +80,10 @@ class BbDeltaDeltaN3(SyncBroadcastParty):
             elif isinstance(body, tuple) and body and body[0] == COMMIT_MSG:
                 self._on_commit_msg(payload)
             return
-        if isinstance(payload, tuple) and payload and payload[0] == VOTE_QUORUM:
-            self.handle_vote_batch(
-                payload[1],
-                parse_vote=self._parse_vote_body,
-                threshold=self.quorum,
-                on_crossed=self._on_votes_crossed,
-                on_vote=self._on_vote,
-            )
+        self.absorb_forward(
+            payload, VOTE_QUORUM, threshold=self.quorum,
+            on_crossed=self._on_votes_crossed,
+        )
 
     def _on_proposal(self, value: Value, proposal: SignedPayload) -> None:
         if self._voted:
@@ -106,28 +102,24 @@ class BbDeltaDeltaN3(SyncBroadcastParty):
     # step 3
     # ------------------------------------------------------------------ #
 
-    def _parse_vote_body(self, vote: SignedPayload):
-        """Tally key + broadcaster value of a structurally valid vote.
+    def _vote_key(self, vote: SignedPayload) -> Value | None:
+        """Tally key (the broadcaster's value) of a structurally valid vote.
 
-        The outer vote signature is *not* checked here — the batch path
+        The outer vote signature is *not* checked here — a staged run
         defers it to the quorum crossing (the embedded proposal is
         verified, once per shared object, by ``parse_proposal``).
         """
         body = vote.payload
-        if not (isinstance(body, tuple) and len(body) == 2 and body[0] == VOTE):
-            return None
-        value = self.parse_proposal(body[1])
-        if value is None:
-            return None
-        return value, value
+        if isinstance(body, tuple) and len(body) == 2 and body[0] == VOTE:
+            return self.parse_proposal(body[1])
+        return None
 
     def _on_vote(self, vote: SignedPayload) -> None:
-        if not self.verify(vote):
+        if not isinstance(vote, SignedPayload) or not self.verify(vote):
             return
-        parsed = self._parse_vote_body(vote)
-        if parsed is None:
+        value = self._vote_key(vote)
+        if value is None:
             return
-        value = parsed[0]
         self.note_broadcaster_value(value)  # votes embed the proposal
         count = self.votes.add(value, vote.signer, vote)
         if (
@@ -138,6 +130,7 @@ class BbDeltaDeltaN3(SyncBroadcastParty):
         self._try_commit()
 
     def _on_votes_crossed(self, value: Value, mask: int) -> None:
+        self.note_broadcaster_value(value)  # votes embed the proposal
         if value not in self._vote_quorum_times:
             self._vote_quorum_times[value] = self.local_time()
         self._try_commit(crossing=(value, mask))
@@ -147,9 +140,9 @@ class BbDeltaDeltaN3(SyncBroadcastParty):
     ) -> None:
         """Commit path: timer expired, no equivocation, quorum in time.
 
-        ``crossing`` — the batch path's ``(value, crossing mask)`` —
+        ``crossing`` — a staged run's ``(value, crossing mask)`` —
         pins the forwarded supporter set when the forward fires at the
-        crossing itself, so an oversize batch forwards the same bytes
+        crossing itself, so an oversize run forwards the same bytes
         the scalar crossing would.  Deferred forwards (timer fires
         later) use the then-current mask in both paths.
         """

@@ -2,15 +2,21 @@
 
 :class:`Agent` is the minimal interface the world knows about (start +
 deliver).  :class:`Party` adds everything an *honest* protocol participant
-needs: a local clock, signing, timers in local time, commit/terminate
-bookkeeping and transcript recording.  Asynchronous-round latency is
-computed post-hoc by :class:`~repro.sim.rounds.RoundAccountant`; a party
-only records the atomic step at which it committed.
+needs: a local clock, signing, timers in local time, quorum trackers
+enrolled with the world's counters, commit/terminate bookkeeping and
+transcript recording.  It also holds the one vote-run absorber,
+:meth:`Party.stage_vote_run`: every protocol that receives multi-vote
+messages (forwarded quorums, witness batches) stages the run there and
+falls back to its own per-vote handler when that returns ``None``.
+Asynchronous-round latency is computed post-hoc by
+:class:`~repro.sim.rounds.RoundAccountant`; a party only records the
+atomic step at which it committed.
 """
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
+from repro.crypto.signatures import SignedPayload
 from repro.errors import SimulationError
 from repro.sim.clock import LocalClock
 from repro.sim.events import Event
@@ -18,7 +24,7 @@ from repro.sim.transcript import Transcript
 from repro.types import PartyId, Value
 
 if TYPE_CHECKING:
-    from repro.protocols.quorum import QuorumTracker
+    from repro.protocols.quorum import QuorumTracker, StagedBatch
     from repro.sim.runner import World
 
 
@@ -100,48 +106,49 @@ class Party(Agent):
         fixed-round protocol — has nothing to restore.
         """
 
-    def on_votes_batch(self, value, signers, payloads) -> bool:
-        """Opt-in vectorized vote path: absorb one same-value vote run.
+    def stage_vote_run(
+        self,
+        tracker: "QuorumTracker",
+        votes: Sequence[Any],
+        parse: Callable[[SignedPayload], Any],
+        *,
+        threshold: int,
+    ) -> "tuple[Any, StagedBatch] | None":
+        """Stage one multi-vote message on ``tracker`` as a single batch.
 
-        Called by protocol message handlers that just unpacked a
-        multi-vote message (a forwarded vote quorum, a witness batch)
-        whose items all vote for ``value``.  A protocol opts in by
-        overriding this with a :meth:`absorb_vote_batch`-based
-        implementation; returning ``True`` claims the run (the caller
-        must not also feed the votes through its scalar path), ``False``
-        sends the caller to its eager per-vote loop.  The base class
-        never claims a run, so protocols that never opt in keep their
-        scalar semantics untouched.
+        The one vote-run absorber (forwarded vote quorums, witness
+        batches).  ``parse`` maps a :class:`SignedPayload` to its tally
+        key without checking the outer signature, or to ``None`` for a
+        malformed body.  When every vote parses to the same key, the run
+        is staged in one pass (:meth:`QuorumTracker.stage_batch`: no
+        mutation) and, only if the run itself crosses ``threshold``, its
+        signatures are paid with one :meth:`KeyRegistry.verify_batch`.
+        Returns ``(key, staged)``; the caller then calls
+        ``tracker.commit_staged(staged)`` and runs its crossing action
+        with ``staged.crossing_mask`` — exactly the mask the scalar path
+        sees at its ``add(...) == threshold`` call, so an oversize run
+        forwards the bytes the scalar crossing would.
+
+        Returns ``None``, tracker untouched, on any deviation — an empty,
+        mixed or malformed run, a run that does not cross, a bad
+        signature; the caller then feeds the votes through its per-vote
+        handler, which reproduces the scalar semantics (which forged vote
+        is dropped, which equivocators are flagged) by construction.
         """
-        return False
-
-    def absorb_vote_batch(
-        self, tracker, value, signers, payloads, *, threshold
-    ) -> int | None:
-        """The deferred-verify batch engine behind :meth:`on_votes_batch`.
-
-        Stages the whole run on ``tracker`` (one acceptance pass, no
-        mutation), and only if the batch itself crosses ``threshold``
-        pays for signatures — one :meth:`KeyRegistry.verify_batch` over
-        the run instead of one ``verify`` per vote.  On success the
-        staged batch is committed and the *crossing* signer mask is
-        returned (exactly the mask the scalar path sees at its
-        ``add(...) == threshold`` call, for byte-identical
-        quorum-forward payloads).  Returns ``None`` — with the tracker
-        untouched — when the batch does not cross or any signature
-        fails; the caller then replays its eager per-vote path, which
-        reproduces the scalar semantics (including which forged vote is
-        dropped and which equivocators are flagged) by construction.
-        """
+        key = None
+        for vote in votes:
+            item = parse(vote) if isinstance(vote, SignedPayload) else None
+            if item is None or (key is not None and item != key):
+                return None
+            key = item
+        if key is None:
+            return None
         staged = tracker.stage_batch(
-            value, list(zip(signers, payloads)), threshold=threshold
+            key, [(vote.signer, vote) for vote in votes], threshold=threshold
         )
-        if not staged.crossed:
+        if not staged.crossed or not self.registry.verify_batch(votes):
             return None
-        if not self.registry.verify_batch(payloads):
-            return None
-        tracker.commit_staged(staged)
-        return staged.crossing_mask
+        return key, staged
 
     # ------------------------------------------------------------------ #
     # services

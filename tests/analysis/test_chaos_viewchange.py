@@ -62,12 +62,23 @@ class TestRandomViewchangePlan:
 
 
 class TestViewchangeTierExecution:
+    #: protocol -> (messages_sent, events_processed) of its smoke plan,
+    #: recorded before the pacemaker moved into ``ViewParty``.
+    SMOKE_PINS = {
+        "psync_fab": (116, 128),
+        "psync_pbft": (58, 66),
+        "psync_vbb_5f1": (49, 57),
+    }
+
     def test_pinned_leader_crash_commits_in_view_2(self):
         for protocol, plan in viewchange_smoke_plans():
             record = run_chaos_plan(protocol, plan, tier="viewchange")
             assert record["violation"] is None, (protocol, record)
             assert record["tier"] == "viewchange"
             assert record["max_commit_view"] == 2, (protocol, record)
+            assert (
+                record["messages_sent"], record["events_processed"]
+            ) == self.SMOKE_PINS[protocol], (protocol, record)
             assert record["commit_views"], protocol
             assert max(record["commit_views"]) <= VIEWCHANGE_MAX_VIEW
 

@@ -382,3 +382,147 @@ class TestBatchScalarParity:
         assert set(scalar.equivocators) == set(batch.equivocators) == {1}
         assert scalar.signers("b") == batch.signers("b")
         assert scalar.checks == batch.checks == 4
+
+
+class TestStageVoteRun:
+    """``Party.stage_vote_run``: the one absorber behind every forwarded
+    vote quorum.  A staged run must hand back the scalar loop's crossing
+    mask; every deviation must leave the tracker exactly as it was."""
+
+    N, THRESHOLD = 8, 4
+
+    @staticmethod
+    def _parse(vote):
+        body = vote.payload
+        if isinstance(body, tuple) and len(body) == 2 and body[0] == "vote":
+            return body[1]
+        return None
+
+    @pytest.fixture
+    def party(self):
+        from repro.sim.delays import FixedDelay
+        from repro.sim.process import Party
+        from repro.sim.runner import World
+
+        world = World(n=self.N, f=2, delay_policy=FixedDelay(1.0))
+        party = Party(world, 0)
+        # The registry issues each signer once; party 0 holds its own.
+        self.signers = [party.signer] + [
+            world.registry.signer_for(pid) for pid in range(1, self.N)
+        ]
+        return party
+
+    def _vote(self, signer, value="a"):
+        return self.signers[signer].sign(("vote", value))
+
+    def _seeded_tracker(self, party):
+        # One vote for "a" and one for "b" already tallied, so a run has
+        # a non-empty mask to extend and signer 7 can equivocate.
+        tracker = party.quorum_tracker(detect_equivocation=True)
+        tracker.add("a", 0, self._vote(0))
+        tracker.add("b", 7, self._vote(7, "b"))
+        return tracker
+
+    @staticmethod
+    def _state(tracker):
+        return (
+            tracker.checks,
+            tracker.batched,
+            {value: tuple(tracker.signers(value)) for value in tracker.values()},
+            set(tracker.equivocators),
+        )
+
+    def test_crossing_run_returns_the_scalar_crossing_mask(self, party):
+        # Oversize run (five votes, three needed) with an equivocator.
+        run = tuple(self._vote(s) for s in (1, 7, 2, 3, 4))
+        scalar = self._seeded_tracker(party)
+        scalar_mask = None
+        for vote in run:
+            if scalar.add("a", vote.signer, vote) == self.THRESHOLD:
+                scalar_mask = sum(1 << s for s in scalar.signers("a"))
+        tracker = self._seeded_tracker(party)
+        before = self._state(tracker)
+        staged_run = party.stage_vote_run(
+            tracker, run, self._parse, threshold=self.THRESHOLD
+        )
+        assert staged_run is not None
+        key, staged = staged_run
+        assert key == "a"
+        assert staged.crossing_mask == scalar_mask
+        assert self._state(tracker) == before  # staging mutates nothing
+        tracker.commit_staged(staged)
+        assert tracker.batched == len(run)
+        assert self._state(tracker)[2:] == self._state(scalar)[2:]
+        assert tracker.checks == scalar.checks
+
+    @staticmethod
+    def _forged(signer):
+        from repro.crypto.messages import digest
+        from repro.crypto.signatures import Signature, SignedPayload
+
+        body = ("vote", "a")
+        return SignedPayload(body, Signature(signer, digest(body)))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(lambda t: (), id="empty"),
+            pytest.param(
+                lambda t: tuple(t._vote(s) for s in (1, 2)),
+                id="does-not-cross",
+            ),
+            pytest.param(
+                lambda t: tuple(t._vote(s) for s in (0, 1, 2)),
+                id="duplicate-keeps-it-below",
+            ),
+            pytest.param(
+                lambda t: (
+                    *(t._vote(s) for s in (1, 2, 3)),
+                    t._vote(4, "b"),
+                ),
+                id="mixed-values",
+            ),
+            pytest.param(
+                lambda t: (
+                    *(t._vote(s) for s in (1, 2, 3)),
+                    t.signers[4].sign(("vote",)),
+                ),
+                id="malformed-body",
+            ),
+            # A ``None`` key is "malformed" wherever it stands: a leading
+            # one does not let the run adopt the value that follows.
+            pytest.param(
+                lambda t: (
+                    t._vote(1, None),
+                    *(t._vote(s) for s in (2, 3, 4)),
+                ),
+                id="leading-none-key",
+            ),
+            pytest.param(
+                lambda t: tuple(t._vote(s, None) for s in (1, 2, 3, 4)),
+                id="all-none-keys",
+            ),
+            pytest.param(
+                lambda t: (*(t._vote(s) for s in (1, 2, 3)), "vote"),
+                id="not-a-signed-payload",
+            ),
+            pytest.param(
+                lambda t: (
+                    *(t._vote(s) for s in (1, 2)),
+                    t._forged(3),
+                ),
+                id="forged-signature",
+            ),
+        ],
+    )
+    def test_any_deviation_leaves_the_tracker_untouched(self, party, build):
+        tracker = self._seeded_tracker(party)
+        before = self._state(tracker)
+        run = build(self)
+        assert (
+            party.stage_vote_run(
+                tracker, run, self._parse, threshold=self.THRESHOLD
+            )
+            is None
+        )
+        assert self._state(tracker) == before

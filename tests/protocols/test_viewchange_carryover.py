@@ -17,7 +17,12 @@ without it.
 """
 from __future__ import annotations
 
-from repro.adversary.behaviors import CrashBehavior, crash_at
+from repro.adversary.behaviors import (
+    CrashBehavior,
+    ScriptedBehavior,
+    ScriptStep,
+    crash_at,
+)
 from repro.protocols.psync import fab, pbft, vbb_5f1
 from repro.protocols.psync.fab import FabPsync
 from repro.protocols.psync.pbft import PbftPsync
@@ -104,6 +109,75 @@ class TestPreparedCertificateCarryover:
             return 0.1
 
         _assert_carried_into_view2(_run(PsyncVbb5f1, 4, 1, delays))
+
+
+    def test_pbft_prepared_none_binds_the_next_leader(self):
+        # A prepared value of ``None`` is a lock, not "nothing prepared".
+        # The Byzantine view-1 leader 0 proposes ``None`` (externally
+        # valid under ``always_valid``) and backs it with its own prepare
+        # and commit vote; the view-1 commit votes reach party 3 only,
+        # which commits ``None`` and terminates.  Parties 1 and 2 time
+        # out holding ``PreparedCert(None, 1)``, and party 0 completes
+        # their view-change quorum.  The view-2 leader must re-propose
+        # ``None``: party 0 stands ready to prepare and commit-vote
+        # either ``None`` or the fallback in view 2, so a leader that
+        # reads the certificate as a free choice commits the fallback
+        # and breaks agreement with party 3.
+        def delays(sender, recipient, payload, t):
+            body = getattr(payload, "payload", None)
+            if (
+                isinstance(body, tuple)
+                and len(body) == 3
+                and body[0] == pbft.COMMIT
+                and body[2] == 1
+                and recipient != 3
+            ):
+                return INF
+            if isinstance(payload, tuple) and payload[0] == pbft.COMMITS:
+                return INF  # party 3 cannot help the others along
+            return 0.1
+
+        def behavior(world, pid):
+            def script(agent):
+                sign = agent.signer.sign
+                payloads = [
+                    sign((pbft.PROPOSE, None, 1, None)),
+                    sign((pbft.PREPARE, None, 1)),
+                    sign((pbft.COMMIT, None, 1)),
+                    sign((pbft.VIEWCHANGE, 1, None)),
+                ]
+                for value in (None, POISON):
+                    payloads.append(sign((pbft.PREPARE, value, 2)))
+                    payloads.append(sign((pbft.COMMIT, value, 2)))
+                return [
+                    ScriptStep(time=0.0, recipient=peer, payload=payload)
+                    for payload in payloads
+                    for peer in (1, 2, 3)
+                ]
+
+            return ScriptedBehavior(world, pid, script_builder=script)
+
+        world = World(
+            n=4,
+            f=1,
+            delay_policy=FunctionDelay(delays),
+            byzantine=frozenset({0}),
+        )
+        world.populate(
+            PbftPsync.factory(
+                broadcaster=0,
+                input_value="unused",  # the broadcaster is corrupted
+                big_delta=DELTA,
+                fallback_value=POISON,
+            ),
+            behavior,
+        )
+        world.run(until=200.0)
+
+        honest = world.honest_parties()
+        assert all(p.has_committed for p in honest)
+        assert {p.committed_value for p in honest} == {None}
+        assert {p.id: p.commit_view for p in honest} == {1: 2, 2: 2, 3: 1}
 
 
 class TestRecoverThenCommitInView2:

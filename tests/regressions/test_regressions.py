@@ -23,6 +23,18 @@ from repro.analysis.chaos import load_reproducer, run_reproducer
 
 CORPUS = sorted(Path(__file__).parent.glob("*.json"))
 
+#: reproducer -> (messages_sent, events_processed, max_commit_view), as
+#: recorded before the psync pacemaker moved into ``ViewParty``: a timer
+#: or view-change step that fires once more or once less fails here, by
+#: reproducer name.
+PINNED = {
+    "brb_2round-good-case-seed11": (119, 210, None),
+    "brb_2round-good-case-seed12": (78, 73, None),
+    "psync_fab-viewchange-seed7": (116, 128, 2),
+    "psync_pbft-viewchange-seed7": (58, 66, 2),
+    "psync_vbb_5f1-viewchange-seed7": (49, 57, 2),
+}
+
 
 def test_corpus_is_not_empty():
     assert len(CORPUS) >= 5
@@ -34,6 +46,16 @@ def test_reproducer_replays_to_its_expected_outcome(path):
     assert replay["ok"], (
         f"{path.name}: expected {replay['expect']}, got "
         f"{replay['record']['violation']}"
+    )
+    record = replay["record"]
+    observed = (
+        record["messages_sent"],
+        record["events_processed"],
+        record["max_commit_view"],
+    )
+    assert observed == PINNED.get(path.stem), (
+        f"{path.name}: got {observed}; a new reproducer records its "
+        f"(messages_sent, events_processed, max_commit_view) in PINNED"
     )
 
 

@@ -1,8 +1,9 @@
-"""Parity suite for batched delivery and the vectorized vote path.
+"""Parity suite for batched delivery and staged vote runs.
 
 Run batching (one ``_deliver_many`` event per equal-delay fan-out run)
-and vote batching (one staged ``add_batch`` per uniform forwarded
-quorum) are pure performance transforms: the same seed must yield the
+and vote batching (``Party.stage_vote_run``: one staged batch per
+uniform forwarded quorum that crosses its threshold, the per-vote loop
+otherwise) are pure performance transforms: the same seed must yield the
 same commits, message counts, logical event counts and tally counters
 with either path.  This suite pins that equivalence across presets —
 ``"perf-observed"`` forces the per-copy path the way production does, by
