@@ -5,7 +5,8 @@ validity, integrity and (deadline-bounded) termination as long as the
 faults stay inside its model's budget.  This module turns that into an
 executable check:
 
-1. :func:`random_fault_plan` draws a deterministic, seeded
+1. a tier's generator (:func:`random_fault_plan`,
+   :func:`random_viewchange_plan`) draws a deterministic, seeded
    :class:`~repro.sim.faults.FaultPlan` *within the tolerated bounds* of
    one protocol spec — at most ``f`` crashes (never the broadcaster),
    partitions that heal well before the liveness deadline, message loss
@@ -15,12 +16,26 @@ executable check:
    delay-altering faults);
 2. :func:`sweep_chaos` fans a ``protocols x plans`` grid through
    :class:`~repro.analysis.engine.SweepEngine` (deterministic at any
-   worker count) with the standard invariant battery attached and asserts
-   zero violations — ``python -m repro chaos --smoke`` is the CI gate;
+   worker count) with the tier's invariant battery and asserts zero
+   violations — ``python -m repro chaos --smoke`` is the CI gate;
 3. when a plan *does* break an invariant (e.g. a deliberately over-budget
    plan in the tests), :func:`shrink_plan` strips it greedily — drop one
    primitive at a time, keep the removal whenever the violation survives —
    down to a minimal reproducer.
+
+The tier table
+--------------
+
+All that differs between the good-case and the view-change tier is one
+:class:`ChaosTier` row of ``_TIERS``; the pipeline
+(:func:`run_chaos_plan` -> ``_chaos_point`` -> :func:`sweep_chaos` ->
+:func:`run_chaos`) reads the row and never compares tier names.  A tier
+supplies its spec dict, its plan generator, the tag leading its engine
+task keys (which seed its plans), its monitor battery, an optional extra
+gate over a finished record ("a commit in view >= 2"), and whether the
+battery reads nothing but commits — then counter-stream (shardable)
+plans run it unattached and :func:`judge` replays it over the merged
+:class:`~repro.sim.runner.RunResult`.  A new tier is one more row.
 
 Every piece is module-level and plain-data-parameterized so grid points
 pickle to engine workers, like every sweep in
@@ -32,10 +47,10 @@ import json
 import random
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from repro.analysis.engine import SweepEngine, SweepTask
-from repro.errors import InvariantViolation
+from repro.errors import FaultPlanError, InvariantViolation
 from repro.protocols import PROTOCOLS
 from repro.protocols.psync.base import round_robin_leader
 from repro.sim.faults import (
@@ -65,7 +80,8 @@ class ChaosSpec:
     n: int
     f: int
     #: ``"async"`` / ``"psync"`` / ``"sync"`` — selects the delay policy
-    #: and which fault kinds the model tolerates.
+    #: and which fault kinds the model tolerates (partitions and full
+    #: GST churn are asynchrony, so only ``"async"`` specs draw them).
     timing: str
     big_delta: float = 1.0
     #: Max extra per-copy delay the plan may inject (0 disables jitter).
@@ -74,8 +90,6 @@ class ChaosSpec:
     jitter_max: float = 0.0
     #: Max echo delay for duplicated copies.
     echo_max: float = 0.0
-    partitions_ok: bool = False
-    churn_ok: bool = False
     #: Protocol time needed *after* the last fault quiets down; the
     #: termination deadline is ``plan.quiet_time() + slack``.
     slack: float = 10.0
@@ -89,12 +103,10 @@ CHAOS_SPECS: dict[str, ChaosSpec] = {
         ChaosSpec(
             protocol="brb_2round", n=7, f=2, timing="async",
             jitter_max=2.0, echo_max=1.0,
-            partitions_ok=True, churn_ok=True,
         ),
         ChaosSpec(
             protocol="brb_bracha", n=7, f=2, timing="async",
             jitter_max=2.0, echo_max=1.0,
-            partitions_ok=True, churn_ok=True,
         ),
         ChaosSpec(
             protocol="psync_vbb_5f1", n=4, f=1, timing="psync",
@@ -125,56 +137,72 @@ CHAOS_SPECS: dict[str, ChaosSpec] = {
 #: More slack than the good-case tier: a full view timeout (4 * Delta)
 #: plus a second view's worth of protocol time burns before any commit.
 CHAOS_SPECS_VIEWCHANGE: dict[str, ChaosSpec] = {
-    spec.protocol: spec
-    for spec in (
-        ChaosSpec(
-            protocol="psync_pbft", n=4, f=1, timing="psync",
-            jitter_max=0.1, echo_max=0.2, slack=16.0,
-        ),
-        ChaosSpec(
-            protocol="psync_fab", n=6, f=1, timing="psync",
-            jitter_max=0.1, echo_max=0.2, slack=16.0,
-        ),
-        ChaosSpec(
-            protocol="psync_vbb_5f1", n=4, f=1, timing="psync",
-            jitter_max=0.1, echo_max=0.2, slack=16.0,
-        ),
-    )
+    name: replace(CHAOS_SPECS[name], jitter_max=0.1, slack=16.0)
+    for name in ("psync_pbft", "psync_fab", "psync_vbb_5f1")
 }
 
 #: One disrupted view (view 1) justifies reaching view 2; 3 leaves room
 #: for a straggler round trip without letting runaway timers hide.
 VIEWCHANGE_MAX_VIEW = 3
 
-#: The chaos tiers, in sweep order.
-CHAOS_TIERS = ("good-case", "viewchange")
 
-
-def _spec_for(protocol: str, tier: str) -> ChaosSpec:
-    specs = (
-        CHAOS_SPECS_VIEWCHANGE if tier == "viewchange" else CHAOS_SPECS
+def _violation(
+    invariant: str, details: str, protocol: str, party=None, time=None
+) -> dict:
+    """The one shape of a chaos row's ``violation`` entry."""
+    return dict(
+        invariant=invariant, details=details, protocol=protocol,
+        party=party, time=time,
     )
-    if protocol not in specs:
-        raise KeyError(
-            f"unknown chaos protocol {protocol!r} for tier {tier!r}; "
-            f"expected one of {sorted(specs)}"
-        )
-    return specs[protocol]
-
-
-def _protocol_class(name: str):
-    """Resolve a chaos protocol label to its party class."""
-    if name not in CHAOS_SPECS:
-        raise ValueError(
-            f"unknown chaos protocol {name!r}; "
-            f"expected one of {sorted(CHAOS_SPECS)}"
-        )
-    return PROTOCOLS[name]
 
 
 # ---------------------------------------------------------------------- #
 # plan generation
 # ---------------------------------------------------------------------- #
+
+
+def _draw_noise(
+    rng: random.Random,
+    spec: ChaosSpec,
+    chance: float,
+    duplicate_end_max: float,
+    jitter_span_max: float,
+) -> tuple[tuple[DuplicateLink, ...], tuple[ReorderJitter, ...]]:
+    """The duplicates and jitter both generators add, in the one draw
+    order their seeds are pinned to."""
+    duplicates: tuple[DuplicateLink, ...] = ()
+    if rng.random() < chance:
+        duplicates = (
+            DuplicateLink(
+                src=rng.randrange(spec.n) if rng.random() < 0.5 else None,
+                start=0.0,
+                end=round(rng.uniform(1.0, duplicate_end_max), 3),
+                prob=round(rng.uniform(0.3, 1.0), 3),
+                echo_delay=round(rng.uniform(0.0, spec.echo_max), 3),
+            ),
+        )
+    jitters: tuple[ReorderJitter, ...] = ()
+    if spec.jitter_max > 0 and rng.random() < chance:
+        start = round(rng.uniform(0.0, 1.0), 3)
+        jitters = (
+            ReorderJitter(
+                jitter=round(rng.uniform(0.0, spec.jitter_max), 3),
+                start=start,
+                end=start + round(rng.uniform(0.5, jitter_span_max), 3),
+            ),
+        )
+    return duplicates, jitters
+
+
+def _tolerated(plan: FaultPlan, spec: ChaosSpec) -> FaultPlan:
+    """A generator's last step: the plan is in budget and well-formed."""
+    deadline = plan.quiet_time() + spec.slack
+    problems = plan.check_tolerated(n=spec.n, f=spec.f, deadline=deadline)
+    if problems:  # pragma: no cover - generator stays in bounds
+        raise AssertionError(
+            f"generator produced an untolerated plan: {problems}"
+        )
+    return plan.validate(spec.n)
 
 
 def random_fault_plan(protocol: str, seed: int) -> FaultPlan:
@@ -190,11 +218,10 @@ def random_fault_plan(protocol: str, seed: int) -> FaultPlan:
     """
     spec = CHAOS_SPECS[protocol]
     rng = random.Random(seed)
-    n, f = spec.n, spec.f
+    n = spec.n
 
     crashes: list[Crash] = []
-    crash_count = rng.randint(0, f)
-    crashed = rng.sample(range(1, n), crash_count)
+    crashed = rng.sample(range(1, n), rng.randint(0, spec.f))
     for party in crashed:
         at = round(rng.uniform(0.0, 3.0), 3)
         if rng.random() < 0.5:
@@ -203,48 +230,26 @@ def random_fault_plan(protocol: str, seed: int) -> FaultPlan:
             recover = at + round(rng.uniform(0.5, 2.0), 3)
             crashes.append(Crash(party=party, at=at, recover=recover))
 
-    drops: list[DropLink] = []
+    drops: tuple[DropLink, ...] = ()
     if crashed and rng.random() < 0.5:
-        src = rng.choice(crashed)
-        drops.append(
+        drops = (
             DropLink(
-                src=src,
+                src=rng.choice(crashed),
                 start=0.0,
                 end=round(rng.uniform(1.0, 4.0), 3),
                 prob=round(rng.uniform(0.3, 1.0), 3),
-            )
+            ),
         )
 
-    duplicates: list[DuplicateLink] = []
-    if rng.random() < 0.7:
-        duplicates.append(
-            DuplicateLink(
-                src=rng.randrange(n) if rng.random() < 0.5 else None,
-                start=0.0,
-                end=round(rng.uniform(1.0, 5.0), 3),
-                prob=round(rng.uniform(0.3, 1.0), 3),
-                echo_delay=round(rng.uniform(0.0, spec.echo_max), 3),
-            )
-        )
+    duplicates, jitters = _draw_noise(rng, spec, 0.7, 5.0, 3.0)
 
-    jitters: list[ReorderJitter] = []
-    if spec.jitter_max > 0 and rng.random() < 0.7:
-        start = round(rng.uniform(0.0, 1.0), 3)
-        jitters.append(
-            ReorderJitter(
-                jitter=round(rng.uniform(0.0, spec.jitter_max), 3),
-                start=start,
-                end=start + round(rng.uniform(0.5, 3.0), 3),
-            )
-        )
-
-    partitions: list[Partition] = []
-    if spec.partitions_ok and rng.random() < 0.5:
+    partitions: tuple[Partition, ...] = ()
+    if spec.timing == "async" and rng.random() < 0.5:
         members = list(range(n))
         rng.shuffle(members)
         cut = rng.randint(1, n - 1)
         start = round(rng.uniform(0.0, 2.0), 3)
-        partitions.append(
+        partitions = (
             Partition(
                 groups=(
                     tuple(sorted(members[:cut])),
@@ -253,45 +258,39 @@ def random_fault_plan(protocol: str, seed: int) -> FaultPlan:
                 start=start,
                 end=start + round(rng.uniform(0.5, 2.0), 3),
                 flush_delay=round(rng.uniform(0.0, 1.0), 3),
-            )
+            ),
         )
 
-    churns: list[GstChurn] = []
-    if spec.churn_ok and rng.random() < 0.5:
+    churns: tuple[GstChurn, ...] = ()
+    if spec.timing == "async" and rng.random() < 0.5:
         a = round(rng.uniform(0.0, 1.5), 3)
-        churns.append(
+        churns = (
             GstChurn(
                 windows=((a, a + round(rng.uniform(0.3, 1.5), 3)),),
                 bound=round(rng.uniform(0.3, 1.0), 3),
-            )
+            ),
         )
     elif spec.timing == "psync" and rng.random() < 0.4:
         # Mild churn only: the window must resolve long before the view
         # timeout (4 * Delta) or the good case — and with it checkable
         # validity — is gone.
-        churns.append(
+        churns = (
             GstChurn(
                 windows=((0.0, round(rng.uniform(0.2, 0.5), 3)),),
                 bound=round(rng.uniform(0.1, 0.3), 3),
-            )
+            ),
         )
 
     plan = FaultPlan(
         crashes=tuple(crashes),
-        drops=tuple(drops),
-        duplicates=tuple(duplicates),
-        jitters=tuple(jitters),
-        partitions=tuple(partitions),
-        churns=tuple(churns),
+        drops=drops,
+        duplicates=duplicates,
+        jitters=jitters,
+        partitions=partitions,
+        churns=churns,
         seed=seed,
     )
-    deadline = plan.quiet_time() + spec.slack
-    problems = plan.check_tolerated(n=n, f=f, deadline=deadline)
-    if problems:  # pragma: no cover - generator stays in bounds
-        raise AssertionError(
-            f"generator produced an untolerated plan: {problems}"
-        )
-    return plan.validate(n)
+    return _tolerated(plan, spec)
 
 
 def random_viewchange_plan(protocol: str, seed: int) -> FaultPlan:
@@ -331,43 +330,115 @@ def random_viewchange_plan(protocol: str, seed: int) -> FaultPlan:
             ),
         )
 
-    duplicates: list[DuplicateLink] = []
-    if rng.random() < 0.5:
-        duplicates.append(
-            DuplicateLink(
-                src=rng.randrange(spec.n) if rng.random() < 0.5 else None,
-                start=0.0,
-                end=round(rng.uniform(1.0, timeout + 2.0), 3),
-                prob=round(rng.uniform(0.3, 1.0), 3),
-                echo_delay=round(rng.uniform(0.0, spec.echo_max), 3),
-            )
-        )
-
-    jitters: list[ReorderJitter] = []
-    if spec.jitter_max > 0 and rng.random() < 0.5:
-        start = round(rng.uniform(0.0, 1.0), 3)
-        jitters.append(
-            ReorderJitter(
-                jitter=round(rng.uniform(0.0, spec.jitter_max), 3),
-                start=start,
-                end=start + round(rng.uniform(0.5, timeout), 3),
-            )
-        )
-
+    duplicates, jitters = _draw_noise(rng, spec, 0.5, timeout + 2.0, timeout)
     plan = FaultPlan(
-        duplicates=tuple(duplicates),
-        jitters=tuple(jitters),
+        duplicates=duplicates,
+        jitters=jitters,
         leader_crashes=leader_crashes,
         holdbacks=holdbacks,
         seed=seed,
     )
-    deadline = plan.quiet_time() + spec.slack
-    problems = plan.check_tolerated(n=spec.n, f=spec.f, deadline=deadline)
-    if problems:  # pragma: no cover - generator stays in bounds
-        raise AssertionError(
-            f"generator produced an untolerated plan: {problems}"
+    return _tolerated(plan, spec)
+
+
+# ---------------------------------------------------------------------- #
+# the tier table
+# ---------------------------------------------------------------------- #
+
+
+def _good_case_battery(plan, protocol, input_value, quiet, slack) -> list:
+    return standard_monitors(
+        broadcaster=0, expected=input_value, deadline=quiet + slack,
+        protocol=protocol,
+    )
+
+
+def _viewchange_battery(plan, protocol, input_value, quiet, slack) -> list:
+    # Broadcaster-input validity is a *good-case* property: a holdback
+    # that starves the (honest) broadcaster through view 1 is pre-GST
+    # asynchrony, under which a starved broadcaster is indistinguishable
+    # from a crashed one — the view-2 leader rightly proposes its own
+    # value.  Crashed broadcasters are already exempt via the faulty
+    # set; starved ones must lose the monitor explicitly.
+    starved = any(h.src is None or h.src == 0 for h in plan.holdbacks)
+    monitors = standard_monitors(
+        broadcaster=0, expected=None if starved else input_value,
+    )
+    monitors.append(TerminationAfterGst(gst=quiet, bound=slack))
+    monitors.append(ViewProgress(max_view=VIEWCHANGE_MAX_VIEW))
+    for monitor in monitors:
+        monitor.protocol = protocol
+    return monitors
+
+
+def _reached_view_2(record: dict) -> dict | None:
+    # Forcing past view 1 must actually have *reached* view 2 — a commit
+    # in view 1 means the plan failed to disrupt and the run proved
+    # nothing.
+    if (record["max_commit_view"] or 0) >= 2:
+        return None
+    return _violation(
+        "viewchange-forced",
+        f"expected a commit in view >= 2, got commit views "
+        f"{record['commit_views']}",
+        record["protocol"],
+    )
+
+
+class ChaosTier(NamedTuple):
+    """One row of the tier table: all that differs between tiers."""
+
+    specs: dict[str, ChaosSpec]
+    #: Module-level *name* of the plan generator, looked up per call so
+    #: a swapped-in generator (tests rig one) is the one that runs.
+    generator: str
+    #: Leads the engine task keys, which seed the plans: the good-case
+    #: tag predates tiers, and changing a tag re-seeds that sweep.
+    key_tag: str
+    #: ``(plan, protocol, input_value, quiet, slack) -> monitors``.
+    battery: Callable[..., list]
+    #: Extra check of a violation-free record: a violation or ``None``.
+    gate: Callable[[dict], dict | None] | None
+    #: The battery reads commits only, so :func:`judge` can replay it:
+    #: the condition for counter-stream (shardable) plans.
+    replayable: bool
+
+
+_TIERS: dict[str, ChaosTier] = {
+    "good-case": ChaosTier(
+        CHAOS_SPECS, "random_fault_plan", "chaos",
+        _good_case_battery, None, True,
+    ),
+    "viewchange": ChaosTier(
+        CHAOS_SPECS_VIEWCHANGE, "random_viewchange_plan", "chaos-viewchange",
+        _viewchange_battery, _reached_view_2, False,
+    ),
+}
+
+#: The chaos tiers, in sweep order.
+CHAOS_TIERS = tuple(_TIERS)
+
+
+def _spec(tier: str, protocol: str, error: type = KeyError) -> ChaosSpec:
+    specs = _TIERS[tier].specs
+    if protocol not in specs:
+        raise error(
+            f"unknown chaos protocol {protocol!r} for tier {tier!r}; "
+            f"expected one of {sorted(specs)}"
         )
-    return plan.validate(spec.n)
+    return specs[protocol]
+
+
+def _plan(tier: str, protocol: str, seed: int, stream: str) -> FaultPlan:
+    """The tier's plan for ``seed`` on the given randomness stream — how
+    sweeps, shrinking and reproducers all rebuild a row's plan.
+
+    Same primitives and seed whatever the stream: the generator's draws
+    are already spent, only the injector's and delay policy's per-copy
+    streams change representation.
+    """
+    generate = globals()[_TIERS[tier].generator]
+    return replace(generate(protocol, seed), stream=stream)
 
 
 # ---------------------------------------------------------------------- #
@@ -383,7 +454,35 @@ def chaos_deadline(
     reliable: ReliableLink | None = None,
 ) -> float:
     """Termination deadline for ``plan`` under ``protocol``'s spec."""
-    return plan.quiet_time(reliable) + _spec_for(protocol, tier).slack
+    return plan.quiet_time(reliable) + _spec(tier, protocol).slack
+
+
+def judge(monitors: list, world: Any, replay: Any = None) -> None:
+    """The battery's end-of-run verdict; raises the first breach.
+
+    Attached monitors saw every commit as it happened.  A battery bound
+    to the world but *not* attached (counter-stream runs: attaching it
+    would refuse sharding) passes the merged ``RunResult`` as ``replay``
+    and is first fed its commits in commit-time order — the same
+    monitors, hence the same properties, after the fact.
+    """
+    if replay is not None:
+        times = replay.commit_global_times
+        for party in sorted(replay.commits, key=lambda p: (times[p], p)):
+            for monitor in monitors:
+                monitor.on_commit(party, replay.commits[party], times[party])
+    for monitor in monitors:
+        monitor.finalize(world)
+
+
+#: ``RunResult`` counters a chaos row carries verbatim.
+_ROW_COUNTERS = (
+    "faults_injected", "messages_dropped", "messages_duplicated",
+    "messages_held", "partition_windows", "messages_sent",
+    "events_processed", "retransmissions", "acks_sent",
+    "retries_exhausted", "shards", "shard_batches_exchanged",
+    "shard_bytes_sent", "shard_barrier_rounds", "shard_fallback_reason",
+)
 
 
 def run_chaos_plan(
@@ -396,50 +495,48 @@ def run_chaos_plan(
     reliable: ReliableLink | None = None,
     shards: int = 1,
 ) -> dict:
-    """Run one faulted execution with the full monitor battery attached.
+    """Run one faulted execution under the tier's monitor battery.
 
     Returns a plain record; ``violation`` is ``None`` on a clean run or
     the structured context of the first
     :class:`~repro.errors.InvariantViolation` raised (commit-time
-    monitors fire mid-run; termination fires in ``check_invariants``
-    after the horizon drains).
+    monitors fire mid-run; termination fires in :func:`judge` after the
+    horizon drains).
 
-    ``tier`` selects the spec table and the liveness battery: the
-    ``"viewchange"`` tier replaces the plain deadline monitor with
-    :class:`~repro.sim.invariants.TerminationAfterGst` (GST = the
-    plan's quiet time) and adds
-    :class:`~repro.sim.invariants.ViewProgress`.  ``reliable`` attaches
+    ``tier`` names the :class:`ChaosTier` row supplying the spec and the
+    battery (the ``"viewchange"`` one judges liveness by
+    :class:`~repro.sim.invariants.TerminationAfterGst` with GST = the
+    plan's quiet time, plus
+    :class:`~repro.sim.invariants.ViewProgress`).  ``reliable`` attaches
     a :class:`~repro.sim.retransmit.ReliableLink` policy to the world's
     network and stretches the deadline by its retry tail.  Symbolic
     :class:`~repro.sim.faults.CrashLeader` entries are resolved here
     against the protocol's round-robin rotation (broadcaster 0).
 
     A plan with ``stream="counter"`` switches the run to the shard-safe
-    configuration (good-case tier only): the delay policy draws from a
-    counter stream too, the monitor battery — which needs global commit
-    visibility — is replaced by post-hoc :class:`RunResult`-level checks
-    of the same agreement/validity/termination properties, and
-    ``shards`` selects in-run parallelism.  A counter plan at
-    ``shards=1`` runs the identical schedule single-process, which is
-    exactly the twin the parity tests and bench rows compare against.
+    configuration (replayable tiers only): the delay policy draws from a
+    counter stream too, the battery is replayed by :func:`judge` instead
+    of attached, and ``shards`` selects in-run parallelism.  A counter
+    plan at ``shards=1`` runs the identical schedule single-process —
+    the twin the parity tests and bench rows compare against.
     """
     from repro.sim.delays import FixedDelay, UniformDelay
     from repro.sim.runner import World
 
-    counter_mode = plan.stream == "counter"
-    if counter_mode and tier != "good-case":
+    chaos_tier = _TIERS[tier]
+    stream = plan.stream
+    counter_mode = stream == "counter"
+    if counter_mode and not chaos_tier.replayable:
         raise ValueError(
-            "counter-stream chaos supports the good-case tier only "
-            "(the viewchange battery needs runtime monitors)"
+            f"counter-stream chaos cannot run the {tier} tier "
+            "(its battery needs runtime monitors)"
         )
     if shards > 1 and not counter_mode:
         raise ValueError(
             "sharded chaos needs a counter-stream plan "
             '(build it with FaultPlan(..., stream="counter"))'
         )
-    stream = "counter" if counter_mode else "sequential"
-    spec = _spec_for(protocol, tier)
-    cls = _protocol_class(protocol)
+    spec = _spec(tier, protocol)
     plan = plan.resolve_leaders(
         lambda view: round_robin_leader(0, view, spec.n)
     )
@@ -456,35 +553,9 @@ def run_chaos_plan(
     else:  # sync: the model's worst tolerated assignment
         delay_policy = FixedDelay(spec.big_delta)
         kwargs["big_delta"] = spec.big_delta
-    if counter_mode:
-        monitors = []
-    elif tier == "viewchange":
-        # Broadcaster-input validity is a *good-case* property: a
-        # holdback that starves the (honest) broadcaster through view 1
-        # is pre-GST asynchrony, under which a starved broadcaster is
-        # indistinguishable from a crashed one — the view-2 leader
-        # rightly proposes its own value.  Crashed broadcasters are
-        # already exempt via the faulty set; starved ones must lose the
-        # monitor explicitly.
-        starved = any(
-            h.src is None or h.src == 0 for h in plan.holdbacks
-        )
-        monitors = standard_monitors(
-            broadcaster=0,
-            expected=None if starved else input_value,
-            protocol=protocol,
-        )
-        monitors.append(TerminationAfterGst(gst=quiet, bound=spec.slack))
-        monitors.append(ViewProgress(max_view=VIEWCHANGE_MAX_VIEW))
-        for monitor in monitors:
-            monitor.protocol = protocol
-    else:
-        monitors = standard_monitors(
-            broadcaster=0,
-            expected=input_value,
-            deadline=deadline,
-            protocol=protocol,
-        )
+    monitors = chaos_tier.battery(
+        plan, protocol, input_value, quiet, spec.slack
+    )
     world = World(
         n=spec.n,
         f=spec.f,
@@ -492,42 +563,31 @@ def run_chaos_plan(
         instrumentation=instrumentation,
         fault_plan=plan,
         reliable_link=reliable,
-        monitors=monitors,
+        monitors=None if counter_mode else monitors,
         protocol_name=protocol,
         shards=shards,
     )
-    world.populate(cls.factory(broadcaster=0, input_value=input_value, **kwargs))
-    violation: dict | None = None
-    result = None
     if counter_mode:
+        for monitor in monitors:
+            monitor.bind(world)
+    world.populate(
+        PROTOCOLS[protocol].factory(
+            broadcaster=0, input_value=input_value, **kwargs
+        )
+    )
+    violation: dict | None = None
+    try:
         result = world.run(until=deadline)
-        violation = _posthoc_violation(
-            result,
-            plan=plan,
-            protocol=protocol,
-            input_value=input_value,
-            deadline=deadline,
+        judge(monitors, world, replay=result if counter_mode else None)
+    except InvariantViolation as exc:
+        violation = _violation(
+            exc.invariant, exc.details, exc.protocol, exc.party, exc.time
         )
-    else:
-        try:
-            result = world.run(until=deadline)
-            world.check_invariants()
-        except InvariantViolation as exc:
-            violation = {
-                "invariant": exc.invariant,
-                "details": exc.details,
-                "protocol": exc.protocol,
-                "party": exc.party,
-                "time": exc.time,
-            }
-            result = world.result()
+        result = world.result()
     commit_views = sorted(
-        view
-        for view in (
-            getattr(agent, "commit_view", None)
-            for agent in world.agents.values()
-        )
-        if view is not None
+        agent.commit_view
+        for agent in world.agents.values()
+        if getattr(agent, "commit_view", None) is not None
     )
     return {
         "protocol": protocol,
@@ -535,86 +595,26 @@ def run_chaos_plan(
         "n": spec.n,
         "f": spec.f,
         "seed": plan.seed,
+        "stream": stream,
         "plan_size": len(plan),
         "deadline": deadline,
         "violation": violation,
-        "faults_injected": result.faults_injected,
-        "messages_dropped": result.messages_dropped,
-        "messages_duplicated": result.messages_duplicated,
-        "messages_held": result.messages_held,
-        "partition_windows": result.partition_windows,
-        "messages_sent": result.messages_sent,
-        "events_processed": result.events_processed,
         "commits": len(result.commits),
         "commit_views": commit_views,
         "max_commit_view": max(commit_views) if commit_views else None,
-        "retransmissions": result.retransmissions,
-        "acks_sent": result.acks_sent,
-        "retries_exhausted": result.retries_exhausted,
-        "shards": result.shards,
-        "shard_batches_exchanged": result.shard_batches_exchanged,
-        "shard_bytes_sent": result.shard_bytes_sent,
-        "shard_barrier_rounds": result.shard_barrier_rounds,
-        "shard_fallback_reason": result.shard_fallback_reason,
+        **{name: getattr(result, name) for name in _ROW_COUNTERS},
     }
 
 
-def _posthoc_violation(
-    result,
-    *,
-    plan: FaultPlan,
-    protocol: str,
-    input_value: Any,
-    deadline: float,
-) -> dict | None:
-    """RunResult-level invariant checks for monitor-less (sharded) runs.
-
-    The same three properties the good-case monitor battery enforces,
-    checked on the merged outcome instead of mid-run: one committed
-    value (agreement), the broadcaster's input when it is honest and
-    uncrashed (validity), and every non-exempt honest party committed by
-    the deadline (termination).  Plan-crashed parties are spent fault
-    budget, exactly as :attr:`~repro.sim.runner.World.faulty_ids`
-    exempts them for the monitors.
-    """
-    exempt = plan.crashed_parties() | result.byzantine
-    values = set(result.commits.values())
-    if len(values) > 1:
-        return {
-            "invariant": "agreement",
-            "details": (
-                f"conflicting commit values {sorted(map(repr, values))}"
-            ),
-            "protocol": protocol,
-            "party": None,
-            "time": None,
-        }
-    if 0 not in exempt and values and values != {input_value}:
-        return {
-            "invariant": "validity",
-            "details": (
-                f"honest broadcaster input {input_value!r} but committed "
-                f"{next(iter(values))!r}"
-            ),
-            "protocol": protocol,
-            "party": None,
-            "time": None,
-        }
-    missing = [
-        p for p in result.honest_ids
-        if p not in result.commits and p not in exempt
-    ]
-    if missing:
-        return {
-            "invariant": "termination",
-            "details": (
-                f"parties {missing} uncommitted at deadline {deadline}"
-            ),
-            "protocol": protocol,
-            "party": missing[0],
-            "time": deadline,
-        }
-    return None
+def _run_gated(
+    protocol: str, plan: FaultPlan, *, tier: str, **run_kwargs: Any
+) -> dict:
+    """:func:`run_chaos_plan`, then the tier's extra gate if still clean."""
+    record = run_chaos_plan(protocol, plan, tier=tier, **run_kwargs)
+    gate = _TIERS[tier].gate
+    if record["violation"] is None and gate is not None:
+        record["violation"] = gate(record)
+    return record
 
 
 def _chaos_point(
@@ -626,37 +626,11 @@ def _chaos_point(
     shards: int = 1,
 ) -> dict:
     """One grid point: generate a tolerated plan for ``seed``, run it."""
-    if tier == "viewchange":
-        plan = random_viewchange_plan(protocol, seed)
-        record = run_chaos_plan(
-            protocol, plan, instrumentation=instrumentation, tier=tier
-        )
-        # The tier's extra gate: forcing past view 1 must actually have
-        # *reached* view 2 — a commit in view 1 means the plan failed to
-        # disrupt and the run proved nothing.
-        if record["violation"] is None and (
-            record["max_commit_view"] is None
-            or record["max_commit_view"] < 2
-        ):
-            record["violation"] = {
-                "invariant": "viewchange-forced",
-                "details": (
-                    f"expected a commit in view >= 2, got commit views "
-                    f"{record['commit_views']}"
-                ),
-                "protocol": protocol,
-                "party": None,
-                "time": None,
-            }
-        return record
-    plan = random_fault_plan(protocol, seed)
-    if shards > 1:
-        # Same primitives and seed, shard-safe randomness: the plan's
-        # generator draws are already spent, only the injector's and
-        # delay policy's per-copy streams change representation.
-        plan = replace(plan, stream="counter")
-    return run_chaos_plan(
-        protocol, plan, instrumentation=instrumentation, shards=shards
+    stream = "counter" if shards > 1 else "sequential"
+    plan = _plan(tier, protocol, seed, stream)
+    return _run_gated(
+        protocol, plan, tier=tier,
+        instrumentation=instrumentation, shards=shards,
     )
 
 
@@ -680,33 +654,26 @@ def sweep_chaos(
     The ``"viewchange"`` tier sweeps only the psync protocols, with
     plans that force a view change and the gate additionally demanding
     a commit in view >= 2 (a surviving good case counts as a failure —
-    the plan was supposed to kill it).
+    the plan was supposed to kill it).  ``shards`` applies to replayable
+    tiers; the others need runtime monitors, which force one process.
     """
     engine = engine if engine is not None else SweepEngine()
-    specs = (
-        CHAOS_SPECS_VIEWCHANGE if tier == "viewchange" else CHAOS_SPECS
-    )
-    names = protocols if protocols is not None else list(specs)
+    chaos_tier = _TIERS[tier]
+    names = protocols if protocols is not None else list(chaos_tier.specs)
     for name in names:
-        if name not in specs:
-            raise ValueError(
-                f"unknown chaos protocol {name!r} for tier {tier!r}; "
-                f"expected one of {sorted(specs)}"
-            )
-    # Good-case task keys keep their pre-tier shape so the engine's
-    # per-key seed derivation (and with it every pinned sweep outcome)
-    # is unchanged — ``shards`` deliberately stays out of the key too,
-    # so a sharded sweep replays exactly the plans the single-process
-    # sweep would draw.
-    key_tag = "chaos" if tier == "good-case" else f"chaos-{tier}"
+        _spec(tier, name, error=ValueError)
+    # ``shards`` deliberately stays out of the task key, so a sharded
+    # sweep replays exactly the plans the single-process sweep would
+    # draw.
     tasks = [
         SweepTask(
             _chaos_point,
             dict(
                 protocol=name, instrumentation=instrumentation,
-                tier=tier, shards=shards,
+                tier=tier,
+                shards=shards if chaos_tier.replayable else 1,
             ),
-            key=(key_tag, name, index),
+            key=(chaos_tier.key_tag, name, index),
             inject_seed=True,
         )
         for name in names
@@ -745,33 +712,21 @@ def shrink_plan(
 
 
 def shrink_failing_plan(
-    protocol: str,
-    plan: FaultPlan,
-    *,
-    instrumentation: str = "perf",
-    tier: str = "good-case",
-    reliable: ReliableLink | None = None,
-    shards: int = 1,
+    protocol: str, plan: FaultPlan, **run_options: Any
 ) -> FaultPlan:
     """Shrink against the real oracle: does the run still violate?
 
-    ``shards`` replays candidates in the mode that found the violation
-    (``FaultPlan.without`` preserves the plan's stream, so a sharded
-    counter-stream reproducer shrinks as one).
+    ``run_options`` (``instrumentation``, ``tier``, ``reliable``,
+    ``shards``) go to :func:`run_chaos_plan`, so candidates replay in
+    the mode that found the violation (``FaultPlan.without`` preserves
+    the plan's stream: a counter-stream reproducer shrinks as one).
     """
-
-    def still_fails(candidate: FaultPlan) -> bool:
-        record = run_chaos_plan(
-            protocol,
-            candidate,
-            instrumentation=instrumentation,
-            tier=tier,
-            reliable=reliable,
-            shards=shards,
-        )
-        return record["violation"] is not None
-
-    return shrink_plan(plan, still_fails)
+    return shrink_plan(
+        plan,
+        lambda candidate: run_chaos_plan(protocol, candidate, **run_options)[
+            "violation"
+        ] is not None,
+    )
 
 
 # ---------------------------------------------------------------------- #
@@ -816,10 +771,16 @@ def write_reproducer(
 def load_reproducer(path: str | Path) -> dict:
     """Parse one reproducer file back into runnable objects."""
     data = json.loads(Path(path).read_text())
+    try:
+        plan = FaultPlan.from_json(data["plan"])
+    except FaultPlanError as exc:
+        raise FaultPlanError(
+            f"{path}: {exc.details}", primitive=exc.primitive
+        ) from exc
     return {
         "protocol": data["protocol"],
         "tier": data.get("tier", "good-case"),
-        "plan": FaultPlan.from_json(data["plan"]),
+        "plan": plan,
         "reliable": (
             ReliableLink.from_json(data["reliable"])
             if data.get("reliable")
@@ -871,21 +832,14 @@ def viewchange_smoke_plans() -> list[tuple[str, FaultPlan]]:
 
 def run_viewchange_smoke(*, instrumentation: str = "perf") -> dict:
     """Run the pinned view-change plans; gate on commit in view >= 2."""
-    rows = []
-    failures = []
-    for protocol, plan in viewchange_smoke_plans():
-        record = run_chaos_plan(
-            protocol, plan, instrumentation=instrumentation,
-            tier="viewchange",
+    rows = [
+        _run_gated(
+            protocol, plan, tier="viewchange",
+            instrumentation=instrumentation,
         )
-        rows.append(record)
-        if record["violation"] is not None:
-            failures.append(record)
-        elif (
-            record["max_commit_view"] is None
-            or record["max_commit_view"] < 2
-        ):
-            failures.append(record)
+        for protocol, plan in viewchange_smoke_plans()
+    ]
+    failures = [row for row in rows if row["violation"] is not None]
     return {"rows": rows, "failures": failures, "ok": not failures}
 
 
@@ -954,28 +908,34 @@ def run_chaos(
     every shrunk reproducer is additionally written there as a
     ready-to-commit regression file (``expect: "clean"`` — the corpus
     asserts the plan stays clean once the bug it found is fixed).
+
+    Each tier sweeps the named ``protocols`` its grid holds (a tier
+    holding none is skipped); a name no requested tier holds is an
+    error.
     """
+    if protocols is not None:
+        known = {name for tier in tiers for name in _TIERS[tier].specs}
+        unknown = sorted(set(protocols) - known)
+        if unknown:
+            raise ValueError(
+                f"unknown chaos protocol {unknown[0]!r} for tiers "
+                f"{list(tiers)}; expected one of {sorted(known)}"
+            )
     rows: list[dict] = []
     for tier in tiers:
-        engine = SweepEngine(workers=workers, base_seed=base_seed)
         names = protocols
-        if tier == "viewchange" and protocols is not None:
-            names = [
-                name for name in protocols
-                if name in CHAOS_SPECS_VIEWCHANGE
-            ]
+        if protocols is not None:
+            names = [p for p in protocols if p in _TIERS[tier].specs]
             if not names:
                 continue
         rows.extend(
             sweep_chaos(
                 protocols=names,
                 plans_per_protocol=plans_per_protocol,
-                engine=engine,
+                engine=SweepEngine(workers=workers, base_seed=base_seed),
                 instrumentation=instrumentation,
                 tier=tier,
-                # The viewchange battery needs runtime monitors, which
-                # force one process; only the good-case tier shards.
-                shards=shards if tier == "good-case" else 1,
+                shards=shards,
             )
         )
     violations = []
@@ -984,26 +944,23 @@ def run_chaos(
             continue
         entry = dict(row)
         if shrink:
-            tier = row.get("tier", "good-case")
-            row_shards = row.get("shards", 1)
-            if tier == "viewchange":
-                plan = random_viewchange_plan(row["protocol"], row["seed"])
-            else:
-                plan = random_fault_plan(row["protocol"], row["seed"])
-                if row_shards > 1:
-                    plan = replace(plan, stream="counter")
+            # The row's own stream and effective shard count: the plan
+            # that is shrunk and written out is the one that ran.
+            plan = _plan(
+                row["tier"], row["protocol"], row["seed"], row["stream"]
+            )
             try:
                 minimal = shrink_failing_plan(
                     row["protocol"],
                     plan,
                     instrumentation=instrumentation,
-                    tier=tier,
-                    shards=row_shards,
+                    tier=row["tier"],
+                    shards=row["shards"],
                 )
             except ValueError:
-                # The monitor battery alone did not reproduce (e.g. the
-                # viewchange tier's commit-in-view>=2 gate fired): keep
-                # the full plan as the reproducer.
+                # The monitor battery alone did not reproduce (the
+                # tier's extra gate fired): keep the full plan as the
+                # reproducer.
                 minimal = plan
             entry["minimal_plan"] = [repr(p) for p in minimal.primitives()]
             if emit_dir is not None:
@@ -1011,7 +968,7 @@ def run_chaos(
                     emit_dir,
                     protocol=row["protocol"],
                     plan=minimal,
-                    tier=tier,
+                    tier=row["tier"],
                     expect="clean",
                     note=(
                         f"nightly chaos violation "

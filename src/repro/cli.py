@@ -342,8 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--shards", type=int, default=1,
         help="worker processes per faulted run (good-case tier only; "
-        ">1 switches plans to counter streams and swaps the monitor "
-        "battery for post-hoc RunResult checks)",
+        ">1 switches plans to counter streams and replays the monitor "
+        "battery over the merged RunResult)",
     )
     p.set_defaults(fn=_cmd_chaos)
 

@@ -362,8 +362,9 @@ class World:
 
         Commit-time properties (agreement, validity, integrity) raise the
         moment they break; liveness (termination-by-deadline) can only be
-        judged once the schedule drains, so chaos calls this after
-        :meth:`run`.
+        judged once the schedule drains, so :func:`run_broadcast` calls
+        this after :meth:`run` (chaos finalizes its battery, attached or
+        replayed, in :func:`repro.analysis.chaos.judge`).
         """
         for monitor in self.instrumentation.monitors:
             monitor.finalize(self)

@@ -7,20 +7,30 @@ reproducer — exactly the crash set, decoys stripped.
 """
 from __future__ import annotations
 
+import json
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
 from repro.analysis.chaos import (
+    _TIERS,
     CHAOS_SPECS,
     chaos_deadline,
+    judge,
     random_fault_plan,
     run_chaos,
     run_chaos_plan,
+    run_reproducer,
     shrink_failing_plan,
     shrink_plan,
     sweep_chaos,
 )
 from repro.analysis.engine import SweepEngine
+from repro.errors import InvariantViolation
+from repro.sim.delays import FixedDelay
 from repro.sim.faults import Crash, DuplicateLink, FaultPlan, ReorderJitter
+from repro.sim.runner import RunResult, World
 
 
 class TestRandomFaultPlan:
@@ -80,15 +90,13 @@ class TestRunChaosPlan:
 class TestShardedChaos:
     """Counter-stream plans under sharded execution.
 
-    A ``stream="counter"`` plan swaps the monitor battery for post-hoc
-    RunResult checks and runs shard-safe: the sharded row must replay
+    A ``stream="counter"`` plan replays the monitor battery over the
+    merged RunResult and runs shard-safe: the sharded row must replay
     its single-process twin's schedule — same commits and fault
     counters — while actually exchanging cross-shard batches.
     """
 
     def _counter_plan(self, seed: int) -> FaultPlan:
-        from dataclasses import replace
-
         return replace(
             random_fault_plan("brb_2round", seed), stream="counter"
         )
@@ -123,6 +131,73 @@ class TestShardedChaos:
         plan = self._counter_plan(1)
         with pytest.raises(ValueError):
             run_chaos_plan("brb_2round", plan, tier="viewchange")
+
+    def test_over_budget_counter_plan_fails_the_same_way_sharded(self):
+        """The replayed battery names the same breach whether the merged
+        result came from one process or two."""
+        plan = replace(_OVER_BUDGET, stream="counter")
+        single = run_chaos_plan("brb_2round", plan, shards=1)
+        sharded = run_chaos_plan("brb_2round", plan, shards=2)
+        assert sharded["shards"] == 2
+        for row in (single, sharded):
+            assert row["violation"]["invariant"] == "termination"
+        assert sharded["violation"]["party"] == single["violation"]["party"]
+
+
+#: Stub merged results for the replayed battery, over n=4, f=1,
+#: broadcaster 0 with input "v": (label, plan, commits, invariant the
+#: battery must name, or None for a clean verdict).
+REPLAY_TABLE = [
+    ("all commit the input", FaultPlan(),
+     {0: "v", 1: "v", 2: "v", 3: "v"}, None),
+    ("split commit values", FaultPlan(),
+     {0: "v", 1: "v", 2: "w", 3: "v"}, "agreement"),
+    ("wrong value under an honest broadcaster", FaultPlan(),
+     {0: "w", 1: "w", 2: "w", 3: "w"}, "validity"),
+    ("one live honest party missing", FaultPlan(),
+     {0: "v", 1: "v", 2: "v"}, "termination"),
+    ("only a plan-crashed party missing",
+     FaultPlan(crashes=(Crash(3, 0.0),)),
+     {0: "v", 1: "v", 2: "v"}, None),
+    ("foreign value under a plan-crashed broadcaster",
+     FaultPlan(crashes=(Crash(0, 0.0),)),
+     {1: "w", 2: "w", 3: "w"}, None),
+]
+
+
+def stub_result(commits: dict) -> RunResult:
+    return RunResult(
+        n=4, f=1, byzantine=frozenset(), commits=commits,
+        commit_global_times={p: 1.0 + p for p in commits},
+        commit_rounds={},
+    )
+
+
+class TestReplayedBattery:
+    """``judge`` with ``replay=``: what counter-stream runs are judged by."""
+
+    @pytest.mark.parametrize(
+        "plan, commits, expected",
+        [row[1:] for row in REPLAY_TABLE],
+        ids=[row[0] for row in REPLAY_TABLE],
+    )
+    def test_names_the_invariant(self, plan, commits, expected):
+        world = World(
+            n=4, f=1, delay_policy=FixedDelay(1.0), fault_plan=plan,
+            protocol_name="brb_2round",
+        )
+        monitors = _TIERS["good-case"].battery(
+            plan, "brb_2round", "v", 0.0, 10.0
+        )
+        for monitor in monitors:
+            monitor.bind(world)
+        named = None
+        try:
+            judge(monitors, world, replay=stub_result(commits))
+        except InvariantViolation as exc:
+            named = exc.invariant
+            assert exc.protocol == "brb_2round"
+        assert named == expected
 
 
 class TestSweepChaos:
@@ -215,3 +290,29 @@ class TestRunChaos:
         assert sorted(entry["minimal_plan"]) == sorted(
             repr(c) for c in _OVER_BUDGET.crashes
         )
+
+    def test_reproducer_is_for_the_schedule_that_ran(
+        self, monkeypatch, tmp_path
+    ):
+        """``shards=2`` puts the plan on the counter stream even when the
+        world then falls back to one process (``instrumentation="full"``
+        needs round accounting): the shrunk, emitted plan must be that
+        counter-stream plan, not its sequential twin."""
+        import repro.analysis.chaos as chaos_mod
+
+        monkeypatch.setattr(
+            chaos_mod, "random_fault_plan", lambda protocol, seed: _OVER_BUDGET
+        )
+        summary = run_chaos(
+            plans_per_protocol=1, protocols=["brb_2round"], shards=2,
+            instrumentation="full", emit_dir=str(tmp_path),
+        )
+        (entry,) = summary["violations"]
+        assert entry["shards"] == 1
+        assert entry["shard_fallback_reason"] == "rounds-accounting"
+        assert entry["stream"] == "counter"
+        emitted = json.loads(Path(entry["reproducer"]).read_text())
+        assert emitted["plan"]["stream"] == "counter"
+        replay = run_reproducer(entry["reproducer"])
+        assert replay["record"]["stream"] == "counter"
+        assert replay["record"]["violation"]["invariant"] == "termination"

@@ -9,6 +9,8 @@ through JSON so the regression corpus can replay them.
 """
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.analysis.chaos import (
@@ -27,6 +29,7 @@ from repro.analysis.chaos import (
     viewchange_smoke_plans,
     write_reproducer,
 )
+from repro.errors import FaultPlanError
 from repro.sim.faults import CrashLeader, FaultPlan
 from repro.sim.retransmit import ReliableLink
 
@@ -176,6 +179,19 @@ class TestReproducerFiles:
         assert loaded["reliable"] == link
         replay = run_reproducer(path)
         assert replay["ok"], replay
+
+    def test_malformed_plan_is_rejected_with_the_file_named(self, tmp_path):
+        # A typo'd kind must not replay as an empty, vacuously clean plan.
+        path = write_reproducer(
+            tmp_path, protocol="brb_2round", plan=RELIABLE_DEMO_PLAN
+        )
+        doc = json.loads(path.read_text())
+        doc["plan"]["dorps"] = doc["plan"].pop("drops")
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FaultPlanError) as caught:
+            load_reproducer(path)
+        assert str(path) in str(caught.value)
+        assert "'dorps'" in str(caught.value)
 
     def test_expected_violation_reproducers_gate_on_failing(self, tmp_path):
         # A reproducer may also pin a *known-bad* outcome: the demo plan

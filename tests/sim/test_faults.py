@@ -216,6 +216,34 @@ class TestViewChangePrimitives:
 
         assert FaultPlan.from_json(json.loads(json.dumps(doc))) == plan
 
+    @pytest.mark.parametrize(
+        "doc, named",
+        [
+            # A typo'd kind used to load as an empty ("clean") plan.
+            ({"crashs": [{"party": 1, "at": 0.0, "recover": "inf"}]},
+             "crashs"),
+            # A typo'd field used to be dropped.
+            ({"drops": [{"src": None, "dst": 3, "start": 0.0, "end": 4.0,
+                         "porb": 0.5}]}, "porb"),
+            # A missing required field used to be a bare KeyError.
+            ({"crashes": [{"party": 1}]}, "at"),
+            ({"partitions": [{"groups": [[0], [1]], "start": 0.0}]}, "end"),
+        ],
+    )
+    def test_from_json_rejects_malformed_documents(self, doc, named):
+        with pytest.raises(FaultPlanError, match=repr(named)):
+            FaultPlan.from_json(doc)
+
+    def test_from_json_defaults_what_may_be_absent(self):
+        # Plan-level keys (committed reproducers predate "stream") and
+        # primitive fields that have a dataclass default.
+        assert FaultPlan.from_json({"seed": 3}) == FaultPlan(seed=3)
+        assert FaultPlan.from_json(
+            {"crashes": [{"party": 1, "at": 0.5}], "jitters": [{"jitter": 1}]}
+        ) == FaultPlan(
+            crashes=(Crash(1, 0.5),), jitters=(ReorderJitter(jitter=1.0),)
+        )
+
     def test_without_removes_new_primitives(self):
         hold = Holdback(src=0, end=5.0)
         lc = CrashLeader(view=1)
