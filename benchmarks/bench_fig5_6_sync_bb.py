@@ -1,62 +1,38 @@
 """Figures 5, 6, 10: the synchronous upper-bound protocols.
 
-Latency as a function of the actual delay bound delta, per regime; plus
-the Dolev-Strong worst-case baseline that motivates good-case analysis.
+Latency as a function of the actual delay bound delta, per regime of
+``repro.analysis.table1.REGIMES``; plus the Dolev-Strong worst-case
+baseline that motivates good-case analysis.
 
     pytest benchmarks/bench_fig5_6_sync_bb.py --benchmark-only
 """
+from dataclasses import replace
+
 import pytest
 
-from repro.analysis.latency import measure_sync_good_case
 from repro.analysis.sweeps import sweep_sync_regimes
-from repro.net.synchrony import SynchronyModel
-from repro.protocols.dolev_strong import DolevStrongBb
-from repro.protocols.sync.bb_2delta import Bb2Delta
-from repro.protocols.sync.bb_delta_delta_n3 import BbDeltaDeltaN3
-from repro.protocols.sync.bb_delta_delta_sync import BbDeltaDeltaSync
+from repro.analysis.table1 import FIGURES
 
 BIG_DELTA = 1.0
 
 
 @pytest.mark.parametrize("delta", [0.1, 0.25, 0.5, 1.0])
-def test_fig10_2delta(benchmark, delta):
-    model = SynchronyModel(delta=delta, big_delta=BIG_DELTA, skew=delta)
-    meas = benchmark(
-        lambda: measure_sync_good_case(Bb2Delta, n=7, f=2, model=model)
+@pytest.mark.parametrize("figure", ["Fig 10", "Fig 5", "Fig 6"])
+def test_sync_upper_bound(benchmark, figure, delta):
+    """2*delta below n/3; Delta + delta at n/3 and (sync start) above."""
+    regime = FIGURES[figure]
+    value = benchmark(regime.measure, delta=delta, big_delta=BIG_DELTA)
+    assert value == pytest.approx(
+        regime.expected(delta, BIG_DELTA, regime.n, regime.f)
     )
-    assert meas.time_latency == pytest.approx(2 * delta)
-
-
-@pytest.mark.parametrize("delta", [0.1, 0.25, 0.5, 1.0])
-def test_fig5_delta_plus_delta_at_n3(benchmark, delta):
-    model = SynchronyModel(delta=delta, big_delta=BIG_DELTA, skew=0.0)
-    meas = benchmark(
-        lambda: measure_sync_good_case(BbDeltaDeltaN3, n=6, f=2, model=model)
-    )
-    assert meas.time_latency == pytest.approx(BIG_DELTA + delta)
-
-
-@pytest.mark.parametrize("delta", [0.1, 0.25, 0.5, 1.0])
-def test_fig6_delta_plus_delta_sync_start(benchmark, delta):
-    model = SynchronyModel(delta=delta, big_delta=BIG_DELTA, skew=0.0)
-    meas = benchmark(
-        lambda: measure_sync_good_case(
-            BbDeltaDeltaSync, n=5, f=2, model=model, skew_pattern="zero"
-        )
-    )
-    assert meas.time_latency == pytest.approx(BIG_DELTA + delta)
 
 
 @pytest.mark.parametrize("f", [1, 2, 3])
 def test_dolev_strong_worst_case_baseline(benchmark, f):
     """(f+1) * 2*Delta regardless of delta: why good-case latency matters."""
-    model = SynchronyModel(delta=0.01, big_delta=BIG_DELTA, skew=0.0)
-    meas = benchmark(
-        lambda: measure_sync_good_case(
-            DolevStrongBb, n=7, f=f, model=model, until=1000.0
-        )
-    )
-    assert meas.time_latency == pytest.approx((f + 1) * 2 * BIG_DELTA)
+    regime = replace(FIGURES["Dolev-Strong"], n=7, f=f)
+    value = benchmark(regime.measure, delta=0.01, big_delta=BIG_DELTA)
+    assert value == pytest.approx((f + 1) * 2 * BIG_DELTA)
 
 
 def test_full_sync_spectrum(benchmark):

@@ -1,52 +1,20 @@
 """Figures 4, 7/11, 12 and Theorems 4, 8, 9: the lower-bound witnesses.
 
-Each benchmark replays an impossibility construction, machine-checks the
-proof's indistinguishability claims and asserts the agreement violation.
+Each benchmark replays an impossibility construction from
+``repro.lowerbounds.WITNESSES``, machine-checks the proof's
+indistinguishability claims and asserts the agreement violation.
 
     pytest benchmarks/bench_lowerbounds.py --benchmark-only
 """
-from repro.lowerbounds import thm04_async_2round as thm04
-from repro.lowerbounds import thm07_psync_3round as thm07
-from repro.lowerbounds import thm08_sync_2delta as thm08
-from repro.lowerbounds import thm09_sync_delta_delta as thm09
-from repro.lowerbounds import thm10_sync_delta_15delta as thm10
-from repro.lowerbounds import thm19_dishonest_majority as thm19
+import pytest
+
+from repro.lowerbounds import WITNESSES, run_witness
 
 
-def test_thm04_async_2round(benchmark):
-    report = benchmark(thm04.run_witness)
+@pytest.mark.parametrize("key", sorted(WITNESSES))
+def test_witness(benchmark, key):
+    report = benchmark(run_witness, key)
     assert report.all_checks_hold
     assert report.violation_found
-
-
-def test_thm07_psync_3round(benchmark):
-    """Figure 4's regime: n = 5f - 2 breaks 2-round commit."""
-    report = benchmark(thm07.run_witness)
-    assert report.violation_found
-
-
-def test_thm08_sync_2delta(benchmark):
-    report = benchmark(thm08.run_witness)
-    assert report.all_checks_hold
-    assert report.violation_found
-
-
-def test_thm09_sync_delta_delta(benchmark):
-    report = benchmark(thm09.run_witness)
-    assert report.all_checks_hold
-    assert report.violation_found
-
-
-def test_thm10_sync_delta_15delta(benchmark):
-    """Figure 11: the paper's most intricate construction (E1-E4)."""
-    report = benchmark(thm10.run_witness)
-    assert report.all_checks_hold
-    assert len(report.checks) == 4
-    assert report.violation_found
-
-
-def test_thm19_dishonest_majority(benchmark):
-    """Figure 12: the chain construction for f >= n/2."""
-    report = benchmark(thm19.run_witness)
-    assert report.all_checks_hold
-    assert report.violation_found
+    if key == "thm10":  # Figure 11: the four claims over E1-E4
+        assert len(report.checks) == 4

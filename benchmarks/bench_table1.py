@@ -1,115 +1,32 @@
 """Table 1: one benchmark per row of the paper's categorization.
 
-Each target runs the row's protocol in its regime (the simulation time is
-what pytest-benchmark reports) and asserts that the measured good-case
-latency matches the paper's tight bound — so a benchmark run doubles as a
-reproduction check of the whole table.
+Parametrised over ``repro.analysis.table1.REGIMES``: each target runs the
+row's protocol in its regime (the simulation time is what pytest-benchmark
+reports) and asserts that the measured good-case latency is the paper's
+tight bound — so a benchmark run doubles as a reproduction check of the
+whole table.
 
     pytest benchmarks/bench_table1.py --benchmark-only
 """
 import pytest
 
-from repro.analysis.latency import (
-    measure_round_good_case,
-    measure_sync_good_case,
-)
-from repro.analysis.table1 import format_table, generate_table1
-from repro.net.synchrony import SynchronyModel
-from repro.protocols.brb_2round import Brb2Round
-from repro.protocols.psync.pbft import PbftPsync
-from repro.protocols.psync.vbb_5f1 import PsyncVbb5f1
-from repro.protocols.sync.bb_2delta import Bb2Delta
-from repro.protocols.sync.bb_delta_15delta import BbDelta15Delta
-from repro.protocols.sync.bb_delta_delta_n3 import BbDeltaDeltaN3
-from repro.protocols.sync.bb_delta_delta_sync import BbDeltaDeltaSync
-from repro.protocols.sync.dishonest_majority import (
-    WanStyleBb,
-    trustcast_rounds,
-)
+from repro.analysis.table1 import REGIMES, format_table, generate_table1
 
 DELTA = 0.25
 BIG_DELTA = 1.0
+TABLE1 = [regime for regime in REGIMES if regime.witness]
 
 
-def test_table1_async_brb(benchmark):
-    """Row 1: BRB / asynchrony / n >= 3f+1 -> 2 rounds."""
-    meas = benchmark(lambda: measure_round_good_case(Brb2Round, n=7, f=2))
-    assert meas.round_latency == 2
-
-
-def test_table1_psync_2round(benchmark):
-    """Row 2: psync-BB / n >= 5f-1 -> 2 rounds (the paper's protocol)."""
-    meas = benchmark(
-        lambda: measure_round_good_case(
-            PsyncVbb5f1, n=9, f=2, big_delta=BIG_DELTA
-        )
-    )
-    assert meas.round_latency == 2
-
-
-def test_table1_psync_3round(benchmark):
-    """Row 3: psync-BB / 3f+1 <= n <= 5f-2 -> 3 rounds (PBFT)."""
-    meas = benchmark(
-        lambda: measure_round_good_case(
-            PbftPsync, n=7, f=2, big_delta=BIG_DELTA
-        )
-    )
-    assert meas.round_latency == 3
-
-
-def test_table1_sync_2delta(benchmark):
-    """Row 4: BB / synchrony / 0 < f < n/3 -> 2*delta."""
-    model = SynchronyModel(delta=DELTA, big_delta=BIG_DELTA, skew=DELTA)
-    meas = benchmark(
-        lambda: measure_sync_good_case(Bb2Delta, n=7, f=2, model=model)
-    )
-    assert meas.time_latency == pytest.approx(2 * DELTA)
-
-
-def test_table1_sync_delta_delta_n3(benchmark):
-    """Row 5: BB / synchrony / f = n/3 -> Delta + delta."""
-    model = SynchronyModel(delta=DELTA, big_delta=BIG_DELTA, skew=0.0)
-    meas = benchmark(
-        lambda: measure_sync_good_case(BbDeltaDeltaN3, n=6, f=2, model=model)
-    )
-    assert meas.time_latency == pytest.approx(BIG_DELTA + DELTA)
-
-
-def test_table1_sync_delta_delta(benchmark):
-    """Row 6: BB / sync start / n/3 < f < n/2 -> Delta + delta."""
-    model = SynchronyModel(delta=DELTA, big_delta=BIG_DELTA, skew=0.0)
-    meas = benchmark(
-        lambda: measure_sync_good_case(
-            BbDeltaDeltaSync, n=5, f=2, model=model, skew_pattern="zero"
-        )
-    )
-    assert meas.time_latency == pytest.approx(BIG_DELTA + DELTA)
-
-
-def test_table1_sync_delta_15delta(benchmark):
-    """Row 7: BB / unsync start / n/3 < f < n/2 -> Delta + 1.5*delta."""
-    model = SynchronyModel(delta=DELTA, big_delta=BIG_DELTA, skew=DELTA)
-    meas = benchmark(
-        lambda: measure_sync_good_case(
-            BbDelta15Delta, n=5, f=2, model=model, grid_samples=8
-        )
-    )
-    assert meas.time_latency <= BIG_DELTA + 1.5 * DELTA + 1e-9
-
-
-def test_table1_dishonest_majority(benchmark):
-    """Row 8: BB / synchrony / n/2 <= f < n -> O(n/(n-f))*Delta."""
-    n, f = 6, 4
-    model = SynchronyModel(delta=BIG_DELTA, big_delta=BIG_DELTA, skew=0.0)
-    meas = benchmark(
-        lambda: measure_sync_good_case(
-            WanStyleBb, n=n, f=f, model=model, skew_pattern="zero"
-        )
-    )
-    assert meas.time_latency == pytest.approx(
-        (1 + trustcast_rounds(n, f)) * BIG_DELTA
-    )
-    assert meas.time_latency >= (n // (n - f) - 1) * BIG_DELTA
+@pytest.mark.parametrize(
+    "regime", TABLE1, ids=[regime.protocol.__name__ for regime in TABLE1]
+)
+def test_table1_row(benchmark, regime):
+    """``problem / timing / resilience -> bound``, at the row's (n, f)."""
+    value = benchmark(regime.measure, delta=DELTA, big_delta=BIG_DELTA)
+    args = (DELTA, BIG_DELTA, regime.n, regime.f)
+    # delta = 0.25 sits on every row's sample grid: the bound is hit exactly.
+    assert value == pytest.approx(regime.expected(*args))
+    assert regime.lower is None or value >= regime.lower(*args)
 
 
 def test_table1_full_regeneration(benchmark):

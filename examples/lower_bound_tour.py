@@ -7,26 +7,13 @@ protocols that claim better-than-tight latency, machine-checks the
 indistinguishability claims from the proofs, and prints the agreement
 violations they produce.
 """
-from repro.lowerbounds import thm04_async_2round
-from repro.lowerbounds import thm07_psync_3round
-from repro.lowerbounds import thm08_sync_2delta
-from repro.lowerbounds import thm09_sync_delta_delta
-from repro.lowerbounds import thm10_sync_delta_15delta
-from repro.lowerbounds import thm19_dishonest_majority
-
-WITNESSES = [
-    thm04_async_2round,
-    thm08_sync_2delta,
-    thm09_sync_delta_delta,
-    thm10_sync_delta_15delta,
-    thm07_psync_3round,
-    thm19_dishonest_majority,
-]
+from repro.lowerbounds import WITNESSES, run_witness
 
 if __name__ == "__main__":
-    for module in WITNESSES:
-        report = module.run_witness()
+    for key in WITNESSES:
+        report = run_witness(key)
         print(report.summary())
+        assert report.all_checks_hold, "an indistinguishability check failed"
         assert report.violation_found, "witness failed to find a violation"
         print()
     print("All six lower bounds witnessed: the strawmen that beat the "

@@ -8,4 +8,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
+    # What CI installs: tier-1 imports hypothesis unconditionally and the
+    # benchmarks/bench_*.py figure scripts use the `benchmark` fixture.
+    extras_require={"test": ["pytest", "hypothesis", "pytest-benchmark"]},
 )

@@ -13,25 +13,12 @@ shed transcript/accounting overhead on large grids.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.analysis.engine import SweepEngine, SweepTask
-from repro.analysis.latency import (
-    measure_round_good_case,
-    measure_sync_good_case,
-)
-from repro.net.synchrony import SynchronyModel
+from repro.analysis.latency import measure_round_good_case
+from repro.analysis.table1 import FIGURES, REGIMES
 from repro.protocols import PROTOCOLS
-from repro.protocols.dolev_strong import DolevStrongBb
-from repro.protocols.sync.bb_2delta import Bb2Delta
-from repro.protocols.sync.bb_delta_15delta import BbDelta15Delta
-from repro.protocols.sync.bb_delta_2delta import BbDelta2Delta
-from repro.protocols.sync.bb_delta_delta_n3 import BbDeltaDeltaN3
-from repro.protocols.sync.bb_delta_delta_sync import BbDeltaDeltaSync
-from repro.protocols.sync.dishonest_majority import (
-    WanStyleBb,
-    trustcast_rounds,
-)
 
 
 @dataclass(frozen=True)
@@ -45,32 +32,10 @@ def _default_engine(engine: SweepEngine | None) -> SweepEngine:
     return engine if engine is not None else SweepEngine()
 
 
-#: Synchronous-regime series specs: protocol, resilience point, timing
-#: model variant, and per-point kwargs.  The point function looks specs up
-#: by name so grid tasks ship only plain picklable data to the workers.
-_SYNC_SERIES: dict[str, dict] = {
-    "2delta (f<n/3)": dict(
-        cls=Bb2Delta, n=7, f=2, model="unsync", label="Fig 10"
-    ),
-    "Delta+delta (f=n/3)": dict(
-        cls=BbDeltaDeltaN3, n=6, f=2, model="sync", label="Fig 5"
-    ),
-    "Delta+delta (sync start)": dict(
-        cls=BbDeltaDeltaSync, n=5, f=2, model="sync", label="Fig 6",
-        kwargs=dict(skew_pattern="zero"),
-    ),
-    "Delta+1.5delta (unsync)": dict(
-        cls=BbDelta15Delta, n=5, f=2, model="unsync", label="Fig 9",
-        d_grid_from_delta=True,
-    ),
-    "Delta+2delta (baseline)": dict(
-        cls=BbDelta2Delta, n=5, f=2, model="unsync", label="[4]"
-    ),
-    "DolevStrong (worst-case)": dict(
-        cls=DolevStrongBb, n=5, f=2, model="sync", label="Dolev-Strong",
-        kwargs=dict(until=1000.0),
-    ),
-}
+#: Synchronous-regime series: every ``REGIMES`` row that names one.  The
+#: point function looks rows up by name so grid tasks ship only plain
+#: picklable data to the workers.
+_SYNC_SERIES = {row.series: row for row in REGIMES if row.series}
 
 
 def _sync_regime_point(
@@ -80,21 +45,14 @@ def _sync_regime_point(
     big_delta: float,
     instrumentation: str = "full",
 ) -> SweepPoint:
-    spec = _SYNC_SERIES[series]
-    skew = delta if spec["model"] == "unsync" else 0.0
-    model = SynchronyModel(delta=delta, big_delta=big_delta, skew=skew)
-    kwargs = dict(spec.get("kwargs", {}))
-    if spec.get("d_grid_from_delta"):
-        kwargs["d_grid"] = [delta, big_delta]
-    meas = measure_sync_good_case(
-        spec["cls"],
-        n=spec["n"],
-        f=spec["f"],
-        model=model,
+    row = _SYNC_SERIES[series]
+    latency = row.measure(
+        delta=delta,
+        big_delta=big_delta,
+        exact_grid=True,
         instrumentation=instrumentation,
-        **kwargs,
     )
-    return SweepPoint(delta, meas.time_latency, spec["label"])
+    return SweepPoint(delta, latency, row.figure)
 
 
 def sweep_sync_regimes(
@@ -140,16 +98,12 @@ def _fig9_point(
     big_delta: float,
     instrumentation: str = "full",
 ) -> SweepPoint:
-    model = SynchronyModel(delta=delta, big_delta=big_delta, skew=0.0)
-    meas = measure_sync_good_case(
-        BbDelta15Delta,
-        n=5,
-        f=2,
-        model=model,
-        grid_samples=m,
-        instrumentation=instrumentation,
+    # Measured under synchronized start: m is the only thing that varies.
+    row = replace(FIGURES["Fig 9"], start="sync", kwargs={"grid_samples": m})
+    latency = row.measure(
+        delta=delta, big_delta=big_delta, instrumentation=instrumentation
     )
-    return SweepPoint(m, meas.time_latency, f"m={m}")
+    return SweepPoint(m, latency, f"m={m}")
 
 
 def sweep_fig9_tradeoff(
@@ -188,22 +142,19 @@ def _dishonest_majority_point(
     big_delta: float,
     instrumentation: str = "full",
 ) -> dict:
-    model = SynchronyModel(delta=big_delta, big_delta=big_delta, skew=0.0)
-    meas = measure_sync_good_case(
-        WanStyleBb,
-        n=n,
-        f=f,
-        model=model,
-        skew_pattern="zero",
-        instrumentation=instrumentation,
-    )
+    row = replace(FIGURES["[34]-style"], n=n, f=f)
+    args = (big_delta, big_delta, n, f)
     return {
         "n": n,
         "f": f,
         "ratio": n / (n - f),
-        "latency": meas.time_latency,
-        "lower_bound": (n // (n - f) - 1) * big_delta,
-        "upper_shape": (1 + trustcast_rounds(n, f)) * big_delta,
+        "latency": row.measure(
+            delta=big_delta,
+            big_delta=big_delta,
+            instrumentation=instrumentation,
+        ),
+        "lower_bound": row.lower(*args),
+        "upper_shape": row.expected(*args),
     }
 
 

@@ -15,12 +15,31 @@ conflicting values somewhere.  A witness module reproduces this as code:
 
 :class:`WitnessReport` is what a witness returns; benchmarks and tests
 assert on its fields.
+
+Every execution of every witness is built by :func:`run_execution` — delay
+policy, honest-party factory, Byzantine set and behaviours, start offsets,
+horizon in; a finished :class:`~repro.sim.runner.World` out — and every
+"this group cannot tell X from Y" claim is one (group-wise)
+:func:`check_indistinguishable` call.  :func:`equivocation_witness` is the
+three-execution skeleton Theorems 4 and 8 share.
+
+**Adding a witness**: (1) a ``thmNN_*.py`` module whose module-level
+``run_witness()`` builds its executions with :func:`run_execution` and
+returns a :class:`WitnessReport`; (2) one row in
+``repro.lowerbounds.WITNESSES`` — the CLI, ``bench_lowerbounds.py``, the
+tour example and the test fixture read it, and a ``thm*`` module missing
+from it fails ``test_registry_is_exactly_the_thm_modules``; (3) the
+``witness`` key of the ``repro.analysis.table1.REGIMES`` row whose bound it
+proves.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any, Iterable, Mapping
 
-from repro.sim.runner import World
+from repro.adversary.broadcaster import equivocating_broadcaster
+from repro.sim.delays import DelayPolicy, FixedDelay
+from repro.sim.runner import BehaviorFactory, PartyFactory, World
 from repro.sim.transcript import first_divergence, indistinguishable
 from repro.types import PartyId, Value
 
@@ -91,32 +110,118 @@ class WitnessReport:
         return "\n".join(lines)
 
 
+def run_execution(
+    *,
+    n: int,
+    f: int,
+    policy: DelayPolicy,
+    parties: PartyFactory,
+    byzantine: Iterable[PartyId] = (),
+    behaviors: BehaviorFactory | None = None,
+    offsets: list[float] | None = None,
+    horizon: float = 50.0,
+) -> World:
+    """Build, populate and run one of a proof's executions."""
+    world = World(
+        n=n,
+        f=f,
+        delay_policy=policy,
+        byzantine=frozenset(byzantine),
+        start_offsets=offsets,
+    )
+    world.populate(parties, behaviors)
+    world.run(until=horizon)
+    return world
+
+
 def check_indistinguishable(
     report: WitnessReport,
-    party: PartyId,
+    group: Iterable[PartyId],
     name_a: str,
     name_b: str,
     *,
     local_cutoff: float,
     compare: str = "channel",
 ) -> None:
-    """Record a transcript-equality check between two executions."""
+    """Record one transcript-equality check per party of ``group``."""
     world_a = report.executions[name_a]
     world_b = report.executions[name_b]
-    transcript_a = world_a.agents[party].transcript
-    transcript_b = world_b.agents[party].transcript
-    holds = indistinguishable(
-        transcript_a, transcript_b, local_cutoff=local_cutoff, compare=compare
-    )
-    detail = ""
-    if not holds:
-        divergence = first_divergence(transcript_a, transcript_b)
-        detail = f"first divergence: {divergence}"
-    report.checks.append(
-        IndistinguishabilityCheck(
-            party, name_a, name_b, local_cutoff, holds, detail
+    for party in group:
+        transcript_a = world_a.agents[party].transcript
+        transcript_b = world_b.agents[party].transcript
+        holds = indistinguishable(
+            transcript_a,
+            transcript_b,
+            local_cutoff=local_cutoff,
+            compare=compare,
         )
+        detail = ""
+        if not holds:
+            divergence = first_divergence(transcript_a, transcript_b)
+            detail = f"first divergence: {divergence}"
+        report.checks.append(
+            IndistinguishabilityCheck(
+                party, name_a, name_b, local_cutoff, holds, detail
+            )
+        )
+
+
+def equivocation_witness(
+    theorem: str,
+    claim: str,
+    protocol,
+    *,
+    n: int,
+    f: int,
+    broadcaster: PartyId,
+    groups: Mapping[Value, frozenset[PartyId]],
+    delay: float,
+    cutoff: float,
+    **protocol_kwargs: Any,
+) -> WitnessReport:
+    """The three-execution skeleton of Theorems 4 and 8.
+
+    Executions 1 and 2: an honest broadcaster sends 0, then 1, and
+    everyone commits it.  Execution 3: a Byzantine broadcaster sends each
+    value of ``groups`` to its group.  Up to ``cutoff`` group ``v`` cannot
+    tell execution 3 from the honest execution with value ``v``, so a
+    protocol that commits before the cutoff splits.
+    """
+    report = WitnessReport(theorem=theorem, claim=claim)
+
+    def execution(value, **adversary) -> World:
+        return run_execution(
+            n=n,
+            f=f,
+            policy=FixedDelay(delay),
+            parties=protocol.factory(
+                broadcaster=broadcaster, input_value=value, **protocol_kwargs
+            ),
+            **adversary,
+        )
+
+    report.executions["execution-1"] = execution(0)
+    report.executions["execution-2"] = execution(1)
+    report.executions["execution-3"] = execution(
+        0,
+        byzantine={broadcaster},
+        behaviors=equivocating_broadcaster(
+            make_broadcaster=protocol.broadcaster_factory(
+                broadcaster=broadcaster, **protocol_kwargs
+            ),
+            groups=groups,
+        ),
     )
+    for value, group in groups.items():
+        check_indistinguishable(
+            report,
+            sorted(group),
+            f"execution-{value + 1}",
+            "execution-3",
+            local_cutoff=cutoff,
+        )
+    report.violation = find_disagreement(report)
+    return report
 
 
 def find_disagreement(report: WitnessReport) -> Disagreement | None:

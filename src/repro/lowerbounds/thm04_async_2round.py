@@ -14,15 +14,8 @@ Execution 3; symmetrically B commits 1 — an agreement violation.
 """
 from __future__ import annotations
 
-from repro.adversary.broadcaster import equivocating_broadcaster
-from repro.lowerbounds.framework import (
-    WitnessReport,
-    check_indistinguishable,
-    find_disagreement,
-)
+from repro.lowerbounds.framework import WitnessReport, equivocation_witness
 from repro.lowerbounds.strawmen import OneRoundBrb
-from repro.sim.delays import FixedDelay
-from repro.sim.runner import World
 
 N, F = 4, 1
 BROADCASTER = 0
@@ -33,67 +26,20 @@ DELAY = 1.0
 ROUND1_CUTOFF = 2.0
 
 
-def _honest_world(value) -> World:
-    world = World(n=N, f=F, delay_policy=FixedDelay(DELAY))
-    world.populate(
-        OneRoundBrb.factory(broadcaster=BROADCASTER, input_value=value)
-    )
-    world.run(until=50.0)
-    return world
-
-
-def _equivocation_world() -> World:
-    behavior = equivocating_broadcaster(
-        make_broadcaster=OneRoundBrb.broadcaster_factory(
-            broadcaster=BROADCASTER
-        ),
-        groups={0: GROUP_A, 1: GROUP_B},
-    )
-    world = World(
-        n=N,
-        f=F,
-        delay_policy=FixedDelay(DELAY),
-        byzantine=frozenset({BROADCASTER}),
-    )
-    world.populate(
-        OneRoundBrb.factory(broadcaster=BROADCASTER, input_value=0),
-        behavior,
-    )
-    world.run(until=50.0)
-    return world
-
-
 def run_witness() -> WitnessReport:
     """Build the three executions and check the proof's claims."""
-    report = WitnessReport(
-        theorem="Theorem 4",
-        claim=(
-            "any asynchronous BRB resilient to f > 0 needs good-case "
-            "latency >= 2 rounds"
-        ),
+    report = equivocation_witness(
+        "Theorem 4",
+        "any asynchronous BRB resilient to f > 0 needs good-case "
+        "latency >= 2 rounds",
+        OneRoundBrb,
+        n=N,
+        f=F,
+        broadcaster=BROADCASTER,
+        groups={0: GROUP_A, 1: GROUP_B},
+        delay=DELAY,
+        cutoff=ROUND1_CUTOFF,
     )
-    report.executions["execution-1"] = _honest_world(0)
-    report.executions["execution-2"] = _honest_world(1)
-    report.executions["execution-3"] = _equivocation_world()
-
-    for party in sorted(GROUP_A):
-        check_indistinguishable(
-            report,
-            party,
-            "execution-1",
-            "execution-3",
-            local_cutoff=ROUND1_CUTOFF,
-        )
-    for party in sorted(GROUP_B):
-        check_indistinguishable(
-            report,
-            party,
-            "execution-2",
-            "execution-3",
-            local_cutoff=ROUND1_CUTOFF,
-        )
-
-    report.violation = find_disagreement(report)
     report.notes.append(
         "the 1-round strawman commits on the bare proposal; the "
         "equivocation split breaks agreement in execution 3"

@@ -30,9 +30,15 @@ designed ``n = 5f + 1`` the majority argument holds.
 """
 from __future__ import annotations
 
+from typing import Any
+
 from repro.adversary.behaviors import ScriptStep, ScriptedBehavior
 from repro.adversary.broadcaster import equivocating_broadcaster
-from repro.lowerbounds.framework import WitnessReport, find_disagreement
+from repro.lowerbounds.framework import (
+    WitnessReport,
+    find_disagreement,
+    run_execution,
+)
 from repro.protocols.psync.fab import (
     VIEWCHANGE,
     VOTE,
@@ -41,8 +47,6 @@ from repro.protocols.psync.fab import (
 )
 from repro.sim.delays import FunctionDelay
 from repro.sim.runner import World
-from typing import Any
-
 from repro.types import PartyId
 
 N, F = 8, 2  # n = 5f - 2
@@ -62,30 +66,59 @@ class Overclaimed2RoundPsync(FabPsync):
     RESILIENCE = "f<n"
 
 
-def _delay_policy():
+def _attack(
+    protocol_cls, *, n, f, z, x_group, y_group, decide, z_script, horizon
+) -> World:
+    """The attack's shape: Byzantine leader 0 proposes ``v`` to X and
+    ``w`` to Y, Byzantine ``z`` plays ``z_script``, and ``decide`` is the
+    adversary's pre-GST delay schedule."""
+    split = equivocating_broadcaster(
+        make_broadcaster=protocol_cls.broadcaster_factory(
+            broadcaster=BROADCASTER, big_delta=DELTA
+        ),
+        groups={"v": frozenset(x_group), "w": frozenset(y_group)},
+    )
+
+    def behaviors(world, pid):
+        if pid == BROADCASTER:
+            return split(world, pid)
+        return ScriptedBehavior(world, pid, script_builder=z_script)
+
+    return run_execution(
+        n=n,
+        f=f,
+        policy=FunctionDelay(decide),
+        parties=protocol_cls.factory(
+            broadcaster=BROADCASTER, input_value="v", big_delta=DELTA
+        ),
+        byzantine={BROADCASTER, z},
+        behaviors=behaviors,
+        horizon=horizon,
+    )
+
+
+def _stall_view1_votes(
+    sender: PartyId, recipient: PartyId, payload, send_time
+) -> float:
     """Adversarial pre-GST schedule: only x1 sees the view-1 votes."""
-
-    def decide(sender: PartyId, recipient: PartyId, payload, send_time):
-        blocked_vote = (
-            hasattr(payload, "payload")
-            and isinstance(payload.payload, tuple)
-            and payload.payload
-            and payload.payload[0] == VOTE
-            and payload.payload[2] == 1  # view-1 votes only
-            and sender in X_GROUP
-            and recipient != X1
-        )
-        blocked_batch = (
-            isinstance(payload, tuple)
-            and payload
-            and payload[0] == VOTES
-            and sender == X1
-        )
-        if blocked_vote or blocked_batch:
-            return STALL
-        return FAST_DELAY
-
-    return FunctionDelay(decide)
+    blocked_vote = (
+        hasattr(payload, "payload")
+        and isinstance(payload.payload, tuple)
+        and payload.payload
+        and payload.payload[0] == VOTE
+        and payload.payload[2] == 1  # view-1 votes only
+        and sender in X_GROUP
+        and recipient != X1
+    )
+    blocked_batch = (
+        isinstance(payload, tuple)
+        and payload
+        and payload[0] == VOTES
+        and sender == X1
+    )
+    if blocked_vote or blocked_batch:
+        return STALL
+    return FAST_DELAY
 
 
 def _z_script(behavior: ScriptedBehavior) -> list[ScriptStep]:
@@ -109,34 +142,17 @@ def run_witness() -> WitnessReport:
             "needs good-case latency >= 3 rounds"
         ),
     )
-    split = equivocating_broadcaster(
-        make_broadcaster=Overclaimed2RoundPsync.broadcaster_factory(
-            broadcaster=BROADCASTER, big_delta=DELTA
-        ),
-        groups={
-            "v": frozenset(X_GROUP),
-            "w": frozenset(Y_GROUP),
-        },
-    )
-
-    def behaviors(world, pid):
-        if pid == BROADCASTER:
-            return split(world, pid)
-        return ScriptedBehavior(world, pid, script_builder=_z_script)
-
-    world = World(
+    world = _attack(
+        Overclaimed2RoundPsync,
         n=N,
         f=F,
-        delay_policy=_delay_policy(),
-        byzantine=frozenset({BROADCASTER, Z}),
+        z=Z,
+        x_group=X_GROUP,
+        y_group=Y_GROUP,
+        decide=_stall_view1_votes,
+        z_script=_z_script,
+        horizon=60.0,
     )
-    world.populate(
-        Overclaimed2RoundPsync.factory(
-            broadcaster=BROADCASTER, input_value="v", big_delta=DELTA
-        ),
-        behaviors,
-    )
-    world.run(until=60.0)
     report.executions["attack"] = world
 
     x1 = world.agents[X1]
@@ -178,7 +194,7 @@ def run_vbb_survival(protocol_cls=None) -> dict[PartyId, Any]:
     if protocol_cls is None:
         protocol_cls = PsyncVbb5f1
     n, f = 9, 2  # n = 5f - 1
-    broadcaster, z, x1 = 0, 8, 3
+    z, x1 = 8, 3
     x_group = (3, 4, 5, 6, 7)
     y_group = (1, 2)
     stall = 30.0  # "GST": the adversary must deliver eventually
@@ -213,7 +229,7 @@ def run_vbb_survival(protocol_cls=None) -> dict[PartyId, Any]:
     def z_script(behavior):
         pair_payload = (VAL, "v", 1)
         leader_pair = SignedPayload(
-            pair_payload, Signature(broadcaster, digest_fn(pair_payload))
+            pair_payload, Signature(BROADCASTER, digest_fn(pair_payload))
         )
         vote_entry = behavior.signer.sign(leader_pair)
         bottom = make_bottom_entry(behavior.signer, 1)
@@ -250,31 +266,17 @@ def run_vbb_survival(protocol_cls=None) -> dict[PartyId, Any]:
             )
         return steps
 
-    split = equivocating_broadcaster(
-        make_broadcaster=protocol_cls.broadcaster_factory(
-            broadcaster=broadcaster, big_delta=DELTA
-        ),
-        groups={"v": frozenset(x_group), "w": frozenset(y_group)},
-    )
-
-    def behaviors(world, pid):
-        if pid == broadcaster:
-            return split(world, pid)
-        return ScriptedBehavior(world, pid, script_builder=z_script)
-
-    world = World(
+    world = _attack(
+        protocol_cls,
         n=n,
         f=f,
-        delay_policy=FunctionDelay(decide),
-        byzantine=frozenset({broadcaster, z}),
+        z=z,
+        x_group=x_group,
+        y_group=y_group,
+        decide=decide,
+        z_script=z_script,
+        horizon=100.0,
     )
-    world.populate(
-        protocol_cls.factory(
-            broadcaster=broadcaster, input_value="v", big_delta=DELTA
-        ),
-        behaviors,
-    )
-    world.run(until=100.0)
     return {
         p.id: p.committed_value
         for p in world.honest_parties()

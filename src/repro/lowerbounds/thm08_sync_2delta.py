@@ -10,15 +10,8 @@ before their senders saw the (equivocating) proposal, so Executions 1 and
 """
 from __future__ import annotations
 
-from repro.adversary.broadcaster import equivocating_broadcaster
-from repro.lowerbounds.framework import (
-    WitnessReport,
-    check_indistinguishable,
-    find_disagreement,
-)
+from repro.lowerbounds.framework import WitnessReport, equivocation_witness
 from repro.lowerbounds.strawmen import FastCommitSyncBb
-from repro.sim.delays import FixedDelay
-from repro.sim.runner import World
 
 N, F = 4, 1
 BROADCASTER = 0
@@ -28,66 +21,20 @@ DELTA = 1.0  # the execution's actual delay bound delta
 COMMIT_AT = 1.5 * DELTA  # < 2 * delta: what Theorem 8 forbids
 
 
-def _factory():
-    return FastCommitSyncBb.factory(
-        broadcaster=BROADCASTER, input_value=0, commit_at=COMMIT_AT
-    )
-
-
-def _honest_world(value) -> World:
-    world = World(n=N, f=F, delay_policy=FixedDelay(DELTA))
-    world.populate(
-        FastCommitSyncBb.factory(
-            broadcaster=BROADCASTER, input_value=value, commit_at=COMMIT_AT
-        )
-    )
-    world.run(until=50.0)
-    return world
-
-
-def _equivocation_world() -> World:
-    behavior = equivocating_broadcaster(
-        make_broadcaster=lambda w, pid, v: FastCommitSyncBb(
-            w, pid, broadcaster=BROADCASTER, input_value=v,
-            commit_at=COMMIT_AT,
-        ),
-        groups={0: GROUP_A, 1: GROUP_B},
-    )
-    world = World(
+def run_witness() -> WitnessReport:
+    report = equivocation_witness(
+        "Theorem 8",
+        "any synchronous BRB resilient to f > 0 needs good-case "
+        "latency >= 2*delta, even with synchronized start",
+        FastCommitSyncBb,
         n=N,
         f=F,
-        delay_policy=FixedDelay(DELTA),
-        byzantine=frozenset({BROADCASTER}),
+        broadcaster=BROADCASTER,
+        groups={0: GROUP_A, 1: GROUP_B},
+        delay=DELTA,
+        cutoff=2 * DELTA,
+        commit_at=COMMIT_AT,
     )
-    world.populate(_factory(), behavior)
-    world.run(until=50.0)
-    return world
-
-
-def run_witness() -> WitnessReport:
-    report = WitnessReport(
-        theorem="Theorem 8",
-        claim=(
-            "any synchronous BRB resilient to f > 0 needs good-case "
-            "latency >= 2*delta, even with synchronized start"
-        ),
-    )
-    report.executions["execution-1"] = _honest_world(0)
-    report.executions["execution-2"] = _honest_world(1)
-    report.executions["execution-3"] = _equivocation_world()
-
-    for party in sorted(GROUP_A):
-        check_indistinguishable(
-            report, party, "execution-1", "execution-3",
-            local_cutoff=2 * DELTA,
-        )
-    for party in sorted(GROUP_B):
-        check_indistinguishable(
-            report, party, "execution-2", "execution-3",
-            local_cutoff=2 * DELTA,
-        )
-
-    report.violation = find_disagreement(report)
     report.notes.append(
         f"strawman commits at {COMMIT_AT} < 2*delta = {2 * DELTA}; the "
         "equivocation split breaks agreement in execution 3"

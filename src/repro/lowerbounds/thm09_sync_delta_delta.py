@@ -32,8 +32,9 @@ from repro.lowerbounds.framework import (
     WitnessReport,
     check_indistinguishable,
     find_disagreement,
+    run_execution,
 )
-from repro.lowerbounds.strawmen import PROPOSE, NoForwardQuorumBb
+from repro.lowerbounds.strawmen import NoForwardQuorumBb
 from repro.sim.delays import PerLinkDelay
 from repro.sim.runner import World
 
@@ -56,23 +57,20 @@ def _pretend_slow(world, pid):
     return FilteredHonestBehavior(
         world,
         pid,
-        party_factory=lambda w, p: NoForwardQuorumBb(
-            w, p, broadcaster=BROADCASTER, input_value=None
-        ),
+        party_factory=_strawman_factory(None),
         send_filter=fixed_delay_toward({}, default=BIG_DELTA),
     )
 
 
 def _honest_execution(value, byzantine_group) -> World:
-    world = World(
+    return run_execution(
         n=N,
         f=F,
-        delay_policy=PerLinkDelay({}, default=DELTA),
-        byzantine=frozenset(byzantine_group),
+        policy=PerLinkDelay({}, default=DELTA),
+        parties=_strawman_factory(value),
+        byzantine=byzantine_group,
+        behaviors=_pretend_slow,
     )
-    world.populate(_strawman_factory(value), _pretend_slow)
-    world.run(until=50.0)
-    return world
 
 
 def _split_execution() -> World:
@@ -82,7 +80,6 @@ def _split_execution() -> World:
         for b in GROUP_B:
             links[(a, b)] = BIG_DELTA
             links[(b, a)] = BIG_DELTA
-    policy = PerLinkDelay(links, default=DELTA)
 
     split_broadcaster = equivocating_broadcaster(
         make_broadcaster=NoForwardQuorumBb.broadcaster_factory(
@@ -108,15 +105,14 @@ def _split_execution() -> World:
             return split_broadcaster(world, pid)
         return ScriptedBehavior(world, pid, script_builder=c_script)
 
-    world = World(
+    return run_execution(
         n=N,
         f=F,
-        delay_policy=policy,
-        byzantine=frozenset({BROADCASTER, OTHER_C}),
+        policy=PerLinkDelay(links, default=DELTA),
+        parties=_strawman_factory(0),
+        byzantine={BROADCASTER, OTHER_C},
+        behaviors=behavior_factory,
     )
-    world.populate(_strawman_factory(0), behavior_factory)
-    world.run(until=50.0)
-    return world
 
 
 def run_witness() -> WitnessReport:
@@ -131,14 +127,12 @@ def run_witness() -> WitnessReport:
     report.executions["execution-2"] = _honest_execution(1, GROUP_A)
     report.executions["execution-3"] = _split_execution()
 
-    for party in GROUP_A:
-        check_indistinguishable(
-            report, party, "execution-1", "execution-3", local_cutoff=CUTOFF
-        )
-    for party in GROUP_B:
-        check_indistinguishable(
-            report, party, "execution-2", "execution-3", local_cutoff=CUTOFF
-        )
+    check_indistinguishable(
+        report, GROUP_A, "execution-1", "execution-3", local_cutoff=CUTOFF
+    )
+    check_indistinguishable(
+        report, GROUP_B, "execution-2", "execution-3", local_cutoff=CUTOFF
+    )
 
     report.violation = find_disagreement(report)
     report.notes.append(

@@ -28,6 +28,7 @@ from repro.lowerbounds.framework import (
     WitnessReport,
     check_indistinguishable,
     find_disagreement,
+    run_execution,
 )
 from repro.lowerbounds.strawmen import PROPOSE, NeighborRelayBb
 from repro.sim.delays import FixedDelay
@@ -76,10 +77,7 @@ def _neighbor_only(world, pid):
     return FilteredHonestBehavior(
         world,
         pid,
-        party_factory=lambda w, p: NeighborRelayBb(
-            w, p, broadcaster=BROADCASTER, input_value=None,
-            commit_at=COMMIT_AT,
-        ),
+        party_factory=_strawman_factory(None),
         send_filter=decide,
     )
 
@@ -119,15 +117,15 @@ def _execution(index: int) -> World:
             )
         return _neighbor_only(world, pid)
 
-    world = World(
+    return run_execution(
         n=N,
         f=F,
-        delay_policy=FixedDelay(BIG_DELTA),
+        policy=FixedDelay(BIG_DELTA),
+        parties=_strawman_factory(value),
         byzantine=byzantine,
+        behaviors=behaviors,
+        horizon=60.0,
     )
-    world.populate(_strawman_factory(value), behaviors)
-    world.run(until=60.0)
-    return world
 
 
 def run_witness() -> WitnessReport:
@@ -144,10 +142,9 @@ def run_witness() -> WitnessReport:
     # The proof's chaining: G_i sees identical histories in executions
     # i-1 and i, up to its commit deadline.
     for index in range(1, D + 1):
-        party = index
         check_indistinguishable(
             report,
-            party,
+            [index],  # the singleton group G_index
             f"execution-{index - 1}",
             f"execution-{index}",
             local_cutoff=COMMIT_AT,

@@ -5,8 +5,15 @@ indistinguishability claims and (b) exhibit a real agreement violation in
 one of the constructed executions.  Companion tests run the *real*
 protocols through comparable schedules and verify they stay safe.
 """
+import json
+import pkgutil
+from pathlib import Path
+
 import pytest
 
+import repro.lowerbounds
+from repro.analysis.table1 import REGIMES
+from repro.lowerbounds import WITNESSES, run_witness
 from repro.lowerbounds import thm04_async_2round as thm04
 from repro.lowerbounds import thm07_psync_3round as thm07
 from repro.lowerbounds import thm08_sync_2delta as thm08
@@ -16,16 +23,50 @@ from repro.lowerbounds import thm19_dishonest_majority as thm19
 from repro.types import BOTTOM
 
 
+#: Recorded at the parent of the PR that introduced the shared execution
+#: builder (PR 16): executions, checks, violation and notes per witness.
+GOLDEN = json.loads(
+    (Path(__file__).parent / "witness_golden.json").read_text()
+)
+
+
 @pytest.fixture(scope="module")
 def reports():
-    return {
-        "thm04": thm04.run_witness(),
-        "thm07": thm07.run_witness(),
-        "thm08": thm08.run_witness(),
-        "thm09": thm09.run_witness(),
-        "thm10": thm10.run_witness(),
-        "thm19": thm19.run_witness(),
-    }
+    return {key: run_witness(key) for key in WITNESSES}
+
+
+class TestRegistry:
+    def test_registry_is_exactly_the_thm_modules(self):
+        found = {
+            info.name
+            for info in pkgutil.iter_modules(repro.lowerbounds.__path__)
+            if info.name.startswith("thm")
+        }
+        assert set(WITNESSES.values()) == found
+        assert len(WITNESSES) == len(found)
+
+    @pytest.mark.parametrize(
+        "regime",
+        [r for r in REGIMES if r.witness],
+        ids=lambda r: r.protocol.__name__,
+    )
+    def test_every_table1_bound_is_witnessed(self, reports, regime):
+        report = reports[regime.witness]
+        assert report.all_checks_hold and report.violation_found
+
+    @pytest.mark.parametrize("key", sorted(WITNESSES))
+    def test_golden_parity_execution_by_execution(self, reports, key):
+        report = reports[key]
+        assert {
+            "executions": list(report.executions),
+            "checks": [
+                [c.party, c.execution_a, c.execution_b, c.local_cutoff,
+                 c.holds]
+                for c in report.checks
+            ],
+            "violation": str(report.violation),
+            "notes": report.notes,
+        } == GOLDEN[key]
 
 
 class TestTheorem4:

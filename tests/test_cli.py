@@ -58,6 +58,38 @@ class TestCommands:
         assert "Theorem 4" in out
         assert "violation" in out
 
+    def test_table1_off_grid_delta_exits_zero(self, capsys):
+        assert main(["table1", "--delta", "0.3"]) == 0
+        assert "NO" not in capsys.readouterr().out
+
+    def test_witness_with_a_failing_check_exits_one(
+        self, capsys, monkeypatch
+    ):
+        """The checks are the proof: a violation alone is not a pass."""
+        import sys
+        import types
+
+        import repro.lowerbounds as lowerbounds
+
+        def broken_proof():
+            report = lowerbounds.WitnessReport("Theorem 99", "a stub claim")
+            report.checks.append(
+                lowerbounds.IndistinguishabilityCheck(
+                    1, "E1", "E2", 1.0, holds=False
+                )
+            )
+            report.violation = lowerbounds.Disagreement("E2", 1, 0, 2, 1)
+            return report
+
+        stub = types.ModuleType("repro.lowerbounds.thm99_stub")
+        stub.run_witness = broken_proof
+        monkeypatch.setitem(sys.modules, stub.__name__, stub)
+        monkeypatch.setitem(lowerbounds.WITNESSES, "thm99", "thm99_stub")
+        assert main(["witness", "thm99"]) == 1
+        out = capsys.readouterr().out
+        assert "indistinguishable[FAILED]" in out
+        assert "violation: in E2" in out
+
     def test_smr(self, capsys):
         assert main(["smr", "--slots", "2"]) == 0
         out = capsys.readouterr().out
