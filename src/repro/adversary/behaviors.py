@@ -4,33 +4,51 @@ The paper's adversary corrupts up to ``f`` parties, which may then behave
 arbitrarily — but its proof constructions almost always describe corrupted
 parties as *"behaving honestly except ..."* (except staying silent toward a
 group, except delaying messages, except running the honest protocol with
-two different inputs toward two different groups).  We therefore provide,
-besides a raw scripted behavior, two structured adversaries:
+two different inputs toward two different groups).  One host realizes all
+of them: :class:`HonestExceptBehavior` runs honest protocol instances
+("brains", on the :mod:`repro.sim.hosting` seam) and takes away what its
+``route``, ``send_filter`` and ``window`` say.  Its three named
+configurations are
 
-* :class:`FilteredHonestBehavior` — runs the real protocol code but passes
-  every outgoing message through a filter that may drop it, delay it, or
-  rewrite it (with the corrupted party's own key);
-* :class:`SplitBrainBehavior` — runs *two* instances of the honest protocol
-  ("brains"), each talking only to its own partition of the parties; this
-  realizes equivocation exactly the way the proofs describe it ("behaves to
-  B, C the same way as the broadcaster in Execution 1, and to D, E the same
-  way as in Execution 5").
+* :class:`FilteredHonestBehavior` — one brain whose every outgoing message
+  passes a filter that may drop it, delay it, or rewrite it (with the
+  corrupted party's own key);
+* :class:`SplitBrainBehavior` — several brains, each talking only to its
+  own partition of the parties; this realizes equivocation exactly the way
+  the proofs describe it ("behaves to B, C the same way as the broadcaster
+  in Execution 1, and to D, E the same way as in Execution 5");
+* :class:`CrashBehavior` — one brain (or none) behind a crash window.
 
 All behaviors hold their party's :class:`~repro.crypto.signatures.Signer`,
 so they can sign anything with the corrupted key but can never forge
 honest signatures.
+
+Adding an adversary: for "honest except ...", pass a ``route`` (peer ->
+brain key), a ``send_filter`` and/or a ``window`` to
+:class:`HonestExceptBehavior` — the three compose, e.g. a split-brain
+broadcaster that also crashes is one constructor call.  For anything
+else subclass :class:`ByzantineBehavior` (raw network access) and
+override ``start`` / ``deliver``.  Either way ``Cls.factory(**kwargs)``
+is the behavior factory :func:`~repro.sim.runner.run_broadcast` takes,
+and :func:`per_party` mixes factories by corrupted id.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from functools import partial
+from typing import Any, Callable, Mapping
 
+from repro.crypto.messages import digest
+from repro.crypto.signatures import Signature, SignedPayload
+from repro.protocols.brb_2round import PROPOSE, VOTE, VOTE_QUORUM, Brb2Round
+from repro.sim.faults import CrashWindow
+from repro.sim.hosting import PartyHost
 from repro.sim.process import Agent, Party
+from repro.sim.runner import BehaviorFactory
 from repro.types import INF, PartyId
 
-#: Decision of a send filter: ``None`` drops the message; otherwise
+#: ``(recipient, payload, now)`` -> ``None`` to drop the message, else
 #: ``(payload, delay)`` where ``delay=None`` defers to the delay policy.
-SendDecision = "tuple[Any, float | None] | None"
 SendFilter = Callable[[PartyId, Any, float], "tuple[Any, float | None] | None"]
 
 
@@ -40,6 +58,15 @@ class ByzantineBehavior(Agent):
     def __init__(self, world, party_id: PartyId):
         super().__init__(world, party_id)
         self.signer = world.registry.signer_for(party_id)
+
+    @classmethod
+    def factory(cls, **kwargs: Any) -> BehaviorFactory:
+        """Behavior factory: every corrupted id gets ``cls(..., **kwargs)``.
+
+        The mirror of :meth:`repro.protocols.base.BroadcastParty.factory`;
+        matches :data:`repro.sim.runner.BehaviorFactory`.
+        """
+        return partial(cls, **kwargs)
 
     def send_raw(
         self,
@@ -61,25 +88,191 @@ class ByzantineBehavior(Agent):
                 self.send_raw(recipient, payload, delay=delay)
 
 
-class CrashBehavior(ByzantineBehavior):
-    """Crash-at-time / recover-at-time, backed by the fault engine.
+def per_party(
+    special: Mapping[PartyId, BehaviorFactory], default: BehaviorFactory
+) -> BehaviorFactory:
+    """Behavior factory: ``special[pid]`` where given, else ``default``."""
 
-    The default construction — ``CrashBehavior(world, pid)`` — is the
-    classic weakest adversary: crashed from the start, never sends
-    anything (every pre-existing use keeps exactly that semantics).
-    The keyword extensions make the crash *timed*:
+    def build(world, pid: PartyId) -> Agent:
+        return special.get(pid, default)(world, pid)
 
-    * ``at`` / ``recover`` — the party is down during ``[at, recover)``
-      (a :class:`~repro.sim.faults.CrashWindow`, the same schedule
-      primitive the network-level injector compiles);
-    * ``party_factory`` — when given, the party behaves *honestly while
-      up*: an inner protocol instance runs behind the crash gate, its
-      sends suppressed and its deliveries discarded inside the window.
-      A party whose window covers its start offset starts late, at its
-      first recovery instant — a rebooted replica joining mid-protocol.
+    return build
+
+
+def pass_all(recipient: PartyId, payload: Any, now: float):
+    """Send filter that changes nothing (honest-equivalent behavior)."""
+    return payload, None
+
+
+def silent_toward(group: frozenset[PartyId]) -> SendFilter:
+    """Filter realizing "sends no messages to parties in ``group``"."""
+
+    def decide(recipient: PartyId, payload: Any, now: float):
+        if recipient in group:
+            return None
+        return payload, None
+
+    return decide
+
+
+def fixed_delay_toward(
+    delays: dict[PartyId, float], *, default: float | None = None
+) -> SendFilter:
+    """Filter realizing "pretends its delay to party p is delays[p]"."""
+
+    def decide(recipient: PartyId, payload: Any, now: float):
+        return payload, delays.get(recipient, default)
+
+    return decide
+
+
+class HonestExceptBehavior(PartyHost, ByzantineBehavior):
+    """Honest protocol instances, except for what three knobs take away.
+
+    ``brains`` maps a brain key to a party factory (it receives the
+    hosted world and the corrupted id).  ``route(peer)`` names the brain
+    that talks to ``peer`` — it alone hears the peer's messages and only
+    its messages reach the peer; ``None`` means the peer hears nothing
+    from this party (default: everyone talks to the brain keyed
+    :attr:`BRAIN`).  ``send_filter(recipient, payload, now)`` returns
+    ``None`` to drop, or ``(payload, delay)`` — ``delay=None`` defers to
+    the world's delay policy, any float (or ``INF`` = never) overrides
+    it, which is legal because this party is Byzantine.  ``window`` is a
+    :class:`~repro.sim.faults.CrashWindow` (the schedule primitive the
+    network-level injector compiles): while down nothing is sent and
+    nothing is heard, and a party down at its start offset starts at its
+    first recovery instant — a rebooted replica joining mid-protocol.
     """
 
     BRAIN = "only"
+
+    def __init__(
+        self,
+        world,
+        party_id: PartyId,
+        *,
+        brains: Mapping[Any, Callable[[Any, PartyId], Party]],
+        route: Callable[[PartyId], Any] | None = None,
+        send_filter: SendFilter = pass_all,
+        window: CrashWindow | None = None,
+    ):
+        super().__init__(world, party_id)
+        self._route = route or (lambda peer: self.BRAIN)
+        self._send_filter = send_filter
+        self.window = CrashWindow(party_id) if window is None else window
+        for key, factory in brains.items():
+            self.host(key, factory)
+
+    def is_down(self, t: float | None = None) -> bool:
+        return self.window.is_down(
+            self.world.sim.now if t is None else t
+        )
+
+    def start(self) -> None:
+        if not self.is_down():
+            self._boot()
+            return
+        recovery = self.window.next_recovery_after(self.world.sim.now)
+        if recovery is not None and self.hosted:  # no brain, no wake-up event
+            self.world.sim.schedule_at(
+                recovery, self._boot, label=f"crash-recover p{self.id}"
+            )
+
+    def _boot(self) -> None:
+        """Start the brains; notify each at every later finite recovery.
+
+        A brain that started *before* a crash window holds timers armed
+        from pre-crash local instants; its timeout multicasts fired while
+        down were suppressed by the send gate.  ``Party.on_recover`` lets
+        the protocol re-arm / re-announce from the recovery instant —
+        without it a recovered view protocol stays silent forever.
+        """
+        sim = self.world.sim
+        for brain in self.hosted.values():
+            brain.start()
+            for _, recover in self.window.windows:
+                if recover != INF and recover > sim.now:
+                    sim.schedule_at(
+                        recover,
+                        brain.on_recover,
+                        label=f"crash-rejoin p{self.id}",
+                    )
+
+    def deliver(self, sender: PartyId, payload: Any) -> None:
+        key = self._route(sender)
+        if key in self.hosted:
+            self.hosted_deliver(key, sender, payload)
+
+    def hosted_deliver(self, key: Any, sender: PartyId, payload: Any) -> None:
+        if not self.is_down():
+            super().hosted_deliver(key, sender, payload)
+
+    def hosted_send(self, key: Any, recipient: PartyId, payload: Any) -> None:
+        if self._route(recipient) != key or self.is_down():
+            return
+        decision = self._send_filter(recipient, payload, self.world.sim.now)
+        if decision is None:
+            return
+        new_payload, delay = decision
+        if delay != INF:
+            self.send_raw(recipient, new_payload, delay=delay)
+
+
+class FilteredHonestBehavior(HonestExceptBehavior):
+    """Runs the honest protocol, filtering every outgoing message."""
+
+    def __init__(
+        self,
+        world,
+        party_id: PartyId,
+        *,
+        party_factory: Callable[[Any, PartyId], Party],
+        send_filter: SendFilter,
+    ):
+        super().__init__(
+            world,
+            party_id,
+            brains={self.BRAIN: party_factory},
+            send_filter=send_filter,
+        )
+
+
+class SplitBrainBehavior(HonestExceptBehavior):
+    """Equivocation via honest protocol instances over a partition.
+
+    ``brain_factories`` maps a brain key to a party factory; ``membership``
+    maps each party id to the brain key whose messages it should see (and
+    whose inbox receives that party's messages).  Parties mapped to ``None``
+    receive nothing at all from this Byzantine party.
+    """
+
+    def __init__(
+        self,
+        world,
+        party_id: PartyId,
+        *,
+        brain_factories: dict[Any, Callable[[Any, PartyId], Party]],
+        membership: Callable[[PartyId], Any],
+        send_filter: SendFilter = pass_all,
+    ):
+        super().__init__(
+            world,
+            party_id,
+            brains=brain_factories,
+            route=membership,
+            send_filter=send_filter,
+        )
+
+
+class CrashBehavior(HonestExceptBehavior):
+    """Crash-at-time / recover-at-time.
+
+    The default construction — ``CrashBehavior(world, pid)`` — is the
+    classic weakest adversary: crashed from the start, never sends
+    anything.  ``at`` / ``recover`` make the crash *timed* (down during
+    ``[at, recover)``); with a ``party_factory`` the party behaves
+    *honestly while up*.
+    """
 
     def __init__(
         self,
@@ -90,97 +283,45 @@ class CrashBehavior(ByzantineBehavior):
         recover: float = INF,
         party_factory: Callable[[Any, PartyId], Party] | None = None,
     ):
-        super().__init__(world, party_id)
-        from repro.sim.faults import CrashWindow
-
-        self.window = CrashWindow(party_id).add(at, recover)
-        self._brains: dict[Any, Party] = {}
-        if party_factory is not None:
-            inner_world = _InnerWorld(self, self.BRAIN)
-            self._brains[self.BRAIN] = party_factory(inner_world, party_id)
-
-    def is_down(self, t: float | None = None) -> bool:
-        return self.window.is_down(
-            self.world.sim.now if t is None else t
+        super().__init__(
+            world,
+            party_id,
+            brains={self.BRAIN: party_factory} if party_factory else {},
+            window=CrashWindow(party_id).add(at, recover),
         )
 
-    def start(self) -> None:
-        brain = self._brains.get(self.BRAIN)
-        if brain is None:
-            return
-        if not self.is_down():
-            brain.start()
-            self._schedule_recovery_hooks(brain)
-            return
-        recovery = self.window.next_recovery_after(self.world.sim.now)
-        if recovery is not None:
-            self.world.sim.schedule_at(
-                recovery, brain.start, label=f"crash-recover p{self.id}"
-            )
 
-    def _schedule_recovery_hooks(self, brain: Party) -> None:
-        """Notify a running brain at each finite recovery instant.
+#: ``crash_at(at=, recover=INF, party_factory=None)`` — behavior factory:
+#: every corrupted party crashes at ``at``; with a ``party_factory`` it
+#: runs the honest protocol until then (and again from a finite ``recover``).
+crash_at = CrashBehavior.factory
 
-        A brain that started *before* its crash window holds timers
-        armed from pre-crash local instants; its timeout multicasts
-        fired while down were suppressed by the send gate.  The
-        ``on_recover`` hook lets the protocol re-arm / re-announce from
-        the recovery instant — without it a recovered view protocol
-        stays silent forever.
-        """
-        hook = getattr(brain, "on_recover", None)
-        if hook is None:
-            return
-        now = self.world.sim.now
-        for _, recover in self.window.windows:
-            if recover != INF and recover > now:
-                self.world.sim.schedule_at(
-                    recover, hook, label=f"crash-rejoin p{self.id}"
-                )
+
+class _OnProposalBehavior(ByzantineBehavior):
+    """Acts once, on the broadcaster's unsigned ``(PROPOSE, v)`` (the
+    2-round-BRB wire format), and ignores everything else."""
+
+    def __init__(self, world, party_id: PartyId, *, broadcaster: PartyId):
+        super().__init__(world, party_id)
+        self.broadcaster = broadcaster
+        self._fired = False
 
     def deliver(self, sender: PartyId, payload: Any) -> None:
-        brain = self._brains.get(self.BRAIN)
-        if brain is None or self.is_down():
+        if self._fired or sender != self.broadcaster:
             return
-        brain.deliver(sender, payload)
+        if (
+            isinstance(payload, tuple)
+            and len(payload) == 2
+            and payload[0] == PROPOSE
+        ):
+            self._fired = True
+            self.on_proposal(payload[1])
 
-    def _filtered_send(
-        self, brain_key: Any, recipient: PartyId, payload: Any
-    ) -> None:
-        if self.is_down():
-            return
-        self.send_raw(recipient, payload)
-
-    def _self_deliver(self, brain_key: Any, payload: Any) -> None:
-        self.world.sim.schedule_after(
-            0.0,
-            lambda: self.deliver(self.id, payload),
-            label=f"crash self-deliver p{self.id}",
-        )
+    def on_proposal(self, value: Any) -> None:
+        raise NotImplementedError
 
 
-def crash_at(
-    *,
-    at: float,
-    recover: float = INF,
-    party_factory: Callable[[Any, PartyId], Party] | None = None,
-):
-    """Behavior factory: every corrupted party crashes at ``at``.
-
-    Matches :data:`repro.sim.runner.BehaviorFactory`.  With a
-    ``party_factory`` the corrupted parties run the honest protocol
-    until the crash instant (and again after ``recover``, if finite).
-    """
-
-    def build(world, pid: PartyId) -> CrashBehavior:
-        return CrashBehavior(
-            world, pid, at=at, recover=recover, party_factory=party_factory
-        )
-
-    return build
-
-
-class EquivocatingVoterBehavior(ByzantineBehavior):
+class EquivocatingVoterBehavior(_OnProposalBehavior):
     """A voter that signs *two different values* per voting round.
 
     On the broadcaster's proposal it multicasts a vote for the proposed
@@ -191,10 +332,6 @@ class EquivocatingVoterBehavior(ByzantineBehavior):
     buckets are independent), flag the signer, and still commit: with at
     most ``f`` equivocators the real value gathers its ``n - f`` quorum
     while the decoy tops out at ``f < n - f`` supporters.
-
-    ``make_votes(signer, value)`` builds the two vote messages; the
-    default speaks the 2-round-BRB wire format.  Supply a different
-    builder to aim the same behavior at another vote-collecting protocol.
     """
 
     def __init__(
@@ -204,66 +341,18 @@ class EquivocatingVoterBehavior(ByzantineBehavior):
         *,
         broadcaster: PartyId,
         second_value: Any = "equivocation",
-        make_votes: "Callable[[Any, Any], list[Any]] | None" = None,
     ):
-        super().__init__(world, party_id)
-        self.broadcaster = broadcaster
+        super().__init__(world, party_id, broadcaster=broadcaster)
         self.second_value = second_value
-        self._make_votes = make_votes
-        self._voted = False
 
-    def _default_votes(self, value: Any) -> list[Any]:
-        from repro.protocols.brb_2round import Brb2Round
-
-        return [
-            Brb2Round.make_vote(self.signer, value),
-            Brb2Round.make_vote(self.signer, self.second_value),
-        ]
-
-    def deliver(self, sender: PartyId, payload: Any) -> None:
-        from repro.protocols.brb_2round import PROPOSE
-
-        if self._voted or sender != self.broadcaster:
-            return
-        if not (
-            isinstance(payload, tuple)
-            and len(payload) == 2
-            and payload[0] == PROPOSE
-        ):
-            return
-        self._voted = True
-        votes = (
-            self._make_votes(self.signer, payload[1])
-            if self._make_votes is not None
-            else self._default_votes(payload[1])
-        )
-        for vote in votes:
-            self.multicast_raw(vote)
+    def on_proposal(self, value: Any) -> None:
+        for voted in (value, self.second_value):
+            self.multicast_raw(Brb2Round.make_vote(self.signer, voted))
 
 
-def equivocate_votes(
-    *,
-    broadcaster: PartyId,
-    second_value: Any = "equivocation",
-    make_votes: "Callable[[Any, Any], list[Any]] | None" = None,
-):
-    """Behavior factory: every corrupted party double-votes per round.
-
-    Matches :data:`repro.sim.runner.BehaviorFactory`; pass as
-    ``behavior_factory`` to :func:`repro.sim.runner.run_broadcast` with
-    the corrupted ids in ``byzantine``.
-    """
-
-    def build(world, pid: PartyId) -> EquivocatingVoterBehavior:
-        return EquivocatingVoterBehavior(
-            world,
-            pid,
-            broadcaster=broadcaster,
-            second_value=second_value,
-            make_votes=make_votes,
-        )
-
-    return build
+#: ``equivocate_votes(broadcaster=, second_value="equivocation")`` —
+#: behavior factory: every corrupted party double-votes per round.
+equivocate_votes = EquivocatingVoterBehavior.factory
 
 
 def crash_and_equivocate(
@@ -273,8 +362,7 @@ def crash_and_equivocate(
     crash_time: float = 0.0,
     recover: float = INF,
     second_value: Any = "equivocation",
-    make_votes: "Callable[[Any, Any], list[Any]] | None" = None,
-):
+) -> BehaviorFactory:
     """Mixed adversary: ``crashers`` crash, the rest equivocate.
 
     One behavior factory covering both fault flavors the sweeps mix —
@@ -284,24 +372,13 @@ def crash_and_equivocate(
     :func:`repro.analysis.sweeps.sweep_equivocating_voters` when its
     ``crashers`` knob is nonzero.
     """
-
-    def build(world, pid: PartyId) -> ByzantineBehavior:
-        if pid in crashers:
-            return CrashBehavior(
-                world, pid, at=crash_time, recover=recover
-            )
-        return EquivocatingVoterBehavior(
-            world,
-            pid,
-            broadcaster=broadcaster,
-            second_value=second_value,
-            make_votes=make_votes,
-        )
-
-    return build
+    return per_party(
+        dict.fromkeys(crashers, crash_at(at=crash_time, recover=recover)),
+        equivocate_votes(broadcaster=broadcaster, second_value=second_value),
+    )
 
 
-class ForgedVoteQuorumBehavior(ByzantineBehavior):
+class ForgedVoteQuorumBehavior(_OnProposalBehavior):
     """Multicasts a structurally perfect vote quorum with forged signatures.
 
     On the broadcaster's proposal, this behavior fabricates a full
@@ -330,32 +407,16 @@ class ForgedVoteQuorumBehavior(ByzantineBehavior):
         forged_value: Any = "forged",
         mixed: bool = False,
     ):
-        super().__init__(world, party_id)
-        self.broadcaster = broadcaster
+        super().__init__(world, party_id, broadcaster=broadcaster)
         self.forged_value = forged_value
         self.mixed = mixed
-        self._sent = False
 
-    def _forged_vote(self, claimed_signer: PartyId, value: Any):
-        from repro.crypto.messages import digest
-        from repro.crypto.signatures import Signature, SignedPayload
-        from repro.protocols.brb_2round import VOTE
-
+    @staticmethod
+    def _forged_vote(claimed_signer: PartyId, value: Any) -> SignedPayload:
         body = (VOTE, value)
         return SignedPayload(body, Signature(claimed_signer, digest(body)))
 
-    def deliver(self, sender: PartyId, payload: Any) -> None:
-        from repro.protocols.brb_2round import PROPOSE, VOTE_QUORUM
-
-        if self._sent or sender != self.broadcaster:
-            return
-        if not (
-            isinstance(payload, tuple)
-            and len(payload) == 2
-            and payload[0] == PROPOSE
-        ):
-            return
-        self._sent = True
+    def on_proposal(self, value: Any) -> None:
         world = self.world
         quorum = world.n - world.f
         honest = [p for p in range(world.n) if p not in world.byzantine]
@@ -368,24 +429,9 @@ class ForgedVoteQuorumBehavior(ByzantineBehavior):
         self.multicast_raw((VOTE_QUORUM, tuple(votes)))
 
 
-def forge_vote_quorum(
-    *,
-    broadcaster: PartyId,
-    forged_value: Any = "forged",
-    mixed: bool = False,
-):
-    """Behavior factory: every corrupted party sends one forged quorum."""
-
-    def build(world, pid: PartyId) -> ForgedVoteQuorumBehavior:
-        return ForgedVoteQuorumBehavior(
-            world,
-            pid,
-            broadcaster=broadcaster,
-            forged_value=forged_value,
-            mixed=mixed,
-        )
-
-    return build
+#: ``forge_vote_quorum(broadcaster=, forged_value="forged", mixed=False)``
+#: — behavior factory: every corrupted party sends one forged quorum.
+forge_vote_quorum = ForgedVoteQuorumBehavior.factory
 
 
 @dataclass
@@ -424,226 +470,3 @@ class ScriptedBehavior(ByzantineBehavior):
                 ),
                 label=f"script p{self.id}",
             )
-
-
-class _SharedSignerRegistry:
-    """Registry proxy that hands the same signer to every inner party.
-
-    Needed because the real registry issues exactly one signer per party,
-    while a split-brain behavior instantiates the protocol class several
-    times for the same corrupted id.
-    """
-
-    def __init__(self, real_registry, signer):
-        self._real = real_registry
-        self._signer = signer
-
-    def signer_for(self, party: PartyId):
-        if party != self._signer.party:
-            raise ValueError(
-                f"inner party {party} asked for a signer it does not own"
-            )
-        return self._signer
-
-    def verify(self, signed) -> bool:
-        return self._real.verify(signed)
-
-    def require_valid(self, signed):
-        return self._real.require_valid(signed)
-
-    def verify_all(self, items) -> bool:
-        return self._real.verify_all(items)
-
-    def verify_batch(self, items) -> bool:
-        return self._real.verify_batch(items)
-
-
-class _InterceptingNetwork:
-    """Network proxy that routes an inner party's sends through a filter."""
-
-    def __init__(self, behavior: "FilteredHonestBehavior", brain_key: Any):
-        self._behavior = behavior
-        self._brain_key = brain_key
-
-    def send(
-        self,
-        sender: PartyId,
-        recipient: PartyId,
-        payload: Any,
-        *,
-        delay_override: float | None = None,
-    ) -> None:
-        self._behavior._filtered_send(self._brain_key, recipient, payload)
-
-    def multicast(
-        self,
-        sender: PartyId,
-        payload: Any,
-        *,
-        include_self: bool = True,
-        delay_override: float | None = None,
-    ) -> None:
-        for recipient in range(self._behavior.world.n):
-            if recipient == sender:
-                continue
-            self._behavior._filtered_send(self._brain_key, recipient, payload)
-        if include_self:
-            self._behavior._self_deliver(self._brain_key, payload)
-
-
-class _InnerWorld:
-    """World proxy seen by an inner (honestly-behaving) party instance."""
-
-    def __init__(self, behavior, brain_key):
-        outer = behavior.world
-        self.n = outer.n
-        self.f = outer.f
-        self.sim = outer.sim
-        self.start_offsets = outer.start_offsets
-        self.registry = _SharedSignerRegistry(outer.registry, behavior.signer)
-        self.network = _InterceptingNetwork(behavior, brain_key)
-        # Share the outer world's observability mode: under "perf" the
-        # inner brain must not pay for transcripts either.
-        self.instrumentation = outer.instrumentation
-        # Share the outer payload interner so the brain's vote/echo cores
-        # coincide with the honest parties' (identity-cache hits), and the
-        # outer memo registry so e.g. the brain's certificate checker
-        # pools verdicts with the honest parties' (the memo keys carry
-        # the registry and full checker configuration, so pooling across
-        # differently-configured users is structurally safe).
-        intern = getattr(outer, "intern_payload", None)
-        if intern is not None:
-            self.intern_payload = intern
-        shared = getattr(outer, "shared_memo", None)
-        if shared is not None:
-            self.shared_memo = shared
-
-    def note_commit(
-        self, party: PartyId, value: Any = None, time: float | None = None
-    ) -> None:
-        """Inner commits are the adversary's business, not the harness's."""
-
-
-class FilteredHonestBehavior(ByzantineBehavior):
-    """Runs the honest protocol, filtering every outgoing message.
-
-    ``party_factory`` builds the protocol instance (it receives the proxy
-    world and the corrupted id).  ``send_filter(recipient, payload, now)``
-    returns ``None`` to drop, or ``(payload, delay)`` — ``delay=None``
-    defers to the world's delay policy, any float (or ``INF``) overrides
-    it, which is legal because this party is Byzantine.
-    """
-
-    BRAIN = "only"
-
-    def __init__(
-        self,
-        world,
-        party_id: PartyId,
-        *,
-        party_factory: Callable[[Any, PartyId], Party],
-        send_filter: SendFilter,
-    ):
-        super().__init__(world, party_id)
-        self._send_filter = send_filter
-        self._brains: dict[Any, Party] = {}
-        inner_world = _InnerWorld(self, self.BRAIN)
-        self._brains[self.BRAIN] = party_factory(inner_world, party_id)
-
-    def start(self) -> None:
-        for brain in self._brains.values():
-            brain.start()
-
-    def deliver(self, sender: PartyId, payload: Any) -> None:
-        self._route(sender, payload)
-
-    def _route(self, sender: PartyId, payload: Any) -> None:
-        self._brains[self.BRAIN].deliver(sender, payload)
-
-    def _filtered_send(
-        self, brain_key: Any, recipient: PartyId, payload: Any
-    ) -> None:
-        decision = self._send_filter(recipient, payload, self.world.sim.now)
-        if decision is None:
-            return
-        new_payload, delay = decision
-        if delay == INF:
-            return
-        self.send_raw(recipient, new_payload, delay=delay)
-
-    def _self_deliver(self, brain_key: Any, payload: Any) -> None:
-        self.world.sim.schedule_after(
-            0.0,
-            lambda: self._brains[brain_key].deliver(self.id, payload),
-            label=f"byz self-deliver p{self.id}",
-        )
-
-
-def pass_all(recipient: PartyId, payload: Any, now: float):
-    """Send filter that changes nothing (honest-equivalent behavior)."""
-    return payload, None
-
-
-def silent_toward(group: frozenset[PartyId]) -> SendFilter:
-    """Filter realizing "sends no messages to parties in ``group``"."""
-
-    def decide(recipient: PartyId, payload: Any, now: float):
-        if recipient in group:
-            return None
-        return payload, None
-
-    return decide
-
-
-def fixed_delay_toward(
-    delays: dict[PartyId, float], *, default: float | None = None
-) -> SendFilter:
-    """Filter realizing "pretends its delay to party p is delays[p]"."""
-
-    def decide(recipient: PartyId, payload: Any, now: float):
-        return payload, delays.get(recipient, default)
-
-    return decide
-
-
-class SplitBrainBehavior(FilteredHonestBehavior):
-    """Equivocation via two honest protocol instances over a partition.
-
-    ``brain_factories`` maps a brain key to a party factory; ``membership``
-    maps each party id to the brain key whose messages it should see (and
-    whose inbox receives that party's messages).  Parties mapped to ``None``
-    receive nothing at all from this Byzantine party.
-    """
-
-    def __init__(
-        self,
-        world,
-        party_id: PartyId,
-        *,
-        brain_factories: dict[Any, Callable[[Any, PartyId], Party]],
-        membership: Callable[[PartyId], Any],
-        send_filter: SendFilter = pass_all,
-    ):
-        ByzantineBehavior.__init__(self, world, party_id)
-        self._send_filter = send_filter
-        self._membership = membership
-        self._brains = {}
-        for key, factory in brain_factories.items():
-            self._brains[key] = factory(_InnerWorld(self, key), party_id)
-
-    def start(self) -> None:
-        for brain in self._brains.values():
-            brain.start()
-
-    def _route(self, sender: PartyId, payload: Any) -> None:
-        key = self._membership(sender)
-        if key is None:
-            return
-        self._brains[key].deliver(sender, payload)
-
-    def _filtered_send(
-        self, brain_key: Any, recipient: PartyId, payload: Any
-    ) -> None:
-        if self._membership(recipient) != brain_key:
-            return
-        super()._filtered_send(brain_key, recipient, payload)

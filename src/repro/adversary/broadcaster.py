@@ -42,20 +42,10 @@ def equivocating_broadcaster(
                 return value
         return None
 
-    def factory(world, pid: PartyId) -> SplitBrainBehavior:
-        brain_factories = {
-            value: (
-                lambda inner_world, inner_pid, v=value: make_broadcaster(
-                    inner_world, inner_pid, v
-                )
-            )
+    return SplitBrainBehavior.factory(
+        brain_factories={
+            value: lambda world, pid, v=value: make_broadcaster(world, pid, v)
             for value in groups
-        }
-        return SplitBrainBehavior(
-            world,
-            pid,
-            brain_factories=brain_factories,
-            membership=membership,
-        )
-
-    return factory
+        },
+        membership=membership,
+    )

@@ -8,7 +8,8 @@ Commands:
   ``repro.lowerbounds.WITNESSES`` (``repro witness -h`` lists them) or
   ``all``; exits non-zero unless every indistinguishability check holds
   and the agreement violation is exhibited;
-* ``smr`` — run the replicated key-value store demo;
+* ``smr`` — run the replicated key-value store demo; exits non-zero
+  unless every replica commits every slot and the states agree;
 * ``ablation`` — run the equivocation-clause ablation;
 * ``bench`` — run the core perf grid (wall times, digest/intern counters,
   latency percentiles); ``--output`` also writes/merges a
@@ -67,10 +68,21 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
 
 def _cmd_smr(args: argparse.Namespace) -> int:
+    from repro.protocols.psync.vbb_5f1 import PsyncVbb5f1
     from repro.sim.delays import FixedDelay
     from repro.sim.runner import World
     from repro.smr import KeyValueStore, smr_factory
+    from repro.types import validate_resilience
 
+    try:
+        if args.slots < 1:
+            raise ValueError(f"--slots must be at least 1, got {args.slots}")
+        validate_resilience(
+            args.n, args.f, requirement=PsyncVbb5f1.RESILIENCE
+        )
+    except ValueError as error:
+        print(f"repro smr: {error}", file=sys.stderr)
+        return 2
     workload = [("set", f"key{i}", i * i) for i in range(args.slots)]
     world = World(n=args.n, f=args.f, delay_policy=FixedDelay(args.delay))
     world.populate(
@@ -82,12 +94,15 @@ def _cmd_smr(args: argparse.Namespace) -> int:
         )
     )
     world.run(until=10_000.0)
-    replica = world.honest_parties()[0]
+    replicas = world.honest_parties()
+    replica = replicas[0]
     for slot, command in enumerate(replica.committed_log):
         print(f"slot {slot}: {command!r} @ t={replica.commit_times[slot]:.3f}")
-    snapshots = {r.state_machine.snapshot() for r in world.honest_parties()}
+    snapshots = {r.state_machine.snapshot() for r in replicas}
     print(f"replicas agree: {len(snapshots) == 1}")
-    return 0 if len(snapshots) == 1 else 1
+    committed = min(len(r.committed_log) for r in replicas)
+    print(f"slots committed: {committed}/{args.slots}")
+    return 0 if len(snapshots) == 1 and committed == args.slots else 1
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.adversary.behaviors import ScriptStep, ScriptedBehavior
+from repro.adversary.behaviors import ScriptStep, ScriptedBehavior, per_party
 from repro.adversary.broadcaster import equivocating_broadcaster
 from repro.lowerbounds.framework import (
     WitnessReport,
@@ -78,12 +78,6 @@ def _attack(
         ),
         groups={"v": frozenset(x_group), "w": frozenset(y_group)},
     )
-
-    def behaviors(world, pid):
-        if pid == BROADCASTER:
-            return split(world, pid)
-        return ScriptedBehavior(world, pid, script_builder=z_script)
-
     return run_execution(
         n=n,
         f=f,
@@ -92,7 +86,10 @@ def _attack(
             broadcaster=BROADCASTER, input_value="v", big_delta=DELTA
         ),
         byzantine={BROADCASTER, z},
-        behaviors=behaviors,
+        behaviors=per_party(
+            {BROADCASTER: split},
+            ScriptedBehavior.factory(script_builder=z_script),
+        ),
         horizon=horizon,
     )
 

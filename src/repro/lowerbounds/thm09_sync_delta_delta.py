@@ -26,6 +26,7 @@ from repro.adversary.behaviors import (
     ScriptStep,
     ScriptedBehavior,
     fixed_delay_toward,
+    per_party,
 )
 from repro.adversary.broadcaster import equivocating_broadcaster
 from repro.lowerbounds.framework import (
@@ -52,14 +53,11 @@ def _strawman_factory(value):
     return NoForwardQuorumBb.factory(broadcaster=BROADCASTER, input_value=value)
 
 
-def _pretend_slow(world, pid):
-    """Byzantine group member: honest behavior, Delta-pretending delays."""
-    return FilteredHonestBehavior(
-        world,
-        pid,
-        party_factory=_strawman_factory(None),
-        send_filter=fixed_delay_toward({}, default=BIG_DELTA),
-    )
+#: Byzantine group member: honest behavior, Delta-pretending delays.
+_pretend_slow = FilteredHonestBehavior.factory(
+    party_factory=_strawman_factory(None),
+    send_filter=fixed_delay_toward({}, default=BIG_DELTA),
+)
 
 
 def _honest_execution(value, byzantine_group) -> World:
@@ -100,18 +98,16 @@ def _split_execution() -> World:
             steps.append(ScriptStep(time=DELTA, recipient=b, payload=vote1))
         return steps
 
-    def behavior_factory(world, pid):
-        if pid == BROADCASTER:
-            return split_broadcaster(world, pid)
-        return ScriptedBehavior(world, pid, script_builder=c_script)
-
     return run_execution(
         n=N,
         f=F,
         policy=PerLinkDelay(links, default=DELTA),
         parties=_strawman_factory(0),
         byzantine={BROADCASTER, OTHER_C},
-        behaviors=behavior_factory,
+        behaviors=per_party(
+            {BROADCASTER: split_broadcaster},
+            ScriptedBehavior.factory(script_builder=c_script),
+        ),
     )
 
 

@@ -28,7 +28,11 @@ bound rises to ``Delta + 1.5*delta``.
 """
 from __future__ import annotations
 
-from repro.adversary.behaviors import FilteredHonestBehavior, pass_all
+from repro.adversary.behaviors import (
+    FilteredHonestBehavior,
+    pass_all,
+    per_party,
+)
 from repro.adversary.broadcaster import equivocating_broadcaster
 from repro.lowerbounds.framework import (
     WitnessReport,
@@ -64,14 +68,10 @@ def _party_factory(value):
     )
 
 
-def _honest_shadow(world, pid):
-    """Byzantine party that behaves honestly (delays come from the policy)."""
-    return FilteredHonestBehavior(
-        world,
-        pid,
-        party_factory=_party_factory(None),
-        send_filter=pass_all,
-    )
+#: Byzantine party that behaves honestly (delays come from the policy).
+_honest_shadow = FilteredHonestBehavior.factory(
+    party_factory=_party_factory(None), send_filter=pass_all
+)
 
 
 #: E2/E3 broadcaster: honest-with-0 toward g, A; honest-with-1 toward C, h
@@ -141,12 +141,7 @@ def _split_execution(mirror: bool) -> World:
         (A, H): BIG_DELTA + SKEW,
         (H, A): BIG_DELTA - SKEW,
     }
-
-    def behaviors(world, pid):
-        if pid == B_BCAST:
-            return _split_broadcaster(world, pid)
-        return _honest_shadow(world, pid)
-
+    behaviors = per_party({B_BCAST: _split_broadcaster}, _honest_shadow)
     return _run(links, {B_BCAST, H}, behaviors, mirror)
 
 

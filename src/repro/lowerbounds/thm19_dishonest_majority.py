@@ -23,6 +23,7 @@ from repro.adversary.behaviors import (
     FilteredHonestBehavior,
     ScriptStep,
     ScriptedBehavior,
+    per_party,
 )
 from repro.lowerbounds.framework import (
     WitnessReport,
@@ -97,6 +98,12 @@ def _byzantine_broadcaster_script(behavior: ScriptedBehavior):
     return steps
 
 
+#: The Byzantine broadcaster of every execution but the first and last.
+_seed_both_sides = ScriptedBehavior.factory(
+    script_builder=_byzantine_broadcaster_script
+)
+
+
 def _execution(index: int) -> World:
     """Execution ``index``: honest groups ``G_index`` and ``G_index+1``."""
     if index == 0:
@@ -109,21 +116,13 @@ def _execution(index: int) -> World:
         honest = {index, index + 1}
         value = 0  # unused: the broadcaster is Byzantine
     byzantine = frozenset(range(N)) - frozenset(honest)
-
-    def behaviors(world, pid):
-        if pid == BROADCASTER:
-            return ScriptedBehavior(
-                world, pid, script_builder=_byzantine_broadcaster_script
-            )
-        return _neighbor_only(world, pid)
-
     return run_execution(
         n=N,
         f=F,
         policy=FixedDelay(BIG_DELTA),
         parties=_strawman_factory(value),
         byzantine=byzantine,
-        behaviors=behaviors,
+        behaviors=per_party({BROADCASTER: _seed_both_sides}, _neighbor_only),
         horizon=60.0,
     )
 

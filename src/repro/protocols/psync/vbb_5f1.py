@@ -64,18 +64,13 @@ class PsyncVbb5f1(ViewParty):
         # All parties of one world share the content-keyed valid-verdict
         # memo (same registry, same leader schedule, same validity
         # predicate), so a certificate re-built by another party hits.
-        shared_memo = getattr(world, "shared_memo", None)
         self.checker = CertificateChecker(
             n=self.n,
             f=self.f,
             registry=self.registry,
             leader_of=self.leader_of,
             external_validity=self.external_validity,
-            valid_memo=(
-                shared_memo("vbb-valid-certs")
-                if shared_memo is not None
-                else None
-            ),
+            valid_memo=world.shared_memo("vbb-valid-certs"),
         )
         # Entry-key parse cache, shared by every party of the world (one
         # leader schedule, one validity predicate): a quorum forward's
@@ -83,13 +78,9 @@ class PsyncVbb5f1(ViewParty):
         # parse of the staged run is an identity hit per entry.
         # Positive verdicts only — a failed parse can flip to a pass once
         # the embedded pair's signature lands in the append-only issued
-        # set, so negatives are never cached.
-        identity_memo = getattr(world, "shared_identity_memo", None)
-        self._entry_keys = (
-            identity_memo("vbb-entry-keys")
-            if identity_memo is not None
-            else None
-        )
+        # set, so negatives are never cached.  ``None`` (no cache) for a
+        # hosted instance, which must not pool parses with the world's.
+        self._entry_keys = world.shared_identity_memo("vbb-entry-keys")
         self.highest_cert = Certificate.genesis()
         # Quorum accounting: commit votes are tallied per (view, value)
         # with the quorum-forward message memoized world-wide and the

@@ -54,14 +54,8 @@ class Party(Agent):
         self.registry = world.registry
         # The world's instrumentation decides whether this party keeps a
         # transcript; ``None`` strips recording from the delivery hot path.
-        # All in-tree worlds — including the proxy worlds for adversary
-        # brains and SMR slots — expose the bundle; the getattr fallback
-        # keeps out-of-tree world stand-ins on the always-on transcript.
-        instrumentation = getattr(world, "instrumentation", None)
         self.transcript: Transcript | None = (
-            instrumentation.transcript_for(party_id)
-            if instrumentation is not None
-            else Transcript(party_id)
+            world.instrumentation.transcript_for(party_id)
         )
         self.committed_value: Value | None = None
         self.has_committed = False
@@ -173,11 +167,9 @@ class Party(Agent):
 
         Protocol steps where every party builds the same small tuple (a
         vote body, an echo) route it through here so all n parties hold
-        *one* object and the identity-keyed caches do the rest.  Worlds
-        without an interner (out-of-tree stand-ins) just echo the value.
+        *one* object and the identity-keyed caches do the rest.
         """
-        intern = getattr(self.world, "intern_payload", None)
-        return payload if intern is None else intern(payload)
+        return self.world.intern_payload(payload)
 
     def quorum_tracker(
         self,
@@ -215,40 +207,27 @@ class Party(Agent):
         shared = None
         store = None
         if namespace is not None:
-            shared_memo = getattr(world, "shared_memo", None)
-            if shared_memo is not None:
-                shared = shared_memo(f"quorum::{namespace}")
+            shared = world.shared_memo(f"quorum::{namespace}")
             if shared_entries:
-                entry_store = getattr(world, "shared_entry_store", None)
-                if entry_store is not None:
-                    store = entry_store(f"quorum-entries::{namespace}")
+                # ``None`` for a hosted party: its buckets stay private.
+                store = world.shared_entry_store(
+                    f"quorum-entries::{namespace}"
+                )
         tracker = QuorumTracker(
             first_vote_only=first_vote_only,
             detect_equivocation=detect_equivocation,
             shared_memo=shared,
             entry_store=store,
         )
-        instrumentation = getattr(world, "instrumentation", None)
-        if instrumentation is not None:
-            register = getattr(
-                instrumentation, "register_quorum_tracker", None
-            )
-            if register is not None:
-                register(tracker)
+        world.instrumentation.register_quorum_tracker(tracker)
         return tracker
 
     def verify(self, signed) -> bool:
         return self.registry.verify(signed)
 
     def note_view(self, view: int) -> None:
-        """Report a view entry to any attached view-progress monitors.
-
-        Worlds without the hook (out-of-tree stand-ins) are a no-op, so
-        protocols can call this unconditionally from ``_enter_view``.
-        """
-        note = getattr(self.world, "note_view_change", None)
-        if note is not None:
-            note(self.id, view, self.world.sim.now)
+        """Report a view entry to any attached view-progress monitors."""
+        self.world.note_view_change(self.id, view, self.world.sim.now)
 
     def at_local_time(
         self,
@@ -308,21 +287,16 @@ class Party(Agent):
         """
         if self.has_committed:
             if value != self.committed_value:
-                conflict = getattr(self.world, "note_commit_conflict", None)
-                if conflict is not None:
-                    conflict(
-                        self.id,
-                        self.committed_value,
-                        value,
-                        self.world.sim.now,
-                    )
+                self.world.note_commit_conflict(
+                    self.id, self.committed_value, value, self.world.sim.now
+                )
             return
         self.has_committed = True
         self.committed_value = value
         self.commit_global_time = self.world.sim.now
         self.commit_local_time = self.local_time()
         self.commit_view = getattr(self, "current_view", None)
-        accountant = getattr(self.world, "accountant", None)
+        accountant = self.world.accountant
         if accountant is not None:
             step = accountant.current_step
             if step is None:

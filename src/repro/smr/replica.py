@@ -14,9 +14,11 @@ instance in slot order once the committed prefix is contiguous.
 """
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable
 
 from repro.protocols.psync.vbb_5f1 import PsyncVbb5f1
+from repro.sim.hosting import PartyHost
 from repro.sim.process import Party
 from repro.smr.state_machine import StateMachine
 from repro.types import PartyId, Value
@@ -24,84 +26,8 @@ from repro.types import PartyId, Value
 SMR = "smr"
 
 
-class _SlotRegistry:
-    """Registry proxy handing the replica's signer to slot instances."""
-
-    def __init__(self, real_registry, signer):
-        self._real = real_registry
-        self._signer = signer
-
-    def signer_for(self, party: PartyId):
-        if party != self._signer.party:
-            raise ValueError("slot instance asked for a foreign signer")
-        return self._signer
-
-    def verify(self, signed) -> bool:
-        return self._real.verify(signed)
-
-    def require_valid(self, signed):
-        return self._real.require_valid(signed)
-
-    def verify_all(self, items) -> bool:
-        return self._real.verify_all(items)
-
-    def verify_batch(self, items) -> bool:
-        return self._real.verify_batch(items)
-
-
-class _SlotNetwork:
-    """Network proxy wrapping slot messages with the slot tag."""
-
-    def __init__(self, replica: "SmrReplica", slot: int):
-        self._replica = replica
-        self._slot = slot
-
-    def send(self, sender, recipient, payload, *, delay_override=None):
-        self._replica.send(recipient, (SMR, self._slot, payload))
-
-    def multicast(self, sender, payload, *, include_self=True,
-                  delay_override=None):
-        self._replica.multicast(
-            (SMR, self._slot, payload), include_self=include_self
-        )
-
-
-class _SlotWorld:
-    """World proxy seen by one slot's protocol instance."""
-
-    def __init__(self, replica: "SmrReplica", slot: int):
-        outer = replica.world
-        self.n = outer.n
-        self.f = outer.f
-        self.sim = outer.sim
-        self.start_offsets = outer.start_offsets
-        self.registry = _SlotRegistry(outer.registry, replica.signer)
-        self.network = _SlotNetwork(replica, slot)
-        # Share the outer world's observability mode: under "perf" the
-        # slot protocol instances must not pay for transcripts either.
-        self.instrumentation = outer.instrumentation
-        # Share the outer payload interner (equal per-slot vote cores
-        # across replicas collapse to one object) and the outer memo
-        # registry (slot checkers pool certificate verdicts; the memo
-        # keys carry the registry and full checker configuration, so
-        # pooling across slots is structurally safe).
-        intern = getattr(outer, "intern_payload", None)
-        if intern is not None:
-            self.intern_payload = intern
-        shared = getattr(outer, "shared_memo", None)
-        if shared is not None:
-            self.shared_memo = shared
-        self._replica = replica
-        self._slot = slot
-
-    def note_commit(
-        self, party: PartyId, value: Any = None, time: float | None = None
-    ) -> None:
-        self._replica._on_slot_commit(self._slot)
-
-
-class SmrReplica(Party):
-    """One replica of the psync-VBB-based SMR."""
+class SmrReplica(PartyHost, Party):
+    """One replica of the psync-VBB-based SMR; hosts one party per slot."""
 
     def __init__(
         self,
@@ -126,7 +52,6 @@ class SmrReplica(Party):
         self.applied_upto = 0  # next slot to apply
         self.commit_times: dict[int, float] = {}
         self.results: list[Any] = []
-        self._slots: dict[int, Party] = {}
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -145,36 +70,38 @@ class SmrReplica(Party):
         _, slot, inner = payload
         if not isinstance(slot, int) or not 0 <= slot < self.num_slots:
             return
-        if slot not in self._slots:
-            self._open_slot(slot)
-        self._slots[slot].deliver(sender, inner)
+        self._open_slot(slot)
+        self.hosted_deliver(slot, sender, inner)
 
     def _open_slot(self, slot: int) -> None:
-        if slot in self._slots or slot >= self.num_slots:
+        if slot in self.hosted or slot >= self.num_slots:
             return
-        command = (
-            self.workload[slot]
-            if self.id == self.leader and slot < len(self.workload)
-            else None
-        )
-        instance = self.protocol_cls(
-            _SlotWorld(self, slot),
-            self.id,
+        # ``factory`` hands the command to the leader's instance only.
+        command = self.workload[slot] if slot < len(self.workload) else None
+        factory = self.protocol_cls.factory(
             broadcaster=self.leader,
             input_value=command,
             big_delta=self.big_delta,
             fallback_value=("noop", slot),
         )
-        self._slots[slot] = instance
-        instance.start()
+        self.host(slot, factory).start()
 
     # ------------------------------------------------------------------ #
-    # commit handling
+    # hosting seam: slot traffic travels tagged, one Network call each
     # ------------------------------------------------------------------ #
 
-    def _on_slot_commit(self, slot: int) -> None:
-        instance = self._slots[slot]
-        self.log[slot] = instance.committed_value
+    def hosted_send(self, slot: int, recipient: PartyId, payload: Any) -> None:
+        self.send(recipient, (SMR, slot, payload))
+
+    def hosted_multicast(
+        self, slot: int, payload: Any, *, include_self: bool
+    ) -> None:
+        self.multicast((SMR, slot, payload), include_self=include_self)
+
+    def hosted_commit(
+        self, slot: int, value: Value, time: float | None
+    ) -> None:
+        self.log[slot] = value
         self.commit_times[slot] = self.world.sim.now
         self._apply_contiguous()
         self._open_slot(slot + 1)
@@ -203,17 +130,12 @@ def smr_factory(
     protocol_cls: type = PsyncVbb5f1,
 ) -> Callable[[Any, PartyId], SmrReplica]:
     """Party factory for a full SMR deployment."""
-
-    def build(world, pid: PartyId) -> SmrReplica:
-        return SmrReplica(
-            world,
-            pid,
-            leader=leader,
-            state_machine_factory=state_machine_factory,
-            workload=workload,
-            num_slots=len(workload),
-            big_delta=big_delta,
-            protocol_cls=protocol_cls,
-        )
-
-    return build
+    return partial(
+        SmrReplica,
+        leader=leader,
+        state_machine_factory=state_machine_factory,
+        workload=workload,
+        num_slots=len(workload),
+        big_delta=big_delta,
+        protocol_cls=protocol_cls,
+    )

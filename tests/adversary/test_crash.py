@@ -57,7 +57,7 @@ class TestTimedCrashBehavior:
             )
         )
         crasher = world.agents[3]
-        brain = crasher._brains[CrashBehavior.BRAIN]
+        brain = crasher.hosted[CrashBehavior.BRAIN]
         assert brain.started_at == 0.0
         # The brain's hello (sent at 0, up) went out...
         for pid in (0, 1, 2):
@@ -80,7 +80,7 @@ class TestTimedCrashBehavior:
         assert not crasher.is_down(0.0)
         assert crasher.is_down(1.0)
         assert not crasher.is_down(1.5)
-        brain = crasher._brains[CrashBehavior.BRAIN]
+        brain = crasher.hosted[CrashBehavior.BRAIN]
         # Hellos from 0/1/2 arrive at t=1.0 — inside [0.5, 1.5) — and are
         # lost (crash-faulty parties get no retransmission).
         assert brain.heard == []
@@ -95,7 +95,7 @@ class TestTimedCrashBehavior:
                 party_factory=lambda w, pid: Chatter(w, pid),
             )
         )
-        brain = world.agents[3]._brains[CrashBehavior.BRAIN]
+        brain = world.agents[3].hosted[CrashBehavior.BRAIN]
         assert brain.started_at == 2.5
         # Its late hello (sent at 2.5, after recovery) reaches everyone.
         for pid in (0, 1, 2):
@@ -103,7 +103,7 @@ class TestTimedCrashBehavior:
 
     def test_crash_never_recovering_without_brain_stays_inert(self):
         world = _chatter_world(behavior_factory=crash_at(at=0.0))
-        assert world.agents[3]._brains == {}
+        assert world.agents[3].hosted == {}
         assert world.agents[3].is_down(123.0)
 
 

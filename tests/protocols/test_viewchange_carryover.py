@@ -218,6 +218,6 @@ class TestRecoverThenCommitInView2:
         assert {p.committed_value for p in honest} == {"fb"}
         assert {p.commit_view for p in honest} == {2}
         assert min(p.commit_global_time for p in honest) > 5.0
-        brain = world.agents[3]._brains[CrashBehavior.BRAIN]
+        brain = world.agents[3].hosted[CrashBehavior.BRAIN]
         assert brain.has_committed and brain.commit_view == 2
         assert brain.committed_value == "fb"

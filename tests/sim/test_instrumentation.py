@@ -149,7 +149,7 @@ class TestPerfModeRecordsNothing:
         world.run(until=100.0)
         for replica in world.honest_parties():
             assert replica.transcript is None
-            for slot_party in replica._slots.values():
+            for slot_party in replica.hosted.values():
                 assert slot_party.transcript is None
         snapshots = {r.state_machine.snapshot() for r in world.honest_parties()}
         assert len(snapshots) == 1

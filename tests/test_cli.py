@@ -95,6 +95,47 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "replicas agree: True" in out
 
+    def test_smr_default_stdout_is_the_parents_plus_one_line(self, capsys):
+        assert main(["smr"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        # Recorded at the parent commit (PR 16): `python -m repro smr`.
+        assert lines[:-1] == [
+            "slot 0: ('set', 'key0', 0) @ t=0.200",
+            "slot 1: ('set', 'key1', 1) @ t=0.400",
+            "slot 2: ('set', 'key2', 4) @ t=0.600",
+            "slot 3: ('set', 'key3', 9) @ t=0.800",
+            "slot 4: ('set', 'key4', 16) @ t=1.000",
+            "replicas agree: True",
+        ]
+        assert lines[-1] == "slots committed: 5/5"
+
+    def test_smr_stalled_log_exits_one(self, capsys):
+        # Delta below the actual delay: every view times out before its
+        # votes land, no slot ever commits — and the empty state machines
+        # trivially "agree", which used to exit 0.
+        argv = ["smr", "--slots", "3", "--delay", "0.1", "--big-delta", "0.01"]
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert "replicas agree: True" in out
+        assert "slots committed: 0/3" in out
+
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            (["--n", "7", "--f", "2"], "n 5f-1 violated for n=7, f=2"),
+            (["--slots", "0"], "--slots must be at least 1"),
+        ],
+    )
+    def test_smr_bad_arguments_exit_two_in_one_line(
+        self, capsys, argv, needle
+    ):
+        assert main(["smr", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert needle in captured.err
+        assert "Traceback" not in captured.err
+        assert len(captured.err.splitlines()) == 1
+
     def test_ablation(self, capsys):
         assert main(["ablation"]) == 0
         out = capsys.readouterr().out
