@@ -2,14 +2,15 @@
 
 These pin the substrate costs the protocol benchmarks ride on: canonical
 encoding, cold vs warm digests, registry verification, multicast fan-out
-scheduling and event-queue bookkeeping.  Run with::
+scheduling (one instant for the fan-out, and one per copy), the window
+calendar's push/drain and event-queue bookkeeping.  Run with::
 
     pytest benchmarks/bench_perf_micro.py --benchmark-only
 
 For the tracked end-to-end numbers (``BENCH_core.json``) use
 ``python benchmarks/run_core_bench.py`` instead.
 """
-import pytest
+import random
 
 from repro.crypto.messages import (
     canonical_encode,
@@ -17,10 +18,11 @@ from repro.crypto.messages import (
     digest,
 )
 from repro.crypto.signatures import KeyRegistry
-from repro.sim.delays import FixedDelay
+from repro.sim.delays import FixedDelay, UniformDelay
 from repro.sim.events import EventQueue
 from repro.sim.network import Network
 from repro.sim.scheduler import Simulator
+from repro.sim.timeline import BucketTimeline
 
 
 def _vote_quorum(n: int):
@@ -81,6 +83,41 @@ def test_multicast_schedule_n31(benchmark):
     payload = ("propose", "v")
 
     benchmark(network.multicast, 0, payload)
+
+
+def test_multicast_schedule_uniform_n301(benchmark):
+    """The counter-stream twin: one multicast to 301 parties with one
+    distinct instant per copy — 300 draws, 300 instants, one batch
+    crossing into the calendar's windows (the ``brb_uniform`` per-copy
+    path, without the deliveries)."""
+    policy = UniformDelay(0.05, 1.0, seed=2026, stream="counter")
+    sim = Simulator(recycle_events=True, lookahead=policy.min_delay())
+    network = Network(sim, policy, n=301)
+    for pid in range(301):
+        network.attach(pid, lambda sender, payload: None)
+    payload = ("propose", "v")
+
+    benchmark(network.multicast, 0, payload)
+    assert sim.heap_pushes_avoided / sim.bucket_appends > 0.9
+
+
+def test_window_drain_100k(benchmark):
+    """Push 100 k continuous instants, pop them all: an append per push,
+    one sort per window, an index walk per pop."""
+    rng = random.Random(7)
+    times = [rng.uniform(0.0, 10.0) for _ in range(100_000)]
+    args_seq = [(i,) for i in range(100_000)]
+
+    def run():
+        queue = BucketTimeline(recycle=True, width=0.05)
+        queue.push_batch(times, print, args_seq, transient=True)
+        fired = 0
+        while (event := queue.pop()) is not None:
+            queue.release(event)
+            fired += 1
+        return fired
+
+    assert benchmark(run) == 100_000
 
 
 def test_event_queue_len_under_load(benchmark):

@@ -8,11 +8,13 @@ shards in lockstep one *window* at a time:
 1. every worker reports its next pending instant — the earlier of its
    local timeline's head and its oldest undelivered inbound record;
 2. the coordinator picks the global minimum ``T`` and the window
-   ``[T, T + L)``, where the lookahead ``L`` is the delay policy's
-   :meth:`~repro.sim.delays.DelayPolicy.min_delay` (shaved by a
-   quantization guard): a message sent inside the window cannot land
-   before the window ends, so every worker with work inside the window
-   runs the whole span between barriers.  Quiet shards are skipped
+   ``[T, T + L)``, where the lookahead ``L`` is the one the world
+   derived from the delay policy's
+   :meth:`~repro.sim.delays.DelayPolicy.min_delay` for its calendar,
+   shaved by a quantization guard (the barrier, unlike the calendar,
+   relies on it for correctness): a message sent inside the window
+   cannot land before the window ends, so every worker with work inside
+   the window runs the whole span between barriers.  Quiet shards are skipped
    without a round-trip (barrier coalescing), and issued-signature
    groups destined for a skipped shard wait in its pending queue until
    its next step (always at or before the first message that could
@@ -113,7 +115,7 @@ def run_sharded(world: World, *, until: float | None = None) -> RunResult:
     """Run a ``shards > 1`` world to quiescence (or a horizon)."""
     shards = world.shards
     bounds = shard_bounds(world.n, shards)
-    lookahead = max(0.0, world._delay_policy.min_delay() - _LOOKAHEAD_GUARD)
+    lookahead = max(0.0, world.sim.lookahead - _LOOKAHEAD_GUARD)
     parent_instr = world.instrumentation
     ctx = multiprocessing.get_context("fork")
     conns = []

@@ -30,9 +30,10 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from repro.errors import SimulationError
+from repro.types import INF
 
 #: Compaction triggers only past this many cancelled entries (and only when
 #: they outnumber live ones), so small queues never pay the rebuild.
@@ -89,11 +90,13 @@ class EventQueue:
     enters the heap's hot path.
 
     :class:`~repro.sim.timeline.BucketTimeline` subclasses this queue and
-    replaces the heap with a bucketed calendar (same observable pop order)
-    — the queue every :class:`~repro.sim.scheduler.Simulator` runs on.
-    The cell allocation/recycling machinery and the live/cancelled
-    bookkeeping below are shared by both; the heap ordering stays as the
-    reference ``tests/sim/test_timeline.py`` drives the calendar against.
+    replaces the heap with a lookahead-window calendar (same observable
+    pop order) — the queue every :class:`~repro.sim.scheduler.Simulator`
+    runs on.  The cell allocation/recycling machinery and the
+    live/cancelled bookkeeping below are shared by both; the heap
+    ordering stays as the reference ``tests/sim/test_timeline.py`` drives
+    the calendar against, so everything here is written per copy and
+    per event, with nothing batched or windowed.
     """
 
     def __init__(self, *, recycle: bool = False) -> None:
@@ -174,44 +177,40 @@ class EventQueue:
 
     def push_batch(
         self,
-        time: float,
+        times: Sequence[float],
         action: Callable[..., None],
-        args_seq: list[tuple],
+        args_seq: Sequence[tuple],
         *,
         priority: int = 0,
         order_key: bytes = b"",
         label: str = "",
         transient: bool = False,
     ) -> int:
-        """Schedule ``action(*args)`` at ``time`` for every tuple in
-        ``args_seq``, sharing one ``(priority, order_key)`` prefix.
+        """Schedule ``action(*args)`` at ``time`` for every ``(time,
+        args)`` pair of ``times`` and ``args_seq``, sharing one
+        ``(priority, order_key)`` prefix.
 
-        Exactly equivalent to calling :meth:`push` once per tuple (same
-        ``seq`` assignment, same pop order) — the batch form exists so a
-        multicast fan-out crosses the queue boundary once per distinct
-        delivery instant, which the calendar backend turns into one
-        bucket lookup for the whole run.  No handles are returned: batch
-        pushes are for fire-and-forget deliveries (use ``transient=True``
-        under the arena); returns the number of events scheduled.
+        Exactly a loop of :meth:`push` (same ``seq`` assignment, same pop
+        order) — the batch form exists so a whole fan-out, one instant
+        per copy, crosses the queue boundary once; the calendar backend
+        overrides it with an inlined loop.  No handles are returned:
+        batch pushes are for fire-and-forget deliveries (use
+        ``transient=True`` under the arena); returns the number of events
+        scheduled.
         """
-        heap = self._heap
-        counter = self._counter
-        obtain = self._obtain_cell
-        heappush = heapq.heappush
-        for args in args_seq:
-            seq = next(counter)
-            event = obtain(
-                time, priority, order_key, seq, action, args, transient,
-                label,
+        for time, args in zip(times, args_seq, strict=True):
+            self.push(
+                time, action, priority=priority, order_key=order_key,
+                label=label, args=args, transient=transient,
             )
-            heappush(heap, (time, priority, order_key, seq, event))
-        self._live += len(args_seq)
         return len(args_seq)
 
-    def pop(self) -> Event | None:
-        """Remove and return the earliest non-cancelled event, or ``None``."""
+    def pop(self, stop: float = INF) -> Event | None:
+        """Remove and return the earliest non-cancelled event if it is due
+        strictly before ``stop``; ``None`` otherwise (nothing is removed
+        then but cancelled entries that surfaced on the way)."""
         heap = self._heap
-        while heap:
+        while heap and heap[0][0] < stop:
             event = heapq.heappop(heap)[4]
             if event.cancelled:
                 self._discard_cancelled(event)

@@ -16,13 +16,21 @@ The network realizes the paper's adversarial message scheduling:
 Every send — unicast, multicast, retransmission, and the sharded
 network's remote ranges — runs one four-stage pipeline: **price** (the
 policy or the override yields one delay per recipient), **instant**
-(``Network._fan_out`` turns delays into quantized delivery instants: the
-only place the INF-drop, negative-delay and pre-start rules live),
-**run** (consecutive copies sharing an instant are grouped) and **emit**
-(each run goes to the network's emitter).  The emitter is chosen once per
-network: ``_emit_run`` folds an unobserved run into one ``_deliver_many``
-event and otherwise schedules ``_deliver`` events; ``_emit_routed`` takes
-over when a per-copy seam is attached.
+(``Network._fan_out`` / ``_runs`` turn delays into quantized delivery
+instants: the only place the INF-drop, negative-delay and pre-start
+rules live), **run** (consecutive copies sharing an instant are grouped)
+and **emit** (the fan-out's runs, as one lazy sequence, go to the
+network's emitter).  The emitter is chosen once per network: ``_emit_run``
+folds an unobserved run into one ``_deliver_many`` event and gathers
+every other copy as a ``_deliver`` event; ``_emit_routed`` takes over
+when a per-copy seam is attached.  Either way emit crosses the scheduler
+**once per fan-out**, not once per copy: the copies are gathered in
+recipient order and handed over as one ``schedule_batch`` with one
+instant per copy (a folded run in mid-fan-out flushes what was gathered
+first, so sequence numbers are those of a per-copy loop).  The emitter
+also owns the deferral of the order-key digest: it digests the payload
+when it first has a copy to schedule, and never for a fan-out the
+adversary or the fault plan dropped whole.
 
 Observability is routed through the world's
 :class:`~repro.sim.instrumentation.Instrumentation` bundle: deliveries are
@@ -40,7 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 from repro.errors import SimulationError
 from repro.crypto.messages import digest
@@ -56,9 +64,11 @@ if TYPE_CHECKING:
 
 #: Delivery callback: (sender, payload) -> None
 DeliverFn = Callable[[PartyId, Any], None]
-#: Run emitter: (sender, recipients, start, end, payload, deliver_time,
-#: send_time, order_key | None) -> order_key | None — schedules
-#: ``recipients[start:end]``, digesting the payload if it has to.
+#: One run of a fan-out: ``recipients[start:end]`` all land at the instant.
+Run = tuple[int, int, float]
+#: Fan-out emitter: (sender, recipients, runs, payload, send_time,
+#: order_key | None) -> order_key | None — schedules every run of one
+#: fan-out, digesting the payload if it has to.
 Emitter = Callable[..., "bytes | None"]
 
 
@@ -240,10 +250,9 @@ class Network:
         ``delay_override``, repeats the override after one endpoint check
         — and hands it to :meth:`_fan_out`, which computes **one**
         scheduling ``order_key`` digest (none at all if the adversary
-        drops every copy) and crosses the scheduler boundary **once per
-        run** of copies sharing a delivery instant: on the calendar
-        timeline a fixed-delay multicast's n-1 copies cost one bucket
-        lookup total.
+        drops every copy) and crosses the scheduler boundary **once**:
+        a fixed-delay multicast's n-1 copies are one folded event, a
+        randomized one's are one batch with an instant per copy.
         """
         send_time = self._sim.now
         if self._injector is not None and self._injector.block_send(
@@ -266,11 +275,19 @@ class Network:
             )
         if include_self:
             self.messages_sent += 1
-            # Straight to the run emitter: a self-delivery is never
-            # routed through the injector or tracked by the channel.
-            self._emit_run(
-                sender, (sender,), 0, 1, payload, send_time, send_time,
-                order_key,
+            # Straight onto the timeline: a self-delivery is never routed
+            # through the injector or tracked by the channel.
+            if order_key is None:
+                order_key = digest(payload)
+            self._sim.schedule_at(
+                send_time, self._deliver, order_key=order_key,
+                label="deliver", transient=True,
+                args=(
+                    sender, sender, payload,
+                    self._observe(
+                        sender, sender, payload, send_time, send_time
+                    ) if self._observed else None,
+                ),
             )
 
     def _check_override(
@@ -305,17 +322,18 @@ class Network:
         arrivals are buffered until the recipient starts), ``INF`` drops
         it, and a negative delay is a policy bug that raises before
         anything is scheduled.  Consecutive copies that share an instant
-        — equal delays under a common start offset — form one *run*,
-        handed to ``emit`` in recipient order, so the schedule's
-        ``(time, priority, order_key)`` ordering, and hence every party's
-        inbox order, does not depend on how a run is emitted.
+        — equal delays under a common start offset — form one *run*;
+        ``emit`` receives the fan-out's runs in recipient order, so the
+        schedule's ``(time, priority, order_key)`` ordering, and hence
+        every party's inbox order, does not depend on how a run is
+        emitted.
 
-        The scheduling ``order_key`` is threaded through the emitters and
-        back to the caller (each takes the key so far, ``None`` until
-        someone needed it, and returns it): the digest is deferred until a
-        copy is actually scheduled, so a message the adversary withholds
-        forever — or the fault plan drops on every link — is never
-        encoded at all.
+        The scheduling ``order_key`` is threaded through the emitter and
+        back to the caller (it takes the key so far, ``None`` until
+        someone needed it, and returns it): the digest is deferred until
+        a copy is actually scheduled, so a message the adversary
+        withholds forever — or the fault plan drops on every link — is
+        never encoded at all.
         """
         if len(delays) != len(recipients):
             raise SimulationError(
@@ -334,6 +352,19 @@ class Network:
                 raise SimulationError(
                     f"policy produced negative delay {lowest}"
                 )
+        return emit(
+            sender, recipients, self._runs(recipients, delays, send_time),
+            payload, send_time, order_key,
+        )
+
+    def _runs(
+        self,
+        recipients: Sequence[PartyId],
+        delays: Sequence[float],
+        send_time: float,
+    ) -> Iterator[Run]:
+        """The instant and run stages of :meth:`_fan_out`, lazily: one
+        ``(start, end, deliver_time)`` per surviving run."""
         common = self._common_offset
         offsets = self._start_offsets
         prev_delay: float | None = None
@@ -343,10 +374,7 @@ class Network:
             if delay == prev_delay:
                 continue
             if deliver_time != INF:
-                order_key = emit(
-                    sender, recipients, start, idx, payload, deliver_time,
-                    send_time, order_key,
-                )
+                yield start, idx, deliver_time
             start = idx
             if common is None:
                 # Staggered starts: the instant depends on the recipient,
@@ -358,11 +386,7 @@ class Network:
             # An INF delay stays INF here, which drops the run.
             deliver_time = quantize(max(send_time + delay, earliest))
         if deliver_time != INF:
-            order_key = emit(
-                sender, recipients, start, len(delays), payload,
-                deliver_time, send_time, order_key,
-            )
-        return order_key
+            yield start, len(delays), deliver_time
 
     def _observe(
         self,
@@ -393,62 +417,77 @@ class Network:
     # ``transient=True`` lets the arena-mode queue recycle the event cell
     # after delivery — the network never retains delivery-event handles.
 
+    def _schedule_copies(
+        self,
+        times: list[float],
+        deliver: Callable[..., None],
+        copies: list[tuple],
+        payload: Any,
+        order_key: bytes | None,
+    ) -> bytes:
+        """Hand the copies a fan-out has gathered (at least one) to the
+        scheduler in one call and empty the gather lists."""
+        if order_key is None:
+            order_key = digest(payload)
+        self._sim.schedule_batch(
+            times, deliver, copies, order_key=order_key, label="deliver",
+            transient=True,
+        )
+        times.clear()
+        copies.clear()
+        return order_key
+
     def _emit_run(
         self,
         sender: PartyId,
         recipients: Sequence[PartyId],
-        start: int,
-        end: int,
+        runs: Iterable[Run],
         payload: Any,
-        deliver_time: float,
         send_time: float,
         order_key: bytes | None,
-    ) -> bytes:
-        """Emit one run when no per-copy seam is attached.
+    ) -> bytes | None:
+        """Emit a fan-out when no per-copy seam is attached.
 
         A run of >= 2 copies nobody observes becomes a single
-        ``_deliver_many`` event carrying the recipient slice.  Singletons
-        stay one ``_deliver`` event each; so do the copies of an observed
-        run (the accountant and the envelope log record per copy, while
-        the batch is assembled) and of a run landing at ``send_time``
-        itself — a same-instant run's copies would already be consumed
-        when a reaction to the first copy schedules, losing the per-copy
-        tie-break the queue gives.  ``schedule_batch`` assigns the same
-        sequence numbers as a per-copy loop, so every shape replays the
-        same schedule.
+        ``_deliver_many`` event carrying the recipient slice.  Every
+        other copy is gathered as one ``_deliver`` event: singletons, the
+        copies of an observed run (the accountant and the envelope log
+        record per copy, while the batch is assembled) and of a run
+        landing at ``send_time`` itself — a same-instant run's copies
+        would already be consumed when a reaction to the first copy
+        schedules, losing the per-copy tie-break the queue gives.  The
+        gathered copies go over in one ``schedule_batch``, which assigns
+        the sequence numbers a per-copy loop would; a folded run flushes
+        the copies gathered before it to keep that true.
         """
-        if order_key is None:
-            order_key = digest(payload)
-        count = end - start
         observed = self._observed
-        if count == 1 and not observed:
-            self._sim.schedule_at(
-                deliver_time, self._deliver, order_key=order_key,
-                label="deliver", transient=True,
-                args=(sender, recipients[start], payload, None),
-            )
-        elif observed or deliver_time <= send_time:
-            copies = [
-                (
-                    sender, recipient, payload,
-                    self._observe(
-                        sender, recipient, payload, send_time, deliver_time
-                    ) if observed else None,
+        times: list[float] = []
+        copies: list[tuple] = []
+        for start, end, deliver_time in runs:
+            if end - start == 1 or observed or deliver_time <= send_time:
+                for recipient in recipients[start:end]:
+                    times.append(deliver_time)
+                    copies.append((
+                        sender, recipient, payload,
+                        self._observe(
+                            sender, recipient, payload, send_time,
+                            deliver_time,
+                        ) if observed else None,
+                    ))
+                continue
+            if times:
+                order_key = self._schedule_copies(
+                    times, self._deliver, copies, payload, order_key
                 )
-                for recipient in recipients[start:end]
-            ]
-            self._sim.schedule_batch(
-                deliver_time, self._deliver, copies, order_key=order_key,
-                label="deliver", transient=True,
-            )
-        else:
+            elif order_key is None:
+                order_key = digest(payload)
             self.delivery_runs_batched += 1
-            self.deliveries_batched += count
+            self.deliveries_batched += end - start
             # The full fan-out reuses the cached recipient list itself (the
             # cache is write-once, so the event cannot observe a mutation).
             run = (
                 recipients
-                if count == len(recipients)
+                if end - start == len(recipients)
                 else recipients[start:end]
             )
             self._sim.schedule_at(
@@ -456,72 +495,75 @@ class Network:
                 label="deliver-run", args=(sender, run, payload),
                 transient=True,
             )
+        if times:
+            order_key = self._schedule_copies(
+                times, self._deliver, copies, payload, order_key
+            )
         return order_key
 
     def _emit_routed(
         self,
         sender: PartyId,
         recipients: Sequence[PartyId],
-        start: int,
-        end: int,
+        runs: Iterable[Run],
         payload: Any,
-        deliver_time: float,
         send_time: float,
         order_key: bytes | None,
         transfer: "_Transfer | None" = None,
     ) -> bytes | None:
-        """Emit one run copy by copy through the per-copy seams.
+        """Emit a fan-out copy by copy through the per-copy seams.
 
         Reliable-channel seam: each cross-party copy is tracked *before*
         the injector gets a chance to drop it — recovering exactly that
         loss is the channel's job (a retransmission passes the
         ``transfer`` it is re-sending instead).  Fault seam: the injector
         may drop, retime, or duplicate the copy; every surviving instant
-        becomes one ``_deliver`` (or ``_deliver_tracked``) event, and only
-        then is the payload digested.
+        becomes one ``_deliver`` event (``_deliver_tracked`` on a network
+        with a channel), gathered in recipient order and scheduled as one
+        batch — only then, and only if a copy survived, is the payload
+        digested.
         """
         injector = self._injector
         reliable = self._reliable
         observed = self._observed
-        schedule_at = self._sim.schedule_at
-        for idx in range(start, end):
-            recipient = recipients[idx]
-            tracked = transfer
-            if (
-                tracked is None
-                and reliable is not None
-                and recipient != sender
-            ):
-                tracked = reliable.register(sender, recipient, payload)
-            if injector is None:
-                instants = (deliver_time,)
-            else:
-                instants = injector.route(
-                    sender, recipient, send_time, deliver_time
-                )
-            for instant in instants:
-                if order_key is None:
-                    order_key = digest(payload)
-                instant = quantize(instant)
-                msg_id = (
-                    self._observe(
-                        sender, recipient, payload, send_time, instant
-                    )
-                    if observed
-                    else None
-                )
-                if tracked is None:
-                    schedule_at(
-                        instant, self._deliver, order_key=order_key,
-                        label="deliver", transient=True,
-                        args=(sender, recipient, payload, msg_id),
-                    )
+        tracking = reliable is not None or transfer is not None
+        times: list[float] = []
+        copies: list[tuple] = []
+        for start, end, deliver_time in runs:
+            for recipient in recipients[start:end]:
+                tracked = transfer
+                if (
+                    tracked is None
+                    and reliable is not None
+                    and recipient != sender
+                ):
+                    tracked = reliable.register(sender, recipient, payload)
+                if injector is None:
+                    instants = (deliver_time,)
                 else:
-                    schedule_at(
-                        instant, self._deliver_tracked, order_key=order_key,
-                        label="deliver", transient=True,
-                        args=(sender, recipient, payload, msg_id, tracked),
+                    instants = injector.route(
+                        sender, recipient, send_time, deliver_time
                     )
+                for instant in instants:
+                    instant = quantize(instant)
+                    msg_id = (
+                        self._observe(
+                            sender, recipient, payload, send_time, instant
+                        )
+                        if observed
+                        else None
+                    )
+                    times.append(instant)
+                    copies.append(
+                        (sender, recipient, payload, msg_id, tracked)
+                        if tracking
+                        else (sender, recipient, payload, msg_id)
+                    )
+        if times:
+            order_key = self._schedule_copies(
+                times, self._deliver_tracked if tracking else self._deliver,
+                copies, payload, order_key,
+            )
         return order_key
 
     def _deliver_many(
@@ -577,14 +619,16 @@ class Network:
         recipient: PartyId,
         payload: Any,
         msg_id: int | None,
-        transfer: "_Transfer",
+        transfer: "_Transfer | None",
     ) -> None:
         """The reliable-channel twin of :meth:`_deliver`.
 
         Same delivery rules; on the first copy that actually reaches the
         inbox (not discarded by a crash window) the channel is told to
-        ack, stopping the retry chain.  Only scheduled when a channel is
-        attached, so :meth:`_deliver` itself stays untouched.
+        ack, stopping the retry chain (``transfer`` is ``None`` for the
+        one copy a channel never tracks, a party's unicast to itself).
+        Only scheduled when a channel is attached, so :meth:`_deliver`
+        itself stays untouched.
         """
         inbox = self._inboxes[recipient]
         if inbox is None:
@@ -593,7 +637,8 @@ class Network:
             recipient, self._sim.now
         ):
             return  # recipient down: no ack, the retry chain recovers it
-        self._reliable.acknowledge(transfer)
+        if transfer is not None:
+            self._reliable.acknowledge(transfer)
         self.messages_delivered += 1
         if self._accountant is not None and msg_id is not None:
             self._accountant.begin_delivery_step(recipient, msg_id)

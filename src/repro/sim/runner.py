@@ -28,7 +28,7 @@ from repro.sim.instrumentation import Instrumentation, resolve_instrumentation
 from repro.sim.network import Network
 from repro.sim.process import Agent, Party
 from repro.sim.scheduler import Simulator
-from repro.types import PartyId, Value
+from repro.types import INF, PartyId, Value
 
 #: Builds an honest party: (world, party_id) -> Party
 PartyFactory = Callable[["World", PartyId], Party]
@@ -72,8 +72,13 @@ class World:
         )
         self.instrumentation.mark_attached()
         self.accountant = self.instrumentation.accountant
+        # The one place the policy's guaranteed minimum delay becomes a
+        # lookahead: it sizes the calendar's windows here and the shard
+        # barrier's in ``run_sharded``.  "None known" is 0.
+        lookahead = delay_policy.min_delay()
         self.sim = Simulator(
-            recycle_events=self.instrumentation.recycle_events
+            recycle_events=self.instrumentation.recycle_events,
+            lookahead=lookahead if 0.0 < lookahead < INF else 0.0,
         )
         self.registry = self._build_registry(n)
         #: Protocol label for invariant-violation context (chaos sets it).
@@ -453,9 +458,10 @@ class RunResult:
     events_processed: int = 0
     #: Arena-mode (perf preset) delivery cells reused; 0 under ``full``.
     events_recycled: int = 0
-    #: Calendar-timeline counters: events appended to time buckets, and
-    #: pushes that skipped a heap sift because their instant's bucket was
-    #: already live.
+    #: Calendar-timeline counters: events appended to lookahead windows
+    #: (every scheduled event), and those among them that cost no heap
+    #: sift — all but the first into each window; with a zero-lookahead
+    #: delay policy a window is one instant.
     bucket_appends: int = 0
     heap_pushes_avoided: int = 0
     #: Copies delivered through batched ``_deliver_many`` run events and

@@ -7,11 +7,14 @@ parameters in those units.
 """
 from __future__ import annotations
 
-from typing import Callable
+from itertools import repeat
+from math import nextafter
+from typing import Callable, Sequence
 
 from repro.errors import SimulationError
 from repro.sim.events import Event, EventQueue
 from repro.sim.timeline import BucketTimeline
+from repro.types import INF
 
 
 class Simulator:
@@ -23,15 +26,25 @@ class Simulator:
     only, so under ``full`` instrumentation event identity semantics are
     untouched.
 
-    The queue is the calendar timeline of :mod:`repro.sim.timeline` — O(1)
-    FIFO appends per quantized instant.  Its base class, the binary-heap
+    The queue is the window calendar of :mod:`repro.sim.timeline` — O(1)
+    appends per lookahead window, one sort per window.  ``lookahead`` is
+    that window's width: a span no message sent inside it can land in
+    (the delay policy's guaranteed minimum, derived by the world; ``0`` =
+    none known).  It only sizes the windows — any value replays the same
+    schedule.  The calendar's base class, the binary-heap
     :class:`~repro.sim.events.EventQueue`, replays byte-identical
     schedules for the same pushes and is what the parity tests compare
     it against.
     """
 
-    def __init__(self, *, recycle_events: bool = False) -> None:
-        self._queue: EventQueue = BucketTimeline(recycle=recycle_events)
+    def __init__(
+        self, *, recycle_events: bool = False, lookahead: float = 0.0
+    ) -> None:
+        #: Read back by the sharded coordinator to size its barrier window.
+        self.lookahead = lookahead
+        self._queue: EventQueue = BucketTimeline(
+            recycle=recycle_events, width=lookahead
+        )
         self._now = 0.0
         self._running = False
         self._events_processed = 0
@@ -68,14 +81,24 @@ class Simulator:
 
     @property
     def bucket_appends(self) -> int:
-        """Events appended to calendar buckets."""
+        """Events appended to calendar windows (every scheduled event)."""
         return self._queue.bucket_appends
 
     @property
     def heap_pushes_avoided(self) -> int:
-        """Pushes that skipped an O(log n) heap sift because their
-        instant's bucket already existed."""
+        """Pushes that skipped an O(log n) heap sift: all but the first
+        into each lookahead window (with no lookahead, each instant)."""
         return self._queue.heap_pushes_avoided
+
+    def _reject(self, time: float) -> None:
+        """Raise for an instant that failed ``now <= time < INF``."""
+        if time < self._now:
+            raise SimulationError(
+                f"cannot schedule event at {time} before now={self._now}"
+            )
+        raise SimulationError(
+            f"cannot schedule event at a non-finite instant ({time})"
+        )
 
     def schedule_at(
         self,
@@ -93,10 +116,8 @@ class Simulator:
         ``transient=True`` declares that the caller keeps no handle to the
         returned event (so its cell may be recycled after it fires).
         """
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule event at {time} before now={self._now}"
-            )
+        if not self._now <= time < INF:
+            self._reject(time)
         return self._queue.push(
             time, action, priority=priority, order_key=order_key,
             label=label, args=args, transient=transient,
@@ -104,28 +125,39 @@ class Simulator:
 
     def schedule_batch(
         self,
-        time: float,
+        times: Sequence[float],
         action: Callable[..., None],
-        args_seq: list[tuple],
+        args_seq: Sequence[tuple],
         *,
         priority: int = 0,
         order_key: bytes = b"",
         label: str = "",
         transient: bool = False,
     ) -> int:
-        """Schedule ``action(*args)`` at ``time`` for every tuple in
-        ``args_seq`` in one queue call (one bucket lookup on the calendar
-        backend).  Equivalent to a loop of :meth:`schedule_at` — same
-        sequence numbers, same firing order — but returns no handles, so
-        it is for fire-and-forget work (message fan-outs); returns the
-        number of events scheduled.
+        """Schedule ``action(*args)`` at ``time`` for every ``(time,
+        args)`` pair of ``times`` and ``args_seq`` in one queue call.
+        Equivalent to a loop of :meth:`schedule_at` — same sequence
+        numbers, same firing order, the whole batch checked before any
+        of it is queued — but returns no handles, so it is for
+        fire-and-forget work (message fan-outs); returns the number of
+        events scheduled.
         """
-        if time < self._now:
+        if len(times) != len(args_seq):
             raise SimulationError(
-                f"cannot schedule event at {time} before now={self._now}"
+                f"{len(times)} instants for {len(args_seq)} events"
             )
+        if not times:
+            return 0
+        # ``now <= time < INF`` for every copy in two C-level passes: a
+        # NaN or an infinity anywhere poisons the sum (``min`` alone
+        # skips over a NaN that is not first).
+        earliest, total = min(times), sum(times)
+        if not self._now <= earliest:
+            self._reject(earliest)
+        if not total < INF:
+            self._reject(total)
         return self._queue.push_batch(
-            time, action, args_seq, priority=priority, order_key=order_key,
+            times, action, args_seq, priority=priority, order_key=order_key,
             label=label, transient=transient,
         )
 
@@ -151,57 +183,66 @@ class Simulator:
 
         Stops when the queue drains, when virtual time would exceed
         ``until``, or after ``max_events`` events.  Returns the final
-        virtual time.
+        virtual time: ``until`` when events remain beyond it, the last
+        processed event's instant otherwise.
+        """
+        if until is None:
+            self._drain(INF, max_events)
+            return self._now
+        if until < self._now:
+            raise SimulationError(
+                f"cannot run until {until}, before now={self._now}"
+            )
+        # ``time <= until`` as the strict bound the drain takes.
+        self._drain(nextafter(until, INF), max_events)
+        next_time = self._queue.peek_time()
+        if next_time is not None and next_time > until:
+            self._now = until
+        return self._now
+
+    def run_before(self, horizon: float) -> float:
+        """Process events strictly before ``horizon``; return final time.
+
+        The sharded worker's window step: the coordinator's lookahead
+        guarantees no cross-shard traffic can land inside the window, so
+        the whole span runs in one call.  Unlike ``run(until=...)``,
+        ``now`` is left at the last processed event's instant — never
+        advanced to the horizon itself — so the merged ``final_time``
+        still reports the last real event.
+        """
+        self._drain(horizon)
+        return self._now
+
+    def _drain(self, stop: float, max_events: int | None = None) -> None:
+        """The event loop: fire, in order, every event strictly before
+        ``stop`` (at most ``max_events`` of them).
+
+        One queue call per event: the calendar answers it from the
+        sorted window it has open, and a handler's own pushes — the next
+        window's deliveries, a same-instant self-delivery — are in place
+        before the next call.
         """
         if self._running:
             raise SimulationError("simulator is not re-entrant")
         self._running = True
-        processed = 0
+        pop = self._queue.pop
+        release = self._queue.release
         try:
-            if until is None and max_events is None:
-                # Run-to-quiescence fast path: no horizon to respect, so
-                # pop directly instead of peeking then popping (one heap
-                # probe per event instead of two).
-                pop = self._queue.pop
-                release = self._queue.release
-                while True:
-                    event = pop()
-                    if event is None:
-                        break
-                    self._now = event.time
-                    args = event.args
-                    if args:
-                        event.action(*args)
-                    else:
-                        event.action()
-                    self._events_processed += 1
-                    if event.transient:
-                        release(event)
-                return self._now
-            while True:
-                next_time = self._queue.peek_time()
-                if next_time is None:
+            for _ in repeat(None) if max_events is None else range(max_events):
+                event = pop(stop)
+                if event is None:
                     break
-                if until is not None and next_time > until:
-                    self._now = until
-                    break
-                if max_events is not None and processed >= max_events:
-                    break
-                event = self._queue.pop()
-                assert event is not None
                 self._now = event.time
                 args = event.args
                 if args:
                     event.action(*args)
                 else:
                     event.action()
-                processed += 1
                 self._events_processed += 1
                 if event.transient:
-                    self._queue.release(event)
+                    release(event)
         finally:
             self._running = False
-        return self._now
 
     def advance_now(self, time: float) -> None:
         """Jump virtual time forward without processing any event.
@@ -217,42 +258,6 @@ class Simulator:
                 f"cannot move time backwards from {self._now} to {time}"
             )
         self._now = time
-
-    def run_before(self, horizon: float) -> float:
-        """Process events strictly before ``horizon``; return final time.
-
-        The sharded worker's window step: the coordinator's lookahead
-        guarantees no cross-shard traffic can land inside the window, so
-        the whole span runs in one call.  Unlike ``run(until=...)``,
-        ``now`` is left at the last processed event's instant — never
-        advanced to the horizon itself — so the merged ``final_time``
-        still reports the last real event.
-        """
-        if self._running:
-            raise SimulationError("simulator is not re-entrant")
-        self._running = True
-        try:
-            peek = self._queue.peek_time
-            pop = self._queue.pop
-            release = self._queue.release
-            while True:
-                next_time = peek()
-                if next_time is None or next_time >= horizon:
-                    break
-                event = pop()
-                assert event is not None
-                self._now = event.time
-                args = event.args
-                if args:
-                    event.action(*args)
-                else:
-                    event.action()
-                self._events_processed += 1
-                if event.transient:
-                    release(event)
-        finally:
-            self._running = False
-        return self._now
 
     def next_event_time(self) -> float | None:
         """Time of the earliest queued event, or ``None`` when empty.

@@ -51,14 +51,14 @@ from __future__ import annotations
 import heapq
 import pickle
 from array import array
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 from repro.crypto.messages import digest, seed_digest, stable_digest
 from repro.crypto.signatures import KeyRegistry
 from repro.errors import SimulationError
 from repro.sim.clock import quantize
 from repro.sim.instrumentation import Instrumentation
-from repro.sim.network import Network
+from repro.sim.network import Network, Run
 from repro.sim.runner import ADDITIVE_COUNTERS, World
 from repro.types import INF, PartyId
 
@@ -161,37 +161,37 @@ class ShardNetwork(Network):
         self,
         sender: PartyId,
         recipients: Sequence[PartyId],
-        start: int,
-        end: int,
+        runs: Iterable[Run],
         payload: Any,
-        deliver_time: float,
         send_time: float,
         order_key: bytes | None,
     ) -> bytes | None:
-        """Emit one cross-shard run as ``outbuf`` records.
+        """Emit a cross-shard fan-out as ``outbuf`` records.
 
-        Without a plan the whole run is one record.  With one compiled
-        in, the fault seam applies at the *source*: each copy is dropped,
+        Without a plan each run is one record.  With one compiled in,
+        the fault seam applies at the *source*: each copy is dropped,
         retimed, or duplicated here, exactly like the single-process
         per-copy emitter, and only the surviving records cross the
         barrier.  No order key is needed (or computed) here: the
         destination digests the payload itself when it queues the record.
         """
-        # Runs are contiguous: remote ranges are, and so is a unicast.
-        lo = recipients[start]
-        hi = lo + end - start
-        if self._injector is None:
-            self.outbuf.append((sender, payload, lo, hi, deliver_time))
-            return order_key
-        route = self._injector.route
-        for recipient in range(lo, hi):
-            for faulted_time in route(
-                sender, recipient, send_time, deliver_time
-            ):
-                self.outbuf.append((
-                    sender, payload, recipient, recipient + 1,
-                    quantize(faulted_time),
-                ))
+        outbuf = self.outbuf
+        injector = self._injector
+        for start, end, deliver_time in runs:
+            # Runs are contiguous: remote ranges are, and so is a unicast.
+            lo = recipients[start]
+            hi = lo + end - start
+            if injector is None:
+                outbuf.append((sender, payload, lo, hi, deliver_time))
+                continue
+            for recipient in range(lo, hi):
+                for faulted_time in injector.route(
+                    sender, recipient, send_time, deliver_time
+                ):
+                    outbuf.append((
+                        sender, payload, recipient, recipient + 1,
+                        quantize(faulted_time),
+                    ))
         return order_key
 
 

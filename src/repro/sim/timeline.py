@@ -1,73 +1,96 @@
-"""Bucketed calendar timeline: the O(1)-append event-queue backend.
+"""Lookahead-window calendar: the event queue every simulator runs on.
 
-Profiling perf-mode BRB at n >= 301 put the heap kernel itself —
-``heappush``/``heappop`` per delivery — at ~55% of wall time once digests
-and quorum churn were gone.  The workload is tailor-made for a calendar
-queue: delivery times are discretized through :func:`repro.sim.clock.
-quantize`, and a multicast's whole fan-out typically shares **one**
-deliver_time (every fixed/GST-stable policy), so most events land on a
-small set of live instants.
+A delay policy that guarantees a minimum delay ``L``
+(:meth:`~repro.sim.delays.DelayPolicy.min_delay`) makes the schedule
+*closed per window*: while the clock is inside ``[kL, (k+1)L)`` nothing a
+handler sends can land before ``(k+1)L``, so the events of a window are
+all known by the time the window is reached.  :class:`BucketTimeline`
+therefore buckets events by window index ``floor(time / L)`` instead of
+ordering them one by one:
 
-:class:`BucketTimeline` therefore keeps one FIFO *bucket* (a plain list)
-per distinct quantized instant, in a dict keyed by time, plus a small
-min-heap over the live instants only.  A push is a dict probe and a list
-append — O(1), no sift — and the per-instant heap is touched once per
-*instant*, not once per event.  Within a bucket, entries sort lazily by
-``(priority, order_key, seq)`` when the bucket is first drained, so the
-observable pop order — ``(time, priority, order_key, seq)``, with ``seq``
-the global insertion sequence — is **byte-identical** to the heap
-queue's in every instrumentation preset; `tests/sim/test_timeline.py`
-drives both queues through randomized schedules to pin that down.
+* a push into a window that is not being drained is a dict probe and a
+  list append of ``(time, priority, order_key, seq, event)`` — O(1), no
+  sift, nothing allocated but the entry itself;
+* the only ordered structure is a min-heap of *window indices*, touched
+  once per window, not once per event;
+* a window is sorted **once**, in C, when the drain reaches it (the
+  plain-data prefix of an entry decides every comparison), and is then
+  walked by index;
+* only a push that lands *inside the window being drained* — a
+  multicast's zero-delay self-delivery, a timer, a Byzantine
+  ``delay_override`` below ``L``, an instant quantization pulled a hair
+  under ``send + L`` — pays a ``bisect.insort`` into the undrained tail:
+  an O(log w) search plus an O(w) pointer move for a window of ``w``
+  entries.
 
-Same-instant pushes that arrive *while their instant is being drained*
-(every multicast's self-delivery fires at ``now``) are merge-inserted
-into the sorted remainder of the open bucket, exactly where the heap
-would have surfaced them.  Cancellation stays lazy (flagged cells are
-skipped — and, under the arena, recycled — when they surface), and the
-bulk compaction trigger inherited from :class:`~repro.sim.events.
-EventQueue` rebuilds the buckets without dead entries.
+The lookahead is a *performance* assumption only.  Ordering never relies
+on it: an in-window push is merge-inserted exactly where the heap would
+have surfaced it, and a push into a window *earlier* than the open one
+(possible after a peek opened the next window while the clock was still
+behind it) parks the open window back among the closed ones.  The
+observable pop order — ``(time, priority, order_key, seq)``, ``seq`` the
+global insertion sequence — is therefore **byte-identical** to the heap
+:class:`~repro.sim.events.EventQueue`'s for every width, which
+``tests/sim/test_timeline.py`` pins with randomized scripts over widths
+from 0 to wider than the whole schedule.
 
-The queue-facing API is exactly :class:`~repro.sim.events.EventQueue`'s
-(it subclasses it, replacing only the ordering structure).
-:class:`~repro.sim.scheduler.Simulator` always runs on the calendar;
-the heap base class doubles as the reference semantics the parity
-tests compare it against.
+``L == 0`` (a policy with no guaranteed minimum: the
+:class:`~repro.sim.delays.DelayPolicy` default, ``FunctionDelay``,
+``UniformDelay(0.0, ...)``) degenerates through the same code to one
+window per distinct instant: the index is the instant itself.  A fixed
+delay is the other degenerate case, one instant per window.
+
+Cancellation stays lazy (flagged cells are skipped — and, under the
+arena, recycled — when the drain reaches them), and the bulk compaction
+trigger inherited from :class:`~repro.sim.events.EventQueue` filters the
+windows in place.
 """
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left, insort
-from typing import Callable
+from bisect import insort
+from typing import Callable, Sequence
 
 from repro.sim.events import Event, EventQueue
+from repro.types import INF
 
-#: A bucket entry.  The plain-data prefix makes sorts and bisects run in
+#: A window entry.  The plain-data prefix makes sorts and bisects run in
 #: C, and ``seq`` uniqueness means comparisons never reach the Event.
-_Entry = tuple[int, bytes, int, Event]
+_Entry = tuple[float, int, bytes, int, Event]
 
 
 class BucketTimeline(EventQueue):
-    """Calendar-queue event backend: FIFO buckets keyed by instant.
+    """Calendar-queue event backend: one bucket per lookahead window.
 
+    ``width`` is the lookahead ``L`` (``0`` = one window per instant).
     State invariants:
 
-    * ``_buckets[t]`` holds the not-yet-opened entries for instant ``t``
-      in raw append order; ``t`` appears in the ``_times`` heap while its
-      bucket exists (stale heap times whose bucket was emptied by
-      compaction are skipped at open time);
-    * ``_current`` is the sorted entry list of the instant being drained
-      (``None`` between instants) and ``_idx`` the next position in it;
-      pushes at ``_current_time`` merge-insert into the undrained tail;
+    * ``_windows[k]`` holds the entries of *closed* window ``k`` in raw
+      append order, and ``k`` sits in the ``_keys`` min-heap exactly
+      while that list exists (compaction may leave it empty);
+    * ``_open`` is the window being drained, sorted; ``_open[:_idx]`` is
+      already consumed and never looked at again, ``_open[_idx:]`` is
+      the undrained tail an in-window push is ``insort``-ed into.
+      ``_open_key`` is its index (``-INF`` while nothing is open) and is
+      smaller than every closed window's: opening always takes the
+      smallest index, and a push below it parks the open window first.
+      A drained-out window stays open until the next one is needed, so
+      a late push into it is still an in-window insert;
     * ``_live`` / ``_cancelled`` bookkeeping is inherited — ``len()``
       stays O(1).
+
+    Counters: ``bucket_appends`` counts every push; ``heap_pushes_avoided``
+    the pushes that cost no sift of the window heap — everything but the
+    first entry of a window, in-window inserts included.
     """
 
-    def __init__(self, *, recycle: bool = False) -> None:
+    def __init__(self, *, recycle: bool = False, width: float = 0.0) -> None:
         super().__init__(recycle=recycle)
-        self._buckets: dict[float, list[_Entry]] = {}
-        self._times: list[float] = []
-        self._current: list[_Entry] | None = None
-        self._current_time = 0.0
+        self._width = width
+        self._windows: dict[float, list[_Entry]] = {}
+        self._keys: list[float] = []
+        self._open: list[_Entry] = []
+        self._open_key = -INF
         self._idx = 0
 
     # ------------------------------------------------------------------ #
@@ -89,243 +112,166 @@ class BucketTimeline(EventQueue):
         event = self._obtain_cell(
             time, priority, order_key, seq, action, args, transient, label
         )
-        entry = (priority, order_key, seq, event)
-        current = self._current
-        if current is not None and time == self._current_time:
-            # The instant is open: keep its undrained tail sorted so the
-            # new entry fires exactly where the heap would surface it.
-            insort(current, entry, lo=self._idx)
-            self.heap_pushes_avoided += 1
+        width = self._width
+        key = time // width if width else time
+        window = self._windows.get(key)
+        if window is None:
+            self._admit(key, (time, priority, order_key, seq, event))
         else:
-            bucket = self._buckets.get(time)
-            if bucket is None:
-                self._buckets[time] = [entry]
-                heapq.heappush(self._times, time)
-            else:
-                bucket.append(entry)
-                self.heap_pushes_avoided += 1
+            window.append((time, priority, order_key, seq, event))
+        self.heap_pushes_avoided += 1
         self.bucket_appends += 1
         self._live += 1
         return event
 
     def push_batch(
         self,
-        time: float,
+        times: Sequence[float],
         action: Callable[..., None],
-        args_seq: list[tuple],
+        args_seq: Sequence[tuple],
         *,
         priority: int = 0,
         order_key: bytes = b"",
         label: str = "",
         transient: bool = False,
     ) -> int:
-        """One bucket lookup for a whole same-instant fan-out.
+        """A whole fan-out, one instant per copy, in one call.
 
-        All entries share the ``(priority, order_key)`` prefix and get
-        consecutive fresh ``seq`` numbers, so they form one contiguous
-        ascending run — even the merge-into-open-instant case is a
-        single bisect plus a slice assignment.
-
-        The cell-filling loop is inlined (instead of calling
-        ``_obtain_cell`` per copy): at n >= 301 the fan-out allocates
-        ~n cells per multicast and the per-call overhead was the largest
-        surviving slice of the push path.
+        The loop of :meth:`push` with everything per-call hoisted out and
+        the cell fill inlined (instead of ``_obtain_cell`` per copy): a
+        fan-out at n >= 301 fills ~n cells and the per-call overhead was
+        the largest surviving slice of the push path.
         """
         counter = self._counter
-        entries: list[_Entry] = []
-        append = entries.append
-        if transient and self._recycle:
-            free = self._free
-            reused = 0
-            for args in args_seq:
-                seq = next(counter)
-                if free:
-                    event = free.pop()
-                    event.time = time
-                    event.priority = priority
-                    event.order_key = order_key
-                    event.seq = seq
-                    event.action = action
-                    event.args = args
-                    event.cancelled = False  # see _obtain_cell
-                    event.label = label
-                    event.queue = self
-                    reused += 1
-                else:
-                    event = Event(
-                        time, priority, order_key, seq, action, args,
-                        transient=True, label=label, queue=self,
-                    )
-                append((priority, order_key, seq, event))
-            self.events_recycled += reused
-        else:
-            for args in args_seq:
-                seq = next(counter)
-                append((
-                    priority, order_key, seq,
-                    Event(
-                        time, priority, order_key, seq, action, args,
-                        label=label, queue=self,
-                    ),
-                ))
-        count = len(entries)
-        if not count:
-            return 0
-        current = self._current
-        if current is not None and time == self._current_time:
-            pos = bisect_left(current, entries[0], lo=self._idx)
-            current[pos:pos] = entries
-            self.heap_pushes_avoided += count
-        else:
-            bucket = self._buckets.get(time)
-            if bucket is None:
-                self._buckets[time] = entries
-                heapq.heappush(self._times, time)
-                self.heap_pushes_avoided += count - 1
+        width = self._width
+        windows = self._windows
+        recycle = transient and self._recycle
+        free = self._free
+        reused = 0
+        for time, args in zip(times, args_seq, strict=True):
+            seq = next(counter)
+            if recycle and free:
+                event = free.pop()
+                event.time = time
+                event.priority = priority
+                event.order_key = order_key
+                event.seq = seq
+                event.action = action
+                event.args = args
+                event.cancelled = False  # see _obtain_cell
+                event.label = label
+                event.queue = self
+                reused += 1
             else:
-                bucket.extend(entries)
-                self.heap_pushes_avoided += count
+                event = Event(
+                    time, priority, order_key, seq, action, args, False,
+                    recycle, label, self,
+                )
+            key = time // width if width else time
+            window = windows.get(key)
+            if window is None:
+                self._admit(key, (time, priority, order_key, seq, event))
+            else:
+                window.append((time, priority, order_key, seq, event))
+        count = len(args_seq)
+        self.events_recycled += reused
+        self.heap_pushes_avoided += count
         self.bucket_appends += count
         self._live += count
         return count
+
+    def _admit(self, key: float, entry: _Entry) -> None:
+        """Place an entry whose window is not among the closed ones."""
+        if key == self._open_key:
+            # Keep the undrained tail sorted so the entry fires exactly
+            # where the heap would surface it.
+            insort(self._open, entry, lo=self._idx)
+            return
+        if key < self._open_key:
+            self._park()
+        self._windows[key] = [entry]
+        heapq.heappush(self._keys, key)
+        self.heap_pushes_avoided -= 1  # the one sift a window costs
+
+    def _park(self) -> None:
+        """Return the open window's undrained tail to the closed ones."""
+        tail = self._open[self._idx:]
+        if tail:
+            self._windows[self._open_key] = tail
+            heapq.heappush(self._keys, self._open_key)
+        self._open = []
+        self._open_key = -INF
+        self._idx = 0
 
     # ------------------------------------------------------------------ #
     # draining
     # ------------------------------------------------------------------ #
 
-    def pop(self) -> Event | None:
+    def pop(self, stop: float = INF) -> Event | None:
         while True:
-            current = self._current
-            if current is not None:
-                idx = self._idx
-                if idx >= len(current):
-                    self._current = None
-                    continue
-                times = self._times
-                if times and times[0] < self._current_time:
-                    # An earlier instant entered the calendar after this
-                    # bucket opened (out-of-order push): park the
-                    # undrained tail back as a bucket and reopen later.
-                    self._park_current()
-                    continue
-                self._idx = idx + 1
-                event = current[idx][3]
-                if event.cancelled:
-                    self._discard_cancelled(event)
-                    continue
-                event.queue = None
-                self._live -= 1
-                return event
-            if not self._open_next_bucket():
+            window = self._open
+            idx = self._idx
+            if idx == len(window):
+                if not self._open_next():
+                    return None
+                continue
+            entry = window[idx]
+            if entry[0] >= stop:
                 return None
+            self._idx = idx + 1
+            event = entry[4]
+            if event.cancelled:
+                self._discard_cancelled(event)
+                continue
+            event.queue = None
+            self._live -= 1
+            return event
 
     def peek_time(self) -> float | None:
-        current_t = None
-        current = self._current
-        if current is not None:
+        while True:
+            window = self._open
+            idx = self._idx
+            if idx == len(window):
+                if not self._open_next():
+                    return None
+                continue
+            event = window[idx][4]
+            if not event.cancelled:
+                return window[idx][0]
             # Skip (and, under the arena, recycle) dead entries at the
             # drain front so a fully-cancelled tail never reports a time.
-            idx = self._idx
-            size = len(current)
-            while idx < size and current[idx][3].cancelled:
-                self._discard_cancelled(current[idx][3])
-                idx += 1
-            self._idx = idx
-            if idx < size:
-                current_t = self._current_time
-            else:
-                self._current = None
-        calendar_t = self._earliest_calendar_time()
-        if current_t is None:
-            return calendar_t
-        if calendar_t is None or current_t <= calendar_t:
-            return current_t
-        return calendar_t
+            self._idx = idx + 1
+            self._discard_cancelled(event)
 
-    def _open_next_bucket(self) -> bool:
-        """Move the earliest live instant's bucket into drain position."""
-        times = self._times
-        buckets = self._buckets
-        while times:
-            time = heapq.heappop(times)
-            bucket = buckets.pop(time, None)
-            if bucket is None:
-                continue  # stale instant: bucket emptied by compaction
-            if len(bucket) > 1:
-                bucket.sort()
-            self._current = bucket
-            self._current_time = time
-            self._idx = 0
-            return True
-        return False
-
-    def _park_current(self) -> None:
-        """Return the open bucket's undrained tail to the calendar."""
-        assert self._current is not None
-        tail = self._current[self._idx:]
-        self._current = None
-        if tail:
-            # No bucket can exist at this instant while it is open —
-            # same-time pushes merged into ``_current``.
-            self._buckets[self._current_time] = tail
-            heapq.heappush(self._times, self._current_time)
-
-    def _earliest_calendar_time(self) -> float | None:
-        """Earliest instant whose bucket still holds a live entry.
-
-        Prunes stale heap times and pops cancelled entries off bucket
-        *tails* (order within an unopened bucket is irrelevant), so the
-        check is O(1) amortized rather than a bucket scan per peek.
-        """
-        times = self._times
-        buckets = self._buckets
-        while times:
-            time = times[0]
-            bucket = buckets.get(time)
-            while bucket:
-                event = bucket[-1][3]
-                if not event.cancelled:
-                    return time
-                bucket.pop()
-                self._discard_cancelled(event)
-            if bucket is not None:
-                del buckets[time]
-            heapq.heappop(times)
-        return None
+    def _open_next(self) -> bool:
+        """Sort the earliest closed window into drain position."""
+        if not self._keys:
+            return False
+        key = heapq.heappop(self._keys)
+        window = self._windows.pop(key)
+        window.sort()
+        self._open = window
+        self._open_key = key
+        self._idx = 0
+        return True
 
     # ------------------------------------------------------------------ #
     # cancellation compaction
     # ------------------------------------------------------------------ #
 
     def _compact(self) -> None:
-        """Filter cancelled entries out of every bucket (amortized O(live)).
-
-        Emptied buckets are dropped; their heap times go stale and are
-        skipped at open time.  The open bucket's undrained tail is
-        filtered too (its sorted order survives filtering), so a burst
-        of cancellations inside one instant cannot re-trigger compaction
-        on every subsequent cancel.
-        """
+        """Filter cancelled entries out of every window, in place
+        (amortized O(live)): the open window's undrained tail keeps its
+        sorted order, and a burst of cancellations inside one window
+        cannot re-trigger compaction on every subsequent cancel."""
         discard = self._discard_cancelled
-        buckets = self._buckets
-        for time in list(buckets):
-            bucket = buckets[time]
-            live = [e for e in bucket if not e[3].cancelled]
-            if len(live) != len(bucket):
-                for entry in bucket:
-                    if entry[3].cancelled:
-                        discard(entry[3])
-                if live:
-                    buckets[time] = live
+        pending = [(window, 0) for window in self._windows.values()]
+        pending.append((self._open, self._idx))
+        for window, start in pending:
+            live = []
+            for entry in window[start:]:
+                if entry[4].cancelled:
+                    discard(entry[4])
                 else:
-                    del buckets[time]
-        current = self._current
-        if current is not None:
-            tail = current[self._idx:]
-            live = [e for e in tail if not e[3].cancelled]
-            if len(live) != len(tail):
-                for entry in tail:
-                    if entry[3].cancelled:
-                        discard(entry[3])
-            self._current = live
-            self._idx = 0
+                    live.append(entry)
+            window[start:] = live

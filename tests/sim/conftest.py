@@ -14,13 +14,17 @@ def reference_queue(monkeypatch):
     Production has one queue (the calendar ``BucketTimeline``); its heap
     base class is the reference semantics.  The context swaps the class
     ``Simulator`` instantiates, so everything built inside it — forked
-    shard workers included — schedules on the heap.
+    shard workers included — schedules on the heap, which has no use for
+    the calendar's window width.
     """
 
     @contextmanager
     def use():
         with monkeypatch.context() as patch:
-            patch.setattr(scheduler, "BucketTimeline", EventQueue)
+            patch.setattr(
+                scheduler, "BucketTimeline",
+                lambda *, recycle, width: EventQueue(recycle=recycle),
+            )
             yield
 
     return use

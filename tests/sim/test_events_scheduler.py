@@ -154,6 +154,49 @@ class TestSimulator:
         with pytest.raises(SimulationError):
             sim.schedule_at(1.0, lambda: None)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_instant_rejected(self, bad):
+        """NaN used to be accepted (firing wherever the queue put it);
+        inf used to fire and leave ``now == inf`` for good."""
+        sim = Simulator()
+        fired = []
+        sim.schedule_at(1.0, lambda: fired.append(sim.now))
+        with pytest.raises(SimulationError, match="non-finite"):
+            sim.schedule_at(bad, lambda: fired.append("bad"))
+        # Anywhere in a batch, and nothing of the batch is queued.
+        for times in ([bad, 2.0, 3.0], [2.0, bad, 3.0], [2.0, 3.0, bad]):
+            with pytest.raises(SimulationError, match="non-finite"):
+                sim.schedule_batch(times, fired.append, [("bad",)] * 3)
+        assert sim.pending_events() == 1
+        assert sim.run() == 1.0
+        assert fired == [1.0]
+        sim.schedule_at(1.0, lambda: None)  # the clock is still usable
+
+    def test_batch_checked_before_anything_is_queued(self):
+        sim = Simulator()
+        sim.schedule_at(2.0, lambda: None)
+        sim.run()
+        with pytest.raises(SimulationError, match="before now"):
+            sim.schedule_batch([3.0, 1.0], print, [(0,), (1,)])
+        with pytest.raises(SimulationError, match="2 instants for 1"):
+            sim.schedule_batch([3.0, 4.0], print, [(0,)])
+        assert sim.pending_events() == 0
+        assert sim.schedule_batch([], print, []) == 0
+
+    def test_run_until_cannot_move_time_backwards(self):
+        """``run(until=3.0)`` after ``run(until=5.0)`` used to set ``now``
+        back to 3.0, so an event then scheduled at 4.0 fired after the
+        clock had read 5.0."""
+        sim = Simulator()
+        sim.schedule_at(10.0, lambda: None)
+        assert sim.run(until=5.0) == 5.0
+        with pytest.raises(SimulationError, match="before now"):
+            sim.run(until=3.0)
+        assert sim.now == 5.0
+        with pytest.raises(SimulationError):
+            sim.schedule_at(4.0, lambda: None)
+        assert sim.run(until=5.0) == 5.0  # the same horizon again is fine
+
     def test_negative_delay_rejected(self):
         sim = Simulator()
         with pytest.raises(SimulationError):

@@ -1,12 +1,16 @@
 """Heap vs. calendar-timeline parity.
 
-The bucket timeline replaces the heap purely for speed; its contract is
+The window calendar replaces the heap purely for speed; its contract is
 that the observable schedule — pop order, peek times, horizon behavior,
 ``RunResult`` outcomes — is byte-identical to the heap backend's for the
-same pushes, in every instrumentation preset.  These tests drive both
-backends through randomized scripts (ties, priorities, order keys,
-cancellations, transient recycling, interleaved pops, batch pushes) and
-assert the transcripts match exactly.
+same pushes, in every instrumentation preset and **for every window
+width**: the lookahead only decides which pushes are O(1) appends and
+which are in-window inserts.  These tests drive both backends through
+randomized scripts (ties and continuous times, priorities, order keys,
+cancellations, transient recycling, interleaved pops, peeks and bounded
+pops, per-copy-instant batches) over widths from 0 (one window per
+instant) to wider than the whole schedule, and assert the transcripts
+match exactly.
 """
 from __future__ import annotations
 
@@ -17,9 +21,10 @@ import pytest
 from repro.protocols.brb_2round import Brb2Round
 from repro.protocols.psync.vbb_5f1 import PsyncVbb5f1
 from repro.sim.delays import FixedDelay, UniformDelay
-from repro.sim.events import EventQueue
+from repro.sim.events import _COMPACT_MIN_CANCELLED, EventQueue
+from repro.sim.faults import Crash, DuplicateLink, FaultPlan, ReorderJitter
 from repro.sim.instrumentation import Instrumentation
-from repro.sim.runner import run_broadcast
+from repro.sim.runner import World, run_broadcast
 from repro.sim.scheduler import Simulator
 from repro.sim.timeline import BucketTimeline
 
@@ -28,20 +33,33 @@ def _noop(*args) -> None:
     pass
 
 
-#: A small time grid forces heavy tie-breaking through buckets.
+#: A small time grid forces heavy tie-breaking inside windows.
 _TIMES = [0.0, 0.5, 1.0, 1.0, 1.5, 2.0, 3.0]
 _KEYS = [b"", b"a", b"b", b"zz"]
+#: Window widths: per-instant, far below the grid, the benchmark's
+#: lookahead, one that straddles grid points, one grid step, and one
+#: wider than every script's whole schedule.
+_WIDTHS = [0.0, 1e-9, 0.05, 0.3, 1.0, 10.0]
 
 
-def _random_script(seed: int, *, with_cancels: bool) -> list[tuple]:
+def _random_script(
+    seed: int, *, with_cancels: bool, continuous: bool = False
+) -> list[tuple]:
     """A seeded op script both backends replay identically.
 
+    Times come from the ``_TIMES`` tie grid or, with ``continuous``, from
+    a uniform draw (one distinct instant per push, the randomized-delay
+    regime); pushes land before and after what was already popped.
     Cancels only ever target non-transient pushes: a transient handle
     becomes invalid once its cell is recycled, and the two backends'
     freelists interleave differently — the push contract forbids
     retaining such handles anyway.
     """
     rng = random.Random(seed)
+
+    def when() -> float:
+        return rng.uniform(0.0, 3.0) if continuous else rng.choice(_TIMES)
+
     script: list[tuple] = []
     cancellable = 0
     for _ in range(400):
@@ -49,30 +67,39 @@ def _random_script(seed: int, *, with_cancels: bool) -> list[tuple]:
         if roll < 0.45:
             transient = rng.random() < 0.5
             script.append((
-                "push",
-                rng.choice(_TIMES),
-                rng.randrange(2),
-                rng.choice(_KEYS),
+                "push", when(), rng.randrange(2), rng.choice(_KEYS),
                 transient,
             ))
             if not transient:
                 cancellable += 1
         elif roll < 0.60:
+            # One instant per copy; half the batches share one instant.
+            count = rng.randrange(1, 6)
+            times = (
+                [when()] * count
+                if rng.random() < 0.5
+                else [when() for _ in range(count)]
+            )
             script.append((
-                "batch",
-                rng.choice(_TIMES),
-                rng.randrange(2),
-                rng.choice(_KEYS),
-                rng.randrange(1, 6),
+                "batch", times, rng.randrange(2), rng.choice(_KEYS),
                 rng.random() < 0.5,
             ))
         elif roll < 0.75 and with_cancels and cancellable:
             script.append(("cancel", rng.randrange(cancellable)))
-        elif roll < 0.9:
+        elif roll < 0.85:
             script.append(("pop",))
+        elif roll < 0.9:
+            script.append(("drain", when(), rng.randrange(1, 4)))
         else:
             script.append(("peek",))
     return script
+
+
+def _fired(kind: str, event) -> tuple:
+    return (
+        kind, event.time, event.priority, event.order_key, event.seq,
+        event.args,
+    )
 
 
 def _replay(queue: EventQueue, script: list[tuple]) -> list[tuple]:
@@ -89,9 +116,9 @@ def _replay(queue: EventQueue, script: list[tuple]) -> list[tuple]:
             if not transient:
                 handles.append(handle)
         elif kind == "batch":
-            _, time, priority, key, count, transient = op
+            _, times, priority, key, transient = op
             queue.push_batch(
-                time, _noop, [(i,) for i in range(count)],
+                times, _noop, [(i,) for i in range(len(times))],
                 priority=priority, order_key=key, transient=transient,
             )
         elif kind == "cancel":
@@ -101,80 +128,146 @@ def _replay(queue: EventQueue, script: list[tuple]) -> list[tuple]:
             if event is None:
                 log.append(("pop", None))
             else:
-                log.append((
-                    "pop", event.time, event.priority, event.order_key,
-                    event.seq, event.args,
-                ))
+                log.append(_fired("pop", event))
+                if event.transient:
+                    queue.release(event)
+        elif kind == "drain":
+            _, stop, limit = op
+            for _ in range(limit):
+                event = queue.pop(stop)
+                if event is None:
+                    log.append(("drain", None))
+                    break
+                log.append(_fired("drain", event))
                 if event.transient:
                     queue.release(event)
         else:
             log.append(("peek", queue.peek_time(), len(queue)))
     while (event := queue.pop()) is not None:
-        log.append((
-            "drain", event.time, event.priority, event.order_key, event.seq,
-        ))
+        log.append(_fired("rest", event))
         if event.transient:
             queue.release(event)
-    log.append(("end", len(queue), queue.peek_time()))
+    log.append(("end", len(queue), queue.peek_time(), queue.events_recycled))
     return log
 
 
 class TestQueueParity:
-    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("width", _WIDTHS)
+    @pytest.mark.parametrize("continuous", [False, True])
     @pytest.mark.parametrize("recycle", [False, True])
-    def test_randomized_scripts_pop_identically(self, seed, recycle):
+    @pytest.mark.parametrize("seed", range(6))
+    def test_randomized_scripts_pop_identically(
+        self, seed, recycle, continuous, width
+    ):
         # Cancels are safe under recycle too: scripts only ever cancel
         # non-transient handles, so this also covers cancelled-cell
         # discarding while the arena is recycling.
-        script = _random_script(seed, with_cancels=True)
+        script = _random_script(
+            seed, with_cancels=True, continuous=continuous
+        )
         heap_log = _replay(EventQueue(recycle=recycle), script)
-        bucket_log = _replay(BucketTimeline(recycle=recycle), script)
-        assert heap_log == bucket_log
+        calendar_log = _replay(
+            BucketTimeline(recycle=recycle, width=width), script
+        )
+        assert heap_log == calendar_log
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_cancellation_heavy_scripts_match(self, seed):
-        script = _random_script(seed + 100, with_cancels=True)
-        heap_log = _replay(EventQueue(), script)
-        bucket_log = _replay(BucketTimeline(), script)
-        assert heap_log == bucket_log
+    @pytest.mark.parametrize("width", _WIDTHS)
+    def test_compaction_mid_window_matches_heap(self, width):
+        """A cancellation burst past ``_COMPACT_MIN_CANCELLED`` while a
+        window is half drained: the open tail and the closed windows are
+        filtered in place and the survivors still pop in heap order."""
+        rng = random.Random(5)
+        count = 4 * _COMPACT_MIN_CANCELLED
+        times = [rng.uniform(0.0, 3.0) for _ in range(count)]
+        doomed = rng.sample(range(count), 3 * _COMPACT_MIN_CANCELLED)
+        logs = []
+        for queue in (EventQueue(), BucketTimeline(width=width)):
+            handles = [
+                queue.push(t, _noop, order_key=_KEYS[i % 4])
+                for i, t in enumerate(times)
+            ]
+            log = [_fired("pop", queue.pop()) for _ in range(20)]
+            for i in doomed:
+                handles[i].cancel()
+            log.append(("peek", queue.peek_time(), len(queue)))
+            queue.push_batch(
+                [1.0, 0.1, 2.9], _noop, [(0,), (1,), (2,)], order_key=b"m"
+            )
+            log.extend(_fired("rest", e) for e in iter(queue.pop, None))
+            log.append(("end", len(queue), queue._cancelled))
+            logs.append(log)
+        assert logs[0] == logs[1]
+        assert logs[0][-1] == ("end", 0, 0)
+
+    @pytest.mark.parametrize("width", _WIDTHS)
+    def test_push_below_a_peeked_window_parks_it(self, width):
+        """A peek opens (sorts) the next window while the clock is still
+        behind it; a push that then lands earlier must fire first."""
+        logs = []
+        for queue in (EventQueue(), BucketTimeline(width=width)):
+            queue.push_batch([5.2, 5.0, 5.1], _noop, [(0,), (1,), (2,)])
+            log = [queue.peek_time()]
+            queue.push(1.0, _noop, args=("early",))
+            if isinstance(queue, BucketTimeline) and width < 10.0:
+                assert not queue._open  # parked, not merely inserted into
+            log.append(queue.peek_time())
+            queue.push(5.05, _noop, args=("late",))
+            while (event := queue.pop(5.15)) is not None:
+                log.append(_fired("pop", event))
+            queue.push(0.5, _noop, args=("earlier still",))
+            log.extend(_fired("rest", e) for e in iter(queue.pop, None))
+            logs.append(log)
+        assert logs[0] == logs[1]
+        assert [entry[-1] for entry in logs[1][2:]] == [
+            ("early",), (1,), ("late",), (2,), ("earlier still",), (0,)
+        ]
 
     def test_batch_equals_push_loop(self):
-        batched = BucketTimeline()
-        looped = BucketTimeline()
+        batched = BucketTimeline(width=0.3)
+        looped = BucketTimeline(width=0.3)
         batched.push(1.0, _noop, order_key=b"x")
         looped.push(1.0, _noop, order_key=b"x")
+        times = [1.0, 0.2, 1.0, 2.5, 0.2]
         batched.push_batch(
-            1.0, _noop, [(r,) for r in range(5)], order_key=b"m",
+            times, _noop, [(r,) for r in range(5)], order_key=b"m",
         )
-        for r in range(5):
-            looped.push(1.0, _noop, order_key=b"m", args=(r,))
-        out = []
-        for queue in (batched, looped):
-            seen = []
-            while (event := queue.pop()) is not None:
-                seen.append((event.time, event.order_key, event.seq, event.args))
-            out.append(seen)
+        for r, time in enumerate(times):
+            looped.push(time, _noop, order_key=b"m", args=(r,))
+        out = [
+            [_fired("pop", event) for event in iter(queue.pop, None)]
+            for queue in (batched, looped)
+        ]
         assert out[0] == out[1]
+        with pytest.raises(ValueError):
+            batched.push_batch([1.0, 2.0], _noop, [(0,)])
 
-    def test_mass_cancellation_compacts_buckets(self):
+    def test_mass_cancellation_compacts_windows(self):
         queue = BucketTimeline()
         handles = [queue.push(float(i % 7), _noop) for i in range(500)]
         for handle in handles[:499]:
             handle.cancel()
         assert len(queue) == 1
-        assert sum(len(b) for b in queue._buckets.values()) < 500
+        assert sum(len(w) for w in queue._windows.values()) < 500
         assert queue.pop() is handles[499]
         assert queue.pop() is None
 
-    def test_counters_track_bucket_reuse(self):
-        queue = BucketTimeline()
+    def test_counters_track_window_reuse(self):
+        queue = BucketTimeline(width=0.5)
         for _ in range(4):
             queue.push(1.0, _noop)
-        queue.push_batch(2.0, _noop, [(i,) for i in range(3)])
+        queue.push_batch([2.0, 2.4, 2.2], _noop, [(i,) for i in range(3)])
         assert queue.bucket_appends == 7
-        # 4 pushes at 1.0 share one instant (3 avoided); the batch at 2.0
-        # opens one instant for 3 entries (2 avoided).
+        # 4 pushes at 1.0 share one window (3 avoided); the batch opens
+        # window [2.0, 2.5) for 3 distinct instants (2 avoided).
         assert queue.heap_pushes_avoided == 5
+        assert queue.pop().time == 1.0
+        # An in-window insert costs an insort, not a sift: avoided too.
+        queue.push(1.2, _noop)
+        assert (queue.bucket_appends, queue.heap_pushes_avoided) == (8, 6)
+        # Zero width: one window per distinct instant.
+        instants = BucketTimeline()
+        instants.push_batch([2.0, 2.4, 2.0], _noop, [(i,) for i in range(3)])
+        assert instants.heap_pushes_avoided == 1
         heap = EventQueue()
         for _ in range(4):
             heap.push(1.0, _noop)
@@ -225,8 +318,8 @@ class TestSimulatorParity:
             heap = script()
         return heap, script()
 
-    def _cascade_log(self, *, until=None, max_events=None):
-        sim = Simulator(recycle_events=True)
+    def _cascade_log(self, *, until=None, max_events=None, lookahead=0.3):
+        sim = Simulator(recycle_events=True, lookahead=lookahead)
         rng = random.Random(7)
         log = []
         spawned = [0]
@@ -237,7 +330,8 @@ class TestSimulatorParity:
                 spawned[0] += 3
                 fanout = [(tag + k + 1,) for k in range(3)]
                 sim.schedule_batch(
-                    sim.now + rng.choice([0.0, 0.5, 1.0]), fire, fanout,
+                    [sim.now + rng.choice([0.0, 0.5, 1.0]) for _ in fanout],
+                    fire, fanout,
                     order_key=bytes([tag % 5]), transient=True,
                 )
 
@@ -320,12 +414,90 @@ _PRESETS = {
 }
 
 
+#: Delay regimes by what they give the calendar: a lookahead with one
+#: distinct instant per copy (the benchmark's ``brb_uniform`` policy), no
+#: lookahead at all, and a lookahead with one instant per window.
+_POLICIES = {
+    "lookahead": lambda: UniformDelay(0.05, 1.0, seed=2026, stream="counter"),
+    "zero-lookahead": lambda: UniformDelay(
+        0.0, 1.0, seed=2026, stream="counter"
+    ),
+    "fixed": lambda: FixedDelay(1.0),
+}
+
+
+def _brb31(policy: str, *, faulted: bool = False, preset: str = "perf"):
+    """``Brb2Round`` n=31 under one of ``_POLICIES``, optionally with the
+    benchmark's chaos plan shape (a recovering crash, duplicate echoes,
+    reorder jitter); returns ``(world, result)``."""
+    plan = FaultPlan(
+        crashes=(Crash(party=30, at=0.2, recover=1.2),),
+        duplicates=(
+            DuplicateLink(start=0.0, end=2.0, prob=0.25, echo_delay=0.05),
+        ),
+        jitters=(ReorderJitter(jitter=0.25, start=0.0, end=2.0),),
+        seed=2026,
+        stream="counter",
+    ) if faulted else None
+    world = World(
+        n=31, f=10, delay_policy=_POLICIES[policy](), fault_plan=plan,
+        instrumentation=Instrumentation(name=preset, **_PRESETS[preset]),
+    )
+    world.populate(Brb2Round.factory(broadcaster=0, input_value="v"))
+    return world, world.run()
+
+
 class TestRunResultParity:
-    """Same seed, heap vs. bucket: identical outcomes, every preset.
+    """Same seed, heap vs. calendar: identical outcomes, every preset.
 
     The one world-level heap-vs-calendar comparison; the other suites run
     on the production queue only.
     """
+
+    @pytest.mark.parametrize("preset", ["full", "perf"])
+    @pytest.mark.parametrize("faulted", [False, True])
+    @pytest.mark.parametrize("policy", sorted(_POLICIES))
+    def test_brb_n31_identical_across_backends(
+        self, policy, faulted, preset, reference_queue
+    ):
+        def run():
+            world, result = _brb31(policy, faulted=faulted, preset=preset)
+            return (
+                result.commits,
+                result.commit_global_times,
+                result.commit_rounds,
+                result.messages_sent,
+                result.events_processed,
+                result.final_time,
+                result.faults_injected,
+                result.messages_duplicated,
+                # Every honest party's transcript, where recorded.
+                [
+                    party.transcript and party.transcript.entries
+                    for party in world.honest_parties()
+                ],
+            )
+
+        with reference_queue():
+            heap = run()
+        assert heap == run()
+        assert len(heap[0]) >= 30  # everyone the plan spares committed
+        assert (heap[6] > 0) == faulted
+        assert (heap[8][0] is not None) == (preset == "full")
+
+    def test_per_copy_path_shares_windows(self):
+        """The mechanism, pinned by a count that repeats exactly: with a
+        lookahead the per-copy path must append into shared windows, not
+        regress to a bucket (and a heap sift) per copy — 62 / 1,953 =
+        0.03 before the window calendar, 1,907 / 1,953 = 0.98 with it.
+        Without a lookahead a window *is* an instant, so continuous
+        delays legitimately share almost nothing."""
+        _, shared = _brb31("lookahead")
+        assert shared.bucket_appends == shared.events_processed == 1953
+        assert shared.heap_pushes_avoided / shared.bucket_appends >= 0.9
+        _, lone = _brb31("zero-lookahead")
+        assert lone.bucket_appends == 1953
+        assert lone.heap_pushes_avoided / lone.bucket_appends < 0.1
 
     @pytest.mark.parametrize("preset", sorted(_PRESETS))
     @pytest.mark.parametrize(
