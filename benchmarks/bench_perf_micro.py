@@ -1,9 +1,11 @@
 """Micro-benchmarks for the digest/verification caching subsystem.
 
 These pin the substrate costs the protocol benchmarks ride on: canonical
-encoding, cold vs warm digests, registry verification, multicast fan-out
-scheduling (one instant for the fan-out, and one per copy), the window
-calendar's push/drain and event-queue bookkeeping.  Run with::
+encoding, cold vs warm digests (and the cold digests of many distinct
+quorums over one vote set), registry verification, multicast fan-out
+scheduling (one instant for the fan-out, and one per copy; one vote
+round of n=1001), the window calendar's push/drain and event-queue
+bookkeeping.  Run with::
 
     pytest benchmarks/bench_perf_micro.py --benchmark-only
 
@@ -62,6 +64,25 @@ def test_digest_quorum_of_signed_votes(benchmark):
     benchmark(digest, votes)
 
 
+def test_digest_distinct_quorums_n1001(benchmark):
+    """The cold half of a quorum forward: 334 distinct 668-vote quorums
+    (one per committer of ``brb_fixed``) over one vote set the vote
+    multicasts already digested — each a fresh tuple, so every digest is
+    a real encode, and only the vote encodings can be reused."""
+    _, votes = _vote_quorum(1001)
+    quorums = [
+        ("vote-quorum", votes[i:i + 668]) for i in range(334)
+    ]
+
+    def run():
+        clear_digest_cache()
+        for vote in votes:
+            digest(("vote", vote))
+        return [digest(quorum) for quorum in quorums]
+
+    assert len(set(benchmark(run))) == 334
+
+
 def test_verify_cold_then_warm_quorum(benchmark):
     """First verification pays the digest; re-checks hit the verified set."""
     registry, votes = _vote_quorum(21)
@@ -83,6 +104,30 @@ def test_multicast_schedule_n31(benchmark):
     payload = ("propose", "v")
 
     benchmark(network.multicast, 0, payload)
+
+
+def test_multicast_fanout_n1001_fixed(benchmark):
+    """Every one of 1001 parties multicasts once under a fixed delay: the
+    ``brb_fixed`` vote round's fan-outs (two recipient ranges and two
+    folded runs per sender), scheduled but not delivered."""
+    payload = ("vote", "v")
+
+    def fresh_network():
+        sim = Simulator(recycle_events=True, lookahead=1.0)
+        network = Network(sim, FixedDelay(1.0), n=1001)
+        for pid in range(1001):
+            network.attach(pid, lambda sender, payload: None)
+        return (network,), {}
+
+    def run(network):
+        for sender in range(1001):
+            network.multicast(sender, payload)
+        return network
+
+    network = benchmark.pedantic(run, setup=fresh_network, rounds=20)
+    # Two folded runs per sender, except at the edges: senders 0 and 1000
+    # have one range, senders 1 and 999 a singleton one (a plain copy).
+    assert network.delivery_runs_batched == 2 * 1001 - 4
 
 
 def test_multicast_schedule_uniform_n301(benchmark):

@@ -19,36 +19,31 @@ simulator and shape its design:
   the :class:`DigestOf` marker and are derived on the same work stack, so
   deep countersign chains cost zero extra Python frames too.
 
-* **Digests are content-addressed and cached in two tiers.**
+* **Four cache tiers over the one canonical encoding** (a tier can skip
+  work, never change a digest):
 
-  Tier 1 — the *identity memo*.  The simulator passes payload *objects* by
-  reference (multicast hands the same tuple to every recipient;
-  certificate entries are re-verified by every party), so one payload
-  object is digested many times.  ``digest`` keeps an identity-keyed cache
-  ``id(obj) -> (obj, digest)``; the strong reference to the key object
-  pins its ``id``, so an entry can never alias a recycled address.  Only
-  *deeply immutable* values are cached (tuples / frozensets /
-  ``_canonical_fields`` objects whose leaves are immutable); a value
-  containing a ``list`` or ``dict`` anywhere is re-encoded every time, so
-  mutation never yields a stale digest.
+  1. the *identity digest memo* (``_CACHE``, ``id(obj) -> (obj,
+     digest)``): payload objects travel by reference — a multicast hands
+     one tuple to every recipient — so one object is digested many times;
+  2. the *holder-encoding memo* (``_ENCODINGS``): the encoding bytes of
+     each frozen ``_canonical_fields`` holder by identity, so a fresh
+     forwarded quorum splices its votes' cached encodings and hashes
+     once; bounded in entries and bytes;
+  3. the *content intern table* (``_INTERN``) for values of at most
+     ``_MAX_INTERN_LEAVES`` leaves: every party builds its *own* equal
+     vote/echo object, so these are keyed by content — a flat *shape*
+     (type tags, arities, holder classes) plus the *leaf values* — and
+     equal rebuilds share one digest.  A larger value (a quorum) is
+     rebuilt by no one: it skips the key and goes straight to tier 2;
+  4. *shape plans* (``_PLANS``): per interned shape, a compiled encoder
+     that makes the first, interning encode of a small payload cheap.
 
-  Tier 2 — the *content intern table*.  On the signing path every party
-  builds its *own* vote/echo payload object, so n distinct-but-equal
-  payloads defeat the identity memo and each one would re-pay a full
-  encode.  For deeply immutable values built from the scalar leaf types,
-  tuples and frozen ``_canonical_fields`` holders, :func:`digest_ex`
-  derives a content key — a flat *shape* (type tags, arities, holder
-  classes: everything structural) plus the varying *leaf values* — and
-  interns ``(shape, leaves) -> digest``: party i's vote object and party
-  j's equal reconstruction share one digest computation.  Per shape, a
-  compiled *plan* (the structural prefix pre-encoded, leaf encoders ready
-  to splice) makes the first, interning encode cheap too.  The tier
-  applies strictly *below* the identity memo: an identity hit never builds
-  a key, and a value that fails the shape walk (mutable holder anywhere,
-  exotic type) falls through to the generic encoder exactly as before.
-  Interning is gated by the same stability rule as tier 1 — the shape walk
-  only succeeds on deeply immutable values, so mutable payloads never
-  intern and mutation is always observed.
+  Tiers 3 and 4 sit below tier 1: an identity hit never builds a key.
+  Every tier holds only *deeply immutable* values — the key walk fails on
+  anything mutable, and the encoder memoizes a digest or a holder encoding
+  only when its subtree saw no ``list``, ``dict`` or mutable holder — so
+  mutation is always observed; identity entries pin their key object, so
+  an ``id`` can never alias a recycled address.
 
 Stability is tracked *through* nested digests: a ``_canonical_fields``
 holder that calls back into :func:`digest` (e.g. ``SignedPayload``'s
@@ -76,8 +71,9 @@ class IdentityMemo:
     """An identity-keyed memo: ``id(obj) -> (obj, value)``.
 
     The single home of the invariants that make ``id``-keyed caching
-    sound, shared by the digest cache, the registry's verified set and
-    the certificate checker's valid-verdict memo:
+    sound, shared by the digest cache, the holder-encoding memo, the
+    registry's verified set and the certificate checker's valid-verdict
+    memo:
 
     * the entry keeps a *strong reference* to the key object, pinning its
       ``id`` so an entry can never alias a recycled address;
@@ -112,6 +108,32 @@ class IdentityMemo:
 
     def __len__(self) -> int:
         return len(self._entries)
+
+
+class _EncodingMemo(IdentityMemo):
+    """An :class:`IdentityMemo` of ``bytes`` that also wholesale-clears
+    before holding more than ``max_bytes`` (and skips larger values)."""
+
+    __slots__ = ("max_bytes", "_bytes")
+
+    def __init__(self, max_entries: int, max_bytes: int):
+        super().__init__(max_entries)
+        self.max_bytes, self._bytes = max_bytes, 0
+
+    def put(self, obj: Any, value: bytes) -> bool:
+        if len(value) > self.max_bytes:
+            return False
+        evicted = (len(self._entries) >= self.max_entries
+                   or self._bytes + len(value) > self.max_bytes)
+        if evicted:
+            self.clear()
+        self._entries[id(obj)] = (obj, value)
+        self._bytes += len(value)
+        return evicted
+
+    def clear(self) -> None:
+        self._entries.clear()
+        self._bytes = 0
 
 
 class ContentMemo:
@@ -159,7 +181,13 @@ _MAX_CACHE_ENTRIES = 1 << 18
 
 _CACHE = IdentityMemo(_MAX_CACHE_ENTRIES)
 
-#: Content intern table (tier 2): ``(shape, leaves) -> digest``.  Keys pin
+#: Holder-encoding memo (tier 2).  A vote and its signature encode to ~160
+#: bytes, so n=1001's votes take ~2,000 entries and ~0.3 MiB.
+_MAX_ENCODING_ENTRIES = 1 << 15
+_MAX_ENCODING_BYTES = 1 << 22
+_ENCODINGS = _EncodingMemo(_MAX_ENCODING_ENTRIES, _MAX_ENCODING_BYTES)
+
+#: Content intern table (tier 3): ``(shape, leaves) -> digest``.  Keys pin
 #: only leaf scalars and type/class objects, never payload object graphs.
 _MAX_INTERN_ENTRIES = 1 << 17
 
@@ -177,24 +205,11 @@ class DigestStats:
         self.reset()
 
     def reset(self) -> None:
-        self.encode_calls = 0
-        self.digests_computed = 0
-        self.cache_hits = 0
-        self.cache_evictions = 0
-        self.interned_hits = 0
-        self.intern_evictions = 0
-        self.plans_compiled = 0
+        for name in self.__slots__:
+            setattr(self, name, 0)
 
     def snapshot(self) -> dict[str, int]:
-        return {
-            "encode_calls": self.encode_calls,
-            "digests_computed": self.digests_computed,
-            "cache_hits": self.cache_hits,
-            "cache_evictions": self.cache_evictions,
-            "interned_hits": self.interned_hits,
-            "intern_evictions": self.intern_evictions,
-            "plans_compiled": self.plans_compiled,
-        }
+        return {name: getattr(self, name) for name in self.__slots__}
 
     def __repr__(self) -> str:
         return f"DigestStats({self.snapshot()})"
@@ -205,11 +220,12 @@ digest_stats = DigestStats()
 
 
 def clear_digest_cache() -> None:
-    """Drop every memoized digest and plan (tests / between bench runs)."""
+    """Drop every memoized digest, encoding and plan (tests / between
+    bench runs)."""
     _CACHE.clear()
+    _ENCODINGS.clear()
     _INTERN.clear()
     _PLANS.clear()
-    _FRAGMENTS.clear()
 
 
 def digest_cache_len() -> int:
@@ -287,11 +303,14 @@ def _encode_loop(obj: Any, cell: list[bool]) -> bytes:
     # the count when the frame is pushed, compare at finalization.
     mut_events = 0
     root: list[bytes] = []
-    # Each stack item: (_ENC, value, dest) or (_FIN_*, parts, dest[, tag]).
+    # Each stack item: (_ENC, value, dest) or (_FIN_*, parts, dest[, ...]).
     # Children are pushed in reverse so they pop (and complete) in order,
     # appending their encodings to the parent frame's ``parts`` list.
     stack: list[tuple] = [(_ENC, obj, root)]
     push = stack.append
+    # The holder-encoding memo's dict, probed inline (one probe per holder
+    # visited; ``IdentityMemo.get``'s check, without the call).
+    encodings = _ENCODINGS._entries
     while stack:
         task = stack.pop()
         tag = task[0]
@@ -345,13 +364,21 @@ def _encode_loop(obj: Any, cell: list[bool]) -> bytes:
                     push((_FIN_DIGEST, parts, dest, inner, mut_events))
                     push((_ENC, inner, parts))
             else:
+                hit = encodings.get(id(o))
+                if hit is not None and hit[0] is o:
+                    dest.append(hit[1])
+                    continue
                 fields = getattr(o, "_canonical_fields", None)
                 if fields is not None:
-                    if not _is_frozen_holder(t):
-                        mut_events += 1
                     name = t.__name__.encode()
                     parts = []
-                    push((_FIN_OBJ, parts, dest, name))
+                    if _is_frozen_holder(t):
+                        # The holder and the event count at push: its
+                        # encoding is memoized if the subtree stays stable.
+                        push((_FIN_OBJ, parts, dest, name, o, mut_events))
+                    else:
+                        mut_events += 1
+                        push((_FIN_OBJ, parts, dest, name, None, 0))
                     push((_ENC, fields(), parts))
                 elif _encode_subclass(o, dest, push):
                     mut_events += 1
@@ -371,9 +398,13 @@ def _encode_loop(obj: Any, cell: list[bool]) -> bytes:
             task[2].append(b"d" + _length_prefix(body) + body)
         elif tag == _FIN_OBJ:
             name = task[3]
-            task[2].append(
-                b"o" + _length_prefix(name) + name + task[1][0]
-            )
+            encoding = b"o" + _length_prefix(name) + name + task[1][0]
+            task[2].append(encoding)
+            # Same stability rule as _FIN_DIGEST's: no mutable event in the
+            # holder's subtree and no nested re-entrant encode reported one.
+            holder = task[4]
+            if holder is not None and mut_events == task[5] and cell[0]:
+                _ENCODINGS.put(holder, encoding)
         else:  # _FIN_DIGEST
             inner, snapshot = task[3], task[4]
             value = _sha256(task[1][0]).digest()
@@ -464,31 +495,33 @@ def canonical_encode(obj: Any) -> bytes:
 # 0.0 and -0.0 (equal, same hash, different encodings) never collide, and
 # bool/int leaves are split by the type atom for the same reason.
 
-#: Containers deeper than this (or wider than the leaf cap) skip the
-#: intern tier; the paper's payloads are a handful of levels deep, and a
-#: quorum payload carries ~3 leaves per entry — the leaf cap clears an
-#: n=301 vote quorum (201 entries) with room to spare while still
-#: bounding the memory a single intern key can pin.
+#: Key caps: nesting depth, and per key a leaf cap plus ``_ATOMS_PER_LEAF``
+#: shape atoms per allowed leaf — atom-only content like ``(None,) * k``
+#: has no leaves, so a leaf cap alone never bounded it.
 _MAX_KEY_DEPTH = 16
+_ATOMS_PER_LEAF = 4
+#: :func:`digest_ex`'s leaf cap.  Every intern hit the benchmark workloads
+#: produce is a key of at most 23 leaves / 83 atoms (a vote rebuilt by
+#: each party); a forwarded quorum (~3 leaves per vote) is rebuilt by no
+#: one, and a cap that admits quorums (4,096 clears n=301) lets their
+#: never-hit keys pin memory: 334 of them held 24 MiB at n=1001.
+_MAX_INTERN_LEAVES = 32
+#: :func:`intern_key`'s leaf cap, for the object interner and certificate
+#: memo, which key whole payloads (the workloads' largest: 12 leaves).
 _MAX_KEY_LEAVES = 4096
-
-#: Per-object shape fragments for frozen holders: ``obj -> (atoms,
-#: leaves)``.  A quorum walk visits the same vote objects as every other
-#: party's quorum walk, so after the first visit a holder contributes its
-#: fragment in O(1) instead of re-deriving ``_canonical_fields``.  Keyed
-#: by identity under the same invariant as the digest cache: fragments
-#: are only stored for walks that proved deep immutability.
-_FRAGMENTS = IdentityMemo(1 << 16)
 
 
 def _key_walk(
-    o: Any, atoms: list, leaves: list, depth: int, structural: bool = False
+    o: Any, atoms: list, leaves: list, depth: int, structural: bool,
+    max_leaves: int,
 ) -> bool:
     """Append ``o``'s shape atoms / leaves; False when not internable.
 
     Succeeds only on deeply immutable values (scalar leaves, tuples,
     frozen holders, already-proven-stable digests), so a successful walk
-    doubles as the stability verdict the memo tiers gate on.
+    doubles as the stability verdict the memo tiers gate on.  Gives up
+    past ``max_leaves`` leaves or ``_ATOMS_PER_LEAF * max_leaves`` atoms
+    (checked per composite and per tuple element, so the work is bounded).
 
     ``structural=True`` is the stricter mode for *object* interners: it
     refuses the two key-level digest stand-ins ("D" atoms and
@@ -528,7 +561,8 @@ def _key_walk(
             atoms.append("D")
             leaves.append(hit)
             return True
-    if depth <= 0 or len(leaves) > _MAX_KEY_LEAVES:
+    max_atoms = _ATOMS_PER_LEAF * max_leaves
+    if depth <= 0 or len(leaves) > max_leaves or len(atoms) > max_atoms:
         return False
     if t is tuple:
         atoms.append("(")
@@ -536,9 +570,11 @@ def _key_walk(
         for item in o:
             # Cap check per element: a single wide flat tuple must not
             # bypass the bound a nested one would hit on entry.
-            if len(leaves) > _MAX_KEY_LEAVES:
+            if len(leaves) > max_leaves or len(atoms) > max_atoms:
                 return False
-            if not _key_walk(item, atoms, leaves, depth - 1, structural):
+            if not _key_walk(
+                item, atoms, leaves, depth - 1, structural, max_leaves
+            ):
                 return False
         return True
     if t is DigestOf:
@@ -556,25 +592,24 @@ def _key_walk(
     if getattr(o, "_canonical_fields", None) is not None and (
         _is_frozen_holder(t)
     ):
-        if not structural:
-            fragment = _FRAGMENTS.get(o)
-            if fragment is not None:
-                atoms.extend(fragment[0])
-                leaves.extend(fragment[1])
-                return True
-        mark_atoms, mark_leaves = len(atoms), len(leaves)
         atoms.append("o")
         atoms.append(t)
-        if not _key_walk(
-            o._canonical_fields(), atoms, leaves, depth - 1, structural
-        ):
-            return False
-        if not structural:
-            _FRAGMENTS.put(
-                o, (tuple(atoms[mark_atoms:]), tuple(leaves[mark_leaves:]))
-            )
-        return True
+        return _key_walk(
+            o._canonical_fields(), atoms, leaves, depth - 1, structural,
+            max_leaves,
+        )
     return False
+
+
+def _content_key(obj: Any, max_leaves: int, structural: bool = False):
+    """``(shape, leaves)`` for ``obj`` within the caps, else None."""
+    atoms: list = []
+    leaves: list = []
+    if (_key_walk(obj, atoms, leaves, _MAX_KEY_DEPTH, structural, max_leaves)
+            and len(leaves) <= max_leaves
+            and len(atoms) <= _ATOMS_PER_LEAF * max_leaves):
+        return (tuple(atoms), tuple(leaves))
+    return None
 
 
 def intern_key(obj: Any, *, structural: bool = False) -> tuple | None:
@@ -588,67 +623,37 @@ def intern_key(obj: Any, *, structural: bool = False) -> tuple | None:
     :func:`_key_walk` for the one digest reliance that remains (stamped
     ``SignedPayload`` Merkle fields, sound under the ideal-hash model).
     Exposed for content-keyed caches above this module (payload-object
-    interners, certificate memos).
+    interners, certificate memos); values over ``_MAX_KEY_LEAVES`` leaves
+    (or the matching atom cap) get None.
     """
-    atoms: list = []
-    leaves: list = []
-    if _key_walk(obj, atoms, leaves, _MAX_KEY_DEPTH, structural):
-        return (tuple(atoms), tuple(leaves))
-    return None
+    return _content_key(obj, _MAX_KEY_LEAVES, structural)
 
 
 # Shape plans: per-shape compiled encoders.  A plan takes the key's leaf
 # tuple and produces the canonical encoding without the generic work
 # stack — constant structural parts (type tags, holder-name prefixes) are
-# baked in at compile time.  Shapes containing "D" atoms have no plan
-# (the digest stands in for the sub-value in the *key*, but the *encoding*
-# still needs the full subtree), so those fall back to the generic
-# encoder on an intern miss.
+# baked in at compile time.  Only keys within ``_MAX_INTERN_LEAVES`` get
+# here, so plans stay small and their count tracks message types, not n.
+# Shapes containing "D" atoms have no plan (the digest stands in for the
+# sub-value in the *key*, but the *encoding* still needs the full
+# subtree), so those fall back to the generic encoder on an intern miss.
 _MAX_PLAN_ENTRIES = 1 << 12
-
 _PLANS: dict[tuple, Any] = {}
 
 
-def _enc_str(it) -> bytes:
-    data = next(it).encode()
-    return b"s%d:" % len(data) + data
+def _framed(tag: bytes, data: bytes) -> bytes:
+    return tag + b"%d:" % len(data) + data
 
 
-def _enc_int(it) -> bytes:
-    data = b"%d" % next(it)
-    return b"i%d:" % len(data) + data
-
-
-def _enc_bytes(it) -> bytes:
-    data = next(it)
-    return b"y%d:" % len(data) + data
-
-
-def _enc_bool(it) -> bytes:
-    return b"b1" if next(it) else b"b0"
-
-
-def _enc_float(it) -> bytes:
-    data = next(it).encode()  # the leaf is the float's repr string
-    return b"f%d:" % len(data) + data
-
-
-def _enc_none(it) -> bytes:
-    return b"N"
-
-
-def _enc_bottom(it) -> bytes:
-    return b"_"
-
-
+#: Per leaf atom, the encoder of the next leaf from the iterator ``it``.
 _LEAF_ENCODERS = {
-    str: _enc_str,
-    int: _enc_int,
-    bytes: _enc_bytes,
-    bool: _enc_bool,
-    float: _enc_float,
-    "N": _enc_none,
-    "_": _enc_bottom,
+    str: lambda it: _framed(b"s", next(it).encode()),
+    int: lambda it: _framed(b"i", b"%d" % next(it)),
+    bytes: lambda it: _framed(b"y", next(it)),
+    bool: lambda it: b"b1" if next(it) else b"b0",
+    float: lambda it: _framed(b"f", next(it).encode()),  # leaf: the repr
+    "N": lambda it: b"N",
+    "_": lambda it: b"_",
 }
 
 
@@ -744,46 +749,37 @@ def digest_ex(obj: Any) -> tuple[bytes, bool]:
     verification use the flag to decide whether a digest may be stamped
     or a verdict memoized.
 
-    Lookup order: identity memo (same object), then the content intern
-    table (equal content rebuilt by another party), then a shape-plan or
-    generic encode.  Both cache tiers only ever hold stable values.
+    Lookup order: identity memo (same object), then — for values of at
+    most ``_MAX_INTERN_LEAVES`` leaves — the content intern table (equal
+    content rebuilt by another party) and a shape-plan encode, else the
+    generic encoder (which splices memoized holder encodings).  Every
+    cache tier only ever holds stable values.
     """
     hit = _CACHE.get(obj)
     if hit is not None:
         digest_stats.cache_hits += 1
         return hit, True
-    atoms: list = []
-    leaves: list = []
-    if _key_walk(obj, atoms, leaves, _MAX_KEY_DEPTH):
-        key = (tuple(atoms), tuple(leaves))
-        value = _INTERN.get(key)
-        if value is not None:
-            digest_stats.interned_hits += 1
-            if _cacheable(obj):
-                if _CACHE.put(obj, value):
-                    digest_stats.cache_evictions += 1
-            return value, True
+    # A key certifies stability; without one the encoder decides.
+    key = _content_key(obj, _MAX_INTERN_LEAVES)
+    value = _INTERN.get(key) if key is not None else None
+    stable = True
+    if value is not None:
+        digest_stats.interned_hits += 1
+    else:
         digest_stats.encode_calls += 1
-        plan = _plan_for(key[0])
+        plan = _plan_for(key[0]) if key is not None else None
         if plan is not None:
             encoding = plan(key[1])
-        else:  # "D" atoms: the key is cheap but the encoding is not
+        elif key is not None:  # "D" atoms: a cheap key, a full encoding
             encoding = _encode_ex(obj)[0]
+        else:
+            encoding, stable = _encode_ex(obj)
         digest_stats.digests_computed += 1
         value = _sha256(encoding).digest()
-        if _INTERN.put(key, value):
+        if key is not None and _INTERN.put(key, value):
             digest_stats.intern_evictions += 1
-        if _cacheable(obj):
-            if _CACHE.put(obj, value):
-                digest_stats.cache_evictions += 1
-        return value, True
-    digest_stats.encode_calls += 1
-    encoding, stable = _encode_ex(obj)
-    digest_stats.digests_computed += 1
-    value = _sha256(encoding).digest()
-    if stable and _cacheable(obj):
-        if _CACHE.put(obj, value):
-            digest_stats.cache_evictions += 1
+    if stable and _cacheable(obj) and _CACHE.put(obj, value):
+        digest_stats.cache_evictions += 1
     return value, stable
 
 

@@ -58,7 +58,9 @@ therefore memoizes the built message in a world-scoped
 :class:`~repro.crypto.messages.ContentMemo` keyed by
 ``(value, signer-mask)``: the n-th committer reuses the first committer's
 message *object*, so the network's per-multicast order-key digest is an
-identity hit instead of an O(quorum) content walk.  This is content-safe:
+identity hit.  A message with a new mask pays one encode, which splices
+the vote encodings ``crypto.messages`` memoized per vote object — a vote
+is encoded once, not once per quorum it rides in.  This is content-safe:
 signatures are deterministic (digest membership), so equal
 ``(value, mask)`` implies byte-identical messages.
 

@@ -13,6 +13,11 @@ The network realizes the paper's adversarial message scheduling:
 * messages that arrive before the recipient has started its protocol are
   buffered and handed over at the recipient's start (local time 0).
 
+Recipients are ranges: a multicast fans out to the local parties below
+and above its sender as two ``range`` objects (the sharded network adds
+its remote ranges), and a folded run carries a slice of one, so neither
+a fan-out nor an in-flight run ever materializes a recipient list.
+
 Every send — unicast, multicast, retransmission, and the sharded
 network's remote ranges — runs one four-stage pipeline: **price** (the
 policy or the override yields one delay per recipient), **instant**
@@ -138,11 +143,6 @@ class Network:
         # path does an index load instead of a dict probe (20k+ times per
         # large run); a ``None`` slot is a never-attached party.
         self._inboxes: list[DeliverFn | None] = [None] * n
-        # Per-sender fan-out recipient lists, cached on first multicast:
-        # rebuilding the O(n) list per multicast is measurable at
-        # n >= 501, and lazy construction keeps world setup O(n) (a
-        # receive-only party never pays for a list it does not use).
-        self._fanouts: list[list[PartyId] | None] = [None] * n
         #: The parties this network delivers to itself: everyone, unless a
         #: subclass narrows it (the sharded transport's ``[lo, hi)``).
         self._local = range(n)
@@ -182,17 +182,22 @@ class Network:
             raise SimulationError(f"party {party} already attached")
         self._inboxes[party] = deliver
 
-    def _fanout_for(self, sender: PartyId) -> list[PartyId]:
-        """The cached every-local-party-but-sender recipient list."""
-        recipients = self._fanouts[sender]
-        if recipients is None:
-            recipients = [r for r in self._local if r != sender]
-            self._fanouts[sender] = recipients
-        return recipients
-
-    def _targets(self, sender: PartyId) -> Sequence[tuple[Sequence, Emitter]]:
-        """The ``(recipients, emitter)`` pairs one multicast fans out to."""
-        return ((self._fanout_for(sender), self._emit),)
+    def _targets(self, sender: PartyId) -> list[tuple[range, Emitter]]:
+        """The ``(recipients, emitter)`` pairs one multicast fans out to:
+        the local parties below and above the sender, as two ranges (an
+        empty one is dropped).  O(1) per multicast, and nothing is kept
+        per sender: a materialized list per sender would be O(n²) state
+        in a world where everyone multicasts."""
+        local = self._local
+        emit = self._emit
+        return [
+            (recipients, emit)
+            for recipients in (
+                range(local.start, min(sender, local.stop)),
+                range(max(sender + 1, local.start), local.stop),
+            )
+            if recipients
+        ]
 
     def _unicast_emitter(self, recipient: PartyId) -> Emitter:
         """The emitter a copy addressed to ``recipient`` goes through."""
@@ -483,16 +488,12 @@ class Network:
                 order_key = digest(payload)
             self.delivery_runs_batched += 1
             self.deliveries_batched += end - start
-            # The full fan-out reuses the cached recipient list itself (the
-            # cache is write-once, so the event cannot observe a mutation).
-            run = (
-                recipients
-                if end - start == len(recipients)
-                else recipients[start:end]
-            )
+            # A multicast's recipients are a range, so the run's slice is
+            # one too: O(1), and immutable while the event is in flight.
             self._sim.schedule_at(
                 deliver_time, self._deliver_many, order_key=order_key,
-                label="deliver-run", args=(sender, run, payload),
+                label="deliver-run",
+                args=(sender, recipients[start:end], payload),
                 transient=True,
             )
         if times:

@@ -124,9 +124,9 @@ class ShardNetwork(Network):
     """Transport for one worker's party range ``[lo, hi)``.
 
     Every send runs the stock pipeline; this class only says which
-    recipients are local (the cached fan-out list is clipped to the
-    range) and routes the rest through :meth:`_emit_remote`, which turns
-    priced runs into outbox records — see the module docstring.
+    recipients are local (the base class's two ranges, clipped to
+    ``[lo, hi)``) and routes the rest through :meth:`_emit_remote`, which
+    turns priced runs into outbox records — see the module docstring.
     """
 
     def __init__(self, *args, lo: int, hi: int, **kwargs):
@@ -146,7 +146,7 @@ class ShardNetwork(Network):
         ]
 
     def _targets(self, sender: PartyId):
-        return ((self._fanout_for(sender), self._emit), *self._remote_targets)
+        return [*super()._targets(sender), *self._remote_targets]
 
     def _unicast_emitter(self, recipient: PartyId):
         return self._emit if recipient in self._local else self._emit_remote

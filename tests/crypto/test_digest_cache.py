@@ -1,13 +1,19 @@
 """Correctness tests for the content-addressed digest cache subsystem.
 
 The cache layers are: identity-keyed digest memoization in
-``crypto.messages``, digest stamping on ``SignedPayload`` at sign time,
-and the registry's verified-signature set.  Each must be an invisible
-optimization: equal values digest equally, cache hits match the cold
-path byte-for-byte, and forgeries still fail.
+``crypto.messages``, the holder-encoding memo, digest stamping on
+``SignedPayload`` at sign time, and the registry's verified-signature
+set.  Each must be an invisible optimization: equal values digest
+equally, cache hits match the cold path byte-for-byte, and forgeries
+still fail.
 """
-import pytest
+import hashlib
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.crypto.messages as messages
 from repro.crypto.messages import (
     canonical_encode,
     clear_digest_cache,
@@ -16,6 +22,7 @@ from repro.crypto.messages import (
     digest_stats,
 )
 from repro.crypto.signatures import KeyRegistry, Signature, SignedPayload
+from repro.protocols.psync.certificates import Certificate
 from repro.types import BOTTOM
 
 
@@ -374,3 +381,189 @@ class TestCacheEviction:
         assert all(registry.verify(s) for s in signed)  # re-verify post-clear
         forged = SignedPayload("zzz", Signature(0, digest("zzz")))
         assert not registry.verify(forged)
+
+
+# --------------------------------------------------------------------- #
+# the holder-encoding memo, against a naive reference encoder
+# --------------------------------------------------------------------- #
+
+
+def _framed(tag: bytes, body: bytes) -> bytes:
+    return tag + b"%d:" % len(body) + body
+
+
+def _reference_encode(value) -> bytes:
+    """The canonical encoding, written the obvious recursive way: no
+    work stack, no memo, no intern key, no plan, no stamp trusted."""
+    t = type(value)
+    if value is None:
+        return b"N"
+    if value is BOTTOM:
+        return b"_"
+    if t is bool:
+        return b"b1" if value else b"b0"
+    if t is int:
+        return _framed(b"i", b"%d" % value)
+    if t is float:
+        return _framed(b"f", repr(value).encode())
+    if t is str:
+        return _framed(b"s", value.encode())
+    if t is bytes:
+        return _framed(b"y", value)
+    if t is tuple or t is list:
+        return _framed(b"t", b"".join(map(_reference_encode, value)))
+    if t is frozenset:
+        return _framed(b"S", b"".join(sorted(map(_reference_encode, value))))
+    if t is dict:
+        return _framed(b"d", b"".join(sorted(
+            _reference_encode(k) + _reference_encode(v)
+            for k, v in value.items()
+        )))
+    if t is SignedPayload:
+        # Merkle-style: the payload's digest stands in for the payload.
+        inner = hashlib.sha256(_reference_encode(value.payload)).digest()
+        fields = _framed(b"y", inner) + _reference_encode(value.signature)
+        body = _framed(b"t", fields)
+    else:
+        body = _reference_encode(value._canonical_fields())
+    name = t.__name__.encode()
+    return _framed(b"o", name) + body
+
+
+def _reference_digest(value) -> bytes:
+    return hashlib.sha256(_reference_encode(value)).digest()
+
+
+_REGISTRY = KeyRegistry(4)
+_SIGNERS = [_REGISTRY.signer_for(i) for i in range(4)]
+
+_scalars = st.one_of(
+    st.none(), st.just(BOTTOM), st.booleans(),
+    st.integers(-(10**6), 10**6), st.floats(allow_nan=False),
+    st.text(max_size=6), st.binary(max_size=6),
+)
+_hashables = st.recursive(
+    _scalars, lambda inner: st.tuples(inner, inner), max_leaves=4
+)
+_signer = st.integers(0, 3)
+
+
+def _composites(children):
+    return st.one_of(
+        st.lists(children, max_size=4).map(tuple),
+        st.lists(children, max_size=4),
+        st.dictionaries(_hashables, children, max_size=3),
+        st.frozensets(_hashables, max_size=3),
+        # Stamped when the payload is stable (and so countersign chains
+        # when the payload is itself signed) ...
+        st.tuples(_signer, children).map(lambda p: _SIGNERS[p[0]].sign(p[1])),
+        # ... and unstamped, as an adversary builds one by hand.
+        st.tuples(_signer, children).map(
+            lambda p: SignedPayload(p[1], Signature(p[0], b"\x07" * 32))
+        ),
+        st.tuples(
+            st.integers(0, 9), st.lists(st.tuples(_signer, children), max_size=3)
+        ).map(lambda c: Certificate(
+            view=c[0],
+            entries=tuple(_SIGNERS[i].sign(body) for i, body in c[1]),
+        )),
+    )
+
+
+_trees = st.recursive(_scalars, _composites, max_leaves=24)
+
+#: Pads a value past the intern tier's leaf cap, so its digest is always
+#: the generic encoder's — the tier that splices memoized holder bytes.
+_PAD = tuple(range(messages._MAX_INTERN_LEAVES + 1))
+
+
+class TestHolderEncodingMemo:
+    @settings(max_examples=150, deadline=None)
+    @given(_trees)
+    def test_digests_match_the_reference_cold_and_warm(self, tree):
+        clear_digest_cache()
+        expected = _reference_digest(tree)
+        padded = (tree, _PAD)
+        assert digest(tree) == expected  # cold
+        assert digest(tree) == expected  # warm: identity memo
+        assert canonical_encode(tree) == _reference_encode(tree)
+        # Drop the digest tiers, keep the holder encodings: every holder
+        # the first pass memoized is now spliced from the memo.
+        messages._CACHE.clear()
+        messages._INTERN.clear()
+        assert digest(tree) == expected
+        assert digest(padded) == _reference_digest(padded)
+        messages._CACHE.clear()
+        assert digest(padded) == _reference_digest(padded)
+
+    @pytest.mark.parametrize("build", [
+        lambda inner: SignedPayload(("v", inner), Signature(0, b"\x00" * 32)),
+        lambda inner: _SIGNERS[1].sign(("v", inner)),
+        lambda inner: Certificate(view=1, entries=inner),
+        lambda inner: _SIGNERS[2].sign(_SIGNERS[3].sign(("v", inner))),
+    ], ids=["unsigned-by-hand", "signed", "certificate", "countersigned"])
+    def test_list_inside_a_holder_is_never_memoized(self, build):
+        inner = [_SIGNERS[0].sign(("x", 1))]
+        holder = build(inner)
+        enclosing = ("wrap", holder, _PAD)
+        before = digest(enclosing)
+        assert before == _reference_digest(enclosing)
+        assert messages._ENCODINGS.get(holder) is None
+        inner.append(_SIGNERS[0].sign(("x", 2)))
+        after = digest(enclosing)
+        assert after != before
+        assert after == _reference_digest(enclosing)
+        assert messages._ENCODINGS.get(holder) is None
+
+    def test_stable_holders_are_encoded_once(self, monkeypatch):
+        votes = tuple(s.sign(("vote", "v")) for s in _SIGNERS)
+        digest((votes, _PAD))
+        assert all(messages._ENCODINGS.get(v) is not None for v in votes)
+        # The pad first: the intern tier's key walk gives up on it before
+        # it reaches a vote, so only the encoder sees the votes.
+        other = (_PAD, tuple(reversed(votes)))
+        expected = _reference_digest(other)
+
+        def refuse(self):
+            raise AssertionError("a memoized holder was re-encoded")
+
+        # A new quorum over the same votes splices their encodings: not
+        # one vote's fields are derived again.
+        monkeypatch.setattr(SignedPayload, "_canonical_fields", refuse)
+        assert digest(other) == expected
+
+    def test_eviction_is_correctness_neutral(self, monkeypatch):
+        monkeypatch.setattr(messages._ENCODINGS, "max_entries", 2)
+        monkeypatch.setattr(messages._ENCODINGS, "max_bytes", 64)
+        certs = [
+            Certificate(view=i, entries=tuple(
+                s.sign(("vote", i)) for s in _SIGNERS
+            ))
+            for i in range(6)
+        ]
+        values = [(cert, _PAD) for cert in certs] + [
+            (tuple(cert.entries), _PAD) for cert in certs
+        ]
+        cold = [_reference_digest(v) for v in values]
+        for _ in range(2):
+            messages._CACHE.clear()
+            assert [digest(v) for v in values] == cold
+            assert len(messages._ENCODINGS) <= 2
+            assert messages._ENCODINGS._bytes <= 64
+
+    def test_golden_n1001_vote_quorum(self):
+        # Brb2Round's forwarded quorum at n=1001: 668 stamped votes on one
+        # shared body.  The digest is the one the code before the
+        # holder-encoding memo computed; no tier may move it.
+        registry = KeyRegistry(1001)
+        body = ("vote", "v")
+        votes = tuple(registry.signer_for(i).sign(body) for i in range(668))
+        payload = ("vote-quorum", votes)
+        golden = (
+            "d17ca9a01b6a5fb5c5a938203565668e"
+            "89ae09e5acb4ababaee7376a5a586422"
+        )
+        assert digest(payload).hex() == golden  # cold
+        messages._CACHE.clear()
+        assert digest(payload).hex() == golden  # every vote from the memo
+        assert _reference_digest(payload).hex() == golden

@@ -165,6 +165,42 @@ class TestContentInterning:
         digest(("b", 2))  # same shape: no new plan
         assert digest_stats.plans_compiled == plans
 
+    def test_atom_only_content_is_capped(self):
+        # No leaves at all, so a leaf cap alone never stopped these: a
+        # Byzantine payload must not pin a key (or plan) per element.
+        assert intern_key((BOTTOM,) * 100_000) is None
+        assert intern_key((None,) * 2_000) is not None  # within the cap
+        wide = (None,) * 50_000
+        assert digest(wide) == _generic_digest(wide)
+        assert intern_table_len() == 0
+        assert digest_stats.plans_compiled == 0
+
+    def test_digest_interns_small_values_only(self):
+        small = tuple(range(messages._MAX_INTERN_LEAVES))
+        large = tuple(range(messages._MAX_INTERN_LEAVES + 1))
+        digest(small)
+        assert intern_table_len() == 1
+        assert digest(large) == _generic_digest(large)
+        assert intern_table_len() == 1
+        # intern_key keeps its own, larger cap for the object interners.
+        assert intern_key(large) is not None
+
+    def test_vote_quorums_add_no_plan_and_no_intern_entry(self):
+        # Brb2Round's forwarded quorum at two sizes, over one vote set the
+        # vote multicasts already digested: the plan count stays a
+        # function of the message types, not of n.
+        registry = KeyRegistry(1001)
+        body = ("vote", "v")
+        votes = [registry.signer_for(i).sign(body) for i in range(668)]
+        for vote in votes:
+            digest(("vote", vote))
+        plans, interned = digest_stats.plans_compiled, intern_table_len()
+        for size in (100, 668):
+            quorum = ("vote-quorum", tuple(votes[:size]))
+            assert digest(quorum) == _generic_digest(quorum)
+        assert digest_stats.plans_compiled == plans
+        assert intern_table_len() == interned
+
     def test_deep_chains_stay_iterative(self):
         import sys
 

@@ -198,15 +198,15 @@ class TestPartyRuntime:
         assert result.latency_from(0.0) == 0.0
 
 
-class TestFanoutCacheUnderRunBatching:
-    """The cached fan-out list is aliased into in-flight run events."""
+class TestFanoutRanges:
+    """A multicast fans out as ranges; runs carry slices of them."""
 
     def test_late_attach_receives_inflight_run(self):
-        # A batched run event captures the cached everyone-but-sender
-        # list at multicast time; inboxes must be resolved at *fire*
-        # time, so a party attached while the run is in flight still
-        # receives its copy (exactly like the per-copy path, which also
-        # probes the inbox at delivery).
+        # A batched run event captures its recipient range at multicast
+        # time; inboxes must be resolved at *fire* time, so a party
+        # attached while the run is in flight still receives its copy
+        # (exactly like the per-copy path, which also probes the inbox
+        # at delivery).
         from repro.sim.network import Network
         from repro.sim.scheduler import Simulator
 
@@ -220,38 +220,88 @@ class TestFanoutCacheUnderRunBatching:
         network.multicast(0, ("hello",), include_self=False)
         assert network.delivery_runs_batched == 1
         # Party 1 attaches after the run was scheduled but before it
-        # fires: the aliased recipient list must not have been filtered
-        # against attach-time inboxes.
+        # fires: the recipient range must not have been filtered against
+        # attach-time inboxes.
         network.attach(1, lambda s, p: got.append((1, s)))
         sim.run()
         assert sorted(got) == [(1, 0), (2, 0), (3, 0)]
         assert network.deliveries_batched == 3
         assert network.messages_delivered == 3
 
-    def test_cached_fanout_is_not_mutated_by_crash(self):
-        # A mid-run crash window routes delivery through the injector's
-        # per-copy seam; the cached fan-out membership must stay the
-        # full everyone-but-sender list afterwards (crashes gate
-        # delivery, they never edit recipient lists in place).
-        from repro.adversary.behaviors import CrashBehavior
-        from repro.protocols.brb_2round import Brb2Round
-        from repro.sim.runner import World
+    @staticmethod
+    def _multicast_landings(network, sim, sender, parties):
+        """Recipients of one multicast from ``sender``, in delivery order
+        (local inboxes, then any remote wire records)."""
+        got: list[int] = []
+        for pid in parties:
+            network.attach(pid, lambda s, p, pid=pid: got.append(pid))
+        network.multicast(sender, ("m", sender), include_self=False)
+        sim.run()
+        for _, _, lo, hi, _ in getattr(network, "outbuf", ()):
+            got.extend(range(lo, hi))
+        return got
 
-        world = World(n=7, f=2, delay_policy=FixedDelay(1.0),
-                      byzantine=frozenset({5, 6}))
-        world.populate(
-            Brb2Round.factory(broadcaster=0, input_value="v"),
-            lambda w, p: CrashBehavior(
-                w, p, at=1.0, recover=3.0,
-                party_factory=Brb2Round.factory(
-                    broadcaster=0, input_value="v"
-                ),
-            ),
+    @pytest.mark.parametrize("n", [2, 3, 9])
+    def test_multicast_reaches_everyone_but_sender_once_in_order(self, n):
+        from repro.sim.network import Network
+        from repro.sim.scheduler import Simulator
+
+        for sender in sorted({0, 1, n // 2, n - 1}):
+            sim = Simulator()
+            network = Network(sim, FixedDelay(1.0), n=n)
+            got = self._multicast_landings(network, sim, sender, range(n))
+            assert got == [r for r in range(n) if r != sender]
+            assert network.messages_sent == n - 1
+
+    @pytest.mark.parametrize("delay", ["fixed", "uniform"])
+    def test_shard_multicast_from_either_edge_of_its_range(self, delay):
+        # The shard's own range [3, 7) holds the sender at both edges;
+        # locals come through the inboxes, the rest as wire records.
+        from repro.sim.delays import UniformDelay
+        from repro.sim.scheduler import Simulator
+        from repro.sim.shard import ShardNetwork
+
+        n, lo, hi = 10, 3, 7
+        for sender in (lo, hi - 1):
+            sim = Simulator()
+            policy = (
+                FixedDelay(1.0) if delay == "fixed"
+                else UniformDelay(0.1, 1.0, seed=3, stream="counter")
+            )
+            network = ShardNetwork(sim, policy, n=n, lo=lo, hi=hi)
+            got = self._multicast_landings(
+                network, sim, sender, range(lo, hi)
+            )
+            local = [r for r in got if lo <= r < hi]
+            if delay == "fixed":
+                assert local == [r for r in range(lo, hi) if r != sender]
+            assert sorted(got) == [r for r in range(n) if r != sender]
+
+    def test_sequential_stream_draws_are_unchanged_by_the_split(self):
+        # A sequential stream is consumed in pricing order: the fan-out's
+        # two ranges must draw exactly what one everyone-but-sender
+        # vector would, recipient by recipient.
+        from repro.sim.clock import quantize
+        from repro.sim.delays import UniformDelay
+        from repro.sim.network import Network
+        from repro.sim.scheduler import Simulator
+
+        n, sender = 9, 4
+        sim = Simulator()
+        network = Network(
+            sim, UniformDelay(0.1, 1.0, seed=11), n=n
         )
-        result = world.run()
-        assert result.all_honest_committed()
-        network = world.network
-        for sender in range(7):
-            cached = network._fanouts[sender]
-            if cached is not None:
-                assert cached == [r for r in range(7) if r != sender]
+        landed: dict[int, float] = {}
+        for pid in range(n):
+            network.attach(
+                pid, lambda s, p, pid=pid: landed.__setitem__(pid, sim.now)
+            )
+        network.multicast(sender, ("m",), include_self=False)
+        sim.run()
+        others = [r for r in range(n) if r != sender]
+        reference = UniformDelay(0.1, 1.0, seed=11).delays_for_multicast(
+            sender, others, ("m",), 0.0
+        )
+        assert landed == {
+            r: quantize(d) for r, d in zip(others, reference)
+        }
