@@ -113,7 +113,7 @@ def test_multicast_fanout_n1001_fixed(benchmark):
     payload = ("vote", "v")
 
     def fresh_network():
-        sim = Simulator(recycle_events=True, lookahead=1.0)
+        sim = Simulator(lookahead=1.0)
         network = Network(sim, FixedDelay(1.0), n=1001)
         for pid in range(1001):
             network.attach(pid, lambda sender, payload: None)
@@ -136,7 +136,7 @@ def test_multicast_schedule_uniform_n301(benchmark):
     crossing into the calendar's windows (the ``brb_uniform`` per-copy
     path, without the deliveries)."""
     policy = UniformDelay(0.05, 1.0, seed=2026, stream="counter")
-    sim = Simulator(recycle_events=True, lookahead=policy.min_delay())
+    sim = Simulator(lookahead=policy.min_delay())
     network = Network(sim, policy, n=301)
     for pid in range(301):
         network.attach(pid, lambda sender, payload: None)
@@ -147,18 +147,17 @@ def test_multicast_schedule_uniform_n301(benchmark):
 
 
 def test_window_drain_100k(benchmark):
-    """Push 100 k continuous instants, pop them all: an append per push,
-    one sort per window, an index walk per pop."""
+    """Push 100 k continuous instants, pop them all: a plain-entry append
+    per push, one sort per window, an index walk per pop."""
     rng = random.Random(7)
     times = [rng.uniform(0.0, 10.0) for _ in range(100_000)]
     args_seq = [(i,) for i in range(100_000)]
 
     def run():
-        queue = BucketTimeline(recycle=True, width=0.05)
-        queue.push_batch(times, print, args_seq, transient=True)
+        queue = BucketTimeline(width=0.05)
+        queue.push_batch(times, print, args_seq)
         fired = 0
-        while (event := queue.pop()) is not None:
-            queue.release(event)
+        while queue.pop() is not None:
             fired += 1
         return fired
 

@@ -3,7 +3,7 @@
     python benchmarks/check_smoke.py /tmp/bench_smoke.json
 
 CI's smoke gate: a broken bench harness, a silently disabled fast path
-(arena, calendar buckets, run batching, sharding) or a pathological
+(calendar buckets, run batching, sharding) or a pathological
 slowdown fails the build.  Exits non-zero with the offending row.
 """
 from __future__ import annotations
@@ -59,10 +59,6 @@ def check_row(row: dict) -> None:
         # substrate behind it) regressed.
         speedup = row.get("speedup_perf_vs_full", 0.0)
         assert speedup >= 1.05, f"perf-vs-full floor broken: {row}"
-        # The perf preset runs the event arena: delivery cells must
-        # actually recycle, else the arena regressed to plain allocation
-        # (full mode must stay arena-free).
-        assert row["events_recycled"] > 0, f"arena inactive: {row}"
         # The calendar timeline must actually bucket the fan-outs: zero
         # avoided sifts means the simulator regressed to per-event heap
         # pushes.
@@ -72,7 +68,6 @@ def check_row(row: dict) -> None:
         # multicast went out copy by copy.
         assert row["deliveries_batched"] > 0, f"run folding inactive: {row}"
     else:
-        assert row["events_recycled"] == 0, row
         # full mode keeps the accountant on every copy, so every copy
         # stays its own delivery event.
         assert row["deliveries_batched"] == 0, row

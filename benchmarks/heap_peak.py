@@ -1,16 +1,24 @@
-"""Traced heap growth of one 2-round BRB run under fixed delays.
+"""Traced heap growth of one 2-round BRB run.
 
-    PYTHONPATH=src python benchmarks/heap_peak.py            # n=1001
+    PYTHONPATH=src python benchmarks/heap_peak.py                  # n=1001
     PYTHONPATH=src python benchmarks/heap_peak.py --n 301
+    PYTHONPATH=src python benchmarks/heap_peak.py --delay uniform  # n=301
 
-Builds ``Brb2Round`` at ``(n, (n - 1) // 3)`` under ``FixedDelay(1.0)``
-and the ``perf`` preset, populates it, then reports by how much the
-Python heap (``tracemalloc``) peaks above its post-``populate`` size
-while the world runs.  This is the fast path's working set — fan-out
-recipients, quorum payloads, digest and encoding memos — without the
-interpreter, the imports and the parties themselves.  It should grow
-about linearly in ``n``; ``tests/sim/test_heap_scaling.py`` holds the
-n=301 / n=101 ratio under a bound.
+Builds ``Brb2Round`` at ``(n, (n - 1) // 3)`` under the ``perf`` preset,
+populates it, then reports by how much the Python heap (``tracemalloc``)
+peaks above its post-``populate`` size while the world runs, in total and
+per message sent.
+
+* ``--delay fixed`` (the default, n=1001): ``FixedDelay(1.0)``, the
+  folded fast path.  The working set — fan-out recipients, quorum
+  payloads, digest and encoding memos — should grow about linearly in
+  ``n``; ``tests/sim/test_heap_scaling.py`` holds the n=301 / n=101
+  ratio under a bound.
+* ``--delay uniform`` (default n=301): counter-stream
+  ``UniformDelay(0.05, 1.0)``, the per-copy path.  Nothing folds, so the
+  peak is dominated by in-flight copies, each one queue entry plus its
+  ``args``; ``tests/sim/test_heap_scaling.py`` bounds the bytes per
+  message sent.
 """
 from __future__ import annotations
 
@@ -19,18 +27,28 @@ import tracemalloc
 
 from repro.crypto.messages import clear_digest_cache
 from repro.protocols.brb_2round import Brb2Round
-from repro.sim.delays import FixedDelay
+from repro.sim.delays import DelayPolicy, FixedDelay, UniformDelay
 from repro.sim.runner import World
 
+#: Delay model -> (policy factory, default n, label).
+DELAYS = {
+    "fixed": (lambda: FixedDelay(1.0), 1001, "FixedDelay(1.0)"),
+    "uniform": (
+        lambda: UniformDelay(0.05, 1.0, seed=2026, stream="counter"),
+        301,
+        "UniformDelay(0.05, 1.0) counter stream",
+    ),
+}
 
-def run_peak_bytes(n: int) -> int:
-    """Bytes the traced heap peaks above its post-``populate`` size."""
+
+def run_peak_bytes(n: int, policy: DelayPolicy) -> tuple[int, int]:
+    """Bytes the traced heap peaks above its post-``populate`` size, and
+    the messages the run sent."""
     clear_digest_cache()
     tracemalloc.start()
     try:
         world = World(
-            n=n, f=(n - 1) // 3, delay_policy=FixedDelay(1.0),
-            instrumentation="perf",
+            n=n, f=(n - 1) // 3, delay_policy=policy, instrumentation="perf",
         )
         world.populate(Brb2Round.factory(broadcaster=0, input_value="v"))
         base = tracemalloc.get_traced_memory()[0]
@@ -41,16 +59,20 @@ def run_peak_bytes(n: int) -> int:
         tracemalloc.stop()
     if not result.all_honest_committed():
         raise SystemExit(f"n={n}: not every honest party committed")
-    return peak - base
+    return peak - base, result.messages_sent
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--n", type=int, default=1001)
+    parser.add_argument("--delay", choices=sorted(DELAYS), default="fixed")
+    parser.add_argument("--n", type=int, default=None)
     args = parser.parse_args()
-    peak = run_peak_bytes(args.n)
-    print(f"Brb2Round n={args.n} FixedDelay(1.0) perf: traced run peak "
-          f"{peak / 2**20:.2f} MiB ({peak} B)")
+    make_policy, default_n, label = DELAYS[args.delay]
+    n = args.n if args.n is not None else default_n
+    peak, messages = run_peak_bytes(n, make_policy())
+    print(f"Brb2Round n={n} {label} perf: traced run peak "
+          f"{peak / 2**20:.2f} MiB ({peak} B), {peak / messages:.1f} B per "
+          f"message ({messages} messages)")
 
 
 if __name__ == "__main__":

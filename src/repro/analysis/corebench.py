@@ -6,11 +6,9 @@ in-run parallelism — see benchmarks/README.md "Sharded worlds") and
 instrumentation presets, recording
 wall time, events/sec, message counts, digest-subsystem statistics
 (including the content-intern tier's hit and plan counters) and the
-quorum/arena counters (``quorum_checks`` tally updates across every
-party's :class:`~repro.protocols.quorum.QuorumTracker`;
-``events_recycled`` delivery-event cells reused by the perf-mode event
-arena), plus a seeded random-delay *latency distribution* (p50/p90/p99
-per grid point).  Rows come in ``full`` and ``perf`` instrumentation
+quorum counter (``quorum_checks`` tally updates across every party's
+:class:`~repro.protocols.quorum.QuorumTracker`), plus a seeded
+random-delay *latency distribution* (p50/p90/p99 per grid point).  Rows come in ``full`` and ``perf`` instrumentation
 variants at the larger sizes; ``speedup_perf_vs_full`` quantifies what
 the observability side effects cost at each size, and the n >= 201 rows
 run perf-only (full-mode transcripts at that scale measure the observer,
@@ -277,7 +275,6 @@ def measure_one(
         "interned_hits": stats["interned_hits"],
         "plans_compiled": stats["plans_compiled"],
         "quorum_checks": meas.result.quorum_checks,
-        "events_recycled": meas.result.events_recycled,
         "bucket_appends": meas.result.bucket_appends,
         "heap_pushes_avoided": meas.result.heap_pushes_avoided,
         # Batched-delivery and vectorized-vote counters: copies folded
@@ -342,7 +339,6 @@ def _print_row(row: dict) -> None:
         f" interned={row['interned_hits']}"
         f" plans={row['plans_compiled']}"
         f" quorum={row['quorum_checks']}"
-        f" recycled={row['events_recycled']}"
         f" avoided={row['heap_pushes_avoided']}"
         f" batched={row['deliveries_batched']}"
         f"{sharding}"

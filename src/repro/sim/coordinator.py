@@ -135,10 +135,7 @@ def run_sharded(world: World, *, until: float | None = None) -> RunResult:
                 "party_factory": world._party_factory,
                 "fault_plan": world.fault_plan,
                 "until": until,
-                "instrumentation": {
-                    "name": parent_instr.name,
-                    "recycle_events": parent_instr.recycle_events,
-                },
+                "instrumentation": {"name": parent_instr.name},
             }
             from repro.sim.shard import _send_msg, _shard_main
 

@@ -20,7 +20,9 @@ Three presets cover the repo's workloads:
 * ``"perf"`` — commit tracking only.  For perf sweeps and benchmarks at
   n >= 100 where observability side effects dominate the wall clock.
   Mode changes cost, never semantics: the same seed yields byte-identical
-  commit outcomes in every mode.
+  commit outcomes in every mode.  The presets differ only in which
+  observers are attached; the simulator underneath (event queue,
+  fan-out folding) is the same in all three.
 
 Instances are **per-execution** (they own the accountant and the envelope
 log); pass a preset *name* to :class:`~repro.sim.runner.World` and it
@@ -57,10 +59,7 @@ class Instrumentation:
     registers here (:meth:`register_quorum_tracker`), and
     :attr:`quorum_checks` / :attr:`equivocations_detected` aggregate the
     trackers' tallies at result time — the hot path only increments a
-    slot on its own tracker.  ``recycle_events`` opts the simulator's
-    event queue into arena mode (cells of fired deliveries are reused);
-    it is a pure allocation strategy, enabled by the ``perf`` preset and
-    off under ``full`` so event identity semantics stay untouched there.
+    slot on its own tracker.
     """
 
     def __init__(
@@ -70,7 +69,6 @@ class Instrumentation:
         rounds: bool = True,
         transcripts: bool = True,
         envelopes: bool = False,
-        recycle_events: bool = False,
     ):
         self.name = name
         self.accountant: RoundAccountant | None = (
@@ -79,7 +77,6 @@ class Instrumentation:
         self._transcripts = transcripts
         self.envelopes: list["Envelope"] | None = [] if envelopes else None
         self.commit_order: list[PartyId] = []
-        self.recycle_events = recycle_events
         self._quorum_trackers: list[Any] = []
         #: Runtime invariant monitors (:mod:`repro.sim.invariants`),
         #: attached by the world; empty for every preset by default, so
@@ -216,13 +213,10 @@ def rounds_instrumentation() -> Instrumentation:
 def perf_instrumentation() -> Instrumentation:
     """Commit tracking only: the fast path for sweeps and benchmarks.
 
-    Also the only preset that enables the event arena (``recycle_events``):
-    delivery-event cells are reused after firing, shedding one allocation
-    per message at n >= 100 scales.
+    With no per-copy observer attached, fixed-delay fan-outs fold into
+    one delivery-run event per instant (see ``Network._emit_run``).
     """
-    return Instrumentation(
-        name="perf", rounds=False, transcripts=False, recycle_events=True
-    )
+    return Instrumentation(name="perf", rounds=False, transcripts=False)
 
 
 #: Preset name -> factory.

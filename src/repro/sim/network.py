@@ -286,7 +286,7 @@ class Network:
                 order_key = digest(payload)
             self._sim.schedule_at(
                 send_time, self._deliver, order_key=order_key,
-                label="deliver", transient=True,
+                transient=True,
                 args=(
                     sender, sender, payload,
                     self._observe(
@@ -414,13 +414,12 @@ class Network:
             )
         return msg_id
 
-    # Every emitter schedules with a static label: formatting
-    # "deliver s->r" per message was a measurable slice of the delivery
-    # hot path at n >= 100, and the endpoints stay recoverable from the
-    # event's bound ``args``.  Binding the arguments on the event (instead
-    # of a ``partial``) avoids one allocation per message, and
-    # ``transient=True`` lets the arena-mode queue recycle the event cell
-    # after delivery — the network never retains delivery-event handles.
+    # Every delivery is scheduled handle-free: the network never cancels
+    # a copy in flight, so ``transient=True`` (and ``schedule_batch``,
+    # which is always handle-free) queues a plain ``(time, priority,
+    # order_key, seq, action, args)`` entry and allocates no ``Event``.
+    # The endpoints travel in ``args`` — binding them there instead of in
+    # a ``partial`` saves one more allocation per copy.
 
     def _schedule_copies(
         self,
@@ -434,10 +433,7 @@ class Network:
         scheduler in one call and empty the gather lists."""
         if order_key is None:
             order_key = digest(payload)
-        self._sim.schedule_batch(
-            times, deliver, copies, order_key=order_key, label="deliver",
-            transient=True,
-        )
+        self._sim.schedule_batch(times, deliver, copies, order_key=order_key)
         times.clear()
         copies.clear()
         return order_key
@@ -492,7 +488,6 @@ class Network:
             # one too: O(1), and immutable while the event is in flight.
             self._sim.schedule_at(
                 deliver_time, self._deliver_many, order_key=order_key,
-                label="deliver-run",
                 args=(sender, recipients[start:end], payload),
                 transient=True,
             )

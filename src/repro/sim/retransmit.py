@@ -188,7 +188,6 @@ class ReliableChannel:
             quantize(self._sim.now + self.policy.ack_delay),
             self._mark_acked,
             priority=2,
-            label="rto-ack",
             args=(transfer,),
             transient=True,
         )
@@ -208,7 +207,6 @@ class ReliableChannel:
             quantize(base_time + delay),
             self._check,
             priority=2,
-            label="rto-check",
             args=(transfer, retries_done),
             transient=True,
         )

@@ -27,7 +27,7 @@ from repro.sim.faults import FaultInjector, FaultPlan
 from repro.sim.instrumentation import Instrumentation, resolve_instrumentation
 from repro.sim.network import Network
 from repro.sim.process import Agent, Party
-from repro.sim.scheduler import Simulator
+from repro.sim.scheduler import Simulator, check_run_bounds
 from repro.types import INF, PartyId, Value
 
 #: Builds an honest party: (world, party_id) -> Party
@@ -77,8 +77,7 @@ class World:
         # barrier's in ``run_sharded``.  "None known" is 0.
         lookahead = delay_policy.min_delay()
         self.sim = Simulator(
-            recycle_events=self.instrumentation.recycle_events,
-            lookahead=lookahead if 0.0 < lookahead < INF else 0.0,
+            lookahead=lookahead if 0.0 < lookahead < INF else 0.0
         )
         self.registry = self._build_registry(n)
         #: Protocol label for invariant-violation context (chaos sets it).
@@ -330,7 +329,7 @@ class World:
             self.sim.schedule_at(
                 self.start_offsets[pid],
                 lambda a=agent, p=pid: self._run_start_step(a, p),
-                label=f"start p{pid}",
+                transient=True,
             )
 
     def _run_start_step(self, agent: Agent, pid: PartyId) -> None:
@@ -377,6 +376,9 @@ class World:
     def run(
         self, *, until: float | None = None, max_events: int | None = None
     ) -> "RunResult":
+        # Checked here, not only by ``Simulator.run``: a sharded run never
+        # reaches this world's simulator.
+        check_run_bounds(until, max_events)
         if self.shards > 1:
             if max_events is not None:
                 raise ConfigurationError(
@@ -418,7 +420,6 @@ class World:
             messages_sent=self.network.messages_sent,
             final_time=self.sim.now,
             events_processed=self.sim.events_processed,
-            events_recycled=self.sim.events_recycled,
             bucket_appends=self.sim.bucket_appends,
             heap_pushes_avoided=self.sim.heap_pushes_avoided,
             deliveries_batched=self.network.deliveries_batched,
@@ -456,7 +457,8 @@ class RunResult:
     messages_sent: int = 0
     final_time: float = 0.0
     events_processed: int = 0
-    #: Arena-mode (perf preset) delivery cells reused; 0 under ``full``.
+    #: Always 0: the event arena it counted is gone.  Kept only because
+    #: ``benchmarks/e2e/adapters.py`` sums it.
     events_recycled: int = 0
     #: Calendar-timeline counters: events appended to lookahead windows
     #: (every scheduled event), and those among them that cost no heap
@@ -553,7 +555,7 @@ class RunResult:
 #: merge by rule in :func:`repro.sim.coordinator.run_sharded`: commits
 #: and commit times union, ``final_time`` is the latest (or the horizon).
 ADDITIVE_COUNTERS = (
-    "messages_sent", "events_processed", "events_recycled",
+    "messages_sent", "events_processed",
     "bucket_appends", "heap_pushes_avoided",
     "deliveries_batched", "delivery_runs_batched",
     "quorum_checks", "votes_batched", "equivocations_detected",

@@ -17,14 +17,18 @@ from repro.sim.timeline import BucketTimeline
 from repro.types import INF
 
 
+def check_run_bounds(until: float | None, max_events: int | None) -> None:
+    """Reject a run horizon no event time compares against (NaN: every
+    ``time > until`` test is false, so the whole schedule would run) and
+    a negative event budget (which would silently process nothing)."""
+    if until is not None and until != until:
+        raise SimulationError(f"cannot run until a NaN horizon ({until})")
+    if max_events is not None and max_events < 0:
+        raise SimulationError(f"max_events must be >= 0, got {max_events}")
+
+
 class Simulator:
     """Deterministic discrete-event simulation kernel.
-
-    ``recycle_events=True`` turns on the event queue's arena mode:
-    transient events (message deliveries) have their cells recycled after
-    firing.  The world enables it for the ``perf`` instrumentation preset
-    only, so under ``full`` instrumentation event identity semantics are
-    untouched.
 
     The queue is the window calendar of :mod:`repro.sim.timeline` — O(1)
     appends per lookahead window, one sort per window.  ``lookahead`` is
@@ -35,16 +39,17 @@ class Simulator:
     :class:`~repro.sim.events.EventQueue`, replays byte-identical
     schedules for the same pushes and is what the parity tests compare
     it against.
+
+    A push that returns no handle — ``schedule_at(..., transient=True)``
+    and every :meth:`schedule_batch` copy — queues one plain tuple; only
+    a push that returns a cancellable :class:`~repro.sim.events.Event`
+    (a timer) allocates one.
     """
 
-    def __init__(
-        self, *, recycle_events: bool = False, lookahead: float = 0.0
-    ) -> None:
+    def __init__(self, *, lookahead: float = 0.0) -> None:
         #: Read back by the sharded coordinator to size its barrier window.
         self.lookahead = lookahead
-        self._queue: EventQueue = BucketTimeline(
-            recycle=recycle_events, width=lookahead
-        )
+        self._queue: EventQueue = BucketTimeline(width=lookahead)
         self._now = 0.0
         self._running = False
         self._events_processed = 0
@@ -73,11 +78,6 @@ class Simulator:
         ``extra + 1`` per-copy delivery events.
         """
         self._events_processed += extra
-
-    @property
-    def events_recycled(self) -> int:
-        """Transient event cells reused from the arena freelist."""
-        return self._queue.events_recycled
 
     @property
     def bucket_appends(self) -> int:
@@ -110,11 +110,13 @@ class Simulator:
         label: str = "",
         args: tuple = (),
         transient: bool = False,
-    ) -> Event:
-        """Schedule ``action(*args)`` at absolute virtual time ``time``.
+    ) -> Event | None:
+        """Schedule ``action(*args)`` at absolute virtual time ``time``;
+        returns a cancellable handle.
 
-        ``transient=True`` declares that the caller keeps no handle to the
-        returned event (so its cell may be recycled after it fires).
+        ``transient=True`` declares that the caller will never cancel it:
+        no handle is built (``None`` is returned) and the queue holds a
+        plain entry — the form every message delivery takes.
         """
         if not self._now <= time < INF:
             self._reject(time)
@@ -131,16 +133,13 @@ class Simulator:
         *,
         priority: int = 0,
         order_key: bytes = b"",
-        label: str = "",
-        transient: bool = False,
     ) -> int:
         """Schedule ``action(*args)`` at ``time`` for every ``(time,
         args)`` pair of ``times`` and ``args_seq`` in one queue call.
-        Equivalent to a loop of :meth:`schedule_at` — same sequence
-        numbers, same firing order, the whole batch checked before any
-        of it is queued — but returns no handles, so it is for
-        fire-and-forget work (message fan-outs); returns the number of
-        events scheduled.
+        Equivalent to a loop of transient :meth:`schedule_at` — same
+        sequence numbers, same firing order, the whole batch checked
+        before any of it is queued — so it is for fire-and-forget work
+        (message fan-outs); returns the number of events scheduled.
         """
         if len(times) != len(args_seq):
             raise SimulationError(
@@ -157,8 +156,7 @@ class Simulator:
         if not total < INF:
             self._reject(total)
         return self._queue.push_batch(
-            times, action, args_seq, priority=priority, order_key=order_key,
-            label=label, transient=transient,
+            times, action, args_seq, priority=priority, order_key=order_key
         )
 
     def schedule_after(
@@ -184,8 +182,10 @@ class Simulator:
         Stops when the queue drains, when virtual time would exceed
         ``until``, or after ``max_events`` events.  Returns the final
         virtual time: ``until`` when events remain beyond it, the last
-        processed event's instant otherwise.
+        processed event's instant otherwise.  A NaN ``until``, an
+        ``until`` before ``now`` and a negative ``max_events`` raise.
         """
+        check_run_bounds(until, max_events)
         if until is None:
             self._drain(INF, max_events)
             return self._now
@@ -220,27 +220,22 @@ class Simulator:
         One queue call per event: the calendar answers it from the
         sorted window it has open, and a handler's own pushes — the next
         window's deliveries, a same-instant self-delivery — are in place
-        before the next call.
+        before the next call.  Both kinds of entry fire the same way,
+        ``action(*args)`` from their fifth and sixth fields; the queue
+        has already dropped entries whose handle was cancelled.
         """
         if self._running:
             raise SimulationError("simulator is not re-entrant")
         self._running = True
         pop = self._queue.pop
-        release = self._queue.release
         try:
             for _ in repeat(None) if max_events is None else range(max_events):
-                event = pop(stop)
-                if event is None:
+                entry = pop(stop)
+                if entry is None:
                     break
-                self._now = event.time
-                args = event.args
-                if args:
-                    event.action(*args)
-                else:
-                    event.action()
+                self._now = entry[0]
+                entry[4](*entry[5])
                 self._events_processed += 1
-                if event.transient:
-                    release(event)
         finally:
             self._running = False
 

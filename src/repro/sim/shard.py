@@ -238,7 +238,7 @@ class _ShardWorld(World):
             self.sim.schedule_at(
                 self.start_offsets[pid],
                 lambda a=agent, p=pid: self._run_start_step(a, p),
-                label=f"start p{pid}",
+                transient=True,
             )
 
 
@@ -325,7 +325,6 @@ def _shard_loop(conn, spec: dict) -> None:
             rounds=False,
             transcripts=False,
             envelopes=False,
-            recycle_events=parent["recycle_events"],
         ),
         protocol_name=spec["protocol_name"],
         fault_plan=spec["fault_plan"],

@@ -9,8 +9,9 @@ therefore buckets events by window index ``floor(time / L)`` instead of
 ordering them one by one:
 
 * a push into a window that is not being drained is a dict probe and a
-  list append of ``(time, priority, order_key, seq, event)`` — O(1), no
-  sift, nothing allocated but the entry itself;
+  list append of the push's entry — O(1), no sift, and for a handle-free
+  push (every message delivery) nothing allocated but the
+  ``(time, priority, order_key, seq, action, args)`` tuple itself;
 * the only ordered structure is a min-heap of *window indices*, touched
   once per window, not once per event;
 * a window is sorted **once**, in C, when the drain reaches it (the
@@ -40,10 +41,10 @@ from 0 to wider than the whole schedule.
 window per distinct instant: the index is the instant itself.  A fixed
 delay is the other degenerate case, one instant per window.
 
-Cancellation stays lazy (flagged cells are skipped — and, under the
-arena, recycled — when the drain reaches them), and the bulk compaction
-trigger inherited from :class:`~repro.sim.events.EventQueue` filters the
-windows in place.
+Cancellation stays lazy (entries whose handle was cancelled are skipped
+when the drain reaches them), and the bulk compaction trigger inherited
+from :class:`~repro.sim.events.EventQueue` filters the windows in
+place.
 """
 from __future__ import annotations
 
@@ -51,12 +52,8 @@ import heapq
 from bisect import insort
 from typing import Callable, Sequence
 
-from repro.sim.events import Event, EventQueue
+from repro.sim.events import Entry, EventQueue, is_cancelled
 from repro.types import INF
-
-#: A window entry.  The plain-data prefix makes sorts and bisects run in
-#: C, and ``seq`` uniqueness means comparisons never reach the Event.
-_Entry = tuple[float, int, bytes, int, Event]
 
 
 class BucketTimeline(EventQueue):
@@ -69,8 +66,10 @@ class BucketTimeline(EventQueue):
       append order, and ``k`` sits in the ``_keys`` min-heap exactly
       while that list exists (compaction may leave it empty);
     * ``_open`` is the window being drained, sorted; ``_open[:_idx]`` is
-      already consumed and never looked at again, ``_open[_idx:]`` is
-      the undrained tail an in-window push is ``insort``-ed into.
+      already consumed and never looked at again (a popped slot is
+      cleared, so the entry's ``args`` are not pinned until the window
+      closes), ``_open[_idx:]`` is the undrained tail an in-window push
+      is ``insort``-ed into.
       ``_open_key`` is its index (``-INF`` while nothing is open) and is
       smaller than every closed window's: opening always takes the
       smallest index, and a push below it parks the open window first.
@@ -79,17 +78,20 @@ class BucketTimeline(EventQueue):
     * ``_live`` / ``_cancelled`` bookkeeping is inherited — ``len()``
       stays O(1).
 
+    The entry's plain-data prefix makes sorts and bisects run in C, and
+    ``seq`` uniqueness means comparisons never reach ``action``.
+
     Counters: ``bucket_appends`` counts every push; ``heap_pushes_avoided``
     the pushes that cost no sift of the window heap — everything but the
     first entry of a window, in-window inserts included.
     """
 
-    def __init__(self, *, recycle: bool = False, width: float = 0.0) -> None:
-        super().__init__(recycle=recycle)
+    def __init__(self, *, width: float = 0.0) -> None:
+        super().__init__()
         self._width = width
-        self._windows: dict[float, list[_Entry]] = {}
+        self._windows: dict[float, list[Entry]] = {}
         self._keys: list[float] = []
-        self._open: list[_Entry] = []
+        self._open: list[Entry] = []
         self._open_key = -INF
         self._idx = 0
 
@@ -97,32 +99,17 @@ class BucketTimeline(EventQueue):
     # scheduling
     # ------------------------------------------------------------------ #
 
-    def push(
-        self,
-        time: float,
-        action: Callable[..., None],
-        *,
-        priority: int = 0,
-        order_key: bytes = b"",
-        label: str = "",
-        args: tuple = (),
-        transient: bool = False,
-    ) -> Event:
-        seq = next(self._counter)
-        event = self._obtain_cell(
-            time, priority, order_key, seq, action, args, transient, label
-        )
+    def _insert(self, entry: Entry) -> None:
+        time = entry[0]
         width = self._width
         key = time // width if width else time
         window = self._windows.get(key)
         if window is None:
-            self._admit(key, (time, priority, order_key, seq, event))
+            self._admit(key, entry)
         else:
-            window.append((time, priority, order_key, seq, event))
+            window.append(entry)
         self.heap_pushes_avoided += 1
         self.bucket_appends += 1
-        self._live += 1
-        return event
 
     def push_batch(
         self,
@@ -132,55 +119,32 @@ class BucketTimeline(EventQueue):
         *,
         priority: int = 0,
         order_key: bytes = b"",
-        label: str = "",
-        transient: bool = False,
     ) -> int:
         """A whole fan-out, one instant per copy, in one call.
 
-        The loop of :meth:`push` with everything per-call hoisted out and
-        the cell fill inlined (instead of ``_obtain_cell`` per copy): a
-        fan-out at n >= 301 fills ~n cells and the per-call overhead was
-        the largest surviving slice of the push path.
+        The loop of transient :meth:`push` with everything per-call
+        hoisted out and :meth:`_insert` inlined: a fan-out at n >= 301
+        queues ~n entries and the per-call overhead was the largest
+        surviving slice of the push path.
         """
         counter = self._counter
         width = self._width
         windows = self._windows
-        recycle = transient and self._recycle
-        free = self._free
-        reused = 0
         for time, args in zip(times, args_seq, strict=True):
-            seq = next(counter)
-            if recycle and free:
-                event = free.pop()
-                event.time = time
-                event.priority = priority
-                event.order_key = order_key
-                event.seq = seq
-                event.action = action
-                event.args = args
-                event.cancelled = False  # see _obtain_cell
-                event.label = label
-                event.queue = self
-                reused += 1
-            else:
-                event = Event(
-                    time, priority, order_key, seq, action, args, False,
-                    recycle, label, self,
-                )
+            entry = (time, priority, order_key, next(counter), action, args)
             key = time // width if width else time
             window = windows.get(key)
             if window is None:
-                self._admit(key, (time, priority, order_key, seq, event))
+                self._admit(key, entry)
             else:
-                window.append((time, priority, order_key, seq, event))
+                window.append(entry)
         count = len(args_seq)
-        self.events_recycled += reused
         self.heap_pushes_avoided += count
         self.bucket_appends += count
         self._live += count
         return count
 
-    def _admit(self, key: float, entry: _Entry) -> None:
+    def _admit(self, key: float, entry: Entry) -> None:
         """Place an entry whose window is not among the closed ones."""
         if key == self._open_key:
             # Keep the undrained tail sorted so the entry fires exactly
@@ -207,7 +171,7 @@ class BucketTimeline(EventQueue):
     # draining
     # ------------------------------------------------------------------ #
 
-    def pop(self, stop: float = INF) -> Event | None:
+    def pop(self, stop: float = INF) -> Entry | None:
         while True:
             window = self._open
             idx = self._idx
@@ -219,13 +183,15 @@ class BucketTimeline(EventQueue):
             if entry[0] >= stop:
                 return None
             self._idx = idx + 1
-            event = entry[4]
-            if event.cancelled:
-                self._discard_cancelled(event)
-                continue
-            event.queue = None
+            window[idx] = None  # a fired copy's args die with it
+            if len(entry) > 6:
+                event = entry[6]
+                if event.cancelled:
+                    self._cancelled -= 1
+                    continue
+                event.queue = None
             self._live -= 1
-            return event
+            return entry
 
     def peek_time(self) -> float | None:
         while True:
@@ -235,13 +201,12 @@ class BucketTimeline(EventQueue):
                 if not self._open_next():
                     return None
                 continue
-            event = window[idx][4]
-            if not event.cancelled:
+            if not is_cancelled(window[idx]):
                 return window[idx][0]
-            # Skip (and, under the arena, recycle) dead entries at the
-            # drain front so a fully-cancelled tail never reports a time.
+            # Skip dead entries at the drain front so a fully-cancelled
+            # tail never reports a time.
             self._idx = idx + 1
-            self._discard_cancelled(event)
+            self._cancelled -= 1
 
     def _open_next(self) -> bool:
         """Sort the earliest closed window into drain position."""
@@ -264,14 +229,9 @@ class BucketTimeline(EventQueue):
         (amortized O(live)): the open window's undrained tail keeps its
         sorted order, and a burst of cancellations inside one window
         cannot re-trigger compaction on every subsequent cancel."""
-        discard = self._discard_cancelled
         pending = [(window, 0) for window in self._windows.values()]
         pending.append((self._open, self._idx))
         for window, start in pending:
-            live = []
-            for entry in window[start:]:
-                if entry[4].cancelled:
-                    discard(entry[4])
-                else:
-                    live.append(entry)
+            live = [e for e in window[start:] if not is_cancelled(e)]
+            self._cancelled -= len(window) - start - len(live)
             window[start:] = live

@@ -23,7 +23,7 @@ def reference_queue(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(
                 scheduler, "BucketTimeline",
-                lambda *, recycle, width: EventQueue(recycle=recycle),
+                lambda *, width: EventQueue(),
             )
             yield
 

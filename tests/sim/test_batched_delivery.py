@@ -32,7 +32,7 @@ def _instrumentation(preset):
     if preset == "full":
         return Instrumentation(name="full", rounds=True, transcripts=True)
     return Instrumentation(
-        name="perf", rounds=False, transcripts=False, recycle_events=True,
+        name="perf", rounds=False, transcripts=False,
         envelopes=preset == "perf-observed",
     )
 

@@ -2,8 +2,14 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.events import EventQueue
+from repro.sim.events import Event, EventQueue
 from repro.sim.scheduler import Simulator
+
+
+def _fire_all(queue: EventQueue) -> None:
+    """Pop and fire every live entry, as ``Simulator._drain`` does."""
+    while (entry := queue.pop()) is not None:
+        entry[4](*entry[5])
 
 
 class TestEventQueue:
@@ -13,8 +19,7 @@ class TestEventQueue:
         queue.push(2.0, lambda: fired.append("b"))
         queue.push(1.0, lambda: fired.append("a"))
         queue.push(3.0, lambda: fired.append("c"))
-        while (event := queue.pop()) is not None:
-            event.action()
+        _fire_all(queue)
         assert fired == ["a", "b", "c"]
 
     def test_ties_break_by_insertion_order(self):
@@ -22,8 +27,7 @@ class TestEventQueue:
         fired = []
         for i in range(10):
             queue.push(1.0, lambda i=i: fired.append(i))
-        while (event := queue.pop()) is not None:
-            event.action()
+        _fire_all(queue)
         assert fired == list(range(10))
 
     def test_priority_beats_insertion_order(self):
@@ -31,8 +35,7 @@ class TestEventQueue:
         fired = []
         queue.push(1.0, lambda: fired.append("late"), priority=1)
         queue.push(1.0, lambda: fired.append("early"), priority=0)
-        while (event := queue.pop()) is not None:
-            event.action()
+        _fire_all(queue)
         assert fired == ["early", "late"]
 
     def test_cancelled_events_are_skipped(self):
@@ -41,8 +44,7 @@ class TestEventQueue:
         handle = queue.push(1.0, lambda: fired.append("x"))
         queue.push(2.0, lambda: fired.append("y"))
         handle.cancel()
-        while (event := queue.pop()) is not None:
-            event.action()
+        _fire_all(queue)
         assert fired == ["y"]
 
     def test_len_ignores_cancelled(self):
@@ -80,7 +82,7 @@ class TestEventQueue:
         handle = queue.push(1.0, lambda: None)
         queue.push(2.0, lambda: None)
         popped = queue.pop()
-        assert popped is handle
+        assert popped[6] is handle
         handle.cancel()  # already out of the heap: must be a no-op
         assert len(queue) == 1
         assert queue.pop() is not None
@@ -95,8 +97,7 @@ class TestEventQueue:
         # Compaction kicked in: the heap no longer holds the dead entries.
         assert len(queue._heap) < 500
         assert len(queue) == 1
-        event = queue.pop()
-        assert event is handles[499]
+        assert queue.pop()[6] is handles[499]
         assert queue.pop() is None
 
     def test_order_preserved_across_compaction(self):
@@ -109,9 +110,27 @@ class TestEventQueue:
         for i, handle in enumerate(handles):
             if i % 3 != 0:
                 handle.cancel()
-        while (event := queue.pop()) is not None:
-            event.action()
+        _fire_all(queue)
         assert fired == [i for i in range(300) if i % 3 == 0]
+
+    def test_transient_push_is_a_plain_entry(self):
+        """A push nobody can cancel returns no handle and queues the six
+        plain fields; a handle push appends its ``Event``."""
+        queue = EventQueue()
+        assert queue.push(
+            1.0, print, order_key=b"k", args=("x",), transient=True
+        ) is None
+        handle = queue.push(1.0, print, order_key=b"k", label="timer")
+        assert isinstance(handle, Event) and handle.label == "timer"
+        assert queue.push_batch([1.0, 0.5], print, [(1,), (2,)]) == 2
+        assert len(queue) == 4
+        assert [queue.pop() for _ in range(4)] == [
+            (0.5, 0, b"", 3, print, (2,)),
+            (1.0, 0, b"", 2, print, (1,)),
+            (1.0, 0, b"k", 0, print, ("x",)),
+            (1.0, 0, b"k", 1, print, (), handle),
+        ]
+        assert handle.queue is None  # popped: a late cancel is a no-op
 
 
 class TestSimulator:
@@ -201,6 +220,40 @@ class TestSimulator:
         sim = Simulator()
         with pytest.raises(SimulationError):
             sim.schedule_after(-1.0, lambda: None)
+
+    def test_event_args_passed_positionally(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule_at(1.0, lambda a, b: seen.append((a, b)), args=(1, 2))
+        sim.schedule_at(2.0, lambda: seen.append("plain"))
+        sim.schedule_at(
+            3.0, lambda a: seen.append(a), args=("bare",), transient=True
+        )
+        sim.run()
+        assert seen == [(1, 2), "plain", "bare"]
+
+    def test_nan_horizon_rejected(self):
+        """``run(until=nan)`` used to run the whole schedule: no event
+        time compares greater than NaN, so the horizon never stopped it."""
+        sim = Simulator()
+        fired = []
+        for t in (1.0, 3.0, 5.0):
+            sim.schedule_at(t, lambda t=t: fired.append(t))
+        with pytest.raises(SimulationError, match="NaN"):
+            sim.run(until=float("nan"))
+        assert fired == [] and sim.now == 0.0
+        assert sim.run(until=2.0) == 2.0 and fired == [1.0]
+
+    def test_negative_max_events_rejected(self):
+        """``max_events=-1`` used to process nothing, silently."""
+        sim = Simulator()
+        fired = []
+        sim.schedule_at(1.0, lambda: fired.append(1))
+        with pytest.raises(SimulationError, match="max_events"):
+            sim.run(max_events=-1)
+        assert sim.run(max_events=0) == 0.0 and fired == []
+        sim.run(max_events=1)
+        assert fired == [1]
 
     def test_max_events(self):
         sim = Simulator()

@@ -4,17 +4,16 @@ Covers the plan primitives and their validation, the injector's seams
 (send suppression, delivery discard, drop/duplicate/jitter/partition/
 churn routing), the determinism contracts (same plan + seed => identical
 schedules across presets and both timeline backends), the no-fault
-byte-parity guarantee, the GstDelay scalar-vs-batch parity under churned
-send times, and the event-arena double-release guard.
+byte-parity guarantee and the GstDelay scalar-vs-batch parity under
+churned send times.
 """
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import FaultPlanError, SimulationError
+from repro.errors import FaultPlanError
 from repro.protocols.brb_2round import Brb2Round
 from repro.sim.delays import GstDelay, UniformDelay
-from repro.sim.events import EventQueue
 from repro.sim.faults import (
     Crash,
     CrashLeader,
@@ -31,7 +30,6 @@ from repro.sim.faults import (
 from repro.sim.retransmit import ReliableLink
 from repro.sim.instrumentation import Instrumentation
 from repro.sim.runner import World
-from repro.sim.timeline import BucketTimeline
 from repro.types import INF
 
 
@@ -342,7 +340,7 @@ def _run_brb(
     presets = {
         "full": dict(rounds=True, transcripts=True),
         "rounds": dict(rounds=True, transcripts=False),
-        "perf": dict(rounds=False, transcripts=False, recycle_events=True),
+        "perf": dict(rounds=False, transcripts=False),
     }
     world = World(
         n=n,
@@ -478,32 +476,3 @@ class TestGstDelayBatchParity:
                 latest = max(send_time, 5.0) + 1.0
                 assert send_time + value <= latest + 1e-9
 
-
-class TestDoubleReleaseGuard:
-    @pytest.mark.parametrize("queue_cls", [EventQueue, BucketTimeline])
-    def test_release_twice_raises(self, queue_cls):
-        queue = queue_cls(recycle=True)
-        cell = queue.push(1.0, lambda: None, transient=True)
-        assert queue.pop() is cell
-        queue.release(cell)
-        with pytest.raises(SimulationError):
-            queue.release(cell)
-        # The freelist holds exactly one copy: the next two transient
-        # pushes may reuse the cell once, never twice concurrently.
-        first = queue.push(2.0, lambda: None, transient=True)
-        second = queue.push(2.0, lambda: None, transient=True)
-        assert first is cell
-        assert second is not cell
-
-    @pytest.mark.parametrize("queue_cls", [EventQueue, BucketTimeline])
-    def test_discard_cancelled_idempotent_on_released_cells(self, queue_cls):
-        queue = queue_cls(recycle=True)
-        cell = queue.push(1.0, lambda: None, transient=True)
-        assert queue.pop() is cell
-        queue.release(cell)
-        # A stale duplicate reference surfacing post-release must not
-        # corrupt the cancelled count or re-release the cell.
-        before = queue._cancelled
-        queue._discard_cancelled(cell)
-        assert queue._cancelled == before
-        assert len(queue._free) == 1

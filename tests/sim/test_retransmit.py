@@ -131,7 +131,7 @@ class TestReliableChannelChain:
 PRESETS = {
     "full": dict(rounds=True, transcripts=True),
     "rounds": dict(rounds=True, transcripts=False),
-    "perf": dict(rounds=False, transcripts=False, recycle_events=True),
+    "perf": dict(rounds=False, transcripts=False),
 }
 
 

@@ -6,8 +6,8 @@ commit times, final time — and the same merged schedule-invariant
 counters (``messages_sent``, ``events_processed``, ``quorum_checks``)
 for every shard count, preset and timeline backend.  Counters that
 describe *how* work was batched locally (``deliveries_batched``,
-``bucket_appends``, ``events_recycled``) legitimately differ: a shard
-only batches its local slice of a fan-out.
+``bucket_appends``) legitimately differ: a shard only batches its local
+slice of a fan-out.
 
 The suite also pins the forced-``shards=1`` rules — every feature whose
 semantics need global per-copy visibility must silently fall back — and
@@ -84,9 +84,7 @@ def _counter_plan(n: int) -> FaultPlan:
 
 
 def _perf():
-    return Instrumentation(
-        name="perf", rounds=False, transcripts=False, recycle_events=True
-    )
+    return Instrumentation(name="perf", rounds=False, transcripts=False)
 
 
 def _queue(timeline, reference_queue):
@@ -157,7 +155,7 @@ class TestShardCountIndependence:
             case, shards=1,
             instrumentation=Instrumentation(
                 name="perf", rounds=False, transcripts=False,
-                recycle_events=True, envelopes=True,
+                envelopes=True,
             ),
         )
         folded = _run(case, shards=1, instrumentation=_perf())
@@ -455,3 +453,16 @@ class TestForcedSingleProcess:
         self._populate(world)
         with pytest.raises(ConfigurationError):
             world.run(max_events=10)
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_bad_run_bounds_rejected_before_anything_runs(self, shards):
+        """A sharded ``run(until=nan)`` used to run to completion: the
+        coordinator's ``step_time > until`` is never true against NaN."""
+        world = self._world(shards=shards)
+        assert self._populate(world) == shards
+        with pytest.raises(SimulationError, match="NaN"):
+            world.run(until=float("nan"))
+        with pytest.raises(SimulationError, match="max_events"):
+            world.run(max_events=-1)
+        assert world.sim.now == 0.0 and world.sim.events_processed == 0
+        assert world.run().all_honest_committed()

@@ -7,8 +7,8 @@ same pushes, in every instrumentation preset and **for every window
 width**: the lookahead only decides which pushes are O(1) appends and
 which are in-window inserts.  These tests drive both backends through
 randomized scripts (ties and continuous times, priorities, order keys,
-cancellations, transient recycling, interleaved pops, peeks and bounded
-pops, per-copy-instant batches) over widths from 0 (one window per
+plain entries mixed with live and cancelled handles, interleaved pops,
+peeks and bounded pops, per-copy-instant batches) over widths from 0 (one window per
 instant) to wider than the whole schedule, and assert the transcripts
 match exactly.
 """
@@ -21,9 +21,10 @@ import pytest
 from repro.protocols.brb_2round import Brb2Round
 from repro.protocols.psync.vbb_5f1 import PsyncVbb5f1
 from repro.sim.delays import FixedDelay, UniformDelay
-from repro.sim.events import _COMPACT_MIN_CANCELLED, EventQueue
+from repro.sim.events import _COMPACT_MIN_CANCELLED, Event, EventQueue
 from repro.sim.faults import Crash, DuplicateLink, FaultPlan, ReorderJitter
 from repro.sim.instrumentation import Instrumentation
+from repro.sim.network import Network
 from repro.sim.runner import World, run_broadcast
 from repro.sim.scheduler import Simulator
 from repro.sim.timeline import BucketTimeline
@@ -43,17 +44,21 @@ _WIDTHS = [0.0, 1e-9, 0.05, 0.3, 1.0, 10.0]
 
 
 def _random_script(
-    seed: int, *, with_cancels: bool, continuous: bool = False
+    seed: int,
+    *,
+    with_cancels: bool,
+    continuous: bool = False,
+    handle_share: float = 0.5,
 ) -> list[tuple]:
     """A seeded op script both backends replay identically.
 
     Times come from the ``_TIMES`` tie grid or, with ``continuous``, from
     a uniform draw (one distinct instant per push, the randomized-delay
-    regime); pushes land before and after what was already popped.
-    Cancels only ever target non-transient pushes: a transient handle
-    becomes invalid once its cell is recycled, and the two backends'
-    freelists interleave differently — the push contract forbids
-    retaining such handles anyway.
+    regime); pushes land before and after what was already popped.  A
+    single push asks for a handle with probability ``handle_share`` and
+    is transient (a plain entry) otherwise; batches are always plain.
+    Cancels target handles only, live or already popped — a transient
+    push has none.
     """
     rng = random.Random(seed)
 
@@ -65,7 +70,7 @@ def _random_script(
     for _ in range(400):
         roll = rng.random()
         if roll < 0.45:
-            transient = rng.random() < 0.5
+            transient = rng.random() >= handle_share
             script.append((
                 "push", when(), rng.randrange(2), rng.choice(_KEYS),
                 transient,
@@ -82,7 +87,6 @@ def _random_script(
             )
             script.append((
                 "batch", times, rng.randrange(2), rng.choice(_KEYS),
-                rng.random() < 0.5,
             ))
         elif roll < 0.75 and with_cancels and cancellable:
             script.append(("cancel", rng.randrange(cancellable)))
@@ -95,11 +99,10 @@ def _random_script(
     return script
 
 
-def _fired(kind: str, event) -> tuple:
-    return (
-        kind, event.time, event.priority, event.order_key, event.seq,
-        event.args,
-    )
+def _fired(kind: str, entry) -> tuple:
+    """An entry's ordering fields, its args and its kind (6 = plain,
+    7 = with a handle)."""
+    return (kind, *entry[:4], entry[5], len(entry))
 
 
 def _replay(queue: EventQueue, script: list[tuple]) -> list[tuple]:
@@ -111,65 +114,57 @@ def _replay(queue: EventQueue, script: list[tuple]) -> list[tuple]:
             _, time, priority, key, transient = op
             handle = queue.push(
                 time, _noop, priority=priority, order_key=key,
-                transient=transient,
+                args=(len(log),), transient=transient,
             )
-            if not transient:
+            if transient:
+                assert handle is None
+            else:
                 handles.append(handle)
         elif kind == "batch":
-            _, times, priority, key, transient = op
+            _, times, priority, key = op
             queue.push_batch(
                 times, _noop, [(i,) for i in range(len(times))],
-                priority=priority, order_key=key, transient=transient,
+                priority=priority, order_key=key,
             )
         elif kind == "cancel":
             handles[op[1]].cancel()
         elif kind == "pop":
-            event = queue.pop()
-            if event is None:
-                log.append(("pop", None))
-            else:
-                log.append(_fired("pop", event))
-                if event.transient:
-                    queue.release(event)
+            entry = queue.pop()
+            log.append(("pop", None) if entry is None else _fired("pop", entry))
         elif kind == "drain":
             _, stop, limit = op
             for _ in range(limit):
-                event = queue.pop(stop)
-                if event is None:
+                entry = queue.pop(stop)
+                if entry is None:
                     log.append(("drain", None))
                     break
-                log.append(_fired("drain", event))
-                if event.transient:
-                    queue.release(event)
+                log.append(_fired("drain", entry))
         else:
             log.append(("peek", queue.peek_time(), len(queue)))
-    while (event := queue.pop()) is not None:
-        log.append(_fired("rest", event))
-        if event.transient:
-            queue.release(event)
-    log.append(("end", len(queue), queue.peek_time(), queue.events_recycled))
+    log.extend(_fired("rest", entry) for entry in iter(queue.pop, None))
+    log.append(("end", len(queue), queue.peek_time(), queue._cancelled))
     return log
 
 
 class TestQueueParity:
     @pytest.mark.parametrize("width", _WIDTHS)
     @pytest.mark.parametrize("continuous", [False, True])
-    @pytest.mark.parametrize("recycle", [False, True])
+    @pytest.mark.parametrize("handle_share", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("seed", range(6))
     def test_randomized_scripts_pop_identically(
-        self, seed, recycle, continuous, width
+        self, seed, handle_share, continuous, width
     ):
-        # Cancels are safe under recycle too: scripts only ever cancel
-        # non-transient handles, so this also covers cancelled-cell
-        # discarding while the arena is recycling.
+        # Plain entries only (the per-copy delivery regime), a mix of
+        # plain entries with live and cancelled handles, and every single
+        # push a handle (batches stay plain).
         script = _random_script(
-            seed, with_cancels=True, continuous=continuous
+            seed, with_cancels=True, continuous=continuous,
+            handle_share=handle_share,
         )
-        heap_log = _replay(EventQueue(recycle=recycle), script)
-        calendar_log = _replay(
-            BucketTimeline(recycle=recycle, width=width), script
-        )
+        heap_log = _replay(EventQueue(), script)
+        calendar_log = _replay(BucketTimeline(width=width), script)
         assert heap_log == calendar_log
+        assert heap_log[-1] == ("end", 0, None, 0)
 
     @pytest.mark.parametrize("width", _WIDTHS)
     def test_compaction_mid_window_matches_heap(self, width):
@@ -218,7 +213,7 @@ class TestQueueParity:
             log.extend(_fired("rest", e) for e in iter(queue.pop, None))
             logs.append(log)
         assert logs[0] == logs[1]
-        assert [entry[-1] for entry in logs[1][2:]] == [
+        assert [entry[-2] for entry in logs[1][2:]] == [
             ("early",), (1,), ("late",), (2,), ("earlier still",), (0,)
         ]
 
@@ -227,12 +222,15 @@ class TestQueueParity:
         looped = BucketTimeline(width=0.3)
         batched.push(1.0, _noop, order_key=b"x")
         looped.push(1.0, _noop, order_key=b"x")
+        # A batch is a loop of transient pushes: plain entries throughout.
         times = [1.0, 0.2, 1.0, 2.5, 0.2]
         batched.push_batch(
             times, _noop, [(r,) for r in range(5)], order_key=b"m",
         )
         for r, time in enumerate(times):
-            looped.push(time, _noop, order_key=b"m", args=(r,))
+            looped.push(
+                time, _noop, order_key=b"m", args=(r,), transient=True
+            )
         out = [
             [_fired("pop", event) for event in iter(queue.pop, None)]
             for queue in (batched, looped)
@@ -248,7 +246,7 @@ class TestQueueParity:
             handle.cancel()
         assert len(queue) == 1
         assert sum(len(w) for w in queue._windows.values()) < 500
-        assert queue.pop() is handles[499]
+        assert queue.pop()[6] is handles[499]
         assert queue.pop() is None
 
     def test_counters_track_window_reuse(self):
@@ -260,7 +258,7 @@ class TestQueueParity:
         # 4 pushes at 1.0 share one window (3 avoided); the batch opens
         # window [2.0, 2.5) for 3 distinct instants (2 avoided).
         assert queue.heap_pushes_avoided == 5
-        assert queue.pop().time == 1.0
+        assert queue.pop()[0] == 1.0
         # An in-window insert costs an insort, not a sift: avoided too.
         queue.push(1.2, _noop)
         assert (queue.bucket_appends, queue.heap_pushes_avoided) == (8, 6)
@@ -275,38 +273,76 @@ class TestQueueParity:
         assert heap.heap_pushes_avoided == 0
 
 
-class TestCancelledTransientRecycling:
-    """Cancelled transient cells must return to the arena, not leak."""
+class TestDeadEntriesAmidPlainOnes:
+    """A cancelled handle at the drain front is skipped, and accounted,
+    the same way by ``pop`` and ``peek_time`` on both backends."""
 
     @pytest.mark.parametrize("queue_cls", [EventQueue, BucketTimeline])
-    def test_pop_recycles_cancelled_transients(self, queue_cls):
-        queue = queue_cls(recycle=True)
-        doomed = queue.push(1.0, _noop, transient=True)
-        queue.push(2.0, _noop, transient=True)
+    def test_pop_skips_a_cancelled_handle(self, queue_cls):
+        queue = queue_cls()
+        doomed = queue.push(1.0, _noop)
+        queue.push(2.0, _noop, args=("plain",), transient=True)
         doomed.cancel()
-        survivor = queue.pop()
-        assert survivor.time == 2.0
-        reused = queue.push(3.0, _noop, transient=True)
-        assert reused is doomed
-        assert queue.events_recycled == 1
+        assert (len(queue), queue._cancelled) == (1, 1)
+        assert queue.pop() == (2.0, 0, b"", 1, _noop, ("plain",))
+        assert (len(queue), queue._cancelled) == (0, 0)
+        assert queue.pop() is None
 
     @pytest.mark.parametrize("queue_cls", [EventQueue, BucketTimeline])
-    def test_peek_recycles_cancelled_transients(self, queue_cls):
-        queue = queue_cls(recycle=True)
-        doomed = queue.push(1.0, _noop, transient=True)
-        queue.push(2.0, _noop, transient=True)
+    def test_peek_skips_a_cancelled_handle(self, queue_cls):
+        queue = queue_cls()
+        doomed = queue.push(1.0, _noop)
+        queue.push_batch([2.0], _noop, [("plain",)])
         doomed.cancel()
         assert queue.peek_time() == 2.0
-        reused = queue.push(3.0, _noop, transient=True)
-        assert reused is doomed
+        assert queue._cancelled == 0
+        doomed.cancel()  # already discarded: a second cancel is a no-op
+        assert (len(queue), queue._cancelled) == (1, 0)
 
-    @pytest.mark.parametrize("queue_cls", [EventQueue, BucketTimeline])
-    def test_without_arena_no_recycling_on_cancel(self, queue_cls):
-        queue = queue_cls()
-        doomed = queue.push(1.0, _noop, transient=True)
-        doomed.cancel()
-        assert queue.pop() is None
-        assert queue.events_recycled == 0
+
+class TestHandleFreeDeliveries:
+    """A scheduled copy is one tuple: only a push that returns a
+    cancellable handle builds an ``Event``."""
+
+    def test_fan_outs_and_self_deliveries_build_no_event(self, monkeypatch):
+        built = []
+        init = Event.__init__
+
+        def spy(event, *args, **kwargs):
+            init(event, *args, **kwargs)
+            built.append(event)
+
+        monkeypatch.setattr(Event, "__init__", spy)
+        landed = []
+        sims = []
+        for policy, payload in (
+            (UniformDelay(0.05, 1.0, seed=2026, stream="counter"), "propose"),
+            (FixedDelay(1.0), "vote"),
+        ):
+            sim = Simulator(lookahead=policy.min_delay())
+            net = Network(sim, policy, n=301)
+            for pid in range(301):
+                net.attach(pid, lambda sender, msg: landed.append(msg))
+            net.multicast(0, payload)  # 300 copies plus the self-delivery
+            sims.append((sim, net))
+        (uniform, per_copy), (fixed, folded) = sims
+        assert (per_copy.delivery_runs_batched, folded.deliveries_batched) \
+            == (0, 300)
+        assert (uniform.pending_events(), fixed.pending_events()) == (301, 2)
+        uniform.run()
+        fixed.run()
+        assert sorted(set(landed)) == ["propose", "vote"]
+        assert len(landed) == 602
+        assert built == []
+        # A push without ``transient`` still hands back a live handle.
+        handle = uniform.schedule_at(
+            uniform.now + 1.0, landed.append, args=("timer",)
+        )
+        assert built == [handle]
+        handle.cancel()
+        assert uniform.pending_events() == 0
+        uniform.run()
+        assert "timer" not in landed
 
 
 class TestSimulatorParity:
@@ -319,7 +355,7 @@ class TestSimulatorParity:
         return heap, script()
 
     def _cascade_log(self, *, until=None, max_events=None, lookahead=0.3):
-        sim = Simulator(recycle_events=True, lookahead=lookahead)
+        sim = Simulator(lookahead=lookahead)
         rng = random.Random(7)
         log = []
         spawned = [0]
@@ -332,7 +368,7 @@ class TestSimulatorParity:
                 sim.schedule_batch(
                     [sim.now + rng.choice([0.0, 0.5, 1.0]) for _ in fanout],
                     fire, fanout,
-                    order_key=bytes([tag % 5]), transient=True,
+                    order_key=bytes([tag % 5]),
                 )
 
         sim.schedule_at(0.0, fire, args=(0,), transient=True)
@@ -410,7 +446,7 @@ def _outcome(cls, kwargs, policy, preset: dict):
 _PRESETS = {
     "full": dict(rounds=True, transcripts=True),
     "rounds": dict(rounds=True, transcripts=False),
-    "perf": dict(rounds=False, transcripts=False, recycle_events=True),
+    "perf": dict(rounds=False, transcripts=False),
 }
 
 

@@ -118,8 +118,8 @@ class TestEventQueueProperties:
         for time, priority, key in entries:
             queue.push(time, lambda: None, priority=priority, order_key=key)
         popped = []
-        while (event := queue.pop()) is not None:
-            popped.append((event.time, event.priority, event.order_key))
+        while (entry := queue.pop()) is not None:
+            popped.append(entry[:3])
         assert popped == sorted(popped)
 
     @given(st.lists(st.floats(0, 100, allow_nan=False), max_size=30),
