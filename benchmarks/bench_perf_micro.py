@@ -9,8 +9,8 @@ bookkeeping.  Run with::
 
     pytest benchmarks/bench_perf_micro.py --benchmark-only
 
-For the tracked end-to-end numbers (``BENCH_core.json``) use
-``python benchmarks/run_core_bench.py`` instead.
+For end-to-end numbers use the repo benchmark,
+``python benchmarks/e2e/run.py`` (``--quick`` for a smoke run).
 """
 import random
 

@@ -49,7 +49,14 @@ def point_seed(base_seed: int, index: int, key: Any = None) -> int:
 
 
 def _run_task(task: SweepTask) -> Any:
-    return task.fn(**task.kwargs)
+    try:
+        return task.fn(**task.kwargs)
+    except Exception as error:
+        # The point's key goes into the message itself: the error keeps
+        # its type, a pool worker pickles ``args`` back, and Python 3.10
+        # has no ``add_note``.
+        error.args = (f"sweep task {task.key!r}: {error}", *error.args[1:])
+        raise
 
 
 class SweepEngine:

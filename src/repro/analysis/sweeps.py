@@ -283,8 +283,9 @@ def sweep_random_delays(
     so the whole distribution reproduces bit-for-bit at any worker count.
     The worst-case sweeps above are the paper's bounds; this one samples
     the gap between them and typical executions.
-    :func:`sweep_latency_distribution` aggregates these points into the
-    percentile rows tracked in ``BENCH_core.json``.
+    :func:`sweep_latency_distribution` aggregates these points into
+    percentile rows (the ``categorization`` workload of
+    ``benchmarks/e2e/run.py`` runs it).
     """
     engine = _default_engine(engine)
     # The task key salts the injected per-point seed.  The default

@@ -11,9 +11,6 @@ Commands:
 * ``smr`` — run the replicated key-value store demo; exits non-zero
   unless every replica commits every slot and the states agree;
 * ``ablation`` — run the equivocation-clause ablation;
-* ``bench`` — run the core perf grid (wall times, digest/intern counters,
-  latency percentiles); ``--output`` also writes/merges a
-  ``BENCH_core.json``-style document;
 * ``chaos`` — run seeded random fault plans (within each protocol's
   tolerated bounds) across the chaos grid with invariant monitors
   attached; failing plans are shrunk to minimal reproducers.
@@ -22,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
@@ -103,20 +99,6 @@ def _cmd_smr(args: argparse.Namespace) -> int:
     committed = min(len(r.committed_log) for r in replicas)
     print(f"slots committed: {committed}/{args.slots}")
     return 0 if len(snapshots) == 1 and committed == args.slots else 1
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.analysis.corebench import run_core_bench
-
-    run_core_bench(
-        output=args.output,
-        smoke=args.smoke,
-        workers=args.workers,
-        reps=args.reps,
-        profile=args.profile,
-        shards=args.shards,
-    )
-    return 0
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
@@ -261,38 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delay", type=float, default=0.1)
     p.add_argument("--big-delta", dest="big_delta", type=float, default=1.0)
     p.set_defaults(fn=_cmd_smr)
-
-    p = sub.add_parser(
-        "bench",
-        help="core perf grid: walls, digest/intern counters, percentiles",
-    )
-    p.add_argument(
-        "--smoke", action="store_true",
-        help="reduced <60s grid (what the CI regression gate runs)",
-    )
-    p.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes for the row grid (1 = serial timing)",
-    )
-    p.add_argument(
-        "--reps", type=int, default=None,
-        help="timing reps per row (default: 9, 5 past n=200 and in smoke)",
-    )
-    p.add_argument(
-        "--output", type=Path, default=None,
-        help="write/merge a BENCH_core.json-style document here "
-        "(default: print only)",
-    )
-    p.add_argument(
-        "--profile", action="store_true",
-        help="cProfile top-20 per grid point -> <output stem>.profile.txt",
-    )
-    p.add_argument(
-        "--shards", type=int, default=None,
-        help="override the shard count on every grid row (1 forces "
-        "single-process; default: per-row grid values)",
-    )
-    p.set_defaults(fn=_cmd_bench)
 
     p = sub.add_parser("ablation", help="equivocation-clause ablation")
     p.set_defaults(fn=_cmd_ablation)

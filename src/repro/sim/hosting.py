@@ -26,7 +26,8 @@ What a hosted party sees of the outer world:
   two brains of one corrupted id, or two slots of one replica, tally
   *different* values under the same ``(view, value)`` bucket names and
   would overwrite the entries honest parties read back; ``accountant``
-  is ``None`` (a hosted commit is no atomic step of the outer execution);
+  and ``fault_injector`` are ``None`` (a hosted commit is no atomic step
+  of the outer execution, and a plan's crash windows gate the host);
 * **routed to the host** — ``note_commit`` becomes
   :meth:`PartyHost.hosted_commit`; commit conflicts and view entries stop
   here.  Nothing a hosted party does reaches ``commit_order`` or an
@@ -90,6 +91,7 @@ class HostedWorld:
     """The world seen by the party ``host`` runs under ``key``."""
 
     accountant = None
+    fault_injector = None
 
     def __init__(self, host: "PartyHost", key: Any):
         outer = host.world

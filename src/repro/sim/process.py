@@ -283,8 +283,15 @@ class Party(Agent):
         protocol bug — we keep the first value and surface the attempt
         through :meth:`World.note_commit_conflict` so an attached
         integrity monitor can flag it (pre-monitor behaviour: silently
-        ignored, which is still what happens with no monitors).
+        ignored, which is still what happens with no monitors).  A party
+        its fault plan holds down at ``now`` records nothing: its own
+        timers still fire, but a crashed party does not commit.
         """
+        injector = self.world.fault_injector
+        if injector is not None and injector.party_down(
+            self.id, self.world.sim.now
+        ):
+            return
         if self.has_committed:
             if value != self.committed_value:
                 self.world.note_commit_conflict(

@@ -17,6 +17,12 @@ def echo_seed(*, seed):
     return seed
 
 
+def reject_two(*, x):
+    if x == 2:
+        raise ValueError(f"x={x} rejected")
+    return x
+
+
 class TestSweepEngine:
     def test_results_in_task_order(self):
         engine = SweepEngine()
@@ -47,6 +53,15 @@ class TestSweepEngine:
         engine = SweepEngine(base_seed=123)
         task = SweepTask(echo_seed, dict(seed=7), key="a", inject_seed=True)
         assert engine.run([task]) == [7]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_point_names_its_key(self, workers):
+        tasks = [
+            SweepTask(reject_two, dict(x=x), key=("x", x)) for x in range(4)
+        ]
+        with pytest.raises(ValueError) as caught:
+            SweepEngine(workers=workers).run(tasks)
+        assert str(caught.value) == "sweep task ('x', 2): x=2 rejected"
 
     def test_parallel_matches_serial(self):
         tasks = [SweepTask(square, dict(x=x)) for x in range(6)]

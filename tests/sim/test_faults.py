@@ -12,8 +12,9 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import FaultPlanError
+from repro.protocols import PROTOCOLS
 from repro.protocols.brb_2round import Brb2Round
-from repro.sim.delays import GstDelay, UniformDelay
+from repro.sim.delays import FixedDelay, GstDelay, UniformDelay
 from repro.sim.faults import (
     Crash,
     CrashLeader,
@@ -381,6 +382,25 @@ class TestWorldIntegration:
         assert set(result.commits.values()) == {"v"}
         assert 5 not in result.commits and 6 not in result.commits
         assert result.faults_injected > 0
+
+    @pytest.mark.parametrize(
+        "protocol, n, f", [("bb_2delta", 7, 2), ("dolev_strong", 5, 2)]
+    )
+    def test_crashed_party_commits_nothing(self, protocol, n, f):
+        """A crash-stop party's own timers still fire; the one that would
+        commit BOTTOM must record nothing."""
+        world = World(
+            n=n,
+            f=f,
+            delay_policy=FixedDelay(0.5),
+            fault_plan=FaultPlan(crashes=(Crash(party=n - 1, at=0.0),)),
+        )
+        world.populate(
+            PROTOCOLS[protocol].factory(broadcaster=0, input_value="v")
+        )
+        result = world.run(until=100.0)
+        assert result.commits == {p: "v" for p in range(n - 1)}
+        assert not world.agents[n - 1].has_committed
 
     def test_fault_counters_reach_run_result(self):
         plan = FaultPlan(

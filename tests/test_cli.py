@@ -20,13 +20,6 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["witness", "thm99"])
 
-    def test_bench_defaults(self):
-        args = build_parser().parse_args(["bench", "--smoke"])
-        assert args.smoke is True
-        assert args.workers == 1
-        assert args.reps is None
-        assert args.output is None
-
     def test_chaos_defaults(self):
         args = build_parser().parse_args(["chaos"])
         assert args.smoke is False
@@ -140,13 +133,6 @@ class TestCommands:
         assert main(["ablation"]) == 0
         out = capsys.readouterr().out
         assert "load-bearing: True" in out
-
-    def test_bench_smoke_reports_intern_counters(self, capsys):
-        assert main(["bench", "--smoke", "--reps", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "interned=" in out
-        assert "plans=" in out
-        assert "p99=" in out  # latency-distribution row
 
     def test_chaos_clean_subset_exits_zero(self, capsys):
         assert main(
