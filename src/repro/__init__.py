@@ -27,7 +27,7 @@ from repro.protocols.sync.bb_delta_delta_sync import BbDeltaDeltaSync
 from repro.protocols.sync.bb_unauth_3delta import BbUnauth3Delta
 from repro.protocols.sync.dishonest_majority import WanStyleBb
 from repro.sim.runner import RunResult, World, run_broadcast
-from repro.types import BOTTOM, FaultBudget
+from repro.types import BOTTOM
 
 __version__ = "1.0.0"
 
@@ -45,7 +45,6 @@ __all__ = [
     "BroadcastParty",
     "DolevStrongBb",
     "FabPsync",
-    "FaultBudget",
     "PartialSynchronyModel",
     "PbftPsync",
     "PsyncVbb5f1",

@@ -2,41 +2,29 @@
 from repro.adversary.behaviors import (
     ByzantineBehavior,
     CrashBehavior,
-    EquivocatingVoterBehavior,
     FilteredHonestBehavior,
-    ForgedVoteQuorumBehavior,
     HonestExceptBehavior,
     ScriptStep,
     ScriptedBehavior,
     SplitBrainBehavior,
-    crash_and_equivocate,
     crash_at,
-    equivocate_votes,
     fixed_delay_toward,
-    forge_vote_quorum,
     pass_all,
     per_party,
-    silent_toward,
 )
 from repro.adversary.broadcaster import equivocating_broadcaster
 
 __all__ = [
     "ByzantineBehavior",
     "CrashBehavior",
-    "EquivocatingVoterBehavior",
     "FilteredHonestBehavior",
-    "ForgedVoteQuorumBehavior",
     "HonestExceptBehavior",
     "ScriptStep",
     "ScriptedBehavior",
     "SplitBrainBehavior",
-    "crash_and_equivocate",
     "crash_at",
-    "equivocate_votes",
     "equivocating_broadcaster",
     "fixed_delay_toward",
-    "forge_vote_quorum",
     "pass_all",
     "per_party",
-    "silent_toward",
 ]

@@ -18,7 +18,6 @@ from repro.analysis.latency import (
 from repro.analysis.sweeps import (
     SweepPoint,
     latency_percentiles,
-    sweep_async_rounds,
     sweep_dishonest_majority,
     sweep_fig9_tradeoff,
     sweep_latency_distribution,
@@ -46,7 +45,6 @@ __all__ = [
     "run_chaos_plan",
     "shrink_failing_plan",
     "shrink_plan",
-    "sweep_async_rounds",
     "sweep_chaos",
     "sweep_dishonest_majority",
     "sweep_fig9_tradeoff",

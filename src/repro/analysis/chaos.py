@@ -446,17 +446,6 @@ def _plan(tier: str, protocol: str, seed: int, stream: str) -> FaultPlan:
 # ---------------------------------------------------------------------- #
 
 
-def chaos_deadline(
-    protocol: str,
-    plan: FaultPlan,
-    *,
-    tier: str = "good-case",
-    reliable: ReliableLink | None = None,
-) -> float:
-    """Termination deadline for ``plan`` under ``protocol``'s spec."""
-    return plan.quiet_time(reliable) + _spec(tier, protocol).slack
-
-
 def judge(monitors: list, world: Any, replay: Any = None) -> None:
     """The battery's end-of-run verdict; raises the first breach.
 

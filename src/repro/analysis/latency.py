@@ -47,8 +47,8 @@ def measure_sync_good_case(
     """Good-case latency (time units) of a synchronous protocol.
 
     ``instrumentation`` selects an observability preset (``"full"`` /
-    ``"rounds"`` / ``"perf"``); time latency only needs commit times, so
-    every preset yields the same measurement.
+    ``"perf"``); time latency only needs commit times, so either yields
+    the same measurement.
     """
     protocol_kwargs.setdefault("big_delta", model.big_delta)
     result = run_broadcast(
@@ -86,33 +86,20 @@ def measure_round_good_case(
     input_value: Any = "v",
     until: float | None = None,
     instrumentation: str | None = None,
-    shards: int = 1,
-    delay_policy: Any = None,
-    fault_plan: Any = None,
     **protocol_kwargs: Any,
 ) -> LatencyMeasurement:
     """Good-case latency (Canetti-Rabin rounds) under async / psync.
 
     With ``instrumentation="perf"`` the run records no steps, so
     ``round_latency`` comes back ``None`` (commits and message counts are
-    unaffected — that is the mode's contract).  ``shards``,
-    ``delay_policy`` and ``fault_plan`` are explicit parameters (never
-    folded into ``protocol_kwargs``): they configure the world, not the
-    protocol.  An explicit ``delay_policy`` overrides the model's
-    (benchmarks use this to pin a seeded ``UniformDelay``), and a
-    ``fault_plan`` compiles into the world's injector; sharding falls
-    back to one process when either forces it (see
-    ``RunResult.shard_fallback_reason``).
+    unaffected — that is the mode's contract).
     """
-    if delay_policy is not None:
-        policy = delay_policy
+    if model is None:
+        model = AsynchronyModel()
+    if isinstance(model, PartialSynchronyModel):
+        policy = model.stable_policy()
     else:
-        if model is None:
-            model = AsynchronyModel()
-        if isinstance(model, PartialSynchronyModel):
-            policy = model.stable_policy()
-        else:
-            policy = model.policy()
+        policy = model.policy()
     result = run_broadcast(
         n=n,
         f=f,
@@ -124,8 +111,6 @@ def measure_round_good_case(
         delay_policy=policy,
         until=until,
         instrumentation=instrumentation,
-        shards=shards,
-        fault_plan=fault_plan,
     )
     return LatencyMeasurement(
         protocol=protocol_cls.__name__,

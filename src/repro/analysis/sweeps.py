@@ -7,8 +7,8 @@ Every sweep is expressed as a grid of independent, module-level *point
 functions* executed through :class:`~repro.analysis.engine.SweepEngine`:
 pass ``engine=SweepEngine(workers=K)`` to fan a grid out over K worker
 processes (results are identical to the serial default — the engine's
-determinism contract), and ``instrumentation="rounds"``/``"perf"`` to
-shed transcript/accounting overhead on large grids.
+determinism contract), and ``instrumentation="perf"`` to shed the
+transcript/accounting observers on large grids.
 """
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, replace
 
 from repro.analysis.engine import SweepEngine, SweepTask
-from repro.analysis.latency import measure_round_good_case
 from repro.analysis.table1 import FIGURES, REGIMES
 from repro.protocols import PROTOCOLS
 
@@ -186,38 +185,6 @@ def sweep_dishonest_majority(
     )
 
 
-def _async_rounds_point(*, n: int, f: int) -> dict:
-    # Round latency needs round accounting, so these points always run
-    # with (at least) "rounds" instrumentation.
-    from repro.protocols.brb_2round import Brb2Round
-    from repro.protocols.brb_bracha import BrachaBrb
-
-    return {
-        "n": n,
-        "f": f,
-        "brb_2round": measure_round_good_case(
-            Brb2Round, n=n, f=f, instrumentation="rounds"
-        ).round_latency,
-        "bracha": measure_round_good_case(
-            BrachaBrb, n=n, f=f, instrumentation="rounds"
-        ).round_latency,
-    }
-
-
-def sweep_async_rounds(
-    *,
-    configs: list[tuple[int, int]],
-    engine: SweepEngine | None = None,
-) -> list[dict]:
-    """Round latency of the async/psync protocols across system sizes."""
-    engine = _default_engine(engine)
-    return engine.map(
-        _async_rounds_point,
-        [dict(n=n, f=f) for n, f in configs],
-        keys=configs,
-    )
-
-
 #: Protocol families the latency-distribution sweep accepts.
 DISTRIBUTION_PROTOCOLS = ("brb_2round", "psync_vbb_5f1")
 
@@ -315,111 +282,6 @@ def sweep_random_delays(
     return engine.run(tasks)
 
 
-def _equivocating_voters_point(
-    *,
-    n: int,
-    f: int,
-    equivocators: int,
-    delta: float,
-    seed: int,
-    instrumentation: str = "perf",
-    crashers: int = 0,
-) -> dict:
-    from repro.adversary.behaviors import crash_and_equivocate, equivocate_votes
-    from repro.protocols.brb_2round import Brb2Round
-    from repro.sim.delays import UniformDelay
-    from repro.sim.runner import run_broadcast
-
-    # Corrupt the highest ids so the broadcaster (0) stays honest: the
-    # top `crashers` ids crash at time 0, the next `equivocators` ids
-    # double-vote.
-    byzantine = frozenset(range(n - equivocators - crashers, n))
-    if crashers:
-        behavior_factory = crash_and_equivocate(
-            broadcaster=0,
-            crashers=frozenset(range(n - crashers, n)),
-        )
-    else:
-        behavior_factory = equivocate_votes(broadcaster=0)
-    result = run_broadcast(
-        n=n,
-        f=f,
-        party_factory=Brb2Round.factory(broadcaster=0, input_value="v"),
-        byzantine=byzantine,
-        behavior_factory=behavior_factory,
-        delay_policy=UniformDelay(0.0, delta, seed=seed),
-        instrumentation=instrumentation,
-    )
-    return {
-        "n": n,
-        "f": f,
-        "equivocators": equivocators,
-        "crashers": crashers,
-        "seed": seed,
-        "all_committed": result.all_honest_committed(),
-        "agreement": result.agreement_holds(),
-        "latency": result.latency_from(0.0),
-        "messages": result.messages_sent,
-        "equivocations_detected": result.equivocations_detected,
-        "quorum_checks": result.quorum_checks,
-    }
-
-
-def sweep_equivocating_voters(
-    *,
-    n: int,
-    f: int,
-    equivocator_counts: list[int],
-    delta: float = 1.0,
-    engine: SweepEngine | None = None,
-    instrumentation: str = "perf",
-    crashers: int = 0,
-) -> list[dict]:
-    """BRB under the ``equivocate_votes`` adversary, per corruption level.
-
-    Each grid point corrupts the top ``k`` ids (``k <= f``) with
-    :class:`~repro.adversary.behaviors.EquivocatingVoterBehavior` —
-    every corrupted party signs votes for *two* values — and reports
-    whether all honest parties still committed in agreement, plus the
-    tracker-level evidence: ``equivocations_detected`` counts the
-    double-voters exposed by the honest parties' quorum trackers — each
-    honest tracker independently witnesses every equivocator whose
-    second vote lands before that party commits and terminates, so the
-    count grows with ``k`` up to about ``k * (n - k)``.  Seeded like
-    every other sweep: deterministic at any worker count.
-
-    ``crashers`` additionally crashes that many of the *top* corrupted
-    ids at time 0 (total corruption ``k + crashers <= f``) through the
-    mixed :func:`~repro.adversary.behaviors.crash_and_equivocate`
-    factory.  The default ``crashers=0`` keeps the original task keys,
-    so every tracked equivocation number reproduces bit-for-bit.
-    """
-    engine = _default_engine(engine)
-    # crashers=0 keeps the historical key shape (seed compatibility).
-    def _key(k: int) -> tuple:
-        if crashers == 0:
-            return ("equivocate-votes", n, f, k)
-        return ("equivocate-votes", n, f, k, crashers)
-
-    tasks = [
-        SweepTask(
-            _equivocating_voters_point,
-            dict(
-                n=n,
-                f=f,
-                equivocators=k,
-                delta=delta,
-                instrumentation=instrumentation,
-                crashers=crashers,
-            ),
-            key=_key(k),
-            inject_seed=True,
-        )
-        for k in equivocator_counts
-    ]
-    return engine.run(tasks)
-
-
 def latency_percentiles(
     latencies: list[float], percentiles: tuple[int, ...] = (50, 90, 99)
 ) -> dict[str, float]:
@@ -449,11 +311,9 @@ def sweep_latency_distribution(
 ) -> list[dict]:
     """Good-case latency *distribution* per grid point.
 
-    Grid entries are ``(n, f)`` pairs (2-round-BRB, the original grid)
-    or ``(protocol, n, f)`` triples — ``protocol`` is a family label
-    accepted by :func:`sweep_random_delays` (``"brb_2round"`` /
-    ``"psync_vbb_5f1"``), so the tracked distribution covers more than
-    one protocol family.
+    Grid entries are ``(protocol, n, f)`` triples — ``protocol`` is a
+    family label accepted by :func:`sweep_random_delays`
+    (``"brb_2round"`` / ``"psync_vbb_5f1"``).
 
     The paper's theorems bound the worst case; this benchmark measures
     where typical executions land: for each grid point it runs ``samples``
@@ -470,12 +330,7 @@ def sweep_latency_distribution(
     """
     engine = _default_engine(engine)
     rows = []
-    for entry in grid:
-        if len(entry) == 3:
-            protocol, n, f = entry
-        else:
-            n, f = entry
-            protocol = "brb_2round"
+    for protocol, n, f in grid:
         points = sweep_random_delays(
             n=n,
             f=f,

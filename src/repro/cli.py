@@ -224,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--instrumentation",
-        choices=["full", "rounds", "perf"],
+        choices=["full", "perf"],
         default="full",
         help="observability preset for each simulated point",
     )
@@ -285,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--instrumentation",
-        choices=["full", "rounds", "perf"],
+        choices=["full", "perf"],
         default="perf",
         help="observability preset for each faulted run",
     )

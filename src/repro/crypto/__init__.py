@@ -4,10 +4,8 @@ from repro.crypto.messages import (
     canonical_encode,
     clear_digest_cache,
     digest,
-    digest_cache_len,
     digest_ex,
     digest_stats,
-    short_digest,
 )
 from repro.crypto.signatures import KeyRegistry, Signature, SignedPayload, Signer
 
@@ -20,8 +18,6 @@ __all__ = [
     "canonical_encode",
     "clear_digest_cache",
     "digest",
-    "digest_cache_len",
     "digest_ex",
     "digest_stats",
-    "short_digest",
 ]

@@ -106,9 +106,6 @@ class IdentityMemo:
     def clear(self) -> None:
         self._entries.clear()
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
 
 class _EncodingMemo(IdentityMemo):
     """An :class:`IdentityMemo` of ``bytes`` that also wholesale-clears
@@ -167,9 +164,6 @@ class ContentMemo:
     def clear(self) -> None:
         self._entries.clear()
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
 
 # --------------------------------------------------------------------- #
 # digest cache
@@ -226,16 +220,6 @@ def clear_digest_cache() -> None:
     _ENCODINGS.clear()
     _INTERN.clear()
     _PLANS.clear()
-
-
-def digest_cache_len() -> int:
-    """Number of live entries in the identity-keyed digest cache."""
-    return len(_CACHE)
-
-
-def intern_table_len() -> int:
-    """Number of live entries in the content-keyed intern table."""
-    return len(_INTERN)
 
 
 # --------------------------------------------------------------------- #
@@ -380,8 +364,10 @@ def _encode_loop(obj: Any, cell: list[bool]) -> bytes:
                         mut_events += 1
                         push((_FIN_OBJ, parts, dest, name, None, 0))
                     push((_ENC, fields(), parts))
-                elif _encode_subclass(o, dest, push):
-                    mut_events += 1
+                else:
+                    raise TypeError(
+                        f"cannot canonically encode {t.__name__}: {o!r}"
+                    )
         elif tag == _FIN_SEQ:
             body = b"".join(task[1])
             task[2].append(b"t" + _length_prefix(body) + body)
@@ -419,54 +405,6 @@ def _encode_loop(obj: Any, cell: list[bool]) -> bytes:
     if mut_events:
         cell[0] = False
     return root[0]
-
-
-def _encode_subclass(o: Any, dest: list[bytes], push) -> bool:
-    """Slow path for subclasses of the supported types (IntEnum etc.).
-
-    Mirrors the exact-type dispatch with ``isinstance`` checks in the
-    original precedence order (bool before int; tuple/list before dict).
-    Returns True when the value must be treated as mutable: subclasses of
-    the container types may carry extra mutable state the encoder cannot
-    see, so none of them are ever digest-cached.
-    """
-    if isinstance(o, bool):
-        dest.append(b"b1" if o else b"b0")
-    elif isinstance(o, int):
-        data = b"%d" % o
-        dest.append(b"i" + _length_prefix(data) + data)
-    elif isinstance(o, float):
-        data = repr(o).encode()
-        dest.append(b"f" + _length_prefix(data) + data)
-    elif isinstance(o, str):
-        data = o.encode()
-        dest.append(b"s" + _length_prefix(data) + data)
-    elif isinstance(o, bytes):
-        dest.append(b"y" + _length_prefix(o) + o)
-    elif isinstance(o, (tuple, list)):
-        parts: list[bytes] = []
-        push((_FIN_SEQ, parts, dest))
-        for item in reversed(o):
-            push((_ENC, item, parts))
-        return True
-    elif isinstance(o, frozenset):
-        parts = []
-        push((_FIN_FSET, parts, dest))
-        for item in o:
-            push((_ENC, item, parts))
-        return True
-    elif isinstance(o, dict):
-        parts = []
-        push((_FIN_DICT, parts, dest))
-        for key, value in o.items():
-            push((_ENC, value, parts))
-            push((_ENC, key, parts))
-        return True
-    else:
-        raise TypeError(
-            f"cannot canonically encode {type(o).__name__}: {o!r}"
-        )
-    return False
 
 
 def canonical_encode(obj: Any) -> bytes:
@@ -821,8 +759,3 @@ def seed_digest(obj: Any, value: bytes) -> None:
     if _cacheable(obj):
         if _CACHE.put(obj, value):
             digest_stats.cache_evictions += 1
-
-
-def short_digest(obj: Any) -> str:
-    """First 8 hex chars of :func:`digest`; for debugging and repr only."""
-    return digest(obj).hex()[:8]

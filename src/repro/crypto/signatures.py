@@ -38,9 +38,7 @@ from repro.crypto.messages import (
     IdentityMemo,
     digest,
     digest_ex,
-    short_digest,
 )
-from repro.errors import ForgedSignatureError
 from repro.types import PartyId
 
 #: Wholesale-clear threshold for the verified-signature set (mirrors the
@@ -109,22 +107,6 @@ class SignedPayload:
         if stamp is not None:
             object.__setattr__(self, "_payload_digest", stamp)
 
-    def payload_digest(self) -> bytes:
-        """Digest of ``payload``; stamped on the instance when stable.
-
-        Deep countersign chains (stamped or adversarially fabricated) are
-        handled iteratively by the encoder's :class:`DigestOf` machinery,
-        which also memoizes stable sub-digests along the way — no chain
-        walking or Python-frame recursion happens here.
-        """
-        cached = getattr(self, "_payload_digest", None)
-        if cached is not None:
-            return cached
-        value, stable = digest_ex(self.payload)
-        if stable:
-            object.__setattr__(self, "_payload_digest", value)
-        return value
-
     def __repr__(self) -> str:
         return f"<{self.payload!r}>_{self.signer}"
 
@@ -190,10 +172,6 @@ class KeyRegistry:
         # digest cannot change, so a pass can never later become a fail).
         self._verified = IdentityMemo(_MAX_VERIFIED_ENTRIES)
 
-    @property
-    def n(self) -> int:
-        return self._n
-
     def signer_for(self, party: PartyId) -> Signer:
         """Issue the unique signing capability for ``party``."""
         if not 0 <= party < self._n:
@@ -230,15 +208,6 @@ class KeyRegistry:
             self._verified.put(signed, True)
         return True
 
-    def require_valid(self, signed: SignedPayload) -> SignedPayload:
-        """Like :meth:`verify` but raising on failure; returns its input."""
-        if not self.verify(signed):
-            raise ForgedSignatureError(
-                f"signature {signed.signature!r} over payload "
-                f"{short_digest(signed.payload)} was never issued"
-            )
-        return signed
-
     def verify_batch(self, items: Iterable[SignedPayload]) -> bool:
         """Verify a quorum's worth of signed payloads in one pass.
 
@@ -273,13 +242,3 @@ class KeyRegistry:
             if stable:
                 verified.put(item, True)
         return True
-
-    def verify_all(self, items: Iterable[SignedPayload]) -> bool:
-        """Verify every signed payload in ``items``.
-
-        Delegates to :meth:`verify_batch` so a certificate's signatures
-        share digest work instead of short-circuiting per item before the
-        membership grouping; the verdict (including which item fails
-        first) is identical to ``all(self.verify(item) ...)``.
-        """
-        return self.verify_batch(items)

@@ -10,15 +10,6 @@ class ConfigurationError(ReproError):
     """A protocol or simulation was configured with invalid parameters."""
 
 
-class ForgedSignatureError(ReproError):
-    """A signature failed verification against the key registry.
-
-    In the ideal-unforgeability model this can only happen when code
-    fabricates a :class:`~repro.crypto.signatures.Signature` object without
-    going through the signer capability — i.e. an attempted forgery.
-    """
-
-
 class SimulationError(ReproError):
     """The simulator reached an inconsistent internal state."""
 

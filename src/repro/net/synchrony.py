@@ -38,10 +38,6 @@ class SynchronyModel:
         if self.skew < 0:
             raise ConfigurationError(f"skew must be >= 0, got {self.skew}")
 
-    @property
-    def synchronized_start(self) -> bool:
-        return self.skew == 0
-
     def worst_case_policy(self) -> DelayPolicy:
         """Every honest message takes exactly ``delta`` (the slowest the
         model allows), which maximizes good-case latency — the quantity the

@@ -331,7 +331,3 @@ class CertificateChecker:
             if non_leader >= self.t2:
                 return CertStatus(valid=True, locked_value=value)
         return CertStatus(valid=True, locked_value=None)
-
-    def ranked_higher(self, a: Certificate, b: Certificate) -> bool:
-        """True iff ``a`` ranks strictly higher than ``b`` (by view)."""
-        return a.view > b.view

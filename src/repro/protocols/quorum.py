@@ -411,11 +411,6 @@ class QuorumTracker:
         slot = self._slots.get(value)
         return slot[0].bit_count() if slot is not None else 0
 
-    def seen(self, value: Hashable, signer: int) -> bool:
-        """True iff ``signer``'s vote for ``value`` was recorded."""
-        slot = self._slots.get(value)
-        return slot is not None and bool(slot[0] >> signer & 1)
-
     def values(self) -> Iterable[Hashable]:
         """Tallied values, in first-vote order."""
         return self._slots.keys()
@@ -451,10 +446,6 @@ class QuorumTracker:
                 return value
         return default
 
-    @property
-    def equivocation_detected(self) -> bool:
-        """True iff some signer was seen voting for two values."""
-        return bool(self.equivocators)
 
     # ------------------------------------------------------------------ #
     # lazy bucket materialization
@@ -495,18 +486,6 @@ class QuorumTracker:
         if slot[1] is None:
             return []
         return list(slot[1].items())
-
-    def sorted_entries(self, value: Hashable) -> tuple:
-        """Payloads for ``value`` sorted by signer (certificate order)."""
-        slot = self._slots.get(value)
-        if slot is None:
-            return ()
-        if self._store is not None:
-            return tuple(p for _, p in self.entry_pairs(value))
-        entries = slot[1]
-        if entries is None:
-            return ()
-        return tuple(entries[signer] for signer in sorted(entries))
 
     def _mask_entries(self, value: Hashable, mask: int) -> tuple:
         """Signer-sorted payloads for the signers selected by ``mask``.

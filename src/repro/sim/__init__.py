@@ -9,15 +9,8 @@ from repro.sim.delays import (
     UniformDelay,
 )
 from repro.sim.events import Event, EventQueue
-from repro.sim.instrumentation import (
-    Instrumentation,
-    full_instrumentation,
-    perf_instrumentation,
-    resolve_instrumentation,
-    rounds_instrumentation,
-)
-from repro.sim.network import Envelope, Network
-from repro.sim.timeline import BucketTimeline
+from repro.sim.instrumentation import Instrumentation, resolve_instrumentation
+from repro.sim.network import Network
 from repro.sim.process import Agent, Party
 from repro.sim.runner import RunResult, World, run_broadcast
 from repro.sim.scheduler import Simulator
@@ -30,9 +23,7 @@ from repro.sim.transcript import (
 
 __all__ = [
     "Agent",
-    "BucketTimeline",
     "DelayPolicy",
-    "Envelope",
     "Event",
     "EventQueue",
     "FixedDelay",
@@ -50,11 +41,8 @@ __all__ = [
     "UniformDelay",
     "World",
     "first_divergence",
-    "full_instrumentation",
     "indistinguishable",
-    "perf_instrumentation",
     "resolve_instrumentation",
-    "rounds_instrumentation",
     "run_broadcast",
     "skewed_offsets",
 ]

@@ -35,11 +35,6 @@ class LocalClock:
             raise ValueError(f"start offset must be >= 0, got {start_offset}")
         self._start_offset = start_offset
 
-    @property
-    def start_offset(self) -> float:
-        """Global time at which this clock (and its party) started."""
-        return self._start_offset
-
     def local_time(self, global_time: float) -> float:
         """Convert global time to this party's local time."""
         return quantize(global_time - self._start_offset)

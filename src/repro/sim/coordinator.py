@@ -116,7 +116,6 @@ def run_sharded(world: World, *, until: float | None = None) -> RunResult:
     shards = world.shards
     bounds = shard_bounds(world.n, shards)
     lookahead = max(0.0, world.sim.lookahead - _LOOKAHEAD_GUARD)
-    parent_instr = world.instrumentation
     ctx = multiprocessing.get_context("fork")
     conns = []
     procs = []
@@ -135,7 +134,6 @@ def run_sharded(world: World, *, until: float | None = None) -> RunResult:
                 "party_factory": world._party_factory,
                 "fault_plan": world.fault_plan,
                 "until": until,
-                "instrumentation": {"name": parent_instr.name},
             }
             from repro.sim.shard import _send_msg, _shard_main
 
@@ -290,7 +288,7 @@ def run_sharded(world: World, *, until: float | None = None) -> RunResult:
             if horizon_hit
             else max(s["final_time"] for s in summaries)
         ),
-        instrumentation=parent_instr.name,
+        instrumentation=world.instrumentation.name,
         rounds_recorded=False,
         partition_windows=(
             world.fault_injector.partition_windows

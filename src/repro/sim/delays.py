@@ -105,10 +105,6 @@ class CounterStream:
             ^ (k * _KEY_COUNTER)
         ) & _MASK64
 
-    def uniform(self, sender: PartyId, recipient: PartyId) -> float:
-        """One U[0, 1) draw for the link's next copy."""
-        return splitmix64(self.copy_key(sender, recipient)) * _INV_2_64
-
     def draws(self, sender: PartyId, recipient: PartyId) -> "CopyDraws":
         """An unbounded pure draw sequence for the link's next copy.
 
@@ -137,6 +133,10 @@ class CopyDraws:
 
 class DelayPolicy:
     """Base interface: decide the delay of a message."""
+
+    #: What :meth:`shard_safe` answers unless a policy decides per
+    #: instance; policies that price purely per link set it.
+    PURE_PRICING = False
 
     def delay(
         self,
@@ -168,14 +168,6 @@ class DelayPolicy:
             for recipient in recipients
         ]
 
-    def max_honest_delay(self) -> float:
-        """Upper bound this policy guarantees for honest-pair messages.
-
-        Used by the harness to sanity-check that a policy respects the
-        model's ``delta``.  ``INF`` when no bound is promised.
-        """
-        return INF
-
     def shard_safe(self) -> bool:
         """True iff per-link pricing is a pure function of its arguments.
 
@@ -185,10 +177,10 @@ class DelayPolicy:
         order* or internal mutable state (a seeded RNG stream) would
         diverge from the single-process schedule.  Policies that compute
         the delay purely from ``(sender, recipient, payload, send_time)``
-        opt in by returning True; the conservative default forces
+        opt in (``PURE_PRICING = True``); the conservative default forces
         ``shards=1``.
         """
-        return False
+        return self.PURE_PRICING
 
     def min_delay(self) -> float:
         """Lower bound this policy guarantees for *every* delay.
@@ -205,9 +197,14 @@ class DelayPolicy:
 class FixedDelay(DelayPolicy):
     """Every message takes exactly ``value`` time units."""
 
+    PURE_PRICING = True
+
     def __init__(self, value: float):
-        if value < 0:
-            raise ValueError(f"delay must be >= 0, got {value}")
+        # ``not`` of the in-range test also rejects NaN.  An infinite
+        # delay would silently drop every copy: ``PerLinkDelay`` is the
+        # policy that drops links on purpose.
+        if not 0 <= value < INF:
+            raise ValueError(f"delay must be finite and >= 0, got {value}")
         self.value = value
 
     def delay(self, sender, recipient, payload, send_time) -> float:
@@ -217,12 +214,6 @@ class FixedDelay(DelayPolicy):
         self, sender, recipients, payload, send_time
     ) -> list[float]:
         return [self.value] * len(recipients)
-
-    def max_honest_delay(self) -> float:
-        return self.value
-
-    def shard_safe(self) -> bool:
-        return True
 
     def min_delay(self) -> float:
         return self.value
@@ -244,8 +235,10 @@ class UniformDelay(DelayPolicy):
     def __init__(
         self, low: float, high: float, *, seed: int, stream: str = "sequential"
     ):
-        if not 0 <= low <= high:
-            raise ValueError(f"need 0 <= low <= high, got [{low}, {high}]")
+        if not 0 <= low <= high < INF:
+            raise ValueError(
+                f"need 0 <= low <= high < inf, got [{low}, {high}]"
+            )
         if stream not in ("sequential", "counter"):
             raise ValueError(
                 f"stream must be 'sequential' or 'counter', got {stream!r}"
@@ -263,8 +256,10 @@ class UniformDelay(DelayPolicy):
 
     def delay(self, sender, recipient, payload, send_time) -> float:
         if self._counter is not None:
+            # One U[0, 1) draw for the link's next copy.
+            key = self._counter.copy_key(sender, recipient)
             span = self.high - self.low
-            return self.low + span * self._counter.uniform(sender, recipient)
+            return self.low + span * (splitmix64(key) * _INV_2_64)
         return self._rng.uniform(self.low, self.high)
 
     def delays_for_multicast(
@@ -277,9 +272,10 @@ class UniformDelay(DelayPolicy):
         if counter is not None:
             low = self.low
             span = self.high - self.low
-            # Inlined CounterStream.uniform: the per-copy hash is the
-            # whole cost of a counter-mode fan-out, so the hot loop keeps
-            # everything in locals and touches one counter row.
+            # ``delay``'s draw with copy_key and splitmix64 inlined: the
+            # per-copy hash is the whole cost of a counter-mode fan-out,
+            # so the hot loop keeps everything in locals and touches one
+            # counter row.
             base = counter._base
             sender_key = base ^ ((sender + 1) * _KEY_SENDER)
             counts = counter._row(
@@ -303,9 +299,6 @@ class UniformDelay(DelayPolicy):
         uniform = self._rng.uniform
         return [uniform(self.low, self.high) for _ in recipients]
 
-    def max_honest_delay(self) -> float:
-        return self.high
-
     def shard_safe(self) -> bool:
         # The counter stream is a pure per-link function; the sequential
         # stream depends on global pricing order and must stay
@@ -324,18 +317,22 @@ class PerLinkDelay(DelayPolicy):
     delays like "the delay from C to A is Delta - delta".
     """
 
+    PURE_PRICING = True
+
     def __init__(
         self,
         links: Mapping[tuple[PartyId, PartyId], float],
         *,
         default: float,
     ):
+        # ``INF`` (a link that never delivers) is legal; NaN is not.
         for (sender, recipient), value in links.items():
-            if value < 0:
+            if not value >= 0:
                 raise ValueError(
-                    f"delay for link {sender}->{recipient} must be >= 0"
+                    f"delay for link {sender}->{recipient} must be >= 0, "
+                    f"got {value}"
                 )
-        if default < 0:
+        if not default >= 0:
             raise ValueError(f"default delay must be >= 0, got {default}")
         self.links = dict(links)
         self.default = default
@@ -353,13 +350,6 @@ class PerLinkDelay(DelayPolicy):
             for recipient in recipients
         ]
 
-    def max_honest_delay(self) -> float:
-        finite = [v for v in self.links.values() if v != INF]
-        return max([self.default, *finite])
-
-    def shard_safe(self) -> bool:
-        return True
-
     def min_delay(self) -> float:
         return min([self.default, *self.links.values()])
 
@@ -367,20 +357,11 @@ class PerLinkDelay(DelayPolicy):
 class FunctionDelay(DelayPolicy):
     """Arbitrary function policy for fully scripted executions."""
 
-    def __init__(
-        self,
-        fn: Callable[[PartyId, PartyId, Any, float], float],
-        *,
-        honest_bound: float = INF,
-    ):
+    def __init__(self, fn: Callable[[PartyId, PartyId, Any, float], float]):
         self._fn = fn
-        self._honest_bound = honest_bound
 
     def delay(self, sender, recipient, payload, send_time) -> float:
         return self._fn(sender, recipient, payload, send_time)
-
-    def max_honest_delay(self) -> float:
-        return self._honest_bound
 
 
 class GstDelay(DelayPolicy):
@@ -393,9 +374,9 @@ class GstDelay(DelayPolicy):
     """
 
     def __init__(self, *, gst: float, big_delta: float, pre_gst: DelayPolicy):
-        if gst < 0:
+        if not gst >= 0:
             raise ValueError(f"GST must be >= 0, got {gst}")
-        if big_delta <= 0:
+        if not big_delta > 0:
             raise ValueError(f"Delta must be > 0, got {big_delta}")
         self.gst = gst
         self.big_delta = big_delta
@@ -420,9 +401,6 @@ class GstDelay(DelayPolicy):
             return min(requested, self.big_delta)
         latest_delivery = max(send_time, self.gst) + self.big_delta
         return min(send_time + requested, latest_delivery) - send_time
-
-    def max_honest_delay(self) -> float:
-        return self.big_delta
 
     def shard_safe(self) -> bool:
         # The cap is a pure function of (requested, send_time); safety

@@ -148,9 +148,6 @@ class Crash(_Outage):
     at: float
     recover: float = INF
 
-    def is_down(self, t: float) -> bool:
-        return self.at <= t < self.recover
-
     def check(self, n: int) -> None:
         _check_party(self.party, n, self)
         _check_window(self.at, self.recover, self)
@@ -502,9 +499,6 @@ class FaultPlan:
 
     def __len__(self) -> int:
         return sum(len(getattr(self, name)) for name, _ in KINDS)
-
-    def is_empty(self) -> bool:
-        return len(self) == 0
 
     def crashed_parties(self) -> frozenset[PartyId]:
         return frozenset(c.party for c in self.crashes)

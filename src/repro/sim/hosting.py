@@ -57,8 +57,6 @@ class _OwnSignerRegistry:
     def __init__(self, real, signer):
         self._signer = signer
         self.verify = real.verify
-        self.require_valid = real.require_valid
-        self.verify_all = real.verify_all
         self.verify_batch = real.verify_batch
 
     def signer_for(self, party: PartyId):

@@ -1,54 +1,52 @@
 """Pluggable observability for simulated executions.
 
 The simulator's cross-cutting observers — per-party transcripts, the
-Canetti-Rabin :class:`~repro.sim.rounds.RoundAccountant`, envelope capture
-and commit-order tracking — all live behind one :class:`Instrumentation`
-bundle attached to a :class:`~repro.sim.runner.World`.  The hot paths
-(message delivery, multicast scheduling) bind the bundle's components once
-at construction time; a disabled observer is represented by ``None`` and
-its recording calls are *dead-stripped* from the hot path (guarded out
-before any argument is evaluated), not called-and-ignored.
+Canetti-Rabin :class:`~repro.sim.rounds.RoundAccountant` and commit-order
+tracking — all live behind one :class:`Instrumentation` bundle attached to
+a :class:`~repro.sim.runner.World`.  The hot paths (message delivery,
+multicast scheduling) bind the bundle's components once at construction
+time; a disabled observer is represented by ``None`` and its recording
+calls are *dead-stripped* from the hot path (guarded out before any
+argument is evaluated), not called-and-ignored.
 
-Three presets cover the repo's workloads:
+The observers are one switch, with a preset name for each position:
 
-* ``"full"`` — everything on (the default): transcripts for
-  indistinguishability witnesses, round accounting for latency in
-  Canetti-Rabin rounds, commit tracking.  Today's behaviour.
-* ``"rounds"`` — round accounting and commit tracking only; no
-  transcripts.  For latency sweeps that report rounds but never compare
-  local histories.
-* ``"perf"`` — commit tracking only.  For perf sweeps and benchmarks at
+* ``"full"`` — observers on (the default): transcripts for
+  indistinguishability witnesses and round accounting for latency in
+  Canetti-Rabin rounds.  Every consumer of one needs the other or
+  neither, so they are never attached apart.
+* ``"perf"`` — observers off.  For perf sweeps and benchmarks at
   n >= 100 where observability side effects dominate the wall clock.
-  Mode changes cost, never semantics: the same seed yields byte-identical
-  commit outcomes in every mode.  The presets differ only in which
-  observers are attached; the simulator underneath (event queue,
-  fan-out folding) is the same in all three.
 
-Instances are **per-execution** (they own the accountant and the envelope
-log); pass a preset *name* to :class:`~repro.sim.runner.World` and it
-resolves a fresh bundle via :func:`resolve_instrumentation`.
+Commit tracking is on in both.  The switch changes cost, never
+semantics: the same seed yields byte-identical commit outcomes either
+way, and the simulator underneath (event queue, fan-out folding) is the
+same.
+
+Instances are **per-execution** (they own the accountant); pass a preset
+*name* to :class:`~repro.sim.runner.World` and it resolves a fresh bundle
+via :func:`resolve_instrumentation`.
 """
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from repro.errors import ConfigurationError
 from repro.sim.rounds import RoundAccountant
 from repro.sim.transcript import Transcript
 from repro.types import PartyId
 
-if TYPE_CHECKING:
-    from repro.sim.network import Envelope
+#: Preset name -> whether the observers are on.
+PRESETS = {"full": True, "perf": False}
 
 
 class Instrumentation:
     """One execution's bundle of observers.
 
-    Components a mode disables are ``None`` so every hot path can bind
-    them once and skip the recording branch entirely:
+    With ``observe=False`` the observers are ``None`` so every hot path
+    can bind them once and skip the recording branch entirely:
 
     * ``accountant`` — step/round bookkeeping, or ``None``;
-    * ``envelopes`` — the in-flight message log, or ``None``;
     * :meth:`transcript_for` — a fresh per-party transcript, or ``None``.
 
     Commit tracking (:meth:`note_commit`) is always on: it is O(commits),
@@ -62,20 +60,11 @@ class Instrumentation:
     slot on its own tracker.
     """
 
-    def __init__(
-        self,
-        *,
-        name: str = "custom",
-        rounds: bool = True,
-        transcripts: bool = True,
-        envelopes: bool = False,
-    ):
-        self.name = name
+    def __init__(self, *, observe: bool = True):
+        self.name = "full" if observe else "perf"
         self.accountant: RoundAccountant | None = (
-            RoundAccountant() if rounds else None
+            RoundAccountant() if observe else None
         )
-        self._transcripts = transcripts
-        self.envelopes: list["Envelope"] | None = [] if envelopes else None
         self.commit_order: list[PartyId] = []
         self._quorum_trackers: list[Any] = []
         #: Runtime invariant monitors (:mod:`repro.sim.invariants`),
@@ -85,29 +74,9 @@ class Instrumentation:
         self.monitors: list[Any] = []
         self._attached = False
 
-    # ------------------------------------------------------------------ #
-    # capability flags (for reporting; hot paths bind the components)
-    # ------------------------------------------------------------------ #
-
-    @property
-    def records_rounds(self) -> bool:
-        return self.accountant is not None
-
-    @property
-    def records_transcripts(self) -> bool:
-        return self._transcripts
-
-    @property
-    def records_envelopes(self) -> bool:
-        return self.envelopes is not None
-
-    # ------------------------------------------------------------------ #
-    # observers
-    # ------------------------------------------------------------------ #
-
     def transcript_for(self, party_id: PartyId) -> Transcript | None:
         """A fresh transcript for ``party_id``, or ``None`` when off."""
-        if self._transcripts:
+        if self.accountant is not None:
             return Transcript(party_id)
         return None
 
@@ -179,9 +148,9 @@ class Instrumentation:
     def mark_attached(self) -> None:
         """Claim this bundle for one execution (called by the world).
 
-        Bundles are stateful (accountant, envelope log, commit order), so
-        attaching one to a second world would silently mix two runs'
-        records — the same failure class the populate() guard catches.
+        Bundles are stateful (accountant, commit order), so attaching one
+        to a second world would silently mix two runs' records — the same
+        failure class the populate() guard catches.
         """
         if self._attached:
             raise ConfigurationError(
@@ -190,73 +159,17 @@ class Instrumentation:
             )
         self._attached = True
 
-    def __repr__(self) -> str:
-        return (
-            f"Instrumentation({self.name!r}, rounds={self.records_rounds},"
-            f" transcripts={self.records_transcripts},"
-            f" envelopes={self.records_envelopes})"
-        )
-
-
-def full_instrumentation(*, envelopes: bool = False) -> Instrumentation:
-    """Everything on — the default, and what tests/witnesses need."""
-    return Instrumentation(
-        name="full", rounds=True, transcripts=True, envelopes=envelopes
-    )
-
-
-def rounds_instrumentation() -> Instrumentation:
-    """Round accounting without transcripts."""
-    return Instrumentation(name="rounds", rounds=True, transcripts=False)
-
-
-def perf_instrumentation() -> Instrumentation:
-    """Commit tracking only: the fast path for sweeps and benchmarks.
-
-    With no per-copy observer attached, fixed-delay fan-outs fold into
-    one delivery-run event per instant (see ``Network._emit_run``).
-    """
-    return Instrumentation(name="perf", rounds=False, transcripts=False)
-
-
-#: Preset name -> factory.
-PRESETS: dict[str, Any] = {
-    "full": full_instrumentation,
-    "rounds": rounds_instrumentation,
-    "perf": perf_instrumentation,
-}
-
 
 def resolve_instrumentation(
     spec: "str | Instrumentation | None",
-    *,
-    record_envelopes: bool = False,
 ) -> Instrumentation:
-    """Turn a preset name (or ready-made bundle) into an instance.
-
-    ``record_envelopes`` is honoured for the ``"full"`` preset (and kept
-    as a :class:`~repro.sim.runner.World` kwarg for back-compat); other
-    presets exist to *shed* observers, so requesting envelope capture with
-    them is a configuration error.
-    """
+    """Turn a preset name (or ready-made bundle) into an instance."""
     if spec is None:
         spec = "full"
     if isinstance(spec, Instrumentation):
-        if record_envelopes and not spec.records_envelopes:
-            raise ConfigurationError(
-                "record_envelopes=True conflicts with an instrumentation "
-                "bundle that does not capture envelopes"
-            )
         return spec
-    if spec == "full":
-        return full_instrumentation(envelopes=record_envelopes)
-    if record_envelopes:
-        raise ConfigurationError(
-            f"record_envelopes=True requires 'full' instrumentation, "
-            f"got {spec!r}"
-        )
     try:
-        return PRESETS[spec]()
+        return Instrumentation(observe=PRESETS[spec])
     except KeyError:
         raise ConfigurationError(
             f"unknown instrumentation preset {spec!r}; "

@@ -49,7 +49,7 @@ class InvariantMonitor:
     attached, :meth:`on_commit` per (first) commit,
     :meth:`on_commit_conflict` when a party re-commits a different
     value, and :meth:`finalize` after the run loop drains (via
-    :meth:`World.check_invariants`).  A monitor signals a breach by
+    :func:`repro.analysis.chaos.judge`).  A monitor signals a breach by
     raising; it keeps the minimal trace that exhibits it.
     """
 

@@ -40,8 +40,8 @@ adversary or the fault plan dropped whole.
 Observability is routed through the world's
 :class:`~repro.sim.instrumentation.Instrumentation` bundle: deliveries are
 recorded as atomic steps with the accountant (for Definition 9-10 round
-latency) and in-flight messages are captured as envelopes — both only when
-the bundle enables them; a disabled observer costs the hot path nothing.
+latency), only when the bundle enables it; a disabled observer costs the
+hot path nothing.
 
 Fault injection (:mod:`repro.sim.faults`) hooks two seams: the schedule
 side (``_emit_routed``: drop/duplicate/jitter/hold/churn per priced copy)
@@ -51,7 +51,6 @@ unfaulted path replays byte-identically.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
@@ -75,17 +74,6 @@ Run = tuple[int, int, float]
 #: order_key | None) -> order_key | None — schedules every run of one
 #: fan-out, digesting the payload if it has to.
 Emitter = Callable[..., "bytes | None"]
-
-
-@dataclass(frozen=True, slots=True)
-class Envelope:
-    """A message in flight (recorded for statistics and debugging)."""
-
-    sender: PartyId
-    recipient: PartyId
-    payload: Any
-    send_time: float
-    deliver_time: float
 
 
 class Network:
@@ -146,17 +134,11 @@ class Network:
         #: The parties this network delivers to itself: everyone, unless a
         #: subclass narrows it (the sharded transport's ``[lo, hi)``).
         self._local = range(n)
-        # Bind the observers once; ``None`` dead-strips their hot-path use.
+        # Bind the observer once; ``None`` dead-strips its hot-path use.
+        # While it is attached every copy stays its own ``_deliver`` event
+        # (see ``_emit_run``).
         self._accountant = (
             instrumentation.accountant if instrumentation is not None else None
-        )
-        self._envelopes = (
-            instrumentation.envelopes if instrumentation is not None else None
-        )
-        # Per-copy observers: while either is attached every copy stays
-        # its own ``_deliver`` event (see ``_emit_run``).
-        self._observed = (
-            self._accountant is not None or self._envelopes is not None
         )
         self.messages_sent = 0
         self.messages_delivered = 0
@@ -164,15 +146,6 @@ class Network:
         #: such run events (0 while an observer or per-copy seam is attached).
         self.deliveries_batched = 0
         self.delivery_runs_batched = 0
-
-    @property
-    def n(self) -> int:
-        return self._n
-
-    @property
-    def envelopes(self) -> list[Envelope]:
-        """Captured in-flight messages (empty unless capture is enabled)."""
-        return self._envelopes if self._envelopes is not None else []
 
     def attach(self, party: PartyId, deliver: DeliverFn) -> None:
         """Register the delivery callback for ``party``."""
@@ -198,10 +171,6 @@ class Network:
             )
             if recipients
         ]
-
-    def _unicast_emitter(self, recipient: PartyId) -> Emitter:
-        """The emitter a copy addressed to ``recipient`` goes through."""
-        return self._emit
 
     def send(
         self,
@@ -233,7 +202,9 @@ class Network:
         self.messages_sent += 1
         self._fan_out(
             sender, (recipient,), (delay,), payload, send_time,
-            self._unicast_emitter(recipient),
+            # A copy for a party another shard simulates leaves through
+            # the sharded network's remote emitter.
+            self._emit if recipient in self._local else self._emit_remote,
         )
 
     def multicast(
@@ -289,9 +260,8 @@ class Network:
                 transient=True,
                 args=(
                     sender, sender, payload,
-                    self._observe(
-                        sender, sender, payload, send_time, send_time
-                    ) if self._observed else None,
+                    self._accountant.register_send()
+                    if self._accountant is not None else None,
                 ),
             )
 
@@ -393,27 +363,6 @@ class Network:
         if deliver_time != INF:
             yield start, len(delays), deliver_time
 
-    def _observe(
-        self,
-        sender: PartyId,
-        recipient: PartyId,
-        payload: Any,
-        send_time: float,
-        deliver_time: float,
-    ) -> int | None:
-        """Record one scheduled copy with the attached per-copy observers;
-        returns the accountant's message id (``None`` without one)."""
-        msg_id = (
-            self._accountant.register_send()
-            if self._accountant is not None
-            else None
-        )
-        if self._envelopes is not None:
-            self._envelopes.append(
-                Envelope(sender, recipient, payload, send_time, deliver_time)
-            )
-        return msg_id
-
     # Every delivery is scheduled handle-free: the network never cancels
     # a copy in flight, so ``transient=True`` (and ``schedule_batch``,
     # which is always handle-free) queues a plain ``(time, priority,
@@ -452,16 +401,17 @@ class Network:
         A run of >= 2 copies nobody observes becomes a single
         ``_deliver_many`` event carrying the recipient slice.  Every
         other copy is gathered as one ``_deliver`` event: singletons, the
-        copies of an observed run (the accountant and the envelope log
-        record per copy, while the batch is assembled) and of a run
-        landing at ``send_time`` itself — a same-instant run's copies
+        copies of an observed run (the accountant registers each copy
+        while the batch is assembled) and of a run landing at
+        ``send_time`` itself — a same-instant run's copies
         would already be consumed when a reaction to the first copy
         schedules, losing the per-copy tie-break the queue gives.  The
         gathered copies go over in one ``schedule_batch``, which assigns
         the sequence numbers a per-copy loop would; a folded run flushes
         the copies gathered before it to keep that true.
         """
-        observed = self._observed
+        accountant = self._accountant
+        observed = accountant is not None
         times: list[float] = []
         copies: list[tuple] = []
         for start, end, deliver_time in runs:
@@ -470,10 +420,7 @@ class Network:
                     times.append(deliver_time)
                     copies.append((
                         sender, recipient, payload,
-                        self._observe(
-                            sender, recipient, payload, send_time,
-                            deliver_time,
-                        ) if observed else None,
+                        accountant.register_send() if observed else None,
                     ))
                 continue
             if times:
@@ -521,7 +468,7 @@ class Network:
         """
         injector = self._injector
         reliable = self._reliable
-        observed = self._observed
+        accountant = self._accountant
         tracking = reliable is not None or transfer is not None
         times: list[float] = []
         copies: list[tuple] = []
@@ -543,10 +490,8 @@ class Network:
                 for instant in instants:
                     instant = quantize(instant)
                     msg_id = (
-                        self._observe(
-                            sender, recipient, payload, send_time, instant
-                        )
-                        if observed
+                        accountant.register_send()
+                        if accountant is not None
                         else None
                     )
                     times.append(instant)
@@ -569,7 +514,7 @@ class Network:
 
         The tight-loop twin of ``_deliver``: one event frame for the run,
         an index load + inbox call per copy.  Only ever scheduled when no
-        injector, accountant or envelope observer is attached, so the
+        injector or accountant is attached, so the
         per-copy seams those hook are unreachable here by construction.
         The simulator is told about the folded copies so
         ``events_processed`` counts logical deliveries identically to the

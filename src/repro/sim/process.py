@@ -159,9 +159,6 @@ class Party(Agent):
             self.id, payload, include_self=include_self
         )
 
-    def sign(self, payload: Any):
-        return self.signer.sign(payload)
-
     def shared_payload(self, payload: Any) -> Any:
         """World-interned instance of an immutable message payload.
 

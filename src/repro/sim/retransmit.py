@@ -181,7 +181,7 @@ class ReliableChannel:
             return
         self.counters.acks_sent += 1
         if self.policy.ack_delay <= 0.0:
-            transfer.acked = True
+            self._mark_acked(transfer)
             return
         transfer.ack_pending = True
         self._sim.schedule_at(

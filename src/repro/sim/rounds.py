@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 @dataclass(slots=True)
 class _Step:
     # Slotted: one _Step is allocated per delivery, which makes this the
-    # accountant's hottest allocation site under "full"/"rounds" modes.
+    # accountant's hottest allocation site under the "full" preset.
     kind: str  # "start" | "deliver"
     party: int
     msg_id: int | None = None

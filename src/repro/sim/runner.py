@@ -5,8 +5,8 @@ PKI, the network (with its adversarial delay policy), the honest parties
 (instances of a protocol's :class:`~repro.sim.process.Party` subclass), the
 Byzantine agents (adversary behaviors) and one
 :class:`~repro.sim.instrumentation.Instrumentation` bundle that owns every
-observability side effect (transcripts, round accounting, envelope capture,
-commit tracking).  :func:`run_broadcast` is the one-call harness used by
+observability side effect (transcripts, round accounting, commit
+tracking).  :func:`run_broadcast` is the one-call harness used by
 tests, examples and benchmarks.
 
 Instrumentation is a *mode*, never a semantics change: the ``"perf"``
@@ -47,7 +47,6 @@ class World:
         delay_policy: DelayPolicy,
         byzantine: frozenset[PartyId] = frozenset(),
         start_offsets: list[float] | None = None,
-        record_envelopes: bool = False,
         instrumentation: str | Instrumentation | None = None,
         fault_plan: FaultPlan | None = None,
         reliable_link: Any = None,
@@ -67,9 +66,7 @@ class World:
         self.start_offsets = start_offsets or [0.0] * n
         if len(self.start_offsets) != n:
             raise ConfigurationError("start_offsets length must equal n")
-        self.instrumentation = resolve_instrumentation(
-            instrumentation, record_envelopes=record_envelopes
-        )
+        self.instrumentation = resolve_instrumentation(instrumentation)
         self.instrumentation.mark_attached()
         self.accountant = self.instrumentation.accountant
         # The one place the policy's guaranteed minimum delay becomes a
@@ -208,15 +205,6 @@ class World:
         return store
 
     @property
-    def commit_order(self) -> list[PartyId]:
-        """Global order in which parties committed (commit tracking)."""
-        return self.instrumentation.commit_order
-
-    @property
-    def honest_ids(self) -> list[PartyId]:
-        return [p for p in range(self.n) if p not in self.byzantine]
-
-    @property
     def faulty_ids(self) -> frozenset[PartyId]:
         """Parties the fault budget spent: Byzantine plus plan crashes.
 
@@ -243,8 +231,8 @@ class World:
         """The worker count this world will actually run with.
 
         Sharding is a pure performance mode: any configured feature whose
-        semantics need global per-copy visibility (round accounting,
-        transcripts, envelope capture, monitors, a sequential-stream
+        semantics need global per-copy visibility (the observers — round
+        accounting and transcripts —, monitors, a sequential-stream
         fault plan, the reliable channel), a delay policy whose pricing
         is not a pure per-link function, scripted Byzantine behaviors,
         or staggered starts falls back to ``shards=1`` — the caller's
@@ -264,15 +252,10 @@ class World:
             if k > 1:
                 self.shard_fallback_reason = "world-too-small"
             return 1
-        instr = self.instrumentation
         reason = None
         if self.accountant is not None:
-            reason = "rounds-accounting"
-        elif instr.records_transcripts:
-            reason = "transcripts"
-        elif instr.envelopes is not None:
-            reason = "envelopes"
-        elif instr.monitors:
+            reason = "observers"
+        elif self.instrumentation.monitors:
             reason = "monitors"
         elif self.fault_plan is not None and not self.fault_plan.shard_safe():
             reason = "fault-plan"
@@ -360,18 +343,6 @@ class World:
         self, party: PartyId, view: int, time: float | None = None
     ) -> None:
         self.instrumentation.note_view_change(party, view, time)
-
-    def check_invariants(self) -> None:
-        """Run every attached monitor's end-of-run check.
-
-        Commit-time properties (agreement, validity, integrity) raise the
-        moment they break; liveness (termination-by-deadline) can only be
-        judged once the schedule drains, so :func:`run_broadcast` calls
-        this after :meth:`run` (chaos finalizes its battery, attached or
-        replayed, in :func:`repro.analysis.chaos.judge`).
-        """
-        for monitor in self.instrumentation.monitors:
-            monitor.finalize(self)
 
     def run(
         self, *, until: float | None = None, max_events: int | None = None
@@ -497,8 +468,7 @@ class RunResult:
     shard_batches_exchanged: int = 0
     #: Which forced-``shards=1`` rule fired when sharding was requested
     #: but refused (``None`` = never requested, or granted in full).
-    #: One of ``"rounds-accounting"``, ``"transcripts"``,
-    #: ``"envelopes"``, ``"monitors"``, ``"fault-plan"``,
+    #: One of ``"observers"``, ``"monitors"``, ``"fault-plan"``,
     #: ``"reliable-link"``, ``"behavior-factory"``, ``"delay-policy"``,
     #: ``"start-offsets"``, ``"world-too-small"``.
     shard_fallback_reason: str | None = None
@@ -514,10 +484,6 @@ class RunResult:
 
     def all_honest_committed(self) -> bool:
         return all(p in self.commits for p in self.honest_ids)
-
-    def agreement_holds(self) -> bool:
-        values = set(self.commits.values())
-        return len(values) <= 1
 
     def committed_value(self) -> Value:
         """The unique committed value; raises if none or disagreement."""
@@ -578,7 +544,6 @@ def run_broadcast(
     instrumentation: str | Instrumentation | None = None,
     fault_plan: FaultPlan | None = None,
     reliable_link: Any = None,
-    monitors: list[Any] | None = None,
     protocol_name: str | None = None,
     shards: int = 1,
 ) -> RunResult:
@@ -592,12 +557,8 @@ def run_broadcast(
         instrumentation=instrumentation,
         fault_plan=fault_plan,
         reliable_link=reliable_link,
-        monitors=monitors,
         protocol_name=protocol_name,
         shards=shards,
     )
     world.populate(party_factory, behavior_factory)
-    result = world.run(until=until, max_events=max_events)
-    if monitors:
-        world.check_invariants()
-    return result
+    return world.run(until=until, max_events=max_events)

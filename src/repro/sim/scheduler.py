@@ -4,6 +4,12 @@
 parties, adversaries, timers) schedules callbacks on it.  Time is a float
 in abstract "delay units"; the paper's ``Delta`` and ``delta`` are plain
 parameters in those units.
+
+There is one event queue, the window calendar
+:class:`~repro.sim.events.EventQueue`; the binary heap it must replay
+lives in ``tests/sim/heap_queue.py`` as an oracle, and the
+``reference_queue`` test fixture swaps it in for the class this module
+instantiates.
 """
 from __future__ import annotations
 
@@ -13,7 +19,6 @@ from typing import Callable, Sequence
 
 from repro.errors import SimulationError
 from repro.sim.events import Event, EventQueue
-from repro.sim.timeline import BucketTimeline
 from repro.types import INF
 
 
@@ -30,15 +35,12 @@ def check_run_bounds(until: float | None, max_events: int | None) -> None:
 class Simulator:
     """Deterministic discrete-event simulation kernel.
 
-    The queue is the window calendar of :mod:`repro.sim.timeline` — O(1)
+    The queue is the window calendar of :mod:`repro.sim.events` — O(1)
     appends per lookahead window, one sort per window.  ``lookahead`` is
     that window's width: a span no message sent inside it can land in
     (the delay policy's guaranteed minimum, derived by the world; ``0`` =
     none known).  It only sizes the windows — any value replays the same
-    schedule.  The calendar's base class, the binary-heap
-    :class:`~repro.sim.events.EventQueue`, replays byte-identical
-    schedules for the same pushes and is what the parity tests compare
-    it against.
+    schedule, the one a binary heap over the same pushes would.
 
     A push that returns no handle — ``schedule_at(..., transient=True)``
     and every :meth:`schedule_batch` copy — queues one plain tuple; only
@@ -49,7 +51,7 @@ class Simulator:
     def __init__(self, *, lookahead: float = 0.0) -> None:
         #: Read back by the sharded coordinator to size its barrier window.
         self.lookahead = lookahead
-        self._queue: EventQueue = BucketTimeline(width=lookahead)
+        self._queue = EventQueue(width=lookahead)
         self._now = 0.0
         self._running = False
         self._events_processed = 0
@@ -262,7 +264,3 @@ class Simulator:
         instant.
         """
         return self._queue.peek_time()
-
-    def pending_events(self) -> int:
-        """Number of events still queued (excluding cancelled)."""
-        return len(self._queue)

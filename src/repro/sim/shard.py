@@ -57,7 +57,6 @@ from repro.crypto.messages import digest, seed_digest, stable_digest
 from repro.crypto.signatures import KeyRegistry
 from repro.errors import SimulationError
 from repro.sim.clock import quantize
-from repro.sim.instrumentation import Instrumentation
 from repro.sim.network import Network, Run
 from repro.sim.runner import ADDITIVE_COUNTERS, World
 from repro.types import INF, PartyId
@@ -147,9 +146,6 @@ class ShardNetwork(Network):
 
     def _targets(self, sender: PartyId):
         return [*super()._targets(sender), *self._remote_targets]
-
-    def _unicast_emitter(self, recipient: PartyId):
-        return self._emit if recipient in self._local else self._emit_remote
 
     def _check_override(self, sender: PartyId, recipients) -> None:
         raise SimulationError(
@@ -311,7 +307,6 @@ def _shard_loop(conn, spec: dict) -> None:
     index: int = spec["index"]
     bounds: list[tuple[int, int]] = spec["bounds"]
     lo, hi = bounds[index]
-    parent = spec["instrumentation"]
     world = _ShardWorld(
         lo=lo,
         hi=hi,
@@ -320,12 +315,7 @@ def _shard_loop(conn, spec: dict) -> None:
         delay_policy=spec["delay_policy"],
         byzantine=spec["byzantine"],
         start_offsets=spec["start_offsets"],
-        instrumentation=Instrumentation(
-            name=parent["name"],
-            rounds=False,
-            transcripts=False,
-            envelopes=False,
-        ),
+        instrumentation="perf",
         protocol_name=spec["protocol_name"],
         fault_plan=spec["fault_plan"],
     )

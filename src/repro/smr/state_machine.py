@@ -46,9 +46,6 @@ class KeyValueStore(StateMachine):
             return self._data.get(command[1])
         return None
 
-    def get(self, key: Hashable) -> Any:
-        return self._data.get(key)
-
     def snapshot(self) -> Any:
         return tuple(sorted(self._data.items(), key=repr))
 

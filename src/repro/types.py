@@ -15,7 +15,6 @@ placeholder the paper writes as the symbol bottom.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Hashable
 
 PartyId = int
@@ -41,54 +40,22 @@ class _Bottom:
     def __repr__(self) -> str:
         return "BOTTOM"
 
-    def __reduce__(self):
-        return (_Bottom, ())
-
 
 BOTTOM = _Bottom()
 
 
-@dataclass(frozen=True)
-class FaultBudget:
-    """The resilience parameters ``(n, f)`` with the derived quorum sizes.
-
-    ``quorum`` is ``n - f``, the number of messages a party can wait for
-    without risking deadlock (the ``f`` Byzantine parties may stay silent).
-    """
-
-    n: int
-    f: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"need at least one party, got n={self.n}")
-        if not 0 <= self.f < self.n:
-            raise ValueError(f"need 0 <= f < n, got n={self.n} f={self.f}")
-
-    @property
-    def quorum(self) -> int:
-        """``n - f``: the largest wait-for count that cannot deadlock."""
-        return self.n - self.f
-
-    @property
-    def honest(self) -> int:
-        """Minimum number of honest parties, ``n - f``."""
-        return self.n - self.f
-
-    def satisfies(self, *, min_n_per_f: int, offset: int = 0) -> bool:
-        """Check a resilience precondition of the form ``n >= a*f + b``."""
-        return self.n >= min_n_per_f * self.f + offset
-
-
-def validate_resilience(n: int, f: int, *, requirement: str) -> FaultBudget:
+def validate_resilience(n: int, f: int, *, requirement: str) -> None:
     """Validate an ``n >= a*f + b`` style requirement written as a string.
 
     ``requirement`` uses the paper's notation, one of: ``"3f+1"``,
     ``"5f-1"``, ``"5f+1"``, ``"f<n/3"``, ``"f<=n/3"``, ``"f<n/2"``,
-    ``"f<n"``.  Raises :class:`ValueError` when violated.  Returns the
-    validated :class:`FaultBudget`.
+    ``"f<n"``.  Raises :class:`ValueError` when violated, and for any
+    ``(n, f)`` outside ``n >= 1``, ``0 <= f < n``.
     """
-    budget = FaultBudget(n, f)
+    if n < 1:
+        raise ValueError(f"need at least one party, got n={n}")
+    if not 0 <= f < n:
+        raise ValueError(f"need 0 <= f < n, got n={n} f={f}")
     ok = {
         "3f+1": n >= 3 * f + 1,
         "5f-1": n >= 5 * f - 1,
@@ -104,4 +71,3 @@ def validate_resilience(n: int, f: int, *, requirement: str) -> FaultBudget:
         raise ValueError(
             f"resilience requirement n {requirement} violated for n={n}, f={f}"
         )
-    return budget

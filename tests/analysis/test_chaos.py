@@ -16,7 +16,6 @@ import pytest
 from repro.analysis.chaos import (
     _TIERS,
     CHAOS_SPECS,
-    chaos_deadline,
     judge,
     random_fault_plan,
     run_chaos,
@@ -44,7 +43,7 @@ class TestRandomFaultPlan:
         for protocol, spec in CHAOS_SPECS.items():
             for seed in range(12):
                 plan = random_fault_plan(protocol, seed)
-                deadline = chaos_deadline(protocol, plan)
+                deadline = plan.quiet_time() + spec.slack
                 assert plan.check_tolerated(
                     n=spec.n, f=spec.f, deadline=deadline
                 ) == [], (protocol, seed)
@@ -309,7 +308,7 @@ class TestRunChaos:
         )
         (entry,) = summary["violations"]
         assert entry["shards"] == 1
-        assert entry["shard_fallback_reason"] == "rounds-accounting"
+        assert entry["shard_fallback_reason"] == "observers"
         assert entry["stream"] == "counter"
         emitted = json.loads(Path(entry["reproducer"]).read_text())
         assert emitted["plan"]["stream"] == "counter"

@@ -18,7 +18,6 @@ from repro.analysis.chaos import (
     RELIABLE_DEMO_LINK,
     RELIABLE_DEMO_PLAN,
     VIEWCHANGE_MAX_VIEW,
-    chaos_deadline,
     load_reproducer,
     random_viewchange_plan,
     run_chaos,
@@ -141,10 +140,10 @@ class TestReliableDropDemo:
         assert RELIABLE_DEMO_LINK.backoff_tail() > drop.end - drop.start
 
     def test_reliable_deadline_is_stretched_by_the_tail(self):
-        bare = chaos_deadline("brb_2round", RELIABLE_DEMO_PLAN)
-        stretched = chaos_deadline(
+        bare = run_chaos_plan("brb_2round", RELIABLE_DEMO_PLAN)["deadline"]
+        stretched = run_chaos_plan(
             "brb_2round", RELIABLE_DEMO_PLAN, reliable=RELIABLE_DEMO_LINK
-        )
+        )["deadline"]
         assert stretched == bare + RELIABLE_DEMO_LINK.backoff_tail()
 
 

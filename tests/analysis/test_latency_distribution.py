@@ -30,7 +30,9 @@ class TestLatencyPercentiles:
 class TestSweepLatencyDistribution:
     def test_rows_shape_and_ordering(self):
         rows = sweep_latency_distribution(
-            grid=[(4, 1), (7, 2)], samples=6, delta=0.5
+            grid=[("brb_2round", 4, 1), ("brb_2round", 7, 2)],
+            samples=6,
+            delta=0.5,
         )
         assert [(r["n"], r["f"]) for r in rows] == [(4, 1), (7, 2)]
         for row in rows:
@@ -40,7 +42,7 @@ class TestSweepLatencyDistribution:
             assert 0.0 < row["mean"] <= row["max"]
 
     def test_deterministic_across_worker_counts(self):
-        kwargs = dict(grid=[(4, 1)], samples=5, delta=1.0)
+        kwargs = dict(grid=[("brb_2round", 4, 1)], samples=5, delta=1.0)
         serial = sweep_latency_distribution(
             engine=SweepEngine(workers=1), **kwargs
         )
@@ -50,14 +52,16 @@ class TestSweepLatencyDistribution:
         assert serial == parallel
 
     def test_base_seed_changes_distribution(self):
-        kwargs = dict(grid=[(4, 1)], samples=5, delta=1.0)
+        kwargs = dict(grid=[("brb_2round", 4, 1)], samples=5, delta=1.0)
         a = sweep_latency_distribution(engine=SweepEngine(base_seed=0), **kwargs)
         b = sweep_latency_distribution(engine=SweepEngine(base_seed=1), **kwargs)
         assert a != b
 
     def test_protocol_triples_cover_second_family(self):
         rows = sweep_latency_distribution(
-            grid=[(4, 1), ("psync_vbb_5f1", 7, 1)], samples=4, delta=1.0
+            grid=[("brb_2round", 4, 1), ("psync_vbb_5f1", 7, 1)],
+            samples=4,
+            delta=1.0,
         )
         assert [(r["protocol"], r["n"]) for r in rows] == [
             ("brb_2round", 4), ("psync_vbb_5f1", 7),

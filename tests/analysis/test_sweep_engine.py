@@ -3,7 +3,6 @@ import pytest
 
 from repro.analysis.engine import SweepEngine, SweepTask, point_seed
 from repro.analysis.sweeps import (
-    sweep_async_rounds,
     sweep_random_delays,
     sweep_sync_regimes,
 )
@@ -71,15 +70,6 @@ class TestSweepEngine:
 
 
 class TestSweepWiring:
-    def test_async_rounds_through_parallel_engine(self):
-        configs = [(4, 1), (5, 1)]
-        serial = sweep_async_rounds(configs=configs)
-        parallel = sweep_async_rounds(
-            configs=configs, engine=SweepEngine(workers=2)
-        )
-        assert serial == parallel
-        assert [r["brb_2round"] for r in serial] == [2, 2]
-
     def test_random_delay_sweep_reproduces_at_any_worker_count(self):
         serial = sweep_random_delays(n=4, f=1, samples=3)
         parallel = sweep_random_delays(

@@ -8,7 +8,6 @@ import pytest
 from repro.analysis import (
     format_table,
     generate_table1,
-    sweep_async_rounds,
     sweep_dishonest_majority,
     sweep_fig9_tradeoff,
     sweep_sync_regimes,
@@ -226,59 +225,3 @@ class TestDishonestMajoritySweep:
         for record in records:
             assert record["upper_shape"] <= 4 * max(record["lower_bound"], 1)
 
-
-class TestAsyncSweep:
-    def test_round_latencies_constant_in_n(self):
-        records = sweep_async_rounds(configs=[(4, 1), (7, 2), (10, 3)])
-        for record in records:
-            assert record["brb_2round"] == 2
-            assert record["bracha"] == 3
-
-
-class TestEquivocatingVoterSweep:
-    def test_detection_grows_with_corruption(self):
-        from repro.analysis.sweeps import sweep_equivocating_voters
-
-        rows = sweep_equivocating_voters(
-            n=16, f=5, equivocator_counts=[0, 2, 5]
-        )
-        assert [r["equivocators"] for r in rows] == [0, 2, 5]
-        for row in rows:
-            assert row["all_committed"]
-            assert row["agreement"]
-            assert row["quorum_checks"] > 0
-        assert rows[0]["equivocations_detected"] == 0
-        # Each corrupted point has seeded random delays of its own, so
-        # the counts need not be strictly monotone across points — but
-        # every corrupted run must expose at least its equivocators.
-        for row in rows[1:]:
-            assert row["equivocations_detected"] >= row["equivocators"]
-
-    def test_deterministic_across_workers(self):
-        from repro.analysis.engine import SweepEngine
-        from repro.analysis.sweeps import sweep_equivocating_voters
-
-        serial = sweep_equivocating_voters(
-            n=10, f=3, equivocator_counts=[1, 3]
-        )
-        parallel = sweep_equivocating_voters(
-            n=10, f=3, equivocator_counts=[1, 3],
-            engine=SweepEngine(workers=2),
-        )
-        assert serial == parallel
-
-    def test_crashers_knob_mixes_fault_flavors(self):
-        """Spend the budget as crashes + equivocations in one run: honest
-        parties still commit, the equivocators are still exposed, and the
-        crashed parties (silent, not double-voting) are not."""
-        from repro.analysis.sweeps import sweep_equivocating_voters
-
-        rows = sweep_equivocating_voters(
-            n=10, f=3, equivocator_counts=[0, 2], crashers=1
-        )
-        assert [r["crashers"] for r in rows] == [1, 1]
-        for row in rows:
-            assert row["all_committed"]
-            assert row["agreement"]
-        assert rows[0]["equivocations_detected"] == 0
-        assert rows[1]["equivocations_detected"] >= 2

@@ -7,7 +7,9 @@ set.  Each must be an invisible optimization: equal values digest
 equally, cache hits match the cold path byte-for-byte, and forgeries
 still fail.
 """
+import enum
 import hashlib
+from collections import OrderedDict
 
 import pytest
 from hypothesis import given, settings
@@ -18,12 +20,24 @@ from repro.crypto.messages import (
     canonical_encode,
     clear_digest_cache,
     digest,
-    digest_cache_len,
     digest_stats,
 )
 from repro.crypto.signatures import KeyRegistry, Signature, SignedPayload
 from repro.protocols.psync.certificates import Certificate
 from repro.types import BOTTOM
+
+
+def digest_cache_len() -> int:
+    """Live entries in the identity-keyed digest cache."""
+    return len(messages._CACHE._entries)
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+
+
+class _FancyTuple(tuple):
+    pass
 
 
 @pytest.fixture(autouse=True)
@@ -155,31 +169,18 @@ class TestIterativeEncoder:
     def test_nesting_is_unambiguous(self):
         assert canonical_encode(((1,), 2)) != canonical_encode((1, (2,)))
 
-    def test_dict_subclasses_encode_like_dicts(self):
-        import collections
-
-        ordered = collections.OrderedDict([("b", 2), ("a", 1)])
-        counter = collections.Counter({"x": 3})
-        assert canonical_encode(ordered) == canonical_encode({"a": 1, "b": 2})
-        assert canonical_encode(counter) == canonical_encode({"x": 3})
-
-    def test_container_subclasses_are_never_cached(self):
-        class FancyTuple(tuple):
-            pass
-
-        value = FancyTuple((1, 2))
-        digest(value)
-        wrapped = (FancyTuple((3,)),)
-        digest(wrapped)
-        assert digest_cache_len() == 0  # subclasses may hide mutable state
-
-    def test_int_subclasses_encode_by_value(self):
-        import enum
-
-        class Level(enum.IntEnum):
-            LOW = 1
-
-        assert canonical_encode(Level.LOW) == canonical_encode(1)
+    @pytest.mark.parametrize(
+        "value",
+        [OrderedDict([("a", 1)]), _Level.LOW, _FancyTuple((1, 2))],
+        ids=["dict", "int", "tuple"],
+    )
+    def test_subclasses_of_encodable_types_are_rejected(self, value):
+        # Only the exact types encode: no payload is a subclass of one,
+        # and a subclass may hide state the encoding would not cover.
+        with pytest.raises(TypeError, match="cannot canonically encode"):
+            canonical_encode(value)
+        with pytest.raises(TypeError):
+            digest((value,))
 
 
 class TestSignedPayloadStamping:
@@ -187,7 +188,7 @@ class TestSignedPayloadStamping:
         registry = KeyRegistry(2)
         signer = registry.signer_for(0)
         signed = signer.sign(("vote", "v"))
-        assert signed.payload_digest() == digest(("vote", "v"))
+        assert signed._payload_digest == digest(("vote", "v"))
 
     def test_stamped_and_unstamped_digest_equally(self):
         # An adversary building an equal SignedPayload by hand (no stamp)
@@ -222,7 +223,6 @@ class TestSignedPayloadStamping:
         for i in range(depth):
             node = SignedPayload(node, Signature(0, b"fake"))
         assert len(digest(node)) == 32
-        assert len(node.payload_digest()) == 32
 
     def test_unstable_countersign_chain_stays_linear(self):
         # An unstamped chain over a *mutable* innermost payload must not
@@ -265,7 +265,7 @@ class TestSignedPayloadStamping:
             pickle.loads(pickle.dumps(signed)),
         ):
             assert clone == signed
-            assert clone.payload_digest() == signed.payload_digest()
+            assert clone._payload_digest == signed._payload_digest
             assert digest(clone) == digest(signed)
 
     def test_slots_reject_stray_attributes(self):
@@ -377,7 +377,7 @@ class TestCacheEviction:
         signer = registry.signer_for(0)
         signed = [signer.sign(("m", i)) for i in range(16)]
         assert all(registry.verify(s) for s in signed)
-        assert len(registry._verified) <= 4
+        assert len(registry._verified._entries) <= 4
         assert all(registry.verify(s) for s in signed)  # re-verify post-clear
         forged = SignedPayload("zzz", Signature(0, digest("zzz")))
         assert not registry.verify(forged)
@@ -548,7 +548,7 @@ class TestHolderEncodingMemo:
         for _ in range(2):
             messages._CACHE.clear()
             assert [digest(v) for v in values] == cold
-            assert len(messages._ENCODINGS) <= 2
+            assert len(messages._ENCODINGS._entries) <= 2
             assert messages._ENCODINGS._bytes <= 64
 
     def test_golden_n1001_vote_quorum(self):

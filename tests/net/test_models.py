@@ -9,10 +9,6 @@ class TestSynchronyModel:
     def test_valid_parameters(self):
         model = SynchronyModel(delta=0.2, big_delta=1.0, skew=0.1)
         assert model.worst_case_policy().delay(0, 1, None, 0.0) == 0.2
-        assert not model.synchronized_start
-
-    def test_synchronized_start_flag(self):
-        assert SynchronyModel(delta=0.5, big_delta=1.0).synchronized_start
 
     def test_delta_cannot_exceed_big_delta(self):
         with pytest.raises(ConfigurationError):

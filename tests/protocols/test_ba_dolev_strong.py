@@ -153,5 +153,5 @@ class TestDolevStrongBb:
         assert result.all_honest_committed()
         # Relaying exposes the equivocation: everyone extracts both values
         # and outputs the default.
-        assert result.agreement_holds()
+        assert len(set(result.commits.values())) <= 1
         assert result.committed_value() is BOTTOM

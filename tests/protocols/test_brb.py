@@ -94,7 +94,7 @@ class TestBrb2RoundFaults:
             behavior_factory=behavior,
         )
         # Agreement must hold; commits may or may not happen (BRB).
-        assert result.agreement_holds()
+        assert len(set(result.commits.values())) <= 1
 
     def test_termination_amplification(self):
         # If one honest party commits (via the forwarded quorum), all do —
@@ -152,7 +152,7 @@ class TestBrachaBaseline:
             byzantine=frozenset({0}),
             behavior_factory=behavior,
         )
-        assert result.agreement_holds()
+        assert len(set(result.commits.values())) <= 1
 
     def test_crashed_followers_do_not_block(self):
         result = run_broadcast(

@@ -166,10 +166,3 @@ class TestLocking:
         parsed_bottom = checker.parse_entry(bottom, 1)
         assert parsed_bottom is not None
         assert parsed_bottom.is_bottom
-
-    def test_ranking_by_view(self, setup):
-        _, signers, checker = setup
-        low = Certificate(1, tuple(bottom_entries(signers, 1, range(7))))
-        high = Certificate(2, ())
-        assert checker.ranked_higher(high, low)
-        assert not checker.ranked_higher(low, high)

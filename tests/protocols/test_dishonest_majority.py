@@ -109,7 +109,7 @@ class TestFaultyBroadcaster:
             until=500.0,
         )
         assert result.all_honest_committed()
-        assert result.agreement_holds()
+        assert len(set(result.commits.values())) <= 1
         assert result.committed_value() is BOTTOM
 
     def test_cert_adoption_carries_nonvoters(self):
@@ -117,8 +117,9 @@ class TestFaultyBroadcaster:
         # must carry the starved parties to the same value.
         from repro.adversary.behaviors import (
             FilteredHonestBehavior,
-            silent_toward,
+            fixed_delay_toward,
         )
+        from repro.types import INF
 
         n, f = 4, 2
         starved = frozenset({3})
@@ -130,7 +131,7 @@ class TestFaultyBroadcaster:
                 party_factory=lambda w, p: WanStyleBb(
                     w, p, broadcaster=0, input_value="v", big_delta=BIG_DELTA
                 ),
-                send_filter=silent_toward(starved),
+                send_filter=fixed_delay_toward(dict.fromkeys(starved, INF)),
             )
 
         result = run_wan(
@@ -138,4 +139,4 @@ class TestFaultyBroadcaster:
             until=500.0,
         )
         assert result.all_honest_committed()
-        assert result.agreement_holds()
+        assert len(set(result.commits.values())) <= 1

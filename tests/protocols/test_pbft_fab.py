@@ -59,7 +59,7 @@ class TestPbftFaults:
             until=500.0,
         )
         assert result.all_honest_committed()
-        assert result.agreement_holds()
+        assert len(set(result.commits.values())) <= 1
         assert result.committed_value() == "fb"
 
     @pytest.mark.parametrize("split", [1, 2, 3])
@@ -80,7 +80,7 @@ class TestPbftFaults:
             behavior_factory=behavior,
             until=500.0,
         )
-        assert result.agreement_holds()
+        assert len(set(result.commits.values())) <= 1
         assert result.all_honest_committed()
 
     def test_crashed_followers_unaffected(self):
@@ -144,5 +144,5 @@ class TestFabFaults:
             behavior_factory=behavior,
             until=500.0,
         )
-        assert result.agreement_holds()
+        assert len(set(result.commits.values())) <= 1
         assert result.all_honest_committed()

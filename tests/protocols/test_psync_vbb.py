@@ -4,13 +4,14 @@ import pytest
 from repro.adversary.behaviors import (
     CrashBehavior,
     FilteredHonestBehavior,
-    silent_toward,
+    fixed_delay_toward,
 )
 from repro.adversary.broadcaster import equivocating_broadcaster
 from repro.net.partial_synchrony import PartialSynchronyModel
 from repro.protocols.psync.vbb_5f1 import PsyncVbb5f1
 from repro.sim.delays import FixedDelay, UniformDelay
 from repro.sim.runner import run_broadcast
+from repro.types import INF
 
 DELTA = 1.0
 
@@ -84,7 +85,7 @@ class TestExternalValidity:
         )
         # Nobody may commit "bad"; the view change may commit a fallback.
         assert all(v != "bad" for v in result.commits.values())
-        assert result.agreement_holds()
+        assert len(set(result.commits.values())) <= 1
 
 
 class TestViewChange:
@@ -99,7 +100,7 @@ class TestViewChange:
             until=500.0,
         )
         assert result.all_honest_committed()
-        assert result.agreement_holds()
+        assert len(set(result.commits.values())) <= 1
         # The broadcaster never proposed: any externally valid value works;
         # with round-robin, view 2's leader proposes its fallback.
         assert result.committed_value() == "fb"
@@ -118,7 +119,7 @@ class TestViewChange:
                 party_factory=lambda w, p: PsyncVbb5f1(
                     w, p, broadcaster=0, input_value="v", big_delta=DELTA
                 ),
-                send_filter=silent_toward(starved),
+                send_filter=fixed_delay_toward(dict.fromkeys(starved, INF)),
             )
 
         result = run_broadcast(
@@ -130,7 +131,7 @@ class TestViewChange:
             behavior_factory=behavior,
             until=500.0,
         )
-        assert result.agreement_holds()
+        assert len(set(result.commits.values())) <= 1
         assert result.all_honest_committed()
         assert result.committed_value() == "v"
 
@@ -154,7 +155,7 @@ class TestViewChange:
             behavior_factory=behavior,
             until=500.0,
         )
-        assert result.agreement_holds()
+        assert len(set(result.commits.values())) <= 1
         assert result.all_honest_committed()
         # The committed value must be one of the equivocated values or a
         # later leader's choice; either way it is unique (checked above).
@@ -180,7 +181,7 @@ class TestViewChange:
             behavior_factory=behavior,
             until=500.0,
         )
-        assert result.agreement_holds()
+        assert len(set(result.commits.values())) <= 1
         assert result.all_honest_committed()
 
     def test_crashed_followers_good_case_unaffected(self):
@@ -211,7 +212,7 @@ class TestLateGst:
             until=500.0,
         )
         assert result.all_honest_committed()
-        assert result.agreement_holds()
+        assert len(set(result.commits.values())) <= 1
 
     def test_commit_times_exceed_gst_when_views_churn(self):
         model = PartialSynchronyModel(big_delta=DELTA, gst=20.0)

@@ -87,7 +87,7 @@ class TestMessageLoss:
             until=1000.0,
         )
         assert result.all_honest_committed()
-        assert result.agreement_holds()
+        assert len(set(result.commits.values())) <= 1
 
 
 class TestMaxViewCap:
@@ -119,7 +119,7 @@ class TestPendingProposalBuffering:
             until=1000.0,
         )
         assert result.all_honest_committed()
-        assert result.agreement_holds()
+        assert len(set(result.commits.values())) <= 1
 
 
 class TestExternalValidityUnderFaults:

@@ -49,14 +49,12 @@ class TestThresholds:
         )
         assert tracker.add("v", n - f - 1) == n - f  # boundary vote crosses
 
-    def test_count_and_seen(self):
+    def test_count_and_signers(self):
         tracker = QuorumTracker()
         tracker.add("v", 3)
         assert tracker.count("v") == 1
         assert tracker.count("w") == 0
-        assert tracker.seen("v", 3)
-        assert not tracker.seen("v", 2)
-        assert not tracker.seen("w", 3)
+        assert tracker.signers("v") == [3]
 
 
 class TestDuplicateAndEquivocation:
@@ -71,14 +69,13 @@ class TestDuplicateAndEquivocation:
         tracker = QuorumTracker(detect_equivocation=True)
         tracker.add("v", 1)
         tracker.add("v", 1)
-        assert not tracker.equivocation_detected
+        assert not tracker.equivocators
 
     def test_equivocation_detected_and_both_counted(self):
         tracker = QuorumTracker(detect_equivocation=True)
         tracker.add("v", 1)
         tracker.add("w", 1)
         assert tracker.equivocators == {1}
-        assert tracker.equivocation_detected
         # Authenticated-protocol semantics: per-value buckets stay
         # independent, the equivocator counts toward both values.
         assert tracker.count("v") == 1
@@ -117,7 +114,6 @@ class TestLazyMaterialization:
         tracker.add("v", 9, "e9")
         assert tracker.entries("v") == ["e5", "e2", "e9"]
         assert tracker.entry_pairs("v") == [(5, "e5"), (2, "e2"), (9, "e9")]
-        assert tracker.sorted_entries("v") == ("e2", "e5", "e9")
         assert tracker.signers("v") == [2, 5, 9]
 
     def test_count_only_mode_keeps_no_buckets(self):
@@ -126,7 +122,6 @@ class TestLazyMaterialization:
             tracker.add("v", signer)  # payload=None: pure tally
         assert tracker.count("v") == 5
         assert tracker.entries("v") == []
-        assert tracker.sorted_entries("v") == ()
 
     def test_lazy_equals_eager_semantics(self):
         """The lazily-built bucket matches an eagerly-maintained dict."""
@@ -144,9 +139,9 @@ class TestLazyMaterialization:
         for value, bucket in eager.items():
             assert tracker.count(value) == len(bucket)
             assert tracker.signers(value) == sorted(bucket)
-            assert tracker.sorted_entries(value) == tuple(
+            assert [p for _, p in sorted(tracker.entry_pairs(value))] == [
                 bucket[s] for s in sorted(bucket)
-            )
+            ]
             assert set(tracker.entries(value)) == set(bucket.values())
 
     def test_quorum_payload_without_memo_builds_fresh(self):
@@ -178,22 +173,6 @@ class TestLazyMaterialization:
 
 
 class TestProtocolIntegration:
-    def test_brb_tracker_detects_byzantine_double_vote(self):
-        """An equivocating vote pair flags the signer, commit unaffected."""
-        from repro.adversary.behaviors import equivocate_votes
-
-        result = run_broadcast(
-            n=7,
-            f=2,
-            party_factory=Brb2Round.factory(broadcaster=0, input_value="v"),
-            byzantine=frozenset({5, 6}),
-            behavior_factory=equivocate_votes(broadcaster=0),
-        )
-        assert result.all_honest_committed()
-        assert result.agreement_holds()
-        assert result.committed_value() == "v"
-        assert result.equivocations_detected > 0
-
     def test_quorum_checks_surface_in_run_result(self):
         result = run_broadcast(
             n=7,
@@ -216,18 +195,24 @@ class TestProtocolIntegration:
         from repro.sim.delays import FixedDelay
         from repro.sim.runner import World
 
-        world = World(
-            n=7, f=2, delay_policy=FixedDelay(1.0), record_envelopes=True,
-        )
+        world = World(n=7, f=2, delay_policy=FixedDelay(1.0))
+        sent = []
+        multicast = world.network.multicast
+
+        def spy(sender, payload, **kwargs):
+            sent.append(payload)
+            multicast(sender, payload, **kwargs)
+
+        world.network.multicast = spy
         world.populate(Brb2Round.factory(broadcaster=0, input_value="v"))
         result = world.run()
         assert result.all_honest_committed()
         forwards = [
-            env.payload
-            for env in world.network.envelopes
-            if isinstance(env.payload, tuple)
-            and env.payload
-            and env.payload[0] == VOTE_QUORUM
+            payload
+            for payload in sent
+            if isinstance(payload, tuple)
+            and payload
+            and payload[0] == VOTE_QUORUM
         ]
         assert forwards
         distinct_objects = {id(p): p for p in forwards}
@@ -235,7 +220,7 @@ class TestProtocolIntegration:
             tuple(v.signer for v in p[1]) for p in distinct_objects.values()
         }
         # One shared object per distinct supporter set, and real sharing:
-        # far fewer objects than the 7 * 6 forward sends.
+        # far fewer objects than the 7 forward multicasts.
         assert len(distinct_objects) == len(distinct_signer_sets)
         assert len(distinct_objects) < world.n
 
@@ -272,9 +257,8 @@ class TestInstrumentationInvariance:
         self, label, cls, sizes, kwargs, seed
     ):
         full = _outcome(cls, sizes["n"], sizes["f"], kwargs, "full", seed)
-        rounds = _outcome(cls, sizes["n"], sizes["f"], kwargs, "rounds", seed)
         perf = _outcome(cls, sizes["n"], sizes["f"], kwargs, "perf", seed)
-        assert full == rounds == perf
+        assert full == perf
 
     def test_quorum_checks_identical_across_presets(self):
         results = {
@@ -287,7 +271,7 @@ class TestInstrumentationInvariance:
                 delay_policy=UniformDelay(0.0, 1.0, seed=3),
                 instrumentation=mode,
             )
-            for mode in ("full", "rounds", "perf")
+            for mode in ("full", "perf")
         }
         checks = {r.quorum_checks for r in results.values()}
         assert len(checks) == 1 and checks.pop() > 0

@@ -97,7 +97,7 @@ class TestBb2Delta:
             until=100.0,
         )
         assert result.all_honest_committed()
-        assert result.agreement_holds()
+        assert len(set(result.commits.values())) <= 1
 
 
 class TestBbDeltaDeltaN3:
@@ -143,7 +143,7 @@ class TestBbDeltaDeltaN3:
             until=100.0,
         )
         assert result.all_honest_committed()
-        assert result.agreement_holds()
+        assert len(set(result.commits.values())) <= 1
 
 
 class TestBbDeltaDeltaSync:
@@ -188,7 +188,7 @@ class TestBbDeltaDeltaSync:
             until=100.0,
         )
         assert result.all_honest_committed()
-        assert result.agreement_holds()
+        assert len(set(result.commits.values())) <= 1
 
 
 class TestBbDelta15Delta:
@@ -269,7 +269,7 @@ class TestBbDelta15Delta:
             until=100.0,
         )
         assert result.all_honest_committed()
-        assert result.agreement_holds()
+        assert len(set(result.commits.values())) <= 1
 
     def test_equivocation_with_skew_agreement(self):
         behavior = equivocating_broadcaster(
@@ -287,7 +287,7 @@ class TestBbDelta15Delta:
             until=100.0,
         )
         assert result.all_honest_committed()
-        assert result.agreement_holds()
+        assert len(set(result.commits.values())) <= 1
 
 
 class TestBbDelta2Delta:
@@ -325,4 +325,4 @@ class TestBbDelta2Delta:
             until=100.0,
         )
         assert result.all_honest_committed()
-        assert result.agreement_holds()
+        assert len(set(result.commits.values())) <= 1

@@ -165,7 +165,7 @@ class TestUnauth3DeltaBb:
             byzantine=frozenset({0}), behavior_factory=behavior,
         )
         assert result.all_honest_committed()
-        assert result.agreement_holds()
+        assert len(set(result.commits.values())) <= 1
 
     def test_crashed_followers_unaffected(self):
         result = self.run_bb(

@@ -5,10 +5,10 @@ and vote batching (``Party.stage_vote_run``: one staged batch per
 uniform forwarded quorum that crosses its threshold, the per-vote loop
 otherwise) are pure performance transforms: the same seed must yield the
 same commits, message counts, logical event counts and tally counters
-with either path.  This suite pins that equivalence across presets —
-``"perf-observed"`` forces the per-copy path the way production does, by
-attaching an envelope observer to the otherwise bare ``perf`` preset —
-plus the counter relationships the benchmarks report.
+with either path.  This suite pins that equivalence across the two
+presets — ``"full"`` forces the per-copy path the way production does,
+with the accountant registering every copy — plus the counter
+relationships the benchmarks report.
 """
 import pytest
 
@@ -17,7 +17,6 @@ from repro.protocols.psync.vbb_5f1 import PsyncVbb5f1
 from repro.protocols.sync.bb_2delta import Bb2Delta
 from repro.protocols.sync.bb_delta_15delta import BbDelta15Delta
 from repro.sim.delays import FixedDelay, UniformDelay
-from repro.sim.instrumentation import Instrumentation
 from repro.sim.runner import run_broadcast
 
 CASES = {
@@ -26,15 +25,6 @@ CASES = {
     "bb_delta_15delta": (BbDelta15Delta, 9, 4, {"big_delta": 1.0}),
     "vbb_5f1": (PsyncVbb5f1, 11, 2, {}),
 }
-
-
-def _instrumentation(preset):
-    if preset == "full":
-        return Instrumentation(name="full", rounds=True, transcripts=True)
-    return Instrumentation(
-        name="perf", rounds=False, transcripts=False,
-        envelopes=preset == "perf-observed",
-    )
 
 
 def _run(case, preset, *, delay):
@@ -48,7 +38,7 @@ def _run(case, preset, *, delay):
         f=f,
         party_factory=cls.factory(broadcaster=0, input_value="v", **kwargs),
         delay_policy=policy,
-        instrumentation=_instrumentation(preset),
+        instrumentation=preset,
     )
 
 
@@ -69,9 +59,8 @@ class TestBatchedDeliveryParity:
     @pytest.mark.parametrize("delay", ["fixed", "uniform"])
     def test_same_seed_same_outcome_all_modes(self, case, delay):
         base = _outcome(_run(case, "full", delay=delay))
-        for preset in ("perf", "perf-observed"):
-            outcome = _outcome(_run(case, preset, delay=delay))
-            assert outcome == base, f"{case}/{delay}: {preset} diverged"
+        outcome = _outcome(_run(case, "perf", delay=delay))
+        assert outcome == base, f"{case}/{delay}: perf diverged"
 
     def test_zero_delay_runs_stay_per_copy(self):
         # Same-instant deliveries keep per-copy scheduling (reaction
@@ -84,7 +73,7 @@ class TestBatchedDeliveryParity:
             f=4,
             party_factory=Brb2Round.factory(broadcaster=0, input_value="v"),
             delay_policy=FixedDelay(0.0),
-            instrumentation=_instrumentation("perf"),
+            instrumentation="perf",
         )
         assert zero.deliveries_batched == 0
         assert zero.delivery_runs_batched == 0
@@ -97,14 +86,12 @@ class TestBatchedDeliveryCounters:
         # perf: no per-copy observer, so fixed-delay fan-outs batch.
         assert perf.deliveries_batched > 0
         assert perf.delivery_runs_batched > 0
-        # full: the accountant observes every copy — per-copy forced;
-        # so does a lone envelope observer on the perf preset.
-        for preset in ("full", "perf-observed"):
-            observed = _run("brb_2round", preset, delay="fixed")
-            assert observed.deliveries_batched == 0
-            assert observed.delivery_runs_batched == 0
-            # events_processed counts *logical* deliveries in both paths.
-            assert perf.events_processed == observed.events_processed
+        # full: the accountant observes every copy — per-copy forced.
+        observed = _run("brb_2round", "full", delay="fixed")
+        assert observed.deliveries_batched == 0
+        assert observed.delivery_runs_batched == 0
+        # events_processed counts *logical* deliveries in both paths.
+        assert perf.events_processed == observed.events_processed
 
     def test_votes_batched_counts_vectorized_absorbs(self):
         # Stragglers receive quorum forwards before terminating, so the

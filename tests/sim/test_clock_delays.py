@@ -11,6 +11,8 @@ from repro.sim.delays import (
 )
 from repro.types import INF
 
+NAN = float("nan")
+
 
 class TestLocalClock:
     def test_local_global_roundtrip(self):
@@ -60,7 +62,6 @@ class TestDelayPolicies:
     def test_fixed(self):
         policy = FixedDelay(0.25)
         assert policy.delay(0, 1, "m", 0.0) == 0.25
-        assert policy.max_honest_delay() == 0.25
 
     def test_fixed_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -83,7 +84,35 @@ class TestDelayPolicies:
         assert policy.delay(0, 1, None, 0.0) == 2.0
         assert policy.delay(1, 0, None, 0.0) == INF
         assert policy.delay(2, 3, None, 0.0) == 0.5
-        assert policy.max_honest_delay() == 2.0
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: FixedDelay(NAN),
+            lambda: FixedDelay(INF),
+            lambda: UniformDelay(NAN, 1.0, seed=1),
+            lambda: UniformDelay(0.0, NAN, seed=1),
+            lambda: UniformDelay(0.0, INF, seed=1),
+            lambda: UniformDelay(0.0, INF, seed=1, stream="counter"),
+            lambda: PerLinkDelay({(0, 1): NAN}, default=0.5),
+            lambda: PerLinkDelay({}, default=NAN),
+            lambda: GstDelay(gst=NAN, big_delta=1.0, pre_gst=FixedDelay(0.5)),
+            lambda: GstDelay(gst=1.0, big_delta=NAN, pre_gst=FixedDelay(0.5)),
+        ],
+        ids=[
+            "fixed-nan", "fixed-inf", "uniform-nan-low", "uniform-nan-high",
+            "uniform-inf", "uniform-inf-counter", "per-link-nan-link",
+            "per-link-nan-default", "gst-nan-gst", "gst-nan-delta",
+        ],
+    )
+    def test_nan_and_silent_drops_rejected(self, build):
+        # NaN used to surface only at the first multicast, as a misleading
+        # "non-finite instant"; an infinite fixed or uniform delay used to
+        # drop every copy and end the run at t=0 with no commit and no
+        # error.  ``PerLinkDelay`` keeps ``INF`` per link on purpose (the
+        # lower-bound constructions cut links with it).
+        with pytest.raises(ValueError):
+            build()
 
     def test_function_delay(self):
         policy = FunctionDelay(lambda s, r, p, t: 0.1 * (s + r))

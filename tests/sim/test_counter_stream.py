@@ -31,8 +31,8 @@ class TestCounterStream:
     def test_same_seed_same_sequence(self):
         a = CounterStream(42)
         b = CounterStream(42)
-        seq_a = [a.uniform(3, 7) for _ in range(50)]
-        seq_b = [b.uniform(3, 7) for _ in range(50)]
+        seq_a = [a.draws(3, 7).random() for _ in range(50)]
+        seq_b = [b.draws(3, 7).random() for _ in range(50)]
         assert seq_a == seq_b
         assert all(0.0 <= u < 1.0 for u in seq_a)
 
@@ -42,7 +42,7 @@ class TestCounterStream:
         # only its own links, in its own order.
         solo = CounterStream(7)
         expected = {
-            (s, r): [solo.uniform(s, r) for _ in range(10)]
+            (s, r): [solo.draws(s, r).random() for _ in range(10)]
             for s in range(3)
             for r in range(3)
             if s != r
@@ -51,13 +51,13 @@ class TestCounterStream:
         got = {link: [] for link in expected}
         for _ in range(10):
             for link in expected:
-                got[link].append(interleaved.uniform(*link))
+                got[link].append(interleaved.draws(*link).random())
         assert got == expected
 
     def test_seed_and_salt_produce_distinct_streams(self):
-        base = [CounterStream(1).uniform(0, 1) for _ in range(1)]
-        other_seed = [CounterStream(2).uniform(0, 1)]
-        salted = [CounterStream(1, salt=99).uniform(0, 1)]
+        base = [CounterStream(1).draws(0, 1).random() for _ in range(1)]
+        other_seed = [CounterStream(2).draws(0, 1).random()]
+        salted = [CounterStream(1, salt=99).draws(0, 1).random()]
         assert base != other_seed
         assert base != salted
 

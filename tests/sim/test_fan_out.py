@@ -64,7 +64,7 @@ class Harness:
         """Physical units the emitter produced: events or wire records."""
         if self.kind == "remote":
             return len(self.net.outbuf)
-        return self.sim.pending_events()
+        return self.sim._queue._live
 
     def landings(self) -> dict:
         """``recipient -> delivery instant`` of every copy that lands."""

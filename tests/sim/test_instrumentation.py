@@ -2,8 +2,8 @@
 
 The load-bearing property: instrumentation is a *mode*, never a semantics
 change.  The same seed and protocol must yield byte-identical commit
-outcomes under ``full``, ``rounds`` and ``perf``; only the recorded
-observability differs.
+outcomes under ``full`` and ``perf``; only the recorded observability
+differs.
 """
 import pytest
 
@@ -16,13 +16,7 @@ from repro.sim.delays import (
     PerLinkDelay,
     UniformDelay,
 )
-from repro.sim.instrumentation import (
-    Instrumentation,
-    full_instrumentation,
-    perf_instrumentation,
-    resolve_instrumentation,
-    rounds_instrumentation,
-)
+from repro.sim.instrumentation import Instrumentation, resolve_instrumentation
 from repro.sim.process import Party
 from repro.sim.runner import World, run_broadcast
 from repro.types import INF
@@ -45,40 +39,26 @@ def brb_run(instrumentation, *, n=7, f=2, seed=11):
 
 class TestPresets:
     def test_full_records_everything(self):
-        instr = full_instrumentation()
-        assert instr.records_rounds
-        assert instr.records_transcripts
-        assert not instr.records_envelopes
+        instr = resolve_instrumentation("full")
+        assert instr.accountant is not None
         assert instr.transcript_for(3) is not None
 
-    def test_rounds_drops_transcripts(self):
-        instr = rounds_instrumentation()
-        assert instr.records_rounds
-        assert not instr.records_transcripts
-        assert instr.transcript_for(3) is None
-
     def test_perf_drops_all_observers(self):
-        instr = perf_instrumentation()
+        instr = resolve_instrumentation("perf")
+        assert instr.name == "perf"
         assert instr.accountant is None
         assert instr.transcript_for(3) is None
-        assert instr.envelopes is None
 
     def test_resolve_default_is_full(self):
         assert resolve_instrumentation(None).name == "full"
 
     def test_resolve_passes_instances_through(self):
-        instr = Instrumentation(name="mine", rounds=False)
+        instr = Instrumentation(observe=False)
         assert resolve_instrumentation(instr) is instr
 
     def test_resolve_rejects_unknown_preset(self):
         with pytest.raises(ConfigurationError):
             resolve_instrumentation("verbose")
-
-    def test_envelopes_require_full(self):
-        with pytest.raises(ConfigurationError):
-            resolve_instrumentation("perf", record_envelopes=True)
-        instr = resolve_instrumentation("full", record_envelopes=True)
-        assert instr.records_envelopes
 
 
 class TestModeEquivalence:
@@ -87,12 +67,11 @@ class TestModeEquivalence:
     @pytest.fixture(scope="class")
     def runs(self):
         return {
-            mode: brb_run(mode) for mode in ("full", "rounds", "perf")
+            mode: brb_run(mode) for mode in ("full", "perf")
         }
 
     def test_identical_commits(self, runs):
         assert runs["full"].commits == runs["perf"].commits
-        assert runs["full"].commits == runs["rounds"].commits
         assert runs["full"].all_honest_committed()
 
     def test_identical_commit_times_and_counts(self, runs):
@@ -101,10 +80,6 @@ class TestModeEquivalence:
         assert full.messages_sent == perf.messages_sent
         assert full.final_time == perf.final_time
         assert full.events_processed == perf.events_processed
-
-    def test_rounds_mode_keeps_round_accounting(self, runs):
-        assert runs["rounds"].commit_rounds == runs["full"].commit_rounds
-        assert runs["rounds"].round_latency() == runs["full"].round_latency()
 
     def test_perf_mode_has_no_rounds(self, runs):
         assert runs["perf"].commit_rounds == {}
@@ -127,8 +102,7 @@ class TestPerfModeRecordsNothing:
         for party in world.honest_parties():
             assert party.transcript is None
         assert world.accountant is None
-        assert world.network.envelopes == []
-        assert world.commit_order  # commit tracking stays on
+        assert world.instrumentation.commit_order  # tracking stays on
 
     def test_perf_mode_reaches_proxy_world_parties(self):
         # SMR slot instances live behind a proxy world; the outer mode
@@ -263,7 +237,7 @@ class TestBundleReuseGuard:
     def test_bundle_cannot_attach_to_two_worlds(self):
         # Bundles hold per-execution state (accountant, commit order);
         # reuse would silently mix two runs' records.
-        bundle = rounds_instrumentation()
+        bundle = Instrumentation()
         World(n=3, f=0, delay_policy=FixedDelay(1.0), instrumentation=bundle)
         with pytest.raises(ConfigurationError):
             World(
@@ -296,4 +270,4 @@ class TestPopulateGuard:
         world.populate(Committer)
         with pytest.raises(ConfigurationError):
             world.populate(Committer)
-        assert len(world.sim._queue) == 0
+        assert world.sim._queue._live == 0

@@ -19,6 +19,7 @@ from repro.errors import (
     ValidityViolation,
     ViewProgressViolation,
 )
+from repro.analysis.chaos import judge
 from repro.protocols.brb_2round import Brb2Round
 from repro.sim.delays import FixedDelay, UniformDelay
 from repro.sim.faults import Crash, FaultPlan
@@ -31,7 +32,7 @@ from repro.sim.invariants import (
     ViewProgress,
     standard_monitors,
 )
-from repro.sim.runner import World, run_broadcast
+from repro.sim.runner import World
 
 
 class _FakeWorld:
@@ -235,14 +236,23 @@ class TestStandardMonitors:
             monitor.on_commit(1, "w", 0.5)
 
 
+def _judged_brb(monitors, *, until=None, **world_kwargs):
+    """BRB n=4 under seeded uniform delays with ``monitors`` attached,
+    finalized after the run the way the chaos harness does it."""
+    world = World(
+        n=4, f=1, delay_policy=UniformDelay(0.0, 1.0, seed=5),
+        monitors=monitors, **world_kwargs,
+    )
+    world.populate(Brb2Round.factory(broadcaster=0, input_value="v"))
+    result = world.run(until=until)
+    judge(monitors, world)
+    return result
+
+
 class TestWorldIntegration:
     def test_clean_run_passes_the_full_battery(self):
-        result = run_broadcast(
-            n=4,
-            f=1,
-            party_factory=Brb2Round.factory(broadcaster=0, input_value="v"),
-            delay_policy=UniformDelay(0.0, 1.0, seed=5),
-            monitors=standard_monitors(
+        result = _judged_brb(
+            standard_monitors(
                 expected="v", deadline=50.0, protocol="brb_2round"
             ),
             protocol_name="brb_2round",
@@ -252,31 +262,21 @@ class TestWorldIntegration:
     def test_plan_crashed_parties_are_exempt(self):
         """A crash inside the budget stops party 3 from ever committing;
         the termination monitor must treat it as spent fault budget."""
-        result = run_broadcast(
-            n=4,
-            f=1,
-            party_factory=Brb2Round.factory(broadcaster=0, input_value="v"),
-            delay_policy=UniformDelay(0.0, 1.0, seed=5),
+        result = _judged_brb(
+            standard_monitors(expected="v", deadline=50.0),
             fault_plan=FaultPlan(crashes=(Crash(3, 0.0),)),
-            monitors=standard_monitors(expected="v", deadline=50.0),
         )
         assert 3 not in result.commits
         assert set(result.commits) == {0, 1, 2}
 
     def test_over_budget_crashes_trip_termination(self):
         with pytest.raises(TerminationViolation) as excinfo:
-            run_broadcast(
-                n=4,
-                f=1,
-                party_factory=Brb2Round.factory(
-                    broadcaster=0, input_value="v"
-                ),
-                delay_policy=UniformDelay(0.0, 1.0, seed=5),
+            _judged_brb(
+                standard_monitors(expected="v", deadline=50.0),
                 until=50.0,
                 fault_plan=FaultPlan(
                     crashes=(Crash(2, 0.0), Crash(3, 0.0)),
                 ),
-                monitors=standard_monitors(expected="v", deadline=50.0),
                 protocol_name="brb_2round",
             )
         assert excinfo.value.protocol == "brb_2round"

@@ -194,7 +194,7 @@ class TestPartyRuntime:
             delay_policy=FixedDelay(1.0),
         )
         assert result.all_honest_committed()
-        assert result.agreement_holds()
+        assert len(set(result.commits.values())) <= 1
         assert result.latency_from(0.0) == 0.0
 
 

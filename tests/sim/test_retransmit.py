@@ -5,7 +5,7 @@ round-trip), the :class:`ReliableChannel` timer chain in isolation, and
 the network integration: honest-link loss recovered by retransmission,
 crash windows recovered after the recipient rejoins, counters flowing to
 ``RunResult``, the off-by-default byte parity, and schedule determinism
-across instrumentation presets and both timeline backends.
+across instrumentation presets and on the calendar and heap queues.
 """
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from repro.errors import ConfigurationError
 from repro.protocols.brb_2round import Brb2Round
 from repro.sim.delays import UniformDelay
 from repro.sim.faults import Crash, DropLink, FaultPlan
-from repro.sim.instrumentation import Instrumentation
 from repro.sim.retransmit import ReliableChannel, ReliableLink
 from repro.sim.runner import World
 from repro.sim.scheduler import Simulator
@@ -128,19 +127,12 @@ class TestReliableChannelChain:
         assert channel.counters.acks_sent == 1
 
 
-PRESETS = {
-    "full": dict(rounds=True, transcripts=True),
-    "rounds": dict(rounds=True, transcripts=False),
-    "perf": dict(rounds=False, transcripts=False),
-}
-
-
 def _run_brb(*, plan=None, link=None, preset="full", seed=3):
     world = World(
         n=7,
         f=2,
         delay_policy=UniformDelay(0.0, 1.0, seed=seed),
-        instrumentation=Instrumentation(name=preset, **PRESETS[preset]),
+        instrumentation=preset,
         fault_plan=plan,
         reliable_link=link,
     )
@@ -202,7 +194,7 @@ class TestNetworkIntegration:
     def test_off_by_default_stays_byte_identical(self):
         """The CI retransmission-off parity claim: ``reliable_link=None``
         is indistinguishable from a build without the channel."""
-        for preset in ("full", "rounds", "perf"):
+        for preset in ("full", "perf"):
             bare = _snapshot(_run_brb(preset=preset))
             off = _snapshot(_run_brb(link=None, preset=preset))
             assert bare == off, preset

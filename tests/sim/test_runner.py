@@ -42,7 +42,8 @@ class TestWorldValidation:
         world = World(
             n=4, f=1, delay_policy=FixedDelay(1.0), byzantine=frozenset({2})
         )
-        assert world.honest_ids == [0, 1, 3]
+        world.populate(lambda w, pid: Committer(w, pid))
+        assert world.run().honest_ids == [0, 1, 3]
 
     def test_crash_default_for_missing_behavior_factory(self):
         world = World(
@@ -64,12 +65,6 @@ class TestRunResult:
             commit_global_times={p: 1.0 for p in commits},
             commit_rounds={p: 2 for p in commits},
         )
-
-    def test_agreement_holds_on_empty(self):
-        assert self.make_result({}).agreement_holds()
-
-    def test_agreement_detects_split(self):
-        assert not self.make_result({0: "a", 1: "b", 2: "a"}).agreement_holds()
 
     def test_committed_value_requires_unanimity(self):
         with pytest.raises(ValueError):
@@ -102,4 +97,4 @@ class TestCommitOrder:
         world = World(n=3, f=0, delay_policy=FixedDelay(1.0))
         world.populate(lambda w, pid: Committer(w, pid))
         world.run()
-        assert world.commit_order == [0, 1, 2]
+        assert world.instrumentation.commit_order == [0, 1, 2]

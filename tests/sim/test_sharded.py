@@ -4,7 +4,8 @@ Sharded execution (``World(shards=k)``) is a pure performance mode: the
 same configuration must yield the same ``RunResult`` outcomes — commits,
 commit times, final time — and the same merged schedule-invariant
 counters (``messages_sent``, ``events_processed``, ``quorum_checks``)
-for every shard count, preset and timeline backend.  Counters that
+for every shard count, preset and event queue (the calendar or the
+heap oracle).  Counters that
 describe *how* work was batched locally (``deliveries_batched``,
 ``bucket_appends``) legitimately differ: a shard only batches its local
 slice of a fan-out.
@@ -84,7 +85,7 @@ def _counter_plan(n: int) -> FaultPlan:
 
 
 def _perf():
-    return Instrumentation(name="perf", rounds=False, transcripts=False)
+    return Instrumentation(observe=False)
 
 
 def _queue(timeline, reference_queue):
@@ -148,16 +149,10 @@ class TestShardCountIndependence:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_batch_deliveries_off_parity(self, case):
         # The per-copy path, forced the way production forces it.  On one
-        # process: an envelope observer (observers refuse sharding, so
-        # this is the shards=1 reference).  Across shards: a compiled-in
-        # (empty) counter-stream plan, whose injector routes every copy.
-        observed = _run(
-            case, shards=1,
-            instrumentation=Instrumentation(
-                name="perf", rounds=False, transcripts=False,
-                envelopes=True,
-            ),
-        )
+        # process: the observers (they refuse sharding, so this is the
+        # shards=1 reference).  Across shards: a compiled-in (empty)
+        # counter-stream plan, whose injector routes every copy.
+        observed = _run(case, shards=1, instrumentation=Instrumentation())
         folded = _run(case, shards=1, instrumentation=_perf())
         routed = _run(
             case, shards=2, instrumentation=_perf(),
@@ -360,12 +355,7 @@ class TestForcedSingleProcess:
     def test_full_instrumentation_forces_one(self):
         world = self._world(instrumentation="full")
         assert self._populate(world) == 1
-        assert world.shard_fallback_reason == "rounds-accounting"
-
-    def test_rounds_instrumentation_forces_one(self):
-        world = self._world(instrumentation="rounds")
-        assert self._populate(world) == 1
-        assert world.shard_fallback_reason == "rounds-accounting"
+        assert world.shard_fallback_reason == "observers"
 
     def test_unsafe_delay_policy_forces_one(self):
         world = self._world(delay_policy=UniformDelay(0.5, 1.0, seed=7))

@@ -1,9 +1,10 @@
-"""Heap vs. calendar-timeline parity.
+"""Calendar queue vs. the heap oracle.
 
-The window calendar replaces the heap purely for speed; its contract is
-that the observable schedule — pop order, peek times, horizon behavior,
-``RunResult`` outcomes — is byte-identical to the heap backend's for the
-same pushes, in every instrumentation preset and **for every window
+The window calendar (``repro.sim.events.EventQueue``) orders events in
+windows purely for speed; its contract is that the observable schedule —
+pop order, peek times, horizon behavior, ``RunResult`` outcomes — is
+byte-identical to the binary heap's (``heap_queue.HeapQueue``, the
+oracle) for the same pushes, observers on or off and **for every window
 width**: the lookahead only decides which pushes are O(1) appends and
 which are in-window inserts.  These tests drive both backends through
 randomized scripts (ties and continuous times, priorities, order keys,
@@ -27,7 +28,8 @@ from repro.sim.instrumentation import Instrumentation
 from repro.sim.network import Network
 from repro.sim.runner import World, run_broadcast
 from repro.sim.scheduler import Simulator
-from repro.sim.timeline import BucketTimeline
+
+from heap_queue import HeapQueue
 
 
 def _noop(*args) -> None:
@@ -140,9 +142,9 @@ def _replay(queue: EventQueue, script: list[tuple]) -> list[tuple]:
                     break
                 log.append(_fired("drain", entry))
         else:
-            log.append(("peek", queue.peek_time(), len(queue)))
+            log.append(("peek", queue.peek_time(), queue._live))
     log.extend(_fired("rest", entry) for entry in iter(queue.pop, None))
-    log.append(("end", len(queue), queue.peek_time(), queue._cancelled))
+    log.append(("end", queue._live, queue.peek_time(), queue._cancelled))
     return log
 
 
@@ -161,8 +163,8 @@ class TestQueueParity:
             seed, with_cancels=True, continuous=continuous,
             handle_share=handle_share,
         )
-        heap_log = _replay(EventQueue(), script)
-        calendar_log = _replay(BucketTimeline(width=width), script)
+        heap_log = _replay(HeapQueue(), script)
+        calendar_log = _replay(EventQueue(width=width), script)
         assert heap_log == calendar_log
         assert heap_log[-1] == ("end", 0, None, 0)
 
@@ -176,7 +178,7 @@ class TestQueueParity:
         times = [rng.uniform(0.0, 3.0) for _ in range(count)]
         doomed = rng.sample(range(count), 3 * _COMPACT_MIN_CANCELLED)
         logs = []
-        for queue in (EventQueue(), BucketTimeline(width=width)):
+        for queue in (HeapQueue(), EventQueue(width=width)):
             handles = [
                 queue.push(t, _noop, order_key=_KEYS[i % 4])
                 for i, t in enumerate(times)
@@ -184,12 +186,12 @@ class TestQueueParity:
             log = [_fired("pop", queue.pop()) for _ in range(20)]
             for i in doomed:
                 handles[i].cancel()
-            log.append(("peek", queue.peek_time(), len(queue)))
+            log.append(("peek", queue.peek_time(), queue._live))
             queue.push_batch(
                 [1.0, 0.1, 2.9], _noop, [(0,), (1,), (2,)], order_key=b"m"
             )
             log.extend(_fired("rest", e) for e in iter(queue.pop, None))
-            log.append(("end", len(queue), queue._cancelled))
+            log.append(("end", queue._live, queue._cancelled))
             logs.append(log)
         assert logs[0] == logs[1]
         assert logs[0][-1] == ("end", 0, 0)
@@ -199,11 +201,11 @@ class TestQueueParity:
         """A peek opens (sorts) the next window while the clock is still
         behind it; a push that then lands earlier must fire first."""
         logs = []
-        for queue in (EventQueue(), BucketTimeline(width=width)):
+        for queue in (HeapQueue(), EventQueue(width=width)):
             queue.push_batch([5.2, 5.0, 5.1], _noop, [(0,), (1,), (2,)])
             log = [queue.peek_time()]
             queue.push(1.0, _noop, args=("early",))
-            if isinstance(queue, BucketTimeline) and width < 10.0:
+            if not isinstance(queue, HeapQueue) and width < 10.0:
                 assert not queue._open  # parked, not merely inserted into
             log.append(queue.peek_time())
             queue.push(5.05, _noop, args=("late",))
@@ -218,8 +220,8 @@ class TestQueueParity:
         ]
 
     def test_batch_equals_push_loop(self):
-        batched = BucketTimeline(width=0.3)
-        looped = BucketTimeline(width=0.3)
+        batched = EventQueue(width=0.3)
+        looped = EventQueue(width=0.3)
         batched.push(1.0, _noop, order_key=b"x")
         looped.push(1.0, _noop, order_key=b"x")
         # A batch is a loop of transient pushes: plain entries throughout.
@@ -240,17 +242,17 @@ class TestQueueParity:
             batched.push_batch([1.0, 2.0], _noop, [(0,)])
 
     def test_mass_cancellation_compacts_windows(self):
-        queue = BucketTimeline()
+        queue = EventQueue()
         handles = [queue.push(float(i % 7), _noop) for i in range(500)]
         for handle in handles[:499]:
             handle.cancel()
-        assert len(queue) == 1
+        assert queue._live == 1
         assert sum(len(w) for w in queue._windows.values()) < 500
         assert queue.pop()[6] is handles[499]
         assert queue.pop() is None
 
     def test_counters_track_window_reuse(self):
-        queue = BucketTimeline(width=0.5)
+        queue = EventQueue(width=0.5)
         for _ in range(4):
             queue.push(1.0, _noop)
         queue.push_batch([2.0, 2.4, 2.2], _noop, [(i,) for i in range(3)])
@@ -263,10 +265,10 @@ class TestQueueParity:
         queue.push(1.2, _noop)
         assert (queue.bucket_appends, queue.heap_pushes_avoided) == (8, 6)
         # Zero width: one window per distinct instant.
-        instants = BucketTimeline()
+        instants = EventQueue()
         instants.push_batch([2.0, 2.4, 2.0], _noop, [(i,) for i in range(3)])
         assert instants.heap_pushes_avoided == 1
-        heap = EventQueue()
+        heap = HeapQueue()
         for _ in range(4):
             heap.push(1.0, _noop)
         assert heap.bucket_appends == 0
@@ -277,18 +279,18 @@ class TestDeadEntriesAmidPlainOnes:
     """A cancelled handle at the drain front is skipped, and accounted,
     the same way by ``pop`` and ``peek_time`` on both backends."""
 
-    @pytest.mark.parametrize("queue_cls", [EventQueue, BucketTimeline])
+    @pytest.mark.parametrize("queue_cls", [HeapQueue, EventQueue])
     def test_pop_skips_a_cancelled_handle(self, queue_cls):
         queue = queue_cls()
         doomed = queue.push(1.0, _noop)
         queue.push(2.0, _noop, args=("plain",), transient=True)
         doomed.cancel()
-        assert (len(queue), queue._cancelled) == (1, 1)
+        assert (queue._live, queue._cancelled) == (1, 1)
         assert queue.pop() == (2.0, 0, b"", 1, _noop, ("plain",))
-        assert (len(queue), queue._cancelled) == (0, 0)
+        assert (queue._live, queue._cancelled) == (0, 0)
         assert queue.pop() is None
 
-    @pytest.mark.parametrize("queue_cls", [EventQueue, BucketTimeline])
+    @pytest.mark.parametrize("queue_cls", [HeapQueue, EventQueue])
     def test_peek_skips_a_cancelled_handle(self, queue_cls):
         queue = queue_cls()
         doomed = queue.push(1.0, _noop)
@@ -297,7 +299,7 @@ class TestDeadEntriesAmidPlainOnes:
         assert queue.peek_time() == 2.0
         assert queue._cancelled == 0
         doomed.cancel()  # already discarded: a second cancel is a no-op
-        assert (len(queue), queue._cancelled) == (1, 0)
+        assert (queue._live, queue._cancelled) == (1, 0)
 
 
 class TestHandleFreeDeliveries:
@@ -328,7 +330,7 @@ class TestHandleFreeDeliveries:
         (uniform, per_copy), (fixed, folded) = sims
         assert (per_copy.delivery_runs_batched, folded.deliveries_batched) \
             == (0, 300)
-        assert (uniform.pending_events(), fixed.pending_events()) == (301, 2)
+        assert (uniform._queue._live, fixed._queue._live) == (301, 2)
         uniform.run()
         fixed.run()
         assert sorted(set(landed)) == ["propose", "vote"]
@@ -340,7 +342,7 @@ class TestHandleFreeDeliveries:
         )
         assert built == [handle]
         handle.cancel()
-        assert uniform.pending_events() == 0
+        assert uniform._queue._live == 0
         uniform.run()
         assert "timer" not in landed
 
@@ -373,7 +375,7 @@ class TestSimulatorParity:
 
         sim.schedule_at(0.0, fire, args=(0,), transient=True)
         final = sim.run(until=until, max_events=max_events)
-        return log, final, sim.pending_events(), sim.events_processed
+        return log, final, sim._queue._live, sim.events_processed
 
     def test_run_to_quiescence_identical(self, reference_queue):
         heap, bucket = self._on_both(reference_queue, self._cascade_log)
@@ -422,15 +424,15 @@ class TestSimulatorParity:
         # Guards the fixture itself: were the swap a no-op, every parity
         # test here would compare the calendar with itself.
         with reference_queue():
-            assert type(Simulator()._queue) is EventQueue
-        assert type(Simulator()._queue) is BucketTimeline
+            assert type(Simulator()._queue) is HeapQueue
+        assert type(Simulator()._queue) is EventQueue
 
 
-def _outcome(cls, kwargs, policy, preset: dict):
+def _outcome(cls, kwargs, policy, preset: bool):
     result = run_broadcast(
         party_factory=cls.factory(broadcaster=0, input_value="v"),
         delay_policy=policy,
-        instrumentation=Instrumentation(name="parity", **preset),
+        instrumentation=Instrumentation(observe=preset),
         **kwargs,
     )
     return (
@@ -443,11 +445,8 @@ def _outcome(cls, kwargs, policy, preset: dict):
     )
 
 
-_PRESETS = {
-    "full": dict(rounds=True, transcripts=True),
-    "rounds": dict(rounds=True, transcripts=False),
-    "perf": dict(rounds=False, transcripts=False),
-}
+#: Preset name -> the observer switch.
+_PRESETS = {"full": True, "perf": False}
 
 
 #: Delay regimes by what they give the calendar: a lookahead with one
@@ -477,7 +476,7 @@ def _brb31(policy: str, *, faulted: bool = False, preset: str = "perf"):
     ) if faulted else None
     world = World(
         n=31, f=10, delay_policy=_POLICIES[policy](), fault_plan=plan,
-        instrumentation=Instrumentation(name=preset, **_PRESETS[preset]),
+        instrumentation=Instrumentation(observe=_PRESETS[preset]),
     )
     world.populate(Brb2Round.factory(broadcaster=0, input_value="v"))
     return world, world.run()

@@ -135,14 +135,14 @@ class TestPoolingDecision:
         brain.commit("b")  # a commit conflict
         brain.note_view(2)
         assert brain.committed_value == "a" and brain.commit_step is None
-        assert world.commit_order == []
+        assert world.instrumentation.commit_order == []
         assert monitor.seen == []
         # ...while the same three calls from an attached party all do.
         attached = world.agents[0]
         attached.commit("a")
         attached.commit("b")
         attached.note_view(2)
-        assert world.commit_order == [0]
+        assert world.instrumentation.commit_order == [0]
         assert [kind for kind, *_ in monitor.seen] == [
             "commit", "conflict", "view",
         ]
@@ -153,5 +153,5 @@ class TestPoolingDecision:
         assert registry.signer_for(3) is world.agents[3].signer
         with pytest.raises(ValueError, match="does not own"):
             registry.signer_for(0)
-        assert registry.verify(brain.sign("m"))
-        assert world.registry.verify(brain.sign("m"))
+        assert registry.verify(brain.signer.sign("m"))
+        assert world.registry.verify(brain.signer.sign("m"))

@@ -20,7 +20,7 @@ from repro.sim.runner import run_broadcast
 from repro.sim.delays import UniformDelay
 from repro.adversary.behaviors import CrashBehavior
 from repro.adversary.broadcaster import equivocating_broadcaster
-from repro.types import BOTTOM, FaultBudget
+from repro.types import BOTTOM
 
 # --------------------------------------------------------------------- #
 # canonical encoding
@@ -159,20 +159,6 @@ class TestClockProperties:
         assert quantize(quantize(value)) == quantize(value)
 
 
-class TestFaultBudgetProperties:
-    @given(st.integers(1, 200), st.integers(0, 199))
-    @settings(max_examples=200)
-    def test_quorum_arithmetic(self, n, f):
-        if f >= n:
-            return
-        budget = FaultBudget(n, f)
-        assert budget.quorum + f == n
-        assert budget.honest >= 1
-        # The central quorum-intersection fact used everywhere:
-        if n >= 3 * f + 1:
-            assert 2 * budget.quorum - n >= f + 1
-
-
 # --------------------------------------------------------------------- #
 # protocol invariants under randomized schedules and fault sets
 # --------------------------------------------------------------------- #
@@ -210,7 +196,7 @@ class TestBrbInvariants:
             byzantine=frozenset(crashed),
             behavior_factory=CrashBehavior,
         )
-        assert result.agreement_holds()
+        assert len(set(result.commits.values())) <= 1
         assert result.all_honest_committed()
 
     @given(st.integers(1, 6), st.integers(0, 10_000))
@@ -231,7 +217,7 @@ class TestBrbInvariants:
             byzantine=frozenset({0}),
             behavior_factory=behavior,
         )
-        assert result.agreement_holds()
+        assert len(set(result.commits.values())) <= 1
 
 
 class TestSyncBbInvariants:
