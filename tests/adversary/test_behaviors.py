@@ -11,12 +11,17 @@ from repro.adversary.behaviors import (
     pass_all,
 )
 from repro.adversary.broadcaster import equivocating_broadcaster
+from repro.analysis.engine import SweepEngine, SweepTask
 from repro.sim.delays import FixedDelay
 from repro.sim.process import Party
 from repro.sim.runner import World, run_broadcast
 from repro.types import INF
 
-from vote_attacks import equivocate_votes, forge_vote_quorum
+from vote_attacks import (
+    crash_and_equivocate,
+    equivocate_votes,
+    forge_vote_quorum,
+)
 
 
 class Gossip(Party):
@@ -322,6 +327,82 @@ class TestEquivocatingVoter:
             party_factory=Brb2Round.factory(broadcaster=0, input_value="v"),
         )
         assert result.equivocations_detected == 0
+
+
+def equivocating_voters_point(*, n, f, equivocators, crashers, seed):
+    """One 2-round-BRB run under ``equivocators`` double-voters and
+    ``crashers`` crash-from-start parties, all on the top ids so the
+    broadcaster (0) stays honest; seeded uniform delays."""
+    from repro.protocols.brb_2round import Brb2Round
+    from repro.sim.delays import UniformDelay
+
+    result = run_broadcast(
+        n=n,
+        f=f,
+        party_factory=Brb2Round.factory(broadcaster=0, input_value="v"),
+        byzantine=frozenset(range(n - equivocators - crashers, n)),
+        behavior_factory=crash_and_equivocate(
+            broadcaster=0, crashers=frozenset(range(n - crashers, n))
+        ),
+        delay_policy=UniformDelay(0.0, 1.0, seed=seed),
+        instrumentation="perf",
+    )
+    return {
+        "equivocators": equivocators,
+        "crashers": crashers,
+        "all_committed": result.all_honest_committed(),
+        "agreement": len(set(result.commits.values())) <= 1,
+        "equivocations_detected": result.equivocations_detected,
+        "quorum_checks": result.quorum_checks,
+    }
+
+
+class TestEquivocatingVoterSweep:
+    """Corruption levels as a seeded grid through the sweep engine."""
+
+    @staticmethod
+    def _sweep(*, n, f, counts, crashers=0, workers=1):
+        tasks = [
+            SweepTask(
+                equivocating_voters_point,
+                dict(n=n, f=f, equivocators=k, crashers=crashers),
+                key=("equivocate-votes", n, f, k, crashers),
+                inject_seed=True,
+            )
+            for k in counts
+        ]
+        return SweepEngine(workers=workers).run(tasks)
+
+    def test_detection_grows_with_corruption(self):
+        rows = self._sweep(n=16, f=5, counts=[0, 2, 5])
+        assert [r["equivocators"] for r in rows] == [0, 2, 5]
+        for row in rows:
+            assert row["all_committed"]
+            assert row["agreement"]
+            assert row["quorum_checks"] > 0
+        assert rows[0]["equivocations_detected"] == 0
+        # Each corrupted point has seeded random delays of its own, so
+        # the counts need not be strictly monotone across points — but
+        # every corrupted run must expose at least its equivocators.
+        for row in rows[1:]:
+            assert row["equivocations_detected"] >= row["equivocators"]
+
+    def test_deterministic_across_workers(self):
+        serial = self._sweep(n=10, f=3, counts=[1, 3])
+        parallel = self._sweep(n=10, f=3, counts=[1, 3], workers=2)
+        assert serial == parallel
+
+    def test_crashers_knob_mixes_fault_flavors(self):
+        """Spend the budget as crashes + equivocations in one run: honest
+        parties still commit, the equivocators are still exposed, and the
+        crashed parties (silent, not double-voting) are not."""
+        rows = self._sweep(n=10, f=3, counts=[0, 2], crashers=1)
+        assert [r["crashers"] for r in rows] == [1, 1]
+        for row in rows:
+            assert row["all_committed"]
+            assert row["agreement"]
+        assert rows[0]["equivocations_detected"] == 0
+        assert rows[1]["equivocations_detected"] >= 2
 
 
 class TestForgedVoteQuorum:

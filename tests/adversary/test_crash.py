@@ -1,8 +1,11 @@
-"""Tests for timed crash behaviors."""
+"""Tests for timed crash behaviors and the mixed crash+equivocate factory."""
 from repro.adversary.behaviors import CrashBehavior, crash_at
+from repro.protocols.brb_2round import Brb2Round
 from repro.sim.delays import FixedDelay
 from repro.sim.process import Party
-from repro.sim.runner import World
+from repro.sim.runner import World, run_broadcast
+
+from vote_attacks import crash_and_equivocate
 
 
 class Chatter(Party):
@@ -98,3 +101,37 @@ class TestTimedCrashBehavior:
         assert world.agents[3].hosted == {}
         assert world.agents[3].is_down(123.0)
 
+
+class TestCrashAndEquivocate:
+    def test_mixed_adversary_within_budget_still_commits(self):
+        """f=3 budget split as one crasher + two equivocators: honest
+        parties flag the double votes and commit the real value."""
+        n, f = 10, 3
+        byzantine = frozenset({7, 8, 9})
+        result = run_broadcast(
+            n=n,
+            f=f,
+            party_factory=Brb2Round.factory(broadcaster=0, input_value="v"),
+            byzantine=byzantine,
+            behavior_factory=crash_and_equivocate(
+                broadcaster=0, crashers=frozenset({9})
+            ),
+            delay_policy=FixedDelay(1.0),
+            instrumentation="full",
+        )
+        assert set(result.commits) == set(range(7))
+        assert set(result.commits.values()) == {"v"}
+        assert result.equivocations_detected > 0
+
+    def test_crashers_route_to_timed_crash_behavior(self):
+        world = World(
+            n=4, f=1, delay_policy=FixedDelay(1.0), byzantine=frozenset({3})
+        )
+        build = crash_and_equivocate(
+            broadcaster=0, crashers=frozenset({3}), crash_time=2.0
+        )
+        agent = build(world, 3)
+        assert isinstance(agent, CrashBehavior)
+        assert not agent.is_down(1.0)
+        assert agent.is_down(2.0)
+        assert agent.window.next_recovery_after(0.0) is None  # crash-stop

@@ -3,17 +3,19 @@
 Both act once, on the broadcaster's proposal: one double-signs its vote
 (the equivocation the quorum trackers' detection path exists to expose),
 the other multicasts a full vote quorum with forged signatures (the
-sharpest probe of deferred batch verification).
+sharpest probe of deferred batch verification).  ``crash_and_equivocate``
+mixes the double-voter with timed crashes in one fault budget.
 """
 from __future__ import annotations
 
 from typing import Any
 
-from repro.adversary.behaviors import ByzantineBehavior
+from repro.adversary.behaviors import ByzantineBehavior, crash_at, per_party
 from repro.crypto.messages import digest
 from repro.crypto.signatures import Signature, SignedPayload
 from repro.protocols.brb_2round import PROPOSE, VOTE, VOTE_QUORUM, Brb2Round
-from repro.types import PartyId
+from repro.sim.runner import BehaviorFactory
+from repro.types import INF, PartyId
 
 
 class _OnProposalBehavior(ByzantineBehavior):
@@ -72,6 +74,26 @@ class EquivocatingVoterBehavior(_OnProposalBehavior):
 #: ``equivocate_votes(broadcaster=, second_value="equivocation")`` —
 #: behavior factory: every corrupted party double-votes per round.
 equivocate_votes = EquivocatingVoterBehavior.factory
+
+
+def crash_and_equivocate(
+    *,
+    broadcaster: PartyId,
+    crashers: frozenset[PartyId] = frozenset(),
+    crash_time: float = 0.0,
+    recover: float = INF,
+    second_value: Any = "equivocation",
+) -> BehaviorFactory:
+    """Mixed adversary: ``crashers`` crash, the rest equivocate.
+
+    Corrupted ids in ``crashers`` get a timed crash (down from
+    ``crash_time``); every other corrupted id double-votes like
+    :func:`equivocate_votes`.
+    """
+    return per_party(
+        dict.fromkeys(crashers, crash_at(at=crash_time, recover=recover)),
+        equivocate_votes(broadcaster=broadcaster, second_value=second_value),
+    )
 
 
 class ForgedVoteQuorumBehavior(_OnProposalBehavior):

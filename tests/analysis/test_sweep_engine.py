@@ -16,6 +16,13 @@ def echo_seed(*, seed):
     return seed
 
 
+def async_rounds(*, n, f):
+    from repro.analysis.latency import measure_round_good_case
+    from repro.protocols.brb_2round import Brb2Round
+
+    return measure_round_good_case(Brb2Round, n=n, f=f).round_latency
+
+
 def reject_two(*, x):
     if x == 2:
         raise ValueError(f"x={x} rejected")
@@ -70,6 +77,13 @@ class TestSweepEngine:
 
 
 class TestSweepWiring:
+    def test_async_rounds_through_parallel_engine(self):
+        """Round accounting runs the same inside pool workers."""
+        configs = [dict(n=4, f=1), dict(n=5, f=1)]
+        serial = SweepEngine().map(async_rounds, configs)
+        parallel = SweepEngine(workers=2).map(async_rounds, configs)
+        assert serial == parallel == [2, 2]
+
     def test_random_delay_sweep_reproduces_at_any_worker_count(self):
         serial = sweep_random_delays(n=4, f=1, samples=3)
         parallel = sweep_random_delays(

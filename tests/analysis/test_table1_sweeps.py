@@ -13,8 +13,11 @@ from repro.analysis import (
     sweep_sync_regimes,
 )
 from repro.analysis import table1 as table1_mod
+from repro.analysis.latency import measure_round_good_case
 from repro.analysis.table1 import REGIMES
 from repro.lowerbounds import WITNESSES
+from repro.protocols.brb_2round import Brb2Round
+from repro.protocols.brb_bracha import BrachaBrb
 from repro.sim.delays import FixedDelay
 from repro.sim.runner import World
 
@@ -225,3 +228,11 @@ class TestDishonestMajoritySweep:
         for record in records:
             assert record["upper_shape"] <= 4 * max(record["lower_bound"], 1)
 
+
+class TestAsyncSweep:
+    def test_round_latencies_constant_in_n(self):
+        for n, f in [(4, 1), (7, 2), (10, 3)]:
+            brb = measure_round_good_case(Brb2Round, n=n, f=f)
+            bracha = measure_round_good_case(BrachaBrb, n=n, f=f)
+            assert brb.round_latency == 2
+            assert bracha.round_latency == 3

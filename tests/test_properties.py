@@ -5,6 +5,7 @@ counts are kept moderate; the substrate properties run wider.
 """
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +21,7 @@ from repro.sim.runner import run_broadcast
 from repro.sim.delays import UniformDelay
 from repro.adversary.behaviors import CrashBehavior
 from repro.adversary.broadcaster import equivocating_broadcaster
-from repro.types import BOTTOM
+from repro.types import BOTTOM, validate_resilience
 
 # --------------------------------------------------------------------- #
 # canonical encoding
@@ -157,6 +158,40 @@ class TestClockProperties:
     @settings(max_examples=200)
     def test_quantize_idempotent(self, value):
         assert quantize(quantize(value)) == quantize(value)
+
+
+class TestResilienceProperties:
+    @given(st.integers(1, 200), st.integers(0, 199))
+    @settings(max_examples=200)
+    def test_requirements_match_their_arithmetic(self, n, f):
+        if f >= n:
+            return
+        expected = {
+            "3f+1": n >= 3 * f + 1,
+            "5f-1": n >= 5 * f - 1,
+            "5f+1": n >= 5 * f + 1,
+            "f<n/3": 3 * f < n,
+            "f<=n/3": 3 * f <= n,
+            "f<n/2": 2 * f < n,
+            "f<n": True,
+        }
+        for requirement, holds in expected.items():
+            if holds:
+                validate_resilience(n, f, requirement=requirement)
+            else:
+                with pytest.raises(ValueError, match="violated"):
+                    validate_resilience(n, f, requirement=requirement)
+        # The central quorum-intersection fact the n - f quorums rest on:
+        if n >= 3 * f + 1:
+            assert 2 * (n - f) - n >= f + 1
+
+    @given(st.integers(-5, 20), st.integers(-5, 25))
+    @settings(max_examples=200)
+    def test_out_of_range_budgets_rejected(self, n, f):
+        if n >= 1 and 0 <= f < n:
+            return
+        with pytest.raises(ValueError, match="need"):
+            validate_resilience(n, f, requirement="f<n")
 
 
 # --------------------------------------------------------------------- #
