@@ -94,7 +94,6 @@ ALLOWLIST: dict[str, str] = {
     "sim/retransmit.py:ReliableLink.to_json": FAILURE,
     "sim/runner.py:World.note_commit_conflict": FAILURE,
     "sim/scheduler.py:Simulator._reject": FAILURE,
-    "sim/shard.py:ShardNetwork._check_override": FAILURE,
     "sim/transcript.py:first_divergence": FAILURE,
     # Protocol branches only the tests' Byzantine or crash scenarios take.
     "protocols/psync/base.py:ViewParty.on_recover": BYZANTINE,

@@ -19,7 +19,7 @@ simulator and shape its design:
   the :class:`DigestOf` marker and are derived on the same work stack, so
   deep countersign chains cost zero extra Python frames too.
 
-* **Four cache tiers over the one canonical encoding** (a tier can skip
+* **Three cache tiers over the one canonical encoding** (a tier can skip
   work, never change a digest):
 
   1. the *identity digest memo* (``_CACHE``, ``id(obj) -> (obj,
@@ -34,11 +34,9 @@ simulator and shape its design:
      vote/echo object, so these are keyed by content — a flat *shape*
      (type tags, arities, holder classes) plus the *leaf values* — and
      equal rebuilds share one digest.  A larger value (a quorum) is
-     rebuilt by no one: it skips the key and goes straight to tier 2;
-  4. *shape plans* (``_PLANS``): per interned shape, a compiled encoder
-     that makes the first, interning encode of a small payload cheap.
+     rebuilt by no one: it skips the key and goes straight to tier 2.
 
-  Tiers 3 and 4 sit below tier 1: an identity hit never builds a key.
+  Tier 3 sits below tier 1: an identity hit never builds a key.
   Every tier holds only *deeply immutable* values — the key walk fails on
   anything mutable, and the encoder memoizes a digest or a holder encoding
   only when its subtree saw no ``list``, ``dict`` or mutable holder — so
@@ -189,7 +187,11 @@ _INTERN = ContentMemo(_MAX_INTERN_ENTRIES)
 
 
 class DigestStats:
-    """Running counters for the digest subsystem (cheap, always on)."""
+    """Running counters for the digest subsystem (cheap, always on).
+
+    ``plans_compiled`` always reads 0: the shape-plan tier it counted is
+    gone, and it stays only because ``benchmarks/e2e/run.py`` reads it.
+    """
 
     __slots__ = ("encode_calls", "digests_computed", "cache_hits",
                  "cache_evictions", "interned_hits", "intern_evictions",
@@ -214,12 +216,11 @@ digest_stats = DigestStats()
 
 
 def clear_digest_cache() -> None:
-    """Drop every memoized digest, encoding and plan (tests / between
-    bench runs)."""
+    """Drop every memoized digest and encoding (tests / between bench
+    runs)."""
     _CACHE.clear()
     _ENCODINGS.clear()
     _INTERN.clear()
-    _PLANS.clear()
 
 
 # --------------------------------------------------------------------- #
@@ -420,7 +421,7 @@ def canonical_encode(obj: Any) -> bytes:
 
 
 # --------------------------------------------------------------------- #
-# content keys and shape plans (intern tier)
+# content keys (intern tier)
 # --------------------------------------------------------------------- #
 
 # A content key is ``(shape, leaves)``: ``shape`` is a flat tuple of
@@ -522,8 +523,8 @@ def _key_walk(
         hit = _CACHE.get(inner)
         if hit is None:
             return False
-        # DigestOf encodes exactly like the digest bytes, so it keys —
-        # and plan-encodes — as a bytes leaf.
+        # DigestOf encodes exactly like the digest bytes, so it keys as
+        # a bytes leaf.
         atoms.append(bytes)
         leaves.append(hit)
         return True
@@ -567,87 +568,6 @@ def intern_key(obj: Any, *, structural: bool = False) -> tuple | None:
     return _content_key(obj, _MAX_KEY_LEAVES, structural)
 
 
-# Shape plans: per-shape compiled encoders.  A plan takes the key's leaf
-# tuple and produces the canonical encoding without the generic work
-# stack — constant structural parts (type tags, holder-name prefixes) are
-# baked in at compile time.  Only keys within ``_MAX_INTERN_LEAVES`` get
-# here, so plans stay small and their count tracks message types, not n.
-# Shapes containing "D" atoms have no plan (the digest stands in for the
-# sub-value in the *key*, but the *encoding* still needs the full
-# subtree), so those fall back to the generic encoder on an intern miss.
-_MAX_PLAN_ENTRIES = 1 << 12
-_PLANS: dict[tuple, Any] = {}
-
-
-def _framed(tag: bytes, data: bytes) -> bytes:
-    return tag + b"%d:" % len(data) + data
-
-
-#: Per leaf atom, the encoder of the next leaf from the iterator ``it``.
-_LEAF_ENCODERS = {
-    str: lambda it: _framed(b"s", next(it).encode()),
-    int: lambda it: _framed(b"i", b"%d" % next(it)),
-    bytes: lambda it: _framed(b"y", next(it)),
-    bool: lambda it: b"b1" if next(it) else b"b0",
-    float: lambda it: _framed(b"f", next(it).encode()),  # leaf: the repr
-    "N": lambda it: b"N",
-    "_": lambda it: b"_",
-}
-
-
-def _compile_node(atoms: tuple, i: int):
-    """Compile the shape node at ``atoms[i]``; returns ``(fn, next_i)``."""
-    atom = atoms[i]
-    encoder = _LEAF_ENCODERS.get(atom)
-    if encoder is not None:
-        return encoder, i + 1
-    if atom == "(":
-        count = atoms[i + 1]
-        i += 2
-        children = []
-        for _ in range(count):
-            fn, i = _compile_node(atoms, i)
-            children.append(fn)
-        children = tuple(children)
-
-        def seq(it, _children=children):
-            body = b"".join(fn(it) for fn in _children)
-            return b"t%d:" % len(body) + body
-
-        return seq, i
-    # atom == "o": holder class + one child (the fields tuple)
-    name = atoms[i + 1].__name__.encode()
-    prefix = b"o%d:" % len(name) + name
-    fn, i = _compile_node(atoms, i + 2)
-
-    def obj(it, _prefix=prefix, _fn=fn):
-        return _prefix + _fn(it)
-
-    return obj, i
-
-
-def _plan_for(shape: tuple):
-    """The compiled plan for ``shape`` (None when it cannot be planned)."""
-    try:
-        return _PLANS[shape]
-    except KeyError:
-        pass
-    if len(_PLANS) >= _MAX_PLAN_ENTRIES:
-        _PLANS.clear()
-    if "D" in shape:
-        plan = None
-    else:
-        fn, end = _compile_node(shape, 0)
-        assert end == len(shape), "shape atoms must parse exactly"
-
-        def plan(leaves, _fn=fn):
-            return _fn(iter(leaves))
-
-        digest_stats.plans_compiled += 1
-    _PLANS[shape] = plan
-    return plan
-
-
 # --------------------------------------------------------------------- #
 # digests
 # --------------------------------------------------------------------- #
@@ -689,9 +609,9 @@ def digest_ex(obj: Any) -> tuple[bytes, bool]:
 
     Lookup order: identity memo (same object), then — for values of at
     most ``_MAX_INTERN_LEAVES`` leaves — the content intern table (equal
-    content rebuilt by another party) and a shape-plan encode, else the
-    generic encoder (which splices memoized holder encodings).  Every
-    cache tier only ever holds stable values.
+    content rebuilt by another party), else the encoder (which splices
+    memoized holder encodings).  Every cache tier only ever holds stable
+    values.
     """
     hit = _CACHE.get(obj)
     if hit is not None:
@@ -705,13 +625,8 @@ def digest_ex(obj: Any) -> tuple[bytes, bool]:
         digest_stats.interned_hits += 1
     else:
         digest_stats.encode_calls += 1
-        plan = _plan_for(key[0]) if key is not None else None
-        if plan is not None:
-            encoding = plan(key[1])
-        elif key is not None:  # "D" atoms: a cheap key, a full encoding
-            encoding = _encode_ex(obj)[0]
-        else:
-            encoding, stable = _encode_ex(obj)
+        encoding, encoded_stable = _encode_ex(obj)
+        stable = key is not None or encoded_stable
         digest_stats.digests_computed += 1
         value = _sha256(encoding).digest()
         if key is not None and _INTERN.put(key, value):

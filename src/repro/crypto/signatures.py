@@ -166,6 +166,9 @@ class KeyRegistry:
             raise ValueError(f"registry needs n >= 1 parties, got {n}")
         self._n = n
         self._issued: set[tuple[PartyId, bytes]] = set()
+        # Issued pairs not yet drained by ``take_fresh``: a shard worker
+        # ships them to the other shards after every barrier step.
+        self._fresh: list[tuple[PartyId, bytes]] = []
         self._handed_out: set[PartyId] = set()
         # Verified set: only successful verifications of *stable* payloads
         # enter (the issued set is append-only and a stable payload's
@@ -182,7 +185,33 @@ class KeyRegistry:
         return Signer(self, party)
 
     def _record(self, party: PartyId, payload_digest: bytes) -> None:
-        self._issued.add((party, payload_digest))
+        pair = (party, payload_digest)
+        if pair not in self._issued:
+            self._issued.add(pair)
+            self._fresh.append(pair)
+
+    def take_fresh(self) -> dict[bytes, int]:
+        """Drain signatures issued since the last drain, grouped as
+        ``{payload_digest: signer-bitmask}`` (the shard wire format)."""
+        fresh = self._fresh
+        if not fresh:
+            return {}
+        self._fresh = []
+        grouped: dict[bytes, int] = {}
+        for party, payload_digest in fresh:
+            grouped[payload_digest] = (
+                grouped.get(payload_digest, 0) | 1 << party
+            )
+        return grouped
+
+    def merge_issued(self, grouped: dict[bytes, int]) -> None:
+        """Fold other shards' issued groups into the local issued set."""
+        issued = self._issued
+        for payload_digest, mask in grouped.items():
+            while mask:
+                low = mask & -mask
+                issued.add((low.bit_length() - 1, payload_digest))
+                mask ^= low
 
     def verify(self, signed: SignedPayload) -> bool:
         """Check that ``signed`` carries a legitimately issued signature.

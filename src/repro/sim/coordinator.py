@@ -58,21 +58,32 @@ from repro.sim.runner import ADDITIVE_COUNTERS, RunResult, World
 __all__ = ["shard_bounds", "run_sharded"]
 
 
-def _recv(index: int, conns: list, procs: list, bounds: list):
+def _recv(
+    index: int, conns: list, procs: list, bounds: list, barrier_round: int
+):
     """Receive one frame from worker ``index``, surfacing its failures.
 
     A worker that raised ships its traceback as an ``"error"`` frame; one
-    that died outright (killed, ``os._exit``, OOM) just closes the pipe —
-    both become a :class:`SimulationError` naming the shard.  Returns
-    ``(message, frame size)`` so the caller can meter the pipe.
+    that died outright (killed, ``os._exit``, OOM) just closes the pipe;
+    one that sends nothing for ``_RECV_TIMEOUT_SECONDS`` (stopped, or
+    stuck in a loop) is given up on — each becomes a
+    :class:`SimulationError` naming the shard, its party range and, for a
+    silent worker, the barrier round.  Returns ``(message, frame size)``
+    so the caller can meter the pipe.
     """
     from repro.sim.shard import _recv_msg
 
+    conn = conns[index]
+    lo, hi = bounds[index]
+    if not conn.poll(_RECV_TIMEOUT_SECONDS):
+        raise SimulationError(
+            f"shard {index} (parties [{lo}, {hi})) sent nothing for "
+            f"{_RECV_TIMEOUT_SECONDS} s in barrier round {barrier_round}"
+        )
     try:
-        msg, nbytes = _recv_msg(conns[index])
+        msg, nbytes = _recv_msg(conn)
     except (EOFError, OSError):
         procs[index].join(_EXIT_WAIT_SECONDS)
-        lo, hi = bounds[index]
         raise SimulationError(
             f"shard {index} (parties [{lo}, {hi})) died mid-run with "
             f"exit code {procs[index].exitcode}"
@@ -109,6 +120,11 @@ _LOOKAHEAD_GUARD = 1e-9
 #: How long a worker whose pipe hit EOF gets to finish exiting before its
 #: exit code is reported (``None`` in the message if it is still alive).
 _EXIT_WAIT_SECONDS = 5.0
+
+#: How long the coordinator waits for one frame from a worker before it
+#: declares the worker hung.  Generous: the slowest barrier round of the
+#: n=1001 sharded BRB benchmark takes well under a second.
+_RECV_TIMEOUT_SECONDS = 300.0
 
 
 def run_sharded(world: World, *, until: float | None = None) -> RunResult:
@@ -148,7 +164,9 @@ def run_sharded(world: World, *, until: float | None = None) -> RunResult:
         bytes_sent = 0
         next_times: list[float | None] = []
         for index in range(shards):
-            (tag, next_time), nbytes = _recv(index, conns, procs, bounds)
+            (tag, next_time), nbytes = _recv(
+                index, conns, procs, bounds, 0
+            )
             assert tag == "ready"
             next_times.append(next_time)
             bytes_sent += nbytes
@@ -229,7 +247,9 @@ def run_sharded(world: World, *, until: float | None = None) -> RunResult:
                     inbound[index] = []
                     inbound_min[index] = None
                 for index in stepped:
-                    msg, nbytes = _recv(index, conns, procs, bounds)
+                    msg, nbytes = _recv(
+                        index, conns, procs, bounds, barrier_rounds
+                    )
                     tag, out, fresh, next_time = msg
                     assert tag == "stepped"
                     bytes_sent += nbytes
@@ -257,7 +277,9 @@ def run_sharded(world: World, *, until: float | None = None) -> RunResult:
             bytes_sent += _send_msg(conn, ("finish",))
         summaries = []
         for index in range(shards):
-            msg, nbytes = _recv(index, conns, procs, bounds)
+            msg, nbytes = _recv(
+                index, conns, procs, bounds, barrier_rounds
+            )
             summaries.append(msg[1])
             bytes_sent += nbytes
         for proc in procs:
@@ -267,7 +289,8 @@ def run_sharded(world: World, *, until: float | None = None) -> RunResult:
             conn.close()
         for proc in procs:
             if proc.is_alive():
-                proc.terminate()
+                # SIGKILL: a stopped worker leaves SIGTERM pending forever.
+                proc.kill()
                 proc.join()
 
     commits: dict = {}

@@ -14,13 +14,21 @@ The network realizes the paper's adversarial message scheduling:
   buffered and handed over at the recipient's start (local time 0).
 
 Recipients are ranges: a multicast fans out to the local parties below
-and above its sender as two ``range`` objects (the sharded network adds
-its remote ranges), and a folded run carries a slice of one, so neither
-a fan-out nor an in-flight run ever materializes a recipient list.
+and above its sender as two ``range`` objects, and a folded run carries
+a slice of one, so neither a fan-out nor an in-flight run ever
+materializes a recipient list.
 
-Every send — unicast, multicast, retransmission, and the sharded
-network's remote ranges — runs one four-stage pipeline: **price** (the
-policy or the override yields one delay per recipient), **instant**
+A network simulates one contiguous party range, ``parties`` (all of
+``range(n)`` by default).  A shard worker's network owns a sub-range;
+the parties outside it form at most two *remote* ranges, below and
+above it.  A multicast prices them through the same pipeline as its
+local ranges, and ``_emit_remote`` appends each of their runs to
+``outbuf`` as a wire record instead of scheduling it (see
+:mod:`repro.sim.shard`).  A full-range network has no remote range.
+
+Every send — unicast, multicast, retransmission, and the remote ranges
+— runs one four-stage pipeline: **price** (the policy or the override
+yields one delay per recipient), **instant**
 (``Network._fan_out`` / ``_runs`` turn delays into quantized delivery
 instants: the only place the INF-drop, negative-delay and pre-start
 rules live), **run** (consecutive copies sharing an instant are grouped)
@@ -90,6 +98,7 @@ class Network:
         instrumentation: "Instrumentation | None" = None,
         fault_injector: "FaultInjector | None" = None,
         reliable_link: "ReliableLink | None" = None,
+        parties: range | None = None,
     ):
         self._sim = sim
         self._policy = policy
@@ -131,9 +140,20 @@ class Network:
         # path does an index load instead of a dict probe (20k+ times per
         # large run); a ``None`` slot is a never-attached party.
         self._inboxes: list[DeliverFn | None] = [None] * n
-        #: The parties this network delivers to itself: everyone, unless a
-        #: subclass narrows it (the sharded transport's ``[lo, hi)``).
-        self._local = range(n)
+        #: The parties this network delivers to itself, contiguous.
+        self._local = parties = range(n) if parties is None else parties
+        #: Remote recipients, at most two contiguous ranges around the
+        #: local one, each with the wire-record emitter; none for a full
+        #: range.
+        self._remote_targets: list[tuple[range, Emitter]] = [
+            (remote, self._emit_remote)
+            for remote in (range(0, parties.start), range(parties.stop, n))
+            if remote
+        ]
+        #: Runs to remote recipients recorded at *send* time, as
+        #: ``(sender, payload, lo, hi, deliver_time)`` records; drained by
+        #: the shard worker after every barrier step.
+        self.outbuf: list[tuple[PartyId, Any, int, int, float]] = []
         # Bind the observer once; ``None`` dead-strips its hot-path use.
         # While it is attached every copy stays its own ``_deliver`` event
         # (see ``_emit_run``).
@@ -158,12 +178,13 @@ class Network:
     def _targets(self, sender: PartyId) -> list[tuple[range, Emitter]]:
         """The ``(recipients, emitter)`` pairs one multicast fans out to:
         the local parties below and above the sender, as two ranges (an
-        empty one is dropped).  O(1) per multicast, and nothing is kept
-        per sender: a materialized list per sender would be O(n²) state
-        in a world where everyone multicasts."""
+        empty one is dropped), then the remote ranges.  O(1) per
+        multicast, and nothing is kept per sender: a materialized list
+        per sender would be O(n²) state in a world where everyone
+        multicasts."""
         local = self._local
         emit = self._emit
-        return [
+        targets = [
             (recipients, emit)
             for recipients in (
                 range(local.start, min(sender, local.stop)),
@@ -171,6 +192,8 @@ class Network:
             )
             if recipients
         ]
+        targets += self._remote_targets
+        return targets
 
     def send(
         self,
@@ -202,8 +225,8 @@ class Network:
         self.messages_sent += 1
         self._fan_out(
             sender, (recipient,), (delay,), payload, send_time,
-            # A copy for a party another shard simulates leaves through
-            # the sharded network's remote emitter.
+            # A copy for a party another shard simulates leaves as a
+            # wire record.
             self._emit if recipient in self._local else self._emit_remote,
         )
 
@@ -507,20 +530,62 @@ class Network:
             )
         return order_key
 
+    def _emit_remote(
+        self,
+        sender: PartyId,
+        recipients: Sequence[PartyId],
+        runs: Iterable[Run],
+        payload: Any,
+        send_time: float,
+        order_key: bytes | None,
+    ) -> bytes | None:
+        """Emit a fan-out to a remote range as ``outbuf`` records.
+
+        Without a plan each run is one record.  With one compiled in,
+        the fault seam applies at the *source*: each copy is dropped,
+        retimed, or duplicated here, exactly like :meth:`_emit_routed`,
+        and only the surviving copies become records.  No order key is
+        needed (or computed) here: the destination shard digests the
+        payload itself when it queues the record.
+        """
+        outbuf = self.outbuf
+        injector = self._injector
+        for start, end, deliver_time in runs:
+            # Runs are contiguous: remote ranges are, and so is a unicast.
+            lo = recipients[start]
+            hi = lo + end - start
+            if injector is None:
+                outbuf.append((sender, payload, lo, hi, deliver_time))
+                continue
+            for recipient in range(lo, hi):
+                for faulted_time in injector.route(
+                    sender, recipient, send_time, deliver_time
+                ):
+                    outbuf.append((
+                        sender, payload, recipient, recipient + 1,
+                        quantize(faulted_time),
+                    ))
+        return order_key
+
     def _deliver_many(
         self, sender: PartyId, recipients: Sequence[PartyId], payload: Any
     ) -> None:
         """Deliver one payload to a whole run of recipients.
 
         The tight-loop twin of ``_deliver``: one event frame for the run,
-        an index load + inbox call per copy.  Only ever scheduled when no
-        injector or accountant is attached, so the
-        per-copy seams those hook are unreachable here by construction.
-        The simulator is told about the folded copies so
-        ``events_processed`` counts logical deliveries identically to the
-        per-copy path.
+        an index load + inbox call per copy.  ``_emit_run`` schedules it
+        only when no injector or accountant is attached; the one caller
+        with an injector is the shard worker handing over an inbound run
+        (already routed at its source), whose copies still pass the
+        recipient crash window one by one through :meth:`_deliver`.  The
+        simulator is told about the folded copies so ``events_processed``
+        counts logical deliveries identically to the per-copy path.
         """
         self._sim.note_logical_events(len(recipients) - 1)
+        if self._injector is not None:
+            for recipient in recipients:
+                self._deliver(sender, recipient, payload, None)
+            return
         inboxes = self._inboxes
         delivered = 0
         for recipient in recipients:

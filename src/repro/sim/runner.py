@@ -37,7 +37,15 @@ BehaviorFactory = Callable[["World", PartyId], Agent]
 
 
 class World:
-    """One execution: kernel + PKI + network + agents + outcome records."""
+    """One execution: kernel + PKI + network + agents + outcome records.
+
+    ``parties`` is the range of party ids this world instantiates and
+    delivers to, all of ``range(n)`` by default.  A shard worker builds
+    its world over its own contiguous sub-range: ``n``, ``f``, the PKI
+    and the delay policy stay global, the network emits copies for the
+    other ranges as wire records, and :meth:`populate` builds only the
+    parties in range.
+    """
 
     def __init__(
         self,
@@ -53,6 +61,7 @@ class World:
         monitors: list[Any] | None = None,
         protocol_name: str | None = None,
         shards: int = 1,
+        parties: range | None = None,
     ):
         if len(byzantine) > f:
             raise ConfigurationError(
@@ -76,7 +85,7 @@ class World:
         self.sim = Simulator(
             lookahead=lookahead if 0.0 < lookahead < INF else 0.0
         )
-        self.registry = self._build_registry(n)
+        self.registry = KeyRegistry(n)
         #: Protocol label for invariant-violation context (chaos sets it).
         self.protocol_name = protocol_name
         #: Worker-process count requested by the caller; the *effective*
@@ -102,7 +111,18 @@ class World:
         # plan, ``None`` keeps the network free of the per-copy tracking
         # seams entirely.
         self.reliable_link = reliable_link
-        self.network = self._build_network(delay_policy)
+        self.parties = range(n) if parties is None else parties
+        self.network = Network(
+            self.sim,
+            delay_policy,
+            n=n,
+            byzantine=byzantine,
+            start_offsets=self.start_offsets,
+            instrumentation=self.instrumentation,
+            fault_injector=self.fault_injector,
+            reliable_link=reliable_link,
+            parties=self.parties,
+        )
         for monitor in monitors or ():
             monitor.bind(self)
             self.instrumentation.attach_monitor(monitor)
@@ -113,25 +133,6 @@ class World:
         self._shared_memos: dict[str, ContentMemo] = {}
         self._identity_memos: dict[str, IdentityMemo] = {}
         self._entry_stores: dict[str, dict] = {}
-
-    def _build_registry(self, n: int) -> KeyRegistry:
-        """PKI construction hook (``_ShardWorld`` swaps in one that
-        tracks freshly issued signatures for cross-shard shipping)."""
-        return KeyRegistry(n)
-
-    def _build_network(self, delay_policy: DelayPolicy) -> Network:
-        """Network construction hook (``_ShardWorld`` swaps in the
-        range-partitioned transport)."""
-        return Network(
-            self.sim,
-            delay_policy,
-            n=self.n,
-            byzantine=self.byzantine,
-            start_offsets=self.start_offsets,
-            instrumentation=self.instrumentation,
-            fault_injector=self.fault_injector,
-            reliable_link=self.reliable_link,
-        )
 
     def intern_payload(self, payload: Any) -> Any:
         """Canonical instance for an immutable payload, world-scoped.
@@ -281,10 +282,11 @@ class World:
     ) -> None:
         """Instantiate agents, attach them to the network, schedule starts.
 
-        Byzantine ids with no ``behavior_factory`` become *crash-from-start*
-        parties (never attached: all their messages vanish), the weakest
-        adversary.  A world can only be populated once: a second call would
-        silently re-schedule every party's start event.
+        Only the ids in ``self.parties`` are built.  Byzantine ids with no
+        ``behavior_factory`` become *crash-from-start* parties (never
+        attached: all their messages vanish), the weakest adversary.  A
+        world can only be populated once: a second call would silently
+        re-schedule every party's start event.
 
         With an effective ``shards > 1`` nothing is instantiated here:
         the factory is recorded and each worker process populates its own
@@ -300,7 +302,7 @@ class World:
         if self.shards > 1:
             self._party_factory = party_factory
             return
-        for pid in range(self.n):
+        for pid in self.parties:
             if pid in self.byzantine:
                 if behavior_factory is None:
                     continue

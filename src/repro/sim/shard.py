@@ -5,30 +5,30 @@ by ``k`` worker processes, each owning a contiguous party range
 ``[lo, hi)`` and its own local simulator/timeline.  This module is what
 runs *inside* a worker:
 
-* :class:`ShardNetwork` — the range-partitioned transport.  It runs the
-  stock :class:`~repro.sim.network.Network` pipeline (price → instant →
-  run → emit) for every recipient and overrides only *which* recipients
-  are local and which emitter the rest go through: remote recipients (at
-  most two contiguous ranges: everything below ``lo`` and everything
-  at/above ``hi``) are priced through the same delay policy and the same
-  ``_fan_out`` rules, and ``_emit_remote`` appends each run to ``outbuf``
-  *at send time* as a ``(sender, payload, lo, hi, deliver_time)`` record
-  (routed through the fault injector at the source, copy by copy, when a
-  plan is compiled in) — the delivery instant travels on the wire, so
-  the sending worker's own timeline carries no cross-shard events at all
-  and the receiving worker can schedule the copies wherever its window
-  has not yet run.  No per-copy objects ever cross the process boundary:
-  a fan-out run travels as one record, and each payload object crosses a
-  given (source, destination) shard pair exactly once (later records
-  carry a small integer ref).
+* The worker's world is a plain :class:`~repro.sim.runner.World` built
+  over its party range (``World(parties=range(lo, hi))``): n, f, the PKI
+  and the delay policy stay global, ``World.populate`` builds only the
+  local parties, and the network prices every recipient through the
+  stock pipeline.  Copies for the other ranges leave through
+  ``Network._emit_remote``, which appends each run to ``outbuf`` *at
+  send time* as a ``(sender, payload, lo, hi, deliver_time)`` record
+  (routed through the fault injector at the source, copy by copy, when
+  a plan is compiled in) — the delivery
+  instant travels on the wire, so the sending worker's own timeline
+  carries no cross-shard events at all and the receiving worker can
+  schedule the copies wherever its window has not yet run.  No per-copy
+  objects ever cross the process boundary: a fan-out run travels as one
+  record, and each payload object crosses a given (source, destination)
+  shard pair exactly once (later records carry a small integer ref).
 
-* :class:`_ShardRegistry` — the PKI with issued-signature shipping.  The
-  ideal-signature model verifies by membership in the issued set, which
-  sharding splits across processes; every step each worker drains its
-  freshly issued ``(signer, digest)`` pairs, the coordinator merges them
-  into ``{digest: signer-bitmask}`` groups (n parties signing the same
-  vote body collapse to one digest + one int) and broadcasts them, and
-  receivers expand the masks back into their local issued set *before*
+* Issued-signature shipping.  The ideal-signature model verifies by
+  membership in the :class:`~repro.crypto.signatures.KeyRegistry`'s
+  issued set, which sharding splits across processes; every step each
+  worker drains its freshly issued ``(signer, digest)`` pairs
+  (``take_fresh``), the coordinator merges them into ``{digest:
+  signer-bitmask}`` groups (n parties signing the same vote body collapse
+  to one digest + one int) and broadcasts them, and receivers expand the
+  masks back into their local issued set (``merge_issued``) *before*
   injecting that step's messages — so a signature always reaches a
   verifier no later than the first message carrying it (delays are
   positive, issuance precedes delivery by at least one barrier step).
@@ -51,17 +51,13 @@ from __future__ import annotations
 import heapq
 import pickle
 from array import array
-from typing import Any, Iterable, Sequence
+from typing import Any
 
 from repro.crypto.messages import digest, seed_digest, stable_digest
-from repro.crypto.signatures import KeyRegistry
-from repro.errors import SimulationError
-from repro.sim.clock import quantize
-from repro.sim.network import Network, Run
 from repro.sim.runner import ADDITIVE_COUNTERS, World
-from repro.types import INF, PartyId
+from repro.types import INF
 
-__all__ = ["ShardNetwork", "_ShardRegistry", "_ShardWorld", "_shard_main"]
+__all__ = ["_shard_main"]
 
 
 def _send_msg(conn, msg) -> int:
@@ -80,162 +76,6 @@ def _recv_msg(conn) -> tuple[Any, int]:
     """Inverse of :func:`_send_msg`: ``(message, frame size)``."""
     blob = conn.recv_bytes()
     return pickle.loads(blob), len(blob)
-
-
-class _ShardRegistry(KeyRegistry):
-    """PKI that records freshly issued signatures for shipping."""
-
-    def __init__(self, n: int):
-        super().__init__(n)
-        self._fresh: list[tuple[PartyId, bytes]] = []
-
-    def _record(self, party: PartyId, payload_digest: bytes) -> None:
-        pair = (party, payload_digest)
-        if pair not in self._issued:
-            self._issued.add(pair)
-            self._fresh.append(pair)
-
-    def take_fresh(self) -> dict[bytes, int]:
-        """Drain signatures issued since the last drain, grouped as
-        ``{payload_digest: signer-bitmask}`` (the wire format)."""
-        fresh = self._fresh
-        if not fresh:
-            return {}
-        self._fresh = []
-        grouped: dict[bytes, int] = {}
-        for party, payload_digest in fresh:
-            grouped[payload_digest] = (
-                grouped.get(payload_digest, 0) | 1 << party
-            )
-        return grouped
-
-    def merge_issued(self, grouped: dict[bytes, int]) -> None:
-        """Fold other shards' issued groups into the local issued set."""
-        issued = self._issued
-        for payload_digest, mask in grouped.items():
-            while mask:
-                low = mask & -mask
-                issued.add((low.bit_length() - 1, payload_digest))
-                mask ^= low
-
-
-class ShardNetwork(Network):
-    """Transport for one worker's party range ``[lo, hi)``.
-
-    Every send runs the stock pipeline; this class only says which
-    recipients are local (the base class's two ranges, clipped to
-    ``[lo, hi)``) and routes the rest through :meth:`_emit_remote`, which
-    turns priced runs into outbox records — see the module docstring.
-    """
-
-    def __init__(self, *args, lo: int, hi: int, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._local = range(lo, hi)
-        #: Cross-shard runs recorded at *send* time, as
-        #: ``(sender, payload, lo, hi, deliver_time)`` records; drained
-        #: by the worker loop after every barrier step.
-        self.outbuf: list[tuple[PartyId, Any, int, int, float]] = []
-        # Remote recipients are at most two contiguous ranges; a multicast
-        # prices each through the same policy and pipeline as the local
-        # fan-out, only the emitter differs.
-        self._remote_targets = [
-            (remote, self._emit_remote)
-            for remote in (range(0, lo), range(hi, self._n))
-            if len(remote)
-        ]
-
-    def _targets(self, sender: PartyId):
-        return [*super()._targets(sender), *self._remote_targets]
-
-    def _check_override(self, sender: PartyId, recipients) -> None:
-        raise SimulationError(
-            "delay overrides require the single-process path "
-            "(sharded worlds carry no Byzantine behaviors)"
-        )
-
-    def _emit_remote(
-        self,
-        sender: PartyId,
-        recipients: Sequence[PartyId],
-        runs: Iterable[Run],
-        payload: Any,
-        send_time: float,
-        order_key: bytes | None,
-    ) -> bytes | None:
-        """Emit a cross-shard fan-out as ``outbuf`` records.
-
-        Without a plan each run is one record.  With one compiled in,
-        the fault seam applies at the *source*: each copy is dropped,
-        retimed, or duplicated here, exactly like the single-process
-        per-copy emitter, and only the surviving records cross the
-        barrier.  No order key is needed (or computed) here: the
-        destination digests the payload itself when it queues the record.
-        """
-        outbuf = self.outbuf
-        injector = self._injector
-        for start, end, deliver_time in runs:
-            # Runs are contiguous: remote ranges are, and so is a unicast.
-            lo = recipients[start]
-            hi = lo + end - start
-            if injector is None:
-                outbuf.append((sender, payload, lo, hi, deliver_time))
-                continue
-            for recipient in range(lo, hi):
-                for faulted_time in injector.route(
-                    sender, recipient, send_time, deliver_time
-                ):
-                    outbuf.append((
-                        sender, payload, recipient, recipient + 1,
-                        quantize(faulted_time),
-                    ))
-        return order_key
-
-
-class _ShardWorld(World):
-    """A worker's view of the world: global n/f/PKI, local party range."""
-
-    def __init__(self, *, lo: int, hi: int, **kwargs):
-        self._lo = lo
-        self._hi = hi
-        super().__init__(**kwargs)
-
-    def _build_registry(self, n: int) -> KeyRegistry:
-        return _ShardRegistry(n)
-
-    def _build_network(self, delay_policy) -> Network:
-        return ShardNetwork(
-            self.sim,
-            delay_policy,
-            n=self.n,
-            byzantine=self.byzantine,
-            start_offsets=self.start_offsets,
-            instrumentation=self.instrumentation,
-            fault_injector=self.fault_injector,
-            reliable_link=None,
-            lo=self._lo,
-            hi=self._hi,
-        )
-
-    def populate_local(self, party_factory) -> None:
-        """Instantiate and start only this shard's party range.
-
-        Byzantine ids are crash-from-start by construction (scripted
-        behaviors force ``shards=1``), so they are simply skipped — their
-        inbox stays ``None`` and every copy addressed to them vanishes at
-        delivery, exactly like the single-process path.
-        """
-        self._populated = True
-        for pid in range(self._lo, self._hi):
-            if pid in self.byzantine:
-                continue
-            agent = party_factory(self, pid)
-            self.agents[pid] = agent
-            self.network.attach(pid, agent.deliver)
-            self.sim.schedule_at(
-                self.start_offsets[pid],
-                lambda a=agent, p=pid: self._run_start_step(a, p),
-                transient=True,
-            )
 
 
 def _split_range(lo: int, hi: int, bounds: list[tuple[int, int]]):
@@ -307,9 +147,7 @@ def _shard_loop(conn, spec: dict) -> None:
     index: int = spec["index"]
     bounds: list[tuple[int, int]] = spec["bounds"]
     lo, hi = bounds[index]
-    world = _ShardWorld(
-        lo=lo,
-        hi=hi,
+    world = World(
         n=spec["n"],
         f=spec["f"],
         delay_policy=spec["delay_policy"],
@@ -318,26 +156,13 @@ def _shard_loop(conn, spec: dict) -> None:
         instrumentation="perf",
         protocol_name=spec["protocol_name"],
         fault_plan=spec["fault_plan"],
+        parties=range(lo, hi),
     )
-    world.populate_local(spec["party_factory"])
+    world.populate(spec["party_factory"])
     sim = world.sim
-    net: ShardNetwork = world.network
-    registry: _ShardRegistry = world.registry
-    injector = world.fault_injector
+    net = world.network
+    registry = world.registry
     note = sim.note_logical_events
-    if injector is None:
-        deliver_run = net._deliver_many
-    else:
-        # With a plan compiled in, cross-shard copies were routed through
-        # the fault seam at their *source*; what is left at the
-        # destination is the recipient-side crash window, which the stock
-        # per-copy ``_deliver`` applies — so the fault counters merge to
-        # the single-process totals exactly.
-        def deliver_run(snd, run, payload):
-            note(len(run) - 1)
-            for recipient in run:
-                net._deliver(snd, recipient, payload, None)
-
     # Payload ref tables: inbound per source shard, outbound per
     # destination shard.  Outbound tables key by ``id`` with the pin list
     # holding a strong reference (so the id cannot be recycled); a
@@ -427,7 +252,7 @@ def _shard_loop(conn, spec: dict) -> None:
             while inqueue and inqueue[0][0] == instant:
                 _, _, _, snd, run_lo, run_hi, payload = heappop(inqueue)
                 note(1)
-                deliver_run(snd, range(run_lo, run_hi), payload)
+                net._deliver_many(snd, range(run_lo, run_hi), payload)
         out: dict[int, tuple[list, array, array]] = {}
         if net.outbuf:
             for sender, payload, run_lo, run_hi, deliver_time in (

@@ -394,7 +394,7 @@ def _framed(tag: bytes, body: bytes) -> bytes:
 
 def _reference_encode(value) -> bytes:
     """The canonical encoding, written the obvious recursive way: no
-    work stack, no memo, no intern key, no plan, no stamp trusted."""
+    work stack, no memo, no intern key, no stamp trusted."""
     t = type(value)
     if value is None:
         return b"N"

@@ -1,22 +1,21 @@
 """Rule table for ``Network._fan_out``, run against all three emitters.
 
-Every send in the simulator — unicast, multicast, retransmission, the
-sharded network's remote ranges — prices its copies and hands the delay
-vector to ``_fan_out``, the one place the delivery rules live.  These
-tests pin the rules once and replay them through each emitter a network
-can be built with: ``_emit_run`` (nothing attached), ``_emit_routed``
-(a fault injector, here with an empty plan) and
-``ShardNetwork._emit_remote`` (outbuf wire records).
+Every send in the simulator — unicast, multicast, retransmission, a
+shard's remote ranges — prices its copies and hands the delay vector to
+``_fan_out``, the one place the delivery rules live.  These tests pin
+the rules once and replay them through each emitter a network can use:
+``_emit_run`` (nothing attached), ``_emit_routed`` (a fault injector,
+here with an empty plan) and ``_emit_remote`` (outbuf wire records, on
+a network that owns only part of the party range).
 """
 import pytest
 
 from repro.crypto.messages import clear_digest_cache, digest_stats
 from repro.errors import SimulationError
 from repro.sim.delays import FixedDelay
-from repro.sim.faults import FaultInjector, FaultPlan
+from repro.sim.faults import Crash, FaultInjector, FaultPlan
 from repro.sim.network import Network
 from repro.sim.scheduler import Simulator
-from repro.sim.shard import ShardNetwork
 from repro.types import INF
 
 N = 6
@@ -32,8 +31,8 @@ class Harness:
         kwargs = dict(n=N, start_offsets=start_offsets, byzantine=byzantine)
         if kind == "remote":
             # Party 0 is the whole local range: every recipient is remote.
-            self.net = ShardNetwork(
-                self.sim, FixedDelay(1.0), lo=0, hi=1, **kwargs
+            self.net = Network(
+                self.sim, FixedDelay(1.0), parties=range(0, 1), **kwargs
             )
             self.recipients = range(1, N)
             self.emit = self.net._emit_remote
@@ -184,3 +183,29 @@ def test_byzantine_override_multicast_is_one_fan_out():
     harness.net.multicast(0, ("m",), include_self=False, delay_override=3.0)
     assert harness.net.messages_sent == 5
     assert harness.landings() == dict.fromkeys(range(1, 6), 3.0)
+
+
+def test_inbound_run_under_a_crash_plan_drops_only_the_down_copies():
+    # A shard hands an inbound wire run straight to ``_deliver_many``,
+    # on a network with a plan and no reliable channel: the copy to the
+    # crashed party 3 is discarded and counted, the others land, and the
+    # run still counts one processed event per copy.
+    sim = Simulator()
+    injector = FaultInjector(
+        FaultPlan(crashes=(Crash(party=3, at=0.0),)), n=N
+    )
+    net = Network(sim, FixedDelay(1.0), n=N, fault_injector=injector)
+    landed = []
+    for party in range(N):
+        net.attach(
+            party, lambda sender, payload, party=party: landed.append(party)
+        )
+    sim.schedule_at(
+        1.0, net._deliver_many, args=(0, range(1, N), ("m",)),
+        transient=True,
+    )
+    sim.run()
+    assert landed == [1, 2, 4, 5]
+    assert injector.messages_dropped == 1
+    assert net.messages_delivered == 4
+    assert sim.events_processed == N - 1

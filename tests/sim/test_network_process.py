@@ -237,7 +237,7 @@ class TestFanoutRanges:
             network.attach(pid, lambda s, p, pid=pid: got.append(pid))
         network.multicast(sender, ("m", sender), include_self=False)
         sim.run()
-        for _, _, lo, hi, _ in getattr(network, "outbuf", ()):
+        for _, _, lo, hi, _ in network.outbuf:
             got.extend(range(lo, hi))
         return got
 
@@ -258,8 +258,8 @@ class TestFanoutRanges:
         # The shard's own range [3, 7) holds the sender at both edges;
         # locals come through the inboxes, the rest as wire records.
         from repro.sim.delays import UniformDelay
+        from repro.sim.network import Network
         from repro.sim.scheduler import Simulator
-        from repro.sim.shard import ShardNetwork
 
         n, lo, hi = 10, 3, 7
         for sender in (lo, hi - 1):
@@ -268,7 +268,7 @@ class TestFanoutRanges:
                 FixedDelay(1.0) if delay == "fixed"
                 else UniformDelay(0.1, 1.0, seed=3, stream="counter")
             )
-            network = ShardNetwork(sim, policy, n=n, lo=lo, hi=hi)
+            network = Network(sim, policy, n=n, parties=range(lo, hi))
             got = self._multicast_landings(
                 network, sim, sender, range(lo, hi)
             )

@@ -15,7 +15,10 @@ semantics need global per-copy visibility must silently fall back — and
 the coordinator's zero-delay convergence (same-instant cross-shard
 cascades re-step until quiescent).
 """
+import multiprocessing
 import os
+import signal
+import time
 from contextlib import nullcontext
 
 import pytest
@@ -23,6 +26,7 @@ import pytest
 from repro.errors import ConfigurationError, SimulationError
 from repro.protocols.brb_2round import Brb2Round
 from repro.protocols.psync.vbb_5f1 import PsyncVbb5f1
+from repro.sim import coordinator
 from repro.sim.coordinator import shard_bounds
 from repro.sim.delays import FixedDelay, GstDelay, PerLinkDelay, UniformDelay
 from repro.sim.faults import (
@@ -321,6 +325,35 @@ class TestWorkerFailure:
         ):
             world.run()
 
+    def test_stopped_worker_times_out_and_is_reaped(self, monkeypatch):
+        # A worker that stops (SIGSTOP) neither answers nor closes its
+        # pipe, and ignores SIGTERM while stopped: the coordinator must
+        # give up after its receive deadline, name the shard, and still
+        # leave no child process behind.
+        monkeypatch.setattr(coordinator, "_RECV_TIMEOUT_SECONDS", 1.0)
+        honest = Brb2Round.factory(broadcaster=0, input_value="v")
+
+        def factory(world, pid):
+            if pid == 6:
+                os.kill(os.getpid(), signal.SIGSTOP)
+            return honest(world, pid)
+
+        world = World(
+            n=12, f=3, delay_policy=FixedDelay(1.0),
+            instrumentation="perf", shards=2,
+        )
+        world.populate(factory)
+        assert world.shards == 2
+        began = time.monotonic()
+        with pytest.raises(
+            SimulationError,
+            match=r"shard 1 \(parties \[6, 12\)\) sent nothing .* "
+            r"barrier round 0",
+        ):
+            world.run()
+        assert time.monotonic() - began < 1.0 + 5.0
+        assert multiprocessing.active_children() == []
+
 
 class TestForcedSingleProcess:
     def _world(self, *, shards=4, **kwargs):
@@ -369,7 +402,7 @@ class TestForcedSingleProcess:
         assert self._populate(world) == 4
         assert world.shard_fallback_reason is None
 
-    def test_sequential_fault_plan_forces_one(self):
+    def test_sequential_fault_plans_force_one(self):
         plan = FaultPlan(crashes=(Crash(party=1, at=0.5),), seed=3)
         world = self._world(fault_plan=plan)
         assert self._populate(world) == 1

@@ -1,10 +1,10 @@
 """One world surface: what a ``Party`` reads exists on every world it can see.
 
 ``Party`` and the protocols access their world by plain attribute; there
-are three worlds a party can be built against (``World``, a shard
-worker's ``_ShardWorld``, a host's ``HostedWorld``).  The first test
-collects every attribute the party runtime and the protocols read off
-``world`` / ``self.world`` and checks all three offer it, so a protocol
+are two world classes a party can be built against (``World``, whole or
+over a shard worker's party range, and a host's ``HostedWorld``).  The
+first test collects every attribute the party runtime and the protocols
+read off ``world`` / ``self.world`` and checks both offer it, so a protocol
 that starts using a new world service fails here, by name, instead of
 raising only when it is run as an adversary brain or an SMR slot.  The
 second class pins what a hosted party pools with the outer world and
@@ -22,7 +22,6 @@ from repro.sim.hosting import HostedWorld
 from repro.sim.invariants import InvariantMonitor
 from repro.sim.process import Party
 from repro.sim.runner import World
-from repro.sim.shard import _ShardWorld
 
 SRC = Path(repro.__file__).parent
 PARTY_SOURCES = sorted(
@@ -99,8 +98,7 @@ def test_every_world_offers_what_parties_read(hosted):
         "note_commit_conflict", "note_view_change",
     }
     world, _, brain = hosted
-    shard = _ShardWorld(lo=0, hi=2, n=4, f=1, delay_policy=FixedDelay(1.0))
-    for candidate in (world, shard, brain.world):
+    for candidate in (world, brain.world):
         missing = sorted(a for a in reads if not hasattr(candidate, a))
         assert not missing, f"{type(candidate).__name__} lacks {missing}"
 
