@@ -399,8 +399,9 @@ class ChaosTier(NamedTuple):
     battery: Callable[..., list]
     #: Extra check of a violation-free record: a violation or ``None``.
     gate: Callable[[dict], dict | None] | None
-    #: The battery reads commits only, so :func:`judge` can replay it:
-    #: the condition for counter-stream (shardable) plans.
+    #: The battery reads commits and commit conflicts only, so
+    #: :func:`judge` can replay it: the condition for counter-stream
+    #: (shardable) plans.
     replayable: bool
 
 
@@ -452,14 +453,22 @@ def judge(monitors: list, world: Any, replay: Any = None) -> None:
     Attached monitors saw every commit as it happened.  A battery bound
     to the world but *not* attached (counter-stream runs: attaching it
     would refuse sharding) passes the merged ``RunResult`` as ``replay``
-    and is first fed its commits in commit-time order — the same
-    monitors, hence the same properties, after the fact.
+    and is first fed its commits and commit conflicts in time order (a
+    commit before a conflict at the same instant) — the same monitors,
+    hence the same properties, after the fact.
     """
     if replay is not None:
         times = replay.commit_global_times
-        for party in sorted(replay.commits, key=lambda p: (times[p], p)):
+        events = [
+            (times[p], 0, p, "on_commit", (value, times[p]))
+            for p, value in replay.commits.items()
+        ] + [
+            (t, 1, p, "on_commit_conflict", (old, new, t))
+            for p, old, new, t in replay.commit_conflicts
+        ]
+        for _, _, party, hook, args in sorted(events, key=lambda e: e[:3]):
             for monitor in monitors:
-                monitor.on_commit(party, replay.commits[party], times[party])
+                getattr(monitor, hook)(party, *args)
     for monitor in monitors:
         monitor.finalize(world)
 

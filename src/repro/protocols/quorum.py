@@ -51,18 +51,18 @@ selects the latter.
 Shared quorum-forward payloads
 ------------------------------
 
-In the good case every party forms the *same* quorum (deliveries tie-break
-on content digests, so all parties see votes in one global order) and then
-multicasts an identical quorum-forward message.  :meth:`quorum_payload`
-therefore memoizes the built message in a world-scoped
-:class:`~repro.crypto.messages.ContentMemo` keyed by
-``(value, signer-mask)``: the n-th committer reuses the first committer's
-message *object*, so the network's per-multicast order-key digest is an
-identity hit.  A message with a new mask pays one encode, which splices
-the vote encodings ``crypto.messages`` memoized per vote object — a vote
-is encoded once, not once per quorum it rides in.  This is content-safe:
-signatures are deterministic (digest membership), so equal
-``(value, mask)`` implies byte-identical messages.
+Parties do *not* all form one quorum: each sees its own vote at once,
+then the others in digest order, so a party whose vote sorts late crosses
+with a mask of its own (BRB n=1001 under a fixed delay forwards 334
+distinct quorums).  :meth:`quorum_payload` therefore memoizes the built
+message in a world-scoped :class:`~repro.crypto.messages.ContentMemo`
+keyed by ``(value, signer-mask)``: a committer whose mask was built
+before reuses that message *object*, so the network's per-multicast
+order-key digest is an identity hit.  A message with a new mask pays one encode,
+which splices the vote encodings ``crypto.messages`` memoized per vote
+object — a vote is encoded once, not once per quorum it rides in.  This
+is content-safe: signatures are deterministic (digest membership), so
+equal ``(value, mask)`` implies byte-identical messages.
 
 Shared entry stores
 -------------------

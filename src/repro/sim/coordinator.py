@@ -5,8 +5,9 @@
 worker processes (:func:`repro.sim.shard._shard_main`), advancing all
 shards in lockstep one *window* at a time:
 
-1. every worker reports its next pending instant — the earlier of its
-   local timeline's head and its oldest undelivered inbound record;
+1. every worker reports the head of its calendar (which holds the
+   inbound records already forwarded to it), and the coordinator takes
+   the earlier of that and the oldest record it still holds for it;
 2. the coordinator picks the global minimum ``T`` and the window
    ``[T, T + L)``, where the lookahead ``L`` is the one the world
    derived from the delay policy's
@@ -21,14 +22,15 @@ shards in lockstep one *window* at a time:
    reference them — a record referencing a signature lands no earlier
    than the end of the window that issued it);
 3. cross-shard sends are recorded *at send time* with their delivery
-   instant on the wire; the coordinator routes them (plus freshly
-   issued signature groups) to the destination queues after each round.
+   instant on the wire, one frame per destination; the coordinator
+   forwards the frames unread (plus freshly issued signature groups)
+   with each destination's next step.
    With ``L == 0`` (no minimum delay) the window degenerates to one
    instant and the coordinator re-steps it until no new traffic lands
    at ``T`` — the exact lockstep protocol positive lookahead avoids.
 
-Wire accounting: every barrier message is one explicitly pickled frame
-(:func:`repro.sim.shard._send_msg`), and the coordinator meters both
+Wire accounting: every barrier message and payload frame is one
+explicitly framed byte string, and the coordinator meters both
 directions into ``RunResult.shard_bytes_sent``;
 ``RunResult.shard_barrier_rounds`` counts step rounds (one round = one
 batch of step/stepped exchanges over one window or instant).
@@ -51,6 +53,7 @@ pickled, through each worker's duplex pipe.
 from __future__ import annotations
 
 import multiprocessing
+import pickle
 
 from repro.errors import SimulationError
 from repro.sim.runner import ADDITIVE_COUNTERS, RunResult, World
@@ -59,7 +62,8 @@ __all__ = ["shard_bounds", "run_sharded"]
 
 
 def _recv(
-    index: int, conns: list, procs: list, bounds: list, barrier_round: int
+    index: int, conns: list, procs: list, bounds: list, barrier_round: int,
+    *, raw: bool = False,
 ):
     """Receive one frame from worker ``index``, surfacing its failures.
 
@@ -69,10 +73,8 @@ def _recv(
     stuck in a loop) is given up on — each becomes a
     :class:`SimulationError` naming the shard, its party range and, for a
     silent worker, the barrier round.  Returns ``(message, frame size)``
-    so the caller can meter the pipe.
+    so the caller can meter the pipe, or the frame itself when ``raw``.
     """
-    from repro.sim.shard import _recv_msg
-
     conn = conns[index]
     lo, hi = bounds[index]
     if not conn.poll(_RECV_TIMEOUT_SECONDS):
@@ -81,16 +83,19 @@ def _recv(
             f"{_RECV_TIMEOUT_SECONDS} s in barrier round {barrier_round}"
         )
     try:
-        msg, nbytes = _recv_msg(conn)
+        blob = conn.recv_bytes()
     except (EOFError, OSError):
         procs[index].join(_EXIT_WAIT_SECONDS)
         raise SimulationError(
             f"shard {index} (parties [{lo}, {hi})) died mid-run with "
             f"exit code {procs[index].exitcode}"
         ) from None
+    if raw:
+        return blob
+    msg = pickle.loads(blob)
     if msg[0] == "error":
         raise SimulationError(f"shard {index} worker failed:\n{msg[1]}")
-    return msg, nbytes
+    return msg, len(blob)
 
 
 def shard_bounds(n: int, shards: int) -> list[tuple[int, int]]:
@@ -176,25 +181,23 @@ def run_sharded(world: World, *, until: float | None = None) -> RunResult:
         horizon_hit = False
         # Issued-signature groups each worker has not yet received:
         # delivered with the worker's next "step" (workers merge them
-        # before injecting, so a signature always lands no later than
-        # the first message that could reference it — a message carrying
-        # it arrives via inbound, which always comes with a step).  The
-        # producer is skipped: its own issued set already holds them.
+        # before scheduling its records, so a signature always lands no
+        # later than the first message that could reference it — a
+        # message carrying it arrives in a frame, which always comes
+        # with a step).  The producer is skipped: its own issued set
+        # already holds them.
         pending_issued: list[dict[bytes, int]] = [
             {} for _ in range(shards)
         ]
-        inbound: list[list] = [[] for _ in range(shards)]
-        # Earliest delivery instant among a worker's queued (not yet
-        # flushed) inbound records; a worker's *effective* next time is
-        # the min of this and its reported next time.
-        inbound_min: list[float | None] = [None] * shards
+        # Payload frames held for each worker until its next step, as
+        # ``(source shard, frame, earliest record instant)``.
+        inbound: list[list[tuple]] = [[] for _ in range(shards)]
 
         def effective_next(index: int) -> float | None:
-            t = next_times[index]
-            m = inbound_min[index]
-            if m is not None and (t is None or m < t):
-                return m
-            return t
+            times = [earliest for _, _, earliest in inbound[index]]
+            if next_times[index] is not None:
+                times.append(next_times[index])
+            return min(times, default=None)
 
         while True:
             live = [
@@ -237,20 +240,23 @@ def run_sharded(world: World, *, until: float | None = None) -> RunResult:
                     issued = pending_issued[index]
                     if issued:
                         pending_issued[index] = {}
+                    frames = inbound[index]
+                    inbound[index] = []
                     bytes_sent += _send_msg(
                         conns[index],
                         (
                             "step", step_time, window_end,
-                            inbound[index], issued,
+                            [src for src, _, _ in frames], issued,
                         ),
                     )
-                    inbound[index] = []
-                    inbound_min[index] = None
+                    for _, frame, _ in frames:
+                        conns[index].send_bytes(frame)
+                        bytes_sent += len(frame)
                 for index in stepped:
                     msg, nbytes = _recv(
                         index, conns, procs, bounds, barrier_rounds
                     )
-                    tag, out, fresh, next_time = msg
+                    tag, heads, fresh, next_time = msg
                     assert tag == "stepped"
                     bytes_sent += nbytes
                     next_times[index] = next_time
@@ -263,15 +269,14 @@ def run_sharded(world: World, *, until: float | None = None) -> RunResult:
                                 pending[payload_digest] = (
                                     pending.get(payload_digest, 0) | mask
                                 )
-                    for dst, (defs, recs, times) in out.items():
-                        inbound[dst].append((index, defs, recs, times))
-                        batches += len(recs) // 4
-                        earliest = min(times)
-                        if (
-                            inbound_min[dst] is None
-                            or earliest < inbound_min[dst]
-                        ):
-                            inbound_min[dst] = earliest
+                    for dst, (earliest, count) in heads.items():
+                        frame = _recv(
+                            index, conns, procs, bounds, barrier_rounds,
+                            raw=True,
+                        )
+                        bytes_sent += len(frame)
+                        inbound[dst].append((index, frame, earliest))
+                        batches += count
 
         for conn in conns:
             bytes_sent += _send_msg(conn, ("finish",))
@@ -295,9 +300,11 @@ def run_sharded(world: World, *, until: float | None = None) -> RunResult:
 
     commits: dict = {}
     commit_times: dict = {}
+    commit_conflicts: list = []
     for summary in summaries:
         commits.update(summary["commits"])
         commit_times.update(summary["commit_times"])
+        commit_conflicts += summary["commit_conflicts"]
     return RunResult(
         n=world.n,
         f=world.f,
@@ -305,6 +312,7 @@ def run_sharded(world: World, *, until: float | None = None) -> RunResult:
         commits=commits,
         commit_global_times=commit_times,
         commit_rounds={},
+        commit_conflicts=commit_conflicts,
         start_offsets=list(world.start_offsets),
         final_time=(
             float(until)

@@ -49,8 +49,9 @@ class Instrumentation:
     * ``accountant`` — step/round bookkeeping, or ``None``;
     * :meth:`transcript_for` — a fresh per-party transcript, or ``None``.
 
-    Commit tracking (:meth:`note_commit`) is always on: it is O(commits),
-    not O(messages), and the harness's agreement checks depend on it.
+    Commit tracking (:meth:`note_commit`, :attr:`commit_conflicts`) is
+    always on: it is O(commits), not O(messages), and the harness's
+    agreement and integrity checks depend on it.
 
     The bundle is also the home of two cheap always-on counters: every
     :class:`~repro.protocols.quorum.QuorumTracker` a party creates
@@ -66,6 +67,8 @@ class Instrumentation:
             RoundAccountant() if observe else None
         )
         self.commit_order: list[PartyId] = []
+        #: ``(party, old, new, time)`` per re-commit of another value.
+        self.commit_conflicts: list[tuple] = []
         self._quorum_trackers: list[Any] = []
         #: Runtime invariant monitors (:mod:`repro.sim.invariants`),
         #: attached by the world; empty for every preset by default, so
@@ -101,6 +104,7 @@ class Instrumentation:
         self, party_id: PartyId, old: Any, new: Any, time: float
     ) -> None:
         """A party attempted a second commit with a different value."""
+        self.commit_conflicts.append((party_id, old, new, time))
         if self.monitors:
             for monitor in self.monitors:
                 monitor.on_commit_conflict(party_id, old, new, time)

@@ -574,10 +574,11 @@ class Network:
 
         The tight-loop twin of ``_deliver``: one event frame for the run,
         an index load + inbox call per copy.  ``_emit_run`` schedules it
-        only when no injector or accountant is attached; the one caller
-        with an injector is the shard worker handing over an inbound run
-        (already routed at its source), whose copies still pass the
-        recipient crash window one by one through :meth:`_deliver`.  The
+        only when no injector or accountant is attached; the one
+        scheduler with an injector is the shard worker queueing an
+        inbound run (already routed at its source), whose copies still
+        pass the recipient crash window one by one through
+        :meth:`_deliver`.  The
         simulator is told about the folded copies so ``events_processed``
         counts logical deliveries identically to the per-copy path.
         """

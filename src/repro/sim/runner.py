@@ -235,10 +235,9 @@ class World:
         semantics need global per-copy visibility (the observers — round
         accounting and transcripts —, monitors, a sequential-stream
         fault plan, the reliable channel), a delay policy whose pricing
-        is not a pure per-link function, scripted Byzantine behaviors,
-        or staggered starts falls back to ``shards=1`` — the caller's
-        results are identical either way, sharding only changes the wall
-        clock.  The rule that fired is recorded as
+        is not a pure per-link function, or scripted Byzantine behaviors
+        falls back to ``shards=1`` — the caller's results are identical
+        either way, sharding only changes the wall clock.  The rule that fired is recorded as
         ``shard_fallback_reason`` and surfaced on :class:`RunResult`
         (``None`` when sharding was never requested or was granted).
 
@@ -266,10 +265,6 @@ class World:
             reason = "behavior-factory"
         elif not self._delay_policy.shard_safe():
             reason = "delay-policy"
-        else:
-            first = self.start_offsets[0]
-            if any(offset != first for offset in self.start_offsets):
-                reason = "start-offsets"
         if reason is not None:
             self.shard_fallback_reason = reason
             return 1
@@ -389,6 +384,7 @@ class World:
                 p.id: p.commit_global_time for p in honest if p.has_committed
             },
             commit_rounds=commit_rounds,
+            commit_conflicts=list(self.instrumentation.commit_conflicts),
             start_offsets=list(self.start_offsets),
             messages_sent=self.network.messages_sent,
             final_time=self.sim.now,
@@ -426,6 +422,9 @@ class RunResult:
     commits: dict[PartyId, Value]
     commit_global_times: dict[PartyId, float]
     commit_rounds: dict[PartyId, int]
+    #: ``(party, first value, new value, time)`` per re-commit of another
+    #: value (each shard's list, concatenated, on a sharded run).
+    commit_conflicts: list[tuple] = field(default_factory=list)
     start_offsets: list[float] = field(default_factory=list)
     messages_sent: int = 0
     final_time: float = 0.0
@@ -472,7 +471,7 @@ class RunResult:
     #: but refused (``None`` = never requested, or granted in full).
     #: One of ``"observers"``, ``"monitors"``, ``"fault-plan"``,
     #: ``"reliable-link"``, ``"behavior-factory"``, ``"delay-policy"``,
-    #: ``"start-offsets"``, ``"world-too-small"``.
+    #: ``"world-too-small"``.
     shard_fallback_reason: str | None = None
     #: Coordinator-pipe traffic: bytes framed across the barrier in both
     #: directions, and the number of barrier sub-step rounds the

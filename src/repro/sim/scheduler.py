@@ -206,8 +206,9 @@ class Simulator:
         """Process events strictly before ``horizon``; return final time.
 
         The sharded worker's window step: the coordinator's lookahead
-        guarantees no cross-shard traffic can land inside the window, so
-        the whole span runs in one call.  Unlike ``run(until=...)``,
+        guarantees no cross-shard traffic can land inside the window, and
+        the inbound records already sent are on the calendar, so the
+        whole span runs in one call.  Unlike ``run(until=...)``,
         ``now`` is left at the last processed event's instant — never
         advanced to the horizon itself — so the merged ``final_time``
         still reports the last real event.
@@ -240,21 +241,6 @@ class Simulator:
                 self._events_processed += 1
         finally:
             self._running = False
-
-    def advance_now(self, time: float) -> None:
-        """Jump virtual time forward without processing any event.
-
-        The sharded worker stamps a cross-shard delivery's instant with
-        this before injecting the copies directly (bypassing the
-        timeline): ``run(until=...)`` stops short of the horizon when
-        the local queue drains first, but the handlers invoked by the
-        delivery read ``now`` to price their own sends.
-        """
-        if time < self._now:
-            raise SimulationError(
-                f"cannot move time backwards from {self._now} to {time}"
-            )
-        self._now = time
 
     def next_event_time(self) -> float | None:
         """Time of the earliest queued event, or ``None`` when empty.

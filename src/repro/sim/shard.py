@@ -29,33 +29,32 @@ runs *inside* a worker:
   signer-bitmask}`` groups (n parties signing the same vote body collapse
   to one digest + one int) and broadcasts them, and receivers expand the
   masks back into their local issued set (``merge_issued``) *before*
-  injecting that step's messages — so a signature always reaches a
+  scheduling that step's messages — so a signature always reaches a
   verifier no later than the first message carrying it (delays are
   positive, issuance precedes delivery by at least one barrier step).
 
 * :func:`_shard_main` — the worker loop speaking the coordinator's
   barrier protocol (see :mod:`repro.sim.coordinator`).
 
-Determinism: event order keys are content digests, identical in every
-process; delay policies must be :meth:`~repro.sim.delays.DelayPolicy.
-shard_safe` (pure per-link pricing), so every copy gets the same delivery
-instant as in the single-process schedule.  The one documented divergence
-is intra-instant: a cross-shard copy arriving at instant ``T`` is
-injected after the destination drained its local ``T`` events, instead of
-digest-interleaved among them — virtual delivery times are identical, so
-good-case outcomes and counters are unchanged for positive-delay
-workloads (the parity suite pins this).
+Determinism: delay policies must be :meth:`~repro.sim.delays.
+DelayPolicy.shard_safe` (pure per-link pricing), so every copy gets its
+single-process delivery instant, and a worker schedules each inbound run
+on its own calendar as the single-process network schedules a folded
+run (ordered by payload digest), so copies fire in the single-process
+order.  One tie remains: two copies of one payload landing at one
+instant, sent in one window by parties of different shards, fire
+local-first (then by source shard) rather than in send order.  With no
+lookahead a copy landing at the instant being run fires in a re-step,
+after the destination's own events of that instant.
 """
 from __future__ import annotations
 
-import heapq
 import pickle
 from array import array
 from typing import Any
 
 from repro.crypto.messages import digest, seed_digest, stable_digest
 from repro.sim.runner import ADDITIVE_COUNTERS, World
-from repro.types import INF
 
 __all__ = ["_shard_main"]
 
@@ -64,18 +63,12 @@ def _send_msg(conn, msg) -> int:
     """Frame one barrier message explicitly; returns the frame size.
 
     Both sides pickle by hand and ship raw bytes (instead of
-    ``Connection.send``) so the coordinator can meter the pipes —
-    ``shard_bytes_sent`` is the sum of these return values.
+    ``Connection.send``) so the coordinator can meter the pipes:
+    ``shard_bytes_sent`` sums these sizes and the payload frames'.
     """
     blob = pickle.dumps(msg, pickle.HIGHEST_PROTOCOL)
     conn.send_bytes(blob)
     return len(blob)
-
-
-def _recv_msg(conn) -> tuple[Any, int]:
-    """Inverse of :func:`_send_msg`: ``(message, frame size)``."""
-    blob = conn.recv_bytes()
-    return pickle.loads(blob), len(blob)
 
 
 def _split_range(lo: int, hi: int, bounds: list[tuple[int, int]]):
@@ -114,35 +107,24 @@ def _shard_loop(conn, spec: dict) -> None:
     the wire):
 
     * worker -> coordinator: ``("ready", next_time)`` once after setup;
-      then ``("stepped", out, fresh, next_time)`` after every step, where
-      ``out`` maps destination shard -> ``(defs, recs, times)`` (``defs``
-      are first-crossing ``(ref, payload, stable digest | None)``
-      triples — the digest seeds the destination's cache so deep
-      payloads are never re-walked; ``recs`` is one packed
-      ``array('q')`` of ``sender, ref, lo, hi`` quadruples and ``times``
-      the matching ``array('d')`` of delivery instants — the integer-ref
-      hot path crosses as machine words, not per-record tuples),
-      ``fresh`` is the issued-signature group dict, and ``next_time``
-      is the earlier of the local timeline's head and the oldest
-      not-yet-delivered inbound record; finally ``("done", summary)``.
-    * coordinator -> worker: ``("step", T, window_end, inbound, issued)``
-      — merge ``issued``, queue the inbound records at their wire
-      delivery instants, then run the window: every local event and
-      queued inbound record strictly before ``window_end`` (the
+      after every step ``("stepped", heads, fresh, next_time)`` and then
+      one raw frame per destination of ``heads`` (destination shard ->
+      ``(earliest delivery instant, record count)``), each the pickled
+      ``(defs, recs, times)`` for it (``defs`` are first-crossing
+      ``(ref, payload, stable digest | None)`` triples — the digest
+      seeds the destination's cache so deep payloads are never
+      re-walked; ``recs`` is one packed ``array('q')`` of ``sender, ref,
+      lo, hi`` quadruples and ``times`` the matching ``array('d')`` of
+      delivery instants — machine words, not per-record tuples);
+      ``fresh`` is the issued-signature group dict and ``next_time`` the
+      calendar's head; finally ``("done", summary)``.
+    * coordinator -> worker: ``("step", T, window_end, sources, issued)``
+      and then the frames of ``sources`` (one source shard each), as
+      sent — merge ``issued``, schedule the inbound records, then run
+      the window: every event strictly before ``window_end`` (the
       coordinator's delay-policy lookahead guarantees nothing new can
       land inside it), or — when ``window_end == T`` (no lookahead) —
-      exactly the instant ``T`` inclusive.  Or ``("finish",)``.  Workers
-      with no work inside the window are skipped entirely (barrier
-      coalescing), so a quiet shard costs no round-trip.
-
-    Inbound records bypass the local timeline: they are kept in a plain
-    ``(time, digest, seq)``-ordered heap and merged with local events by
-    the window loop — one ``run(until=...)`` call per inbound instant
-    instead of a full schedule/pop cycle per copy, which is where the
-    per-copy randomized-delay workloads win back the wire cost.  Within
-    one instant, local events drain before inbound copies (the module
-    docstring's documented intra-instant divergence); inbound ties break
-    by content digest, matching the single-process timeline's order key.
+      exactly the instant ``T`` inclusive.  Or ``("finish",)``.
     """
     index: int = spec["index"]
     bounds: list[tuple[int, int]] = spec["bounds"]
@@ -162,7 +144,6 @@ def _shard_loop(conn, spec: dict) -> None:
     sim = world.sim
     net = world.network
     registry = world.registry
-    note = sim.note_logical_events
     # Payload ref tables: inbound per source shard, outbound per
     # destination shard.  Outbound tables key by ``id`` with the pin list
     # holding a strong reference (so the id cannot be recycled); a
@@ -171,16 +152,9 @@ def _shard_loop(conn, spec: dict) -> None:
     out_refs: dict[int, dict[int, int]] = {}
     out_pins: dict[int, list[Any]] = {}
     until: float | None = spec["until"]
-    # Inbound records not yet delivered, ordered by (delivery instant,
-    # payload digest, arrival seq): a flat heap, merged with the local
-    # timeline by the window loop below.
-    inqueue: list[tuple] = []
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-    seq = 0
     _send_msg(conn, ("ready", sim.next_event_time()))
     while True:
-        msg, _ = _recv_msg(conn)
+        msg = pickle.loads(conn.recv_bytes())
         if msg[0] == "finish":
             result = world.result()
             _send_msg(conn, (
@@ -188,6 +162,7 @@ def _shard_loop(conn, spec: dict) -> None:
                 {
                     "commits": result.commits,
                     "commit_times": result.commit_global_times,
+                    "commit_conflicts": result.commit_conflicts,
                     "final_time": result.final_time,
                     **{
                         name: getattr(result, name)
@@ -197,10 +172,11 @@ def _shard_loop(conn, spec: dict) -> None:
             ))
             conn.close()
             return
-        _, step_time, window_end, inbound, issued = msg
+        _, step_time, window_end, sources, issued = msg
         if issued:
             registry.merge_issued(issued)
-        for src, defs, recs, times in inbound:
+        for src in sources:
+            defs, recs, times = pickle.loads(conn.recv_bytes())
             table = in_refs.setdefault(src, [])
             for ref, payload, value in defs:
                 assert ref == len(table)
@@ -219,66 +195,53 @@ def _shard_loop(conn, spec: dict) -> None:
             for j, deliver_time in enumerate(times):
                 i = 4 * j
                 payload = table[recs[i + 1]]
-                heappush(inqueue, (
-                    deliver_time, digest(payload), seq,
-                    recs[i], recs[i + 2], recs[i + 3], payload,
-                ))
-                seq += 1
+                sim.schedule_at(
+                    deliver_time, net._deliver_many, order_key=digest(payload),
+                    args=(recs[i], range(recs[i + 2], recs[i + 3]), payload),
+                    transient=True,
+                )
         # The window is ``[step_time, window_end)`` — or, with no lookahead
         # (``window_end == step_time``), exactly the instant ``step_time``
         # — and under a horizon never runs past ``until`` (the coordinator
         # reports the horizon as hit and stamps ``final_time`` itself).
         if window_end == step_time:
-            strict, last = INF, step_time
+            sim.run(until=step_time)
+        elif until is not None and until < window_end:
+            sim.run(until=until)
         else:
-            strict, last = window_end, INF if until is None else until
-        # One merge loop: drain local events up to the next inbound
-        # instant (inclusive — local first on ties), deliver that
-        # instant's inbound copies, repeat; once no inbound record is
-        # left inside the window, run the local tail (including, at a
-        # single instant, the cascade the inbound copies triggered).
-        while True:
-            instant = inqueue[0][0] if inqueue else INF
-            if instant >= strict or instant > last:
-                if last < strict:
-                    sim.run(until=last)
-                else:
-                    # ``run_before`` leaves ``now`` at the last real
-                    # event, which the merged ``final_time`` reports.
-                    sim.run_before(strict)
-                break
-            sim.run(until=instant)
-            sim.advance_now(instant)
-            while inqueue and inqueue[0][0] == instant:
-                _, _, _, snd, run_lo, run_hi, payload = heappop(inqueue)
-                note(1)
-                net._deliver_many(snd, range(run_lo, run_hi), payload)
+            sim.run_before(window_end)
         out: dict[int, tuple[list, array, array]] = {}
-        if net.outbuf:
-            for sender, payload, run_lo, run_hi, deliver_time in (
-                net.outbuf
+        for sender, payload, run_lo, run_hi, deliver_time in net.outbuf:
+            for dst, piece_lo, piece_hi in _split_range(
+                run_lo, run_hi, bounds
             ):
-                for dst, piece_lo, piece_hi in _split_range(
-                    run_lo, run_hi, bounds
-                ):
-                    chunk = out.get(dst)
-                    if chunk is None:
-                        chunk = out[dst] = ([], array("q"), array("d"))
-                    table = out_refs.setdefault(dst, {})
-                    ref = table.get(id(payload))
-                    if ref is None:
-                        ref = len(table)
-                        table[id(payload)] = ref
-                        out_pins.setdefault(dst, []).append(payload)
-                        chunk[0].append(
-                            (ref, payload, stable_digest(payload))
-                        )
-                    chunk[1].extend((sender, ref, piece_lo, piece_hi))
-                    chunk[2].append(deliver_time)
-            net.outbuf.clear()
-        next_time = sim.next_event_time()
-        if inqueue and (next_time is None or inqueue[0][0] < next_time):
-            next_time = inqueue[0][0]
+                chunk = out.get(dst)
+                if chunk is None:
+                    chunk = out[dst] = ([], array("q"), array("d"))
+                table = out_refs.setdefault(dst, {})
+                ref = table.get(id(payload))
+                if ref is None:
+                    ref = len(table)
+                    table[id(payload)] = ref
+                    out_pins.setdefault(dst, []).append(payload)
+                    chunk[0].append((ref, payload, stable_digest(payload)))
+                chunk[1].extend((sender, ref, piece_lo, piece_hi))
+                chunk[2].append(deliver_time)
+        net.outbuf.clear()
+        # Frames are pickled before the header goes out: a failure then
+        # replaces the whole reply.
+        frames = [
+            pickle.dumps(chunk, pickle.HIGHEST_PROTOCOL)
+            for chunk in out.values()
+        ]
         _send_msg(conn, (
-            "stepped", out, registry.take_fresh(), next_time
+            "stepped",
+            {
+                dst: (min(times), len(times))
+                for dst, (_, _, times) in out.items()
+            },
+            registry.take_fresh(),
+            sim.next_event_time(),
         ))
+        for frame in frames:
+            conn.send_bytes(frame)

@@ -27,6 +27,8 @@ from repro.analysis.chaos import (
 )
 from repro.analysis.engine import SweepEngine
 from repro.errors import InvariantViolation
+from repro.protocols import PROTOCOLS
+from repro.protocols.brb_2round import Brb2Round
 from repro.sim.delays import FixedDelay
 from repro.sim.faults import Crash, DuplicateLink, FaultPlan, ReorderJitter
 from repro.sim.runner import RunResult, World
@@ -141,6 +143,35 @@ class TestShardedChaos:
         for row in (single, sharded):
             assert row["violation"]["invariant"] == "termination"
         assert sharded["violation"]["party"] == single["violation"]["party"]
+
+
+class _Recommitter(Brb2Round):
+    """Party 5 re-commits ``"other"`` right after its first commit."""
+
+    def commit(self, value):
+        super().commit(value)
+        if self.id == 5:
+            super().commit("other")
+
+
+class TestIntegrityOnEveryStream:
+    """A re-commit of another value breaches integrity on every stream
+    and shard count: attached monitors see it as it happens, a replayed
+    battery through ``RunResult.commit_conflicts``."""
+
+    @pytest.mark.parametrize(
+        "stream, shards", [("sequential", 1), ("counter", 1), ("counter", 2)]
+    )
+    def test_recommit_is_an_integrity_violation(
+        self, stream, shards, monkeypatch
+    ):
+        monkeypatch.setitem(PROTOCOLS, "brb_2round", _Recommitter)
+        row = run_chaos_plan(
+            "brb_2round", FaultPlan(stream=stream), shards=shards
+        )
+        assert row["shards"] == shards
+        assert row["violation"]["invariant"] == "integrity"
+        assert row["violation"]["party"] == 5
 
 
 #: Stub merged results for the replayed battery, over n=4, f=1,

@@ -19,10 +19,12 @@ import multiprocessing
 import os
 import signal
 import time
+from collections import Counter
 from contextlib import nullcontext
 
 import pytest
 
+from repro.crypto.messages import digest
 from repro.errors import ConfigurationError, SimulationError
 from repro.protocols.brb_2round import Brb2Round
 from repro.protocols.psync.vbb_5f1 import PsyncVbb5f1
@@ -38,6 +40,7 @@ from repro.sim.faults import (
     ReorderJitter,
 )
 from repro.sim.instrumentation import Instrumentation
+from repro.sim.network import Network
 from repro.sim.runner import World, run_broadcast
 
 CASES = {
@@ -196,8 +199,9 @@ class TestShardCountIndependence:
     def test_zero_delay_cascades_converge(self):
         # All-zero delays make every cross-shard cascade land at the
         # same instant: the coordinator must re-step t=0 to quiescence.
-        # Intra-instant delivery order differs from the single-process
-        # interleaving (documented), so only outcomes are pinned.
+        # A copy landing in a re-step fires after the destination's own
+        # t=0 events, unlike the single-process interleaving, so only
+        # outcomes are pinned.
         baseline = _run(
             "brb_2round", shards=1, instrumentation="perf",
             delay=FixedDelay(0.0),
@@ -305,6 +309,83 @@ class TestCounterStreamParity:
         assert sharded.shard_barrier_rounds <= (
             sharded.shard_batches_exchanged + sharded.events_processed
         )
+
+
+class TestMessageParity:
+    """What parties *send*, not only what they end with: every send at
+    every instant must be the single-process one for every shard count.
+
+    Each worker runs one calendar, so cross-shard copies interleave with
+    local ones in the single-process ``(time, digest)`` order and every
+    party builds the same messages (e.g. the same quorum-forward masks).
+    """
+
+    CASES = {
+        "brb_n101": (Brb2Round, 101, 33, {}),
+        "vbb_n41": (PsyncVbb5f1, 41, 8, {"big_delta": 1.0}),
+    }
+    DELAYS = {
+        "fixed": lambda: FixedDelay(1.0),
+        "counter_uniform": lambda: UniformDelay(
+            0.05, 1.0, seed=17, stream="counter"
+        ),
+    }
+
+    @staticmethod
+    def _record_sends(monkeypatch):
+        """Patch ``Network.send`` / ``multicast`` to log ``(now, sender,
+        payload digest)`` per call into ``target["dir"]``, one file per
+        process: forked workers inherit the patch and the target."""
+        target = {"dir": None}
+
+        def logged(method):
+            def call(self, sender, *args, **kwargs):
+                line = f"{self._sim.now!r} {sender} {digest(args[-1]).hex()}"
+                path = target["dir"] / f"{os.getpid()}.log"
+                with open(path, "a") as log:
+                    log.write(line + "\n")
+                return method(self, sender, *args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(Network, "send", logged(Network.send))
+        monkeypatch.setattr(Network, "multicast", logged(Network.multicast))
+        return target
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("delay", sorted(DELAYS))
+    @pytest.mark.parametrize("staggered", [False, True])
+    def test_sends_match_single_process(
+        self, case, delay, staggered, monkeypatch, tmp_path
+    ):
+        protocol, n, f, extra = self.CASES[case]
+        offsets = [0.1 * (p % 3) for p in range(n)] if staggered else None
+        target = self._record_sends(monkeypatch)
+        sends = {}
+        for shards in (1, 2, 3):
+            target["dir"] = tmp_path / f"shards{shards}"
+            target["dir"].mkdir()
+            result = run_broadcast(
+                n=n, f=f,
+                party_factory=protocol.factory(
+                    broadcaster=0, input_value="v", **extra
+                ),
+                delay_policy=self.DELAYS[delay](),
+                start_offsets=offsets,
+                instrumentation="perf",
+                shards=shards,
+            )
+            assert result.shards == shards
+            assert result.shard_fallback_reason is None
+            assert result.all_honest_committed()
+            sends[shards] = Counter(
+                line
+                for path in target["dir"].glob("*.log")
+                for line in path.read_text().splitlines()
+            )
+        assert sends[1]
+        assert sends[2] == sends[1]
+        assert sends[3] == sends[1]
 
 
 class TestWorkerFailure:
@@ -429,12 +510,23 @@ class TestForcedSingleProcess:
         safe = GstDelay(gst=2.0, big_delta=1.0, pre_gst=FixedDelay(0.5))
         assert self._populate(self._world(delay_policy=safe)) == 4
 
-    def test_staggered_starts_force_one(self):
-        world = self._world(
-            start_offsets=[0.0, 0.1, 0.0, 0.0, 0.0, 0.0, 0.0]
-        )
-        assert self._populate(world) == 1
-        assert world.shard_fallback_reason == "start-offsets"
+    def test_staggered_starts_shard_with_parity(self):
+        results = {}
+        for shards in (1, 2, 4):
+            world = self._world(
+                shards=shards,
+                start_offsets=[0.0, 0.1, 0.0, 0.0, 0.0, 0.0, 0.0],
+            )
+            assert self._populate(world) == shards
+            assert world.shard_fallback_reason is None
+            results[shards] = world.run()
+            assert results[shards].shards == shards
+        assert results[1].all_honest_committed()
+        for shards in (2, 4):
+            for field in INVARIANT_FIELDS:
+                assert getattr(results[shards], field) == getattr(
+                    results[1], field
+                ), (shards, field)
 
     def test_behavior_factory_forces_one(self):
         from repro.sim.process import Agent
