@@ -31,11 +31,12 @@ All that differs between the good-case and the view-change tier is one
 (:func:`run_chaos_plan` -> ``_chaos_point`` -> :func:`sweep_chaos` ->
 :func:`run_chaos`) reads the row and never compares tier names.  A tier
 supplies its spec dict, its plan generator, the tag leading its engine
-task keys (which seed its plans), its monitor battery, an optional extra
-gate over a finished record ("a commit in view >= 2"), and whether the
-battery reads nothing but commits — then counter-stream (shardable)
-plans run it unattached and :func:`judge` replays it over the merged
-:class:`~repro.sim.runner.RunResult`.  A new tier is one more row.
+task keys (which seed its plans), its monitor battery and an optional
+extra gate over a finished record ("a commit in view >= 2").  Every
+battery is judged the same way — :func:`~repro.sim.invariants.judge`
+replays it over the run's :class:`~repro.sim.runner.RunResult` — so
+every tier runs on either randomness stream and, on counter streams,
+at any shard count.  A new tier is one more row.
 
 Every piece is module-level and plain-data-parameterized so grid points
 pickle to engine workers, like every sweep in
@@ -67,6 +68,7 @@ from repro.sim.faults import (
 from repro.sim.invariants import (
     TerminationAfterGst,
     ViewProgress,
+    judge,
     standard_monitors,
 )
 from repro.sim.retransmit import ReliableLink
@@ -346,14 +348,11 @@ def random_viewchange_plan(protocol: str, seed: int) -> FaultPlan:
 # ---------------------------------------------------------------------- #
 
 
-def _good_case_battery(plan, protocol, input_value, quiet, slack) -> list:
-    return standard_monitors(
-        broadcaster=0, expected=input_value, deadline=quiet + slack,
-        protocol=protocol,
-    )
+def _good_case_battery(plan, input_value, quiet, slack) -> list:
+    return standard_monitors(expected=input_value, deadline=quiet + slack)
 
 
-def _viewchange_battery(plan, protocol, input_value, quiet, slack) -> list:
+def _viewchange_battery(plan, input_value, quiet, slack) -> list:
     # Broadcaster-input validity is a *good-case* property: a holdback
     # that starves the (honest) broadcaster through view 1 is pre-GST
     # asynchrony, under which a starved broadcaster is indistinguishable
@@ -361,14 +360,10 @@ def _viewchange_battery(plan, protocol, input_value, quiet, slack) -> list:
     # value.  Crashed broadcasters are already exempt via the faulty
     # set; starved ones must lose the monitor explicitly.
     starved = any(h.src is None or h.src == 0 for h in plan.holdbacks)
-    monitors = standard_monitors(
-        broadcaster=0, expected=None if starved else input_value,
-    )
-    monitors.append(TerminationAfterGst(gst=quiet, bound=slack))
-    monitors.append(ViewProgress(max_view=VIEWCHANGE_MAX_VIEW))
-    for monitor in monitors:
-        monitor.protocol = protocol
-    return monitors
+    return standard_monitors(expected=None if starved else input_value) + [
+        TerminationAfterGst(gst=quiet, bound=slack),
+        ViewProgress(max_view=VIEWCHANGE_MAX_VIEW),
+    ]
 
 
 def _reached_view_2(record: dict) -> dict | None:
@@ -395,24 +390,21 @@ class ChaosTier(NamedTuple):
     #: Leads the engine task keys, which seed the plans: the good-case
     #: tag predates tiers, and changing a tag re-seeds that sweep.
     key_tag: str
-    #: ``(plan, protocol, input_value, quiet, slack) -> monitors``.
+    #: ``(plan, input_value, quiet, slack) -> monitors``; :func:`judge`
+    #: labels them with the world's protocol name.
     battery: Callable[..., list]
     #: Extra check of a violation-free record: a violation or ``None``.
     gate: Callable[[dict], dict | None] | None
-    #: The battery reads commits and commit conflicts only, so
-    #: :func:`judge` can replay it: the condition for counter-stream
-    #: (shardable) plans.
-    replayable: bool
 
 
 _TIERS: dict[str, ChaosTier] = {
     "good-case": ChaosTier(
         CHAOS_SPECS, "random_fault_plan", "chaos",
-        _good_case_battery, None, True,
+        _good_case_battery, None,
     ),
     "viewchange": ChaosTier(
         CHAOS_SPECS_VIEWCHANGE, "random_viewchange_plan", "chaos-viewchange",
-        _viewchange_battery, _reached_view_2, False,
+        _viewchange_battery, _reached_view_2,
     ),
 }
 
@@ -447,32 +439,6 @@ def _plan(tier: str, protocol: str, seed: int, stream: str) -> FaultPlan:
 # ---------------------------------------------------------------------- #
 
 
-def judge(monitors: list, world: Any, replay: Any = None) -> None:
-    """The battery's end-of-run verdict; raises the first breach.
-
-    Attached monitors saw every commit as it happened.  A battery bound
-    to the world but *not* attached (counter-stream runs: attaching it
-    would refuse sharding) passes the merged ``RunResult`` as ``replay``
-    and is first fed its commits and commit conflicts in time order (a
-    commit before a conflict at the same instant) — the same monitors,
-    hence the same properties, after the fact.
-    """
-    if replay is not None:
-        times = replay.commit_global_times
-        events = [
-            (times[p], 0, p, "on_commit", (value, times[p]))
-            for p, value in replay.commits.items()
-        ] + [
-            (t, 1, p, "on_commit_conflict", (old, new, t))
-            for p, old, new, t in replay.commit_conflicts
-        ]
-        for _, _, party, hook, args in sorted(events, key=lambda e: e[:3]):
-            for monitor in monitors:
-                getattr(monitor, hook)(party, *args)
-    for monitor in monitors:
-        monitor.finalize(world)
-
-
 #: ``RunResult`` counters a chaos row carries verbatim.
 _ROW_COUNTERS = (
     "faults_injected", "messages_dropped", "messages_duplicated",
@@ -493,13 +459,13 @@ def run_chaos_plan(
     reliable: ReliableLink | None = None,
     shards: int = 1,
 ) -> dict:
-    """Run one faulted execution under the tier's monitor battery.
+    """Run one faulted execution to its deadline, then judge it.
 
     Returns a plain record; ``violation`` is ``None`` on a clean run or
     the structured context of the first
-    :class:`~repro.errors.InvariantViolation` raised (commit-time
-    monitors fire mid-run; termination fires in :func:`judge` after the
-    horizon drains).
+    :class:`~repro.errors.InvariantViolation` that
+    :func:`~repro.sim.invariants.judge` raises replaying the tier's
+    battery over the finished run.
 
     ``tier`` names the :class:`ChaosTier` row supplying the spec and the
     battery (the ``"viewchange"`` one judges liveness by
@@ -511,25 +477,16 @@ def run_chaos_plan(
     :class:`~repro.sim.faults.CrashLeader` entries are resolved here
     against the protocol's round-robin rotation (broadcaster 0).
 
-    A plan with ``stream="counter"`` switches the run to the shard-safe
-    configuration (replayable tiers only): the delay policy draws from a
-    counter stream too, the battery is replayed by :func:`judge` instead
-    of attached, and ``shards`` selects in-run parallelism.  A counter
+    The plan's ``stream`` is the delay policy's too.  ``shards > 1``
+    needs ``stream="counter"``, the shard-safe configuration; a counter
     plan at ``shards=1`` runs the identical schedule single-process —
     the twin the parity tests and bench rows compare against.
     """
     from repro.sim.delays import FixedDelay, UniformDelay
     from repro.sim.runner import World
 
-    chaos_tier = _TIERS[tier]
     stream = plan.stream
-    counter_mode = stream == "counter"
-    if counter_mode and not chaos_tier.replayable:
-        raise ValueError(
-            f"counter-stream chaos cannot run the {tier} tier "
-            "(its battery needs runtime monitors)"
-        )
-    if shards > 1 and not counter_mode:
+    if shards > 1 and stream != "counter":
         raise ValueError(
             "sharded chaos needs a counter-stream plan "
             '(build it with FaultPlan(..., stream="counter"))'
@@ -551,9 +508,6 @@ def run_chaos_plan(
     else:  # sync: the model's worst tolerated assignment
         delay_policy = FixedDelay(spec.big_delta)
         kwargs["big_delta"] = spec.big_delta
-    monitors = chaos_tier.battery(
-        plan, protocol, input_value, quiet, spec.slack
-    )
     world = World(
         n=spec.n,
         f=spec.f,
@@ -561,32 +515,24 @@ def run_chaos_plan(
         instrumentation=instrumentation,
         fault_plan=plan,
         reliable_link=reliable,
-        monitors=None if counter_mode else monitors,
         protocol_name=protocol,
         shards=shards,
     )
-    if counter_mode:
-        for monitor in monitors:
-            monitor.bind(world)
     world.populate(
         PROTOCOLS[protocol].factory(
             broadcaster=0, input_value=input_value, **kwargs
         )
     )
+    result = world.run(until=deadline)
+    battery = _TIERS[tier].battery(plan, input_value, quiet, spec.slack)
     violation: dict | None = None
     try:
-        result = world.run(until=deadline)
-        judge(monitors, world, replay=result if counter_mode else None)
+        judge(battery, world, result)
     except InvariantViolation as exc:
         violation = _violation(
             exc.invariant, exc.details, exc.protocol, exc.party, exc.time
         )
-        result = world.result()
-    commit_views = sorted(
-        agent.commit_view
-        for agent in world.agents.values()
-        if getattr(agent, "commit_view", None) is not None
-    )
+    commit_views = sorted(result.commit_views.values())
     return {
         "protocol": protocol,
         "tier": tier,
@@ -644,16 +590,18 @@ def sweep_chaos(
     """The chaos grid: seeded tolerated plans across the protocol specs.
 
     Each point draws its plan from a deterministic per-point seed
-    (engine-injected, like every randomized sweep), runs it with the
-    invariant battery attached, and reports the injection counters plus
-    any violation.  A healthy tree returns rows with ``violation=None``
-    everywhere — that is exactly what the CI smoke job asserts.
+    (engine-injected, like every randomized sweep), runs it, judges it
+    with the tier's invariant battery, and reports the injection
+    counters plus any violation.  A healthy tree returns rows with
+    ``violation=None`` everywhere — that is exactly what the CI smoke
+    job asserts.
 
     The ``"viewchange"`` tier sweeps only the psync protocols, with
     plans that force a view change and the gate additionally demanding
     a commit in view >= 2 (a surviving good case counts as a failure —
-    the plan was supposed to kill it).  ``shards`` applies to replayable
-    tiers; the others need runtime monitors, which force one process.
+    the plan was supposed to kill it).  ``shards > 1`` switches every
+    tier's plans to counter streams and runs each across that many
+    worker processes.
     """
     engine = engine if engine is not None else SweepEngine()
     chaos_tier = _TIERS[tier]
@@ -668,8 +616,7 @@ def sweep_chaos(
             _chaos_point,
             dict(
                 protocol=name, instrumentation=instrumentation,
-                tier=tier,
-                shards=shards if chaos_tier.replayable else 1,
+                tier=tier, shards=shards,
             ),
             key=(chaos_tier.key_tag, name, index),
             inject_seed=True,

@@ -12,8 +12,8 @@ Commands:
   unless every replica commits every slot and the states agree;
 * ``ablation`` — run the equivocation-clause ablation;
 * ``chaos`` — run seeded random fault plans (within each protocol's
-  tolerated bounds) across the chaos grid with invariant monitors
-  attached; failing plans are shrunk to minimal reproducers.
+  tolerated bounds) across the chaos grid, each run judged by the
+  invariant monitors; failing plans are shrunk to minimal reproducers.
 """
 from __future__ import annotations
 
@@ -110,6 +110,12 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         run_viewchange_smoke,
     )
 
+    if args.shards < 1:
+        print(
+            f"repro chaos: --shards must be at least 1, got {args.shards}",
+            file=sys.stderr,
+        )
+        return 2
     if args.deep:
         plans = args.plans if args.plans is not None else 200
     elif args.smoke:
@@ -291,9 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--shards", type=int, default=1,
-        help="worker processes per faulted run (good-case tier only; "
-        ">1 switches plans to counter streams and replays the monitor "
-        "battery over the merged RunResult)",
+        help="worker processes per faulted run (>1 switches plans to "
+        "counter streams; the monitor battery is replayed over the "
+        "merged RunResult either way)",
     )
     p.set_defaults(fn=_cmd_chaos)
 

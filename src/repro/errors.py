@@ -32,7 +32,7 @@ class FaultPlanError(ConfigurationError):
 
 
 class InvariantViolation(ReproError):
-    """A runtime invariant monitor observed a safety/liveness breach.
+    """An invariant monitor observed a safety/liveness breach.
 
     Structured context for chaos triage: which ``invariant`` fired
     (``"agreement"``, ``"validity"``, ``"integrity"``, ``"termination"``),

@@ -151,7 +151,6 @@ def run_sharded(world: World, *, until: float | None = None) -> RunResult:
                 "delay_policy": world._delay_policy,
                 "byzantine": world.byzantine,
                 "start_offsets": list(world.start_offsets),
-                "protocol_name": world.protocol_name,
                 "party_factory": world._party_factory,
                 "fault_plan": world.fault_plan,
                 "until": until,
@@ -301,10 +300,14 @@ def run_sharded(world: World, *, until: float | None = None) -> RunResult:
     commits: dict = {}
     commit_times: dict = {}
     commit_conflicts: list = []
+    view_changes: list = []
+    commit_views: dict = {}
     for summary in summaries:
         commits.update(summary["commits"])
         commit_times.update(summary["commit_times"])
         commit_conflicts += summary["commit_conflicts"]
+        view_changes += summary["view_changes"]
+        commit_views.update(summary["commit_views"])
     return RunResult(
         n=world.n,
         f=world.f,
@@ -313,6 +316,8 @@ def run_sharded(world: World, *, until: float | None = None) -> RunResult:
         commit_global_times=commit_times,
         commit_rounds={},
         commit_conflicts=commit_conflicts,
+        view_changes=view_changes,
+        commit_views=commit_views,
         start_offsets=list(world.start_offsets),
         final_time=(
             float(until)

@@ -30,8 +30,8 @@ What a hosted party sees of the outer world:
   of the outer execution, and a plan's crash windows gate the host);
 * **routed to the host** — ``note_commit`` becomes
   :meth:`PartyHost.hosted_commit`; commit conflicts and view entries stop
-  here.  Nothing a hosted party does reaches ``commit_order`` or an
-  attached monitor: the harness hears the host's own ``commit``, if any.
+  here.  Nothing a hosted party does reaches ``commit_order`` or the
+  run's records: the harness hears the host's own ``commit``, if any.
 
 Adding a host: mix :class:`PartyHost` into an ``Agent`` that has a
 ``signer`` (first in the bases); create each hosted party with

@@ -49,9 +49,10 @@ class Instrumentation:
     * ``accountant`` — step/round bookkeeping, or ``None``;
     * :meth:`transcript_for` — a fresh per-party transcript, or ``None``.
 
-    Commit tracking (:meth:`note_commit`, :attr:`commit_conflicts`) is
-    always on: it is O(commits), not O(messages), and the harness's
-    agreement and integrity checks depend on it.
+    Commit tracking (:meth:`note_commit`, :attr:`commit_conflicts`,
+    :attr:`view_changes`) is always on: it is O(commits + views), not
+    O(messages), and the invariant battery replayed over the run's
+    result depends on it.
 
     The bundle is also the home of two cheap always-on counters: every
     :class:`~repro.protocols.quorum.QuorumTracker` a party creates
@@ -69,12 +70,9 @@ class Instrumentation:
         self.commit_order: list[PartyId] = []
         #: ``(party, old, new, time)`` per re-commit of another value.
         self.commit_conflicts: list[tuple] = []
+        #: ``(party, view, time)`` per protocol view a party enters.
+        self.view_changes: list[tuple] = []
         self._quorum_trackers: list[Any] = []
-        #: Runtime invariant monitors (:mod:`repro.sim.invariants`),
-        #: attached by the world; empty for every preset by default, so
-        #: the commit path's dispatch loop is dead-stripped behind one
-        #: truthiness check.
-        self.monitors: list[Any] = []
         self._attached = False
 
     def transcript_for(self, party_id: PartyId) -> Transcript | None:
@@ -83,47 +81,28 @@ class Instrumentation:
             return Transcript(party_id)
         return None
 
-    def note_commit(
-        self,
-        party_id: PartyId,
-        value: Any = None,
-        time: float | None = None,
-    ) -> None:
+    def note_commit(self, party_id: PartyId) -> None:
         """Record that ``party_id`` committed (in global commit order).
 
-        ``value``/``time`` feed any attached invariant monitors; plain
-        commit-order tracking ignores them, so pre-monitor callers that
-        pass only the id stay correct.
+        The commit itself — value, time, view — lives on the party and
+        reaches :class:`~repro.sim.runner.RunResult` from there; the
+        invariant monitors replay it after the run
+        (:func:`repro.sim.invariants.judge`).
         """
         self.commit_order.append(party_id)
-        if self.monitors:
-            for monitor in self.monitors:
-                monitor.on_commit(party_id, value, time)
 
     def note_commit_conflict(
         self, party_id: PartyId, old: Any, new: Any, time: float
     ) -> None:
         """A party attempted a second commit with a different value."""
         self.commit_conflicts.append((party_id, old, new, time))
-        if self.monitors:
-            for monitor in self.monitors:
-                monitor.on_commit_conflict(party_id, old, new, time)
 
     def note_view_change(
-        self, party_id: PartyId, view: int, time: float | None = None
+        self, party_id: PartyId, view: int, time: float
     ) -> None:
-        """A party entered protocol view ``view`` (view-change machinery).
-
-        Pure monitor dispatch: with no monitors attached this is one
-        truthiness test, so the good-case hot path pays nothing.
-        """
-        if self.monitors:
-            for monitor in self.monitors:
-                monitor.on_view(party_id, view, time)
-
-    def attach_monitor(self, monitor: Any) -> None:
-        """Subscribe a runtime invariant monitor to commit events."""
-        self.monitors.append(monitor)
+        """A party entered protocol view ``view`` (view-based protocols
+        only)."""
+        self.view_changes.append((party_id, view, time))
 
     def register_quorum_tracker(self, tracker: Any) -> None:
         """Enroll a party's quorum tracker for counter aggregation."""

@@ -1,11 +1,16 @@
-"""Runtime invariant monitors: the safety oracle for faulted runs.
+"""Invariant monitors: the safety oracle for faulted runs.
 
-A monitor subscribes to commit events through the world's
-:class:`~repro.sim.instrumentation.Instrumentation` bundle and raises a
-structured :class:`~repro.errors.InvariantViolation` (carrying protocol,
-party, time and the minimal event trace) the moment a property breaks —
-*while the run executes*, not in a post-hoc assertion, so the violating
-schedule is still on the stack when chaos catches it.
+The paper defines every property over the commits of the honest
+parties, so each monitor is a function of a finished run's records.
+:func:`judge` replays a :class:`~repro.sim.runner.RunResult` — its
+commits, commit conflicts and view entries, in time order — through a
+battery of monitors and raises a structured
+:class:`~repro.errors.InvariantViolation` (carrying protocol, party,
+time and the minimal event trace) for the first property that breaks.
+The records are O(commits + views), kept by the world's
+:class:`~repro.sim.instrumentation.Instrumentation` bundle and merged
+across shards like the commits themselves, so a sharded run is judged
+exactly as a single-process one.
 
 The four paper properties:
 
@@ -22,12 +27,12 @@ The four paper properties:
 ``faulty`` is the set of parties the fault budget already spent —
 Byzantine ids plus the plan's crashed parties — which the properties
 exempt, exactly as the paper's definitions quantify over honest parties
-only.  Monitors are per-execution, like the instrumentation bundle that
-hosts them; :func:`standard_monitors` builds the usual battery.
+only.  Monitors are per-execution (each keeps the state of one replay);
+:func:`standard_monitors` builds the usual battery.
 """
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.errors import (
     AgreementViolation,
@@ -39,18 +44,18 @@ from repro.errors import (
 from repro.types import PartyId, Value
 
 if TYPE_CHECKING:
-    from repro.sim.runner import World
+    from repro.sim.runner import RunResult, World
 
 
 class InvariantMonitor:
     """Base class: observes commits, checks one property.
 
-    Lifecycle: the world calls :meth:`bind` once when the bundle is
-    attached, :meth:`on_commit` per (first) commit,
-    :meth:`on_commit_conflict` when a party re-commits a different
-    value, and :meth:`finalize` after the run loop drains (via
-    :func:`repro.analysis.chaos.judge`).  A monitor signals a breach by
-    raising; it keeps the minimal trace that exhibits it.
+    Lifecycle, all driven by :func:`judge` over a finished run:
+    :meth:`bind` once, then in time order :meth:`on_commit` per (first)
+    commit, :meth:`on_commit_conflict` per re-commit of a different
+    value and :meth:`on_view` per view entry, and finally
+    :meth:`finalize`.  A monitor signals a breach by raising; it keeps
+    the minimal trace that exhibits it.
     """
 
     invariant = "invariant"
@@ -63,8 +68,7 @@ class InvariantMonitor:
 
     def bind(self, world: "World") -> None:
         self.faulty = world.faulty_ids
-        if self.protocol is None:
-            self.protocol = world.protocol_name
+        self.protocol = world.protocol_name
 
     def on_commit(self, party: PartyId, value: Value, time: float) -> None:
         """Called once per party, at its first commit."""
@@ -280,11 +284,9 @@ def standard_monitors(
     broadcaster: PartyId = 0,
     expected: Value | None = None,
     deadline: float | None = None,
-    protocol: str | None = None,
 ) -> "list[InvariantMonitor]":
     """The usual battery: agreement + integrity, plus validity when the
-    broadcaster's input is known and termination when a deadline is.
-    ``protocol`` labels any raised violation for triage."""
+    broadcaster's input is known and termination when a deadline is."""
     monitors: list[InvariantMonitor] = [
         AgreementMonitor(), IntegrityMonitor()
     ]
@@ -294,7 +296,36 @@ def standard_monitors(
         )
     if deadline is not None:
         monitors.append(TerminationMonitor(deadline=deadline))
-    if protocol is not None:
-        for monitor in monitors:
-            monitor.protocol = protocol
     return monitors
+
+
+def judge(
+    monitors: "list[InvariantMonitor]", world: "World", result: "RunResult"
+) -> None:
+    """The battery's verdict over one finished run; raises the first breach.
+
+    Binds each monitor to ``world`` (faulty set, protocol label), feeds
+    it ``result``'s commits, commit conflicts and view entries in
+    ``(time, kind, party)`` order — at one instant commits first, then
+    conflicts, then views — and calls :meth:`InvariantMonitor.finalize`.
+    A sharded run's merged result holds the same records as its
+    single-process twin, so both are judged alike.
+    """
+    for monitor in monitors:
+        monitor.bind(world)
+    times = result.commit_global_times
+    events = [
+        (times[p], 0, p, "on_commit", (value, times[p]))
+        for p, value in result.commits.items()
+    ] + [
+        (t, 1, p, "on_commit_conflict", (old, new, t))
+        for p, old, new, t in result.commit_conflicts
+    ] + [
+        (t, 2, p, "on_view", (view, t))
+        for p, view, t in result.view_changes
+    ]
+    for _, _, party, hook, args in sorted(events, key=lambda e: e[:3]):
+        for monitor in monitors:
+            getattr(monitor, hook)(party, *args)
+    for monitor in monitors:
+        monitor.finalize(world)

@@ -223,7 +223,8 @@ class Party(Agent):
         return self.registry.verify(signed)
 
     def note_view(self, view: int) -> None:
-        """Report a view entry to any attached view-progress monitors."""
+        """Record a view entry: ``RunResult.view_changes``, replayed to
+        view-progress monitors after the run."""
         self.world.note_view_change(self.id, view, self.world.sim.now)
 
     def at_local_time(
@@ -277,12 +278,12 @@ class Party(Agent):
 
         The harness checks agreement/validity over recorded commits; a
         party attempting to commit twice with a *different* value is a
-        protocol bug — we keep the first value and surface the attempt
-        through :meth:`World.note_commit_conflict` so an attached
-        integrity monitor can flag it (pre-monitor behaviour: silently
-        ignored, which is still what happens with no monitors).  A party
-        its fault plan holds down at ``now`` records nothing: its own
-        timers still fire, but a crashed party does not commit.
+        protocol bug — we keep the first value and record the attempt
+        through :meth:`World.note_commit_conflict`
+        (``RunResult.commit_conflicts``), where the replayed integrity
+        monitor flags it.  A party its fault plan holds down at ``now``
+        records nothing: its own timers still fire, but a crashed party
+        does not commit.
         """
         injector = self.world.fault_injector
         if injector is not None and injector.party_down(

@@ -58,7 +58,6 @@ class World:
         instrumentation: str | Instrumentation | None = None,
         fault_plan: FaultPlan | None = None,
         reliable_link: Any = None,
-        monitors: list[Any] | None = None,
         protocol_name: str | None = None,
         shards: int = 1,
         parties: range | None = None,
@@ -69,6 +68,8 @@ class World:
             )
         if any(not 0 <= b < n for b in byzantine):
             raise ConfigurationError("byzantine party id out of range")
+        if shards < 1:
+            raise ConfigurationError(f"shards must be >= 1, got {shards}")
         self.n = n
         self.f = f
         self.byzantine = byzantine
@@ -123,9 +124,6 @@ class World:
             reliable_link=reliable_link,
             parties=self.parties,
         )
-        for monitor in monitors or ():
-            monitor.bind(self)
-            self.instrumentation.attach_monitor(monitor)
         self.agents: dict[PartyId, Agent] = {}
         self.extras: dict[str, Any] = {}
         self._populated = False
@@ -233,13 +231,16 @@ class World:
 
         Sharding is a pure performance mode: any configured feature whose
         semantics need global per-copy visibility (the observers — round
-        accounting and transcripts —, monitors, a sequential-stream
-        fault plan, the reliable channel), a delay policy whose pricing
-        is not a pure per-link function, or scripted Byzantine behaviors
-        falls back to ``shards=1`` — the caller's results are identical
-        either way, sharding only changes the wall clock.  The rule that fired is recorded as
-        ``shard_fallback_reason`` and surfaced on :class:`RunResult`
-        (``None`` when sharding was never requested or was granted).
+        accounting and transcripts —, a sequential-stream fault plan,
+        the reliable channel), a delay policy whose pricing is not a
+        pure per-link function, or scripted Byzantine behaviors falls
+        back to ``shards=1`` — the caller's results are identical either
+        way, sharding only changes the wall clock.  Invariant monitors
+        force nothing: :func:`repro.sim.invariants.judge` replays them
+        over the merged result after the run.  The rule that fired is
+        recorded as ``shard_fallback_reason`` and surfaced on
+        :class:`RunResult` (``None`` when sharding was never requested
+        or was granted).
 
         Counter-stream exceptions: a delay policy whose
         ``shard_safe()`` is True (``FixedDelay``, ``PerLinkDelay``,
@@ -255,8 +256,6 @@ class World:
         reason = None
         if self.accountant is not None:
             reason = "observers"
-        elif self.instrumentation.monitors:
-            reason = "monitors"
         elif self.fault_plan is not None and not self.fault_plan.shard_safe():
             reason = "fault-plan"
         elif self.reliable_link is not None:
@@ -323,22 +322,16 @@ class World:
         finally:
             accountant.end_step()
 
-    def note_commit(
-        self,
-        party: PartyId,
-        value: Any = None,
-        time: float | None = None,
-    ) -> None:
-        self.instrumentation.note_commit(party, value, time)
+    def note_commit(self, party: PartyId, value: Any, time: float) -> None:
+        # Value and time stay on the party, which ``result`` reads.
+        self.instrumentation.note_commit(party)
 
     def note_commit_conflict(
         self, party: PartyId, old: Any, new: Any, time: float
     ) -> None:
         self.instrumentation.note_commit_conflict(party, old, new, time)
 
-    def note_view_change(
-        self, party: PartyId, view: int, time: float | None = None
-    ) -> None:
+    def note_view_change(self, party: PartyId, view: int, time: float) -> None:
         self.instrumentation.note_view_change(party, view, time)
 
     def run(
@@ -346,7 +339,7 @@ class World:
     ) -> "RunResult":
         # Checked here, not only by ``Simulator.run``: a sharded run never
         # reaches this world's simulator.
-        check_run_bounds(until, max_events)
+        check_run_bounds(until, max_events, self.sim.now)
         if self.shards > 1:
             if max_events is not None:
                 raise ConfigurationError(
@@ -385,6 +378,11 @@ class World:
             },
             commit_rounds=commit_rounds,
             commit_conflicts=list(self.instrumentation.commit_conflicts),
+            view_changes=list(self.instrumentation.view_changes),
+            commit_views={
+                p.id: p.commit_view for p in honest
+                if p.commit_view is not None
+            },
             start_offsets=list(self.start_offsets),
             messages_sent=self.network.messages_sent,
             final_time=self.sim.now,
@@ -425,6 +423,11 @@ class RunResult:
     #: ``(party, first value, new value, time)`` per re-commit of another
     #: value (each shard's list, concatenated, on a sharded run).
     commit_conflicts: list[tuple] = field(default_factory=list)
+    #: ``(party, view, time)`` per protocol view entered, and each
+    #: committed party's view at its commit (both empty for protocols
+    #: without views; concatenated / merged across shards).
+    view_changes: list[tuple] = field(default_factory=list)
+    commit_views: dict[PartyId, int] = field(default_factory=dict)
     start_offsets: list[float] = field(default_factory=list)
     messages_sent: int = 0
     final_time: float = 0.0
@@ -469,9 +472,8 @@ class RunResult:
     shard_batches_exchanged: int = 0
     #: Which forced-``shards=1`` rule fired when sharding was requested
     #: but refused (``None`` = never requested, or granted in full).
-    #: One of ``"observers"``, ``"monitors"``, ``"fault-plan"``,
-    #: ``"reliable-link"``, ``"behavior-factory"``, ``"delay-policy"``,
-    #: ``"world-too-small"``.
+    #: One of ``"observers"``, ``"fault-plan"``, ``"reliable-link"``,
+    #: ``"behavior-factory"``, ``"delay-policy"``, ``"world-too-small"``.
     shard_fallback_reason: str | None = None
     #: Coordinator-pipe traffic: bytes framed across the barrier in both
     #: directions, and the number of barrier sub-step rounds the
@@ -519,8 +521,9 @@ class RunResult:
 
 #: ``RunResult`` counters a sharded run merges by summing its workers'
 #: results — the one list a new per-shard counter is added to.  The rest
-#: merge by rule in :func:`repro.sim.coordinator.run_sharded`: commits
-#: and commit times union, ``final_time`` is the latest (or the horizon).
+#: merge by rule in :func:`repro.sim.coordinator.run_sharded`: commits,
+#: commit times and commit views union, commit conflicts and view
+#: changes concatenate, ``final_time`` is the latest (or the horizon).
 ADDITIVE_COUNTERS = (
     "messages_sent", "events_processed",
     "bucket_appends", "heap_pushes_avoided",

@@ -22,12 +22,17 @@ from repro.sim.events import Event, EventQueue
 from repro.types import INF
 
 
-def check_run_bounds(until: float | None, max_events: int | None) -> None:
+def check_run_bounds(
+    until: float | None, max_events: int | None, now: float
+) -> None:
     """Reject a run horizon no event time compares against (NaN: every
-    ``time > until`` test is false, so the whole schedule would run) and
-    a negative event budget (which would silently process nothing)."""
+    ``time > until`` test is false, so the whole schedule would run), a
+    horizon already behind ``now`` and a negative event budget (which
+    would silently process nothing)."""
     if until is not None and until != until:
         raise SimulationError(f"cannot run until a NaN horizon ({until})")
+    if until is not None and until < now:
+        raise SimulationError(f"cannot run until {until}, before now={now}")
     if max_events is not None and max_events < 0:
         raise SimulationError(f"max_events must be >= 0, got {max_events}")
 
@@ -187,14 +192,10 @@ class Simulator:
         processed event's instant otherwise.  A NaN ``until``, an
         ``until`` before ``now`` and a negative ``max_events`` raise.
         """
-        check_run_bounds(until, max_events)
+        check_run_bounds(until, max_events, self._now)
         if until is None:
             self._drain(INF, max_events)
             return self._now
-        if until < self._now:
-            raise SimulationError(
-                f"cannot run until {until}, before now={self._now}"
-            )
         # ``time <= until`` as the strict bound the drain takes.
         self._drain(nextafter(until, INF), max_events)
         next_time = self._queue.peek_time()

@@ -136,7 +136,6 @@ def _shard_loop(conn, spec: dict) -> None:
         byzantine=spec["byzantine"],
         start_offsets=spec["start_offsets"],
         instrumentation="perf",
-        protocol_name=spec["protocol_name"],
         fault_plan=spec["fault_plan"],
         parties=range(lo, hi),
     )
@@ -163,6 +162,8 @@ def _shard_loop(conn, spec: dict) -> None:
                     "commits": result.commits,
                     "commit_times": result.commit_global_times,
                     "commit_conflicts": result.commit_conflicts,
+                    "view_changes": result.view_changes,
+                    "commit_views": result.commit_views,
                     "final_time": result.final_time,
                     **{
                         name: getattr(result, name)

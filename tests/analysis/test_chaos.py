@@ -16,7 +16,8 @@ import pytest
 from repro.analysis.chaos import (
     _TIERS,
     CHAOS_SPECS,
-    judge,
+    CHAOS_TIERS,
+    _plan,
     random_fault_plan,
     run_chaos,
     run_chaos_plan,
@@ -31,6 +32,7 @@ from repro.protocols import PROTOCOLS
 from repro.protocols.brb_2round import Brb2Round
 from repro.sim.delays import FixedDelay
 from repro.sim.faults import Crash, DuplicateLink, FaultPlan, ReorderJitter
+from repro.sim.invariants import judge
 from repro.sim.runner import RunResult, World
 
 
@@ -91,8 +93,8 @@ class TestRunChaosPlan:
 class TestShardedChaos:
     """Counter-stream plans under sharded execution.
 
-    A ``stream="counter"`` plan replays the monitor battery over the
-    merged RunResult and runs shard-safe: the sharded row must replay
+    A ``stream="counter"`` plan runs shard-safe and the monitor battery
+    is replayed over the merged RunResult: the sharded row must replay
     its single-process twin's schedule — same commits and fault
     counters — while actually exchanging cross-shard batches.
     """
@@ -128,10 +130,34 @@ class TestShardedChaos:
         with pytest.raises(ValueError):
             run_chaos_plan("brb_2round", plan, shards=2)
 
-    def test_counter_plan_restricted_to_good_case_tier(self):
-        plan = self._counter_plan(1)
-        with pytest.raises(ValueError):
-            run_chaos_plan("brb_2round", plan, tier="viewchange")
+    @pytest.mark.parametrize("tier", CHAOS_TIERS)
+    def test_every_tier_shards_with_parity(self, tier):
+        """Every tier's battery is replayed over the merged result, so
+        every tier runs sharded: each spec's counter-stream rows at
+        shards 2 and 3 equal the single-process row but for the shard
+        counters and ``events_processed`` (a shard's local calendar
+        events differ; the schedule does not)."""
+        def comparable(row):
+            return {
+                key: value for key, value in row.items()
+                if not key.startswith("shard") and key != "events_processed"
+            }
+
+        for protocol in _TIERS[tier].specs:
+            for seed in (0, 1, 2):
+                plan = _plan(tier, protocol, seed, "counter")
+                single = run_chaos_plan(protocol, plan, tier=tier)
+                assert single["violation"] is None, (protocol, seed)
+                if _TIERS[tier].gate is not None:
+                    assert _TIERS[tier].gate(single) is None
+                for shards in (2, 3):
+                    row = run_chaos_plan(
+                        protocol, plan, tier=tier, shards=shards
+                    )
+                    assert row["shards"] == shards, (protocol, seed)
+                    assert comparable(row) == comparable(single), (
+                        protocol, seed, shards,
+                    )
 
     def test_over_budget_counter_plan_fails_the_same_way_sharded(self):
         """The replayed battery names the same breach whether the merged
@@ -156,8 +182,8 @@ class _Recommitter(Brb2Round):
 
 class TestIntegrityOnEveryStream:
     """A re-commit of another value breaches integrity on every stream
-    and shard count: attached monitors see it as it happens, a replayed
-    battery through ``RunResult.commit_conflicts``."""
+    and shard count: the replayed battery reads it from
+    ``RunResult.commit_conflicts``."""
 
     @pytest.mark.parametrize(
         "stream, shards", [("sequential", 1), ("counter", 1), ("counter", 2)]
@@ -204,7 +230,7 @@ def stub_result(commits: dict) -> RunResult:
 
 
 class TestReplayedBattery:
-    """``judge`` with ``replay=``: what counter-stream runs are judged by."""
+    """``judge`` over a stub result: what every chaos run is judged by."""
 
     @pytest.mark.parametrize(
         "plan, commits, expected",
@@ -216,14 +242,10 @@ class TestReplayedBattery:
             n=4, f=1, delay_policy=FixedDelay(1.0), fault_plan=plan,
             protocol_name="brb_2round",
         )
-        monitors = _TIERS["good-case"].battery(
-            plan, "brb_2round", "v", 0.0, 10.0
-        )
-        for monitor in monitors:
-            monitor.bind(world)
+        monitors = _TIERS["good-case"].battery(plan, "v", 0.0, 10.0)
         named = None
         try:
-            judge(monitors, world, replay=stub_result(commits))
+            judge(monitors, world, stub_result(commits))
         except InvariantViolation as exc:
             named = exc.invariant
             assert exc.protocol == "brb_2round"

@@ -334,7 +334,7 @@ class TestFaultInjector:
 
 
 def _run_brb(
-    *, plan=None, monitors=None, preset="full", seed=3, n=7, f=2,
+    *, plan=None, preset="full", seed=3, n=7, f=2,
 ):
     world = World(
         n=n,
@@ -342,7 +342,6 @@ def _run_brb(
         delay_policy=UniformDelay(0.0, 1.0, seed=seed),
         instrumentation=preset,
         fault_plan=plan,
-        monitors=monitors,
     )
     world.populate(Brb2Round.factory(broadcaster=0, input_value="v"))
     return world.run()

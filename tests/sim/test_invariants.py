@@ -2,10 +2,10 @@
 
 Unit-level: each monitor raises its structured violation with the
 protocol/party/time/trace context attached, and exempts parties the
-fault budget already spent.  Integration-level: monitors attached to a
-:class:`World` observe real commits through the instrumentation bundle,
-and a party re-committing a different value trips the integrity monitor
-from inside ``Party.commit``.
+fault budget already spent.  Integration-level: ``judge`` replays a real
+:class:`World` run's records — commits, view entries, and the conflict a
+party re-committing a different value leaves through ``Party.commit`` —
+through the battery, sharded or not.
 """
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ from repro.errors import (
     ValidityViolation,
     ViewProgressViolation,
 )
-from repro.analysis.chaos import judge
 from repro.protocols.brb_2round import Brb2Round
 from repro.sim.delays import FixedDelay, UniformDelay
 from repro.sim.faults import Crash, FaultPlan
@@ -30,6 +29,7 @@ from repro.sim.invariants import (
     TerminationMonitor,
     ValidityMonitor,
     ViewProgress,
+    judge,
     standard_monitors,
 )
 from repro.sim.runner import World
@@ -198,35 +198,52 @@ class TestViewProgress:
         monitor.bind(_FakeWorld(faulty={3}))
         monitor.on_view(3, 9, 1.0)  # a Byzantine party may claim anything
 
-    def test_world_routes_view_notes_to_monitors(self):
+    def test_view_entries_reach_the_monitor_on_any_shard_count(self):
+        """Each run's view entries are its ``RunResult.view_changes``
+        (each shard's, concatenated), so ``judge`` feeds a sharded run's
+        to ``ViewProgress`` exactly as a single-process run's."""
         from repro.protocols.psync.pbft import PbftPsync
 
-        monitor = ViewProgress(max_view=3)
-        world = World(
-            n=4,
-            f=1,
-            delay_policy=FixedDelay(0.1),
-            fault_plan=FaultPlan(crashes=(Crash(0, 0.0),)),
-            monitors=[monitor],
+        results = {}
+        for shards in (1, 2):
+            world = World(
+                n=4,
+                f=1,
+                delay_policy=FixedDelay(0.1),
+                instrumentation="perf",
+                fault_plan=FaultPlan(
+                    crashes=(Crash(0, 0.0),), stream="counter"
+                ),
+                shards=shards,
+            )
+            world.populate(
+                PbftPsync.factory(
+                    broadcaster=0, input_value="v", big_delta=1.0
+                )
+            )
+            result = results[shards] = world.run(until=50.0)
+            assert result.shards == shards
+            monitor = ViewProgress(max_view=3)
+            judge([monitor], world, result)
+            # The crashed leader forced everyone through views 1 and 2.
+            assert monitor._views == {1: 2, 2: 2, 3: 2}
+            assert result.commit_views == {1: 2, 2: 2, 3: 2}
+        assert sorted(results[2].view_changes) == sorted(
+            results[1].view_changes
         )
-        world.populate(
-            PbftPsync.factory(broadcaster=0, input_value="v", big_delta=1.0)
-        )
-        world.run(until=50.0)
-        # The crashed leader forced everyone through views 1 and 2.
-        assert monitor._views[1] == 2
+        assert results[2].commit_views == results[1].commit_views
 
 
 class TestStandardMonitors:
     def test_battery_composition(self):
         basic = standard_monitors()
         assert [m.invariant for m in basic] == ["agreement", "integrity"]
-        full = standard_monitors(
-            expected="v", deadline=9.0, protocol="brb_2round"
-        )
+        full = standard_monitors(expected="v", deadline=9.0)
         assert [m.invariant for m in full] == [
             "agreement", "integrity", "validity", "termination"
         ]
+        for monitor in full:
+            monitor.bind(_FakeWorld(protocol="brb_2round"))
         assert all(m.protocol == "brb_2round" for m in full)
 
     def test_violations_are_invariant_violations(self):
@@ -237,24 +254,22 @@ class TestStandardMonitors:
 
 
 def _judged_brb(monitors, *, until=None, **world_kwargs):
-    """BRB n=4 under seeded uniform delays with ``monitors`` attached,
-    finalized after the run the way the chaos harness does it."""
+    """BRB n=4 under seeded uniform delays, judged by ``monitors`` after
+    the run the way the chaos harness does it."""
     world = World(
         n=4, f=1, delay_policy=UniformDelay(0.0, 1.0, seed=5),
-        monitors=monitors, **world_kwargs,
+        **world_kwargs,
     )
     world.populate(Brb2Round.factory(broadcaster=0, input_value="v"))
     result = world.run(until=until)
-    judge(monitors, world)
+    judge(monitors, world, result)
     return result
 
 
 class TestWorldIntegration:
     def test_clean_run_passes_the_full_battery(self):
         result = _judged_brb(
-            standard_monitors(
-                expected="v", deadline=50.0, protocol="brb_2round"
-            ),
+            standard_monitors(expected="v", deadline=50.0),
             protocol_name="brb_2round",
         )
         assert set(result.commits.values()) == {"v"}
@@ -284,17 +299,17 @@ class TestWorldIntegration:
 
     def test_commit_conflict_reaches_integrity_monitor(self):
         """Force a second, different commit through the party runtime:
-        ``Party.commit`` must route the conflict to the monitors."""
-        world = World(
-            n=4,
-            f=1,
-            delay_policy=FixedDelay(1.0),
-            monitors=[IntegrityMonitor()],
-        )
+        ``Party.commit`` must record the conflict for the replay."""
+        world = World(n=4, f=1, delay_policy=FixedDelay(1.0))
         world.populate(Brb2Round.factory(broadcaster=0, input_value="v"))
-        world.run()
+        judge([IntegrityMonitor()], world, world.run())
         party = world.agents[1]
         assert party.has_committed
+        party.commit("something-else")
+        result = world.result()
+        assert result.commit_conflicts == [
+            (1, "v", "something-else", world.sim.now)
+        ]
         with pytest.raises(IntegrityViolation) as excinfo:
-            party.commit("something-else")
+            judge([IntegrityMonitor()], world, result)
         assert excinfo.value.party == 1

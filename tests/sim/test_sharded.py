@@ -11,8 +11,9 @@ describe *how* work was batched locally (``deliveries_batched``,
 slice of a fan-out.
 
 The suite also pins the forced-``shards=1`` rules — every feature whose
-semantics need global per-copy visibility must silently fall back — and
-the coordinator's zero-delay convergence (same-instant cross-shard
+semantics need global per-copy visibility must silently fall back, while
+an invariant battery, judged after the run, forces nothing — and the
+coordinator's zero-delay convergence (same-instant cross-shard
 cascades re-step until quiescent).
 """
 import multiprocessing
@@ -25,7 +26,11 @@ from contextlib import nullcontext
 import pytest
 
 from repro.crypto.messages import digest
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import (
+    ConfigurationError,
+    InvariantViolation,
+    SimulationError,
+)
 from repro.protocols.brb_2round import Brb2Round
 from repro.protocols.psync.vbb_5f1 import PsyncVbb5f1
 from repro.sim import coordinator
@@ -40,6 +45,7 @@ from repro.sim.faults import (
     ReorderJitter,
 )
 from repro.sim.instrumentation import Instrumentation
+from repro.sim.invariants import judge, standard_monitors
 from repro.sim.network import Network
 from repro.sim.runner import World, run_broadcast
 
@@ -89,6 +95,15 @@ def _counter_plan(n: int) -> FaultPlan:
         seed=21,
         stream="counter",
     )
+
+
+class _Recommitter(Brb2Round):
+    """Party 5 re-commits ``"other"`` right after its first commit."""
+
+    def commit(self, value):
+        super().commit(value)
+        if self.id == 5:
+            super().commit("other")
 
 
 def _perf():
@@ -545,12 +560,40 @@ class TestForcedSingleProcess:
         assert self._populate(world, lambda w, p: Silent(w, p)) == 1
         assert world.shard_fallback_reason == "behavior-factory"
 
-    def test_monitors_force_one(self):
-        from repro.sim.invariants import AgreementMonitor
-
-        world = self._world(monitors=[AgreementMonitor()])
-        assert self._populate(world) == 1
-        assert world.shard_fallback_reason == "monitors"
+    @pytest.mark.parametrize(
+        "factory, plan, expected",
+        [
+            (Brb2Round, FaultPlan(stream="counter"), None),
+            (Brb2Round, FaultPlan(
+                crashes=(Crash(1, 0.0), Crash(2, 0.0), Crash(3, 0.0)),
+                stream="counter",
+            ), ("termination", 0)),
+            (_Recommitter, FaultPlan(stream="counter"), ("integrity", 5)),
+        ],
+        ids=["clean", "over-budget-crashes", "rigged-recommit"],
+    )
+    def test_battery_verdict_independent_of_shard_count(
+        self, factory, plan, expected
+    ):
+        """Monitors force nothing: the battery judges the merged result
+        after the run, and names the same breach (or none) whether one
+        process or two produced it."""
+        verdicts = set()
+        for shards in (1, 2):
+            world = self._world(shards=shards, fault_plan=plan)
+            world.populate(factory.factory(broadcaster=0, input_value="v"))
+            result = world.run(until=20.0)
+            assert result.shards == shards
+            assert result.shard_fallback_reason is None
+            try:
+                judge(
+                    standard_monitors(expected="v", deadline=20.0),
+                    world, result,
+                )
+                verdicts.add(None)
+            except InvariantViolation as exc:
+                verdicts.add((exc.invariant, exc.party))
+        assert verdicts == {expected}
 
     def test_fallback_reason_surfaces_on_run_result(self):
         result = _run(
@@ -569,14 +612,25 @@ class TestForcedSingleProcess:
         with pytest.raises(ConfigurationError):
             world.run(max_events=10)
 
+    @pytest.mark.parametrize("shards", [0, -3])
+    def test_shards_below_one_rejected(self, shards):
+        """``shards=-3`` used to run as ``shards=1`` with no fallback
+        reason recorded."""
+        with pytest.raises(ConfigurationError, match="shards must be >= 1"):
+            _run("brb_2round", shards=shards, instrumentation="perf")
+
     @pytest.mark.parametrize("shards", [1, 2])
     def test_bad_run_bounds_rejected_before_anything_runs(self, shards):
         """A sharded ``run(until=nan)`` used to run to completion: the
-        coordinator's ``step_time > until`` is never true against NaN."""
+        coordinator's ``step_time > until`` is never true against NaN.
+        A sharded ``run(until=-1.0)`` used to return ``final_time=-1.0``
+        and no commits.  Both executors share the one bounds check."""
         world = self._world(shards=shards)
         assert self._populate(world) == shards
         with pytest.raises(SimulationError, match="NaN"):
             world.run(until=float("nan"))
+        with pytest.raises(SimulationError, match="before now"):
+            world.run(until=-1.0)
         with pytest.raises(SimulationError, match="max_events"):
             world.run(max_events=-1)
         assert world.sim.now == 0.0 and world.sim.events_processed == 0

@@ -19,7 +19,7 @@ import repro
 from repro.adversary.behaviors import FilteredHonestBehavior, pass_all
 from repro.sim.delays import FixedDelay
 from repro.sim.hosting import HostedWorld
-from repro.sim.invariants import InvariantMonitor
+from repro.sim.invariants import InvariantMonitor, judge
 from repro.sim.process import Party
 from repro.sim.runner import World
 
@@ -65,16 +65,21 @@ class _Recorder(InvariantMonitor):
         self.seen.append(("view", party, view))
 
 
+def _replayed(world):
+    """What a monitor judging the world's result is fed, in order."""
+    monitor = _Recorder()
+    judge([monitor], world, world.result())
+    return monitor.seen
+
+
 @pytest.fixture
 def hosted():
-    """(outer world, its monitor, a bare ``Party`` hosted as party 3)."""
-    monitor = _Recorder()
+    """(outer world, a bare ``Party`` hosted as party 3)."""
     world = World(
         n=4,
         f=1,
         delay_policy=FixedDelay(1.0),
         byzantine=frozenset({3}),
-        monitors=[monitor],
     )
     world.populate(
         Party,
@@ -84,7 +89,7 @@ def hosted():
     )
     (brain,) = world.agents[3].hosted.values()
     assert isinstance(brain.world, HostedWorld)
-    return world, monitor, brain
+    return world, brain
 
 
 def test_every_world_offers_what_parties_read(hosted):
@@ -97,7 +102,7 @@ def test_every_world_offers_what_parties_read(hosted):
         "shared_identity_memo", "shared_entry_store", "note_commit",
         "note_commit_conflict", "note_view_change",
     }
-    world, _, brain = hosted
+    world, brain = hosted
     for candidate in (world, brain.world):
         missing = sorted(a for a in reads if not hasattr(candidate, a))
         assert not missing, f"{type(candidate).__name__} lacks {missing}"
@@ -105,7 +110,7 @@ def test_every_world_offers_what_parties_read(hosted):
 
 class TestPoolingDecision:
     def test_interner_and_content_memos_are_the_outer_worlds(self, hosted):
-        world, _, brain = hosted
+        world, brain = hosted
         first = world.intern_payload(("vote", "v"))
         assert brain.world.intern_payload(("vote", "v")) is first
         assert brain.shared_payload(("vote", "v")) is first
@@ -113,7 +118,7 @@ class TestPoolingDecision:
         assert brain.world.instrumentation is world.instrumentation
 
     def test_entry_stores_identity_memos_and_rounds_are_not(self, hosted):
-        world, _, brain = hosted
+        world, brain = hosted
         assert brain.world.shared_identity_memo("vbb-entry-keys") is None
         assert brain.world.shared_entry_store("quorum-entries::x") is None
         assert brain.world.accountant is None
@@ -128,25 +133,25 @@ class TestPoolingDecision:
         assert world.instrumentation.quorum_checks == 2
 
     def test_hosted_outcomes_never_reach_the_harness(self, hosted):
-        world, monitor, brain = hosted
+        world, brain = hosted
         brain.commit("a")
         brain.commit("b")  # a commit conflict
         brain.note_view(2)
         assert brain.committed_value == "a" and brain.commit_step is None
         assert world.instrumentation.commit_order == []
-        assert monitor.seen == []
+        assert _replayed(world) == []
         # ...while the same three calls from an attached party all do.
         attached = world.agents[0]
         attached.commit("a")
         attached.commit("b")
         attached.note_view(2)
         assert world.instrumentation.commit_order == [0]
-        assert [kind for kind, *_ in monitor.seen] == [
+        assert [kind for kind, *_ in _replayed(world)] == [
             "commit", "conflict", "view",
         ]
 
     def test_hosted_registry_signs_only_as_the_host(self, hosted):
-        world, _, brain = hosted
+        world, brain = hosted
         registry = brain.world.registry
         assert registry.signer_for(3) is world.agents[3].signer
         with pytest.raises(ValueError, match="does not own"):

@@ -154,6 +154,16 @@ class TestCommands:
         assert "reliable-drop demo:" in out
         assert "invariant violations: 0" in out
 
+    @pytest.mark.parametrize("shards", ["0", "-3"])
+    def test_chaos_shards_below_one_exits_two_in_one_line(
+        self, capsys, shards
+    ):
+        assert main(["chaos", "--plans", "1", "--shards", shards]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--shards must be at least 1, got {shards}" in captured.err
+        assert len(captured.err.splitlines()) == 1
+
     def test_chaos_violation_exits_one(self, capsys, monkeypatch):
         import repro.analysis.chaos as chaos_mod
         from repro.sim.faults import Crash, FaultPlan
