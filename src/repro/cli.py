@@ -146,6 +146,16 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         + (f" [tiers: {', '.join(tiers)}]" if len(tiers) > 1 else "")
     )
     print(f"faults injected: {injected}")
+    reasons = [
+        row["shard_fallback_reason"] for row in summary["rows"]
+        if row["shard_fallback_reason"] is not None
+    ]
+    if reasons:
+        print(
+            f"shards: {args.shards} requested, {len(reasons)} of "
+            f"{len(summary['rows'])} runs fell back to 1 "
+            f"({', '.join(sorted(set(reasons)))})"
+        )
     failed = False
     if args.smoke or args.deep:
         # View-change gate: every psync protocol must commit in view >= 2

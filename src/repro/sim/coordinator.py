@@ -72,8 +72,9 @@ def _recv(
     one that sends nothing for ``_RECV_TIMEOUT_SECONDS`` (stopped, or
     stuck in a loop) is given up on — each becomes a
     :class:`SimulationError` naming the shard, its party range and, for a
-    silent worker, the barrier round.  Returns ``(message, frame size)``
-    so the caller can meter the pipe, or the frame itself when ``raw``.
+    worker that raised or went silent, the barrier round.  Returns
+    ``(message, frame size)`` so the caller can meter the pipe, or the
+    frame itself when ``raw``.
     """
     conn = conns[index]
     lo, hi = bounds[index]
@@ -94,7 +95,10 @@ def _recv(
         return blob
     msg = pickle.loads(blob)
     if msg[0] == "error":
-        raise SimulationError(f"shard {index} worker failed:\n{msg[1]}")
+        raise SimulationError(
+            f"shard {index} (parties [{lo}, {hi})) failed in barrier round "
+            f"{barrier_round}:\n{msg[1]}"
+        )
     return msg, len(blob)
 
 

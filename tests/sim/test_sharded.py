@@ -450,6 +450,32 @@ class TestWorkerFailure:
         assert time.monotonic() - began < 1.0 + 5.0
         assert multiprocessing.active_children() == []
 
+    def test_raising_handler_names_its_shard_and_round(self):
+        # A handler that raises mid-run ships its traceback as an error
+        # frame; the coordinator must name the shard, its party range
+        # and the barrier round as it does for a dead or silent worker.
+        class Raising(Brb2Round):
+            def _on_vote(self, signed_vote):
+                if self.id == 9:
+                    1 / 0
+                super()._on_vote(signed_vote)
+
+        world = World(
+            n=12, f=3, delay_policy=FixedDelay(1.0),
+            instrumentation="perf", shards=2,
+        )
+        world.populate(Raising.factory(broadcaster=0, input_value="v"))
+        assert world.shards == 2
+        began = time.monotonic()
+        with pytest.raises(
+            SimulationError,
+            match=r"(?s)shard 1 \(parties \[6, 12\)\) failed in barrier "
+            r"round \d+:\n.*ZeroDivisionError",
+        ):
+            world.run()
+        assert time.monotonic() - began < 5.0
+        assert multiprocessing.active_children() == []
+
 
 class TestForcedSingleProcess:
     def _world(self, *, shards=4, **kwargs):

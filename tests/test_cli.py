@@ -164,6 +164,23 @@ class TestCommands:
         assert f"--shards must be at least 1, got {shards}" in captured.err
         assert len(captured.err.splitlines()) == 1
 
+    def test_chaos_refused_shards_are_reported(self, capsys):
+        # ``full`` instrumentation forces every run to one process (rule
+        # ``observers``); the CLI must say so, and say nothing when the
+        # request is granted.
+        argv = ["chaos", "--protocols", "brb_2round", "--plans", "2",
+                "--shards", "2"]
+        assert main([*argv, "--instrumentation", "full"]) == 0
+        refused = capsys.readouterr().out.splitlines()
+        assert (
+            "shards: 2 requested, 2 of 2 runs fell back to 1 (observers)"
+            in refused
+        )
+        assert main(argv) == 0
+        granted = capsys.readouterr().out.splitlines()
+        assert not any(line.startswith("shards:") for line in granted)
+        assert len(refused) == len(granted) + 1
+
     def test_chaos_violation_exits_one(self, capsys, monkeypatch):
         import repro.analysis.chaos as chaos_mod
         from repro.sim.faults import Crash, FaultPlan
