@@ -146,15 +146,16 @@ def test_multicast_schedule_uniform_n301(benchmark):
 
 
 def test_window_drain_100k(benchmark):
-    """Push 100 k continuous instants, pop them all: a plain-entry append
-    per push, one sort per window, an index walk per pop."""
+    """Push 100 k continuous instants as one fan-out, pop them all: an
+    index append per copy, the entries built and sorted once per window,
+    an index walk per pop."""
     rng = random.Random(7)
     times = [rng.uniform(0.0, 10.0) for _ in range(100_000)]
-    args_seq = [(i,) for i in range(100_000)]
+    recipients = range(100_000)
 
     def run():
         queue = EventQueue(width=0.05)
-        queue.push_batch(times, print, args_seq)
+        queue.push_batch(times, print, 0, recipients, None)
         fired = 0
         while queue.pop() is not None:
             fired += 1

@@ -23,9 +23,12 @@ the no-cyclic-garbage invariant the pause relies on.
   ratio under a bound.
 * ``--delay uniform`` (default n=301): counter-stream
   ``UniformDelay(0.05, 1.0)``, the per-copy path.  Nothing folds, so the
-  peak is dominated by in-flight copies, each one queue entry plus its
-  ``args``; ``tests/sim/test_heap_scaling.py`` bounds the bytes per
-  message sent.
+  peak is dominated by in-flight copies.  Only the calendar's open
+  window holds a queue entry plus ``args`` per copy; a copy in a closed
+  window is an index in its fan-out's slice plus its slots in the
+  fan-out's instant and recipient columns (``benchmarks/README.md``,
+  "In-flight entries").  ``tests/sim/test_heap_scaling.py`` bounds the
+  bytes per message sent.
 """
 from __future__ import annotations
 

@@ -13,13 +13,14 @@ processed in a content-determined order that is invariant across the
 paired executions of the lower-bound constructions — the model treats
 same-instant delivery order as adversary-chosen anyway.
 
-A queue holds plain-data *entries*, one per scheduled callback:
+A queue pops plain-data *entries*, one per scheduled callback:
 
 * ``(time, priority, order_key, seq, action, args)`` for a push that
   returns no handle — every message delivery (a fan-out's
   :meth:`EventQueue.push_batch`, a folded run, a self-delivery) and every
   other ``transient=True`` push.  Nothing can cancel such a callback, so
-  the tuple is all that is allocated for it;
+  the tuple is all that is allocated for it — and for a fan-out's copy
+  not even that until its window opens (see below);
 * the same six fields followed by an :class:`Event` for a push that
   returns a cancellable handle (a party's timer).
 
@@ -37,6 +38,10 @@ ordering them one by one:
 
 * a push into a window that is not being drained is a dict probe and a
   list append of the push's entry — O(1), no sift;
+* a fan-out (:meth:`EventQueue.push_batch`) into such a window queues no
+  entry at all: the window keeps one *slice* per fan-out — the
+  fan-out's shared fields once, plus the indices of its copies that land
+  there — and the copies' entries are built only when the window opens;
 * the only ordered structure is a min-heap of *window indices*, touched
   once per window, not once per event;
 * a window is sorted **once**, in C, when the drain reaches it, and is
@@ -47,6 +52,14 @@ ordering them one by one:
   under ``send + L`` — pays a ``bisect.insort`` into the undrained tail:
   an O(log w) search plus an O(w) pointer move for a window of ``w``
   entries.
+
+Only the open window therefore holds a tuple per in-flight copy; a
+closed window's copies cost an index in their slice plus the fan-out's
+columns, which the network gathered anyway.  A fan-out reserves its
+``seq`` numbers as one contiguous block when it is pushed, so a copy
+built later, when its window opens, carries the number a loop of single
+pushes would have given it, and nothing pushed in between can overtake
+it on a tie.
 
 The lookahead is a *performance* assumption only.  Ordering never relies
 on it: an in-window push is merge-inserted exactly where a binary heap
@@ -74,10 +87,9 @@ bookkeeping is kept incrementally (``_live``), never a queue scan.
 from __future__ import annotations
 
 import heapq
-import itertools
 from bisect import insort
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
 from repro.types import INF
 
@@ -125,6 +137,37 @@ def is_cancelled(entry: Entry) -> bool:
     return len(entry) > 6 and entry[6].cancelled
 
 
+def _build(batch: tuple, indices: Iterable[int]) -> list[Entry]:
+    """The entries of a fan-out's copies ``indices`` (see
+    :meth:`EventQueue.push_batch`): one comprehension per column layout,
+    so building a copy is a tuple display and no call."""
+    (times, priority, order_key, seq0, action,
+     sender, recipients, payload, msg_ids, transfers) = batch
+    if transfers is not None:
+        if msg_ids is None:
+            return [
+                (times[i], priority, order_key, seq0 + i, action,
+                 (sender, recipients[i], payload, None, transfers[i]))
+                for i in indices
+            ]
+        return [
+            (times[i], priority, order_key, seq0 + i, action,
+             (sender, recipients[i], payload, msg_ids[i], transfers[i]))
+            for i in indices
+        ]
+    if msg_ids is not None:
+        return [
+            (times[i], priority, order_key, seq0 + i, action,
+             (sender, recipients[i], payload, msg_ids[i]))
+            for i in indices
+        ]
+    return [
+        (times[i], priority, order_key, seq0 + i, action,
+         (sender, recipients[i], payload, None))
+        for i in indices
+    ]
+
+
 class EventQueue:
     """Calendar event queue: one bucket per lookahead window.
 
@@ -133,7 +176,13 @@ class EventQueue:
 
     * ``_windows[k]`` holds the entries of *closed* window ``k`` in raw
       append order, and ``k`` sits in the ``_keys`` min-heap exactly
-      while that list exists (compaction may leave it empty);
+      while that list exists (compaction may leave it empty, and a
+      window whose copies are all deferred has an empty one);
+    * ``_deferred[k]``, when present, holds the *slices* of closed window
+      ``k``: ``(batch, indices)`` pairs, one per fan-out with copies
+      there (see :meth:`push_batch`).  A key in ``_deferred`` is always
+      one of ``_windows``, so opening a window finds its slices with one
+      dict lookup;
     * ``_open`` is the window being drained, sorted; ``_open[:_idx]`` is
       already consumed and never looked at again (a popped slot is
       cleared, so the entry's ``args`` are not pinned until the window
@@ -143,23 +192,26 @@ class EventQueue:
       smaller than every closed window's: opening always takes the
       smallest index, and a push below it parks the open window first.
       A drained-out window stays open until the next one is needed, so
-      a late push into it is still an in-window insert;
-    * ``_live`` counts queued entries whose handle (if any) is not
+      a late push into it is still an in-window insert.  The open
+      window has no slices: they are built into entries when it opens;
+    * ``_live`` counts queued copies whose handle (if any) is not
       cancelled, ``_cancelled`` the cancelled ones not yet dropped.
 
-    Counters: ``bucket_appends`` counts every push; ``heap_pushes_avoided``
-    the pushes that cost no sift of the window heap — everything but the
-    first entry of a window, in-window inserts included.
+    Counters: ``bucket_appends`` counts every push (every copy of a
+    batch); ``heap_pushes_avoided`` the pushes that cost no sift of the
+    window heap — everything but the first copy of a window, in-window
+    inserts included.
     """
 
     def __init__(self, *, width: float = 0.0) -> None:
-        self._counter = itertools.count()
+        self._seq = 0
         self._live = 0
         self._cancelled = 0
         self.bucket_appends = 0
         self.heap_pushes_avoided = 0
         self._width = width
         self._windows: dict[float, list[Entry]] = {}
+        self._deferred: dict[float, list[tuple[tuple, list[int]]]] = {}
         self._keys: list[float] = []
         self._open: list[Entry] = []
         self._open_key = -INF
@@ -184,7 +236,8 @@ class EventQueue:
         handle, or ``None`` for a ``transient=True`` push — one the caller
         will never cancel, which queues a plain entry and nothing else
         (``label`` names handles only)."""
-        seq = next(self._counter)
+        seq = self._seq
+        self._seq = seq + 1
         if transient:
             event = None
             self._insert((time, priority, order_key, seq, action, args))
@@ -211,34 +264,98 @@ class EventQueue:
         self,
         times: Sequence[float],
         action: Callable[..., None],
-        args_seq: Sequence[tuple],
+        sender: Any,
+        recipients: Sequence[Any],
+        payload: Any,
+        msg_ids: Sequence[Any] | None = None,
+        transfers: Sequence[Any] | None = None,
         *,
         priority: int = 0,
         order_key: bytes = b"",
     ) -> int:
-        """Schedule ``action(*args)`` at ``time`` for every ``(time,
-        args)`` pair of ``times`` and ``args_seq``, sharing one
-        ``(priority, order_key)`` prefix; returns the number scheduled.
+        """Schedule one fan-out: copy ``i`` fires ``action(sender,
+        recipients[i], payload, msg_id)`` at ``times[i]``, where
+        ``msg_id`` is ``msg_ids[i]`` (``None`` without ``msg_ids``) and
+        ``transfers[i]`` is passed fifth when ``transfers`` is given.
+        All copies share one ``(priority, order_key)`` prefix; returns
+        the number scheduled.
 
-        Exactly a loop of transient :meth:`push` (same ``seq``
-        assignment, same pop order) with everything per-call hoisted out
-        and :meth:`_insert` inlined: a whole fan-out, one instant per
-        copy, crosses the queue boundary once — at n >= 301 a fan-out
-        queues ~n entries and the per-call overhead was the largest
-        surviving slice of the push path.  No handles are returned.
+        The same schedule as a loop of transient :meth:`push` — same
+        ``seq`` numbers, same pop order — but the fan-out is taken as
+        shared fields plus per-copy columns, and the queue keeps those
+        columns instead of a tuple per copy.  A copy landing in the open
+        window, or below it, is built and admitted at once, as a single
+        push would be.  Every other copy is *deferred*: the copies of
+        the fan-out that land in one closed window become one slice,
+        ``(batch, indices)``, and :meth:`_open_next` builds their
+        entries when it opens that window.  The columns must therefore
+        not change once handed over.
+
+        ``seq`` numbers are reserved here, as one contiguous block:
+        copy ``i`` is ``seq0 + i`` whenever its entry is built, so a
+        later push that lands on the same ``(time, priority,
+        order_key)`` still pops after it.
+
+        A zero-width calendar builds every copy at once: each of its
+        windows is one instant, so with continuous delays a slice would
+        hold about one copy and cost more than the entry it defers.
+        The choice is made by ``width``, which the queue fixes at
+        construction, so a run's layout does not depend on its
+        schedule.
         """
-        counter = self._counter
+        count = len(times)
+        for column in (recipients, msg_ids, transfers):
+            if column is not None and len(column) != count:
+                raise ValueError(
+                    f"{count} instants for a column of {len(column)}"
+                )
+        seq0 = self._seq
+        self._seq = seq0 + count
+        batch = (
+            times, priority, order_key, seq0, action,
+            sender, recipients, payload, msg_ids, transfers,
+        )
         width = self._width
         windows = self._windows
-        for time, args in zip(times, args_seq, strict=True):
-            entry = (time, priority, order_key, next(counter), action, args)
+        if width:
+            open_key = self._open_key
+            slices: dict[float, list[int]] = {}
+            now: list[int] = []
+            for i, time in enumerate(times):
+                key = time // width
+                if key > open_key:
+                    indices = slices.get(key)
+                    if indices is None:
+                        slices[key] = [i]
+                    else:
+                        indices.append(i)
+                else:
+                    now.append(i)
+            entries = _build(batch, now) if now else ()
+        else:
+            slices = None
+            entries = _build(batch, range(count))
+        for entry in entries:
+            time = entry[0]
             key = time // width if width else time
             window = windows.get(key)
             if window is None:
                 self._admit(key, entry)
             else:
                 window.append(entry)
-        count = len(args_seq)
+        if slices:
+            deferred = self._deferred
+            for key, indices in slices.items():
+                pending = deferred.get(key)
+                if pending is not None:
+                    pending.append((batch, indices))
+                    continue
+                deferred[key] = [(batch, indices)]
+                if key not in windows:
+                    # A window's first copy: the one sift it costs.
+                    windows[key] = []
+                    heapq.heappush(self._keys, key)
+                    self.heap_pushes_avoided -= 1
         self.heap_pushes_avoided += count
         self.bucket_appends += count
         self._live += count
@@ -313,11 +430,22 @@ class EventQueue:
             self._cancelled -= 1
 
     def _open_next(self) -> bool:
-        """Sort the earliest closed window into drain position."""
+        """Sort the earliest closed window into drain position.
+
+        This is where a deferred copy becomes an entry: the window's
+        slices, found with one lookup in ``_deferred``, are built (each
+        copy with the ``seq`` its fan-out reserved) and appended to the
+        entries pushed there singly, and the whole window is sorted
+        once.
+        """
         if not self._keys:
             return False
         key = heapq.heappop(self._keys)
         window = self._windows.pop(key)
+        slices = self._deferred.pop(key, None)
+        if slices is not None:
+            for batch, indices in slices:
+                window += _build(batch, indices)
         window.sort()
         self._open = window
         self._open_key = key
@@ -348,7 +476,8 @@ class EventQueue:
         """Filter cancelled entries out of every window, in place
         (amortized O(live)): the open window's undrained tail keeps its
         sorted order, and a burst of cancellations inside one window
-        cannot re-trigger compaction on every subsequent cancel."""
+        cannot re-trigger compaction on every subsequent cancel.  A
+        deferred copy has no handle, so slices are left as they are."""
         pending = [(window, 0) for window in self._windows.values()]
         pending.append((self._open, self._idx))
         for window, start in pending:

@@ -38,12 +38,13 @@ folds an unobserved run into one ``_deliver_many`` event and gathers
 every other copy as a ``_deliver`` event; ``_emit_routed`` takes over
 when a per-copy seam is attached.  Either way emit crosses the scheduler
 **once per fan-out**, not once per copy: the copies are gathered in
-recipient order and handed over as one ``schedule_batch`` with one
-instant per copy (a folded run in mid-fan-out flushes what was gathered
-first, so sequence numbers are those of a per-copy loop).  The emitter
-also owns the deferral of the order-key digest: it digests the payload
-when it first has a copy to schedule, and never for a fan-out the
-adversary or the fault plan dropped whole.
+recipient order as columns — one instant and one recipient per copy,
+plus msg ids or reliable transfers only when those exist — and handed
+over as one ``schedule_batch`` (a folded run in mid-fan-out flushes what
+was gathered first, so sequence numbers are those of a per-copy loop).
+The emitter also owns the deferral of the order-key digest: it digests
+the payload when it first has a copy to schedule, and never for a
+fan-out the adversary or the fault plan dropped whole.
 
 Observability is routed through the world's
 :class:`~repro.sim.instrumentation.Instrumentation` bundle: deliveries are
@@ -391,23 +392,31 @@ class Network:
     # which is always handle-free) queues a plain ``(time, priority,
     # order_key, seq, action, args)`` entry and allocates no ``Event``.
     # The endpoints travel in ``args`` — binding them there instead of in
-    # a ``partial`` saves one more allocation per copy.
+    # a ``partial`` saves one more allocation per copy.  A fan-out's
+    # copies go over as columns (instants, recipients, and msg ids or
+    # transfers only when they exist): the queue keeps them as they are
+    # until a copy's window opens, so the emitters gather no tuple.
 
     def _schedule_copies(
         self,
         times: list[float],
         deliver: Callable[..., None],
-        copies: list[tuple],
+        sender: PartyId,
+        targets: list[PartyId],
         payload: Any,
         order_key: bytes | None,
+        msg_ids: list[int] | None = None,
+        transfers: list | None = None,
     ) -> bytes:
         """Hand the copies a fan-out has gathered (at least one) to the
-        scheduler in one call and empty the gather lists."""
+        scheduler in one call.  The queue keeps the columns, so the
+        caller gathers any later copies into new lists."""
         if order_key is None:
             order_key = digest(payload)
-        self._sim.schedule_batch(times, deliver, copies, order_key=order_key)
-        times.clear()
-        copies.clear()
+        self._sim.schedule_batch(
+            times, deliver, sender, targets, payload, msg_ids, transfers,
+            order_key=order_key,
+        )
         return order_key
 
     def _emit_run(
@@ -429,27 +438,29 @@ class Network:
         ``send_time`` itself — a same-instant run's copies
         would already be consumed when a reaction to the first copy
         schedules, losing the per-copy tie-break the queue gives.  The
-        gathered copies go over in one ``schedule_batch``, which assigns
+        gathered columns go over in one ``schedule_batch``, which assigns
         the sequence numbers a per-copy loop would; a folded run flushes
         the copies gathered before it to keep that true.
         """
         accountant = self._accountant
         observed = accountant is not None
         times: list[float] = []
-        copies: list[tuple] = []
+        targets: list[PartyId] = []
+        msg_ids: list[int] | None = [] if observed else None
         for start, end, deliver_time in runs:
             if end - start == 1 or observed or deliver_time <= send_time:
                 for recipient in recipients[start:end]:
                     times.append(deliver_time)
-                    copies.append((
-                        sender, recipient, payload,
-                        accountant.register_send() if observed else None,
-                    ))
+                    targets.append(recipient)
+                    if observed:
+                        msg_ids.append(accountant.register_send())
                 continue
+            # Only an unobserved run folds, so there are no msg ids here.
             if times:
                 order_key = self._schedule_copies(
-                    times, self._deliver, copies, payload, order_key
+                    times, self._deliver, sender, targets, payload, order_key
                 )
+                times, targets = [], []
             elif order_key is None:
                 order_key = digest(payload)
             self.delivery_runs_batched += 1
@@ -463,7 +474,8 @@ class Network:
             )
         if times:
             order_key = self._schedule_copies(
-                times, self._deliver, copies, payload, order_key
+                times, self._deliver, sender, targets, payload, order_key,
+                msg_ids,
             )
         return order_key
 
@@ -494,7 +506,9 @@ class Network:
         accountant = self._accountant
         tracking = reliable is not None or transfer is not None
         times: list[float] = []
-        copies: list[tuple] = []
+        targets: list[PartyId] = []
+        msg_ids: list[int] | None = [] if accountant is not None else None
+        transfers: list | None = [] if tracking else None
         for start, end, deliver_time in runs:
             for recipient in recipients[start:end]:
                 tracked = transfer
@@ -511,22 +525,16 @@ class Network:
                         sender, recipient, send_time, deliver_time
                     )
                 for instant in instants:
-                    instant = quantize(instant)
-                    msg_id = (
-                        accountant.register_send()
-                        if accountant is not None
-                        else None
-                    )
-                    times.append(instant)
-                    copies.append(
-                        (sender, recipient, payload, msg_id, tracked)
-                        if tracking
-                        else (sender, recipient, payload, msg_id)
-                    )
+                    times.append(quantize(instant))
+                    targets.append(recipient)
+                    if msg_ids is not None:
+                        msg_ids.append(accountant.register_send())
+                    if transfers is not None:
+                        transfers.append(tracked)
         if times:
             order_key = self._schedule_copies(
                 times, self._deliver_tracked if tracking else self._deliver,
-                copies, payload, order_key,
+                sender, targets, payload, order_key, msg_ids, transfers,
             )
         return order_key
 

@@ -12,26 +12,26 @@ lives in ``tests/sim/heap_queue.py`` as an oracle, and the
 instantiates.
 
 The event loop runs with CPython's cyclic garbage collector paused.  At
-the peak of a uniform-delay run a few hundred thousand queue entries
-and their argument tuples are live, and every generational collection
-walked them all to find nothing.  Reference counting still frees each
-acyclic object the moment it is dropped, so the pause is safe exactly
-while a run makes no cyclic garbage: a handler, a queue entry or a
-record that ends up referring to itself would stay in memory until the
-next collection after the run.  ``tests/sim/test_collector_pause.py``
-pins that invariant (``gc.collect()`` finds nothing right after a run
-across the delay, fault, retransmit, instrumentation, view-change and
-witness paths) and shows that the check does see a cycle.  ``gc``'s
-switch is process-wide: two drains on different threads can only
-re-enable it early for each other, which costs collector time, never
-correctness.
+the peak of a uniform-delay run about a hundred thousand copies are in
+flight, and every generational collection walked the queue entries and
+argument tuples that held them to find nothing.  Reference counting
+still frees each acyclic object the moment it is dropped, so the pause
+is safe exactly while a run makes no cyclic garbage: a handler, a queue
+entry or a record that ends up referring to itself would stay in memory
+until the next collection after the run.
+``tests/sim/test_collector_pause.py`` pins that invariant
+(``gc.collect()`` finds nothing right after a run across the delay,
+fault, retransmit, instrumentation, view-change and witness paths) and
+shows that the check does see a cycle.  ``gc``'s switch is
+process-wide: two drains on different threads can only re-enable it
+early for each other, which costs collector time, never correctness.
 """
 from __future__ import annotations
 
 import gc
 from itertools import repeat
 from math import nextafter
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.errors import SimulationError
 from repro.sim.events import Event, EventQueue
@@ -64,9 +64,10 @@ class Simulator:
     schedule, the one a binary heap over the same pushes would.
 
     A push that returns no handle — ``schedule_at(..., transient=True)``
-    and every :meth:`schedule_batch` copy — queues one plain tuple; only
-    a push that returns a cancellable :class:`~repro.sim.events.Event`
-    (a timer) allocates one.
+    and every :meth:`schedule_batch` copy — queues one plain tuple (a
+    batch copy only once its window opens: until then it is an index in
+    its fan-out's slice); only a push that returns a cancellable
+    :class:`~repro.sim.events.Event` (a timer) allocates one.
     """
 
     def __init__(self, *, lookahead: float = 0.0) -> None:
@@ -152,23 +153,33 @@ class Simulator:
         self,
         times: Sequence[float],
         action: Callable[..., None],
-        args_seq: Sequence[tuple],
+        sender: Any,
+        recipients: Sequence[Any],
+        payload: Any,
+        msg_ids: Sequence[Any] | None = None,
+        transfers: Sequence[Any] | None = None,
         *,
         priority: int = 0,
         order_key: bytes = b"",
     ) -> int:
-        """Schedule ``action(*args)`` at ``time`` for every ``(time,
-        args)`` pair of ``times`` and ``args_seq`` in one queue call.
-        Equivalent to a loop of transient :meth:`schedule_at` — same
-        sequence numbers, same firing order, the whole batch checked
-        before any of it is queued — so it is for fire-and-forget work
-        (message fan-outs); returns the number of events scheduled.
+        """Schedule a fan-out in one queue call: copy ``i`` fires
+        ``action(sender, recipients[i], payload, msg_id)`` at
+        ``times[i]`` (``msg_id`` from the optional ``msg_ids`` column,
+        ``transfers[i]`` appended when that column is given; see
+        :meth:`~repro.sim.events.EventQueue.push_batch`).  Equivalent to
+        a loop of transient :meth:`schedule_at` — same sequence numbers,
+        same firing order, the whole batch checked before any of it is
+        queued — so it is for fire-and-forget work (message fan-outs);
+        returns the number of events scheduled.  The queue keeps the
+        columns until the copies fire: do not change them afterwards.
         """
-        if len(times) != len(args_seq):
-            raise SimulationError(
-                f"{len(times)} instants for {len(args_seq)} events"
-            )
-        if not times:
+        count = len(times)
+        for column in (recipients, msg_ids, transfers):
+            if column is not None and len(column) != count:
+                raise SimulationError(
+                    f"{count} instants for {len(column)} copies"
+                )
+        if not count:
             return 0
         # ``now <= time < INF`` for every copy in two C-level passes: a
         # NaN or an infinity anywhere poisons the sum (``min`` alone
@@ -179,7 +190,8 @@ class Simulator:
         if not total < INF:
             self._reject(total)
         return self._queue.push_batch(
-            times, action, args_seq, priority=priority, order_key=order_key
+            times, action, sender, recipients, payload, msg_ids, transfers,
+            priority=priority, order_key=order_key,
         )
 
     def schedule_after(

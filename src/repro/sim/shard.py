@@ -54,6 +54,7 @@ from array import array
 from typing import Any
 
 from repro.crypto.messages import digest, seed_digest, stable_digest
+from repro.errors import SimulationError
 from repro.sim.runner import ADDITIVE_COUNTERS, World
 
 __all__ = ["_shard_main"]
@@ -125,6 +126,8 @@ def _shard_loop(conn, spec: dict) -> None:
       coordinator's delay-policy lookahead guarantees nothing new can
       land inside it), or — when ``window_end == T`` (no lookahead) —
       exactly the instant ``T`` inclusive.  Or ``("finish",)``.
+      A source frame that does not decode fails the worker with an
+      error naming the source shard.
     """
     index: int = spec["index"]
     bounds: list[tuple[int, int]] = spec["bounds"]
@@ -177,7 +180,18 @@ def _shard_loop(conn, spec: dict) -> None:
         if issued:
             registry.merge_issued(issued)
         for src in sources:
-            defs, recs, times = pickle.loads(conn.recv_bytes())
+            frame = conn.recv_bytes()
+            try:
+                defs, recs, times = pickle.loads(frame)
+            except Exception as exc:
+                # The coordinator forwards frames unread, so this is the
+                # first place a damaged one shows: name where it came
+                # from.  Broad because damaged pickle data can raise
+                # nearly any type; the error is re-raised, not absorbed.
+                raise SimulationError(
+                    f"payload frame from source shard {src} "
+                    f"({len(frame)} B) does not decode: {exc!r}"
+                ) from exc
             table = in_refs.setdefault(src, [])
             for ref, payload, value in defs:
                 assert ref == len(table)

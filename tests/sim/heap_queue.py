@@ -4,15 +4,17 @@ The oracle the calendar :class:`~repro.sim.events.EventQueue` must
 replay.  It keeps the production queue's entry construction
 (:meth:`~repro.sim.events.EventQueue.push`, the ``seq`` counter) and
 live/cancelled bookkeeping, and replaces everything that orders entries
-with a ``heapq``: written per copy and per event, with nothing batched or
-windowed.  ``test_timeline.py`` drives both queues with the same scripts;
-the ``reference_queue`` fixture (``conftest.py``) swaps this class into
-every world built inside it, forked shard workers included.
+with a ``heapq``: written per copy and per event, with nothing batched,
+windowed or deferred — a fan-out's copies are built and pushed one by
+one the moment it is scheduled.  ``test_timeline.py`` drives both queues
+with the same scripts; the ``reference_queue`` fixture (``conftest.py``)
+swaps this class into every world built inside it, forked shard workers
+included.
 """
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.sim.events import Entry, EventQueue, is_cancelled
 from repro.types import INF
@@ -32,18 +34,29 @@ class HeapQueue(EventQueue):
         self,
         times: Sequence[float],
         action: Callable[..., None],
-        args_seq: Sequence[tuple],
+        sender: Any,
+        recipients: Sequence[Any],
+        payload: Any,
+        msg_ids: Sequence[Any] | None = None,
+        transfers: Sequence[Any] | None = None,
         *,
         priority: int = 0,
         order_key: bytes = b"",
     ) -> int:
-        """Exactly a loop of transient :meth:`push`."""
-        for time, args in zip(times, args_seq, strict=True):
+        """Exactly a loop of transient :meth:`push`, one per copy, each
+        built and pushed at once: the oracle defers nothing."""
+        for i, time in enumerate(times):
+            args = (
+                sender, recipients[i], payload,
+                None if msg_ids is None else msg_ids[i],
+            )
+            if transfers is not None:
+                args += (transfers[i],)
             self.push(
                 time, action, priority=priority, order_key=order_key,
                 args=args, transient=True,
             )
-        return len(args_seq)
+        return len(times)
 
     def pop(self, stop: float = INF) -> Entry | None:
         heap = self._heap

@@ -5,9 +5,10 @@ run leaves cyclic garbage behind.
 whole loop and back on only if its caller had it on.  Reference counting
 keeps freeing every acyclic object, so the pause is safe exactly while a
 run makes no reference cycles; the grid below pins that across the delay
-models, the fault engine, retransmission, the ``full`` observers, a view
-change and a lower-bound witness, and the negative control shows that
-the check does see a cycle when a handler makes one.
+models (a zero lookahead, and a run cut while fan-out slices are parked
+in the calendar), the fault engine, retransmission, the ``full``
+observers, a view change and a lower-bound witness, and the negative
+control shows that the check does see a cycle when a handler makes one.
 """
 import gc
 import os
@@ -182,6 +183,27 @@ def _brb_uniform():
     assert result.all_honest_committed()
 
 
+def _brb_uniform_cut():
+    # Stopped mid-run, so the collection runs while fan-out slices are
+    # still parked in closed calendar windows.
+    world = World(
+        n=31, f=10,
+        delay_policy=UniformDelay(0.05, 1.0, seed=7, stream="counter"),
+        instrumentation="perf",
+    )
+    world.populate(Brb2Round.factory(broadcaster=0, input_value="v"))
+    world.run(until=0.6)
+    assert world.sim._queue._deferred
+
+
+def _zero_lookahead():
+    # No lookahead: every window is one instant and no copy is deferred.
+    result = _brb(
+        delay_policy=UniformDelay(0.0, 1.0, seed=7, stream="counter")
+    )
+    assert result.all_honest_committed()
+
+
 def _vbb_fixed():
     result = run_broadcast(
         n=31, f=6,
@@ -233,6 +255,8 @@ def _witness():
 
 GRID = {
     "brb_uniform_counter": _brb_uniform,
+    "brb_uniform_cut_with_parked_slices": _brb_uniform_cut,
+    "zero_lookahead_counter": _zero_lookahead,
     "vbb_fixed": _vbb_fixed,
     "fault_plan_counter": _counter_fault_plan,
     "reliable_link": _retransmitting_link,

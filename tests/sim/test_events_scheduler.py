@@ -121,11 +121,11 @@ class TestEventQueue:
         ) is None
         handle = queue.push(1.0, print, order_key=b"k", label="timer")
         assert isinstance(handle, Event) and handle.label == "timer"
-        assert queue.push_batch([1.0, 0.5], print, [(1,), (2,)]) == 2
+        assert queue.push_batch([1.0, 0.5], print, 0, [1, 2], "m") == 2
         assert queue._live == 4
         assert [queue.pop() for _ in range(4)] == [
-            (0.5, 0, b"", 3, print, (2,)),
-            (1.0, 0, b"", 2, print, (1,)),
+            (0.5, 0, b"", 3, print, (0, 2, "m", None)),
+            (1.0, 0, b"", 2, print, (0, 1, "m", None)),
             (1.0, 0, b"k", 0, print, ("x",)),
             (1.0, 0, b"k", 1, print, (), handle),
         ]
@@ -184,7 +184,10 @@ class TestSimulator:
         # Anywhere in a batch, and nothing of the batch is queued.
         for times in ([bad, 2.0, 3.0], [2.0, bad, 3.0], [2.0, 3.0, bad]):
             with pytest.raises(SimulationError, match="non-finite"):
-                sim.schedule_batch(times, fired.append, [("bad",)] * 3)
+                sim.schedule_batch(
+                    times, lambda *copy: fired.append(copy), 0, [1, 2, 3],
+                    "bad",
+                )
         assert sim._queue._live == 1
         assert sim.run() == 1.0
         assert fired == [1.0]
@@ -195,11 +198,13 @@ class TestSimulator:
         sim.schedule_at(2.0, lambda: None)
         sim.run()
         with pytest.raises(SimulationError, match="before now"):
-            sim.schedule_batch([3.0, 1.0], print, [(0,), (1,)])
+            sim.schedule_batch([3.0, 1.0], print, 0, [0, 1], "m")
         with pytest.raises(SimulationError, match="2 instants for 1"):
-            sim.schedule_batch([3.0, 4.0], print, [(0,)])
+            sim.schedule_batch([3.0, 4.0], print, 0, [0], "m")
+        with pytest.raises(SimulationError, match="2 instants for 3"):
+            sim.schedule_batch([3.0, 4.0], print, 0, [0, 1], "m", [7, 8, 9])
         assert sim._queue._live == 0
-        assert sim.schedule_batch([], print, []) == 0
+        assert sim.schedule_batch([], print, 0, [], "m") == 0
 
     def test_run_until_cannot_move_time_backwards(self):
         """``run(until=3.0)`` after ``run(until=5.0)`` used to set ``now``

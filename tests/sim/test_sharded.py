@@ -476,6 +476,35 @@ class TestWorkerFailure:
         assert time.monotonic() - began < 5.0
         assert multiprocessing.active_children() == []
 
+    def test_corrupt_payload_frame_names_its_source_shard(self, monkeypatch):
+        # The coordinator forwards payload frames unread, so a frame
+        # corrupted on the way only fails when the destination worker
+        # decodes it: the error must name that worker and the shard the
+        # frame came from.  Shard 0 holds the broadcaster, so its
+        # proposal is the first frame to cross (to shard 1).
+        real_recv = coordinator._recv
+
+        def corrupting(*args, raw=False, **kwargs):
+            frame = real_recv(*args, raw=raw, **kwargs)
+            return frame[: len(frame) // 2] if raw else frame
+
+        monkeypatch.setattr(coordinator, "_recv", corrupting)
+        world = World(
+            n=12, f=3, delay_policy=FixedDelay(1.0),
+            instrumentation="perf", shards=2,
+        )
+        world.populate(Brb2Round.factory(broadcaster=0, input_value="v"))
+        assert world.shards == 2
+        began = time.monotonic()
+        with pytest.raises(
+            SimulationError,
+            match=r"(?s)shard 1 \(parties \[6, 12\)\) failed in barrier "
+            r"round \d+:\n.*payload frame from source shard 0\b",
+        ):
+            world.run()
+        assert time.monotonic() - began < 5.0
+        assert multiprocessing.active_children() == []
+
 
 class TestForcedSingleProcess:
     def _world(self, *, shards=4, **kwargs):

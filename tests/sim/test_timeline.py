@@ -11,7 +11,11 @@ randomized scripts (ties and continuous times, priorities, order keys,
 plain entries mixed with live and cancelled handles, interleaved pops,
 peeks and bounded pops, per-copy-instant batches) over widths from 0 (one window per
 instant) to wider than the whole schedule, and assert the transcripts
-match exactly.
+match exactly.  Fan-outs that span several windows leave *slices* in the
+closed ones (their entries are built only when a window opens); the
+fan-out scripts mix them with in-window pushes, pushes that park a
+peeked window and compactions, and two targeted cases pin the ``seq``
+block a fan-out reserves and a horizon that stops with slices parked.
 """
 from __future__ import annotations
 
@@ -101,6 +105,56 @@ def _random_script(
     return script
 
 
+#: A fan-out's optional columns: none, msg ids, transfers, or both.
+_LAYOUTS = [(False, False), (True, False), (False, True), (True, True)]
+
+
+def _fan_out_script(seed: int) -> list[tuple]:
+    """A seeded script of fan-outs wide enough to span several windows.
+
+    Each fan-out draws 5-40 copies, in one of the column layouts, spread
+    over as much as the whole schedule, so one fan-out's copies land in
+    the open window, below it and in several closed windows.  Between fan-outs: single
+    pushes (plain and with a handle), pops, bounded drains, peeks that
+    open the next window, pushes *below* the peeked head (which park the
+    open window) and cancellation bursts big enough to compact the queue
+    while slices are parked.
+    """
+    rng = random.Random(1000 + seed)
+    script: list[tuple] = []
+    for _ in range(300):
+        roll = rng.random()
+        if roll < 0.3:
+            base = rng.uniform(0.0, 3.0)
+            span = rng.choice([0.2, 1.0, 3.0])
+            times = [
+                rng.choice([base, base + rng.uniform(0.0, span)])
+                for _ in range(rng.randrange(5, 41))
+            ]
+            script.append((
+                "fanout", times, rng.randrange(2), rng.choice(_KEYS),
+                rng.choice(_LAYOUTS),
+            ))
+        elif roll < 0.45:
+            script.append((
+                "push", rng.uniform(0.0, 3.0), rng.randrange(2),
+                rng.choice(_KEYS), rng.random() < 0.5,
+            ))
+        elif roll < 0.6:
+            script.append(("pop",))
+        elif roll < 0.7:
+            script.append((
+                "drain", rng.uniform(0.0, 3.0), rng.randrange(1, 9),
+            ))
+        elif roll < 0.8:
+            script.append(("peek",))
+        elif roll < 0.95:
+            script.append(("below", rng.random(), rng.choice(_KEYS)))
+        else:
+            script.append(("burst", rng.randrange(1 << 30)))
+    return script
+
+
 def _fired(kind: str, entry) -> tuple:
     """An entry's ordering fields, its args and its kind (6 = plain,
     7 = with a handle)."""
@@ -125,9 +179,37 @@ def _replay(queue: EventQueue, script: list[tuple]) -> list[tuple]:
         elif kind == "batch":
             _, times, priority, key = op
             queue.push_batch(
-                times, _noop, [(i,) for i in range(len(times))],
+                times, _noop, "b", range(len(times)), len(log),
                 priority=priority, order_key=key,
             )
+        elif kind == "fanout":
+            _, times, priority, key, (with_ids, with_transfers) = op
+            count = len(times)
+            queue.push_batch(
+                times, _noop, "f", range(count), len(log),
+                [("id", i) for i in range(count)] if with_ids else None,
+                [("t", i) for i in range(count)] if with_transfers else None,
+                priority=priority, order_key=key,
+            )
+        elif kind == "below":
+            # Under the head a peek just surfaced (opening its window on
+            # the calendar): a push there parks the open window.
+            _, fraction, key = op
+            head = queue.peek_time()
+            queue.push(
+                (1.0 if head is None else head) * fraction, _noop,
+                order_key=key, args=("below", len(log)), transient=True,
+            )
+        elif kind == "burst":
+            # Outnumber the live copies by more than the compaction
+            # threshold, then cancel every one: the queue compacts.
+            burst = random.Random(op[1])
+            doomed = [
+                queue.push(burst.uniform(0.0, 3.0), _noop)
+                for _ in range(queue._live + _COMPACT_MIN_CANCELLED + 1)
+            ]
+            for handle in doomed:
+                handle.cancel()
         elif kind == "cancel":
             handles[op[1]].cancel()
         elif kind == "pop":
@@ -169,6 +251,44 @@ class TestQueueParity:
         assert heap_log[-1] == ("end", 0, None, 0)
 
     @pytest.mark.parametrize("width", _WIDTHS)
+    @pytest.mark.parametrize("seed", range(6))
+    def test_fan_outs_across_windows_pop_identically(self, seed, width):
+        script = _fan_out_script(seed)
+        heap_log = _replay(HeapQueue(), script)
+        calendar_log = _replay(EventQueue(width=width), script)
+        assert heap_log == calendar_log
+        assert heap_log[-1] == ("end", 0, None, 0)
+
+    def test_fan_out_scripts_reach_every_deferred_state(self, monkeypatch):
+        """Guards the scripts above: over their seeds, at a width below
+        the schedule, a fan-out splits between copies admitted at once
+        and deferred ones, and a park and a compaction each happen while
+        slices are parked."""
+        seen = set()
+        real_park, real_compact = EventQueue._park, EventQueue._compact
+        real_admit = EventQueue._admit
+
+        def park(queue):
+            seen.add(("park", bool(queue._deferred)))
+            real_park(queue)
+
+        def compact(queue):
+            seen.add(("compact", bool(queue._deferred)))
+            real_compact(queue)
+
+        def admit(queue, key, entry):
+            fan_out_copy = entry[5][:1] == ("f",)
+            seen.add(("admit", fan_out_copy and bool(queue._deferred)))
+            real_admit(queue, key, entry)
+
+        monkeypatch.setattr(EventQueue, "_park", park)
+        monkeypatch.setattr(EventQueue, "_compact", compact)
+        monkeypatch.setattr(EventQueue, "_admit", admit)
+        for seed in range(6):
+            _replay(EventQueue(width=0.3), _fan_out_script(seed))
+        assert {("park", True), ("compact", True), ("admit", True)} <= seen
+
+    @pytest.mark.parametrize("width", _WIDTHS)
     def test_compaction_mid_window_matches_heap(self, width):
         """A cancellation burst past ``_COMPACT_MIN_CANCELLED`` while a
         window is half drained: the open tail and the closed windows are
@@ -188,7 +308,7 @@ class TestQueueParity:
                 handles[i].cancel()
             log.append(("peek", queue.peek_time(), queue._live))
             queue.push_batch(
-                [1.0, 0.1, 2.9], _noop, [(0,), (1,), (2,)], order_key=b"m"
+                [1.0, 0.1, 2.9], _noop, "b", range(3), "m", order_key=b"m"
             )
             log.extend(_fired("rest", e) for e in iter(queue.pop, None))
             log.append(("end", queue._live, queue._cancelled))
@@ -202,7 +322,7 @@ class TestQueueParity:
         behind it; a push that then lands earlier must fire first."""
         logs = []
         for queue in (HeapQueue(), EventQueue(width=width)):
-            queue.push_batch([5.2, 5.0, 5.1], _noop, [(0,), (1,), (2,)])
+            queue.push_batch([5.2, 5.0, 5.1], _noop, "b", range(3), "m")
             log = [queue.peek_time()]
             queue.push(1.0, _noop, args=("early",))
             if not isinstance(queue, HeapQueue) and width < 10.0:
@@ -216,7 +336,8 @@ class TestQueueParity:
             logs.append(log)
         assert logs[0] == logs[1]
         assert [entry[-2] for entry in logs[1][2:]] == [
-            ("early",), (1,), ("late",), (2,), ("earlier still",), (0,)
+            ("early",), ("b", 1, "m", None), ("late",), ("b", 2, "m", None),
+            ("earlier still",), ("b", 0, "m", None),
         ]
 
     def test_batch_equals_push_loop(self):
@@ -227,11 +348,12 @@ class TestQueueParity:
         # A batch is a loop of transient pushes: plain entries throughout.
         times = [1.0, 0.2, 1.0, 2.5, 0.2]
         batched.push_batch(
-            times, _noop, [(r,) for r in range(5)], order_key=b"m",
+            times, _noop, "s", range(5), "m", order_key=b"m",
         )
         for r, time in enumerate(times):
             looped.push(
-                time, _noop, order_key=b"m", args=(r,), transient=True
+                time, _noop, order_key=b"m", args=("s", r, "m", None),
+                transient=True,
             )
         out = [
             [_fired("pop", event) for event in iter(queue.pop, None)]
@@ -239,7 +361,58 @@ class TestQueueParity:
         ]
         assert out[0] == out[1]
         with pytest.raises(ValueError):
-            batched.push_batch([1.0, 2.0], _noop, [(0,)])
+            batched.push_batch([1.0, 2.0], _noop, "s", [0], "m")
+        with pytest.raises(ValueError):
+            batched.push_batch([1.0], _noop, "s", [0], "m", None, [1, 2])
+
+    @staticmethod
+    def _tie_order(queue: EventQueue) -> list:
+        """Two fan-outs and a push between them, all tied at 2.5 (same
+        priority and order key, a closed window on the calendar): the
+        args of what pops, in order."""
+        queue.push(0.1, _noop, args=("head",), transient=True)
+        assert queue.pop()[5] == ("head",)  # opens the first window
+        queue.push_batch([2.5, 0.4, 2.5], _noop, "A", range(3), None,
+                         order_key=b"k")
+        queue.push(2.5, _noop, order_key=b"k", args=("single",),
+                   transient=True)
+        queue.push_batch([1.5, 2.5], _noop, "B", range(2), None,
+                         order_key=b"k")
+        return [entry[5] for entry in iter(queue.pop, None)]
+
+    @pytest.mark.parametrize("width", _WIDTHS)
+    def test_tied_copies_pop_in_push_order(self, width):
+        """A deferred copy carries the ``seq`` its fan-out reserved at
+        push, so it pops before a later push tied with it, wherever
+        its window stood when it was built."""
+        expected = [
+            ("A", 1, None, None), ("B", 0, None, None),
+            ("A", 0, None, None), ("A", 2, None, None), ("single",),
+            ("B", 1, None, None),
+        ]
+        assert self._tie_order(HeapQueue()) == expected
+        assert self._tie_order(EventQueue(width=width)) == expected
+
+    def test_numbering_at_window_open_breaks_the_tie_order(self):
+        """The case above fails against a calendar that numbers a
+        deferred copy when its window opens: the single push, numbered
+        at push, then overtakes the first fan-out."""
+
+        class NumberedAtOpen(EventQueue):
+            def _open_next(self):
+                key = self._keys[0] if self._keys else None
+                slices = self._deferred.get(key, [])
+                for n, (batch, indices) in enumerate(slices):
+                    # Renumber the slice from the counter as it is now
+                    # (``batch[3]`` is the fan-out's first seq).
+                    first = self._seq - indices[0]
+                    self._seq += indices[-1] - indices[0] + 1
+                    slices[n] = (batch[:3] + (first,) + batch[4:], indices)
+                return super()._open_next()
+
+        order = self._tie_order(NumberedAtOpen(width=1.0))
+        assert order.index(("single",)) < order.index(("A", 2, None, None))
+        assert order != self._tie_order(HeapQueue())
 
     def test_mass_cancellation_compacts_windows(self):
         queue = EventQueue()
@@ -255,7 +428,7 @@ class TestQueueParity:
         queue = EventQueue(width=0.5)
         for _ in range(4):
             queue.push(1.0, _noop)
-        queue.push_batch([2.0, 2.4, 2.2], _noop, [(i,) for i in range(3)])
+        queue.push_batch([2.0, 2.4, 2.2], _noop, "s", range(3), "m")
         assert queue.bucket_appends == 7
         # 4 pushes at 1.0 share one window (3 avoided); the batch opens
         # window [2.0, 2.5) for 3 distinct instants (2 avoided).
@@ -266,7 +439,7 @@ class TestQueueParity:
         assert (queue.bucket_appends, queue.heap_pushes_avoided) == (8, 6)
         # Zero width: one window per distinct instant.
         instants = EventQueue()
-        instants.push_batch([2.0, 2.4, 2.0], _noop, [(i,) for i in range(3)])
+        instants.push_batch([2.0, 2.4, 2.0], _noop, "s", range(3), "m")
         assert instants.heap_pushes_avoided == 1
         heap = HeapQueue()
         for _ in range(4):
@@ -294,7 +467,7 @@ class TestDeadEntriesAmidPlainOnes:
     def test_peek_skips_a_cancelled_handle(self, queue_cls):
         queue = queue_cls()
         doomed = queue.push(1.0, _noop)
-        queue.push_batch([2.0], _noop, [("plain",)])
+        queue.push_batch([2.0], _noop, "s", ["plain"], "m")
         doomed.cancel()
         assert queue.peek_time() == 2.0
         assert queue._cancelled == 0
@@ -362,19 +535,47 @@ class TestSimulatorParity:
         log = []
         spawned = [0]
 
-        def fire(tag: int) -> None:
-            log.append((sim.now, tag))
+        def fire(sender: int, tag: int, payload, msg_id) -> None:
+            log.append((sim.now, sender, tag))
             if spawned[0] < 120:
                 spawned[0] += 3
-                fanout = [(tag + k + 1,) for k in range(3)]
+                fanout = [tag + k + 1 for k in range(3)]
                 sim.schedule_batch(
                     [sim.now + rng.choice([0.0, 0.5, 1.0]) for _ in fanout],
-                    fire, fanout,
+                    fire, tag, fanout, None,
                     order_key=bytes([tag % 5]),
                 )
 
-        sim.schedule_at(0.0, fire, args=(0,), transient=True)
+        sim.schedule_at(0.0, fire, args=(0, 0, None, None), transient=True)
         final = sim.run(until=until, max_events=max_events)
+        return log, final, sim._queue._live, sim.events_processed
+
+    @staticmethod
+    def _fan_out_log(*, lookahead: float, split: float | None = None):
+        """Fan-outs of uniform delays in ``[0.05, 1.0)``, 600 copies in
+        all, run to quiescence — in one ``run()``, or in a
+        ``run(until=split)`` and a ``run()`` with a note of whether
+        slices were parked at the split."""
+        sim = Simulator(lookahead=lookahead)
+        rng = random.Random(11)
+        log = []
+        spawned = [0]
+
+        def fire(sender: int, tag: int, payload, msg_id) -> None:
+            log.append((sim.now, sender, tag, msg_id))
+            if spawned[0] < 600:
+                spawned[0] += 6
+                sim.schedule_batch(
+                    [sim.now + rng.uniform(0.05, 1.0) for _ in range(6)],
+                    fire, tag, range(6), None, [tag] * 6,
+                    order_key=bytes([tag % 3]),
+                )
+
+        sim.schedule_at(0.0, fire, args=(0, 0, None, None), transient=True)
+        if split is not None:
+            sim.run(until=split)
+            log.append(("split", bool(sim._queue._deferred)))
+        final = sim.run()
         return log, final, sim._queue._live, sim.events_processed
 
     def test_run_to_quiescence_identical(self, reference_queue):
@@ -386,6 +587,28 @@ class TestSimulatorParity:
             reference_queue, lambda: self._cascade_log(until=2.5)
         )
         assert heap == bucket
+
+    @pytest.mark.parametrize("lookahead", [0.05, 0.3, 1.0])
+    def test_horizon_with_parked_slices_resumes_identically(
+        self, reference_queue, lookahead
+    ):
+        """``run(until=t)`` stops while fan-out slices are still parked
+        in closed windows; the ``run()`` that follows pops exactly what
+        one uninterrupted run pops, and so does the heap oracle."""
+
+        def split():
+            return self._fan_out_log(lookahead=lookahead, split=1.2)
+
+        heap, bucket = self._on_both(reference_queue, split)
+        # The oracle defers nothing, so only the calendar parks slices.
+        assert ("split", False) in heap[0] and ("split", True) in bucket[0]
+        whole, heap_whole = self._on_both(
+            reference_queue, lambda: self._fan_out_log(lookahead=lookahead)
+        )
+        for log, *outcome in (heap, bucket, heap_whole):
+            assert [e for e in log if e[0] != "split"] == whole[0]
+            assert outcome == list(whole[1:])
+        assert len(whole[0]) == 601
 
     def test_max_events_horizon_identical(self, reference_queue):
         heap, bucket = self._on_both(
