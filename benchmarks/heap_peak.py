@@ -25,10 +25,12 @@ the no-cyclic-garbage invariant the pause relies on.
   ``UniformDelay(0.05, 1.0)``, the per-copy path.  Nothing folds, so the
   peak is dominated by in-flight copies.  Only the calendar's open
   window holds a queue entry plus ``args`` per copy; a copy in a closed
-  window is an index in its fan-out's slice plus its slots in the
-  fan-out's instant and recipient columns (``benchmarks/README.md``,
-  "In-flight entries").  ``tests/sim/test_heap_scaling.py`` bounds the
-  bytes per message sent.
+  window holds no Python object of its own: an 8-byte instant in its
+  fan-out's ``array('d')``, a slot of the fan-out's recipient ``range``,
+  and a 4-byte index in the fan-out's window-ordered index array, plus
+  a share of one span per window (``benchmarks/README.md``, "In-flight
+  entries": ~6.9 MiB, ~40 B per message at n=301).
+  ``tests/sim/test_heap_scaling.py`` bounds the bytes per message sent.
 """
 from __future__ import annotations
 

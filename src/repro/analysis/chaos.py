@@ -714,8 +714,17 @@ def write_reproducer(
 
 
 def load_reproducer(path: str | Path) -> dict:
-    """Parse one reproducer file back into runnable objects."""
-    data = json.loads(Path(path).read_text())
+    """Parse one reproducer file back into runnable objects.
+
+    A file that is not JSON, lacks its ``plan`` or ``protocol`` key, or
+    holds a malformed plan raises :class:`FaultPlanError` naming it."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise FaultPlanError(f"{path}: not valid JSON ({exc})") from exc
+    for key in ("plan", "protocol"):
+        if key not in data:
+            raise FaultPlanError(f"{path}: no {key!r} key")
     try:
         plan = FaultPlan.from_json(data["plan"])
     except FaultPlanError as exc:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
@@ -87,7 +88,20 @@ class SweepEngine:
             return [_run_task(task) for task in prepared]
         max_workers = min(self.workers, len(prepared))
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(_run_task, prepared))
+            results = []
+            try:
+                results.extend(pool.map(_run_task, prepared))
+            except BrokenProcessPool as error:
+                # A worker that dies (``os._exit``, a signal, the OOM
+                # killer) fails every unfinished point alike; the earliest
+                # in grid order is the one it was running unless an
+                # earlier point still ran beside it.
+                index = len(results)
+                raise BrokenProcessPool(
+                    f"sweep task {prepared[index].key!r} (index {index}): "
+                    "a pool worker died before the task returned"
+                ) from error
+            return results
 
     def map(
         self,

@@ -68,11 +68,12 @@ def _recv(
     """Receive one frame from worker ``index``, surfacing its failures.
 
     A worker that raised ships its traceback as an ``"error"`` frame; one
-    that died outright (killed, ``os._exit``, OOM) just closes the pipe;
-    one that sends nothing for ``_RECV_TIMEOUT_SECONDS`` (stopped, or
-    stuck in a loop) is given up on — each becomes a
-    :class:`SimulationError` naming the shard, its party range and, for a
-    worker that raised or went silent, the barrier round.  Returns
+    that died outright (killed, ``os._exit``, OOM) just closes the pipe,
+    and so does one that closed its end but runs on (it gets
+    ``_EXIT_WAIT_SECONDS`` to exit, then is killed); one that sends
+    nothing for ``_RECV_TIMEOUT_SECONDS`` (stopped, or stuck in a loop)
+    is given up on — each becomes a :class:`SimulationError` naming the
+    shard, its party range and the barrier round.  Returns
     ``(message, frame size)`` so the caller can meter the pipe, or the
     frame itself when ``raw``.
     """
@@ -86,10 +87,18 @@ def _recv(
     try:
         blob = conn.recv_bytes()
     except (EOFError, OSError):
-        procs[index].join(_EXIT_WAIT_SECONDS)
+        proc = procs[index]
+        proc.join(_EXIT_WAIT_SECONDS)
+        if proc.exitcode is None:
+            proc.kill()
+            proc.join()
+            raise SimulationError(
+                f"shard {index} (parties [{lo}, {hi})) closed its pipe in "
+                f"barrier round {barrier_round} but kept running; killed"
+            ) from None
         raise SimulationError(
-            f"shard {index} (parties [{lo}, {hi})) died mid-run with "
-            f"exit code {procs[index].exitcode}"
+            f"shard {index} (parties [{lo}, {hi})) died mid-run in barrier "
+            f"round {barrier_round} with exit code {proc.exitcode}"
         ) from None
     if raw:
         return blob
@@ -127,7 +136,8 @@ def shard_bounds(n: int, shards: int) -> list[tuple[int, int]]:
 _LOOKAHEAD_GUARD = 1e-9
 
 #: How long a worker whose pipe hit EOF gets to finish exiting before its
-#: exit code is reported (``None`` in the message if it is still alive).
+#: exit code is reported; one still alive then is killed and reported as
+#: having closed its pipe.
 _EXIT_WAIT_SECONDS = 5.0
 
 #: How long the coordinator waits for one frame from a worker before it

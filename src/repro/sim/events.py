@@ -39,9 +39,11 @@ ordering them one by one:
 * a push into a window that is not being drained is a dict probe and a
   list append of the push's entry — O(1), no sift;
 * a fan-out (:meth:`EventQueue.push_batch`) into such a window queues no
-  entry at all: the window keeps one *slice* per fan-out — the
-  fan-out's shared fields once, plus the indices of its copies that land
-  there — and the copies' entries are built only when the window opens;
+  entry at all: the fan-out's copy indices are ordered by window once,
+  into one compact index array, and each window it reaches keeps one
+  *span* of that array — ``(batch, order, lo, hi)``, the fan-out's
+  shared fields and typed columns held once — whose copies' entries are
+  built only when the window opens;
 * the only ordered structure is a min-heap of *window indices*, touched
   once per window, not once per event;
 * a window is sorted **once**, in C, when the drain reaches it, and is
@@ -54,8 +56,10 @@ ordering them one by one:
   entries.
 
 Only the open window therefore holds a tuple per in-flight copy; a
-closed window's copies cost an index in their slice plus the fan-out's
-columns, which the network gathered anyway.  A fan-out reserves its
+closed window's copy is no Python object at all, only its slots in the
+fan-out's columns — an 8-byte instant in an ``array('d')``, a recipient
+in a ``range`` or an integer array — and 4 bytes of the fan-out's index
+array, plus a share of the window's span.  A fan-out reserves its
 ``seq`` numbers as one contiguous block when it is pushed, so a copy
 built later, when its window opens, carries the number a loop of single
 pushes would have given it, and nothing pushed in between can overtake
@@ -87,7 +91,8 @@ bookkeeping is kept incrementally (``_live``), never a queue scan.
 from __future__ import annotations
 
 import heapq
-from bisect import insort
+from array import array
+from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
@@ -178,11 +183,11 @@ class EventQueue:
       append order, and ``k`` sits in the ``_keys`` min-heap exactly
       while that list exists (compaction may leave it empty, and a
       window whose copies are all deferred has an empty one);
-    * ``_deferred[k]``, when present, holds the *slices* of closed window
-      ``k``: ``(batch, indices)`` pairs, one per fan-out with copies
-      there (see :meth:`push_batch`).  A key in ``_deferred`` is always
-      one of ``_windows``, so opening a window finds its slices with one
-      dict lookup;
+    * ``_deferred[k]``, when present, holds the *spans* of closed window
+      ``k``: ``(batch, order, lo, hi)``, one per fan-out with copies
+      there, whose copies are ``order[lo:hi]`` (see :meth:`push_batch`).
+      A key in ``_deferred`` is always one of ``_windows``, so opening a
+      window finds its spans with one dict lookup;
     * ``_open`` is the window being drained, sorted; ``_open[:_idx]`` is
       already consumed and never looked at again (a popped slot is
       cleared, so the entry's ``args`` are not pinned until the window
@@ -193,7 +198,7 @@ class EventQueue:
       smallest index, and a push below it parks the open window first.
       A drained-out window stays open until the next one is needed, so
       a late push into it is still an in-window insert.  The open
-      window has no slices: they are built into entries when it opens;
+      window has no spans: they are built into entries when it opens;
     * ``_live`` counts queued copies whose handle (if any) is not
       cancelled, ``_cancelled`` the cancelled ones not yet dropped.
 
@@ -211,7 +216,9 @@ class EventQueue:
         self.heap_pushes_avoided = 0
         self._width = width
         self._windows: dict[float, list[Entry]] = {}
-        self._deferred: dict[float, list[tuple[tuple, list[int]]]] = {}
+        self._deferred: dict[
+            float, list[tuple[tuple, array, int, int]]
+        ] = {}
         self._keys: list[float] = []
         self._open: list[Entry] = []
         self._open_key = -INF
@@ -281,15 +288,20 @@ class EventQueue:
         the number scheduled.
 
         The same schedule as a loop of transient :meth:`push` — same
-        ``seq`` numbers, same pop order — but the fan-out is taken as
-        shared fields plus per-copy columns, and the queue keeps those
-        columns instead of a tuple per copy.  A copy landing in the open
-        window, or below it, is built and admitted at once, as a single
-        push would be.  Every other copy is *deferred*: the copies of
-        the fan-out that land in one closed window become one slice,
-        ``(batch, indices)``, and :meth:`_open_next` builds their
-        entries when it opens that window.  The columns must therefore
-        not change once handed over.
+        ``seq`` numbers, same pop order, same counters — but the fan-out
+        is taken as shared fields plus per-copy columns (any sequences;
+        the network hands over an ``array('d')`` of instants and a
+        ``range`` or integer array of recipients), and the queue keeps
+        those columns instead of a tuple per copy.  The copy indices are
+        sorted by window once (stable, so by index within a window)
+        into one compact index array, ``order``.  The copies landing in
+        the open window, or below it, come first in it; they are built
+        and admitted at once, in index order, as single pushes would
+        be.  Every other copy is *deferred*: a closed window the fan-out
+        reaches gets one span, ``(batch, order, lo, hi)``, found by
+        bisecting the sorted window keys, and :meth:`_open_next` builds
+        the entries of ``order[lo:hi]`` when it opens that window.  The
+        columns must therefore not change once handed over.
 
         ``seq`` numbers are reserved here, as one contiguous block:
         copy ``i`` is ``seq0 + i`` whenever its entry is built, so a
@@ -297,7 +309,7 @@ class EventQueue:
         order_key)`` still pops after it.
 
         A zero-width calendar builds every copy at once: each of its
-        windows is one instant, so with continuous delays a slice would
+        windows is one instant, so with continuous delays a span would
         hold about one copy and cost more than the entry it defers.
         The choice is made by ``width``, which the queue fixes at
         construction, so a run's layout does not depend on its
@@ -318,22 +330,18 @@ class EventQueue:
         width = self._width
         windows = self._windows
         if width:
-            open_key = self._open_key
-            slices: dict[float, list[int]] = {}
-            now: list[int] = []
-            for i, time in enumerate(times):
-                key = time // width
-                if key > open_key:
-                    indices = slices.get(key)
-                    if indices is None:
-                        slices[key] = [i]
-                    else:
-                        indices.append(i)
-                else:
-                    now.append(i)
-            entries = _build(batch, now) if now else ()
+            keys = [time // width for time in times]
+            # Copy indices by window, then by index (the sort is stable),
+            # and the window keys in the same order: a window's copies
+            # are one span ``order[lo:hi]``.
+            order = sorted(range(count), key=keys.__getitem__)
+            keys.sort()
+            # The copies at or below the open window come first; they
+            # are admitted in index order, as a loop of pushes would.
+            lo = bisect_right(keys, self._open_key)
+            entries = _build(batch, sorted(order[:lo])) if lo else ()
         else:
-            slices = None
+            lo = count
             entries = _build(batch, range(count))
         for entry in entries:
             time = entry[0]
@@ -343,14 +351,19 @@ class EventQueue:
                 self._admit(key, entry)
             else:
                 window.append(entry)
-        if slices:
+        if lo < count:
+            order = array("I", order)  # 4 bytes per copy
             deferred = self._deferred
-            for key, indices in slices.items():
+            while lo < count:
+                key = keys[lo]
+                hi = bisect_right(keys, key, lo)
+                span = (batch, order, lo, hi)
+                lo = hi
                 pending = deferred.get(key)
                 if pending is not None:
-                    pending.append((batch, indices))
+                    pending.append(span)
                     continue
-                deferred[key] = [(batch, indices)]
+                deferred[key] = [span]
                 if key not in windows:
                     # A window's first copy: the one sift it costs.
                     windows[key] = []
@@ -433,19 +446,21 @@ class EventQueue:
         """Sort the earliest closed window into drain position.
 
         This is where a deferred copy becomes an entry: the window's
-        slices, found with one lookup in ``_deferred``, are built (each
-        copy with the ``seq`` its fan-out reserved) and appended to the
-        entries pushed there singly, and the whole window is sorted
-        once.
+        spans, found with one lookup in ``_deferred``, are built — copy
+        ``i`` of ``order[lo:hi]`` from the fan-out's columns, with the
+        ``seq`` its fan-out reserved — and appended to the entries
+        pushed there singly, and the whole window is sorted once.  A
+        fan-out's columns and index array are freed when the last
+        window holding a span of it opens.
         """
         if not self._keys:
             return False
         key = heapq.heappop(self._keys)
         window = self._windows.pop(key)
-        slices = self._deferred.pop(key, None)
-        if slices is not None:
-            for batch, indices in slices:
-                window += _build(batch, indices)
+        spans = self._deferred.pop(key, None)
+        if spans is not None:
+            for batch, order, lo, hi in spans:
+                window += _build(batch, order[lo:hi])
         window.sort()
         self._open = window
         self._open_key = key
@@ -477,7 +492,7 @@ class EventQueue:
         (amortized O(live)): the open window's undrained tail keeps its
         sorted order, and a burst of cancellations inside one window
         cannot re-trigger compaction on every subsequent cancel.  A
-        deferred copy has no handle, so slices are left as they are."""
+        deferred copy has no handle, so spans are left as they are."""
         pending = [(window, 0) for window in self._windows.values()]
         pending.append((self._open, self._idx))
         for window, start in pending:

@@ -16,7 +16,9 @@ The network realizes the paper's adversarial message scheduling:
 Recipients are ranges: a multicast fans out to the local parties below
 and above its sender as two ``range`` objects, and a folded run carries
 a slice of one, so neither a fan-out nor an in-flight run ever
-materializes a recipient list.
+materializes a recipient list; a fan-out's unfolded copies keep the
+``range`` itself as their recipient column unless something folded or
+dropped.
 
 A network simulates one contiguous party range, ``parties`` (all of
 ``range(n)`` by default).  A shard worker's network owns a sub-range;
@@ -33,15 +35,20 @@ yields one delay per recipient), **instant**
 instants: the only place the INF-drop, negative-delay and pre-start
 rules live), **run** (consecutive copies sharing an instant are grouped)
 and **emit** (the fan-out's runs, as one lazy sequence, go to the
-network's emitter).  The emitter is chosen once per network: ``_emit_run``
+network's emitter).  When the delay vector alone shows that every copy
+would be its own run — no two neighbours equal, nothing dropped or held
+to a start offset — ``_instants`` computes the instants in C-level
+passes into an ``array('d')`` instead, and the runs are read off it.
+The emitter is chosen once per network: ``_emit_run``
 folds an unobserved run into one ``_deliver_many`` event and gathers
 every other copy as a ``_deliver`` event; ``_emit_routed`` takes over
 when a per-copy seam is attached.  Either way emit crosses the scheduler
-**once per fan-out**, not once per copy: the copies are gathered in
-recipient order as columns — one instant and one recipient per copy,
-plus msg ids or reliable transfers only when those exist — and handed
-over as one ``schedule_batch`` (a folded run in mid-fan-out flushes what
-was gathered first, so sequence numbers are those of a per-copy loop).
+**once per fan-out**, not once per copy: the copies go over in
+recipient order as typed columns — instants in an ``array('d')``, the
+recipients as the fan-out's ``range`` or an integer array, plus msg ids
+or reliable transfers only when those exist — in one
+``schedule_batch`` (a folded run in mid-fan-out flushes what was
+gathered first, so sequence numbers are those of a per-copy loop).
 The emitter also owns the deferral of the order-key digest: it digests
 the payload when it first has a copy to schedule, and never for a
 fan-out the adversary or the fault plan dropped whole.
@@ -60,12 +67,15 @@ unfaulted path replays byte-identically.
 """
 from __future__ import annotations
 
+from array import array
 from functools import partial
+from itertools import islice
+from operator import eq
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 from repro.errors import SimulationError
 from repro.crypto.messages import digest
-from repro.sim.clock import quantize
+from repro.sim.clock import TIME_DECIMALS, quantize
 from repro.sim.delays import DelayPolicy
 from repro.sim.scheduler import Simulator
 from repro.types import INF, PartyId
@@ -77,11 +87,13 @@ if TYPE_CHECKING:
 
 #: Delivery callback: (sender, payload) -> None
 DeliverFn = Callable[[PartyId, Any], None]
+#: Typecode of a fan-out's recipient and msg-id columns.
+_PARTY = "q"
 #: One run of a fan-out: ``recipients[start:end]`` all land at the instant.
 Run = tuple[int, int, float]
 #: Fan-out emitter: (sender, recipients, runs, payload, send_time,
-#: order_key | None) -> order_key | None — schedules every run of one
-#: fan-out, digesting the payload if it has to.
+#: order_key | None, instants | None) -> order_key | None — schedules
+#: every run of one fan-out, digesting the payload if it has to.
 Emitter = Callable[..., "bytes | None"]
 
 
@@ -325,7 +337,11 @@ class Network:
         ``emit`` receives the fan-out's runs in recipient order, so the
         schedule's ``(time, priority, order_key)`` ordering, and hence
         every party's inbox order, does not depend on how a run is
-        emitted.
+        emitted.  When :meth:`_instants` finds every copy its own run,
+        ``emit`` also receives the instants as one ``array('d')`` (the
+        runs are then read off it) and may schedule that array as it
+        is; otherwise ``instants`` is ``None`` and the runs come from
+        the walk in :meth:`_runs`.
 
         The scheduling ``order_key`` is threaded through the emitter and
         back to the caller (it takes the key so far, ``None`` until
@@ -339,21 +355,52 @@ class Network:
                 f"policy returned {len(delays)} delays for "
                 f"{len(recipients)} recipients"
             )
+        instants = None
         if delays:
             # One C-level pass rules out a negative delay before anything
             # is scheduled: ``count`` for the common all-equal vector (one
             # repeated float object, matched by identity — a twentieth of
             # a ``min`` over 1000 copies), ``min`` for the rest.
             lowest = delays[0]
-            if delays.count(lowest) != len(delays):
+            equal = delays.count(lowest) == len(delays)
+            if not equal:
                 lowest = min(delays)
             if lowest < 0:
                 raise SimulationError(
                     f"policy produced negative delay {lowest}"
                 )
+            if not equal or len(delays) == 1:
+                instants = self._instants(delays, lowest, send_time)
+        if instants is None:
+            runs = self._runs(recipients, delays, send_time)
+        else:
+            count = len(instants)
+            runs = zip(range(count), range(1, count + 1), instants)
         return emit(
-            sender, recipients, self._runs(recipients, delays, send_time),
-            payload, send_time, order_key,
+            sender, recipients, runs, payload, send_time, order_key,
+            instants,
+        )
+
+    def _instants(
+        self, delays: Sequence[float], lowest: float, send_time: float
+    ) -> array | None:
+        """The instant stage in C-level passes, when the delay vector
+        alone shows its run walk would yield one singleton run per copy:
+        no two neighbours equal, no ``INF``, and (under the common start
+        offset) no copy held back to it.  Copy ``i`` then lands at
+        ``quantize(send_time + delays[i])`` — the walk's instant, with
+        ``quantize`` inlined.  ``None`` sends the fan-out through
+        :meth:`_runs`."""
+        common = self._common_offset
+        if (
+            common is None
+            or send_time + lowest < common
+            or any(map(eq, delays, islice(delays, 1, None)))
+            or not max(delays) < INF
+        ):
+            return None
+        return array(
+            "d", [round(send_time + delay, TIME_DECIMALS) for delay in delays]
         )
 
     def _runs(
@@ -393,24 +440,27 @@ class Network:
     # order_key, seq, action, args)`` entry and allocates no ``Event``.
     # The endpoints travel in ``args`` — binding them there instead of in
     # a ``partial`` saves one more allocation per copy.  A fan-out's
-    # copies go over as columns (instants, recipients, and msg ids or
-    # transfers only when they exist): the queue keeps them as they are
-    # until a copy's window opens, so the emitters gather no tuple.
+    # copies go over as typed columns: instants in an ``array('d')``; the
+    # recipients as the fan-out's own sequence (a multicast's ``range``)
+    # when every recipient gets exactly one copy, in an integer array
+    # otherwise; msg ids in an integer array and transfers in a list,
+    # only when they exist.  The queue keeps the columns until a copy's
+    # window opens, so no copy in flight holds a Python object of its own.
 
     def _schedule_copies(
         self,
-        times: list[float],
+        times: array,
         deliver: Callable[..., None],
         sender: PartyId,
-        targets: list[PartyId],
+        targets: Sequence[PartyId],
         payload: Any,
         order_key: bytes | None,
-        msg_ids: list[int] | None = None,
+        msg_ids: array | None = None,
         transfers: list | None = None,
     ) -> bytes:
         """Hand the copies a fan-out has gathered (at least one) to the
         scheduler in one call.  The queue keeps the columns, so the
-        caller gathers any later copies into new lists."""
+        caller gathers any later copies into new arrays."""
         if order_key is None:
             order_key = digest(payload)
         self._sim.schedule_batch(
@@ -427,6 +477,7 @@ class Network:
         payload: Any,
         send_time: float,
         order_key: bytes | None,
+        instants: array | None = None,
     ) -> bytes | None:
         """Emit a fan-out when no per-copy seam is attached.
 
@@ -441,12 +492,26 @@ class Network:
         gathered columns go over in one ``schedule_batch``, which assigns
         the sequence numbers a per-copy loop would; a folded run flushes
         the copies gathered before it to keep that true.
+
+        When the fast instant pass produced ``instants`` every run is a
+        singleton, so nothing is gathered: ``instants`` and
+        ``recipients`` are the columns.  On the run walk the instants
+        are gathered into an ``array('d')`` and the recipients into an
+        integer array, which is dropped for ``recipients`` itself when
+        nothing folded or dropped.
         """
         accountant = self._accountant
         observed = accountant is not None
-        times: list[float] = []
-        targets: list[PartyId] = []
-        msg_ids: list[int] | None = [] if observed else None
+        if instants is not None:
+            return self._schedule_copies(
+                instants, self._deliver, sender, recipients, payload,
+                order_key,
+                array(_PARTY, [accountant.register_send() for _ in instants])
+                if observed else None,
+            )
+        times = array("d")
+        targets = array(_PARTY)
+        msg_ids = array(_PARTY) if observed else None
         for start, end, deliver_time in runs:
             if end - start == 1 or observed or deliver_time <= send_time:
                 for recipient in recipients[start:end]:
@@ -460,7 +525,7 @@ class Network:
                 order_key = self._schedule_copies(
                     times, self._deliver, sender, targets, payload, order_key
                 )
-                times, targets = [], []
+                times, targets = array("d"), array(_PARTY)
             elif order_key is None:
                 order_key = digest(payload)
             self.delivery_runs_batched += 1
@@ -474,8 +539,10 @@ class Network:
             )
         if times:
             order_key = self._schedule_copies(
-                times, self._deliver, sender, targets, payload, order_key,
-                msg_ids,
+                times, self._deliver, sender,
+                # All of them, one each: nothing folded or dropped.
+                recipients if len(targets) == len(recipients) else targets,
+                payload, order_key, msg_ids,
             )
         return order_key
 
@@ -487,6 +554,7 @@ class Network:
         payload: Any,
         send_time: float,
         order_key: bytes | None,
+        instants: array | None = None,
         transfer: "_Transfer | None" = None,
     ) -> bytes | None:
         """Emit a fan-out copy by copy through the per-copy seams.
@@ -497,17 +565,20 @@ class Network:
         ``transfer`` it is re-sending instead).  Fault seam: the injector
         may drop, retime, or duplicate the copy; every surviving instant
         becomes one ``_deliver`` event (``_deliver_tracked`` on a network
-        with a channel), gathered in recipient order and scheduled as one
-        batch — only then, and only if a copy survived, is the payload
-        digested.
+        with a channel), gathered in recipient order into the columns
+        :meth:`_emit_run` gathers (plus the transfers, in a list) and
+        scheduled as one batch — only then, and only if a copy survived,
+        is the payload digested.  The recipient array gives way to
+        ``recipients`` itself when it holds exactly them, in order.
+        ``instants`` is not used: every copy is routed from its run.
         """
         injector = self._injector
         reliable = self._reliable
         accountant = self._accountant
         tracking = reliable is not None or transfer is not None
-        times: list[float] = []
-        targets: list[PartyId] = []
-        msg_ids: list[int] | None = [] if accountant is not None else None
+        times = array("d")
+        targets = array(_PARTY)
+        msg_ids = array(_PARTY) if accountant is not None else None
         transfers: list | None = [] if tracking else None
         for start, end, deliver_time in runs:
             for recipient in recipients[start:end]:
@@ -519,12 +590,12 @@ class Network:
                 ):
                     tracked = reliable.register(sender, recipient, payload)
                 if injector is None:
-                    instants = (deliver_time,)
+                    landings = (deliver_time,)
                 else:
-                    instants = injector.route(
+                    landings = injector.route(
                         sender, recipient, send_time, deliver_time
                     )
-                for instant in instants:
+                for instant in landings:
                     times.append(quantize(instant))
                     targets.append(recipient)
                     if msg_ids is not None:
@@ -532,6 +603,12 @@ class Network:
                     if transfers is not None:
                         transfers.append(tracked)
         if times:
+            # A duplicate can stand in for a dropped copy: compare the
+            # recipients, not only their count.
+            if len(targets) == len(recipients) and targets == array(
+                _PARTY, recipients
+            ):
+                targets = recipients
             order_key = self._schedule_copies(
                 times, self._deliver_tracked if tracking else self._deliver,
                 sender, targets, payload, order_key, msg_ids, transfers,
@@ -546,6 +623,7 @@ class Network:
         payload: Any,
         send_time: float,
         order_key: bytes | None,
+        instants: array | None = None,
     ) -> bytes | None:
         """Emit a fan-out to a remote range as ``outbuf`` records.
 
@@ -554,7 +632,8 @@ class Network:
         retimed, or duplicated here, exactly like :meth:`_emit_routed`,
         and only the surviving copies become records.  No order key is
         needed (or computed) here: the destination shard digests the
-        payload itself when it queues the record.
+        payload itself when it queues the record.  ``instants`` is not
+        used: every run, singleton or not, is one record.
         """
         outbuf = self.outbuf
         injector = self._injector

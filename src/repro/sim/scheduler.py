@@ -65,8 +65,9 @@ class Simulator:
 
     A push that returns no handle — ``schedule_at(..., transient=True)``
     and every :meth:`schedule_batch` copy — queues one plain tuple (a
-    batch copy only once its window opens: until then it is an index in
-    its fan-out's slice); only a push that returns a cancellable
+    batch copy only once its window opens: until then it is its slots in
+    the fan-out's typed columns and index array); only a push that
+    returns a cancellable
     :class:`~repro.sim.events.Event` (a timer) allocates one.
     """
 

@@ -192,6 +192,28 @@ class TestReproducerFiles:
         assert str(path) in str(caught.value)
         assert "'dorps'" in str(caught.value)
 
+    def test_truncated_file_is_rejected_with_the_file_named(self, tmp_path):
+        path = write_reproducer(
+            tmp_path, protocol="brb_2round", plan=RELIABLE_DEMO_PLAN
+        )
+        text = path.read_text()
+        path.write_text(text[: len(text) // 2])
+        with pytest.raises(FaultPlanError) as caught:
+            load_reproducer(path)
+        assert str(caught.value).startswith(f"{path}: not valid JSON")
+
+    @pytest.mark.parametrize("key", ["plan", "protocol"])
+    def test_missing_key_is_rejected_with_the_file_named(self, tmp_path, key):
+        path = write_reproducer(
+            tmp_path, protocol="brb_2round", plan=RELIABLE_DEMO_PLAN
+        )
+        doc = json.loads(path.read_text())
+        del doc[key]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FaultPlanError) as caught:
+            load_reproducer(path)
+        assert str(caught.value) == f"{path}: no {key!r} key"
+
     def test_expected_violation_reproducers_gate_on_failing(self, tmp_path):
         # A reproducer may also pin a *known-bad* outcome: the demo plan
         # without retransmission must keep violating termination.

@@ -1,4 +1,9 @@
 """Tests for the parallel sweep engine and its sweep wiring."""
+import multiprocessing
+import os
+import time
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
 from repro.analysis.engine import SweepEngine, SweepTask, point_seed
@@ -21,6 +26,15 @@ def async_rounds(*, n, f):
     from repro.protocols.brb_2round import Brb2Round
 
     return measure_round_good_case(Brb2Round, n=n, f=f).round_latency
+
+
+def die_on_two(*, x):
+    if x == 2:
+        # Late enough that every other point has returned: the pool
+        # breaks with this one the only point unfinished.
+        time.sleep(0.3)
+        os._exit(3)
+    return x
 
 
 def reject_two(*, x):
@@ -68,6 +82,20 @@ class TestSweepEngine:
         with pytest.raises(ValueError) as caught:
             SweepEngine(workers=workers).run(tasks)
         assert str(caught.value) == "sweep task ('x', 2): x=2 rejected"
+
+    def test_dead_pool_worker_names_its_point(self):
+        tasks = [
+            SweepTask(die_on_two, dict(x=x), key=("x", x)) for x in range(4)
+        ]
+        began = time.monotonic()
+        with pytest.raises(BrokenProcessPool) as caught:
+            SweepEngine(workers=2).run(tasks)
+        assert time.monotonic() - began < 5.0
+        assert str(caught.value) == (
+            "sweep task ('x', 2) (index 2): a pool worker died before the "
+            "task returned"
+        )
+        assert multiprocessing.active_children() == []
 
     def test_parallel_matches_serial(self):
         tasks = [SweepTask(square, dict(x=x)) for x in range(6)]

@@ -14,11 +14,15 @@ every Python version the suite runs on.
 Under counter-stream uniform delays nothing folds, and the peak is the
 in-flight copies: about 115 k of the n=301 run's 181,202 messages at
 once.  Only the open calendar window holds a queue entry and an
-``args`` tuple per copy; a copy parked in a closed window is an index in
-its fan-out's slice plus its slots in the fan-out's instant and
-recipient columns.  That is a byte bound per message sent, set between
-the ~156 B a copy cost while every one was a plain entry (223 B while
-every one carried an ``Event`` cell) and the ~77 B it costs deferred.
+``args`` tuple per copy; a copy parked in a closed window holds no
+Python object of its own: its instant is 8 bytes of its fan-out's
+``array('d')``, its recipient a slot of the fan-out's ``range``, and its
+index 4 bytes of the fan-out's window-ordered index array, plus a share
+of one ``(batch, order, lo, hi)`` span per window.  That is a byte bound
+per message sent, set between the ~77 B a copy cost while a closed
+window kept Python lists of boxed instants, recipients and indices
+(~156 B while every copy was a plain entry) and the ~40 B it costs as
+typed columns.
 """
 import os
 import re
@@ -52,4 +56,4 @@ def test_run_heap_peak_grows_linearly():
 def test_per_copy_path_peak_per_message_is_bounded():
     peak, messages = _run_peak("--delay", "uniform")
     assert messages == 181_202
-    assert peak / messages < 110, (peak, messages)
+    assert peak / messages < 50, (peak, messages)

@@ -33,7 +33,7 @@ from repro.errors import (
 )
 from repro.protocols.brb_2round import Brb2Round
 from repro.protocols.psync.vbb_5f1 import PsyncVbb5f1
-from repro.sim import coordinator
+from repro.sim import coordinator, shard
 from repro.sim.coordinator import shard_bounds
 from repro.sim.delays import FixedDelay, GstDelay, PerLinkDelay, UniformDelay
 from repro.sim.faults import (
@@ -448,6 +448,39 @@ class TestWorkerFailure:
         ):
             world.run()
         assert time.monotonic() - began < 1.0 + 5.0
+        assert multiprocessing.active_children() == []
+
+    def test_closed_pipe_names_its_round_and_is_reaped(self, monkeypatch):
+        # A worker that closes its pipe but keeps running looks like a
+        # dead one to the coordinator until its exit wait runs out: it
+        # must then be named with its barrier round, and killed.  Shard
+        # 0 holds the broadcaster, so its round-1 reply is the first
+        # "stepped" frame of the run.
+        monkeypatch.setattr(coordinator, "_EXIT_WAIT_SECONDS", 1.0)
+        parent = os.getpid()
+        real_send = shard._send_msg
+
+        def closing(conn, msg):
+            if os.getpid() != parent and msg[0] == "stepped":
+                conn.close()
+                time.sleep(60)
+            return real_send(conn, msg)
+
+        monkeypatch.setattr(shard, "_send_msg", closing)
+        world = World(
+            n=12, f=3, delay_policy=FixedDelay(1.0),
+            instrumentation="perf", shards=2,
+        )
+        world.populate(Brb2Round.factory(broadcaster=0, input_value="v"))
+        assert world.shards == 2
+        began = time.monotonic()
+        with pytest.raises(
+            SimulationError,
+            match=r"shard 0 \(parties \[0, 6\)\) closed its pipe in "
+            r"barrier round 1 but kept running",
+        ):
+            world.run()
+        assert time.monotonic() - began < 1.0 + 2.0
         assert multiprocessing.active_children() == []
 
     def test_raising_handler_names_its_shard_and_round(self):

@@ -230,6 +230,13 @@ def _replay(queue: EventQueue, script: list[tuple]) -> list[tuple]:
     return log
 
 
+class PushLoopCalendar(EventQueue):
+    """The calendar with ``push_batch`` unrolled into single pushes (the
+    heap oracle's loop)."""
+
+    push_batch = HeapQueue.push_batch
+
+
 class TestQueueParity:
     @pytest.mark.parametrize("width", _WIDTHS)
     @pytest.mark.parametrize("continuous", [False, True])
@@ -258,6 +265,18 @@ class TestQueueParity:
         calendar_log = _replay(EventQueue(width=width), script)
         assert heap_log == calendar_log
         assert heap_log[-1] == ("end", 0, None, 0)
+
+    @pytest.mark.parametrize("width", _WIDTHS)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_fan_outs_count_like_a_push_loop(self, seed, width):
+        """The same scripts against the calendar with ``push_batch``
+        unrolled into single pushes: same pops, and the same
+        ``bucket_appends`` / ``heap_pushes_avoided``."""
+        logs = []
+        for queue in (EventQueue(width=width), PushLoopCalendar(width=width)):
+            log = _replay(queue, _fan_out_script(seed))
+            logs.append((log, queue.bucket_appends, queue.heap_pushes_avoided))
+        assert logs[0] == logs[1]
 
     def test_fan_out_scripts_reach_every_deferred_state(self, monkeypatch):
         """Guards the scripts above: over their seeds, at a width below
@@ -365,6 +384,23 @@ class TestQueueParity:
         with pytest.raises(ValueError):
             batched.push_batch([1.0], _noop, "s", [0], "m", None, [1, 2])
 
+    def test_copies_admitted_at_once_go_in_index_order(self):
+        """A fan-out's copy into the drained-out open window, then one
+        below it: as two single pushes, the first is inserted into the
+        open window and the second parks it with that copy in its tail.
+        Admitted the other way round, the park would find an empty tail
+        and the first copy would cost a window of its own."""
+        logs = []
+        for queue in (EventQueue(width=1.0), PushLoopCalendar(width=1.0)):
+            queue.push(5.5, _noop, transient=True)
+            queue.pop()  # opens window 5 and drains it
+            queue.push_batch([5.7, 2.5, 7.5], _noop, "s", range(3), "m")
+            logs.append((
+                queue.bucket_appends, queue.heap_pushes_avoided,
+                [entry[5][1] for entry in iter(queue.pop, None)],
+            ))
+        assert logs[0] == logs[1] == (4, 1, [1, 0, 2])
+
     @staticmethod
     def _tie_order(queue: EventQueue) -> list:
         """Two fan-outs and a push between them, all tied at 2.5 (same
@@ -402,12 +438,15 @@ class TestQueueParity:
             def _open_next(self):
                 key = self._keys[0] if self._keys else None
                 slices = self._deferred.get(key, [])
-                for n, (batch, indices) in enumerate(slices):
-                    # Renumber the slice from the counter as it is now
-                    # (``batch[3]`` is the fan-out's first seq).
-                    first = self._seq - indices[0]
-                    self._seq += indices[-1] - indices[0] + 1
-                    slices[n] = (batch[:3] + (first,) + batch[4:], indices)
+                for n, (batch, order, lo, hi) in enumerate(slices):
+                    # Renumber the span from the counter as it is now
+                    # (``batch[3]`` is the fan-out's first seq; a span's
+                    # indices ascend).
+                    first = self._seq - order[lo]
+                    self._seq += order[hi - 1] - order[lo] + 1
+                    slices[n] = (
+                        batch[:3] + (first,) + batch[4:], order, lo, hi
+                    )
                 return super()._open_next()
 
         order = self._tie_order(NumberedAtOpen(width=1.0))
