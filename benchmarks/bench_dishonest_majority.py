@@ -11,7 +11,6 @@ import pytest
 
 from repro.analysis.latency import measure_sync_good_case
 from repro.analysis.sweeps import sweep_dishonest_majority
-from repro.net.synchrony import SynchronyModel
 from repro.protocols.sync.dishonest_majority import (
     WanStyleBb,
     trustcast_rounds,
@@ -22,10 +21,10 @@ BIG_DELTA = 1.0
 
 @pytest.mark.parametrize("n,f", [(4, 2), (6, 4), (8, 6), (10, 8)])
 def test_latency_shape(benchmark, n, f):
-    model = SynchronyModel(delta=BIG_DELTA, big_delta=BIG_DELTA, skew=0.0)
+    timing = dict(delta=BIG_DELTA, big_delta=BIG_DELTA, skew=0.0)
     meas = benchmark(
         lambda: measure_sync_good_case(
-            WanStyleBb, n=n, f=f, model=model, skew_pattern="zero"
+            WanStyleBb, n=n, f=f, **timing, skew_pattern="zero"
         )
     )
     assert meas.time_latency == pytest.approx(

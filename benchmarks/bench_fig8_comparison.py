@@ -9,7 +9,6 @@ run on identical worlds and the 0.5*delta separation is measured.
 import pytest
 
 from repro.analysis.latency import measure_sync_good_case
-from repro.net.synchrony import SynchronyModel
 from repro.protocols.sync.bb_delta_15delta import BbDelta15Delta
 from repro.protocols.sync.bb_delta_2delta import BbDelta2Delta
 
@@ -18,15 +17,15 @@ BIG_DELTA = 1.0
 
 @pytest.mark.parametrize("delta", [0.2, 0.4, 0.8])
 def test_fig8_separation_is_half_delta(benchmark, delta):
-    model = SynchronyModel(delta=delta, big_delta=BIG_DELTA, skew=0.0)
+    timing = dict(delta=delta, big_delta=BIG_DELTA, skew=0.0)
 
     def run():
         fast = measure_sync_good_case(
-            BbDelta15Delta, n=5, f=2, model=model,
+            BbDelta15Delta, n=5, f=2, **timing,
             d_grid=[delta, BIG_DELTA],
         )
         baseline = measure_sync_good_case(
-            BbDelta2Delta, n=5, f=2, model=model
+            BbDelta2Delta, n=5, f=2, **timing
         )
         return fast.time_latency, baseline.time_latency
 
@@ -39,14 +38,14 @@ def test_fig8_separation_is_half_delta(benchmark, delta):
 def test_fig8_message_cost_of_optimality(benchmark):
     """The optimum pays O(m n^2) messages vs the baseline's O(n^2)."""
     delta = 0.25
-    model = SynchronyModel(delta=delta, big_delta=BIG_DELTA, skew=0.0)
+    timing = dict(delta=delta, big_delta=BIG_DELTA, skew=0.0)
 
     def run():
         fast = measure_sync_good_case(
-            BbDelta15Delta, n=5, f=2, model=model, grid_samples=8
+            BbDelta15Delta, n=5, f=2, **timing, grid_samples=8
         )
         baseline = measure_sync_good_case(
-            BbDelta2Delta, n=5, f=2, model=model
+            BbDelta2Delta, n=5, f=2, **timing
         )
         return fast.messages, baseline.messages
 

@@ -11,7 +11,6 @@ import pytest
 
 from repro.analysis.latency import measure_sync_good_case
 from repro.analysis.sweeps import sweep_fig9_tradeoff
-from repro.net.synchrony import SynchronyModel
 from repro.protocols.sync.bb_delta_15delta import BbDelta15Delta
 
 BIG_DELTA = 1.0
@@ -19,10 +18,10 @@ BIG_DELTA = 1.0
 
 @pytest.mark.parametrize("delta", [0.125, 0.25, 0.5, 1.0])
 def test_fig9_exact_optimum_on_grid(benchmark, delta):
-    model = SynchronyModel(delta=delta, big_delta=BIG_DELTA, skew=delta)
+    timing = dict(delta=delta, big_delta=BIG_DELTA, skew=delta)
     meas = benchmark(
         lambda: measure_sync_good_case(
-            BbDelta15Delta, n=5, f=2, model=model, grid_samples=8
+            BbDelta15Delta, n=5, f=2, **timing, grid_samples=8
         )
     )
     assert meas.time_latency <= BIG_DELTA + 1.5 * delta + 1e-9
@@ -44,10 +43,10 @@ def test_fig9_m_sweep_latency(benchmark):
 
 @pytest.mark.parametrize("m", [1, 4, 16])
 def test_fig9_message_cost_scales_with_m(benchmark, m):
-    model = SynchronyModel(delta=0.3, big_delta=BIG_DELTA, skew=0.0)
+    timing = dict(delta=0.3, big_delta=BIG_DELTA, skew=0.0)
     meas = benchmark(
         lambda: measure_sync_good_case(
-            BbDelta15Delta, n=5, f=2, model=model, grid_samples=m
+            BbDelta15Delta, n=5, f=2, **timing, grid_samples=m
         )
     )
     # O(m n^2): at least m vote multicasts per party.

@@ -10,7 +10,6 @@ sides of the gap on identical worlds.
 import pytest
 
 from repro.analysis.latency import measure_sync_good_case
-from repro.net.synchrony import SynchronyModel
 from repro.protocols.sync.bb_2delta import Bb2Delta
 from repro.protocols.sync.bb_unauth_3delta import BbUnauth3Delta
 
@@ -19,10 +18,10 @@ BIG_DELTA = 1.0
 
 @pytest.mark.parametrize("delta", [0.1, 0.25, 0.5])
 def test_unauth_3delta_upper_bound(benchmark, delta):
-    model = SynchronyModel(delta=delta, big_delta=BIG_DELTA, skew=delta)
+    timing = dict(delta=delta, big_delta=BIG_DELTA, skew=delta)
     meas = benchmark(
         lambda: measure_sync_good_case(
-            BbUnauth3Delta, n=7, f=2, model=model, until=2000.0
+            BbUnauth3Delta, n=7, f=2, **timing, until=2000.0
         )
     )
     assert meas.time_latency == pytest.approx(3 * delta)
@@ -31,12 +30,12 @@ def test_unauth_3delta_upper_bound(benchmark, delta):
 def test_section7_gap(benchmark):
     """The one-delta gap between authenticated and unauthenticated."""
     delta = 0.25
-    model = SynchronyModel(delta=delta, big_delta=BIG_DELTA, skew=0.0)
+    timing = dict(delta=delta, big_delta=BIG_DELTA, skew=0.0)
 
     def run():
-        auth = measure_sync_good_case(Bb2Delta, n=7, f=2, model=model)
+        auth = measure_sync_good_case(Bb2Delta, n=7, f=2, **timing)
         unauth = measure_sync_good_case(
-            BbUnauth3Delta, n=7, f=2, model=model, until=2000.0
+            BbUnauth3Delta, n=7, f=2, **timing, until=2000.0
         )
         return auth.time_latency, unauth.time_latency
 

@@ -40,7 +40,7 @@ FAILURE = "failure-only path (violation, shrink, reproducer I/O, error text)"
 BYZANTINE = "protocol branch only tests' Byzantine or crash scenarios take"
 ENCODER_SPEC = "canonical_encode, the encoder spec tests check digests against"
 FROZEN = "named in the frozen benchmarks/e2e/adapters.py"
-SYNC_TIER = "timing model waiting for the sync chaos tier"
+SYNC_TIER = "forwarded-quorum path waiting for a random-delay sync root"
 REASONS = (HOOK, REPR, FAILURE, BYZANTINE, ENCODER_SPEC, FROZEN, SYNC_TIER)
 
 #: ``path:qualname`` (path relative to ``src/repro``) -> reason.
@@ -106,27 +106,15 @@ ALLOWLIST: dict[str, str] = {
     "crypto/messages.py:canonical_encode": ENCODER_SPEC,
     "protocols/quorum.py:QuorumTracker.add_batch": FROZEN,
     "sim/events.py:EventQueue.release": FROZEN,
-    # Random and GST delays: no root runs a sync protocol off its
-    # worst-case schedule yet, so a forwarded vote batch never crosses
-    # first either.
-    "net/asynchrony.py:AsynchronyModel.random_policy": SYNC_TIER,
-    "net/partial_synchrony.py:PartialSynchronyModel.__post_init__": SYNC_TIER,
-    "net/partial_synchrony.py:PartialSynchronyModel.policy": SYNC_TIER,
-    "net/partial_synchrony.py:PartialSynchronyModel.random_policy": SYNC_TIER,
-    "net/partial_synchrony.py:PartialSynchronyModel.stable_policy": SYNC_TIER,
-    "net/synchrony.py:SynchronyModel.random_policy": SYNC_TIER,
+    # A forwarded vote batch crosses a sync party's threshold before its
+    # own votes do only off the worst-case schedule, and every root runs
+    # the sync protocols at FixedDelay(delta).
     "protocols/sync/bb_delta_15delta.py:BbDelta15Delta._on_votes_crossed":
         SYNC_TIER,
     "protocols/sync/bb_delta_2delta.py:BbDelta2Delta._on_votes_crossed":
         SYNC_TIER,
     "protocols/sync/bb_delta_delta_n3.py:BbDeltaDeltaN3._on_votes_crossed":
         SYNC_TIER,
-    "sim/delays.py:GstDelay.__init__": SYNC_TIER,
-    "sim/delays.py:GstDelay._cap": SYNC_TIER,
-    "sim/delays.py:GstDelay.delay": SYNC_TIER,
-    "sim/delays.py:GstDelay.delays_for_multicast": SYNC_TIER,
-    "sim/delays.py:GstDelay.min_delay": SYNC_TIER,
-    "sim/delays.py:GstDelay.shard_safe": SYNC_TIER,
 }
 
 

@@ -11,9 +11,9 @@ from repro import (
     BbDelta15Delta,
     Brb2Round,
     PsyncVbb5f1,
-    SynchronyModel,
     run_broadcast,
 )
+from repro.sim.clock import skewed_offsets
 from repro.sim.delays import FixedDelay
 
 
@@ -47,16 +47,16 @@ def run_psync_vbb() -> None:
 
 def run_sync_bb() -> None:
     print("=== Figure 9: (Delta+1.5delta)-BB, unsync start (n=5, f=2) ===")
+    # Every message takes delta; parties start up to sigma = delta apart.
     delta, big_delta = 0.25, 1.0
-    model = SynchronyModel(delta=delta, big_delta=big_delta, skew=delta)
     result = run_broadcast(
         n=5,
         f=2,
         party_factory=BbDelta15Delta.factory(
             broadcaster=0, input_value="tick", big_delta=big_delta
         ),
-        delay_policy=model.worst_case_policy(),
-        start_offsets=model.offsets(5),
+        delay_policy=FixedDelay(delta),
+        start_offsets=skewed_offsets(5, delta),
     )
     latency = result.latency_from(0.0)
     bound = big_delta + 1.5 * delta

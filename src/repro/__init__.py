@@ -3,15 +3,16 @@ Categorization" (Abraham, Nayak, Ren, Xiang — PODC 2021).
 
 Public surface:
 
-* timing models — :mod:`repro.net`;
-* the simulation substrate — :mod:`repro.sim`;
+* the simulation substrate — :mod:`repro.sim` (a timing model is the
+  paper's numbers: delay policies for ``delta`` / ``Delta``, start offsets
+  for the skew ``sigma``, and a :class:`~repro.sim.faults.GstChurn` fault
+  for GST);
 * protocols (upper bounds + baselines) — :mod:`repro.protocols`;
 * adversaries — :mod:`repro.adversary`;
 * executable lower-bound witnesses — :mod:`repro.lowerbounds`;
 * SMR on top of the 2-round psync-VBB — :mod:`repro.smr`;
 * Table 1 / figure regeneration — :mod:`repro.analysis`.
 """
-from repro.net import AsynchronyModel, PartialSynchronyModel, SynchronyModel
 from repro.protocols.base import BroadcastParty
 from repro.protocols.brb_2round import Brb2Round
 from repro.protocols.brb_bracha import BrachaBrb
@@ -32,7 +33,6 @@ from repro.types import BOTTOM
 __version__ = "1.0.0"
 
 __all__ = [
-    "AsynchronyModel",
     "BOTTOM",
     "Bb2Delta",
     "BbDelta15Delta",
@@ -45,11 +45,9 @@ __all__ = [
     "BroadcastParty",
     "DolevStrongBb",
     "FabPsync",
-    "PartialSynchronyModel",
     "PbftPsync",
     "PsyncVbb5f1",
     "RunResult",
-    "SynchronyModel",
     "WanStyleBb",
     "World",
     "run_broadcast",

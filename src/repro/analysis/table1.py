@@ -24,7 +24,6 @@ from repro.analysis.latency import (
     measure_round_good_case,
     measure_sync_good_case,
 )
-from repro.net.synchrony import SynchronyModel
 from repro.protocols.brb_2round import Brb2Round
 from repro.protocols.dolev_strong import DolevStrongBb
 from repro.protocols.psync.pbft import PbftPsync
@@ -103,9 +102,9 @@ class Regime:
         kwargs = dict(
             self.kwargs, n=self.n, f=self.f, instrumentation=instrumentation
         )
-        if self.timing != "asynchrony":  # asynchrony has no Delta
-            kwargs["big_delta"] = big_delta
         if self.unit == "rounds":
+            if self.timing != "asynchrony":  # asynchrony has no Delta
+                kwargs["big_delta"] = big_delta
             return measure_round_good_case(
                 self.protocol, **kwargs
             ).round_latency
@@ -114,10 +113,12 @@ class Regime:
             kwargs["d_grid"] = [delta, big_delta]
         if self.lockstep:
             delta = big_delta
-        skew = delta if self.start == "unsync" else 0.0
-        model = SynchronyModel(delta=delta, big_delta=big_delta, skew=skew)
         return measure_sync_good_case(
-            self.protocol, model=model, **kwargs
+            self.protocol,
+            delta=delta,
+            big_delta=big_delta,
+            skew=delta if self.start == "unsync" else 0.0,
+            **kwargs,
         ).time_latency
 
     def matches(self, value: float, delta: float, big_delta: float) -> bool:

@@ -14,7 +14,7 @@ the broken indistinguishability that blocks naive early voting.
     (1) Propose.  Broadcaster sends <propose, v>_L to all.
     (2) Forward.  On the first valid proposal (from party j, local time
         t_prop), forward it to all; if j = L and t_prop <= Delta + sigma,
-        set direct-rcv = true.
+        set direct-rcv = true (here: any copy from L by then; see below).
     (3) Vote.  For every d in [0, Delta], at local time
         t_prop + Delta - 0.5*d, if no equivocation detected, multicast
         <vote, d, <propose, v>_L>_i.
@@ -26,6 +26,17 @@ the broken indistinguishability that blocks naive early voting.
             rank = d.
     (5) Byzantine agreement.  At local time 6.5*Delta + 2*sigma, run BA
         on lock; commit its output if not yet committed.  Terminate.
+
+Step 2 ties direct-rcv to the *first* copy, but the good-case proof
+needs every honest party to set it (L's copy arrives by local ``delta +
+sigma``), and with delays anywhere in ``[0, delta]`` a forwarded copy
+can overtake L's own.  So any copy of the first value from L by local
+``Delta + sigma`` sets it.  The equivocation window does not move: the
+votes, the silence check and the ``t_votes - t_prop`` bounds are
+anchored at ``t_prop``, the first copy (when the party forwarded), and
+the ``t_prop <= Delta + sigma`` that direct-rcv vouches for still holds.
+A copy of *another* value is an equivocation and sets nothing (after
+``t_prop + Delta + 0.5*d`` it would escape the silence check).
 
 The paper's footnote: with a continuous ``d`` the message complexity is
 unbounded ("purely theoretical"); its practical variant samples ``m``
@@ -110,21 +121,21 @@ class BbDelta15Delta(SyncBroadcastParty):
     def _on_proposal(
         self, sender: PartyId, value: Value, proposal: SignedPayload
     ) -> None:
-        if self.t_prop is not None:
-            return  # only the first valid proposal counts
-        self.t_prop = self.local_time()
-        self._proposal_value = value
-        self.multicast(proposal, include_self=False)
+        if self.t_prop is None:  # only the first valid proposal is forwarded
+            self.t_prop = self.local_time()
+            self._proposal_value = value
+            self.multicast(proposal, include_self=False)
+            for d in self.d_grid:
+                self.at_local_time(
+                    self.t_prop + self.big_delta - 0.5 * d,
+                    lambda d=d, p=proposal: self._send_vote(d, p),
+                )
         if (
             sender == self.broadcaster
-            and self.t_prop <= self.big_delta + self.sigma
+            and value == self._proposal_value
+            and self.local_time() <= self.big_delta + self.sigma
         ):
             self.direct_rcv = True
-        for d in self.d_grid:
-            self.at_local_time(
-                self.t_prop + self.big_delta - 0.5 * d,
-                lambda d=d, p=proposal: self._send_vote(d, p),
-            )
 
     def _send_vote(self, d: float, proposal: SignedPayload) -> None:
         if self.equivocation_detected_at is not None or self.has_committed:

@@ -8,6 +8,15 @@ for different values; commit on ``f + 1`` votes.  Good-case latency
 ``delta + Delta + delta = Delta + 2*delta`` with ``O(n^2)`` messages —
 0.5*delta worse than the optimum of Figure 9, but practical.  ``f < n/2``,
 unsynchronized start.
+
+Any copy of the first proposal's value from the broadcaster by local
+``Delta + sigma`` sets ``direct_rcv``, not only the first copy: with
+delays anywhere in ``[0, delta]`` a forwarded copy can overtake the
+direct one, and the latency bound needs every honest party to set it.
+The equivocation window does not move: the vote at ``t_prop + Delta``
+and the ``3*Delta`` commit window are anchored at ``t_prop``, the first
+copy (when the party forwarded), and the ``t_prop <= Delta + sigma``
+that ``direct_rcv`` vouches for still holds.
 """
 from __future__ import annotations
 
@@ -29,6 +38,7 @@ class BbDelta2Delta(SyncBroadcastParty):
         validate_resilience(self.n, self.f, requirement="f<n/2")
         self.direct_rcv = False
         self.t_prop: float | None = None
+        self._proposal_value: Value | None = None
         self._forwarded: set[Value] = set()
 
     @property
@@ -68,19 +78,20 @@ class BbDelta2Delta(SyncBroadcastParty):
     def _on_proposal(
         self, sender: PartyId, value: Value, proposal: SignedPayload
     ) -> None:
-        if self.t_prop is not None:
-            return
-        self.t_prop = self.local_time()
-        self.multicast(proposal, include_self=False)
+        if self.t_prop is None:
+            self.t_prop = self.local_time()
+            self._proposal_value = value
+            self.multicast(proposal, include_self=False)
+            self.at_local_time(
+                self.t_prop + self.big_delta,
+                lambda p=proposal: self._send_vote(p),
+            )
         if (
             sender == self.broadcaster
-            and self.t_prop <= self.big_delta + self.sigma
+            and value == self._proposal_value
+            and self.local_time() <= self.big_delta + self.sigma
         ):
             self.direct_rcv = True
-        self.at_local_time(
-            self.t_prop + self.big_delta,
-            lambda p=proposal: self._send_vote(p),
-        )
 
     def _send_vote(self, proposal: SignedPayload) -> None:
         if self.equivocation_detected_at is not None:

@@ -4,7 +4,6 @@ from repro.sim.delays import (
     DelayPolicy,
     FixedDelay,
     FunctionDelay,
-    GstDelay,
     PerLinkDelay,
     UniformDelay,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "EventQueue",
     "FixedDelay",
     "FunctionDelay",
-    "GstDelay",
     "Instrumentation",
     "LocalClock",
     "Network",

@@ -7,7 +7,9 @@ delay, subject to the model's constraint:
   execution's actual bound ``delta`` (``delta <= Delta`` and unknown to the
   protocol); delays touching a Byzantine party are arbitrary (the Byzantine
   party can pretend);
-* partial synchrony: arbitrary before GST, ``<= Delta`` after GST;
+* partial synchrony: arbitrary before GST, ``<= Delta`` after GST (GST
+  is a :class:`~repro.sim.faults.GstChurn` fault layered over a policy
+  here, not a policy of its own);
 * asynchrony: arbitrary but finite for honest pairs.
 
 A :class:`DelayPolicy` maps ``(sender, recipient, payload, send_time)`` to
@@ -363,52 +365,3 @@ class FunctionDelay(DelayPolicy):
     def delay(self, sender, recipient, payload, send_time) -> float:
         return self._fn(sender, recipient, payload, send_time)
 
-
-class GstDelay(DelayPolicy):
-    """Partial synchrony: arbitrary before GST, bounded ``Delta`` after.
-
-    ``pre_gst`` decides delays for the asynchronous period; the effective
-    delivery time is capped at ``max(send_time, gst) + Delta``, which is
-    the standard guarantee that every message (including those in flight
-    at GST) arrives within ``Delta`` after GST.
-    """
-
-    def __init__(self, *, gst: float, big_delta: float, pre_gst: DelayPolicy):
-        if not gst >= 0:
-            raise ValueError(f"GST must be >= 0, got {gst}")
-        if not big_delta > 0:
-            raise ValueError(f"Delta must be > 0, got {big_delta}")
-        self.gst = gst
-        self.big_delta = big_delta
-        self.pre_gst = pre_gst
-
-    def delay(self, sender, recipient, payload, send_time) -> float:
-        requested = self.pre_gst.delay(sender, recipient, payload, send_time)
-        return self._cap(requested, send_time)
-
-    def delays_for_multicast(
-        self, sender, recipients, payload, send_time
-    ) -> list[float]:
-        # Batch through the wrapped policy (consuming its state exactly as
-        # per-recipient calls would), then apply the GST cap elementwise.
-        requested = self.pre_gst.delays_for_multicast(
-            sender, recipients, payload, send_time
-        )
-        return [self._cap(value, send_time) for value in requested]
-
-    def _cap(self, requested: float, send_time: float) -> float:
-        if send_time >= self.gst:
-            return min(requested, self.big_delta)
-        latest_delivery = max(send_time, self.gst) + self.big_delta
-        return min(send_time + requested, latest_delivery) - send_time
-
-    def shard_safe(self) -> bool:
-        # The cap is a pure function of (requested, send_time); safety
-        # reduces to the wrapped pre-GST policy's.
-        return self.pre_gst.shard_safe()
-
-    def min_delay(self) -> float:
-        # Both cap branches compute min(requested, bound) with
-        # bound >= big_delta, so the capped delay never drops below
-        # min(pre-GST minimum, Delta).
-        return min(self.pre_gst.min_delay(), self.big_delta)

@@ -301,7 +301,8 @@ class GstChurn:
     partial-synchrony guarantee (everything in flight at GST arrives
     within ``Delta`` after it), applied once per window.  Layered on top
     of whatever base :class:`~repro.sim.delays.DelayPolicy` the world
-    runs, including another :class:`~repro.sim.delays.GstDelay`.
+    runs.  This is the one way to express GST: one window ``[0, GST)``
+    is a single partially synchronous execution.
     """
 
     windows: tuple[tuple[float, float], ...]

@@ -5,9 +5,7 @@ from repro.analysis.latency import (
     measure_round_good_case,
     measure_sync_good_case,
 )
-from repro.net.asynchrony import AsynchronyModel
-from repro.net.partial_synchrony import PartialSynchronyModel
-from repro.net.synchrony import SynchronyModel
+from repro.errors import ConfigurationError
 from repro.protocols.brb_2round import Brb2Round
 from repro.protocols.psync.vbb_5f1 import PsyncVbb5f1
 from repro.protocols.sync.bb_2delta import Bb2Delta
@@ -15,8 +13,9 @@ from repro.protocols.sync.bb_2delta import Bb2Delta
 
 class TestMeasureSync:
     def test_reports_time_not_rounds(self):
-        model = SynchronyModel(delta=0.25, big_delta=1.0)
-        meas = measure_sync_good_case(Bb2Delta, n=7, f=2, model=model)
+        meas = measure_sync_good_case(
+            Bb2Delta, n=7, f=2, delta=0.25, big_delta=1.0
+        )
         assert meas.time_latency == pytest.approx(0.5)
         assert meas.round_latency is None
         assert meas.protocol == "Bb2Delta"
@@ -25,39 +24,48 @@ class TestMeasureSync:
     def test_latency_measured_from_broadcaster_start(self):
         # With the "max" skew pattern and broadcaster 1 (which starts at
         # the skew offset), the latency is still relative to *its* start.
-        model = SynchronyModel(delta=0.25, big_delta=1.0, skew=0.25)
         meas = measure_sync_good_case(
-            Bb2Delta, n=7, f=2, model=model, broadcaster=1,
-            skew_pattern="max",
+            Bb2Delta, n=7, f=2, delta=0.25, big_delta=1.0, skew=0.25,
+            broadcaster=1, skew_pattern="max",
         )
+        assert meas.result.start_offsets == [0.0] + [0.25] * 6
         assert meas.time_latency == pytest.approx(0.5)
 
+    def test_offsets_respect_skew(self):
+        meas = measure_sync_good_case(
+            Bb2Delta, n=7, f=2, delta=0.5, big_delta=1.0, skew=0.5
+        )
+        offsets = meas.result.start_offsets
+        assert max(offsets) - min(offsets) <= 0.5
+
     def test_result_object_attached(self):
-        model = SynchronyModel(delta=0.25, big_delta=1.0)
-        meas = measure_sync_good_case(Bb2Delta, n=7, f=2, model=model)
+        meas = measure_sync_good_case(
+            Bb2Delta, n=7, f=2, delta=0.25, big_delta=1.0
+        )
         assert meas.result.committed_value() == "v"
+
+    @pytest.mark.parametrize(
+        "delta,big_delta,skew",
+        [(2.0, 1.0, 0.0), (0.0, 1.0, 0.0), (-0.5, 1.0, 0.0), (0.5, 1.0, -0.1)],
+        ids=["delta-above-Delta", "delta-zero", "delta-negative",
+             "negative-skew"],
+    )
+    def test_invalid_timing_rejected(self, delta, big_delta, skew):
+        with pytest.raises(ConfigurationError):
+            measure_sync_good_case(
+                Bb2Delta, n=7, f=2, delta=delta, big_delta=big_delta,
+                skew=skew,
+            )
 
 
 class TestMeasureRounds:
-    def test_default_model_is_async(self):
+    def test_runs_async_rounds(self):
         meas = measure_round_good_case(Brb2Round, n=7, f=2)
         assert meas.round_latency == 2
         assert meas.time_latency is None
 
-    def test_explicit_async_model(self):
-        meas = measure_round_good_case(
-            Brb2Round, n=7, f=2, model=AsynchronyModel(mean_delay=3.0)
-        )
-        assert meas.round_latency == 2
-
-    def test_psync_model_uses_stable_policy(self):
-        meas = measure_round_good_case(
-            PsyncVbb5f1,
-            n=9,
-            f=2,
-            model=PartialSynchronyModel(big_delta=1.0, post_gst_delay=0.1),
-            big_delta=1.0,
-        )
+    def test_psync_good_case(self):
+        meas = measure_round_good_case(PsyncVbb5f1, n=9, f=2, big_delta=1.0)
         assert meas.round_latency == 2
 
     def test_custom_input_value(self):

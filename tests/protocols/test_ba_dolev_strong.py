@@ -3,9 +3,10 @@ import pytest
 
 from repro.adversary.behaviors import CrashBehavior
 from repro.adversary.broadcaster import equivocating_broadcaster
-from repro.net.synchrony import SynchronyModel
 from repro.protocols.ba import DolevStrongBa
 from repro.protocols.dolev_strong import DolevStrongBb
+from repro.sim.clock import skewed_offsets
+from repro.sim.delays import FixedDelay
 from repro.sim.process import Party
 from repro.sim.runner import World, run_broadcast
 from repro.types import BOTTOM
@@ -40,13 +41,12 @@ class BaHarnessParty(Party):
 
 def run_ba(n, f, inputs, *, delta=1.0, skew=0.0, byzantine=frozenset(),
            behavior_factory=None):
-    model = SynchronyModel(delta=delta, big_delta=BIG_DELTA, skew=skew)
     world = World(
         n=n,
         f=f,
-        delay_policy=model.worst_case_policy(),
+        delay_policy=FixedDelay(delta),
         byzantine=byzantine,
-        start_offsets=model.offsets(n, pattern="staggered"),
+        start_offsets=skewed_offsets(n, skew),
     )
     world.populate(
         lambda w, pid: BaHarnessParty(w, pid, input_value=inputs[pid]),
@@ -102,14 +102,13 @@ class TestDolevStrongBa:
 class TestDolevStrongBb:
     def run_ds(self, n, f, *, delta=1.0, byzantine=frozenset(),
                behavior_factory=None, value="v"):
-        model = SynchronyModel(delta=delta, big_delta=BIG_DELTA)
         return run_broadcast(
             n=n,
             f=f,
             party_factory=DolevStrongBb.factory(
                 broadcaster=0, input_value=value, big_delta=BIG_DELTA
             ),
-            delay_policy=model.worst_case_policy(),
+            delay_policy=FixedDelay(delta),
             byzantine=byzantine,
             behavior_factory=behavior_factory,
             until=1000.0,

@@ -5,11 +5,11 @@ import pytest
 
 from repro.adversary.behaviors import CrashBehavior
 from repro.adversary.broadcaster import equivocating_broadcaster
-from repro.net.synchrony import SynchronyModel
 from repro.protocols.sync.dishonest_majority import (
     WanStyleBb,
     trustcast_rounds,
 )
+from repro.sim.delays import FixedDelay
 from repro.sim.runner import run_broadcast
 from repro.types import BOTTOM
 
@@ -18,18 +18,13 @@ BIG_DELTA = 1.0
 
 def run_wan(n, f, *, delta=None, byzantine=frozenset(),
             behavior_factory=None, value="v", until=None):
-    model = SynchronyModel(
-        delta=delta if delta is not None else BIG_DELTA,
-        big_delta=BIG_DELTA,
-        skew=0.0,
-    )
     return run_broadcast(
         n=n,
         f=f,
         party_factory=WanStyleBb.factory(
             broadcaster=0, input_value=value, big_delta=BIG_DELTA
         ),
-        delay_policy=model.worst_case_policy(),
+        delay_policy=FixedDelay(delta if delta is not None else BIG_DELTA),
         byzantine=byzantine,
         behavior_factory=behavior_factory,
         until=until,

@@ -7,9 +7,9 @@ from repro.adversary.behaviors import (
     fixed_delay_toward,
 )
 from repro.adversary.broadcaster import equivocating_broadcaster
-from repro.net.partial_synchrony import PartialSynchronyModel
 from repro.protocols.psync.vbb_5f1 import PsyncVbb5f1
 from repro.sim.delays import FixedDelay, UniformDelay
+from repro.sim.faults import FaultPlan, GstChurn
 from repro.sim.runner import run_broadcast
 from repro.types import INF
 
@@ -60,8 +60,8 @@ class TestGoodCase:
             run_good_case(8, 2)  # n = 5f - 2
 
     def test_gst_policy_good_case(self):
-        model = PartialSynchronyModel(big_delta=DELTA, gst=0.0)
-        result = run_good_case(9, 2, policy=model.stable_policy())
+        # GST = 0: every copy takes the post-GST bound Delta.
+        result = run_good_case(9, 2, policy=FixedDelay(DELTA))
         assert result.round_latency() == 2
 
 
@@ -200,29 +200,32 @@ class TestViewChange:
 
 
 class TestLateGst:
-    def test_commits_after_gst_with_adversarial_prefix(self):
-        # GST at t=20: pre-GST messages are maximally delayed; the
-        # protocol must churn views and then commit after GST.
-        model = PartialSynchronyModel(big_delta=DELTA, gst=20.0)
-        result = run_broadcast(
+    GST = 20.0
+
+    def run_late_gst(self, seed):
+        # GST at t=20: a copy sent before GST is held to an adversarial
+        # instant no later than GST + Delta (one ``GstChurn`` window).
+        plan = FaultPlan(
+            churns=(GstChurn(windows=((0.0, self.GST),), bound=DELTA),),
+            seed=seed,
+        )
+        return run_broadcast(
             n=9,
             f=2,
             party_factory=vbb_factory(9, 2),
-            delay_policy=model.policy(),
+            delay_policy=FixedDelay(DELTA),
+            fault_plan=plan,
             until=500.0,
         )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_commits_after_gst_with_adversarial_prefix(self, seed):
+        result = self.run_late_gst(seed)
         assert result.all_honest_committed()
         assert len(set(result.commits.values())) <= 1
 
-    def test_commit_times_exceed_gst_when_views_churn(self):
-        model = PartialSynchronyModel(big_delta=DELTA, gst=20.0)
-        result = run_broadcast(
-            n=9,
-            f=2,
-            party_factory=vbb_factory(9, 2),
-            delay_policy=model.policy(),
-            until=500.0,
-        )
-        # With every pre-GST message stalled to the GST cap, commits land
-        # after GST.
-        assert all(t > 0 for t in result.commit_global_times.values())
+    @pytest.mark.parametrize("seed", range(4))
+    def test_commit_times_exceed_gst_when_views_churn(self, seed):
+        result = self.run_late_gst(seed)
+        assert all(t > self.GST for t in result.commit_global_times.values())
+        assert all(view > 1 for view in result.commit_views.values())

@@ -9,7 +9,6 @@ import pytest
 
 from repro.adversary.behaviors import ScriptStep, ScriptedBehavior
 from repro.adversary.broadcaster import equivocating_broadcaster
-from repro.net.synchrony import SynchronyModel
 from repro.protocols.sync.bb_delta_15delta import (
     VOTE as VOTE15,
     BbDelta15Delta,
@@ -18,7 +17,8 @@ from repro.protocols.sync.bb_delta_delta_sync import (
     VOTE as VOTE6,
     BbDeltaDeltaSync,
 )
-from repro.sim.delays import PerLinkDelay
+from repro.sim.clock import skewed_offsets
+from repro.sim.delays import FixedDelay, PerLinkDelay
 from repro.sim.runner import World
 
 BIG_DELTA = 1.0
@@ -77,11 +77,10 @@ class TestFig6DoubleVoting:
                 return behavior_split(world, pid)
             return double_voter(world, pid)
 
-        model = SynchronyModel(delta=DELTA, big_delta=BIG_DELTA, skew=0.0)
         world = World(
             n=5,
             f=2,
-            delay_policy=model.worst_case_policy(),
+            delay_policy=FixedDelay(DELTA),
             byzantine=frozenset({0, 4}),
         )
         world.populate(
@@ -152,13 +151,12 @@ class TestFig9DoubleVoting:
                 return behavior_split(world, pid)
             return double_voter(world, pid)
 
-        model = SynchronyModel(delta=DELTA, big_delta=BIG_DELTA, skew=DELTA)
         world = World(
             n=5,
             f=2,
-            delay_policy=model.worst_case_policy(),
+            delay_policy=FixedDelay(DELTA),
             byzantine=frozenset({0, 4}),
-            start_offsets=model.offsets(5),
+            start_offsets=skewed_offsets(5, DELTA),
         )
         world.populate(
             BbDelta15Delta.factory(

@@ -9,12 +9,13 @@ import pytest
 
 from repro.adversary.behaviors import CrashBehavior
 from repro.adversary.broadcaster import equivocating_broadcaster
-from repro.net.synchrony import SynchronyModel
 from repro.protocols.sync.bb_2delta import Bb2Delta
 from repro.protocols.sync.bb_delta_15delta import BbDelta15Delta
 from repro.protocols.sync.bb_delta_2delta import BbDelta2Delta
 from repro.protocols.sync.bb_delta_delta_n3 import BbDeltaDeltaN3
 from repro.protocols.sync.bb_delta_delta_sync import BbDeltaDeltaSync
+from repro.sim.clock import skewed_offsets
+from repro.sim.delays import FixedDelay
 from repro.sim.runner import run_broadcast
 from repro.types import BOTTOM
 
@@ -35,7 +36,6 @@ def run_sync(
     until=None,
     **protocol_kwargs,
 ):
-    model = SynchronyModel(delta=delta, big_delta=BIG_DELTA, skew=skew)
     result = run_broadcast(
         n=n,
         f=f,
@@ -45,10 +45,10 @@ def run_sync(
             big_delta=BIG_DELTA,
             **protocol_kwargs,
         ),
-        delay_policy=model.worst_case_policy(),
+        delay_policy=FixedDelay(delta),
         byzantine=byzantine,
         behavior_factory=behavior_factory,
-        start_offsets=model.offsets(n, pattern=skew_pattern),
+        start_offsets=skewed_offsets(n, skew, pattern=skew_pattern),
         until=until,
     )
     return result

@@ -7,9 +7,9 @@ sender is always delivered and never distrusted.
 """
 import pytest
 
-from repro.net.synchrony import SynchronyModel
 from repro.protocols.ba import DS_MSG
 from repro.protocols.sync.dishonest_majority import TrustCast
+from repro.sim.delays import FixedDelay
 from repro.sim.process import Party
 from repro.sim.runner import World
 
@@ -45,9 +45,8 @@ class TcHarness(Party):
 
 def run_tc(n, f, *, sender, value, byzantine=frozenset(),
            behavior_factory=None, delta=1.0):
-    model = SynchronyModel(delta=delta, big_delta=BIG_DELTA, skew=0.0)
     world = World(
-        n=n, f=f, delay_policy=model.worst_case_policy(),
+        n=n, f=f, delay_policy=FixedDelay(delta),
         byzantine=byzantine,
     )
     world.populate(

@@ -8,10 +8,11 @@ import pytest
 
 from repro.adversary.behaviors import CrashBehavior
 from repro.adversary.broadcaster import equivocating_broadcaster
-from repro.net.synchrony import SynchronyModel
 from repro.protocols.phase_king import PhaseKingBa
 from repro.protocols.sync.bb_2delta import Bb2Delta
 from repro.protocols.sync.bb_unauth_3delta import BbUnauth3Delta
+from repro.sim.clock import skewed_offsets
+from repro.sim.delays import FixedDelay
 from repro.sim.process import Party
 from repro.sim.runner import World, run_broadcast
 from repro.types import BOTTOM
@@ -42,13 +43,12 @@ class PkHarness(Party):
 
 def run_pk(n, f, inputs, *, delta=1.0, skew=0.0, byzantine=frozenset(),
            behavior_factory=None):
-    model = SynchronyModel(delta=delta, big_delta=BIG_DELTA, skew=skew)
     world = World(
         n=n,
         f=f,
-        delay_policy=model.worst_case_policy(),
+        delay_policy=FixedDelay(delta),
         byzantine=byzantine,
-        start_offsets=model.offsets(n, pattern="staggered"),
+        start_offsets=skewed_offsets(n, skew),
     )
     world.populate(
         lambda w, pid: PkHarness(w, pid, input_value=inputs[pid]),
@@ -98,17 +98,16 @@ class TestPhaseKing:
 class TestUnauth3DeltaBb:
     def run_bb(self, n, f, *, delta, skew=0.0, byzantine=frozenset(),
                behavior_factory=None, value="v", until=2000.0):
-        model = SynchronyModel(delta=delta, big_delta=BIG_DELTA, skew=skew)
         return run_broadcast(
             n=n,
             f=f,
             party_factory=BbUnauth3Delta.factory(
                 broadcaster=0, input_value=value, big_delta=BIG_DELTA
             ),
-            delay_policy=model.worst_case_policy(),
+            delay_policy=FixedDelay(delta),
             byzantine=byzantine,
             behavior_factory=behavior_factory,
-            start_offsets=model.offsets(n, pattern="staggered"),
+            start_offsets=skewed_offsets(n, skew),
             until=until,
         )
 
@@ -124,14 +123,13 @@ class TestUnauth3DeltaBb:
         # authenticated, same regime f < n/3.
         delta = 0.25
         unauth = self.run_bb(7, 2, delta=delta)
-        model = SynchronyModel(delta=delta, big_delta=BIG_DELTA, skew=0.0)
         auth = run_broadcast(
             n=7,
             f=2,
             party_factory=Bb2Delta.factory(
                 broadcaster=0, input_value="v", big_delta=BIG_DELTA
             ),
-            delay_policy=model.worst_case_policy(),
+            delay_policy=FixedDelay(delta),
         )
         assert unauth.latency_from(0.0) == pytest.approx(3 * delta)
         assert auth.latency_from(0.0) == pytest.approx(2 * delta)

@@ -5,7 +5,6 @@ from repro.sim.clock import LocalClock, skewed_offsets
 from repro.sim.delays import (
     FixedDelay,
     FunctionDelay,
-    GstDelay,
     PerLinkDelay,
     UniformDelay,
 )
@@ -96,13 +95,11 @@ class TestDelayPolicies:
             lambda: UniformDelay(0.0, INF, seed=1, stream="counter"),
             lambda: PerLinkDelay({(0, 1): NAN}, default=0.5),
             lambda: PerLinkDelay({}, default=NAN),
-            lambda: GstDelay(gst=NAN, big_delta=1.0, pre_gst=FixedDelay(0.5)),
-            lambda: GstDelay(gst=1.0, big_delta=NAN, pre_gst=FixedDelay(0.5)),
         ],
         ids=[
             "fixed-nan", "fixed-inf", "uniform-nan-low", "uniform-nan-high",
             "uniform-inf", "uniform-inf-counter", "per-link-nan-link",
-            "per-link-nan-default", "gst-nan-gst", "gst-nan-delta",
+            "per-link-nan-default",
         ],
     )
     def test_nan_and_silent_drops_rejected(self, build):
@@ -118,23 +115,3 @@ class TestDelayPolicies:
         policy = FunctionDelay(lambda s, r, p, t: 0.1 * (s + r))
         assert policy.delay(1, 2, None, 0.0) == pytest.approx(0.3)
 
-
-class TestGstDelay:
-    def test_post_gst_messages_bounded(self):
-        policy = GstDelay(gst=10.0, big_delta=1.0, pre_gst=FixedDelay(100.0))
-        # Sent after GST: capped at Delta.
-        assert policy.delay(0, 1, None, 12.0) == 1.0
-
-    def test_pre_gst_messages_arrive_by_gst_plus_delta(self):
-        policy = GstDelay(gst=10.0, big_delta=1.0, pre_gst=FixedDelay(100.0))
-        # Sent at 3, adversary wants delay 100 -> delivery capped at 11.
-        assert policy.delay(0, 1, None, 3.0) == pytest.approx(8.0)
-
-    def test_pre_gst_fast_messages_unaffected(self):
-        policy = GstDelay(gst=10.0, big_delta=1.0, pre_gst=FixedDelay(0.5))
-        assert policy.delay(0, 1, None, 3.0) == pytest.approx(0.5)
-
-    def test_gst_zero_behaves_synchronously(self):
-        policy = GstDelay(gst=0.0, big_delta=1.0, pre_gst=FixedDelay(0.4))
-        assert policy.delay(0, 1, None, 0.0) == pytest.approx(0.4)
-        assert policy.delay(0, 1, None, 7.0) == pytest.approx(0.4)

@@ -3,9 +3,8 @@
 Covers the plan primitives and their validation, the injector's seams
 (send suppression, delivery discard, drop/duplicate/jitter/partition/
 churn routing), the determinism contracts (same plan + seed => identical
-schedules across presets and on the calendar and heap queues), the no-fault
-byte-parity guarantee and the GstDelay scalar-vs-batch parity under
-churned send times.
+schedules across presets and on the calendar and heap queues) and the
+no-fault byte-parity guarantee.
 """
 from __future__ import annotations
 
@@ -14,7 +13,7 @@ import pytest
 from repro.errors import FaultPlanError
 from repro.protocols import PROTOCOLS
 from repro.protocols.brb_2round import Brb2Round
-from repro.sim.delays import FixedDelay, GstDelay, UniformDelay
+from repro.sim.delays import FixedDelay, UniformDelay
 from repro.sim.faults import (
     Crash,
     CrashLeader,
@@ -453,38 +452,100 @@ class TestWorldIntegration:
         assert set(result.commits) == set(range(7))
 
 
-class TestGstDelayBatchParity:
-    def test_scalar_vs_batch_identical_straddling_gst(self):
-        """Churned send times straddling GST: the batch fan-out must
-        consume the wrapped policy's stream exactly as n scalar calls
-        would, and apply the GST cap per copy."""
-        recipients = list(range(1, 8))
-        # Send instants generated by a churn primitive's window edges:
-        # before, exactly at, and after GST.
+class TestGstChurn:
+    """GST is one ``GstChurn`` window ``[0, GST)`` over the base policy.
+
+    A copy sent before GST may be stretched, but never past
+    ``GST + bound``; a copy sent at or after GST keeps its natural
+    delivery instant.
+    """
+
+    GST = 10.0
+    BOUND = 1.0
+
+    def injector(self, stream="sequential", seed=1):
+        plan = FaultPlan(
+            churns=(GstChurn(windows=((0.0, self.GST),), bound=self.BOUND),),
+            seed=seed,
+            stream=stream,
+        )
+        return FaultInjector(plan, n=4)
+
+    @pytest.mark.parametrize("stream", ["sequential", "counter"])
+    def test_pre_gst_copies_arrive_by_gst_plus_bound(self, stream):
+        injector = self.injector(stream)
+        for send in (0.0, 3.0, 9.9):
+            natural = send + self.BOUND
+            for recipient in (1, 2, 3):
+                [delivery] = injector.route(0, recipient, send, natural)
+                assert natural <= delivery <= self.GST + self.BOUND
+        assert injector.faults_injected == 9
+
+    def test_post_gst_copies_keep_their_delivery(self):
+        injector = self.injector()
+        # The window is half-open: a copy sent exactly at GST is free.
+        for send in (self.GST, 12.0, 20.0):
+            natural = send + 0.4
+            assert injector.route(0, 1, send, natural) == [natural]
+        assert injector.faults_injected == 0
+
+    def test_copy_already_past_the_cap_is_untouched(self):
+        injector = self.injector()
+        assert injector.route(0, 1, 9.5, 11.5) == [11.5]
+        assert injector.faults_injected == 0
+
+    def test_window_is_half_open(self):
         churn = GstChurn(windows=((3.0, 5.0),), bound=1.0)
-        sends = [2.9, 3.0, 4.999, 5.0, 5.1]
-        assert churn.window_at(3.0) and churn.window_at(4.999)
+        assert churn.window_at(3.0) == (3.0, 5.0)
+        assert churn.window_at(4.999) == (3.0, 5.0)
         assert churn.window_at(5.0) is None
+        assert churn.window_at(2.9) is None
 
-        def make_policy():
-            return GstDelay(
-                gst=5.0,
-                big_delta=1.0,
-                pre_gst=UniformDelay(0.0, 9.0, seed=123),
-            )
+    @pytest.mark.parametrize(
+        "churn",
+        [
+            GstChurn(windows=((0.0, 10.0),), bound=0.0),
+            GstChurn(windows=((-1.0, 10.0),), bound=1.0),
+            GstChurn(windows=((0.0, INF),), bound=1.0),
+            GstChurn(windows=((4.0, 4.0),), bound=1.0),
+        ],
+        ids=["zero-bound", "negative-start", "gst-never", "empty-window"],
+    )
+    def test_invalid_churn_rejected(self, churn):
+        with pytest.raises(FaultPlanError):
+            FaultPlan(churns=(churn,)).validate(4)
 
-        scalar_policy = make_policy()
-        batch_policy = make_policy()
-        for send_time in sends:
-            scalar = [
-                scalar_policy.delay(0, r, ("m", send_time), send_time)
-                for r in recipients
-            ]
-            batch = batch_policy.delays_for_multicast(
-                0, recipients, ("m", send_time), send_time
-            )
-            assert scalar == batch, send_time
-            for value in batch:
-                latest = max(send_time, 5.0) + 1.0
-                assert send_time + value <= latest + 1e-9
+    def test_counter_stream_ignores_link_interleaving(self):
+        # Counter-mode draws depend only on a copy's position in its own
+        # link's sequence, so routing the links in another order moves
+        # no delivery instant.
+        links = [(0, r) for r in (1, 2, 3)]
+        sends = [2.9, 3.0, 4.999, 9.0]
 
+        def deliveries(order):
+            injector = self.injector("counter", seed=123)
+            got = {}
+            for link in order:
+                got[link] = [
+                    injector.route(*link, send, send + 0.5) for send in sends
+                ]
+            return got
+
+        assert deliveries(links) == deliveries(list(reversed(links)))
+
+    def test_late_gst_run_commits_after_gst(self):
+        plan = FaultPlan(
+            churns=(GstChurn(windows=((0.0, self.GST),), bound=self.BOUND),),
+            seed=5,
+        )
+        world = World(n=4, f=1, delay_policy=FixedDelay(self.BOUND),
+                      fault_plan=plan)
+        world.populate(Brb2Round.factory(broadcaster=0, input_value="v"))
+        result = world.run()
+        assert set(result.commits) == set(range(4))
+        assert result.committed_value() == "v"
+        assert result.faults_injected > 0
+        assert all(
+            t <= self.GST + 2 * self.BOUND
+            for t in result.commit_global_times.values()
+        )

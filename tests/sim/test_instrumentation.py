@@ -12,7 +12,6 @@ from repro.protocols.brb_2round import Brb2Round
 from repro.sim.delays import (
     FixedDelay,
     FunctionDelay,
-    GstDelay,
     PerLinkDelay,
     UniformDelay,
 )
@@ -169,20 +168,6 @@ class TestBatchedDelays:
         self.assert_batched_matches(
             lambda: FunctionDelay(lambda s, r, p, t: 0.1 * (r + 1) + t)
         )
-
-    def test_gst_wrapping_uniform(self):
-        def make():
-            return GstDelay(
-                gst=5.0,
-                big_delta=1.0,
-                pre_gst=UniformDelay(0.0, 10.0, seed=7),
-            )
-
-        batched = make().delays_for_multicast(0, self.RECIPIENTS, "m", 2.0)
-        single = make()
-        loop = [single.delay(0, r, "m", 2.0) for r in self.RECIPIENTS]
-        assert batched == loop
-        assert all(0 <= d <= 5.0 - 2.0 + 1.0 for d in batched)
 
     def test_base_implementation_calls_delay_in_recipient_order(self):
         from repro.sim.delays import DelayPolicy

@@ -35,12 +35,13 @@ from repro.protocols.brb_2round import Brb2Round
 from repro.protocols.psync.vbb_5f1 import PsyncVbb5f1
 from repro.sim import coordinator, shard
 from repro.sim.coordinator import shard_bounds
-from repro.sim.delays import FixedDelay, GstDelay, PerLinkDelay, UniformDelay
+from repro.sim.delays import FixedDelay, PerLinkDelay, UniformDelay
 from repro.sim.faults import (
     Crash,
     DropLink,
     DuplicateLink,
     FaultPlan,
+    GstChurn,
     Holdback,
     ReorderJitter,
 )
@@ -600,18 +601,29 @@ class TestForcedSingleProcess:
         assert self._populate(world) == 4
         assert world.shard_fallback_reason is None
 
-    def test_gst_wrapping_unsafe_policy_forces_one(self):
-        unsafe = GstDelay(
-            gst=2.0, big_delta=1.0,
-            pre_gst=UniformDelay(0.5, 1.0, seed=7),
-        )
-        world = self._world(delay_policy=unsafe)
+    def test_sequential_gst_churn_forces_one(self):
+        plan = FaultPlan(churns=(GstChurn(windows=((0.0, 2.0),)),), seed=3)
+        world = self._world(fault_plan=plan)
         assert self._populate(world) == 1
-        assert world.shard_fallback_reason == "delay-policy"
+        assert world.shard_fallback_reason == "fault-plan"
 
-    def test_gst_wrapping_safe_policy_shards(self):
-        safe = GstDelay(gst=2.0, big_delta=1.0, pre_gst=FixedDelay(0.5))
-        assert self._populate(self._world(delay_policy=safe)) == 4
+    def test_counter_gst_churn_shards_with_parity(self):
+        plan = FaultPlan(
+            churns=(GstChurn(windows=((0.0, 2.0),)),), seed=3,
+            stream="counter",
+        )
+        results = {}
+        for shards in (1, 2):
+            world = self._world(shards=shards, fault_plan=plan)
+            assert self._populate(world) == shards
+            assert world.shard_fallback_reason is None
+            results[shards] = world.run()
+        assert results[1].all_honest_committed()
+        assert results[1].faults_injected > 0
+        for field in INVARIANT_FIELDS:
+            assert getattr(results[2], field) == getattr(
+                results[1], field
+            ), field
 
     def test_staggered_starts_shard_with_parity(self):
         results = {}

@@ -11,14 +11,13 @@ from hypothesis import strategies as st
 
 from repro.crypto.messages import canonical_encode, digest
 from repro.crypto.signatures import KeyRegistry
-from repro.net.synchrony import SynchronyModel
 from repro.protocols.brb_2round import Brb2Round
 from repro.protocols.sync.bb_2delta import Bb2Delta
 from repro.protocols.sync.bb_delta_15delta import BbDelta15Delta
 from repro.sim.clock import quantize, skewed_offsets
 from repro.sim.events import EventQueue
 from repro.sim.runner import run_broadcast
-from repro.sim.delays import UniformDelay
+from repro.sim.delays import FixedDelay, UniformDelay
 from repro.adversary.behaviors import CrashBehavior
 from repro.adversary.broadcaster import equivocating_broadcaster
 from repro.types import BOTTOM, validate_resilience
@@ -264,15 +263,14 @@ class TestSyncBbInvariants:
     def test_2delta_bound_holds_for_any_delta_and_skew(self, delta, skew_frac):
         delta = quantize(delta)
         skew = quantize(min(skew_frac, 1.0) * delta)
-        model = SynchronyModel(delta=delta, big_delta=1.0, skew=skew)
         result = run_broadcast(
             n=7,
             f=2,
             party_factory=Bb2Delta.factory(
                 broadcaster=0, input_value="v", big_delta=1.0
             ),
-            delay_policy=model.worst_case_policy(),
-            start_offsets=model.offsets(7),
+            delay_policy=FixedDelay(delta),
+            start_offsets=skewed_offsets(7, skew),
         )
         assert result.committed_value() == "v"
         # 2*delta measured from the broadcaster's start; stragglers add
@@ -283,7 +281,6 @@ class TestSyncBbInvariants:
     @settings(max_examples=8, deadline=None)
     def test_fig9_grid_guarantee(self, m):
         delta = 0.37
-        model = SynchronyModel(delta=delta, big_delta=1.0, skew=0.0)
         result = run_broadcast(
             n=5,
             f=2,
@@ -291,8 +288,7 @@ class TestSyncBbInvariants:
                 broadcaster=0, input_value="v", big_delta=1.0,
                 grid_samples=m,
             ),
-            delay_policy=model.worst_case_policy(),
-            start_offsets=model.offsets(5),
+            delay_policy=FixedDelay(delta),
         )
         latency = result.latency_from(0.0)
         assert latency <= (1 + 1 / (2 * m)) * 1.0 + 1.5 * delta + 1e-9
