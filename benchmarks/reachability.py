@@ -68,7 +68,6 @@ ALLOWLIST: dict[str, str] = {
     "crypto/signatures.py:SignedPayload.__repr__": REPR,
     "crypto/signatures.py:Signer.__repr__": REPR,
     "protocols/psync/certificates.py:Certificate.__repr__": REPR,
-    "sim/transcript.py:TranscriptEntry.__repr__": REPR,
     # Failure-only paths: violations, shrinking, reproducer I/O, errors.
     "analysis/chaos.py:load_reproducer": FAILURE,
     "analysis/chaos.py:run_reproducer": FAILURE,
@@ -106,6 +105,8 @@ ALLOWLIST: dict[str, str] = {
     "crypto/messages.py:canonical_encode": ENCODER_SPEC,
     "protocols/quorum.py:QuorumTracker.add_batch": FROZEN,
     "sim/events.py:EventQueue.release": FROZEN,
+    "sim/transcript.py:Transcript.record_commit": FROZEN,
+    "sim/transcript.py:Transcript.record_start": FROZEN,
     # A forwarded vote batch crosses a sync party's threshold before its
     # own votes do only off the worst-case schedule, and every root runs
     # the sync protocols at FixedDelay(delta).

@@ -8,7 +8,7 @@ functions* executed through :class:`~repro.analysis.engine.SweepEngine`:
 pass ``engine=SweepEngine(workers=K)`` to fan a grid out over K worker
 processes (results are identical to the serial default — the engine's
 determinism contract), and ``instrumentation="perf"`` to shed the
-transcript/accounting observers on large grids.
+view-digest/accounting observers on large grids.
 """
 from __future__ import annotations
 

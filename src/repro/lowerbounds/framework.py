@@ -8,7 +8,8 @@ conflicting values somewhere.  A witness module reproduces this as code:
 
 1. build the proof's executions against a *strawman* protocol that claims
    a better-than-tight latency (see :mod:`repro.lowerbounds.strawmen`);
-2. machine-check the transcript-indistinguishability claims;
+2. machine-check the indistinguishability claims by comparing the
+   parties' view digests (:mod:`repro.sim.transcript`) up to the cut-off;
 3. exhibit the actual agreement violation in one of the executions;
 4. (companion tests) run the *real* protocol through the same schedule
    and observe that it stays safe — it is slower instead.
@@ -46,7 +47,7 @@ from repro.types import PartyId, Value
 
 @dataclass(frozen=True)
 class IndistinguishabilityCheck:
-    """One machine-checked transcript-equality claim."""
+    """One machine-checked view-equality claim (``detail``: where it fails)."""
 
     party: PartyId
     execution_a: str
@@ -102,6 +103,8 @@ class WitnessReport:
                 f"{check.execution_a} ~ {check.execution_b} "
                 f"(local cutoff {check.local_cutoff})"
             )
+            if check.detail:
+                lines.append(f"    {check.detail}")
         if self.violation is not None:
             lines.append(f"  violation: {self.violation}")
         else:
@@ -143,7 +146,7 @@ def check_indistinguishable(
     local_cutoff: float,
     compare: str = "channel",
 ) -> None:
-    """Record one transcript-equality check per party of ``group``."""
+    """Record one view-equality check per party of ``group``."""
     world_a = report.executions[name_a]
     world_b = report.executions[name_b]
     for party in group:
@@ -157,8 +160,8 @@ def check_indistinguishable(
         )
         detail = ""
         if not holds:
-            divergence = first_divergence(transcript_a, transcript_b)
-            detail = f"first divergence: {divergence}"
+            instant = first_divergence(transcript_a, transcript_b)
+            detail = f"first divergence at local time {instant}"
         report.checks.append(
             IndistinguishabilityCheck(
                 party, name_a, name_b, local_cutoff, holds, detail

@@ -15,7 +15,6 @@ from repro.sim.runner import RunResult, World, run_broadcast
 from repro.sim.scheduler import Simulator
 from repro.sim.transcript import (
     Transcript,
-    TranscriptEntry,
     first_divergence,
     indistinguishable,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "RunResult",
     "Simulator",
     "Transcript",
-    "TranscriptEntry",
     "UniformDelay",
     "World",
     "first_divergence",

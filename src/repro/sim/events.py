@@ -3,8 +3,8 @@
 Events are ordered by ``(time, priority, order_key, seq)`` where ``seq`` is
 the insertion sequence number.  The sequence number makes tie-breaking fully
 deterministic: two events scheduled for the same instant fire in the order
-they were scheduled.  Lower-bound witnesses depend on this reproducibility
-to compare transcripts byte-for-byte across executions.
+they were scheduled, so a run replays event for event and its view digests
+(the behaviour fingerprints of ``tests/fingerprints.json``) repeat exactly.
 
 ``order_key`` canonicalizes ties: two events at the same instant and
 priority fire in ``order_key`` order (then insertion order).  Message

@@ -1,6 +1,6 @@
 """Pluggable observability for simulated executions.
 
-The simulator's cross-cutting observers — per-party transcripts, the
+The simulator's cross-cutting observers — per-party view digests, the
 Canetti-Rabin :class:`~repro.sim.rounds.RoundAccountant` and commit-order
 tracking — all live behind one :class:`Instrumentation` bundle attached to
 a :class:`~repro.sim.runner.World`.  The hot paths (message delivery,
@@ -11,8 +11,8 @@ argument is evaluated), not called-and-ignored.
 
 The observers are one switch, with a preset name for each position:
 
-* ``"full"`` — observers on (the default): transcripts for
-  indistinguishability witnesses and round accounting for latency in
+* ``"full"`` — observers on (the default): view digests for witnesses
+  and behaviour fingerprints, and round accounting for latency in
   Canetti-Rabin rounds.  Every consumer of one needs the other or
   neither, so they are never attached apart.
 * ``"perf"`` — observers off.  For perf sweeps and benchmarks at
@@ -47,7 +47,7 @@ class Instrumentation:
     can bind them once and skip the recording branch entirely:
 
     * ``accountant`` — step/round bookkeeping, or ``None``;
-    * :meth:`transcript_for` — a fresh per-party transcript, or ``None``.
+    * :meth:`transcript_for` — a fresh per-party view digest, or ``None``.
 
     Commit tracking (:meth:`note_commit`, :attr:`commit_conflicts`,
     :attr:`view_changes`) is always on: it is O(commits + views), not
@@ -76,7 +76,7 @@ class Instrumentation:
         self._attached = False
 
     def transcript_for(self, party_id: PartyId) -> Transcript | None:
-        """A fresh transcript for ``party_id``, or ``None`` when off."""
+        """A fresh view digest for ``party_id``, or ``None`` when off."""
         if self.accountant is not None:
             return Transcript(party_id)
         return None
@@ -115,7 +115,8 @@ class Instrumentation:
 
     @property
     def votes_batched(self) -> int:
-        """Votes absorbed through the vectorized ``add_batch`` path."""
+        """Votes absorbed as runs ``Party.stage_vote_run`` stages and
+        ``QuorumTracker.commit_staged`` applies, not ``add_batch``."""
         return sum(t.batched for t in self._quorum_trackers)
 
     @property

@@ -3,8 +3,8 @@
 :class:`Agent` is the minimal interface the world knows about (start +
 deliver).  :class:`Party` adds everything an *honest* protocol participant
 needs: a local clock, signing, timers in local time, quorum trackers
-enrolled with the world's counters, commit/terminate bookkeeping and
-transcript recording.  It also holds the one vote-run absorber,
+enrolled with the world's counters, commit/terminate bookkeeping and a
+view digest of its receives.  It also holds the one vote-run absorber,
 :meth:`Party.stage_vote_run`: every protocol that receives multi-vote
 messages (forwarded quorums, witness batches) stages the run there and
 falls back to its own per-vote handler when that returns ``None``.
@@ -53,7 +53,7 @@ class Party(Agent):
         self.signer = world.registry.signer_for(party_id)
         self.registry = world.registry
         # The world's instrumentation decides whether this party keeps a
-        # transcript; ``None`` strips recording from the delivery hot path.
+        # view digest; ``None`` strips recording from the delivery hot path.
         self.transcript: Transcript | None = (
             world.instrumentation.transcript_for(party_id)
         )
@@ -73,8 +73,6 @@ class Party(Agent):
     # ------------------------------------------------------------------ #
 
     def start(self) -> None:
-        if self.transcript is not None:
-            self.transcript.record_start(0.0)
         self.on_start()
 
     def deliver(self, sender: PartyId, payload: Any) -> None:
@@ -307,8 +305,6 @@ class Party(Agent):
             if step is None:
                 step = accountant.last_step_index()
             self.commit_step = step
-        if self.transcript is not None:
-            self.transcript.record_commit(self.local_time(), value)
         self.world.note_commit(self.id, value, self.commit_global_time)
 
     def terminate(self) -> None:

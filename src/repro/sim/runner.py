@@ -5,7 +5,7 @@ PKI, the network (with its adversarial delay policy), the honest parties
 (instances of a protocol's :class:`~repro.sim.process.Party` subclass), the
 Byzantine agents (adversary behaviors) and one
 :class:`~repro.sim.instrumentation.Instrumentation` bundle that owns every
-observability side effect (transcripts, round accounting, commit
+observability side effect (view digests, round accounting, commit
 tracking).  :func:`run_broadcast` is the one-call harness used by
 tests, examples and benchmarks.
 
@@ -231,7 +231,7 @@ class World:
 
         Sharding is a pure performance mode: any configured feature whose
         semantics need global per-copy visibility (the observers — round
-        accounting and transcripts —, a sequential-stream fault plan,
+        accounting and view digests —, a sequential-stream fault plan,
         the reliable channel), a delay policy whose pricing is not a
         pure per-link function, or scripted Byzantine behaviors falls
         back to ``shards=1`` — the caller's results are identical either

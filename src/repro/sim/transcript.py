@@ -1,92 +1,81 @@
-"""Per-party local histories and machine-checked indistinguishability.
+"""Per-party view digests and machine-checked indistinguishability.
 
 The paper's lower bounds all use the standard indistinguishability
 argument: an honest party that has the same initial state and receives the
 same messages at the same *local* times behaves identically in two
-executions.  We record each party's receive history as
-``(local_time, sender, payload_digest)`` triples (plus start/commit
-markers) so witnesses can assert transcript equality up to a cut-off,
-turning the proofs' central claims into executable checks.
+executions.  A party's view is the multiset of its receive events
+``(local_time, sender, payload_digest)``.  :class:`Transcript` folds each
+event into a 64-bit running sum of 8-byte BLAKE2b hashes, kept at every
+distinct local instant, so witnesses can assert view equality up to a
+cut-off.  A sum ignores the order of its terms: the scheduler's processing
+order among simultaneous deliveries (which the model lets the adversary
+choose freely) cannot move it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from array import array
+from bisect import bisect_left
+from hashlib import blake2b
+from math import inf, nextafter
+from struct import Struct
 from typing import Any
 
 from repro.crypto.messages import digest
 from repro.types import PartyId
 
-
-@dataclass(frozen=True)
-class TranscriptEntry:
-    """One observable event in a party's local history."""
-
-    local_time: float
-    kind: str  # "start" | "recv" | "commit"
-    counterpart: PartyId | None
-    payload_digest: bytes | None
-
-    def __repr__(self) -> str:
-        tail = self.payload_digest.hex()[:8] if self.payload_digest else "-"
-        return (
-            f"[{self.local_time:.4f} {self.kind}"
-            f" p{self.counterpart if self.counterpart is not None else '-'}"
-            f" {tail}]"
-        )
+_MASK = (1 << 64) - 1
+_pack_channel = Struct("<dq").pack
+_pack_content = Struct("<d").pack
 
 
-def canonical_receive_order(entries) -> list[TranscriptEntry]:
-    """Sort receive entries into the canonical simultaneous-delivery order.
-
-    Within one local instant the heap's processing order is a scheduler
-    artifact, so every transcript comparison first normalizes it: by local
-    time, then sender, then payload digest.
-    """
-    return sorted(
-        entries,
-        key=lambda e: (
-            e.local_time,
-            -1 if e.counterpart is None else e.counterpart,
-            e.payload_digest or b"",
-        ),
-    )
+def _hash(data: bytes) -> int:
+    return int.from_bytes(blake2b(data, digest_size=8).digest(), "little")
 
 
-@dataclass
 class Transcript:
-    """The recorded local history of one party."""
+    """One party's view: ``instants`` holds its distinct local receive
+    instants in order, and the ``"channel"`` and ``"content"`` sums at
+    index ``i`` cover every receive at or before ``instants[i]``, with and
+    without the sender.  Nothing is kept per receive."""
 
-    party: PartyId
-    entries: list[TranscriptEntry] = field(default_factory=list)
+    __slots__ = ("party", "instants", "_sums")
+
+    def __init__(self, party: PartyId):
+        self.party = party
+        self.instants = array("d")
+        self._sums = {"channel": array("Q"), "content": array("Q")}
 
     def record_start(self, local_time: float) -> None:
-        self.entries.append(TranscriptEntry(local_time, "start", None, None))
+        """No-op; the frozen benchmark adapter wraps this name."""
 
     def record_recv(
         self, local_time: float, sender: PartyId, payload: Any
     ) -> None:
-        self.entries.append(
-            TranscriptEntry(local_time, "recv", sender, digest(payload))
-        )
+        time = local_time + 0.0  # one instant for -0.0 and 0.0
+        body = digest(payload)
+        channel = _hash(_pack_channel(time, sender) + body)
+        content = _hash(_pack_content(time) + body)
+        instants = self.instants
+        channel_sums = self._sums["channel"]
+        content_sums = self._sums["content"]
+        if not instants or time > instants[-1]:
+            instants.append(time)
+            channel_sums.append(channel_sums[-1] if channel_sums else 0)
+            content_sums.append(content_sums[-1] if content_sums else 0)
+        elif time != instants[-1]:
+            raise ValueError(f"receive at {time} after {instants[-1]}")
+        channel_sums[-1] = (channel_sums[-1] + channel) & _MASK
+        content_sums[-1] = (content_sums[-1] + content) & _MASK
 
     def record_commit(self, local_time: float, value: Any) -> None:
-        self.entries.append(
-            TranscriptEntry(local_time, "commit", None, digest(value))
-        )
+        """No-op; the frozen benchmark adapter wraps this name."""
 
-    def receives_before(self, local_cutoff: float) -> list[TranscriptEntry]:
-        """Receive events strictly before ``local_cutoff`` (local clock).
-
-        Deliveries that share a local timestamp are sorted canonically:
-        within one instant the scheduler's processing order is an artifact
-        of the event heap, not of the execution the adversary built (the
-        model lets the adversary order simultaneous deliveries freely).
-        """
-        return canonical_receive_order(
-            entry
-            for entry in self.entries
-            if entry.kind == "recv" and entry.local_time < local_cutoff
-        )
+    def digest(self, local_cutoff: float = inf, compare: str = "channel"):
+        """The ``compare`` sum over receives before ``local_cutoff``."""
+        if compare not in self._sums:
+            raise ValueError(f"unknown comparison mode {compare!r}")
+        index = bisect_left(self.instants, local_cutoff)
+        return self._sums[compare][index - 1] if index else 0
 
 
 def indistinguishable(
@@ -96,56 +85,24 @@ def indistinguishable(
     local_cutoff: float,
     compare: str = "channel",
 ) -> bool:
-    """True iff two transcripts' receive histories match before a cutoff.
+    """True iff two parties' views match before a local cut-off.
 
-    ``compare="channel"`` (default) matches
-    ``(local_time, sender, payload_digest)`` — the party received the same
-    messages from the same channels at the same local times.
-
-    ``compare="content"`` drops the channel sender and matches
-    ``(local_time, payload_digest)`` only.  This is the right notion for
-    protocols that authenticate by signature and never read the physical
-    channel (most of the paper's constructions route the *same signed
-    message* through different parties in the paired executions).
-
-    For a deterministic protocol, matching histories imply identical
-    behaviour up to the cutoff — the paper's indistinguishability notion.
+    ``compare="channel"`` (default) matches ``(local_time, sender,
+    payload_digest)``: the same messages from the same channels at the
+    same local times.  ``compare="content"`` drops the sender, the right
+    notion for protocols that authenticate by signature and never read
+    the channel (the paired executions often route the *same signed
+    message* through different parties).  For a deterministic protocol,
+    matching views imply identical behaviour up to the cut-off.
     """
-    entries_a = a.receives_before(local_cutoff)
-    entries_b = b.receives_before(local_cutoff)
-    if compare == "channel":
-        return entries_a == entries_b
-    if compare == "content":
-        def project(entries):
-            return sorted(
-                (e.local_time, e.payload_digest) for e in entries
-            )
-
-        return project(entries_a) == project(entries_b)
-    raise ValueError(f"unknown comparison mode {compare!r}")
+    return a.digest(local_cutoff, compare) == b.digest(local_cutoff, compare)
 
 
-def first_divergence(
-    a: Transcript, b: Transcript
-) -> tuple[TranscriptEntry | None, TranscriptEntry | None] | None:
-    """First differing receive entries (for debugging witnesses).
-
-    Both histories are put into the canonical simultaneous-delivery order
-    first (the same normalization :meth:`Transcript.receives_before`
-    applies), so two transcripts that ``indistinguishable`` accepts —
-    same instant, different heap order — never report a bogus divergence.
-    """
-    recv_a = canonical_receive_order(
-        e for e in a.entries if e.kind == "recv"
-    )
-    recv_b = canonical_receive_order(
-        e for e in b.entries if e.kind == "recv"
-    )
-    for entry_a, entry_b in zip(recv_a, recv_b):
-        if entry_a != entry_b:
-            return entry_a, entry_b
-    if len(recv_a) != len(recv_b):
-        longer = recv_a if len(recv_a) > len(recv_b) else recv_b
-        extra = longer[min(len(recv_a), len(recv_b))]
-        return (extra, None) if longer is recv_a else (None, extra)
+def first_divergence(a: Transcript, b: Transcript) -> float | None:
+    """The first local instant after which the two channel sums differ
+    (for debugging witnesses), or ``None`` if the views are equal."""
+    for instant in sorted({*a.instants, *b.instants}):
+        after = nextafter(instant, inf)
+        if a.digest(after) != b.digest(after):
+            return instant
     return None

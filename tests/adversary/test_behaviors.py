@@ -78,10 +78,7 @@ class TestScriptedBehavior:
         assert world.agents[1].heard == {0: "x"}
         assert world.agents[2].heard == {0: "y"}
         # Delay override of 3.0: delivered at t=4.
-        recvs = [
-            e for e in world.agents[2].transcript.entries if e.kind == "recv"
-        ]
-        assert recvs[0].local_time == 4.0
+        assert world.agents[2].transcript.instants[0] == 4.0
 
     def test_script_can_sign_with_own_key(self):
         captured = {}
@@ -155,14 +152,8 @@ class TestFilteredHonestBehavior:
             ),
         )
         world.run()
-        recvs1 = [
-            e for e in world.agents[1].transcript.entries if e.kind == "recv"
-        ]
-        recvs2 = [
-            e for e in world.agents[2].transcript.entries if e.kind == "recv"
-        ]
-        assert recvs1[0].local_time == 5.0
-        assert recvs2[0].local_time == 1.0  # default: policy delay
+        assert world.agents[1].transcript.instants[0] == 5.0
+        assert world.agents[2].transcript.instants[0] == 1.0  # policy delay
 
     def test_inner_party_can_receive(self):
         # Byzantine wrapping honest logic still processes incoming messages.

@@ -13,7 +13,7 @@ import pytest
 
 import repro.lowerbounds
 from repro.analysis.table1 import REGIMES
-from repro.lowerbounds import WITNESSES, run_witness
+from repro.lowerbounds import WITNESSES, check_indistinguishable, run_witness
 from repro.lowerbounds import thm04_async_2round as thm04
 from repro.lowerbounds import thm07_psync_3round as thm07
 from repro.lowerbounds import thm08_sync_2delta as thm08
@@ -228,6 +228,22 @@ class TestTheorem8:
         for party in world.honest_parties():
             assert party.commit_local_time == thm08.COMMIT_AT
             assert party.commit_local_time < 2 * thm08.DELTA
+
+    def test_summary_names_the_first_divergent_instant(self):
+        # Group B's party 3 hears 1 in execution 3 but 0 in execution 1:
+        # the proposal, at local time delta.
+        report = thm08.run_witness()
+        check_indistinguishable(
+            report, [3], "execution-1", "execution-3", local_cutoff=3.0
+        )
+        lines = report.summary().splitlines()
+        failed = lines.index(
+            "  indistinguishable[FAILED] party 3: "
+            "execution-1 ~ execution-3 (local cutoff 3.0)"
+        )
+        assert lines[failed + 1] == (
+            f"    first divergence at local time {thm08.DELTA}"
+        )
 
 
 class TestTheorem9:

@@ -133,9 +133,8 @@ class TestPerfModeRecordsNothing:
         world.run()
         for party in world.honest_parties():
             assert party.transcript is not None
-            assert any(
-                e.kind == "recv" for e in party.transcript.entries
-            )
+            assert party.transcript.instants
+            assert party.transcript.digest() != 0
 
 
 class TestBatchedDelays:

@@ -768,9 +768,9 @@ class TestRunResultParity:
                 result.final_time,
                 result.faults_injected,
                 result.messages_duplicated,
-                # Every honest party's transcript, where recorded.
+                # Every honest party's view digest, where recorded.
                 [
-                    party.transcript and party.transcript.entries
+                    party.transcript and party.transcript.digest()
                     for party in world.honest_parties()
                 ],
             )

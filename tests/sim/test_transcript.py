@@ -1,4 +1,6 @@
-"""Tests for transcript recording and indistinguishability checking."""
+"""Tests for view digests and indistinguishability checking."""
+import pytest
+
 from repro.sim.transcript import (
     Transcript,
     first_divergence,
@@ -53,6 +55,50 @@ class TestIndistinguishability:
         a.record_commit(2.0, "v")
         assert indistinguishable(a, b, local_cutoff=10.0)
 
+    def test_content_mode_ignores_only_the_sender(self):
+        base = make_transcript(0, [(1.0, 1, "a")])
+        relayed = make_transcript(0, [(1.0, 2, "a")])
+        later = make_transcript(0, [(1.5, 1, "a")])
+        other = make_transcript(0, [(1.0, 1, "b")])
+        check = dict(local_cutoff=10.0, compare="content")
+        assert indistinguishable(base, relayed, **check)
+        assert not indistinguishable(base, later, **check)
+        assert not indistinguishable(base, other, **check)
+
+    def test_negative_zero_is_the_zero_instant(self):
+        a = make_transcript(0, [(-0.0, 1, "a"), (0.0, 2, "b")])
+        b = make_transcript(0, [(0.0, 2, "b"), (0.0, 1, "a")])
+        assert list(a.instants) == [0.0]
+        assert a.digest() == b.digest()
+        assert indistinguishable(a, b, local_cutoff=1.0)
+
+    def test_a_repeated_receive_is_not_one_receive(self):
+        once = make_transcript(0, [(1.0, 1, "a")])
+        twice = make_transcript(0, [(1.0, 1, "a"), (1.0, 1, "a")])
+        assert not indistinguishable(once, twice, local_cutoff=10.0)
+        assert first_divergence(once, twice) == 1.0
+
+    def test_unknown_compare_mode_rejected(self):
+        a = make_transcript(0, [])
+        with pytest.raises(ValueError, match="unknown comparison mode"):
+            indistinguishable(a, a, local_cutoff=1.0, compare="sender")
+
+    def test_receive_instants_never_decrease(self):
+        a = make_transcript(0, [(2.0, 1, "a")])
+        with pytest.raises(ValueError, match="after 2.0"):
+            a.record_recv(1.0, 1, "b")
+
+
+class TestDigest:
+    def test_running_sums_per_instant(self):
+        a = make_transcript(0, [(1.0, 1, "a"), (1.0, 2, "b"), (3.0, 1, "c")])
+        assert list(a.instants) == [1.0, 3.0]
+        assert a.digest(local_cutoff=1.0) == 0
+        through_one = a.digest(local_cutoff=2.0)
+        assert through_one == a.digest(local_cutoff=3.0) != 0
+        assert a.digest() not in (0, through_one)
+        assert Transcript(0).digest() == 0
+
 
 class TestFirstDivergence:
     def test_none_when_identical(self):
@@ -63,18 +109,15 @@ class TestFirstDivergence:
     def test_reports_first_mismatch(self):
         a = make_transcript(0, [(1.0, 1, "a"), (2.0, 1, "b")])
         b = make_transcript(0, [(1.0, 1, "a"), (2.0, 1, "c")])
-        div = first_divergence(a, b)
-        assert div is not None
-        assert div[0].local_time == 2.0
+        assert first_divergence(a, b) == 2.0
 
     def test_reports_extra_entry(self):
         a = make_transcript(0, [(1.0, 1, "a"), (2.0, 1, "b")])
         b = make_transcript(0, [(1.0, 1, "a")])
-        div = first_divergence(a, b)
-        assert div == (a.receives_before(10.0)[1], None)
+        assert first_divergence(a, b) == first_divergence(b, a) == 2.0
 
     def test_heap_order_within_one_instant_is_not_a_divergence(self):
-        # Two transcripts that indistinguishable() accepts (same instant,
+        # Two views that indistinguishable() accepts (same instant,
         # different heap processing order) must not report a divergence.
         a = make_transcript(0, [(1.0, 1, "x"), (1.0, 2, "y")])
         b = make_transcript(0, [(1.0, 2, "y"), (1.0, 1, "x")])
@@ -84,6 +127,4 @@ class TestFirstDivergence:
     def test_real_divergence_still_reported_amid_reordering(self):
         a = make_transcript(0, [(1.0, 2, "y"), (1.0, 1, "x")])
         b = make_transcript(0, [(1.0, 1, "x"), (1.0, 2, "z")])
-        div = first_divergence(a, b)
-        assert div is not None
-        assert div[0].counterpart == 2 and div[1].counterpart == 2
+        assert first_divergence(a, b) == 1.0
