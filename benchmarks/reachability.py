@@ -103,6 +103,7 @@ ALLOWLIST: dict[str, str] = {
         BYZANTINE,
     "protocols/sync/dishonest_majority.py:WanStyleBb._cert_value": BYZANTINE,
     "crypto/messages.py:canonical_encode": ENCODER_SPEC,
+    "crypto/messages.py:digest_ex": FROZEN,
     "protocols/quorum.py:QuorumTracker.add_batch": FROZEN,
     "sim/events.py:EventQueue.release": FROZEN,
     "sim/transcript.py:Transcript.record_commit": FROZEN,

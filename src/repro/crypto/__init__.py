@@ -4,7 +4,6 @@ from repro.crypto.messages import (
     canonical_encode,
     clear_digest_cache,
     digest,
-    digest_ex,
     digest_stats,
 )
 from repro.crypto.signatures import KeyRegistry, Signature, SignedPayload, Signer
@@ -18,6 +17,5 @@ __all__ = [
     "canonical_encode",
     "clear_digest_cache",
     "digest",
-    "digest_ex",
     "digest_stats",
 ]

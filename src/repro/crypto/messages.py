@@ -1,12 +1,20 @@
 """Canonical message encoding and content-addressed digests.
 
-Protocol payloads are plain Python data (tuples, ints, strings, frozen
-dataclasses).  To sign or compare them we need a *canonical* byte encoding
-that is stable across processes and insensitive to dict ordering.  We use a
-small type-tagged encoder over the value types the protocols actually use,
-then SHA-256.  The paper assumes ideal hash/signature primitives, so the
-only property we need is injectivity over the message space, which the
-type-tagged encoding provides.
+Protocol payloads are values: tuples, frozensets, scalars and frozen
+dataclasses.  To sign or compare them we need a *canonical* byte encoding
+that is identical across processes.  We use a small type-tagged encoder
+over the value types the protocols actually use, then SHA-256.  The paper
+assumes ideal hash/signature primitives, so the only property we need is
+injectivity over the message space, which the type-tagged encoding
+provides.
+
+On a real wire a message is bytes and cannot change once sent, so the
+encoder accepts only immutable values: a ``list``, a ``dict`` or a
+``_canonical_fields`` holder that is not itself declared a frozen
+dataclass raises ``TypeError`` naming its type.  ``Network.send`` /
+``multicast`` (the order key), ``Signer.sign`` and the shard wire digest
+every payload they carry, so a mutable payload fails in its sender's own
+call and never reaches a receiver.
 
 Two properties make this module the perf-critical substrate of the whole
 simulator and shape its design:
@@ -26,9 +34,9 @@ simulator and shape its design:
      digest)``): payload objects travel by reference — a multicast hands
      one tuple to every recipient — so one object is digested many times;
   2. the *holder-encoding memo* (``_ENCODINGS``): the encoding bytes of
-     each frozen ``_canonical_fields`` holder by identity, so a fresh
-     forwarded quorum splices its votes' cached encodings and hashes
-     once; bounded in entries and bytes;
+     each ``_canonical_fields`` holder by identity, so a fresh forwarded
+     quorum splices its votes' cached encodings and hashes once; bounded
+     in entries and bytes;
   3. the *content intern table* (``_INTERN``) for values of at most
      ``_MAX_INTERN_LEAVES`` leaves: every party builds its *own* equal
      vote/echo object, so these are keyed by content — a flat *shape*
@@ -36,20 +44,10 @@ simulator and shape its design:
      equal rebuilds share one digest.  A larger value (a quorum) is
      rebuilt by no one: it skips the key and goes straight to tier 2.
 
-  Tier 3 sits below tier 1: an identity hit never builds a key.
-  Every tier holds only *deeply immutable* values — the key walk fails on
-  anything mutable, and the encoder memoizes a digest or a holder encoding
-  only when its subtree saw no ``list``, ``dict`` or mutable holder — so
-  mutation is always observed; identity entries pin their key object, so
-  an ``id`` can never alias a recycled address.
-
-Stability is tracked *through* nested digests: a ``_canonical_fields``
-holder that calls back into :func:`digest` (e.g. ``SignedPayload``'s
-Merkle-style encoding) would hide a mutable sub-value behind a 32-byte
-hash, so the encoder keeps a re-entrancy stack and propagates "mutable
-seen" from inner encodings to the enclosing one.  :func:`digest_ex`
-exposes the flag to callers (signing and verification refuse to stamp or
-memoize anything whose bytes could change).
+  Tier 3 sits below tier 1: an identity hit never builds a key.  Every
+  value a tier holds was encoded, so its bytes can never change; identity
+  entries pin their key object, so an ``id`` can never alias a recycled
+  address.
 """
 from __future__ import annotations
 
@@ -78,7 +76,7 @@ class IdentityMemo:
     * the memo wholesale-clears at ``max_entries`` — eviction costs
       recomputation, never correctness;
     * callers must only :meth:`put` values that can be replayed for the
-      same object forever (stable digests, monotone-positive verdicts).
+      same object forever (digests of values, monotone-positive verdicts).
     """
 
     __slots__ = ("_entries", "max_entries")
@@ -229,7 +227,7 @@ def clear_digest_cache() -> None:
 
 # Work-stack task tags.  "enc" encodes one value; the "fin_*" tasks run
 # after all of a composite's children finished and assemble its body.
-_ENC, _FIN_SEQ, _FIN_FSET, _FIN_DICT, _FIN_OBJ, _FIN_DIGEST = range(6)
+_ENC, _FIN_SEQ, _FIN_FSET, _FIN_OBJ, _FIN_DIGEST = range(5)
 
 _NoneType = type(None)
 
@@ -241,8 +239,8 @@ class DigestOf:
     like returning ``digest(x)`` (the 32 digest bytes), but the digest is
     computed on the encoder's own work stack — no re-entrant ``digest``
     call, so arbitrarily deep Merkle nestings (countersign chains) cost
-    zero extra Python frames.  Sub-digests of stable subtrees are entered
-    into the digest cache along the way.
+    zero extra Python frames.  Sub-digests are entered into the digest
+    cache along the way.
     """
 
     __slots__ = ("value",)
@@ -255,38 +253,8 @@ def _length_prefix(data: bytes) -> bytes:
     return b"%d:" % len(data)
 
 
-#: Re-entrancy stack of mutability cells.  A ``_canonical_fields`` holder
-#: may call back into :func:`digest` mid-encode (Merkle-style encodings);
-#: when that *nested* encoding sees a mutable value, the fact must reach
-#: the *enclosing* encoding too — otherwise a mutable payload hidden
-#: behind a child digest would be memoized as stable.
-_ACTIVE_ENCODES: list[list[bool]] = []
-
-
-def _encode_ex(obj: Any) -> tuple[bytes, bool]:
-    """Encode ``obj``; returns ``(encoding, stable)``.
-
-    ``stable`` is True iff no ``list``/``dict`` (or other mutable holder)
-    occurs anywhere in the value — including inside nested digests taken
-    via re-entrant ``digest`` calls — i.e. the encoding can never change
-    and the digest may be memoized by identity.
-    """
-    cell = [True]
-    _ACTIVE_ENCODES.append(cell)
-    try:
-        encoding = _encode_loop(obj, cell)
-    finally:
-        _ACTIVE_ENCODES.pop()
-    if not cell[0] and _ACTIVE_ENCODES:
-        _ACTIVE_ENCODES[-1][0] = False
-    return encoding, cell[0]
-
-
-def _encode_loop(obj: Any, cell: list[bool]) -> bytes:
-    # Mutability is an event *counter* (not a flag) so that a _FIN_DIGEST
-    # frame can tell whether its own subtree saw a mutable value: snapshot
-    # the count when the frame is pushed, compare at finalization.
-    mut_events = 0
+def _encode(obj: Any) -> bytes:
+    """The canonical encoding of ``obj`` (see :func:`canonical_encode`)."""
     root: list[bytes] = []
     # Each stack item: (_ENC, value, dest) or (_FIN_*, parts, dest[, ...]).
     # Children are pushed in reverse so they pop (and complete) in order,
@@ -302,9 +270,7 @@ def _encode_loop(obj: Any, cell: list[bool]) -> bytes:
         if tag == _ENC:
             o, dest = task[1], task[2]
             t = type(o)
-            if t is tuple or t is list:
-                if t is list:
-                    mut_events += 1
+            if t is tuple:
                 parts: list[bytes] = []
                 push((_FIN_SEQ, parts, dest))
                 for item in reversed(o):
@@ -331,13 +297,6 @@ def _encode_loop(obj: Any, cell: list[bool]) -> bytes:
                 push((_FIN_FSET, parts, dest))
                 for item in o:
                     push((_ENC, item, parts))
-            elif t is dict:
-                mut_events += 1
-                parts = []
-                push((_FIN_DICT, parts, dest))
-                for key, value in o.items():
-                    push((_ENC, value, parts))
-                    push((_ENC, key, parts))
             elif t is DigestOf:
                 inner = o.value
                 hit = _CACHE.get(inner)
@@ -346,7 +305,7 @@ def _encode_loop(obj: Any, cell: list[bool]) -> bytes:
                     dest.append(b"y" + _length_prefix(hit) + hit)
                 else:
                     parts = []
-                    push((_FIN_DIGEST, parts, dest, inner, mut_events))
+                    push((_FIN_DIGEST, parts, dest, inner))
                     push((_ENC, inner, parts))
             else:
                 hit = encodings.get(id(o))
@@ -354,57 +313,32 @@ def _encode_loop(obj: Any, cell: list[bool]) -> bytes:
                     dest.append(hit[1])
                     continue
                 fields = getattr(o, "_canonical_fields", None)
-                if fields is not None:
-                    name = t.__name__.encode()
-                    parts = []
-                    if _is_frozen_holder(t):
-                        # The holder and the event count at push: its
-                        # encoding is memoized if the subtree stays stable.
-                        push((_FIN_OBJ, parts, dest, name, o, mut_events))
-                    else:
-                        mut_events += 1
-                        push((_FIN_OBJ, parts, dest, name, None, 0))
-                    push((_ENC, fields(), parts))
-                else:
+                if fields is None or not _is_frozen_holder(t):
                     raise TypeError(
                         f"cannot canonically encode {t.__name__}: {o!r}"
                     )
+                name = t.__name__.encode()
+                parts = []
+                push((_FIN_OBJ, parts, dest, name, o))
+                push((_ENC, fields(), parts))
         elif tag == _FIN_SEQ:
             body = b"".join(task[1])
             task[2].append(b"t" + _length_prefix(body) + body)
         elif tag == _FIN_FSET:
             body = b"".join(sorted(task[1]))
             task[2].append(b"S" + _length_prefix(body) + body)
-        elif tag == _FIN_DICT:
-            parts = task[1]
-            body = b"".join(
-                sorted(
-                    parts[i] + parts[i + 1] for i in range(0, len(parts), 2)
-                )
-            )
-            task[2].append(b"d" + _length_prefix(body) + body)
         elif tag == _FIN_OBJ:
             name = task[3]
             encoding = b"o" + _length_prefix(name) + name + task[1][0]
             task[2].append(encoding)
-            # Same stability rule as _FIN_DIGEST's: no mutable event in the
-            # holder's subtree and no nested re-entrant encode reported one.
-            holder = task[4]
-            if holder is not None and mut_events == task[5] and cell[0]:
-                _ENCODINGS.put(holder, encoding)
+            _ENCODINGS.put(task[4], encoding)
         else:  # _FIN_DIGEST
-            inner, snapshot = task[3], task[4]
+            inner = task[3]
             value = _sha256(task[1][0]).digest()
             digest_stats.digests_computed += 1
-            # The subtree between push and pop is exactly `inner`'s; it is
-            # stable iff no mutable event fired in that window (and no
-            # nested re-entrant encode reported one).
-            if mut_events == snapshot and cell[0] and _cacheable(inner):
-                if _CACHE.put(inner, value):
-                    digest_stats.cache_evictions += 1
+            if _cacheable(inner) and _CACHE.put(inner, value):
+                digest_stats.cache_evictions += 1
             task[2].append(b"y" + _length_prefix(value) + value)
-    if mut_events:
-        cell[0] = False
     return root[0]
 
 
@@ -412,12 +346,13 @@ def canonical_encode(obj: Any) -> bytes:
     """Encode ``obj`` into a canonical, type-tagged byte string.
 
     Supported types: ``None``, ``BOTTOM``, ``bool``, ``int``, ``float``,
-    ``str``, ``bytes``, tuples/lists (encoded identically), frozensets
-    (sorted by element encoding), dicts (sorted by key encoding), and any
-    object exposing ``_canonical_fields()`` returning a tuple.
+    ``str``, ``bytes``, tuples, frozensets (sorted by element encoding),
+    and any frozen dataclass exposing ``_canonical_fields()`` returning a
+    tuple.  Anything else (a ``list``, a ``dict``, a subclass of an
+    accepted type, a non-frozen holder) raises ``TypeError``.
     """
     digest_stats.encode_calls += 1
-    return _encode_ex(obj)[0]
+    return _encode(obj)
 
 
 # --------------------------------------------------------------------- #
@@ -439,7 +374,7 @@ def canonical_encode(obj: Any) -> bytes:
 #: has no leaves, so a leaf cap alone never bounded it.
 _MAX_KEY_DEPTH = 16
 _ATOMS_PER_LEAF = 4
-#: :func:`digest_ex`'s leaf cap.  Every intern hit the benchmark workloads
+#: :func:`digest`'s leaf cap.  Every intern hit the benchmark workloads
 #: produce is a key of at most 23 leaves / 83 atoms (a vote rebuilt by
 #: each party); a forwarded quorum (~3 leaves per vote) is rebuilt by no
 #: one, and a cap that admits quorums (4,096 clears n=301) lets their
@@ -456,11 +391,11 @@ def _key_walk(
 ) -> bool:
     """Append ``o``'s shape atoms / leaves; False when not internable.
 
-    Succeeds only on deeply immutable values (scalar leaves, tuples,
-    frozen holders, already-proven-stable digests), so a successful walk
-    doubles as the stability verdict the memo tiers gate on.  Gives up
-    past ``max_leaves`` leaves or ``_ATOMS_PER_LEAF * max_leaves`` atoms
-    (checked per composite and per tuple element, so the work is bounded).
+    Succeeds only on scalar leaves, tuples, frozen holders and values
+    already in the digest memo; anything else goes to the encoder, which
+    rejects what is not a value.  Gives up past ``max_leaves`` leaves or
+    ``_ATOMS_PER_LEAF * max_leaves`` atoms (checked per composite and per
+    tuple element, so the work is bounded).
 
     ``structural=True`` is the stricter mode for *object* interners: it
     refuses the two key-level digest stand-ins ("D" atoms and
@@ -491,7 +426,7 @@ def _key_walk(
     if o is BOTTOM:
         atoms.append("_")
         return True
-    # Composite values: one already proven stable (its digest sits in the
+    # Composite values: one already digested (its digest sits in the
     # identity memo) is keyed by that digest — ideal-hash injectivity
     # makes the digest as good as the content, and the walk stays O(1).
     if not structural:
@@ -554,7 +489,7 @@ def _content_key(obj: Any, max_leaves: int, structural: bool = False):
 def intern_key(obj: Any, *, structural: bool = False) -> tuple | None:
     """Content key for ``obj``, or None when it must not be interned.
 
-    A non-None key certifies deep immutability; equal keys guarantee
+    A non-None key certifies an immutable value; equal keys guarantee
     byte-identical canonical encodings.  With ``structural=True`` a key
     additionally never stands a raw digest in for a composite value
     ("D"/``DigestOf`` atoms are refused), which is what an *object*
@@ -575,12 +510,10 @@ def intern_key(obj: Any, *, structural: bool = False) -> tuple | None:
 
 def _is_frozen_holder(t: type) -> bool:
     """True iff a ``_canonical_fields`` type's own fields cannot be
-    reassigned (frozen dataclass).  The deep-immutability scan sees
-    lists/dicts inside the encoding but not field reassignment, so only
-    frozen holders count as immutable — at any nesting depth.  The type
-    must *itself* be declared a frozen dataclass: a plain subclass merely
-    inherits ``__dataclass_params__`` and may reintroduce mutability, so
-    it is distrusted (like every container subclass)."""
+    reassigned.  The type must *itself* be declared a frozen dataclass: a
+    plain subclass merely inherits ``__dataclass_params__`` and may
+    reintroduce mutability, so the encoder rejects it (like every
+    container subclass)."""
     if "__dataclass_fields__" not in t.__dict__:
         return False
     params = getattr(t, "__dataclass_params__", None)
@@ -588,89 +521,57 @@ def _is_frozen_holder(t: type) -> bool:
 
 
 def _cacheable(obj: Any) -> bool:
-    """Container types worth memoizing (scalars are cheap to re-encode)."""
+    """Composite values worth memoizing (scalars are cheap to re-encode).
+    Only asked about values that encoded, so a holder is a frozen one."""
     t = type(obj)
-    if t is tuple or t is frozenset:
-        return True
-    return (
-        getattr(obj, "_canonical_fields", None) is not None
-        and _is_frozen_holder(t)
-    )
-
-
-def digest_ex(obj: Any) -> tuple[bytes, bool]:
-    """SHA-256 digest of ``obj`` plus its *stability*.
-
-    The second element is True iff the value is deeply immutable (no
-    ``list``/``dict``/mutable holder anywhere, even behind nested
-    digests), i.e. the returned digest can never go stale.  Signing and
-    verification use the flag to decide whether a digest may be stamped
-    or a verdict memoized.
-
-    Lookup order: identity memo (same object), then — for values of at
-    most ``_MAX_INTERN_LEAVES`` leaves — the content intern table (equal
-    content rebuilt by another party), else the encoder (which splices
-    memoized holder encodings).  Every cache tier only ever holds stable
-    values.
-    """
-    hit = _CACHE.get(obj)
-    if hit is not None:
-        digest_stats.cache_hits += 1
-        return hit, True
-    # A key certifies stability; without one the encoder decides.
-    key = _content_key(obj, _MAX_INTERN_LEAVES)
-    value = _INTERN.get(key) if key is not None else None
-    stable = True
-    if value is not None:
-        digest_stats.interned_hits += 1
-    else:
-        digest_stats.encode_calls += 1
-        encoding, encoded_stable = _encode_ex(obj)
-        stable = key is not None or encoded_stable
-        digest_stats.digests_computed += 1
-        value = _sha256(encoding).digest()
-        if key is not None and _INTERN.put(key, value):
-            digest_stats.intern_evictions += 1
-    if stable and _cacheable(obj) and _CACHE.put(obj, value):
-        digest_stats.cache_evictions += 1
-    return value, stable
+    return t is tuple or t is frozenset or hasattr(t, "_canonical_fields")
 
 
 def digest(obj: Any) -> bytes:
     """SHA-256 digest of the canonical encoding of ``obj``.
 
-    Memoized by object identity for deeply immutable container values:
-    re-digesting the same tuple / ``SignedPayload`` / ``Certificate``
-    object is a dict lookup, which is what makes multicast fan-out and
-    quorum re-verification cheap.
+    Lookup order: identity memo (same object: re-digesting the tuple a
+    multicast hands every recipient is a dict lookup), then — for values
+    of at most ``_MAX_INTERN_LEAVES`` leaves — the content intern table
+    (equal content rebuilt by another party), else the encoder (which
+    splices memoized holder encodings).  Raises ``TypeError`` on a
+    value the encoder rejects.
     """
-    return digest_ex(obj)[0]
+    hit = _CACHE.get(obj)
+    if hit is not None:
+        digest_stats.cache_hits += 1
+        return hit
+    key = _content_key(obj, _MAX_INTERN_LEAVES)
+    value = _INTERN.get(key) if key is not None else None
+    if value is not None:
+        digest_stats.interned_hits += 1
+    else:
+        digest_stats.encode_calls += 1
+        encoding = _encode(obj)
+        digest_stats.digests_computed += 1
+        value = _sha256(encoding).digest()
+        if key is not None and _INTERN.put(key, value):
+            digest_stats.intern_evictions += 1
+    if _cacheable(obj) and _CACHE.put(obj, value):
+        digest_stats.cache_evictions += 1
+    return value
 
 
-def stable_digest(obj: Any) -> bytes | None:
-    """Digest of ``obj`` when it is deeply immutable, else ``None``.
-
-    The sharded wire's export half: a sender ships a payload's digest
-    alongside the payload only when the stability flag certifies the
-    digest can never go stale, so the receiving worker may seed its own
-    cache with it (:func:`seed_digest`) instead of re-walking the value.
-    """
-    value, stable = digest_ex(obj)
-    return value if stable else None
+def digest_ex(obj: Any) -> tuple[bytes, bool]:
+    """``(digest(obj), True)``; kept only for the benchmark adapter."""
+    return digest(obj), True
 
 
 def seed_digest(obj: Any, value: bytes) -> None:
     """Pre-seed the identity digest cache: ``digest(obj)`` is ``value``.
 
-    The sharded wire's import half: ``value`` must come from
-    :func:`stable_digest` on a value *equal* to ``obj`` (a pickle
-    round-trip of it).  Stability and the canonical encoding are both
-    functions of content alone, so the transferred digest is exactly
-    what a local walk would compute — seeding it just skips the walk,
-    which is what keeps an unpickled certificate's first digest O(1)
-    instead of O(size).  Values the cache would not hold anyway
-    (scalars) are ignored.
+    The sharded wire: ``value`` must come from :func:`digest` on a value
+    *equal* to ``obj`` (a pickle round-trip of it).  The canonical
+    encoding is a function of content alone, so the transferred digest is
+    exactly what a local walk would compute — seeding it just skips the
+    walk, which keeps an unpickled certificate's first digest O(1)
+    instead of O(size).  Scalars (which the cache never holds) are
+    ignored.
     """
-    if _cacheable(obj):
-        if _CACHE.put(obj, value):
-            digest_stats.cache_evictions += 1
+    if _cacheable(obj) and _CACHE.put(obj, value):
+        digest_stats.cache_evictions += 1

@@ -22,7 +22,7 @@ reuses child digests instead of re-encoding whole subtrees.  The registry
 additionally keeps a *verified set*: once a ``SignedPayload`` object has
 verified, re-checking the same object (quorum certificates are re-checked
 by every party they reach) is an O(1) identity lookup.  Both ``sign`` and
-``verify`` obtain digests through :func:`repro.crypto.messages.digest_ex`
+``verify`` obtain digests through :func:`repro.crypto.messages.digest`
 and therefore ride the content intern table: n parties signing equal vote
 payloads pay for one encoding, and :meth:`KeyRegistry.verify_batch` checks
 a certificate's signatures with one digest per distinct payload plus k
@@ -33,12 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable
 
-from repro.crypto.messages import (
-    DigestOf,
-    IdentityMemo,
-    digest,
-    digest_ex,
-)
+from repro.crypto.messages import DigestOf, IdentityMemo, digest
 from repro.types import PartyId
 
 #: Wholesale-clear threshold for the verified-signature set (mirrors the
@@ -70,14 +65,13 @@ class SignedPayload:
     represented by nesting: the countersigned payload *is* a
     ``SignedPayload`` and is signed again.
 
-    The extra ``_payload_digest`` slot caches ``digest(payload)``: stamped
-    at :meth:`Signer.sign` time, or lazily on first use for objects built
-    directly (adversarial forgeries) — but only when the payload is
-    *stable* (deeply immutable): a payload containing a list/dict is
-    re-digested on every use, so mutation is always observed.  The stamp
-    is a cache, not a claim — the *claimed* digest lives in
-    ``signature.payload_digest`` and :meth:`KeyRegistry.verify` compares
-    a freshly obtained digest against it.
+    The extra ``_payload_digest`` slot caches ``digest(payload)``, stamped
+    at :meth:`Signer.sign` time.  An object built directly (an
+    adversarial forgery) carries no stamp and encodes its payload through
+    :class:`DigestOf`.  The stamp is a cache, not a claim — the *claimed*
+    digest lives in ``signature.payload_digest`` and
+    :meth:`KeyRegistry.verify` compares a freshly obtained digest against
+    it.
     """
 
     __slots__ = ("payload", "signature", "_payload_digest")
@@ -142,11 +136,10 @@ class Signer:
 
     def sign(self, payload: Any) -> SignedPayload:
         """Sign ``payload``, registering the signature as issued."""
-        payload_digest, stable = digest_ex(payload)
+        payload_digest = digest(payload)
         self._registry._record(self._party, payload_digest)
         signed = SignedPayload(payload, Signature(self._party, payload_digest))
-        if stable:
-            object.__setattr__(signed, "_payload_digest", payload_digest)
+        object.__setattr__(signed, "_payload_digest", payload_digest)
         return signed
 
     def __repr__(self) -> str:
@@ -170,9 +163,9 @@ class KeyRegistry:
         # ships them to the other shards after every barrier step.
         self._fresh: list[tuple[PartyId, bytes]] = []
         self._handed_out: set[PartyId] = set()
-        # Verified set: only successful verifications of *stable* payloads
-        # enter (the issued set is append-only and a stable payload's
-        # digest cannot change, so a pass can never later become a fail).
+        # Verified set: successful verifications (the issued set is
+        # append-only and a payload's digest cannot change, so a pass can
+        # never later become a fail).
         self._verified = IdentityMemo(_MAX_VERIFIED_ENTRIES)
 
     def signer_for(self, party: PartyId) -> Signer:
@@ -224,17 +217,15 @@ class KeyRegistry:
         if self._verified.get(signed) is not None:
             return True
         sig = signed.signature
-        # Never trust the stamp here: recompute (an O(1) memo hit for
-        # stable payloads) so a payload mutated after signing or after an
-        # earlier verify is always caught, exactly like the cache-free
-        # implementation.
-        actual, stable = digest_ex(signed.payload)
+        # Never trust the stamp here: the claim is the signature's digest,
+        # checked against the payload's own (an O(1) memo hit for a
+        # payload that was signed).
+        actual = digest(signed.payload)
         if sig.payload_digest != actual:
             return False
         if (sig.signer, sig.payload_digest) not in self._issued:
             return False
-        if stable:
-            self._verified.put(signed, True)
+        self._verified.put(signed, True)
         return True
 
     def verify_batch(self, items: Iterable[SignedPayload]) -> bool:
@@ -250,7 +241,7 @@ class KeyRegistry:
         """
         verified = self._verified
         issued = self._issued
-        digests: dict[int, tuple[Any, bytes, bool]] = {}
+        digests: dict[int, tuple[Any, bytes]] = {}
         for item in items:
             if verified.get(item) is not None:
                 continue
@@ -258,16 +249,15 @@ class KeyRegistry:
             payload = item.payload
             group = digests.get(id(payload))
             if group is not None and group[0] is payload:
-                actual, stable = group[1], group[2]
+                actual = group[1]
             else:
-                actual, stable = digest_ex(payload)
+                actual = digest(payload)
                 # The strong payload reference pins the id for the scope
                 # of this batch, so the group entry cannot alias.
-                digests[id(payload)] = (payload, actual, stable)
+                digests[id(payload)] = (payload, actual)
             if sig.payload_digest != actual:
                 return False
             if (sig.signer, actual) not in issued:
                 return False
-            if stable:
-                verified.put(item, True)
+            verified.put(item, True)
         return True

@@ -160,7 +160,7 @@ def check_indistinguishable(
         )
         detail = ""
         if not holds:
-            instant = first_divergence(transcript_a, transcript_b)
+            instant = first_divergence(transcript_a, transcript_b, compare)
             detail = f"first divergence at local time {instant}"
         report.checks.append(
             IndistinguishabilityCheck(

@@ -30,7 +30,7 @@ from typing import Callable
 from repro.crypto.messages import (
     ContentMemo,
     IdentityMemo,
-    digest_ex,
+    digest,
     intern_key,
 )
 from repro.crypto.signatures import KeyRegistry, SignedPayload
@@ -240,8 +240,7 @@ class CertificateChecker:
         # The content key is the certificate's intern key (equal keys
         # guarantee byte-identical canonical encodings, so they cover the
         # view, every entry and every signer; the walk costs no encode or
-        # hash and bails at the first mutable value — an unstable
-        # certificate pays a cheap partial walk here, never a digest)
+        # hash and gives up at the first value it cannot key)
         # prefixed with everything the verdict depends on besides the
         # certificate itself: the PKI, the threshold configuration, the
         # validity predicate and this view's leader.  A shared memo is
@@ -265,8 +264,8 @@ class CertificateChecker:
         if ckey is not None:
             hit = self._content_memo.get(ckey)
             if hit is not None:
-                # A content key only exists for stable certificates, so
-                # promoting the verdict to the identity memo is sound.
+                # A content key only exists for an immutable certificate,
+                # so promoting the verdict to the identity memo is sound.
                 self._valid_cache.put(cert, hit)
                 return hit
         status = self._evaluate_uncached(cert)
@@ -274,13 +273,11 @@ class CertificateChecker:
             if ckey is not None:
                 self._valid_cache.put(cert, status)
                 self._content_memo.put(ckey, status)
-            elif digest_ex(cert)[1]:
-                # Stable but not content-keyable (exotic values, depth or
-                # width caps) — gate on stability like the other memos and
-                # keep at least the identity-level replay.  An unstable
-                # cert lands here too and is (correctly) never cached: a
-                # mutable holder's later mutation must re-run the check
-                # rather than replay a stale verdict.
+            else:
+                # Not content-keyable (exotic values, depth or width caps):
+                # keep the identity-level replay.  The digest rejects a
+                # certificate that is not a value instead of memoizing it.
+                digest(cert)
                 self._valid_cache.put(cert, status)
         return status
 

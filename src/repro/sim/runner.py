@@ -139,8 +139,9 @@ class World:
         ``(VOTE, v)``, every echoer's ``(ECHO, v)``) get one shared
         object back, so the identity-keyed digest and verified caches hit
         where n distinct-but-equal objects would each pay a content
-        lookup.  Values the content keyer rejects (anything mutable or
-        exotic) are returned unchanged.  The key is *structural*
+        lookup.  Values the content keyer gives up on (frozensets,
+        values over its caps, anything that is not a value) are returned
+        unchanged.  The key is *structural*
         (``intern_key(structural=True)``): it never equates a raw digest
         with a structurally different object, so — up to the ideal-hash
         injectivity the signature model already assumes for stamped

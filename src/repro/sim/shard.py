@@ -53,7 +53,7 @@ import pickle
 from array import array
 from typing import Any
 
-from repro.crypto.messages import digest, seed_digest, stable_digest
+from repro.crypto.messages import digest, seed_digest
 from repro.errors import SimulationError
 from repro.sim.runner import ADDITIVE_COUNTERS, World
 
@@ -112,11 +112,11 @@ def _shard_loop(conn, spec: dict) -> None:
       one raw frame per destination of ``heads`` (destination shard ->
       ``(earliest delivery instant, record count)``), each the pickled
       ``(defs, recs, times)`` for it (``defs`` are first-crossing
-      ``(ref, payload, stable digest | None)`` triples — the digest
-      seeds the destination's cache so deep payloads are never
-      re-walked; ``recs`` is one packed ``array('q')`` of ``sender, ref,
-      lo, hi`` quadruples and ``times`` the matching ``array('d')`` of
-      delivery instants — machine words, not per-record tuples);
+      ``(ref, payload, digest)`` triples — the digest seeds the
+      destination's cache so deep payloads are never re-walked; ``recs``
+      is one packed ``array('q')`` of ``sender, ref, lo, hi`` quadruples
+      and ``times`` the matching ``array('d')`` of delivery instants —
+      machine words, not per-record tuples);
       ``fresh`` is the issued-signature group dict and ``next_time`` the
       calendar's head; finally ``("done", summary)``.
     * coordinator -> worker: ``("step", T, window_end, sources, issued)``
@@ -195,17 +195,13 @@ def _shard_loop(conn, spec: dict) -> None:
             table = in_refs.setdefault(src, [])
             for ref, payload, value in defs:
                 assert ref == len(table)
-                if value is not None:
-                    # The sender shipped its (stable) digest: seed the
-                    # local cache instead of re-walking the unpickled
-                    # value — for deep payloads (certificates) the walk
-                    # is O(size) per def and was the workers' top
-                    # profile entry.  Interning is skipped too: its
-                    # structural key is the same walk, and digest-keyed
-                    # caches hit by content regardless of identity.
-                    seed_digest(payload, value)
-                else:
-                    payload = world.intern_payload(payload)
+                # Seed the local cache with the sender's digest instead
+                # of re-walking the unpickled value — for deep payloads
+                # (certificates) the walk is O(size) per def and was the
+                # workers' top profile entry.  Interning is skipped too:
+                # its structural key is the same walk, and digest-keyed
+                # caches hit by content regardless of identity.
+                seed_digest(payload, value)
                 table.append(payload)
             for j, deliver_time in enumerate(times):
                 i = 4 * j
@@ -239,7 +235,7 @@ def _shard_loop(conn, spec: dict) -> None:
                     ref = len(table)
                     table[id(payload)] = ref
                     out_pins.setdefault(dst, []).append(payload)
-                    chunk[0].append((ref, payload, stable_digest(payload)))
+                    chunk[0].append((ref, payload, digest(payload)))
                 chunk[1].extend((sender, ref, piece_lo, piece_hi))
                 chunk[2].append(deliver_time)
         net.outbuf.clear()

@@ -98,11 +98,13 @@ def indistinguishable(
     return a.digest(local_cutoff, compare) == b.digest(local_cutoff, compare)
 
 
-def first_divergence(a: Transcript, b: Transcript) -> float | None:
-    """The first local instant after which the two channel sums differ
-    (for debugging witnesses), or ``None`` if the views are equal."""
+def first_divergence(
+    a: Transcript, b: Transcript, compare: str = "channel"
+) -> float | None:
+    """The first local instant after which the two ``compare`` sums
+    differ (for debugging witnesses), or ``None`` if they never do."""
     for instant in sorted({*a.instants, *b.instants}):
         after = nextafter(instant, inf)
-        if a.digest(after) != b.digest(after):
+        if a.digest(after, compare) != b.digest(after, compare):
             return instant
     return None

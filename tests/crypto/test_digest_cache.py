@@ -5,7 +5,8 @@ The cache layers are: identity-keyed digest memoization in
 ``SignedPayload`` at sign time, and the registry's verified-signature
 set.  Each must be an invisible optimization: equal values digest
 equally, cache hits match the cold path byte-for-byte, and forgeries
-still fail.
+still fail.  A value that is not one (a ``list``, a ``dict``, a holder
+that is not a frozen dataclass) is rejected and memoizes nothing.
 """
 import enum
 import hashlib
@@ -77,22 +78,12 @@ class TestDigestMemoization:
         digest(b"raw")
         assert digest_cache_len() == 0
 
-    def test_mutable_containers_are_never_cached(self):
-        seq = [1, 2, 3]
-        d1 = digest(seq)
-        seq.append(4)
-        assert digest(seq) != d1
-        mapping = {"a": 1}
-        d2 = digest(mapping)
-        mapping["b"] = 2
-        assert digest(mapping) != d2
+    def test_mutable_containers_are_rejected(self, assert_rejected):
+        assert_rejected(lambda: digest([1, 2, 3]), "list")
+        assert_rejected(lambda: digest({"a": 1}), "dict")
 
-    def test_tuple_containing_list_is_not_cached(self):
-        inner = [1, 2]
-        value = ("wrap", inner)
-        d1 = digest(value)
-        inner.append(3)
-        assert digest(value) != d1
+    def test_tuple_containing_list_is_rejected(self, assert_rejected):
+        assert_rejected(lambda: digest(("wrap", [1, 2])), "list")
         assert digest_cache_len() == 0
 
     def test_tuple_of_signed_payloads_is_cached(self):
@@ -102,23 +93,19 @@ class TestDigestMemoization:
         digest(quorum)
         assert digest_cache_len() >= 1
 
-    def test_frozen_dataclass_subclass_is_not_trusted(self):
+    def test_frozen_dataclass_subclass_is_rejected(self, assert_rejected):
         # A plain subclass of a frozen dataclass inherits
-        # __dataclass_params__ but may reintroduce mutability; it must not
-        # be digest-cached.
+        # __dataclass_params__ but may reintroduce mutability; it is not
+        # a value.
         class SneakySignature(Signature):
             __setattr__ = object.__setattr__  # un-freezes the subclass
 
-        sneaky = SneakySignature(0, b"d")
-        wrapped = ("wrap", sneaky)
-        d1 = digest(wrapped)
-        sneaky.payload_digest = b"x"
-        assert digest(wrapped) != d1
-        assert digest_cache_len() == 0
+        wrapped = ("wrap", SneakySignature(0, b"d"))
+        assert_rejected(lambda: digest(wrapped), "SneakySignature")
 
-    def test_nested_mutable_field_holder_is_never_cached(self):
+    def test_nested_mutable_field_holder_is_rejected(self, assert_rejected):
         # A non-frozen _canonical_fields object, even nested inside a
-        # tuple, must poison cacheability: its fields can be reassigned.
+        # tuple, is not a value: its fields can be reassigned.
         class MutableHolder:
             def __init__(self, x):
                 self.x = x
@@ -126,12 +113,8 @@ class TestDigestMemoization:
             def _canonical_fields(self):
                 return (self.x,)
 
-        holder = MutableHolder(1)
-        wrapped = ("wrap", holder)
-        d1 = digest(wrapped)
-        holder.x = 2
-        assert digest(wrapped) != d1
-        assert digest_cache_len() == 0
+        wrapped = ("wrap", MutableHolder(1))
+        assert_rejected(lambda: digest(wrapped), "MutableHolder")
 
 
 class TestIterativeEncoder:
@@ -146,15 +129,13 @@ class TestIterativeEncoder:
         assert canonical_encode(b"xy") == b"y2:xy"
         assert canonical_encode(1.5) == b"f3:1.5"
 
-    def test_format_unchanged_for_containers(self):
+    def test_format_unchanged_for_containers(self, assert_rejected):
         assert canonical_encode((1, 2)) == b"t8:i1:1i1:2"
-        assert canonical_encode([1, 2]) == canonical_encode((1, 2))
-        assert canonical_encode({"b": 2, "a": 1}) == canonical_encode(
-            {"a": 1, "b": 2}
-        )
         assert canonical_encode(frozenset({2, 1})) == canonical_encode(
             frozenset({1, 2})
         )
+        assert_rejected(lambda: canonical_encode([1, 2]), "list")
+        assert_rejected(lambda: canonical_encode({"b": 2, "a": 1}), "dict")
 
     def test_deep_nesting_beyond_recursion_limit(self):
         import sys
@@ -224,34 +205,32 @@ class TestSignedPayloadStamping:
             node = SignedPayload(node, Signature(0, b"fake"))
         assert len(digest(node)) == 32
 
-    def test_unstable_countersign_chain_stays_linear(self):
-        # An unstamped chain over a *mutable* innermost payload must not
-        # re-derive the whole subtree once per level (exponential blowup).
+    def test_mutable_countersign_chain_is_rejected_in_one_walk(
+        self, assert_rejected
+    ):
+        # Nothing signs a mutable payload, and an unstamped chain over one
+        # (built by hand) is rejected by a single walk down to it.
         registry = KeyRegistry(2)
         signer = registry.signer_for(0)
-        node = signer.sign(("v", [1, 2]))
+        assert_rejected(lambda: signer.sign(("v", [1, 2])), "list")
+        node = SignedPayload(("v", [1, 2]), Signature(0, b"fake"))
         for _ in range(20):
             node = SignedPayload(node, Signature(0, b"fake"))
         digest_stats.reset()
-        digest(node)
-        # Exponential behavior would need ~2^20 encodes here.
-        assert digest_stats.encode_calls < 200
+        assert_rejected(lambda: digest(node), "list")
+        assert digest_stats.encode_calls == 1
 
-    def test_deep_unstable_chain_no_recursion_and_tracks_mutation(self):
-        # Even when nothing can be stamped (mutable innermost payload), a
-        # countersign chain deeper than the recursion limit must digest
-        # iteratively — and still observe mutation at the bottom.
+    def test_deep_mutable_chain_is_rejected_without_recursion(
+        self, assert_rejected
+    ):
+        # A hand-built countersign chain deeper than the recursion limit
+        # over a mutable innermost payload walks iteratively down to it.
         import sys
 
-        registry = KeyRegistry(2)
-        signer = registry.signer_for(0)
-        inner = [1, 2]
-        node = signer.sign(("v", inner))
+        node = SignedPayload(("v", [1, 2]), Signature(0, b"fake"))
         for _ in range(sys.getrecursionlimit() * 2):
             node = SignedPayload(node, Signature(0, b"fake"))
-        d1 = digest(node)
-        inner.append(3)
-        assert digest(node) != d1
+        assert_rejected(lambda: digest(node), "list")
 
     def test_signed_payload_roundtrips_pickle_and_deepcopy(self):
         import copy
@@ -318,35 +297,32 @@ class TestVerifiedSetSoundness:
         copy = SignedPayload(("vote", "v"), Signature(0, digest(("vote", "v"))))
         assert registry.verify(copy)
 
-    def test_mutated_payload_fails_after_successful_verify(self):
-        # The seed recomputed the payload digest on every verify; the
-        # caches must preserve that: a Byzantine party signing a *mutable*
-        # payload, verifying it, then mutating it in place must not keep a
-        # standing True verdict for content that was never signed.
+    def test_mutable_payload_is_neither_signed_nor_verified(
+        self, assert_rejected
+    ):
+        # A Byzantine party cannot sign a mutable payload (and so cannot
+        # mutate it after a verify); a hand-built envelope over one is
+        # rejected by verify and by its own digest.
         registry = KeyRegistry(2)
         signer = registry.signer_for(0)
-        payload = ["v"]
-        signed = signer.sign(payload)
-        assert registry.verify(signed)
-        payload[0] = "w"
-        assert not registry.verify(signed)
-        # And the digest of the enclosing envelope tracks the mutation.
-        d_mutated = digest(signed)
-        payload[0] = "v"
-        assert registry.verify(signed)
-        assert digest(signed) != d_mutated
+        assert_rejected(lambda: signer.sign(["v"]), "list")
+        signed = SignedPayload(["v"], Signature(0, b"\x00" * 32))
+        assert_rejected(lambda: registry.verify(signed), "list")
+        assert_rejected(lambda: digest(signed), "list")
+        assert registry._verified.get(signed) is None
 
-    def test_mutable_payload_hidden_behind_countersign_is_tracked(self):
-        # Mutability must propagate through the Merkle-style encoding: an
-        # inner signed payload wrapping a list cannot be frozen behind its
-        # digest when the outer envelope is verified.
+    def test_mutable_payload_behind_a_countersign_is_rejected(
+        self, assert_rejected
+    ):
+        # The Merkle-style encoding cannot hide a list behind a child
+        # digest: countersigning or verifying the envelope walks down to
+        # it and raises.
         registry = KeyRegistry(3)
-        inner_payload = ["v"]
-        inner = registry.signer_for(0).sign(inner_payload)
-        outer = registry.signer_for(1).sign(inner)
-        assert registry.verify(outer)
-        inner_payload[0] = "w"
-        assert not registry.verify(outer)
+        inner = SignedPayload(["v"], Signature(0, b"\x00" * 32))
+        countersigner = registry.signer_for(1)
+        assert_rejected(lambda: countersigner.sign(inner), "list")
+        outer = SignedPayload(inner, Signature(1, b"\x00" * 32))
+        assert_rejected(lambda: registry.verify(outer), "list")
 
     def test_failed_verdicts_are_not_sticky(self):
         # A signature that fails because it was never issued must start
@@ -410,15 +386,10 @@ def _reference_encode(value) -> bytes:
         return _framed(b"s", value.encode())
     if t is bytes:
         return _framed(b"y", value)
-    if t is tuple or t is list:
+    if t is tuple:
         return _framed(b"t", b"".join(map(_reference_encode, value)))
     if t is frozenset:
         return _framed(b"S", b"".join(sorted(map(_reference_encode, value))))
-    if t is dict:
-        return _framed(b"d", b"".join(sorted(
-            _reference_encode(k) + _reference_encode(v)
-            for k, v in value.items()
-        )))
     if t is SignedPayload:
         # Merkle-style: the payload's digest stands in for the payload.
         inner = hashlib.sha256(_reference_encode(value.payload)).digest()
@@ -451,11 +422,9 @@ _signer = st.integers(0, 3)
 def _composites(children):
     return st.one_of(
         st.lists(children, max_size=4).map(tuple),
-        st.lists(children, max_size=4),
-        st.dictionaries(_hashables, children, max_size=3),
         st.frozensets(_hashables, max_size=3),
-        # Stamped when the payload is stable (and so countersign chains
-        # when the payload is itself signed) ...
+        # Stamped (and so countersign chains when the payload is itself
+        # signed) ...
         st.tuples(_signer, children).map(lambda p: _SIGNERS[p[0]].sign(p[1])),
         # ... and unstamped, as an adversary builds one by hand.
         st.tuples(_signer, children).map(
@@ -471,6 +440,32 @@ def _composites(children):
 
 
 _trees = st.recursive(_scalars, _composites, max_leaves=24)
+
+
+def _wrap_mutable(children):
+    """One more immutable layer over a value that holds a mutable one;
+    the siblings are scalars, so nothing before it is memoized."""
+    return st.one_of(
+        st.tuples(_scalars, children),
+        st.tuples(children, _scalars),
+        st.tuples(_signer, children).map(
+            lambda p: SignedPayload(p[1], Signature(p[0], b"\x07" * 32))
+        ),
+        st.tuples(st.integers(0, 9), children).map(
+            lambda c: Certificate(view=c[0], entries=(c[1],))
+        ),
+    )
+
+
+#: A list or dict at the bottom of up to a few immutable layers.
+_mutable_trees = st.recursive(
+    st.one_of(
+        st.lists(_scalars, max_size=3),
+        st.dictionaries(_hashables, _scalars, max_size=3),
+    ),
+    _wrap_mutable,
+    max_leaves=8,
+)
 
 #: Pads a value past the intern tier's leaf cap, so its digest is always
 #: the generic encoder's — the tier that splices memoized holder bytes.
@@ -496,24 +491,29 @@ class TestHolderEncodingMemo:
         messages._CACHE.clear()
         assert digest(padded) == _reference_digest(padded)
 
-    @pytest.mark.parametrize("build", [
-        lambda inner: SignedPayload(("v", inner), Signature(0, b"\x00" * 32)),
+    @settings(max_examples=100, deadline=None)
+    @given(_mutable_trees)
+    def test_a_mutable_value_at_any_depth_is_rejected(
+        self, assert_rejected, tree
+    ):
+        clear_digest_cache()
+        assert_rejected(lambda: digest(tree), "(list|dict)")
+        assert_rejected(lambda: digest((tree, _PAD)), "(list|dict)")
+
+    @pytest.mark.parametrize("call", [
+        lambda inner: digest((
+            "wrap", SignedPayload(("v", inner), Signature(0, b"\x00" * 32)),
+            _PAD,
+        )),
         lambda inner: _SIGNERS[1].sign(("v", inner)),
-        lambda inner: Certificate(view=1, entries=inner),
+        lambda inner: digest(
+            ("wrap", Certificate(view=1, entries=inner), _PAD)
+        ),
         lambda inner: _SIGNERS[2].sign(_SIGNERS[3].sign(("v", inner))),
     ], ids=["unsigned-by-hand", "signed", "certificate", "countersigned"])
-    def test_list_inside_a_holder_is_never_memoized(self, build):
+    def test_list_inside_a_holder_is_rejected(self, assert_rejected, call):
         inner = [_SIGNERS[0].sign(("x", 1))]
-        holder = build(inner)
-        enclosing = ("wrap", holder, _PAD)
-        before = digest(enclosing)
-        assert before == _reference_digest(enclosing)
-        assert messages._ENCODINGS.get(holder) is None
-        inner.append(_SIGNERS[0].sign(("x", 2)))
-        after = digest(enclosing)
-        assert after != before
-        assert after == _reference_digest(enclosing)
-        assert messages._ENCODINGS.get(holder) is None
+        assert_rejected(lambda: call(inner), "list")
 
     def test_stable_holders_are_encoded_once(self, monkeypatch):
         votes = tuple(s.sign(("vote", "v")) for s in _SIGNERS)

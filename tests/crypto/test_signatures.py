@@ -7,19 +7,19 @@ from repro.types import BOTTOM
 
 
 class TestCanonicalEncoding:
-    def test_distinct_types_encode_distinctly(self):
+    def test_distinct_types_encode_distinctly(self, assert_rejected):
         # 1 vs "1" vs 1.0 vs True must all differ (type tagging).
-        values = [1, "1", 1.0, True, (1,), [2], None, BOTTOM, b"1"]
+        values = [1, "1", 1.0, True, (1,), frozenset([2]), None, BOTTOM, b"1"]
         encodings = [canonical_encode(v) for v in values]
         assert len(set(encodings)) == len(encodings)
+        assert_rejected(lambda: canonical_encode([2]), "list")
 
-    def test_tuple_and_list_encode_identically(self):
-        assert canonical_encode((1, 2)) == canonical_encode([1, 2])
+    def test_list_is_rejected(self, assert_rejected):
+        assert canonical_encode((1, 2)) == b"t8:i1:1i1:2"
+        assert_rejected(lambda: canonical_encode([1, 2]), "list")
 
-    def test_dict_ordering_insensitive(self):
-        assert canonical_encode({"a": 1, "b": 2}) == canonical_encode(
-            {"b": 2, "a": 1}
-        )
+    def test_dict_is_rejected(self, assert_rejected):
+        assert_rejected(lambda: canonical_encode({"a": 1, "b": 2}), "dict")
 
     def test_frozenset_ordering_insensitive(self):
         assert canonical_encode(frozenset([3, 1, 2])) == canonical_encode(

@@ -128,3 +128,34 @@ class TestFirstDivergence:
         a = make_transcript(0, [(1.0, 2, "y"), (1.0, 1, "x")])
         b = make_transcript(0, [(1.0, 1, "x"), (1.0, 2, "z")])
         assert first_divergence(a, b) == 1.0
+
+    def test_content_mode_names_the_content_divergence(self):
+        # The two views differ by sender at 1.0 (a channel difference
+        # only) and by content at 2.0: a content check names 2.0.
+        a = make_transcript(0, [(1.0, 1, "x"), (2.0, 1, "y")])
+        b = make_transcript(0, [(1.0, 2, "x"), (2.0, 1, "z")])
+        assert indistinguishable(a, b, local_cutoff=1.5, compare="content")
+        assert not indistinguishable(a, b, local_cutoff=3.0, compare="content")
+        assert first_divergence(a, b, compare="content") == 2.0
+        assert first_divergence(a, b) == 1.0
+
+    def test_witness_check_forwards_its_compare_mode(self):
+        from types import SimpleNamespace
+
+        from repro.lowerbounds.framework import (
+            WitnessReport,
+            check_indistinguishable,
+        )
+
+        a = make_transcript(0, [(1.0, 1, "x"), (2.0, 1, "y")])
+        b = make_transcript(0, [(1.0, 2, "x"), (2.0, 1, "z")])
+        report = WitnessReport("thm", "claim", executions={
+            name: SimpleNamespace(agents={0: SimpleNamespace(transcript=t)})
+            for name, t in (("a", a), ("b", b))
+        })
+        check_indistinguishable(
+            report, [0], "a", "b", local_cutoff=3.0, compare="content"
+        )
+        (check,) = report.checks
+        assert not check.holds
+        assert check.detail == "first divergence at local time 2.0"

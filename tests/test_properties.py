@@ -38,7 +38,7 @@ nested = st.recursive(
     scalar,
     lambda children: st.one_of(
         st.lists(children, max_size=4).map(tuple),
-        st.dictionaries(st.text(max_size=5), children, max_size=3),
+        st.frozensets(children, max_size=3),
     ),
     max_leaves=12,
 )
@@ -58,14 +58,16 @@ class TestCanonicalEncoding:
 
     @given(st.dictionaries(st.text(max_size=5), st.integers(), max_size=5))
     @settings(max_examples=100)
-    def test_dict_order_invariance(self, mapping):
-        reversed_items = dict(reversed(list(mapping.items())))
-        assert canonical_encode(mapping) == canonical_encode(reversed_items)
+    def test_dicts_are_rejected(self, assert_rejected, mapping):
+        assert_rejected(lambda: canonical_encode(mapping), "dict")
+        assert_rejected(lambda: digest(("wrap", mapping)), "dict")
 
     @given(st.lists(st.integers(), max_size=6))
     @settings(max_examples=100)
-    def test_tuple_list_equivalence(self, items):
-        assert canonical_encode(items) == canonical_encode(tuple(items))
+    def test_lists_are_rejected(self, assert_rejected, items):
+        assert_rejected(lambda: canonical_encode(items), "list")
+        assert_rejected(lambda: digest(("wrap", items)), "list")
+        assert canonical_encode(tuple(items)).startswith(b"t")
 
 
 # --------------------------------------------------------------------- #
