@@ -10,14 +10,20 @@
 Good-case latency: 2 asynchronous rounds (optimal, Theorems 4-5).  The
 quorum-intersection argument gives agreement; forwarding the vote quorum
 gives BRB termination.
+
+A vote is handled in two halves, a parse that is the same at every
+recipient and this party's tally and Step 3 crossing, so a folded run of
+one vote is parsed once for all its recipients
+(:meth:`Brb2Round.deliver_run`).
 """
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Sequence
 
 from repro.crypto.signatures import SignedPayload
 from repro.protocols.base import BroadcastParty
 from repro.protocols.quorum import commit_quorum
+from repro.sim.process import Agent, walk_run, walk_vote_run
 from repro.types import PartyId, Value, validate_resilience
 
 PROPOSE = "propose"
@@ -82,6 +88,29 @@ class Brb2Round(BroadcastParty):
             # Step 1: Propose.
             self.multicast(self.make_proposal(self.input_value))
 
+    @classmethod
+    def deliver_run(
+        cls,
+        parties: Sequence[Agent | None],
+        sender: PartyId,
+        recipients: Sequence[PartyId],
+        payload: Any,
+    ) -> int:
+        """A folded run of one payload, for a world of this exact class:
+        a vote is parsed once and tallied at each recipient
+        (:func:`~repro.sim.process.walk_vote_run`);
+        anything else goes to each live recipient's ``deliver``
+        (:func:`~repro.sim.process.walk_run`)."""
+        try:
+            kind, body = payload
+        except (TypeError, ValueError):
+            kind = None
+        if kind == VOTE:
+            return walk_vote_run(
+                parties, recipients, body, cls._parse_vote, cls._tally_vote
+            )
+        return walk_run(parties, sender, recipients, payload)
+
     def on_message(self, sender: PartyId, payload: Any) -> None:
         # Every 2-round-BRB message is a pair; anything else is dropped.
         # Shape is checked by the unpack itself (here and in ``_on_vote``):
@@ -118,16 +147,29 @@ class Brb2Round(BroadcastParty):
         self.multicast(self.make_vote(self.signer, value, body=body))
 
     def _on_vote(self, signed_vote) -> None:
+        body = self._parse_vote(signed_vote)
+        if body is not None:
+            self._tally_vote(body, signed_vote)
+
+    def _parse_vote(self, signed_vote) -> tuple | None:
+        """The ``(VOTE, v)`` body of a validly signed vote, else ``None``.
+
+        Reads only the vote and the world's PKI, so every recipient of
+        one vote object gets the same answer (and a pass stays a pass).
+        """
         if not isinstance(signed_vote, SignedPayload) or not self.verify(
             signed_vote
         ):
-            return
+            return None
+        body = signed_vote.payload
         try:
-            tag, value = signed_vote.payload
+            tag, _ = body
         except (TypeError, ValueError):
-            return
-        if tag != VOTE:
-            return
+            return None
+        return body if tag == VOTE else None
+
+    def _tally_vote(self, body: tuple, signed_vote: SignedPayload) -> None:
+        value = body[1]
         count = self._votes.add(value, signed_vote.signer, signed_vote)
         # Step 3: Commit on a quorum of n - f votes for the same value.
         # The equality test fires exactly at the threshold crossing (the

@@ -28,10 +28,15 @@ Protocol steps (quorum ``q = n - f``; ``q = 4f - 1`` at ``n = 5f - 1``):
 6. **Status.**  The new leader collects ``q`` status messages and
    re-proposes the locked value of the highest certificate (attaching the
    certificate if it is of view ``w - 1``, else the full status set).
+
+A vote entry is handled in two halves, a parse that is the same at
+every recipient and this party's tally and Step 3 crossing, so a folded
+run of one vote is parsed once for all its recipients
+(:meth:`PsyncVbb5f1.deliver_run`).
 """
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Sequence
 
 from repro.crypto.signatures import SignedPayload
 from repro.protocols.psync.base import ViewParty
@@ -43,6 +48,7 @@ from repro.protocols.psync.certificates import (
     make_leader_pair,
     make_value_entry,
 )
+from repro.sim.process import Agent, walk_run, walk_vote_run
 from repro.types import BOTTOM, PartyId, Value
 
 PROPOSE = "propose"
@@ -100,6 +106,31 @@ class PsyncVbb5f1(ViewParty):
     def _propose_initial(self) -> None:
         pair = make_leader_pair(self.signer, self.input_value, 1)
         self.multicast(self.signer.sign((PROPOSE, pair, BOTTOM)))
+
+    @classmethod
+    def deliver_run(
+        cls,
+        parties: Sequence[Agent | None],
+        sender: PartyId,
+        recipients: Sequence[PartyId],
+        payload: Any,
+    ) -> int:
+        """A folded run of one payload, for a world of this exact class:
+        a ``(VOTE, entry)`` is parsed once and tallied at each recipient,
+        each followed by :meth:`deliver`'s leader check
+        (:func:`~repro.sim.process.walk_vote_run`);
+        anything else goes to each live recipient's ``deliver``
+        (:func:`~repro.sim.process.walk_run`)."""
+        if (
+            isinstance(payload, tuple)
+            and len(payload) == 2
+            and payload[0] == VOTE
+        ):
+            return walk_vote_run(
+                parties, recipients, payload[1], cls._parse_value_entry,
+                cls._tally_vote, cls._propose_if_leader,
+            )
+        return walk_run(parties, sender, recipients, payload)
 
     def on_message(self, sender: PartyId, payload: Any) -> None:
         if isinstance(payload, SignedPayload):
@@ -243,8 +274,10 @@ class PsyncVbb5f1(ViewParty):
 
     def _on_vote_entry(self, entry: SignedPayload) -> None:
         key = self._parse_value_entry(entry)
-        if key is None:
-            return
+        if key is not None:
+            self._tally_vote(key, entry)
+
+    def _tally_vote(self, key: tuple[int, Value], entry: SignedPayload) -> None:
         count = self._votes.add(key, entry.signer, entry)
         # The equality test fires exactly at the quorum crossing, so the
         # sorted vote quorum is materialized (and shared world-wide) once.
@@ -289,7 +322,12 @@ class PsyncVbb5f1(ViewParty):
     def _parse_value_entry(
         self, entry: SignedPayload
     ) -> tuple[int, Value] | None:
-        """Validate a countersigned leader pair; return (view, value)."""
+        """Validate a countersigned leader pair; return (view, value).
+
+        Reads only the entry, the world's PKI and memo and the world's
+        leader schedule and validity predicate, so every recipient of
+        one entry object gets the same answer (and a pass stays a pass).
+        """
         if not isinstance(entry, SignedPayload) or not self.verify(entry):
             return None
         return self._parse_entry_body(entry)
@@ -471,6 +509,9 @@ class PsyncVbb5f1(ViewParty):
 
     def deliver(self, sender: PartyId, payload: Any) -> None:
         super().deliver(sender, payload)
+        self._propose_if_leader()
+
+    def _propose_if_leader(self) -> None:
         # A leader may have buffered statuses before entering its view.
         if (
             not self.terminated

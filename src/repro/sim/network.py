@@ -38,7 +38,9 @@ and **emit** (the fan-out's runs, as one lazy sequence, go to the
 network's emitter).  When the delay vector alone shows that every copy
 would be its own run — no two neighbours equal, nothing dropped or held
 to a start offset — ``_instants`` computes the instants in C-level
-passes into an ``array('d')`` instead, and the runs are read off it.
+passes into an ``array('d')`` instead, and the runs are read off it;
+an all-equal vector under a common start offset is one run (or none,
+for ``INF``) without a walk.
 The emitter is chosen once per network: ``_emit_run``
 folds an unobserved run into one ``_deliver_many`` event and gathers
 every other copy as a ``_deliver`` event; ``_emit_routed`` takes over
@@ -52,6 +54,14 @@ gathered first, so sequence numbers are those of a per-copy loop).
 The emitter also owns the deferral of the order-key digest: it digests
 the payload when it first has a copy to schedule, and never for a
 fan-out the adversary or the fault plan dropped whole.
+
+The **deliver** stage is ``_deliver`` for one copy and
+``_deliver_many`` for a folded run.  A folded run goes to the inboxes in
+recipient order, or, when ``World.populate`` installed the protocol's
+run handler (every attached agent of one class that defines
+``deliver_run``), to that handler: it parses a vote once for the whole
+run and has each live recipient tally it, skips terminated recipients,
+and hands any other payload to each live recipient's ``deliver``.
 
 Observability is routed through the world's
 :class:`~repro.sim.instrumentation.Instrumentation` bundle: deliveries are
@@ -173,6 +183,9 @@ class Network:
         self._accountant = (
             instrumentation.accountant if instrumentation is not None else None
         )
+        #: ``(sender, recipients, payload) -> copies delivered`` for a
+        #: folded run, installed by ``World.populate``; ``None``: inboxes.
+        self.run_handler: Callable[..., int] | None = None
         self.messages_sent = 0
         self.messages_delivered = 0
         #: Copies delivered through batched run events, and the number of
@@ -340,8 +353,9 @@ class Network:
         emitted.  When :meth:`_instants` finds every copy its own run,
         ``emit`` also receives the instants as one ``array('d')`` (the
         runs are then read off it) and may schedule that array as it
-        is; otherwise ``instants`` is ``None`` and the runs come from
-        the walk in :meth:`_runs`.
+        is; otherwise ``instants`` is ``None``, and the runs are one run
+        for an all-equal vector under a common start offset (a fixed
+        delay's fan-out) or come from the walk in :meth:`_runs`.
 
         The scheduling ``order_key`` is threaded through the emitter and
         back to the caller (it takes the key so far, ``None`` until
@@ -356,6 +370,7 @@ class Network:
                 f"{len(recipients)} recipients"
             )
         instants = None
+        runs: Iterable[Run] | None = None
         if delays:
             # One C-level pass rules out a negative delay before anything
             # is scheduled: ``count`` for the common all-equal vector (one
@@ -369,13 +384,22 @@ class Network:
                 raise SimulationError(
                     f"policy produced negative delay {lowest}"
                 )
+            common = self._common_offset
             if not equal or len(delays) == 1:
                 instants = self._instants(delays, lowest, send_time)
-        if instants is None:
+                if instants is not None:
+                    count = len(instants)
+                    runs = zip(range(count), range(1, count + 1), instants)
+            elif common is not None:
+                # Every copy shares one instant: the walk's single run,
+                # or none when ``INF`` drops them all.
+                deliver_time = quantize(max(send_time + lowest, common))
+                runs = (
+                    ((0, len(delays), deliver_time),)
+                    if deliver_time != INF else ()
+                )
+        if runs is None:
             runs = self._runs(recipients, delays, send_time)
-        else:
-            count = len(instants)
-            runs = zip(range(count), range(1, count + 1), instants)
         return emit(
             sender, recipients, runs, payload, send_time, order_key,
             instants,
@@ -668,11 +692,19 @@ class Network:
         :meth:`_deliver`.  The
         simulator is told about the folded copies so ``events_processed``
         counts logical deliveries identically to the per-copy path.
+
+        Without an injector an installed ``run_handler`` takes the run
+        instead of the inbox loop (see the module docstring).
         """
         self._sim.note_logical_events(len(recipients) - 1)
         if self._injector is not None:
             for recipient in recipients:
                 self._deliver(sender, recipient, payload, None)
+            return
+        if self.run_handler is not None:
+            self.messages_delivered += self.run_handler(
+                sender, recipients, payload
+            )
             return
         inboxes = self._inboxes
         delivered = 0

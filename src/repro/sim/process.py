@@ -8,6 +8,9 @@ view digest of its receives.  It also holds the one vote-run absorber,
 :meth:`Party.stage_vote_run`: every protocol that receives multi-vote
 messages (forwarded quorums, witness batches) stages the run there and
 falls back to its own per-vote handler when that returns ``None``.
+:func:`walk_vote_run` is the other direction: one vote delivered to a
+folded run of recipients, parsed once and tallied at each of them
+(:func:`walk_run` delivers any other payload to such a run).
 Asynchronous-round latency is computed post-hoc by
 :class:`~repro.sim.rounds.RoundAccountant`; a party only records the
 atomic step at which it committed.
@@ -26,6 +29,69 @@ from repro.types import PartyId, Value
 if TYPE_CHECKING:
     from repro.protocols.quorum import QuorumTracker, StagedBatch
     from repro.sim.runner import World
+
+
+def walk_run(
+    parties: Sequence["Agent | None"],
+    sender: PartyId,
+    recipients: Sequence[PartyId],
+    payload: Any,
+) -> int:
+    """Deliver one payload to a folded run of recipients, in order.
+
+    The per-copy inbox loop for a world whose parties keep no view
+    digest: a never-attached id (``None`` in ``parties``) is skipped,
+    and a terminated party is not called (with no digest to record in,
+    its ``deliver`` would drop the copy unread).  Returns the copies
+    delivered, the count the inbox loop would add.
+    """
+    delivered = 0
+    for recipient in recipients:
+        party = parties[recipient]
+        if party is None:
+            continue
+        delivered += 1
+        if not party.terminated:
+            party.deliver(sender, payload)
+    return delivered
+
+
+def walk_vote_run(
+    parties: Sequence["Agent | None"],
+    recipients: Sequence[PartyId],
+    vote: Any,
+    parse: Callable[[Any, Any], Any],
+    tally: Callable[[Any, Any, Any], None],
+    after: Callable[[Any], None] | None = None,
+) -> int:
+    """Deliver one vote to a folded run of recipients: parse once,
+    tally at each recipient.
+
+    :func:`walk_run` for a vote: each live party runs ``tally(party,
+    key, vote)`` and then ``after(party)`` (a protocol's post-delivery
+    hook) instead of its whole ``deliver``.  ``parse(party, vote)`` —
+    the recipient-independent half of the vote handler, ``None`` for a
+    vote to drop — runs at the first live recipient and is reused only
+    once it succeeds: a failed parse runs again at the next recipient,
+    as that recipient's own copy would (a signature issued meanwhile
+    can turn it into a pass, never back).
+    """
+    key = None
+    delivered = 0
+    for recipient in recipients:
+        party = parties[recipient]
+        if party is None:
+            continue
+        delivered += 1
+        if party.terminated:
+            continue
+        if key is None:
+            key = parse(party, vote)
+        if key is not None:
+            tally(party, key, vote)
+        if after is not None:
+            after(party)
+    return delivered
 
 
 class Agent:
@@ -122,14 +188,24 @@ class Party(Agent):
         forwards the bytes the scalar crossing would.
 
         Returns ``None``, tracker untouched, on any deviation — an empty,
-        mixed or malformed run, a run that does not cross, a bad
-        signature; the caller then feeds the votes through its per-vote
-        handler, which reproduces the scalar semantics (which forged vote
-        is dropped, which equivocators are flagged) by construction.
+        mixed or malformed run, a signer that is not a party id, a run
+        that does not cross, a bad signature; the caller then feeds the
+        votes through its per-vote handler, which reproduces the scalar
+        semantics (which forged vote is dropped, which equivocators are
+        flagged) by construction.
         """
         key = None
+        n = self.n
         for vote in votes:
-            item = parse(vote) if isinstance(vote, SignedPayload) else None
+            if not isinstance(vote, SignedPayload):
+                return None
+            # The staged tally shifts by the claimed signer before any
+            # signature is checked: a forged one outside ``range(n)``
+            # goes to the per-vote path, which verifies and drops it.
+            signer = vote.signer
+            if type(signer) is not int or not 0 <= signer < n:
+                return None
+            item = parse(vote)
             if item is None or (key is not None and item != key):
                 return None
             key = item

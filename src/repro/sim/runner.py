@@ -17,6 +17,7 @@ seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable
 
 from repro.crypto.messages import ContentMemo, IdentityMemo, intern_key
@@ -281,7 +282,9 @@ class World:
         ``behavior_factory`` become *crash-from-start* parties (never
         attached: all their messages vanish), the weakest adversary.  A
         world can only be populated once: a second call would silently
-        re-schedule every party's start event.
+        re-schedule every party's start event.  Last, it installs the
+        protocol's run handler where that is sound
+        (:meth:`_install_run_handler`).
 
         With an effective ``shards > 1`` nothing is instantiated here:
         the factory is recorded and each worker process populates its own
@@ -311,6 +314,30 @@ class World:
                 lambda a=agent, p=pid: self._run_start_step(a, p),
                 transient=True,
             )
+        self._install_run_handler()
+
+    def _install_run_handler(self) -> None:
+        """Give the network the protocol's ``deliver_run`` when every
+        attached agent's exact type is the one class that defines it.
+
+        A folded run then parses its vote once for all its recipients
+        (:func:`repro.sim.process.walk_vote_run`).  That is sound only
+        where nothing tells copies apart: no party keeps a view digest
+        (no accountant), no subclass changes a handler the walk inlines,
+        and no hosted behaviour stands between the network and a party
+        — so a subclass, a mixed world or a Byzantine host keeps the
+        per-copy inbox loop.
+        """
+        kinds = {type(agent) for agent in self.agents.values()}
+        if self.accountant is not None or len(kinds) != 1:
+            return
+        (cls,) = kinds
+        if "deliver_run" not in cls.__dict__:
+            return
+        parties: list[Agent | None] = [None] * self.n
+        for pid, agent in self.agents.items():
+            parties[pid] = agent
+        self.network.run_handler = partial(cls.deliver_run, parties)
 
     def _run_start_step(self, agent: Agent, pid: PartyId) -> None:
         accountant = self.accountant

@@ -7,9 +7,11 @@ executions.  A party's view is the multiset of its receive events
 ``(local_time, sender, payload_digest)``.  :class:`Transcript` folds each
 event into a 64-bit running sum of 8-byte BLAKE2b hashes, kept at every
 distinct local instant, so witnesses can assert view equality up to a
-cut-off.  A sum ignores the order of its terms: the scheduler's processing
-order among simultaneous deliveries (which the model lets the adversary
-choose freely) cannot move it.
+cut-off.  The sender-free ``"content"`` sum costs no second hash: its
+term is the payload digest times a SplitMix64 key of the instant.  A
+sum ignores the order of its terms: the scheduler's processing order
+among simultaneous deliveries (which the model lets the adversary choose
+freely) cannot move it.
 """
 from __future__ import annotations
 
@@ -21,11 +23,12 @@ from struct import Struct
 from typing import Any
 
 from repro.crypto.messages import digest
+from repro.sim.delays import splitmix64
 from repro.types import PartyId
 
 _MASK = (1 << 64) - 1
 _pack_channel = Struct("<dq").pack
-_pack_content = Struct("<d").pack
+_pack_time = Struct("<d").pack
 
 
 def _hash(data: bytes) -> int:
@@ -38,12 +41,15 @@ class Transcript:
     index ``i`` cover every receive at or before ``instants[i]``, with and
     without the sender.  Nothing is kept per receive."""
 
-    __slots__ = ("party", "instants", "_sums")
+    __slots__ = ("party", "instants", "_sums", "_instant_key")
 
     def __init__(self, party: PartyId):
         self.party = party
         self.instants = array("d")
         self._sums = {"channel": array("Q"), "content": array("Q")}
+        #: The last instant's bits mixed by SplitMix64 (once per
+        #: instant): the factor of its receives' content terms.
+        self._instant_key = 0
 
     def record_start(self, local_time: float) -> None:
         """No-op; the frozen benchmark adapter wraps this name."""
@@ -53,8 +59,6 @@ class Transcript:
     ) -> None:
         time = local_time + 0.0  # one instant for -0.0 and 0.0
         body = digest(payload)
-        channel = _hash(_pack_channel(time, sender) + body)
-        content = _hash(_pack_content(time) + body)
         instants = self.instants
         channel_sums = self._sums["channel"]
         content_sums = self._sums["content"]
@@ -62,8 +66,17 @@ class Transcript:
             instants.append(time)
             channel_sums.append(channel_sums[-1] if channel_sums else 0)
             content_sums.append(content_sums[-1] if content_sums else 0)
+            # Odd, so distinct digests keep distinct terms at an instant.
+            self._instant_key = splitmix64(
+                int.from_bytes(_pack_time(time), "little")
+            ) | 1
         elif time != instants[-1]:
             raise ValueError(f"receive at {time} after {instants[-1]}")
+        channel = _hash(_pack_channel(time, sender) + body)
+        # The digest's first 8 bytes times the instant's key: a product,
+        # not a sum of a payload part and an instant part, so two views
+        # that swap payloads between two instants differ.
+        content = int.from_bytes(body[:8], "little") * self._instant_key
         channel_sums[-1] = (channel_sums[-1] + channel) & _MASK
         content_sums[-1] = (content_sums[-1] + content) & _MASK
 

@@ -13,9 +13,12 @@ from __future__ import annotations
 import pytest
 
 from repro.adversary.behaviors import ScriptedBehavior, ScriptStep
+from repro.crypto.messages import digest
+from repro.crypto.signatures import Signature, SignedPayload
 from repro.protocols.brb_2round import Brb2Round
 from repro.protocols.psync.fab import FabPsync
 from repro.protocols.psync.pbft import PbftPsync
+from repro.protocols.psync.certificates import make_leader_pair
 from repro.protocols.psync.vbb_5f1 import PsyncVbb5f1
 from repro.protocols.sync.bb_2delta import Bb2Delta
 from repro.protocols.sync.bb_delta_15delta import BbDelta15Delta
@@ -161,3 +164,45 @@ def test_bb_2delta_drops_votes_for_none():
         assert list(party.votes.values()) == ["v"]
         # The well-formed vote behind the ``None`` one was still counted.
         assert corrupted in party.votes.signers("v")
+
+
+def _forged(body, signers):
+    """Votes over ``body`` claiming each of ``signers``, none issued."""
+    return tuple(
+        SignedPayload(body, Signature(signer, digest(body)))
+        for signer in signers
+    )
+
+
+def _perf_world(cls):
+    n, f = SIZES[cls]
+    world = World(
+        n=n, f=f, delay_policy=FixedDelay(0.5), instrumentation="perf"
+    )
+    world.populate(cls.factory(broadcaster=0, input_value="v"))
+    return world
+
+
+class TestForgedSignerInForwardedQuorum:
+    """A forwarded quorum whose votes parse alike is staged as one batch,
+    which shifts by each claimed signer before any signature is checked:
+    a signer outside ``range(n)`` used to raise out of the staging
+    (``negative shift count``).  It is a deviation: the per-vote path
+    verifies each vote and drops every forgery."""
+
+    def test_brb_vote_quorum(self):
+        world = _perf_world(Brb2Round)
+        party = world.agents[1]
+        votes = _forged(("vote", "v"), (0, 1, 2, -1))
+        party.deliver(3, ("vote-quorum", votes))
+        assert party._votes.count("v") == 0
+        assert not party.has_committed
+
+    def test_vbb_votes(self):
+        world = _perf_world(PsyncVbb5f1)
+        pair = make_leader_pair(world.agents[0].signer, "v", 1)
+        party = world.agents[1]
+        entries = _forged(pair, (0, 1, 2, -1))
+        party.deliver(3, ("votes", 1, entries))
+        assert party._votes.count((1, "v")) == 0
+        assert not party.has_committed

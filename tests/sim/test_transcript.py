@@ -65,6 +65,15 @@ class TestIndistinguishability:
         assert not indistinguishable(base, later, **check)
         assert not indistinguishable(base, other, **check)
 
+    def test_content_mode_sees_payloads_swapped_between_instants(self):
+        # A content term that were a payload part plus an instant part
+        # would sum both views to the same value.
+        a = make_transcript(0, [(1.0, 1, "x"), (2.0, 1, "y")])
+        b = make_transcript(0, [(1.0, 2, "y"), (2.0, 2, "x")])
+        check = dict(local_cutoff=10.0, compare="content")
+        assert not indistinguishable(a, b, **check)
+        assert first_divergence(a, b, "content") == 1.0
+
     def test_negative_zero_is_the_zero_instant(self):
         a = make_transcript(0, [(-0.0, 1, "a"), (0.0, 2, "b")])
         b = make_transcript(0, [(0.0, 2, "b"), (0.0, 1, "a")])
