@@ -63,6 +63,12 @@ class Brb2Round(BroadcastParty):
         self._votes = self.quorum_tracker(
             "brb2-votes", detect_equivocation=True, shared_entries=True
         )
+        # The parse of a vote object, shared by every party of the world:
+        # a per-copy vote parsed by a party other than its signer is one
+        # identity probe after the first.  Passes only — a failed parse
+        # can still become a pass (see ``_parse_vote``).  ``None`` for a
+        # hosted party, which parses on its own.
+        self._vote_parses = world.shared_identity_memo("brb2-vote-parses")
 
     # ------------------------------------------------------------------ #
     # message construction (classmethods so adversaries can reuse them)
@@ -147,7 +153,19 @@ class Brb2Round(BroadcastParty):
         self.multicast(self.make_vote(self.signer, value, body=body))
 
     def _on_vote(self, signed_vote) -> None:
-        body = self._parse_vote(signed_vote)
+        parses = self._vote_parses
+        if parses is None:
+            body = self._parse_vote(signed_vote)
+        else:
+            body = parses.get(signed_vote)
+            if body is None:
+                body = self._parse_vote(signed_vote)
+                # The signer's own copy, delivered at the send instant,
+                # is always the first parse, and in a folded world the
+                # only per-copy one: memoizing it would keep an entry
+                # nobody reads.  The next parse fills the memo.
+                if body is not None and signed_vote.signer != self.id:
+                    parses.put(signed_vote, body)
         if body is not None:
             self._tally_vote(body, signed_vote)
 

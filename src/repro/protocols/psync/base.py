@@ -64,6 +64,9 @@ class ViewParty(BroadcastParty):
         self.max_view = max_view
         self.quorum = commit_quorum(self.n, self.f)
         self.current_view = 1
+        #: Whether this party leads ``current_view``; kept by
+        #: ``_enter_view``, so a per-delivery leader check reads a flag.
+        self.leads_current_view = self.leader_of(1) == self.id
         self._voted: dict[int, Any] = {}  # view -> what I voted for there
         self._timed_out: set[int] = set()
         self._advanced_past: set[int] = set()  # views whose quorum fired
@@ -142,6 +145,7 @@ class ViewParty(BroadcastParty):
 
     def _enter_view(self, view: int) -> None:
         self.current_view = view
+        self.leads_current_view = self.leader_of(view) == self.id
         self.note_view(view)
         self._arm_view_timer(view)
         self._on_enter_view(view)

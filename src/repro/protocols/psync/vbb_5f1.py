@@ -513,8 +513,5 @@ class PsyncVbb5f1(ViewParty):
 
     def _propose_if_leader(self) -> None:
         # A leader may have buffered statuses before entering its view.
-        if (
-            not self.terminated
-            and self.leader_of(self.current_view) == self.id
-        ):
+        if self.leads_current_view and not self.terminated:
             self._maybe_propose(self.current_view)

@@ -34,10 +34,20 @@ Randomized policies come in two stream modes:
   ``shard_safe()`` returns True.  Migrating a tracked seed from
   sequential to counter changes its draw values (different generator),
   which is why the default stays ``"sequential"``.
+
+A counter-stream fan-out is priced in one *packed* pass when its
+recipients are a non-empty step-1 ``range`` (every multicast's are;
+:meth:`CounterStream.packed_words`): one Python int holds a 128-bit lane
+per recipient, and whole-int xor, add, shift and multiply, each followed
+by a lane mask, run SplitMix64 on every lane at once, exact mod 2**64.
+Its draws are the per-copy loop's bit for bit, and the loop still prices
+recipient lists.
 """
 from __future__ import annotations
 
 import random
+import sys
+from array import array
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.types import INF, PartyId
@@ -53,6 +63,23 @@ _KEY_SENDER = 0x8CB92BA72F3D8DD7
 _KEY_RECIPIENT = 0xFF51AFD7ED558CCD
 _KEY_COUNTER = 0xC4CEB9FE1A85EC53
 _INV_2_64 = 1.0 / 2.0**64
+
+#: The packed pass (:meth:`CounterStream.packed_words`) holds one 64-bit
+#: word per 128-bit lane of a Python int: a word times a 64-bit constant
+#: stays inside its lane, so whole-int arithmetic plus a lane mask is
+#: SplitMix64 on every lane at once, exact mod 2**64.
+_LANE_BITS = 128
+_LANE_BYTES = _LANE_BITS // 8
+_NATIVE_LITTLE = sys.byteorder == "little"
+
+
+def _pack(words: Sequence[int]) -> int:
+    """One 64-bit word per 128-bit lane, lane 0 lowest."""
+    lanes = array("Q", bytes(_LANE_BYTES * len(words)))
+    lanes[::2] = array("Q", words)
+    if not _NATIVE_LITTLE:
+        lanes.byteswap()
+    return int.from_bytes(lanes, "little")
 
 
 def splitmix64(x: int) -> int:
@@ -79,13 +106,19 @@ class CounterStream:
     per recipient and only senders that actually send pay for one.
     """
 
-    __slots__ = ("seed", "salt", "_base", "_counters")
+    __slots__ = ("seed", "salt", "_base", "_counters", "_lanes")
 
     def __init__(self, seed: int, *, salt: int = 0):
         self.seed = seed
         self.salt = salt
         self._base = splitmix64(splitmix64(seed) ^ salt)
         self._counters: dict[PartyId, list[int]] = {}
+        #: The packed pass's constants for recipients ``0 .. lanes - 1``,
+        #: ``(lanes, ones, recipient keys)``: a 1 in every lane, and lane
+        #: ``r`` holding ``(r + 1) * _KEY_RECIPIENT mod 2**64``.  One
+        #: table, grown to the largest fan-out priced (the world size),
+        #: which every fan-out slices.
+        self._lanes = (0, 0, 0)
 
     def _row(self, sender: PartyId, recipient: PartyId) -> list[int]:
         counts = self._counters.get(sender)
@@ -106,6 +139,57 @@ class CounterStream:
             ^ ((recipient + 1) * _KEY_RECIPIENT)
             ^ (k * _KEY_COUNTER)
         ) & _MASK64
+
+    def packed_words(self, sender: PartyId, recipients: range) -> array:
+        """``splitmix64(copy_key(sender, r))`` for each ``r`` of a
+        non-empty step-1 ``recipients`` range, in order, in one packed
+        pass.
+
+        Consumes one counter tick per link, exactly as a loop of
+        :meth:`copy_key` would, and returns the same words bit for bit,
+        but as whole-int arithmetic over one Python int with a 128-bit
+        lane per recipient (``_LANE_BITS``): the sender and counter keys
+        are broadcast across the lanes (each lane's counter packed in
+        when the links' counters differ), the recipient keys are a slice
+        of the stream's lane table, and each mixing step masks every lane
+        back to 64 bits before the next multiply.
+        """
+        lo = recipients.start
+        count = len(recipients)
+        if self._lanes[0] < recipients.stop:
+            lanes = recipients.stop
+            self._lanes = (lanes, _pack([1] * lanes), _pack([
+                ((recipient + 1) * _KEY_RECIPIENT) & _MASK64
+                for recipient in range(lanes)
+            ]))
+        _, ones, recipient_keys = self._lanes
+        low = (1 << (_LANE_BITS * count)) - 1
+        ones &= low
+        mask = ones * _MASK64
+        counts = self._row(sender, recipients.stop - 1)
+        ticks = counts[lo:recipients.stop]
+        k = ticks[0]
+        sender_key = self._base ^ ((sender + 1) * _KEY_SENDER)
+        if ticks.count(k) == count:
+            counts[lo:recipients.stop] = [k + 1] * count
+            x = ones * ((sender_key ^ (k * _KEY_COUNTER)) & _MASK64)
+        else:
+            counts[lo:recipients.stop] = [tick + 1 for tick in ticks]
+            x = ones * (sender_key & _MASK64) ^ (
+                (_pack(ticks) * _KEY_COUNTER) & mask
+            )
+        x ^= (recipient_keys >> (_LANE_BITS * lo)) & low
+        x = (x + ones * _GOLDEN) & mask
+        x = ((x ^ (x >> 30)) & mask) * _MIX1 & mask
+        x = ((x ^ (x >> 27)) & mask) * _MIX2 & mask
+        # Only each lane's low word is read back, so the last step needs
+        # no mask: what ``>> 31`` carries in from the next lane lands in
+        # this lane's high word.
+        x ^= x >> 31
+        words = array("Q", x.to_bytes(_LANE_BYTES * count, "little"))
+        if not _NATIVE_LITTLE:
+            words.byteswap()
+        return words[::2]
 
     def draws(self, sender: PartyId, recipient: PartyId) -> "CopyDraws":
         """An unbounded pure draw sequence for the link's next copy.
@@ -274,6 +358,13 @@ class UniformDelay(DelayPolicy):
         if counter is not None:
             low = self.low
             span = self.high - self.low
+            if type(recipients) is range and recipients.step == 1 and (
+                recipients
+            ):
+                return [
+                    low + span * (word * _INV_2_64)
+                    for word in counter.packed_words(sender, recipients)
+                ]
             # ``delay``'s draw with copy_key and splitmix64 inlined: the
             # per-copy hash is the whole cost of a counter-mode fan-out,
             # so the hot loop keeps everything in locals and touches one

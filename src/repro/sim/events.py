@@ -76,6 +76,15 @@ width.  ``tests/sim/heap_queue.py`` holds that heap as the oracle, and
 ``tests/sim/test_timeline.py`` drives the calendar against it with
 randomized scripts over widths from 0 to wider than the whole schedule.
 
+Building a window's copies only when it opens is also where copies
+nobody can read are dropped.  During a drain the simulator marks as
+culling (:attr:`EventQueue.cull`, see
+:meth:`~repro.sim.scheduler.Simulator.cull_copies`; every fan-out there
+is a network delivery), a span builds only the copies whose recipient
+has not terminated; the rest are counted in ``copies_culled`` and are never
+entries.  A copy built earlier (at or below the open window, or on a
+zero-width calendar) fires, and its terminated recipient drops it.
+
 ``L == 0`` (a policy with no guaranteed minimum: the
 :class:`~repro.sim.delays.DelayPolicy` default, ``FunctionDelay``,
 ``UniformDelay(0.0, ...)``) degenerates through the same code to one
@@ -205,7 +214,8 @@ class EventQueue:
     Counters: ``bucket_appends`` counts every push (every copy of a
     batch); ``heap_pushes_avoided`` the pushes that cost no sift of the
     window heap — everything but the first copy of a window, in-window
-    inserts included.
+    inserts included; ``copies_culled`` the deferred copies a culling
+    drain never built (they stay in the other two: they were pushed).
     """
 
     def __init__(self, *, width: float = 0.0) -> None:
@@ -223,6 +233,10 @@ class EventQueue:
         self._open: list[Entry] = []
         self._open_key = -INF
         self._idx = 0
+        #: ``(terminated, note)`` while a drain culls (see
+        #: :meth:`_open_next`), ``None`` otherwise.
+        self.cull: tuple[bytearray, Callable[[int], None]] | None = None
+        self.copies_culled = 0
 
     # ------------------------------------------------------------------ #
     # scheduling
@@ -452,6 +466,12 @@ class EventQueue:
         pushed there singly, and the whole window is sorted once.  A
         fan-out's columns and index array are freed when the last
         window holding a span of it opens.
+
+        While a drain culls (:attr:`cull` is ``(terminated, note)``),
+        a span builds only the copies whose recipient has no byte set in
+        ``terminated``; the
+        others never become entries, and are counted in
+        ``copies_culled`` and reported as ``note(count)`` per span.
         """
         if not self._keys:
             return False
@@ -459,8 +479,22 @@ class EventQueue:
         window = self._windows.pop(key)
         spans = self._deferred.pop(key, None)
         if spans is not None:
+            cull = self.cull
             for batch, order, lo, hi in spans:
-                window += _build(batch, order[lo:hi])
+                indices = order[lo:hi]
+                if cull is not None:
+                    terminated = cull[0]
+                    recipients = batch[6]
+                    live = [
+                        i for i in indices if not terminated[recipients[i]]
+                    ]
+                    culled = len(indices) - len(live)
+                    if culled:
+                        self.copies_culled += culled
+                        self._live -= culled
+                        cull[1](culled)
+                        indices = live
+                window += _build(batch, indices)
         window.sort()
         self._open = window
         self._open_key = key

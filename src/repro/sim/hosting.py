@@ -29,9 +29,11 @@ What a hosted party sees of the outer world:
   and ``fault_injector`` are ``None`` (a hosted commit is no atomic step
   of the outer execution, and a plan's crash windows gate the host);
 * **routed to the host** — ``note_commit`` becomes
-  :meth:`PartyHost.hosted_commit`; commit conflicts and view entries stop
-  here.  Nothing a hosted party does reaches ``commit_order`` or the
-  run's records: the harness hears the host's own ``commit``, if any.
+  :meth:`PartyHost.hosted_commit`; commit conflicts, view entries and
+  termination stop here (a hosted party that terminates never marks its
+  host's id as one the network may stop delivering to).  Nothing a
+  hosted party does reaches ``commit_order`` or the run's records: the
+  harness hears the host's own ``commit``, if any.
 
 Adding a host: mix :class:`PartyHost` into an ``Agent`` that has a
 ``signer`` (first in the bases); create each hosted party with
@@ -119,6 +121,10 @@ class HostedWorld:
 
     def note_view_change(self, party, view, time=None) -> None:
         """Stops here: the host's business, not the harness's."""
+
+    def note_terminated(self, party) -> None:
+        """Stops here: the network delivers to the host, which a hosted
+        party's termination does not silence."""
 
 
 class PartyHost:

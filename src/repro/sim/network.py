@@ -61,7 +61,11 @@ recipient order, or, when ``World.populate`` installed the protocol's
 run handler (every attached agent of one class that defines
 ``deliver_run``), to that handler: it parses a vote once for the whole
 run and has each live recipient tally it, skips terminated recipients,
-and hands any other payload to each live recipient's ``deliver``.
+and hands any other payload to each live recipient's ``deliver``.  A
+per-copy ``_deliver`` to a terminated party may never fire at all: a
+world that lets the simulator cull (``World._enable_culling``) has such
+copies skipped when their window opens, and ``messages_delivered``
+counts each of them as the delivery it would have been.
 
 Observability is routed through the world's
 :class:`~repro.sim.instrumentation.Instrumentation` bundle: deliveries are
@@ -738,6 +742,12 @@ class Network:
                 self._accountant.end_step()
         else:
             inbox(sender, payload)
+
+    def note_culled(self, count: int) -> None:
+        """Count ``count`` copies the simulator culled, each a
+        ``_deliver`` to a terminated party, as the deliveries they would
+        have been."""
+        self.messages_delivered += count
 
     def _deliver_tracked(
         self,

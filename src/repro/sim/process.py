@@ -142,6 +142,20 @@ class Party(Agent):
         self.on_start()
 
     def deliver(self, sender: PartyId, payload: Any) -> None:
+        """Hand the party one copy: record it in the view digest, if the
+        party keeps one, then run the protocol on it unless terminated.
+
+        The contract every protocol keeps, its overrides included: once
+        a party has terminated, a copy has no effect beyond that record
+        — it sends nothing, schedules nothing, commits nothing, enters
+        no view and moves no quorum tracker.  With no digest to record
+        in, such a copy is indistinguishable from no copy, so a folded
+        run skips a terminated recipient (:func:`walk_run`,
+        :func:`walk_vote_run`) and a full drain culls a per-copy
+        delivery to one (``World._enable_culling``).
+        ``tests/protocols/test_terminated_contract.py`` holds every
+        protocol to it.
+        """
         if self.transcript is not None:
             self.transcript.record_recv(self.local_time(), sender, payload)
         if self.terminated:
@@ -391,3 +405,4 @@ class Party(Agent):
         for event in self._timers:
             event.cancel()
         self._timers.clear()
+        self.world.note_terminated(self)

@@ -132,6 +132,10 @@ class World:
         self._shared_memos: dict[str, ContentMemo] = {}
         self._identity_memos: dict[str, IdentityMemo] = {}
         self._entry_stores: dict[str, dict] = {}
+        #: One byte per party id, set when the party attached at that id
+        #: terminates, while the world culls copies to it (see
+        #: :meth:`_enable_culling`); ``None`` otherwise.
+        self._terminated: bytearray | None = None
 
     def intern_payload(self, payload: Any) -> Any:
         """Canonical instance for an immutable payload, world-scoped.
@@ -315,6 +319,37 @@ class World:
                 transient=True,
             )
         self._install_run_handler()
+        self._enable_culling()
+
+    def _enable_culling(self) -> None:
+        """Let a full drain skip per-copy deliveries to terminated parties.
+
+        A terminated party drops every copy it is handed, unread and
+        without effect (the contract on :meth:`Party.deliver
+        <repro.sim.process.Party.deliver>`), unless something observes
+        the copy on its way in: a view digest or a round accountant (the
+        observers), a fault plan's crash window or a reliable channel's
+        ack.  With none of those, such a copy is indistinguishable from
+        no copy at all, and the simulator may skip it when its window
+        opens (:meth:`~repro.sim.scheduler.Simulator.cull_copies`); it
+        still counts as a processed event and a delivered message, so
+        every count and instant the run reports is unchanged.
+        """
+        if (
+            self.accountant is not None
+            or self.fault_plan is not None
+            or self.reliable_link is not None
+        ):
+            return
+        self._terminated = bytearray(self.n)
+        self.sim.cull_copies(self._terminated, self.network.note_culled)
+
+    def note_terminated(self, party: Party) -> None:
+        """Record that ``party`` terminated, for culling.  A hosted party
+        shares its host's id but never calls this: its
+        :class:`~repro.sim.hosting.HostedWorld` stops the note."""
+        if self._terminated is not None:
+            self._terminated[party.id] = 1
 
     def _install_run_handler(self) -> None:
         """Give the network the protocol's ``deliver_run`` when every
@@ -435,6 +470,7 @@ class World:
             acks_sent=self.network.acks_sent,
             retries_exhausted=self.network.retries_exhausted,
             shard_fallback_reason=self.shard_fallback_reason,
+            copies_culled=self.sim.copies_culled,
         )
 
 
@@ -508,6 +544,11 @@ class RunResult:
     #: lockstep advance ran (0 whenever ``shards == 1``).
     shard_bytes_sent: int = 0
     shard_barrier_rounds: int = 0
+    #: Per-copy deliveries to a terminated party that a full drain
+    #: skipped (:meth:`World._enable_culling`); each is still counted in
+    #: ``events_processed``.  A partial drain and a sharded run cull
+    #: nothing.
+    copies_culled: int = 0
 
     @property
     def honest_ids(self) -> list[PartyId]:
@@ -552,6 +593,8 @@ class RunResult:
 #: merge by rule in :func:`repro.sim.coordinator.run_sharded`: commits,
 #: commit times and commit views union, commit conflicts and view
 #: changes concatenate, ``final_time`` is the latest (or the horizon).
+#: ``copies_culled`` is not merged: a worker's drains have a horizon, so
+#: they never cull.
 ADDITIVE_COUNTERS = (
     "messages_sent", "events_processed",
     "bucket_appends", "heap_pushes_avoided",

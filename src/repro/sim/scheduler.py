@@ -78,6 +78,11 @@ class Simulator:
         self._now = 0.0
         self._running = False
         self._events_processed = 0
+        #: The latest instant any :meth:`schedule_batch` copy was given.
+        self._latest = 0.0
+        #: ``(terminated, note)`` once :meth:`cull_copies` enabled
+        #: culling, else ``None``.
+        self._cull: tuple[bytearray, Callable[[int], None]] | None = None
 
     @property
     def now(self) -> float:
@@ -92,9 +97,39 @@ class Simulator:
         batched fan-out run folds into a single transient event (the
         network reports those via :meth:`note_logical_events`) — so the
         counter is invariant between the batched and per-copy delivery
-        paths, and parity gates can keep comparing it across modes.
+        paths, and parity gates can keep comparing it across modes — and
+        the copies a drain culled (:meth:`cull_copies`), which count as
+        the events they would have been.
         """
-        return self._events_processed
+        return self._events_processed + self._queue.copies_culled
+
+    @property
+    def copies_culled(self) -> int:
+        """Batch copies culled because their recipient had terminated."""
+        return self._queue.copies_culled
+
+    def cull_copies(
+        self, terminated: bytearray, note: Callable[[int], None]
+    ) -> None:
+        """Let a full drain skip the copies nobody can read.
+
+        From now on a :meth:`run` with no horizon and no event budget
+        skips every :meth:`schedule_batch` copy whose recipient's byte
+        in ``terminated`` is set when the copy's window opens, counts it
+        as a processed event and reports the skipped copies of each
+        fan-out as ``note(count)``; the drain then ends at the latest
+        instant any batch was given, where the last of the skipped
+        copies would have fired.  The caller vouches that every batch
+        copy is a delivery to its recipient that such a party would drop
+        without effect: the world enables this only where the batches
+        are plain network deliveries (a tracked one needs a reliable
+        link, which keeps culling off) and a terminated party drops what
+        it is handed unread (see
+        :meth:`repro.sim.process.Party.deliver`).  A partial
+        drain (``until``, ``max_events``, :meth:`run_before`) never
+        culls, so everything it reports is what it fired.
+        """
+        self._cull = (terminated, note)
 
     def note_logical_events(self, extra: int) -> None:
         """Account ``extra`` logical events folded into the current one.
@@ -185,11 +220,13 @@ class Simulator:
         # ``now <= time < INF`` for every copy in two C-level passes: a
         # NaN or an infinity anywhere poisons the sum (``min`` alone
         # skips over a NaN that is not first).
-        earliest, total = min(times), sum(times)
+        earliest, latest, total = min(times), max(times), sum(times)
         if not self._now <= earliest:
             self._reject(earliest)
         if not total < INF:
             self._reject(total)
+        if latest > self._latest:
+            self._latest = latest
         return self._queue.push_batch(
             times, action, sender, recipients, payload, msg_ids, transfers,
             priority=priority, order_key=order_key,
@@ -220,10 +257,17 @@ class Simulator:
         virtual time: ``until`` when events remain beyond it, the last
         processed event's instant otherwise.  A NaN ``until``, an
         ``until`` before ``now`` and a negative ``max_events`` raise.
+        With neither bound, the drain culls as :meth:`cull_copies` set
+        up, if it did.
         """
         check_run_bounds(until, max_events, self._now)
         if until is None:
-            self._drain(INF, max_events)
+            if max_events is None and self._cull is not None:
+                self._drain(INF, cull=self._cull)
+                # The last culled copy's instant, when it was the last.
+                self._now = max(self._now, self._latest)
+            else:
+                self._drain(INF, max_events)
             return self._now
         # ``time <= until`` as the strict bound the drain takes.
         self._drain(nextafter(until, INF), max_events)
@@ -246,7 +290,12 @@ class Simulator:
         self._drain(horizon)
         return self._now
 
-    def _drain(self, stop: float, max_events: int | None = None) -> None:
+    def _drain(
+        self,
+        stop: float,
+        max_events: int | None = None,
+        cull: tuple | None = None,
+    ) -> None:
         """The event loop: fire, in order, every event strictly before
         ``stop`` (at most ``max_events`` of them).
 
@@ -262,13 +311,16 @@ class Simulator:
         way out only if it was on when the loop began; the state is read
         after the re-entrancy check, so a refused nested drain leaves it
         alone.  A caller that disabled the collector keeps it disabled.
+        ``cull`` is handed to the queue for the loop's duration.
         """
         if self._running:
             raise SimulationError("simulator is not re-entrant")
         self._running = True
         collecting = gc.isenabled()
         gc.disable()
-        pop = self._queue.pop
+        queue = self._queue
+        queue.cull = cull
+        pop = queue.pop
         try:
             for _ in repeat(None) if max_events is None else range(max_events):
                 entry = pop(stop)
@@ -279,6 +331,7 @@ class Simulator:
                 self._events_processed += 1
         finally:
             self._running = False
+            queue.cull = None
             if collecting:
                 gc.enable()
 

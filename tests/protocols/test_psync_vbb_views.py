@@ -45,6 +45,12 @@ class TestConsecutiveLeaderFailures:
         world.run(until=1000.0)
         views = {p.current_view for p in world.honest_parties()}
         assert max(views) >= 3
+        # The leader flag follows every view entry: party 2 leads view 3.
+        for party in world.honest_parties():
+            assert party.leads_current_view == (
+                party.leader_of(party.current_view) == party.id
+            )
+        assert any(p.leads_current_view for p in world.honest_parties())
 
 
 class TestMessageLoss:

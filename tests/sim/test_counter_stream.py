@@ -9,6 +9,8 @@ module pins the primitives themselves; the end-to-end shard parity lives
 in ``test_sharded.py``.
 """
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import FaultPlanError
 from repro.sim.delays import CounterStream, UniformDelay, splitmix64
@@ -118,6 +120,85 @@ class TestUniformDelayCounterMode:
             split.delays_for_multicast(2, range(0, 3), None, 0.0)
         ) + list(split.delays_for_multicast(2, range(3, 8), None, 0.0))
         assert piecewise == all_at_once
+
+
+@st.composite
+def packed_fan_outs(draw):
+    """A world size, a sender at an edge or anywhere, one of its two
+    multicast ranges or any sub-range, and the link traffic before it:
+    whole repeats of the fan-out and a few unicasts, so the counters
+    enter both equal and unequal."""
+    n = draw(st.one_of(st.integers(2, 40), st.integers(2, 2001)))
+    sender = draw(st.one_of(
+        st.sampled_from([0, 1, n - 2, n - 1]), st.integers(0, n - 1),
+    ))
+    below, above = range(0, sender), range(sender + 1, n)
+    lo = draw(st.integers(0, n - 1))
+    hi = draw(st.integers(lo + 1, n))
+    recipients = draw(st.sampled_from(
+        [r for r in (below, above) if r] + [range(lo, hi)]
+    ))
+    unicasts = draw(st.lists(st.sampled_from(recipients), max_size=4))
+    return dict(
+        n=n, sender=sender, recipients=recipients,
+        seed=draw(st.integers(0, 2**64 - 1)),
+        salt=draw(st.sampled_from([0, 1, 0x5EED, 2**63 + 5])),
+        repeats=draw(st.integers(0, 3)), unicasts=unicasts,
+    )
+
+
+class TestPackedPass:
+    """``CounterStream.packed_words`` is the per-copy loop's SplitMix64,
+    run on every 128-bit lane of one int at once: bit for bit the same
+    words, and the same counter ticks."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=packed_fan_outs())
+    def test_packed_words_match_the_scalar_loop(self, case):
+        sender, recipients = case["sender"], case["recipients"]
+        packed = CounterStream(case["seed"], salt=case["salt"])
+        scalar = CounterStream(case["seed"], salt=case["salt"])
+        for stream in (packed, scalar):
+            for recipient in case["unicasts"]:
+                stream.copy_key(sender, recipient)
+        for _ in range(case["repeats"] + 1):
+            words = packed.packed_words(sender, recipients)
+            assert list(words) == [
+                splitmix64(scalar.copy_key(sender, recipient))
+                for recipient in recipients
+            ]
+        assert packed._counters == scalar._counters
+        assert packed._lanes[0] == recipients.stop
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=packed_fan_outs())
+    def test_uniform_fan_out_matches_list_recipients(self, case):
+        # A ``range`` takes the packed pass, the same recipients as a
+        # list take the loop.
+        sender, recipients = case["sender"], case["recipients"]
+        ranged = UniformDelay(0.05, 1.0, seed=case["seed"], stream="counter")
+        listed = UniformDelay(0.05, 1.0, seed=case["seed"], stream="counter")
+        for _ in range(case["repeats"] + 1):
+            assert ranged.delays_for_multicast(
+                sender, recipients, None, 0.0
+            ) == listed.delays_for_multicast(
+                sender, list(recipients), None, 0.0
+            )
+        assert ranged._counter._counters == listed._counter._counters
+
+    def test_constants_are_one_table_sized_to_the_largest_fan_out(self):
+        stream = CounterStream(11)
+        for size in range(1, 2002, 50):
+            stream.packed_words(0, range(1, size + 1))
+            # Grown to exactly what the largest fan-out so far needed.
+            assert stream._lanes[0] == size + 1
+        # Smaller fan-outs slice it; nothing is kept per size.
+        for size in (3, 300, 1001):
+            stream.packed_words(1, range(2, size))
+            assert stream._lanes[0] == 2002
+        lanes, ones, keys = stream._lanes
+        assert ones.bit_length() <= 128 * lanes
+        assert keys.bit_length() <= 128 * lanes
 
 
 class TestFaultPlanStream:
