@@ -3,6 +3,7 @@
     PYTHONPATH=src python benchmarks/heap_peak.py                  # n=1001
     PYTHONPATH=src python benchmarks/heap_peak.py --n 301
     PYTHONPATH=src python benchmarks/heap_peak.py --delay uniform  # n=301
+    PYTHONPATH=src python benchmarks/heap_peak.py --delay chaos    # n=221
 
 Builds ``Brb2Round`` at ``(n, (n - 1) // 3)`` under the ``perf`` preset,
 populates it, then reports by how much the Python heap (``tracemalloc``)
@@ -31,6 +32,13 @@ the no-cyclic-garbage invariant the pause relies on.
   a share of one span per window (``benchmarks/README.md``, "In-flight
   entries": ~6.9 MiB, ~40 B per message at n=301).
   ``tests/sim/test_heap_scaling.py`` bounds the bytes per message sent.
+* ``--delay chaos`` (default n=221): the same counter-stream delays
+  under a counter-stream fault plan — one recovering crash of the last
+  party, Bernoulli duplicate echoes and reorder jitter over the first
+  two time units (the shape of the benchmark's ``brb_uniform_chaos``
+  plan).  Every fan-out is routed through the injector in one packed
+  pass, and copies to terminated parties no crash window can reach are
+  culled as under ``uniform``.
 """
 from __future__ import annotations
 
@@ -41,15 +49,39 @@ import tracemalloc
 from repro.crypto.messages import clear_digest_cache
 from repro.protocols.brb_2round import Brb2Round
 from repro.sim.delays import DelayPolicy, FixedDelay, UniformDelay
+from repro.sim.faults import Crash, DuplicateLink, FaultPlan, ReorderJitter
 from repro.sim.runner import World
 
-#: Delay model -> (policy factory, default n, label).
+
+def _uniform() -> UniformDelay:
+    return UniformDelay(0.05, 1.0, seed=2026, stream="counter")
+
+
+def _chaos_plan(n: int) -> FaultPlan:
+    """One recovering crash of the last party, Bernoulli duplicate
+    echoes and bounded reorder jitter over the first two time units."""
+    return FaultPlan(
+        crashes=(Crash(party=n - 1, at=0.2, recover=1.2),),
+        duplicates=(
+            DuplicateLink(start=0.0, end=2.0, prob=0.25, echo_delay=0.05),
+        ),
+        jitters=(ReorderJitter(jitter=0.25, start=0.0, end=2.0),),
+        seed=2026,
+        stream="counter",
+    )
+
+
+#: Delay model -> (policy factory, fault plan factory or None, default
+#: n, label).
 DELAYS = {
-    "fixed": (lambda: FixedDelay(1.0), 1001, "FixedDelay(1.0)"),
+    "fixed": (lambda: FixedDelay(1.0), None, 1001, "FixedDelay(1.0)"),
     "uniform": (
-        lambda: UniformDelay(0.05, 1.0, seed=2026, stream="counter"),
-        301,
-        "UniformDelay(0.05, 1.0) counter stream",
+        _uniform, None, 301, "UniformDelay(0.05, 1.0) counter stream",
+    ),
+    "chaos": (
+        _uniform, _chaos_plan, 221,
+        "UniformDelay(0.05, 1.0) counter stream + crash/duplicate/jitter "
+        "plan",
     ),
 }
 
@@ -59,7 +91,9 @@ def _collections() -> list[int]:
     return [gen["collections"] for gen in gc.get_stats()]
 
 
-def _run(n: int, policy: DelayPolicy) -> tuple[int, int, list[int], int]:
+def _run(
+    n: int, policy: DelayPolicy, plan: FaultPlan | None = None
+) -> tuple[int, int, list[int], int]:
     """Traced peak above the post-``populate`` heap, messages sent, the
     collections per generation during the run, and what ``gc.collect()``
     finds right after it."""
@@ -68,6 +102,7 @@ def _run(n: int, policy: DelayPolicy) -> tuple[int, int, list[int], int]:
     try:
         world = World(
             n=n, f=(n - 1) // 3, delay_policy=policy, instrumentation="perf",
+            fault_plan=plan,
         )
         world.populate(Brb2Round.factory(broadcaster=0, input_value="v"))
         gc.collect()
@@ -80,8 +115,12 @@ def _run(n: int, policy: DelayPolicy) -> tuple[int, int, list[int], int]:
         cyclic = gc.collect()
     finally:
         tracemalloc.stop()
-    if not result.all_honest_committed():
-        raise SystemExit(f"n={n}: not every honest party committed")
+    spared = plan.crashed_parties() if plan is not None else frozenset()
+    if any(
+        p not in result.commits and p not in spared
+        for p in result.honest_ids
+    ):
+        raise SystemExit(f"n={n}: not every live honest party committed")
     return peak - base, result.messages_sent, during, cyclic
 
 
@@ -97,9 +136,10 @@ def main() -> None:
     parser.add_argument("--delay", choices=sorted(DELAYS), default="fixed")
     parser.add_argument("--n", type=int, default=None)
     args = parser.parse_args()
-    make_policy, default_n, label = DELAYS[args.delay]
+    make_policy, make_plan, default_n, label = DELAYS[args.delay]
     n = args.n if args.n is not None else default_n
-    peak, messages, during, cyclic = _run(n, make_policy())
+    plan = make_plan(n) if make_plan is not None else None
+    peak, messages, during, cyclic = _run(n, make_policy(), plan)
     print(f"Brb2Round n={n} {label} perf: traced run peak "
           f"{peak / 2**20:.2f} MiB ({peak} B), {peak / messages:.1f} B per "
           f"message ({messages} messages)")

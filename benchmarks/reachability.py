@@ -3,8 +3,8 @@
     PYTHONPATH=src python benchmarks/reachability.py
 
 Runs every *root* — the CLI verbs with the arguments CI and the nightly
-job use, ``examples/*.py``, the figure scripts, ``heap_peak.py`` in both
-modes and ``benchmarks/e2e/adapters.py`` for all six workloads — as a
+job use, ``examples/*.py``, the figure scripts, ``heap_peak.py`` in all
+three modes and ``benchmarks/e2e/adapters.py`` for all six workloads — as a
 child process with ``sys.setprofile`` installed.  Each process, forked
 shard and pool workers included (they inherit the hook), appends every
 ``src/`` code object it enters for the first time to a file of its own,
@@ -159,6 +159,7 @@ def roots() -> list[list[str]]:
          "--benchmark-disable", *figures],
         ["benchmarks/heap_peak.py"],
         ["benchmarks/heap_peak.py", "--delay", "uniform"],
+        ["benchmarks/heap_peak.py", "--delay", "chaos"],
         *(_adapter(name, quick=True) for name in (
             "brb_fixed", "brb_fixed_sharded", "brb_uniform",
             "brb_uniform_chaos", "vbb_fixed",

@@ -35,13 +35,15 @@ Randomized policies come in two stream modes:
   sequential to counter changes its draw values (different generator),
   which is why the default stays ``"sequential"``.
 
-A counter-stream fan-out is priced in one *packed* pass when its
-recipients are a non-empty step-1 ``range`` (every multicast's are;
-:meth:`CounterStream.packed_words`): one Python int holds a 128-bit lane
+A counter-stream fan-out is priced in one *packed* pass
+(:meth:`CounterStream.packed_words`): one Python int holds a 128-bit lane
 per recipient, and whole-int xor, add, shift and multiply, each followed
 by a lane mask, run SplitMix64 on every lane at once, exact mod 2**64.
-Its draws are the per-copy loop's bit for bit, and the loop still prices
-recipient lists.
+Its draws are a per-copy loop's bit for bit.  A step-1 ``range`` of
+recipients (every multicast's) slices its recipient keys off one table;
+any other recipient sequence packs them per copy.  A counter-stream
+fault injector draws through the same lanes (:class:`LaneKeys`): one key
+pass per fan-out, then one packed pass per primitive that draws.
 """
 from __future__ import annotations
 
@@ -94,11 +96,15 @@ class CounterStream:
     """Per-link counter-indexed randomness: pure draws, shard-safe.
 
     Owns the per-directed-link message counters (``k``) and derives every
-    variate as ``splitmix64(base ^ key(sender, recipient, k))`` — a pure
-    function of ``(seed, salt, sender, recipient, k)``, independent of
-    the global order links are priced in.  ``salt`` separates consumers
-    sharing a seed value (the delay policy and the fault injector draw
-    from unrelated streams even when ``plan.seed == policy seed``).
+    variate from the copy's key ``base ^ (sender + 1) * _KEY_SENDER ^
+    (recipient + 1) * _KEY_RECIPIENT ^ k * _KEY_COUNTER`` (mod 2**64),
+    as ``splitmix64(key)`` — a pure function of ``(seed, salt, sender,
+    recipient, k)``, independent of the global order links are priced
+    in.  Every key is computed in a packed pass (:meth:`packed_keys`),
+    one 128-bit lane per copy, and a fan-out ticks each copy's link
+    once.  ``salt`` separates consumers sharing a seed value (the delay
+    policy and the fault injector draw from unrelated streams even when
+    ``plan.seed == policy seed``).
 
     Counters live in per-sender lists indexed by recipient (lazily grown)
     rather than a ``(sender, recipient)``-keyed dict: at n=2001 the tuple
@@ -128,36 +134,26 @@ class CounterStream:
             counts.extend([0] * (recipient + 1 - len(counts)))
         return counts
 
-    def copy_key(self, sender: PartyId, recipient: PartyId) -> int:
-        """Consume one counter tick on the link; return the copy's key."""
-        counts = self._row(sender, recipient)
-        k = counts[recipient]
-        counts[recipient] = k + 1
-        return (
-            self._base
-            ^ ((sender + 1) * _KEY_SENDER)
-            ^ ((recipient + 1) * _KEY_RECIPIENT)
-            ^ (k * _KEY_COUNTER)
-        ) & _MASK64
+    def packed_keys(
+        self, sender: PartyId, recipients: Sequence[PartyId]
+    ) -> tuple[int, int, int]:
+        """The key of the next copy on each link ``sender -> r``, for
+        each ``r`` of a non-empty ``recipients``, unmixed, one per
+        128-bit lane (``_LANE_BITS``, lane 0 the first copy), with a 1 in
+        every lane and the lane mask: ``(keys, ones, mask)``.
 
-    def packed_words(self, sender: PartyId, recipients: range) -> array:
-        """``splitmix64(copy_key(sender, r))`` for each ``r`` of a
-        non-empty step-1 ``recipients`` range, in order, in one packed
-        pass.
-
-        Consumes one counter tick per link, exactly as a loop of
-        :meth:`copy_key` would, and returns the same words bit for bit,
-        but as whole-int arithmetic over one Python int with a 128-bit
-        lane per recipient (``_LANE_BITS``): the sender and counter keys
-        are broadcast across the lanes (each lane's counter packed in
-        when the links' counters differ), the recipient keys are a slice
-        of the stream's lane table, and each mixing step masks every lane
-        back to 64 bits before the next multiply.
+        Consumes one counter tick per copy, in order (a recipient listed
+        twice ticks its link twice and gets two keys), as whole-int
+        arithmetic over one Python int: the sender and counter keys are
+        broadcast across the lanes (each lane's counter packed in when
+        the links' counters differ), and the recipient keys are a slice
+        of the stream's lane table for a step-1 ``range``, packed per
+        copy otherwise.
         """
-        lo = recipients.start
         count = len(recipients)
-        if self._lanes[0] < recipients.stop:
-            lanes = recipients.stop
+        ranged = type(recipients) is range and recipients.step == 1
+        lanes = recipients.stop if ranged else count
+        if self._lanes[0] < lanes:
             self._lanes = (lanes, _pack([1] * lanes), _pack([
                 ((recipient + 1) * _KEY_RECIPIENT) & _MASK64
                 for recipient in range(lanes)
@@ -166,55 +162,110 @@ class CounterStream:
         low = (1 << (_LANE_BITS * count)) - 1
         ones &= low
         mask = ones * _MASK64
-        counts = self._row(sender, recipients.stop - 1)
-        ticks = counts[lo:recipients.stop]
-        k = ticks[0]
         sender_key = self._base ^ ((sender + 1) * _KEY_SENDER)
-        if ticks.count(k) == count:
-            counts[lo:recipients.stop] = [k + 1] * count
-            x = ones * ((sender_key ^ (k * _KEY_COUNTER)) & _MASK64)
+        if ranged:
+            lo, hi = recipients.start, recipients.stop
+            recipient_keys = (recipient_keys >> (_LANE_BITS * lo)) & low
+            counts = self._row(sender, hi - 1)
+            ticks = counts[lo:hi]
+            k = ticks[0]
+            if ticks.count(k) == count:
+                counts[lo:hi] = [k + 1] * count
+                x = ones * ((sender_key ^ (k * _KEY_COUNTER)) & _MASK64)
+                return x ^ recipient_keys, ones, mask
+            counts[lo:hi] = [tick + 1 for tick in ticks]
         else:
-            counts[lo:recipients.stop] = [tick + 1 for tick in ticks]
-            x = ones * (sender_key & _MASK64) ^ (
-                (_pack(ticks) * _KEY_COUNTER) & mask
-            )
-        x ^= (recipient_keys >> (_LANE_BITS * lo)) & low
-        x = (x + ones * _GOLDEN) & mask
-        x = ((x ^ (x >> 30)) & mask) * _MIX1 & mask
-        x = ((x ^ (x >> 27)) & mask) * _MIX2 & mask
-        # Only each lane's low word is read back, so the last step needs
-        # no mask: what ``>> 31`` carries in from the next lane lands in
-        # this lane's high word.
-        x ^= x >> 31
-        words = array("Q", x.to_bytes(_LANE_BYTES * count, "little"))
-        if not _NATIVE_LITTLE:
-            words.byteswap()
-        return words[::2]
+            recipient_keys = _pack([
+                ((recipient + 1) * _KEY_RECIPIENT) & _MASK64
+                for recipient in recipients
+            ])
+            counts = self._row(sender, max(recipients))
+            ticks = []
+            for recipient in recipients:
+                ticks.append(counts[recipient])
+                counts[recipient] += 1
+        x = ones * (sender_key & _MASK64) ^ (
+            (_pack(ticks) * _KEY_COUNTER) & mask
+        )
+        return x ^ recipient_keys, ones, mask
 
-    def draws(self, sender: PartyId, recipient: PartyId) -> "CopyDraws":
-        """An unbounded pure draw sequence for the link's next copy.
-
-        For consumers needing several variates per copy (the fault
-        injector's primitive chain): one counter tick, then draw ``i``
-        is ``splitmix64(key + i * golden)`` — still pure per
-        ``(link, k, i)``, whatever order copies are processed in.
-        """
-        return CopyDraws(self.copy_key(sender, recipient))
+    def packed_words(
+        self, sender: PartyId, recipients: Sequence[PartyId]
+    ) -> array:
+        """``splitmix64`` of the next copy's key on each link
+        ``sender -> r`` of a non-empty ``recipients``, in order, in one
+        packed pass (:meth:`packed_keys`, then :func:`_mix`)."""
+        return _mix(*self.packed_keys(sender, recipients), len(recipients))
 
 
-class CopyDraws:
-    """A pure per-copy draw sequence (duck-types ``random.Random``'s
-    ``random`` method, which is all the fault injector consumes)."""
+def _mix(x: int, ones: int, mask: int, count: int) -> array:
+    """SplitMix64 of each of the ``count`` lanes of ``x`` (lane-masked),
+    lane 0 first: whole-int add, xor, shift and multiply, each followed
+    by the lane mask, so a word times a 64-bit constant stays inside its
+    lane, exact mod 2**64."""
+    x = (x + ones * _GOLDEN) & mask
+    x = ((x ^ (x >> 30)) & mask) * _MIX1 & mask
+    x = ((x ^ (x >> 27)) & mask) * _MIX2 & mask
+    # Only each lane's low word is read back, so the last step needs no
+    # mask: what ``>> 31`` carries in from the next lane lands in this
+    # lane's high word.
+    x ^= x >> 31
+    words = array("Q", x.to_bytes(_LANE_BYTES * count, "little"))
+    if not _NATIVE_LITTLE:
+        words.byteswap()
+    return words[::2]
 
-    __slots__ = ("_key", "_i")
 
-    def __init__(self, key: int):
-        self._key = key
-        self._i = 0
+class LaneKeys:
+    """The fault injector's draws for one fan-out's copies, a 128-bit
+    lane per copy.
 
-    def random(self) -> float:
-        self._i += 1
-        return splitmix64((self._key + self._i * _GOLDEN) & _MASK64) * _INV_2_64
+    Built by one packed key pass (:meth:`CounterStream.packed_keys`,
+    one counter tick per copy).  Draw ``i`` (from 1) of copy ``j`` is
+    ``splitmix64(key_j + i * golden)``, a pure function of
+    ``(link, k, i)``, and each lane keeps its own ``i``: :meth:`draw`
+    computes the next draw of any set of lanes in one :func:`_mix` pass.
+    """
+
+    __slots__ = ("_keys", "_ones", "_mask", "_count", "_level", "_levels")
+
+    def __init__(
+        self,
+        stream: CounterStream,
+        sender: PartyId,
+        recipients: Sequence[PartyId],
+    ):
+        self._keys, self._ones, self._mask = stream.packed_keys(
+            sender, recipients
+        )
+        self._count = len(recipients)
+        #: Draws every lane has made, while they agree; then ``None``
+        #: and ``_levels`` holds one count per lane.
+        self._level = 0
+        self._levels: list[int] | None = None
+
+    def draw(
+        self, lanes: Sequence[int], live: Sequence[int]
+    ) -> list[float]:
+        """The next ``U[0, 1)`` draw of each lane in ``lanes`` (lane
+        indices, increasing), out of ``live``, the lanes that may still
+        draw.  While every live lane draws, their draw counts stay one
+        number; after the first draw that skips one, they go per lane."""
+        if self._levels is None and len(lanes) != len(live):
+            self._levels = [self._level] * self._count
+        levels = self._levels
+        if levels is None:
+            self._level += 1
+            steps = self._ones * ((self._level * _GOLDEN) & _MASK64)
+        else:
+            for lane in lanes:
+                levels[lane] += 1
+            steps = _pack([(level * _GOLDEN) & _MASK64 for level in levels])
+        words = _mix(
+            (self._keys + steps) & self._mask, self._ones, self._mask,
+            self._count,
+        )
+        return [words[lane] * _INV_2_64 for lane in lanes]
 
 
 class DelayPolicy:
@@ -343,9 +394,9 @@ class UniformDelay(DelayPolicy):
     def delay(self, sender, recipient, payload, send_time) -> float:
         if self._counter is not None:
             # One U[0, 1) draw for the link's next copy.
-            key = self._counter.copy_key(sender, recipient)
+            [word] = self._counter.packed_words(sender, (recipient,))
             span = self.high - self.low
-            return self.low + span * (splitmix64(key) * _INV_2_64)
+            return self.low + span * (word * _INV_2_64)
         return self._rng.uniform(self.low, self.high)
 
     def delays_for_multicast(
@@ -356,39 +407,14 @@ class UniformDelay(DelayPolicy):
         # stream, or one counter tick per link).
         counter = self._counter
         if counter is not None:
+            if not recipients:
+                return []
             low = self.low
             span = self.high - self.low
-            if type(recipients) is range and recipients.step == 1 and (
-                recipients
-            ):
-                return [
-                    low + span * (word * _INV_2_64)
-                    for word in counter.packed_words(sender, recipients)
-                ]
-            # ``delay``'s draw with copy_key and splitmix64 inlined: the
-            # per-copy hash is the whole cost of a counter-mode fan-out,
-            # so the hot loop keeps everything in locals and touches one
-            # counter row.
-            base = counter._base
-            sender_key = base ^ ((sender + 1) * _KEY_SENDER)
-            counts = counter._row(
-                sender, max(recipients) if len(recipients) else 0
-            )
-            out = []
-            append = out.append
-            for recipient in recipients:
-                k = counts[recipient]
-                counts[recipient] = k + 1
-                x = (
-                    sender_key
-                    ^ ((recipient + 1) * _KEY_RECIPIENT)
-                    ^ (k * _KEY_COUNTER)
-                ) & _MASK64
-                x = (x + _GOLDEN) & _MASK64
-                x = ((x ^ (x >> 30)) * _MIX1) & _MASK64
-                x = ((x ^ (x >> 27)) * _MIX2) & _MASK64
-                append(low + span * ((x ^ (x >> 31)) * _INV_2_64))
-            return out
+            return [
+                low + span * (word * _INV_2_64)
+                for word in counter.packed_words(sender, recipients)
+            ]
         uniform = self._rng.uniform
         return [uniform(self.low, self.high) for _ in recipients]
 

@@ -8,12 +8,16 @@ case: a declarative :class:`FaultPlan` of timed primitives, compiled into
 a :class:`FaultInjector` that the :class:`~repro.sim.network.Network`
 consults at its two seams —
 
-* the **send/schedule seam** (``Network._emit_routed``): per
-  scheduled copy the injector may drop it, duplicate it, jitter it,
-  hold it across a partition window, or stretch it through a GST-churn
-  asynchrony window;
+* the **send/schedule seam** (``Network._emit_routed`` and
+  ``_emit_remote``): one :meth:`FaultInjector.route` call per fan-out
+  takes its priced copies as columns, and per copy the injector may
+  drop it, duplicate it, jitter it, hold it across a partition window,
+  or stretch it through a GST-churn asynchrony window;
 * the **delivery seam** (``_deliver``): a copy arriving while its
-  recipient is inside a crash window is discarded.
+  recipient is inside a crash window is discarded.  A party that has
+  terminated and that no crash window can reach any more drops what it
+  is handed unread, so the world may cull copies to it
+  (:meth:`FaultInjector.down_from`, ``World.note_terminated``).
 
 Everything is deterministic given the plan's ``seed``.  The plan's
 ``stream`` field selects the generator (mirroring
@@ -30,8 +34,10 @@ Everything is deterministic given the plan's ``seed``.  The plan's
   :class:`~repro.sim.delays.CounterStream` — independent of global
   scheduling order, so the *same* fault schedule compiles identically in
   every worker of a sharded run and :meth:`FaultPlan.shard_safe` returns
-  True.  Every concrete primitive is link-local (its decision reads only
-  the copy's ``(sender, recipient, send_time, deliver_time)``); the one
+  True.  Being pure, a fan-out's draws are computed together, one
+  packed pass per primitive over the copies it draws for.  Every
+  concrete primitive is link-local (its decision reads only the copy's
+  ``(sender, recipient, send_time, deliver_time)``); the one
   recipient-side decision — discarding arrivals into a crash window — is
   a pure function of ``(recipient, t)`` and draws nothing.
 
@@ -78,8 +84,11 @@ Adding a primitive
    ``primitives``, ``len``, ``without``, ``quiet_time``, ``validate``
    and the JSON codec loop over that table and read the dataclass
    fields, so none of them is edited.
-3. A clause in :meth:`FaultInjector.route`, placed so that earlier
-   clauses' draws are undisturbed: the clause order is the RNG contract.
+3. A clause in :meth:`FaultInjector.route` (over lanes, for the
+   counter stream) and the same clause in
+   :meth:`FaultInjector._route_copy` (one copy, for the sequential
+   stream), each placed so that earlier clauses' draws are undisturbed:
+   the clause order is the RNG contract.
 4. A draw in the chaos generator of the tier that should exercise it
    (:mod:`repro.analysis.chaos`), after the existing draws.
 """
@@ -87,10 +96,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from repro.errors import FaultPlanError
-from repro.sim.delays import CounterStream
+from repro.sim.delays import CounterStream, LaneKeys
 from repro.types import INF, PartyId
 
 #: The union of plan primitives (kept informal: plain frozen dataclasses).
@@ -226,10 +235,11 @@ class ReorderJitter:
     start: float = 0.0
     end: float = INF
 
-    # Its own body, not ``DropLink.matches``: ``route`` alternates the
-    # jitter and duplicate clauses per copy, and one code object serving
-    # both classes thrashes CPython's per-site attribute caches
-    # (measured +30 % per call).
+    # Its own body, not ``DropLink.matches``: the sequential stream's
+    # ``_route_copy`` alternates the jitter and duplicate clauses per
+    # copy, and one code object serving both classes thrashes CPython's
+    # per-site attribute caches (measured +30 % per call).  The counter
+    # stream's lane pass matches once per fan-out (``_matching``).
     def matches(self, sender: PartyId, recipient: PartyId, t: float) -> bool:
         return (
             (self.src is None or self.src == sender)
@@ -697,7 +707,7 @@ class FaultCounters:
 
 
 class FaultInjector:
-    """A compiled :class:`FaultPlan`: the network's per-copy oracle.
+    """A compiled :class:`FaultPlan`: the network's fault oracle.
 
     One instance per world (or, with ``stream="counter"``, one per
     shard).  With the default sequential stream all randomness comes
@@ -707,7 +717,11 @@ class FaultInjector:
     counter stream every routed copy draws from a
     :class:`~repro.sim.delays.CounterStream` keyed by its link, so
     injectors compiled independently per shard reproduce the same
-    schedule copy for copy.
+    schedule copy for copy, and a fan-out is routed in one packed pass
+    (:meth:`route`).  The crash seam answers per party and instant
+    (:meth:`party_down`, :meth:`block_send`, :meth:`block_delivery`),
+    and :meth:`down_from` tells the world which terminated parties it
+    may stop delivering to.
     """
 
     def __init__(self, plan: FaultPlan, *, n: int) -> None:
@@ -764,6 +778,14 @@ class FaultInjector:
         window = self._crash_windows.get(party)
         return window is not None and window.is_down(t)
 
+    def down_from(self, party: PartyId, t: float) -> bool:
+        """Whether ``party`` is down at any instant at or after ``t``:
+        some crash window of it recovers after ``t``."""
+        window = self._crash_windows.get(party)
+        return window is not None and any(
+            recover > t for _, recover in window.windows
+        )
+
     def block_send(self, sender: PartyId, t: float) -> bool:
         """Suppress every copy of a send from a crashed sender."""
         if self.party_down(sender, t):
@@ -786,28 +808,168 @@ class FaultInjector:
     def route(
         self,
         sender: PartyId,
+        recipients: Sequence[PartyId],
+        send_time: float,
+        instants: Sequence[float],
+    ) -> tuple[Sequence[float], Sequence[int] | None]:
+        """Final delivery instants for one fan-out's priced copies.
+
+        Copy ``j`` goes to ``recipients[j]`` and lands at ``instants[j]``
+        unless a primitive drops, retimes or duplicates it.  Returns the
+        surviving landings in copy order, each copy's own landing
+        followed by its duplicate echoes, and the copy index of each
+        landing (``None`` when every copy lands exactly once, in order);
+        when no copy was dropped, retimed or duplicated the landings are
+        ``instants`` itself.  Per copy the primitives apply in a fixed
+        order (drop, churn, jitter, holdback, partition hold, duplicate),
+        so the random stream is a pure function of the schedule.
+
+        The sequential stream routes copy by copy (:meth:`_route_copy`).
+        The counter stream routes the whole fan-out in lanes, lane ``j``
+        for copy ``j``: one packed key pass ticks each copy's link
+        counter once (:class:`~repro.sim.delays.LaneKeys`), then each
+        primitive picks the live lanes it matches and makes one packed
+        draw for those that draw (:meth:`LaneKeys.draw
+        <repro.sim.delays.LaneKeys.draw>`).  A copy's ``i``-th draw is
+        ``splitmix64(key + i * golden)`` with ``i`` counted in that
+        copy's own lane, so every landing depends only on the copy's
+        position in its link's sequence, never on how copies from other
+        links interleave, and equals what a per-copy walk would give.
+        """
+        if self._counter is None:
+            return self._route_each(sender, recipients, send_time, instants)
+        counters = self.counters
+        plan = self.plan
+        lanes = LaneKeys(self._counter, sender, recipients)
+        times = list(instants)
+        #: Lanes whose copy no drop has taken, and whether any was retimed.
+        live: Sequence[int] = range(len(times))
+        retimed = False
+        for drop in plan.drops:
+            picked = _matching(drop, sender, recipients, send_time, live)
+            if picked and drop.prob < 1.0:
+                prob = drop.prob
+                picked = [
+                    lane for lane, u in zip(
+                        picked, lanes.draw(picked, live)
+                    ) if u < prob
+                ]
+            if picked:
+                counters.faults_injected += len(picked)
+                counters.messages_dropped += len(picked)
+                gone = set(picked)
+                live = [lane for lane in live if lane not in gone]
+        for churn in plan.churns:
+            window = churn.window_at(send_time)
+            if window is None:
+                continue
+            # Adversarial stretch: anywhere between the policy's own
+            # delivery time and the post-window GST-style cap.
+            latest = window[1] + churn.bound
+            picked = [lane for lane in live if latest > times[lane]]
+            if picked:
+                retimed = True
+                counters.faults_injected += len(picked)
+                draws = lanes.draw(picked, live)
+                for lane, u in zip(picked, draws):
+                    times[lane] += u * (latest - times[lane])
+        for jitter in plan.jitters:
+            picked = _matching(jitter, sender, recipients, send_time, live)
+            if picked:
+                retimed = True
+                counters.faults_injected += len(picked)
+                spread = jitter.jitter
+                draws = lanes.draw(picked, live)
+                for lane, u in zip(picked, draws):
+                    times[lane] += u * spread
+        for hold in plan.holdbacks:
+            picked = _matching(hold, sender, recipients, send_time, live)
+            if picked:
+                draws = lanes.draw(picked, live)
+                for lane, u in zip(picked, draws):
+                    release = hold.end + u * hold.flush_delay
+                    if release > times[lane]:
+                        retimed = True
+                        counters.faults_injected += 1
+                        counters.messages_held += 1
+                        times[lane] = release
+        for partition in plan.partitions:
+            picked = [
+                lane for lane in live
+                if partition.separates(sender, recipients[lane], times[lane])
+            ]
+            if picked:
+                retimed = True
+                counters.faults_injected += len(picked)
+                counters.messages_held += len(picked)
+                draws = lanes.draw(picked, live)
+                for lane, u in zip(picked, draws):
+                    times[lane] = partition.end + u * partition.flush_delay
+        echoes: dict[int, list[float]] = {}
+        for dup in plan.duplicates:
+            picked = _matching(dup, sender, recipients, send_time, live)
+            if picked and dup.prob < 1.0:
+                prob = dup.prob
+                picked = [
+                    lane for lane, u in zip(
+                        picked, lanes.draw(picked, live)
+                    ) if u < prob
+                ]
+            if picked:
+                counters.faults_injected += len(picked)
+                counters.messages_duplicated += len(picked)
+                for lane in picked:
+                    echoes.setdefault(lane, []).append(
+                        times[lane] + dup.echo_delay
+                    )
+        if not echoes:
+            if len(live) == len(times):
+                # Untouched, the column is what the caller priced.
+                return (times if retimed else instants), None
+            return [times[lane] for lane in live], live
+        landings: list[float] = []
+        picks: list[int] = []
+        for lane in live:
+            landings.append(times[lane])
+            picks.append(lane)
+            extra = echoes.get(lane)
+            if extra:
+                landings += extra
+                picks += [lane] * len(extra)
+        return landings, picks
+
+    def _route_each(
+        self,
+        sender: PartyId,
+        recipients: Sequence[PartyId],
+        send_time: float,
+        instants: Sequence[float],
+    ) -> tuple[list[float], list[int] | None]:
+        """:meth:`route` on the sequential stream: copy by copy, in
+        order, from the one shared generator."""
+        routed = [
+            self._route_copy(sender, recipient, send_time, deliver_time)
+            for recipient, deliver_time in zip(recipients, instants)
+        ]
+        landings = [landing for copy in routed for landing in copy]
+        if len(landings) == len(routed) and all(routed):
+            return landings, None
+        return landings, [
+            lane for lane, copy in enumerate(routed) for _ in copy
+        ]
+
+    def _route_copy(
+        self,
+        sender: PartyId,
         recipient: PartyId,
         send_time: float,
         deliver_time: float,
     ) -> list[float]:
-        """Final delivery instants for one already-priced copy.
-
-        ``[]`` drops the copy; one entry is a (possibly retimed) normal
-        delivery; two entries add a duplicate echo.  Applied in a fixed
-        primitive order (drop, churn, jitter, holdback, partition hold,
-        duplicate) so the RNG stream is a pure function of the schedule.
-
-        In counter mode the copy's variates come from one per-link
-        counter tick: the link counter advances exactly once per routed
-        copy and the draw index walks the primitives, so the outcome
-        depends only on the copy's position in its link's sequence —
-        never on how copies from other links interleave.
-        """
+        """One copy's landings on the sequential stream: ``[]`` drops
+        it, one entry is a (possibly retimed) normal delivery, two or
+        more add duplicate echoes."""
         counters = self.counters
-        rng = (
-            self._counter.draws(sender, recipient)
-            if self._counter is not None else self._rng
-        )
+        rng = self._rng
         for drop in self.plan.drops:
             if drop.matches(sender, recipient, send_time):
                 if drop.prob >= 1.0 or rng.random() < drop.prob:
@@ -817,8 +979,6 @@ class FaultInjector:
         for churn in self.plan.churns:
             window = churn.window_at(send_time)
             if window is not None:
-                # Adversarial stretch: anywhere between the policy's
-                # own delivery time and the post-window GST-style cap.
                 _, end = window
                 latest = end + churn.bound
                 if latest > deliver_time:
@@ -850,3 +1010,23 @@ class FaultInjector:
                     counters.messages_duplicated += 1
                     deliveries.append(deliver_time + dup.echo_delay)
         return deliveries
+
+
+def _matching(
+    primitive,
+    sender: PartyId,
+    recipients: Sequence[PartyId],
+    send_time: float,
+    live: Sequence[int],
+) -> Sequence[int]:
+    """The lanes of ``live`` whose copy a link primitive's ``matches``
+    accepts: its sender and send window are the fan-out's, so only
+    ``dst`` is read per lane."""
+    if primitive.src is not None and primitive.src != sender:
+        return ()
+    if not primitive.start <= send_time < primitive.end:
+        return ()
+    if primitive.dst is None:
+        return live
+    dst = primitive.dst
+    return [lane for lane in live if recipients[lane] == dst]

@@ -44,7 +44,8 @@ for ``INF``) without a walk.
 The emitter is chosen once per network: ``_emit_run``
 folds an unobserved run into one ``_deliver_many`` event and gathers
 every other copy as a ``_deliver`` event; ``_emit_routed`` takes over
-when a per-copy seam is attached.  Either way emit crosses the scheduler
+when a per-copy seam is attached, and hands the fan-out's copies to
+each seam as columns in one call.  Either way emit crosses the scheduler
 **once per fan-out**, not once per copy: the copies go over in
 recipient order as typed columns — instants in an ``array('d')``, the
 recipients as the fan-out's ``range`` or an integer array, plus msg ids
@@ -63,9 +64,12 @@ run handler (every attached agent of one class that defines
 run and has each live recipient tally it, skips terminated recipients,
 and hands any other payload to each live recipient's ``deliver``.  A
 per-copy ``_deliver`` to a terminated party may never fire at all: a
-world that lets the simulator cull (``World._enable_culling``) has such
-copies skipped when their window opens, and ``messages_delivered``
-counts each of them as the delivery it would have been.
+world that lets the simulator cull (``World._enable_culling``: no
+observer, no reliable link) has such copies skipped when their window
+opens, and ``messages_delivered`` counts each of them as the delivery
+it would have been.  Under a fault plan that holds only for a party no
+crash window can reach after its termination; copies to any other
+party still meet the crash seam.
 
 Observability is routed through the world's
 :class:`~repro.sim.instrumentation.Instrumentation` bundle: deliveries are
@@ -74,16 +78,19 @@ latency), only when the bundle enables it; a disabled observer costs the
 hot path nothing.
 
 Fault injection (:mod:`repro.sim.faults`) hooks two seams: the schedule
-side (``_emit_routed``: drop/duplicate/jitter/hold/churn per priced copy)
-and the delivery side (``_deliver``: discard arrivals into a crash
-window).  A world without a fault plan has no injector at all, so the
-unfaulted path replays byte-identically.
+side (``_emit_routed`` and ``_emit_remote``: one
+:meth:`~repro.sim.faults.FaultInjector.route` call per fan-out, which
+may drop, duplicate, jitter, hold or stretch each priced copy; a
+counter-stream plan routes the whole fan-out in one packed pass) and
+the delivery side (``_deliver``: discard arrivals into a crash window).
+A world without a fault plan has no injector at all, so the unfaulted
+path replays byte-identically.
 """
 from __future__ import annotations
 
 from array import array
 from functools import partial
-from itertools import islice
+from itertools import islice, repeat
 from operator import eq
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
@@ -585,63 +592,70 @@ class Network:
         instants: array | None = None,
         transfer: "_Transfer | None" = None,
     ) -> bytes | None:
-        """Emit a fan-out copy by copy through the per-copy seams.
+        """Emit a fan-out through the per-copy seams, in one pass each.
 
+        The fan-out's copies are laid out as columns (:func:`_copies`).
         Reliable-channel seam: each cross-party copy is tracked *before*
         the injector gets a chance to drop it — recovering exactly that
         loss is the channel's job (a retransmission passes the
-        ``transfer`` it is re-sending instead).  Fault seam: the injector
-        may drop, retime, or duplicate the copy; every surviving instant
-        becomes one ``_deliver`` event (``_deliver_tracked`` on a network
-        with a channel), gathered in recipient order into the columns
-        :meth:`_emit_run` gathers (plus the transfers, in a list) and
-        scheduled as one batch — only then, and only if a copy survived,
-        is the payload digested.  The recipient array gives way to
-        ``recipients`` itself when it holds exactly them, in order.
-        ``instants`` is not used: every copy is routed from its run.
+        ``transfer`` it is re-sending instead).  Fault seam: one
+        :meth:`FaultInjector.route <repro.sim.faults.FaultInjector.route>`
+        call takes the columns and may drop, retime, or duplicate each
+        copy.  Every surviving landing becomes one ``_deliver`` event
+        (``_deliver_tracked`` on a network with a channel), in recipient
+        order, as the columns :meth:`_emit_run` gathers (plus the
+        transfers, in a list), scheduled as one batch — only then, and
+        only if a copy survived, is the payload digested.  The recipient
+        array gives way to ``recipients`` itself when it holds exactly
+        them, in order.
         """
         injector = self._injector
         reliable = self._reliable
         accountant = self._accountant
-        tracking = reliable is not None or transfer is not None
-        times = array("d")
-        targets = array(_PARTY)
-        msg_ids = array(_PARTY) if accountant is not None else None
-        transfers: list | None = [] if tracking else None
-        for start, end, deliver_time in runs:
-            for recipient in recipients[start:end]:
-                tracked = transfer
-                if (
-                    tracked is None
-                    and reliable is not None
-                    and recipient != sender
-                ):
-                    tracked = reliable.register(sender, recipient, payload)
-                if injector is None:
-                    landings = (deliver_time,)
-                else:
-                    landings = injector.route(
-                        sender, recipient, send_time, deliver_time
-                    )
-                for instant in landings:
-                    times.append(quantize(instant))
-                    targets.append(recipient)
-                    if msg_ids is not None:
-                        msg_ids.append(accountant.register_send())
-                    if transfers is not None:
-                        transfers.append(tracked)
-        if times:
-            # A duplicate can stand in for a dropped copy: compare the
-            # recipients, not only their count.
-            if len(targets) == len(recipients) and targets == array(
-                _PARTY, recipients
-            ):
-                targets = recipients
-            order_key = self._schedule_copies(
-                times, self._deliver_tracked if tracking else self._deliver,
-                sender, targets, payload, order_key, msg_ids, transfers,
+        column, landings = _copies(recipients, runs, instants)
+        if not landings:
+            return order_key
+        tracked: list | None = None
+        if transfer is not None:
+            tracked = [transfer] * len(column)
+        elif reliable is not None:
+            tracked = [
+                reliable.register(sender, recipient, payload)
+                if recipient != sender else None
+                for recipient in column
+            ]
+        times = landings
+        picks = None
+        if injector is not None:
+            landings, picks = injector.route(
+                sender, column, send_time, landings
             )
-        return order_key
+            if not landings:
+                return order_key
+            if landings is not times:
+                times = array("d", map(
+                    round, landings, repeat(TIME_DECIMALS, len(landings))
+                ))
+        if picks is None:
+            targets = column
+        else:
+            targets = array(_PARTY, [column[pick] for pick in picks])
+            if tracked is not None:
+                tracked = [tracked[pick] for pick in picks]
+        # A duplicate can stand in for a dropped copy: compare the
+        # recipients, not only their count.
+        if targets is not recipients and len(targets) == len(
+            recipients
+        ) and targets == array(_PARTY, recipients):
+            targets = recipients
+        return self._schedule_copies(
+            times,
+            self._deliver_tracked if tracked is not None else self._deliver,
+            sender, targets, payload, order_key,
+            array(_PARTY, [accountant.register_send() for _ in times])
+            if accountant is not None else None,
+            tracked,
+        )
 
     def _emit_remote(
         self,
@@ -656,30 +670,37 @@ class Network:
         """Emit a fan-out to a remote range as ``outbuf`` records.
 
         Without a plan each run is one record.  With one compiled in,
-        the fault seam applies at the *source*: each copy is dropped,
-        retimed, or duplicated here, exactly like :meth:`_emit_routed`,
-        and only the surviving copies become records.  No order key is
-        needed (or computed) here: the destination shard digests the
-        payload itself when it queues the record.  ``instants`` is not
-        used: every run, singleton or not, is one record.
+        the fault seam applies at the *source*: the fan-out's copies are
+        routed in one :meth:`FaultInjector.route
+        <repro.sim.faults.FaultInjector.route>` call, exactly like
+        :meth:`_emit_routed`, and each surviving landing becomes a
+        one-copy record.  No order key is needed (or computed) here: the
+        destination shard digests the payload itself when it queues the
+        record.  ``instants`` is not used without a plan: every run,
+        singleton or not, is one record.
         """
         outbuf = self.outbuf
         injector = self._injector
-        for start, end, deliver_time in runs:
-            # Runs are contiguous: remote ranges are, and so is a unicast.
-            lo = recipients[start]
-            hi = lo + end - start
-            if injector is None:
-                outbuf.append((sender, payload, lo, hi, deliver_time))
-                continue
-            for recipient in range(lo, hi):
-                for faulted_time in injector.route(
-                    sender, recipient, send_time, deliver_time
-                ):
-                    outbuf.append((
-                        sender, payload, recipient, recipient + 1,
-                        quantize(faulted_time),
-                    ))
+        if injector is None:
+            for start, end, deliver_time in runs:
+                # Runs are contiguous: remote ranges are, and so is a
+                # unicast.
+                lo = recipients[start]
+                outbuf.append(
+                    (sender, payload, lo, lo + end - start, deliver_time)
+                )
+            return order_key
+        column, landings = _copies(recipients, runs, instants)
+        if not landings:
+            return order_key
+        landings, picks = injector.route(sender, column, send_time, landings)
+        for landing, pick in zip(
+            landings, range(len(landings)) if picks is None else picks
+        ):
+            recipient = column[pick]
+            outbuf.append((
+                sender, payload, recipient, recipient + 1, quantize(landing),
+            ))
         return order_key
 
     def _deliver_many(
@@ -839,3 +860,23 @@ class Network:
             if self._reliable is not None
             else 0
         )
+
+
+def _copies(
+    recipients: Sequence[PartyId],
+    runs: Iterable[Run],
+    instants: array | None,
+) -> tuple[Sequence[PartyId], Sequence[float]]:
+    """A fan-out's surviving copies as two columns, recipient and
+    instant, in recipient order: ``recipients`` and ``instants``
+    themselves when the fast instant pass priced every copy, else the
+    runs laid out copy by copy (``recipients`` still, when no copy was
+    dropped)."""
+    if instants is not None:
+        return recipients, instants
+    column = array(_PARTY)
+    times = array("d")
+    for start, end, deliver_time in runs:
+        column.extend(recipients[start:end])
+        times.extend(repeat(deliver_time, end - start))
+    return (recipients if len(column) == len(recipients) else column), times

@@ -328,27 +328,33 @@ class World:
         without effect (the contract on :meth:`Party.deliver
         <repro.sim.process.Party.deliver>`), unless something observes
         the copy on its way in: a view digest or a round accountant (the
-        observers), a fault plan's crash window or a reliable channel's
-        ack.  With none of those, such a copy is indistinguishable from
-        no copy at all, and the simulator may skip it when its window
-        opens (:meth:`~repro.sim.scheduler.Simulator.cull_copies`); it
-        still counts as a processed event and a delivered message, so
-        every count and instant the run reports is unchanged.
+        observers) or a reliable channel's ack.  With none of those,
+        such a copy is indistinguishable from no copy at all, and the
+        simulator may skip it when its window opens
+        (:meth:`~repro.sim.scheduler.Simulator.cull_copies`); it still
+        counts as a processed event and a delivered message, so every
+        count and instant the run reports is unchanged.  A fault plan
+        does not stop this: the one thing it does at delivery is discard
+        copies that land in a crash window, and :meth:`note_terminated`
+        leaves out every party a crash window can still reach, so its
+        copies keep going through the crash seam and its drops are
+        counted.
         """
-        if (
-            self.accountant is not None
-            or self.fault_plan is not None
-            or self.reliable_link is not None
-        ):
+        if self.accountant is not None or self.reliable_link is not None:
             return
         self._terminated = bytearray(self.n)
         self.sim.cull_copies(self._terminated, self.network.note_culled)
 
     def note_terminated(self, party: Party) -> None:
-        """Record that ``party`` terminated, for culling.  A hosted party
-        shares its host's id but never calls this: its
+        """Record that ``party`` terminated, for culling, unless a crash
+        window of the fault plan is open at or after the current instant
+        (a copy landing there is a counted drop, not a delivery).  A
+        hosted party shares its host's id but never calls this: its
         :class:`~repro.sim.hosting.HostedWorld` stops the note."""
-        if self._terminated is not None:
+        if self._terminated is None:
+            return
+        injector = self.fault_injector
+        if injector is None or not injector.down_from(party.id, self.sim.now):
             self._terminated[party.id] = 1
 
     def _install_run_handler(self) -> None:
@@ -546,8 +552,9 @@ class RunResult:
     shard_barrier_rounds: int = 0
     #: Per-copy deliveries to a terminated party that a full drain
     #: skipped (:meth:`World._enable_culling`); each is still counted in
-    #: ``events_processed``.  A partial drain and a sharded run cull
-    #: nothing.
+    #: ``events_processed`` and as a delivered message.  A partial drain
+    #: and a sharded run cull nothing, and neither is a copy to a party
+    #: a crash window of the fault plan can still reach.
     copies_culled: int = 0
 
     @property

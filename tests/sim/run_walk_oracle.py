@@ -5,9 +5,10 @@ keeps :class:`~repro.sim.network.Network` whole but for the instant and
 emit stages, which it writes the plain way: every fan-out takes the run
 walk (``Network._runs``, no fast instant pass), and the emitters gather
 one Python float and one recipient per copy into lists, handing those
-lists to ``schedule_batch`` as they are.  ``test_typed_columns.py``
-drives both networks with the same fan-outs and compares what they
-schedule.
+lists to ``schedule_batch`` as they are, and the routed emitter routes
+each copy on its own (``fault_route_oracle.route_copy``).
+``test_typed_columns.py`` drives both networks with the same fan-outs
+and compares what they schedule.
 """
 from __future__ import annotations
 
@@ -18,6 +19,8 @@ from repro.errors import SimulationError
 from repro.sim.clock import quantize
 from repro.sim.network import Emitter, Network, Run
 from repro.types import PartyId
+
+from fault_route_oracle import route_copy
 
 
 class ListNetwork(Network):
@@ -139,8 +142,8 @@ class ListNetwork(Network):
                 if injector is None:
                     instants = (deliver_time,)
                 else:
-                    instants = injector.route(
-                        sender, recipient, send_time, deliver_time
+                    instants = route_copy(
+                        injector, sender, recipient, send_time, deliver_time
                     )
                 for instant in instants:
                     times.append(quantize(instant))

@@ -16,6 +16,8 @@ from repro.errors import FaultPlanError
 from repro.sim.delays import CounterStream, UniformDelay, splitmix64
 from repro.sim.faults import Crash, DropLink, FaultPlan
 
+from fault_route_oracle import copy_key, draws
+
 
 class TestSplitmix64:
     def test_deterministic_and_64_bit(self):
@@ -33,8 +35,8 @@ class TestCounterStream:
     def test_same_seed_same_sequence(self):
         a = CounterStream(42)
         b = CounterStream(42)
-        seq_a = [a.draws(3, 7).random() for _ in range(50)]
-        seq_b = [b.draws(3, 7).random() for _ in range(50)]
+        seq_a = [draws(a, 3, 7).random() for _ in range(50)]
+        seq_b = [draws(b, 3, 7).random() for _ in range(50)]
         assert seq_a == seq_b
         assert all(0.0 <= u < 1.0 for u in seq_a)
 
@@ -44,7 +46,7 @@ class TestCounterStream:
         # only its own links, in its own order.
         solo = CounterStream(7)
         expected = {
-            (s, r): [solo.draws(s, r).random() for _ in range(10)]
+            (s, r): [draws(solo, s, r).random() for _ in range(10)]
             for s in range(3)
             for r in range(3)
             if s != r
@@ -53,13 +55,13 @@ class TestCounterStream:
         got = {link: [] for link in expected}
         for _ in range(10):
             for link in expected:
-                got[link].append(interleaved.draws(*link).random())
+                got[link].append(draws(interleaved, *link).random())
         assert got == expected
 
     def test_seed_and_salt_produce_distinct_streams(self):
-        base = [CounterStream(1).draws(0, 1).random() for _ in range(1)]
-        other_seed = [CounterStream(2).draws(0, 1).random()]
-        salted = [CounterStream(1, salt=99).draws(0, 1).random()]
+        base = [draws(CounterStream(1), 0, 1).random() for _ in range(1)]
+        other_seed = [draws(CounterStream(2), 0, 1).random()]
+        salted = [draws(CounterStream(1, salt=99), 0, 1).random()]
         assert base != other_seed
         assert base != salted
 
@@ -67,14 +69,14 @@ class TestCounterStream:
         # One copy_key, many in-copy draws (what the injector's
         # primitives consume): deterministic, and distinct from the
         # next copy's draws.
-        first = CounterStream(5).draws(1, 2)
-        again = CounterStream(5).draws(1, 2)
+        first = draws(CounterStream(5), 1, 2)
+        again = draws(CounterStream(5), 1, 2)
         assert [first.random() for _ in range(5)] == [
             again.random() for _ in range(5)
         ]
         stream = CounterStream(5)
-        stream.draws(1, 2)
-        second_copy = stream.draws(1, 2)
+        draws(stream, 1, 2)
+        second_copy = draws(stream, 1, 2)
         assert first.random() != second_copy.random()
 
 
@@ -160,11 +162,11 @@ class TestPackedPass:
         scalar = CounterStream(case["seed"], salt=case["salt"])
         for stream in (packed, scalar):
             for recipient in case["unicasts"]:
-                stream.copy_key(sender, recipient)
+                copy_key(stream, sender, recipient)
         for _ in range(case["repeats"] + 1):
             words = packed.packed_words(sender, recipients)
             assert list(words) == [
-                splitmix64(scalar.copy_key(sender, recipient))
+                splitmix64(copy_key(scalar, sender, recipient))
                 for recipient in recipients
             ]
         assert packed._counters == scalar._counters
@@ -173,8 +175,8 @@ class TestPackedPass:
     @settings(max_examples=60, deadline=None)
     @given(case=packed_fan_outs())
     def test_uniform_fan_out_matches_list_recipients(self, case):
-        # A ``range`` takes the packed pass, the same recipients as a
-        # list take the loop.
+        # A ``range`` slices its recipient keys off the stream's table,
+        # the same recipients as a list pack theirs one by one.
         sender, recipients = case["sender"], case["recipients"]
         ranged = UniformDelay(0.05, 1.0, seed=case["seed"], stream="counter")
         listed = UniformDelay(0.05, 1.0, seed=case["seed"], stream="counter")

@@ -1,10 +1,12 @@
 """Culling copies to terminated parties moves nothing a run reports.
 
-A full drain of a world with no observers, fault plan or reliable link
-skips each per-copy delivery whose recipient has terminated by the time
-the copy's window opens (``Simulator.cull_copies``), counts it as the
-processed event and delivered message it would have been, and ends at
-the latest instant any copy was given.  The heap oracle of
+A full drain of a world with no observers or reliable link skips each
+per-copy delivery whose recipient has terminated by the time the copy's
+window opens (``Simulator.cull_copies``), counts it as the processed
+event and delivered message it would have been, and ends at the latest
+instant any copy was given.  Under a fault plan a party is culled only
+if no crash window of it is open at or after its termination: a copy
+landing in one is a counted drop, not a delivery.  The heap oracle of
 ``tests/sim/heap_queue.py`` never culls: it builds every copy at push
 and fires it.  The property below runs the same world on both and
 requires every ``RunResult`` field — bar the calendar's own counters,
@@ -13,9 +15,12 @@ network's delivered count to agree, after each call of a split run
 (``run(until=t)`` or ``run(max_events=k)``, then ``run()``) as well.
 
 Its draws cover both headline protocols, uniform and fixed delays,
-staggered starts, ids crashed from the start and hosted brains (a brain
+staggered starts, ids crashed from the start, hosted brains (a brain
 that crashes mid-run, or two brains splitting the peers between them,
-one of which may terminate while the other still listens).
+one of which may terminate while the other still listens) and fault
+plans on either stream: a crash that recovers early, one that recovers
+late, a permanent one, and duplicates, jitter, a partition and a
+holdback together.
 """
 from __future__ import annotations
 
@@ -29,8 +34,16 @@ from repro.adversary.behaviors import SplitBrainBehavior, crash_at
 from repro.protocols.brb_2round import Brb2Round
 from repro.protocols.psync.vbb_5f1 import PsyncVbb5f1
 from repro.sim.delays import FixedDelay, UniformDelay
-from repro.sim.faults import Crash, FaultPlan
+from repro.sim.faults import (
+    Crash,
+    DuplicateLink,
+    FaultPlan,
+    Holdback,
+    Partition,
+    ReorderJitter,
+)
 from repro.sim.runner import World
+from repro.types import INF
 
 #: What the heap oracle does not count, or never does.
 CALENDAR_ONLY = ("bucket_appends", "heap_pushes_avoided", "copies_culled")
@@ -62,7 +75,44 @@ def scenarios(draw):
         schedule=draw(st.sampled_from(("run", "until", "budget"))),
         until=draw(st.floats(0.0, 3.0)),
         budget=draw(st.integers(0, 300)),
+        plan=draw(st.sampled_from(tuple(PLANS))),
+        victim=draw(st.integers(1, n - 1)),
+        stream=draw(st.sampled_from(("sequential", "counter"))),
     )
+
+
+#: Fault plans by name, as ``(victim, seed, stream) -> FaultPlan``.  The
+#: crash windows sit before, across and after the parties' termination
+#: (about 1.0 to 1.3 at these sizes and delays).
+PLANS = {
+    "none": None,
+    "recovers_early": lambda victim, **kw: FaultPlan(
+        crashes=(Crash(party=victim, at=0.2, recover=0.4),), **kw
+    ),
+    "recovers_late": lambda victim, **kw: FaultPlan(
+        crashes=(Crash(party=victim, at=1.5, recover=1.8),), **kw
+    ),
+    "permanent": lambda victim, **kw: FaultPlan(
+        crashes=(Crash(party=victim, at=1.1),), **kw
+    ),
+    "noise": lambda victim, **kw: FaultPlan(
+        duplicates=(DuplicateLink(end=1.5, prob=0.5, echo_delay=0.05),),
+        jitters=(ReorderJitter(jitter=0.2, end=1.5),),
+        partitions=(Partition(
+            groups=((0, victim),), start=0.5, end=1.0, flush_delay=0.1,
+        ),),
+        holdbacks=(Holdback(src=victim, start=0.2, end=0.6,
+                            flush_delay=0.1),),
+        **kw,
+    ),
+}
+
+
+def _plan(s):
+    make = PLANS[s.get("plan", "none")]
+    if make is None:
+        return None
+    return make(s["victim"], seed=s["seed"], stream=s["stream"])
 
 
 def _world(s, *, plan=None, preset="perf"):
@@ -112,9 +162,10 @@ def _reports(world, s):
 
 
 def _compare(scenario, reference_queue):
-    culling = _reports(_world(scenario), scenario)
+    plan = _plan(scenario)
+    culling = _reports(_world(scenario, plan=plan), scenario)
     with reference_queue():
-        oracle = _reports(_world(scenario), scenario)
+        oracle = _reports(_world(scenario, plan=plan), scenario)
     assert [culled for *_, culled in oracle] == [0] * len(oracle)
     for (mine, delivered, _), (theirs, expected, _) in zip(culling, oracle):
         assert mine == theirs
@@ -141,6 +192,10 @@ _SPLIT = dict(
                    "until": 1.2})
 @example(scenario={**_SPLIT, "hosts": "crash_at", "schedule": "budget",
                    "budget": 150})
+@example(scenario={**_SPLIT, "hosts": "none", "plan": "recovers_late",
+                   "victim": 9, "stream": "counter"})
+@example(scenario={**_SPLIT, "hosts": "none", "plan": "noise",
+                   "victim": 9, "stream": "counter"})
 def test_culling_matches_the_heap_oracle(scenario, reference_queue):
     _compare(scenario, reference_queue)
 
@@ -150,13 +205,41 @@ class TestWhenCullingRuns:
         assert _compare(_SPLIT, reference_queue) > 0
 
     @pytest.mark.parametrize("preset", ["perf", "full"])
-    def test_only_unobserved_unfaulted_worlds_cull(self, preset):
+    def test_only_unobserved_worlds_cull(self, preset):
+        # A fault plan leaves culling on; an observer turns it off.
         scenario = {**_SPLIT, "hosts": "none"}
         plan = FaultPlan(crashes=(Crash(party=9, at=5.0),), seed=1)
         plain = _world(scenario, preset=preset).run()
         planned = _world(scenario, plan=plan, preset=preset).run()
         assert (plain.copies_culled > 0) == (preset == "perf")
-        assert planned.copies_culled == 0
+        assert (planned.copies_culled > 0) == (preset == "perf")
+
+    @pytest.mark.parametrize(
+        "at, recover, culled",
+        [(0.2, 0.4, True), (1.5, 1.8, False), (1.5, INF, False),
+         (5.0, INF, False)],
+        ids=["recovered", "recovers-later", "crashes-later", "never-lands"],
+    )
+    def test_a_crash_window_open_after_termination_keeps_its_party(
+        self, at, recover, culled, reference_queue
+    ):
+        # Party 9 terminates at about 1.24 and copies reach it until
+        # about 2.16.  Only a window that has closed by its termination
+        # lets the world cull it; otherwise every copy still meets the
+        # crash seam, and the drops are the oracle's.
+        scenario = {**_SPLIT, "hosts": "none"}
+        plan = FaultPlan(crashes=(Crash(party=9, at=at, recover=recover),))
+        world = _world(scenario, plan=plan)
+        result = world.run()
+        with reference_queue():
+            oracle = _world(scenario, plan=plan).run()
+        assert 9 in result.commits
+        assert world._terminated[9] == culled
+        assert result.copies_culled > 0
+        assert result.messages_dropped == oracle.messages_dropped
+        assert result.faults_injected == oracle.faults_injected
+        if at == 1.5:
+            assert result.messages_dropped > 0
 
     def test_sharded_runs_never_cull(self):
         world = World(

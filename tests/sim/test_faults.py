@@ -31,6 +31,8 @@ from repro.sim.retransmit import ReliableLink
 from repro.sim.runner import World
 from repro.types import INF
 
+from fault_route_oracle import route_one
+
 
 class TestFaultPlan:
     def test_primitives_and_len(self):
@@ -142,10 +144,11 @@ class TestViewChangePrimitives:
             n=4,
         )
         # Held to the window's release instant, never lost.
-        assert injector.route(0, 1, 0.0, 1.0) == [4.0]
-        assert injector.route(2, 1, 0.0, 1.0) == [1.0]  # other links free
+        assert route_one(injector, 0, 1, 0.0, 1.0) == [4.0]
+        # Other links are free.
+        assert route_one(injector, 2, 1, 0.0, 1.0) == [1.0]
         # A natural delivery past the release is untouched.
-        assert injector.route(0, 1, 3.9, 4.9) == [4.9]
+        assert route_one(injector, 0, 1, 3.9, 4.9) == [4.9]
         assert injector.messages_held == 1
         assert injector.messages_dropped == 0
 
@@ -281,8 +284,8 @@ class TestFaultInjector:
         injector = FaultInjector(
             FaultPlan(drops=(DropLink(src=0, dst=1, prob=1.0),)), n=4
         )
-        assert injector.route(0, 1, 0.0, 1.0) == []
-        assert injector.route(0, 2, 0.0, 1.0) == [1.0]
+        assert route_one(injector, 0, 1, 0.0, 1.0) == []
+        assert route_one(injector, 0, 2, 0.0, 1.0) == [1.0]
         assert injector.messages_dropped == 1
 
     def test_duplicate_adds_echo(self):
@@ -290,7 +293,7 @@ class TestFaultInjector:
             FaultPlan(duplicates=(DuplicateLink(prob=1.0, echo_delay=0.5),)),
             n=4,
         )
-        assert injector.route(0, 1, 0.0, 1.0) == [1.0, 1.5]
+        assert route_one(injector, 0, 1, 0.0, 1.0) == [1.0, 1.5]
         assert injector.messages_duplicated == 1
 
     def test_partition_holds_until_heal(self):
@@ -303,8 +306,9 @@ class TestFaultInjector:
             ),
             n=4,
         )
-        assert injector.route(0, 2, 0.0, 1.0) == [4.0]  # held to the heal
-        assert injector.route(0, 1, 0.0, 1.0) == [1.0]  # same group: untouched
+        # Held to the heal; the same group is untouched.
+        assert route_one(injector, 0, 2, 0.0, 1.0) == [4.0]
+        assert route_one(injector, 0, 1, 0.0, 1.0) == [1.0]
         assert injector.messages_held == 1
 
     def test_routing_is_deterministic_per_seed(self):
@@ -315,14 +319,16 @@ class TestFaultInjector:
             seed=77,
         )
         trace_a = [
-            FaultInjector(plan, n=4).route(0, r, 0.1, 1.0) for r in (1, 2, 3)
+            route_one(FaultInjector(plan, n=4), 0, r, 0.1, 1.0)
+            for r in (1, 2, 3)
         ]
         injector = FaultInjector(plan, n=4)
-        trace_b = [injector.route(0, r, 0.1, 1.0) for r in (1, 2, 3)]
+        trace_b = [route_one(injector, 0, r, 0.1, 1.0) for r in (1, 2, 3)]
         # Per-injector streams restart from the plan seed; a fresh
         # injector consuming the same schedule replays the same routes.
         fresh = [
-            FaultInjector(plan, n=4).route(0, r, 0.1, 1.0) for r in (1, 2, 3)
+            route_one(FaultInjector(plan, n=4), 0, r, 0.1, 1.0)
+            for r in (1, 2, 3)
         ]
         assert trace_a == fresh
         assert trace_b[0] == trace_a[0]
@@ -477,7 +483,9 @@ class TestGstChurn:
         for send in (0.0, 3.0, 9.9):
             natural = send + self.BOUND
             for recipient in (1, 2, 3):
-                [delivery] = injector.route(0, recipient, send, natural)
+                [delivery] = route_one(
+                    injector, 0, recipient, send, natural
+                )
                 assert natural <= delivery <= self.GST + self.BOUND
         assert injector.faults_injected == 9
 
@@ -486,12 +494,12 @@ class TestGstChurn:
         # The window is half-open: a copy sent exactly at GST is free.
         for send in (self.GST, 12.0, 20.0):
             natural = send + 0.4
-            assert injector.route(0, 1, send, natural) == [natural]
+            assert route_one(injector, 0, 1, send, natural) == [natural]
         assert injector.faults_injected == 0
 
     def test_copy_already_past_the_cap_is_untouched(self):
         injector = self.injector()
-        assert injector.route(0, 1, 9.5, 11.5) == [11.5]
+        assert route_one(injector, 0, 1, 9.5, 11.5) == [11.5]
         assert injector.faults_injected == 0
 
     def test_window_is_half_open(self):
@@ -527,7 +535,8 @@ class TestGstChurn:
             got = {}
             for link in order:
                 got[link] = [
-                    injector.route(*link, send, send + 0.5) for send in sends
+                    route_one(injector, *link, send, send + 0.5)
+                    for send in sends
                 ]
             return got
 

@@ -27,7 +27,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.delays import FixedDelay
-from repro.sim.faults import DropLink, DuplicateLink, FaultInjector, FaultPlan
+from repro.sim.faults import (
+    DropLink,
+    DuplicateLink,
+    FaultInjector,
+    FaultPlan,
+    GstChurn,
+    Holdback,
+    Partition,
+    ReorderJitter,
+)
 from repro.sim.instrumentation import resolve_instrumentation
 from repro.sim.network import Network
 from repro.sim.scheduler import Simulator
@@ -39,8 +48,29 @@ from run_walk_oracle import ListNetwork
 #: numbers every copy; ``routed``: an empty plan (``_emit_routed``);
 #: ``faulted``: a plan that drops every copy to party 2 and duplicates
 #: every copy to party 1; ``remote``: every recipient is another
-#: shard's (``_emit_remote``).
-EMITTERS = ("run", "observed", "routed", "faulted", "remote")
+#: shard's (``_emit_remote``); ``chaos`` and ``chaos_remote``: a
+#: counter-stream plan with every primitive kind, on the local and the
+#: remote emitter, where the oracle routes copy by copy and the network
+#: in one packed pass per fan-out.
+EMITTERS = (
+    "run", "observed", "routed", "faulted", "remote", "chaos",
+    "chaos_remote",
+)
+#: The ``chaos`` kinds' plan: Bernoulli drops to party 2 and duplicates
+#: everywhere, churn, late jitter, a holdback out of party 0 and a
+#: partition around party 1, so copies of one fan-out draw different
+#: numbers of variates.
+CHAOS = FaultPlan(
+    drops=(DropLink(dst=2, prob=0.5),),
+    churns=(GstChurn(windows=((0.0, 0.5),), bound=0.5),),
+    jitters=(ReorderJitter(jitter=0.25, start=0.25),),
+    holdbacks=(Holdback(src=0, end=1.0, flush_delay=0.25),),
+    partitions=(Partition(
+        groups=((1,),), start=0.5, end=1.5, flush_delay=0.25,
+    ),),
+    duplicates=(DuplicateLink(prob=0.5, echo_delay=0.25),),
+    seed=7, stream="counter",
+)
 #: Per instant, far below the delays, the benchmark's lookahead, a
 #: quarter of the delay range, one unit, wider than every schedule.
 WIDTHS = (0.0, 1e-9, 0.05, 0.5, 1.0, 100.0)
@@ -110,6 +140,10 @@ def _network(cls, kind: str, n: int, offsets, width: float) -> Network:
         )
     elif kind == "remote":
         kwargs["parties"] = range(0, 1)
+    elif kind.startswith("chaos"):
+        kwargs["fault_injector"] = FaultInjector(CHAOS, n=n)
+        if kind == "chaos_remote":
+            kwargs["parties"] = range(0, 1)
     return cls(
         Simulator(lookahead=width), FixedDelay(1.0), n=n,
         start_offsets=list(offsets), **kwargs,
@@ -144,7 +178,7 @@ def _replay(cls, kind: str, width: float, script) -> list:
         )
 
     sim.schedule_batch = spy
-    emit = net._emit_remote if kind == "remote" else net._emit
+    emit = net._emit_remote if kind.endswith("remote") else net._emit
     for index, op in enumerate(ops):
         if op[0] == "pop":
             for _ in range(op[1]):
@@ -156,10 +190,14 @@ def _replay(cls, kind: str, width: float, script) -> list:
             sender, recipients, delays, ("m", index), send_time, emit,
         )))
     log.extend(_fired(entry) for entry in iter(queue.pop, None))
+    injector = net._injector
     log.append((
         net.deliveries_batched, net.delivery_runs_batched, net.outbuf,
         queue._live, queue._seq, queue.bucket_appends,
         queue.heap_pushes_avoided,
+        None if injector is None else injector.counters,
+        None if injector is None or injector._counter is None
+        else injector._counter._counters,
     ))
     return log
 
