@@ -73,10 +73,13 @@ ALLOWLIST: dict[str, str] = {
     "analysis/chaos.py:run_reproducer": FAILURE,
     "analysis/chaos.py:shrink_failing_plan": FAILURE,
     "analysis/chaos.py:shrink_plan": FAILURE,
+    "analysis/chaos.py:_violation": FAILURE,
     "analysis/chaos.py:write_reproducer": FAILURE,
     "errors.py:AgreementViolation.__init__": FAILURE,
     "errors.py:FaultPlanError.__init__": FAILURE,
     "errors.py:IntegrityViolation.__init__": FAILURE,
+    "errors.py:InvariantViolation.__init__": FAILURE,
+    "errors.py:TerminationViolation.__init__": FAILURE,
     "errors.py:ValidityViolation.__init__": FAILURE,
     "errors.py:ViewProgressViolation.__init__": FAILURE,
     "sim/faults.py:FaultPlan.from_json": FAILURE,
@@ -89,8 +92,6 @@ ALLOWLIST: dict[str, str] = {
     "sim/instrumentation.py:Instrumentation.note_commit_conflict": FAILURE,
     "sim/invariants.py:IntegrityMonitor.on_commit_conflict": FAILURE,
     "sim/invariants.py:InvariantMonitor.on_commit_conflict": FAILURE,
-    "sim/retransmit.py:ReliableLink.from_json": FAILURE,
-    "sim/retransmit.py:ReliableLink.to_json": FAILURE,
     "sim/runner.py:World.note_commit_conflict": FAILURE,
     "sim/scheduler.py:Simulator._reject": FAILURE,
     "sim/transcript.py:first_divergence": FAILURE,
@@ -106,6 +107,7 @@ ALLOWLIST: dict[str, str] = {
     "crypto/messages.py:digest_ex": FROZEN,
     "protocols/quorum.py:QuorumTracker.add_batch": FROZEN,
     "sim/events.py:EventQueue.release": FROZEN,
+    "sim/network.py:Network._deliver_tracked": FROZEN,
     "sim/transcript.py:Transcript.record_commit": FROZEN,
     "sim/transcript.py:Transcript.record_start": FROZEN,
     # A forwarded vote batch crosses a sync party's threshold before its

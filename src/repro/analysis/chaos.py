@@ -71,7 +71,6 @@ from repro.sim.invariants import (
     judge,
     standard_monitors,
 )
-from repro.sim.retransmit import ReliableLink
 
 
 @dataclass(frozen=True)
@@ -443,8 +442,7 @@ def _plan(tier: str, protocol: str, seed: int, stream: str) -> FaultPlan:
 _ROW_COUNTERS = (
     "faults_injected", "messages_dropped", "messages_duplicated",
     "messages_held", "partition_windows", "messages_sent",
-    "events_processed", "retransmissions", "acks_sent",
-    "retries_exhausted", "shards", "shard_batches_exchanged",
+    "events_processed", "shards", "shard_batches_exchanged",
     "shard_bytes_sent", "shard_barrier_rounds", "shard_fallback_reason",
 )
 
@@ -456,7 +454,6 @@ def run_chaos_plan(
     instrumentation: str = "perf",
     input_value: Any = "v",
     tier: str = "good-case",
-    reliable: ReliableLink | None = None,
     shards: int = 1,
 ) -> dict:
     """Run one faulted execution to its deadline, then judge it.
@@ -471,9 +468,7 @@ def run_chaos_plan(
     battery (the ``"viewchange"`` one judges liveness by
     :class:`~repro.sim.invariants.TerminationAfterGst` with GST = the
     plan's quiet time, plus
-    :class:`~repro.sim.invariants.ViewProgress`).  ``reliable`` attaches
-    a :class:`~repro.sim.retransmit.ReliableLink` policy to the world's
-    network and stretches the deadline by its retry tail.  Symbolic
+    :class:`~repro.sim.invariants.ViewProgress`).  Symbolic
     :class:`~repro.sim.faults.CrashLeader` entries are resolved here
     against the protocol's round-robin rotation (broadcaster 0).
 
@@ -495,7 +490,7 @@ def run_chaos_plan(
     plan = plan.resolve_leaders(
         lambda view: round_robin_leader(0, view, spec.n)
     )
-    quiet = plan.quiet_time(reliable)
+    quiet = plan.quiet_time()
     deadline = quiet + spec.slack
     kwargs: dict[str, Any] = {}
     if spec.timing == "async":
@@ -514,7 +509,6 @@ def run_chaos_plan(
         delay_policy=delay_policy,
         instrumentation=instrumentation,
         fault_plan=plan,
-        reliable_link=reliable,
         protocol_name=protocol,
         shards=shards,
     )
@@ -661,10 +655,10 @@ def shrink_failing_plan(
 ) -> FaultPlan:
     """Shrink against the real oracle: does the run still violate?
 
-    ``run_options`` (``instrumentation``, ``tier``, ``reliable``,
-    ``shards``) go to :func:`run_chaos_plan`, so candidates replay in
-    the mode that found the violation (``FaultPlan.without`` preserves
-    the plan's stream: a counter-stream reproducer shrinks as one).
+    ``run_options`` (``instrumentation``, ``tier``, ``shards``) go to
+    :func:`run_chaos_plan`, so candidates replay in the mode that found
+    the violation (``FaultPlan.without`` preserves the plan's stream: a
+    counter-stream reproducer shrinks as one).
     """
     return shrink_plan(
         plan,
@@ -685,17 +679,16 @@ def write_reproducer(
     protocol: str,
     plan: FaultPlan,
     tier: str = "good-case",
-    reliable: ReliableLink | None = None,
     expect: str = "clean",
     note: str = "",
 ) -> Path:
     """Write one ready-to-commit reproducer file; returns its path.
 
     The file is self-contained plain JSON — protocol, tier, the full
-    fault plan, the reliable-link policy (if any) and the expected
-    outcome (``"clean"`` or ``"violation"``) — so the regression corpus
-    (``tests/regressions/``) can replay it with :func:`run_reproducer`
-    years after the seed that found it stopped mattering.
+    fault plan and the expected outcome (``"clean"`` or
+    ``"violation"``) — so the regression corpus (``tests/regressions/``)
+    can replay it with :func:`run_reproducer` years after the seed that
+    found it stopped mattering.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -704,7 +697,6 @@ def write_reproducer(
         "tier": tier,
         "seed": plan.seed,
         "plan": plan.to_json(),
-        "reliable": reliable.to_json() if reliable is not None else None,
         "expect": expect,
         "note": note,
     }
@@ -716,8 +708,11 @@ def write_reproducer(
 def load_reproducer(path: str | Path) -> dict:
     """Parse one reproducer file back into runnable objects.
 
-    A file that is not JSON, lacks its ``plan`` or ``protocol`` key, or
-    holds a malformed plan raises :class:`FaultPlanError` naming it."""
+    A file that is not JSON, lacks its ``plan`` or ``protocol`` key,
+    holds a malformed plan, or carries a non-null ``reliable`` key (a
+    retry policy: the simulator has none, and replayed without it the
+    file would fail as an unexplained termination violation) raises
+    :class:`FaultPlanError` naming it."""
     try:
         data = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
@@ -725,6 +720,12 @@ def load_reproducer(path: str | Path) -> dict:
     for key in ("plan", "protocol"):
         if key not in data:
             raise FaultPlanError(f"{path}: no {key!r} key")
+    if data.get("reliable") is not None:
+        raise FaultPlanError(
+            f"{path}: 'reliable' key set, but the simulator has no "
+            "reliable link; express a copy that is lost and sent again "
+            "as a Holdback"
+        )
     try:
         plan = FaultPlan.from_json(data["plan"])
     except FaultPlanError as exc:
@@ -735,11 +736,6 @@ def load_reproducer(path: str | Path) -> dict:
         "protocol": data["protocol"],
         "tier": data.get("tier", "good-case"),
         "plan": plan,
-        "reliable": (
-            ReliableLink.from_json(data["reliable"])
-            if data.get("reliable")
-            else None
-        ),
         "expect": data.get("expect", "clean"),
         "note": data.get("note", ""),
     }
@@ -755,7 +751,6 @@ def run_reproducer(
         repro["plan"],
         instrumentation=instrumentation,
         tier=repro["tier"],
-        reliable=repro["reliable"],
     )
     clean = record["violation"] is None
     ok = clean == (repro["expect"] == "clean")
@@ -795,46 +790,6 @@ def run_viewchange_smoke(*, instrumentation: str = "perf") -> dict:
     ]
     failures = [row for row in rows if row["violation"] is not None]
     return {"rows": rows, "failures": failures, "ok": not failures}
-
-
-#: The smoke/demo retry policy: its 7.125-time-unit tail outlives the
-#: demo's 4.0-long total-loss window, so the last retry of even a t=0
-#: send lands after the drops stop.
-RELIABLE_DEMO_LINK = ReliableLink(rto=1.5, backoff=1.5, max_retries=3)
-
-#: Total inbound loss for one honest brb_2round party, long enough to
-#: swallow every good-case message.  Untolerated without retransmission
-#: (``check_tolerated`` rejects it), survivable with the demo link.
-RELIABLE_DEMO_PLAN = FaultPlan(
-    drops=(DropLink(dst=3, start=0.0, end=4.0, prob=1.0),), seed=11
-)
-
-
-def run_reliable_drop_demo(*, instrumentation: str = "perf") -> dict:
-    """The retransmission payoff, as an executable pair of runs.
-
-    The same honest-link total-loss plan runs twice over ``brb_2round``:
-    bare (the victim never hears anything — termination violation, the
-    loss the old model simply declared untolerated) and with
-    :data:`RELIABLE_DEMO_LINK` attached (the retry tail outlives the
-    window; the victim commits).  ``ok`` asserts exactly that contrast.
-    """
-    without = run_chaos_plan(
-        "brb_2round", RELIABLE_DEMO_PLAN, instrumentation=instrumentation
-    )
-    with_link = run_chaos_plan(
-        "brb_2round",
-        RELIABLE_DEMO_PLAN,
-        instrumentation=instrumentation,
-        reliable=RELIABLE_DEMO_LINK,
-    )
-    ok = (
-        without["violation"] is not None
-        and without["violation"]["invariant"] == "termination"
-        and with_link["violation"] is None
-        and with_link["retransmissions"] > 0
-    )
-    return {"without": without, "with": with_link, "ok": ok}
 
 
 # ---------------------------------------------------------------------- #

@@ -106,7 +106,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         CHAOS_SPECS,
         CHAOS_TIERS,
         run_chaos,
-        run_reliable_drop_demo,
         run_viewchange_smoke,
     )
 
@@ -172,17 +171,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
                     f"  FAIL {row['protocol']}: violation="
                     f"{row['violation']} views={row['commit_views']}"
                 )
-        # Retransmission gate: an honest-link total-loss plan must kill
-        # termination bare and survive with the reliable channel on.
-        demo = run_reliable_drop_demo(instrumentation=args.instrumentation)
-        print(
-            "reliable-drop demo: without="
-            f"{demo['without']['violation'] and demo['without']['violation']['invariant']}"
-            f" with=clean retransmissions={demo['with']['retransmissions']}"
-        )
-        if not demo["ok"]:
-            failed = True
-            print(f"  FAIL reliable-drop demo: {demo}")
     if not summary["violations"]:
         print("invariant violations: 0")
         return 1 if failed else 0
@@ -270,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--smoke", action="store_true",
         help="the CI gate: 8 plans per protocol (56 total) plus the "
-        "view-change and retransmission smoke checks, <60s",
+        "view-change smoke check, <60s",
     )
     p.add_argument(
         "--deep", action="store_true",

@@ -156,19 +156,7 @@ def _build(batch: tuple, indices: Iterable[int]) -> list[Entry]:
     :meth:`EventQueue.push_batch`): one comprehension per column layout,
     so building a copy is a tuple display and no call."""
     (times, priority, order_key, seq0, action,
-     sender, recipients, payload, msg_ids, transfers) = batch
-    if transfers is not None:
-        if msg_ids is None:
-            return [
-                (times[i], priority, order_key, seq0 + i, action,
-                 (sender, recipients[i], payload, None, transfers[i]))
-                for i in indices
-            ]
-        return [
-            (times[i], priority, order_key, seq0 + i, action,
-             (sender, recipients[i], payload, msg_ids[i], transfers[i]))
-            for i in indices
-        ]
+     sender, recipients, payload, msg_ids) = batch
     if msg_ids is not None:
         return [
             (times[i], priority, order_key, seq0 + i, action,
@@ -289,15 +277,13 @@ class EventQueue:
         recipients: Sequence[Any],
         payload: Any,
         msg_ids: Sequence[Any] | None = None,
-        transfers: Sequence[Any] | None = None,
         *,
         priority: int = 0,
         order_key: bytes = b"",
     ) -> int:
         """Schedule one fan-out: copy ``i`` fires ``action(sender,
         recipients[i], payload, msg_id)`` at ``times[i]``, where
-        ``msg_id`` is ``msg_ids[i]`` (``None`` without ``msg_ids``) and
-        ``transfers[i]`` is passed fifth when ``transfers`` is given.
+        ``msg_id`` is ``msg_ids[i]`` (``None`` without ``msg_ids``).
         All copies share one ``(priority, order_key)`` prefix; returns
         the number scheduled.
 
@@ -330,7 +316,7 @@ class EventQueue:
         schedule.
         """
         count = len(times)
-        for column in (recipients, msg_ids, transfers):
+        for column in (recipients, msg_ids):
             if column is not None and len(column) != count:
                 raise ValueError(
                     f"{count} instants for a column of {len(column)}"
@@ -339,7 +325,7 @@ class EventQueue:
         self._seq = seq0 + count
         batch = (
             times, priority, order_key, seq0, action,
-            sender, recipients, payload, msg_ids, transfers,
+            sender, recipients, payload, msg_ids,
         )
         width = self._width
         windows = self._windows

@@ -77,9 +77,8 @@ Adding a primitive
 ------------------
 
 1. A frozen dataclass with ``check(n)`` (its share of
-   :meth:`FaultPlan.validate`) and ``quiet(tail)`` (its share of
-   :meth:`FaultPlan.quiet_time`; ``tail`` is the reliable channel's
-   retry tail).
+   :meth:`FaultPlan.validate`) and ``quiet()`` (its share of
+   :meth:`FaultPlan.quiet_time`).
 2. A tuple-typed :class:`FaultPlan` field and its :data:`KINDS` row —
    ``primitives``, ``len``, ``without``, ``quiet_time``, ``validate``
    and the JSON codec loop over that table and read the dataclass
@@ -128,10 +127,10 @@ def _check_window(start: float, end: float, primitive: object) -> None:
 class _Outage:
     """The ``[at, recover)`` down window of both crash primitives."""
 
-    def quiet(self, tail: float) -> float:
+    def quiet(self) -> float:
         # Crash-stop is spent budget, not pending churn: only its onset
-        # counts.  A recovering party's peers may still be retrying.
-        return self.recover + tail if self.recover != INF else self.at
+        # counts.
+        return self.recover if self.recover != INF else self.at
 
 
 def _check_link(primitive: object, n: int) -> None:
@@ -167,9 +166,11 @@ class DropLink:
     """Bernoulli(``prob``) drop of copies on matching links.
 
     ``src``/``dst`` of ``None`` match any sender/recipient.  A dropped
-    copy is *lost* (this simulator never retransmits), so tolerated
+    copy is *lost*: the paper's channels are reliable, so a drop on an
+    honest link is outside the tolerated fault model, and tolerated
     plans restrict drops to links out of already-faulty parties — see
-    :meth:`FaultPlan.check_tolerated`.
+    :meth:`FaultPlan.check_tolerated`.  A copy that is only late is a
+    :class:`Holdback`.
     """
 
     src: PartyId | None = None
@@ -189,8 +190,8 @@ class DropLink:
         _check_link(self, n)
         _require(0.0 <= self.prob <= 1.0, f"drop prob {self.prob}", self)
 
-    def quiet(self, tail: float) -> float:
-        return self.end + tail if self.end != INF else 0.0
+    def quiet(self) -> float:
+        return self.end if self.end != INF else 0.0
 
 
 @dataclass(frozen=True)
@@ -221,7 +222,7 @@ class DuplicateLink:
             self.echo_delay >= 0, f"echo delay {self.echo_delay} < 0", self
         )
 
-    def quiet(self, tail: float) -> float:
+    def quiet(self) -> float:
         return self.end + self.echo_delay if self.end != INF else 0.0
 
 
@@ -251,7 +252,7 @@ class ReorderJitter:
         _check_link(self, n)
         _require(self.jitter >= 0, f"jitter {self.jitter} < 0", self)
 
-    def quiet(self, tail: float) -> float:
+    def quiet(self) -> float:
         return self.end + self.jitter if self.end != INF else 0.0
 
 
@@ -298,8 +299,8 @@ class Partition:
                 )
                 seen.add(member)
 
-    def quiet(self, tail: float) -> float:
-        return self.end + self.flush_delay + tail
+    def quiet(self) -> float:
+        return self.end + self.flush_delay
 
 
 @dataclass(frozen=True)
@@ -330,10 +331,8 @@ class GstChurn:
             _check_window(a, b, self)
             _require(b != INF, "churn window never closes", self)
 
-    def quiet(self, tail: float) -> float:
-        return max(
-            (b + self.bound + tail for _, b in self.windows), default=0.0
-        )
+    def quiet(self) -> float:
+        return max((b + self.bound for _, b in self.windows), default=0.0)
 
 
 @dataclass(frozen=True)
@@ -391,8 +390,8 @@ class Holdback:
             self.flush_delay >= 0, f"flush delay {self.flush_delay} < 0", self
         )
 
-    def quiet(self, tail: float) -> float:
-        return self.end + self.flush_delay + tail if self.end != INF else 0.0
+    def quiet(self) -> float:
+        return self.end + self.flush_delay if self.end != INF else 0.0
 
 
 #: The one list of primitive kinds, in canonical order: the
@@ -545,26 +544,14 @@ class FaultPlan:
             self, crashes=self.crashes + resolved, leader_crashes=()
         )
 
-    def quiet_time(self, reliable: object = None) -> float:
+    def quiet_time(self) -> float:
         """Earliest instant after which the plan injects nothing more.
 
-        The latest of every primitive's own ``quiet(tail)``.  Crash-stop
+        The latest of every primitive's own ``quiet()``.  Crash-stop
         windows (``recover=INF``) do not push this out — a permanently
         crashed party is spent budget, not pending churn.
-
-        With a :class:`~repro.sim.retransmit.ReliableLink` policy in
-        play, disruption windows grow a *tail*: a copy first sent just
-        before a window closes keeps retrying for up to
-        ``reliable.backoff_tail()`` afterwards, so every finite window
-        that loses or holds copies (drops, recovering crashes, churn,
-        partitions, holdbacks) extends by that tail before the run is
-        truly quiet.
         """
-        tail = (
-            reliable.backoff_tail()  # type: ignore[attr-defined]
-            if reliable is not None else 0.0
-        )
-        return max([0.0, *(p.quiet(tail) for p in self.primitives())])
+        return max([0.0, *(p.quiet() for p in self.primitives())])
 
     # ------------------------------------------------------------------ #
     # validation
@@ -587,7 +574,7 @@ class FaultPlan:
         return self
 
     def check_tolerated(
-        self, *, n: int, f: int, deadline: float, reliable: object = None
+        self, *, n: int, f: int, deadline: float
     ) -> list[str]:
         """Why this plan exceeds the tolerated fault bounds (empty = ok).
 
@@ -596,10 +583,8 @@ class FaultPlan:
         case every resolved leader is distinct); every partition and
         holdback released (flush included) before ``deadline``; every
         churn window resolved before ``deadline``; message *loss* only
-        on links out of (or into) already-faulty parties — *unless* a
-        :class:`~repro.sim.retransmit.ReliableLink` policy is attached
-        whose retry tail outlives the drop window, in which case a
-        finite honest-link drop window becomes survivable delay.
+        on links out of (or into) already-faulty parties, since the
+        paper's channels between honest parties are reliable.
         """
         problems: list[str] = []
         crashed = self.crashed_parties()
@@ -611,26 +596,17 @@ class FaultPlan:
                 f"{crash_budget} crashed parties exceeds budget f={f}"
             )
         for p in (*self.partitions, *self.holdbacks, *self.churns):
-            if p.quiet(0.0) >= deadline:
+            if p.quiet() >= deadline:
                 problems.append(
-                    f"{p} resolves at {p.quiet(0.0)}, "
+                    f"{p} resolves at {p.quiet()}, "
                     f"after deadline {deadline}"
                 )
         for d in self.drops:
             if d.prob <= 0 or d.src in crashed or d.dst in crashed:
                 continue
-            if (
-                reliable is not None
-                and d.end != INF
-                and reliable.backoff_tail()  # type: ignore[attr-defined]
-                > d.end - d.start
-            ):
-                # Retransmission outlives the window: a copy sent at
-                # the window's open still gets a post-window retry.
-                continue
             problems.append(
                 f"drop on honest link {d.src}->{d.dst} "
-                "(no retransmission: honest loss is untolerated)"
+                "(honest loss is untolerated)"
             )
         return problems
 
@@ -721,7 +697,9 @@ class FaultInjector:
     (:meth:`route`).  The crash seam answers per party and instant
     (:meth:`party_down`, :meth:`block_send`, :meth:`block_delivery`),
     and :meth:`down_from` tells the world which terminated parties it
-    may stop delivering to.
+    may stop delivering to.  Every copy is routed once, when it is
+    sent: a copy the plan drops is gone, and one it retimes is only
+    late.
     """
 
     def __init__(self, plan: FaultPlan, *, n: int) -> None:

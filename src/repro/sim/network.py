@@ -28,8 +28,8 @@ local ranges, and ``_emit_remote`` appends each of their runs to
 ``outbuf`` as a wire record instead of scheduling it (see
 :mod:`repro.sim.shard`).  A full-range network has no remote range.
 
-Every send — unicast, multicast, retransmission, and the remote ranges
-— runs one four-stage pipeline: **price** (the policy or the override
+Every send — unicast, multicast and the remote ranges — runs one
+four-stage pipeline: **price** (the policy or the override
 yields one delay per recipient), **instant**
 (``Network._fan_out`` / ``_runs`` turn delays into quantized delivery
 instants: the only place the INF-drop, negative-delay and pre-start
@@ -44,12 +44,12 @@ for ``INF``) without a walk.
 The emitter is chosen once per network: ``_emit_run``
 folds an unobserved run into one ``_deliver_many`` event and gathers
 every other copy as a ``_deliver`` event; ``_emit_routed`` takes over
-when a per-copy seam is attached, and hands the fan-out's copies to
-each seam as columns in one call.  Either way emit crosses the scheduler
+when a fault plan is attached, and hands the fan-out's copies to the
+injector as columns in one call.  Either way emit crosses the scheduler
 **once per fan-out**, not once per copy: the copies go over in
 recipient order as typed columns — instants in an ``array('d')``, the
 recipients as the fan-out's ``range`` or an integer array, plus msg ids
-or reliable transfers only when those exist — in one
+only when an accountant numbers them — in one
 ``schedule_batch`` (a folded run in mid-fan-out flushes what was
 gathered first, so sequence numbers are those of a per-copy loop).
 The emitter also owns the deferral of the order-key digest: it digests
@@ -65,7 +65,7 @@ run and has each live recipient tally it, skips terminated recipients,
 and hands any other payload to each live recipient's ``deliver``.  A
 per-copy ``_deliver`` to a terminated party may never fire at all: a
 world that lets the simulator cull (``World._enable_culling``: no
-observer, no reliable link) has such copies skipped when their window
+accountant) has such copies skipped when their window
 opens, and ``messages_delivered`` counts each of them as the delivery
 it would have been.  Under a fault plan that holds only for a party no
 crash window can reach after its termination; copies to any other
@@ -89,7 +89,6 @@ path replays byte-identically.
 from __future__ import annotations
 
 from array import array
-from functools import partial
 from itertools import islice, repeat
 from operator import eq
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
@@ -104,7 +103,6 @@ from repro.types import INF, PartyId
 if TYPE_CHECKING:
     from repro.sim.faults import FaultInjector
     from repro.sim.instrumentation import Instrumentation
-    from repro.sim.retransmit import ReliableLink, _Transfer
 
 #: Delivery callback: (sender, payload) -> None
 DeliverFn = Callable[[PartyId, Any], None]
@@ -131,7 +129,6 @@ class Network:
         start_offsets: list[float] | None = None,
         instrumentation: "Instrumentation | None" = None,
         fault_injector: "FaultInjector | None" = None,
-        reliable_link: "ReliableLink | None" = None,
         parties: range | None = None,
     ):
         self._sim = sim
@@ -141,22 +138,10 @@ class Network:
         # branch below is a single is-None test — the no-fault path
         # stays byte-identical to a build without fault injection.
         self._injector = fault_injector
-        # Opt-in reliable channel (ack + bounded-backoff retransmission):
-        # like the injector, ``None`` when unused.
-        if reliable_link is not None:
-            from repro.sim.retransmit import ReliableChannel
-
-            self._reliable = ReliableChannel(
-                reliable_link, sim, self._retransmit
-            )
-        else:
-            self._reliable = None
-        # Both seams act per copy (registration, routing and ack), so
-        # their presence swaps the emitter for the whole network.
+        # The fault seam routes per copy, so a plan swaps the emitter for
+        # the whole network.
         self._emit: Emitter = (
-            self._emit_run
-            if fault_injector is None and reliable_link is None
-            else self._emit_routed
+            self._emit_run if fault_injector is None else self._emit_routed
         )
         self._n = n
         self._byzantine = byzantine
@@ -312,7 +297,7 @@ class Network:
         if include_self:
             self.messages_sent += 1
             # Straight onto the timeline: a self-delivery is never routed
-            # through the injector or tracked by the channel.
+            # through the injector.
             if order_key is None:
                 order_key = digest(payload)
             self._sim.schedule_at(
@@ -351,7 +336,7 @@ class Network:
         """Turn priced delays into delivery instants and emit them as runs.
 
         The single home of the delivery rules, shared by unicast,
-        multicast, retransmission and the sharded remote ranges: a copy
+        multicast and the sharded remote ranges: a copy
         sent at ``send_time`` with delay ``d`` lands at
         ``quantize(max(send_time + d, start offset))`` (pre-start
         arrivals are buffered until the recipient starts), ``INF`` drops
@@ -478,28 +463,27 @@ class Network:
     # copies go over as typed columns: instants in an ``array('d')``; the
     # recipients as the fan-out's own sequence (a multicast's ``range``)
     # when every recipient gets exactly one copy, in an integer array
-    # otherwise; msg ids in an integer array and transfers in a list,
-    # only when they exist.  The queue keeps the columns until a copy's
-    # window opens, so no copy in flight holds a Python object of its own.
+    # otherwise; msg ids in an integer array, only when they exist.  The
+    # queue keeps the columns until a copy's window opens, so no copy in
+    # flight holds a Python object of its own.
 
     def _schedule_copies(
         self,
         times: array,
-        deliver: Callable[..., None],
         sender: PartyId,
         targets: Sequence[PartyId],
         payload: Any,
         order_key: bytes | None,
         msg_ids: array | None = None,
-        transfers: list | None = None,
     ) -> bytes:
         """Hand the copies a fan-out has gathered (at least one) to the
-        scheduler in one call.  The queue keeps the columns, so the
-        caller gathers any later copies into new arrays."""
+        scheduler in one call, each a :meth:`_deliver`.  The queue keeps
+        the columns, so the caller gathers any later copies into new
+        arrays."""
         if order_key is None:
             order_key = digest(payload)
         self._sim.schedule_batch(
-            times, deliver, sender, targets, payload, msg_ids, transfers,
+            times, self._deliver, sender, targets, payload, msg_ids,
             order_key=order_key,
         )
         return order_key
@@ -539,8 +523,7 @@ class Network:
         observed = accountant is not None
         if instants is not None:
             return self._schedule_copies(
-                instants, self._deliver, sender, recipients, payload,
-                order_key,
+                instants, sender, recipients, payload, order_key,
                 array(_PARTY, [accountant.register_send() for _ in instants])
                 if observed else None,
             )
@@ -558,7 +541,7 @@ class Network:
             # Only an unobserved run folds, so there are no msg ids here.
             if times:
                 order_key = self._schedule_copies(
-                    times, self._deliver, sender, targets, payload, order_key
+                    times, sender, targets, payload, order_key
                 )
                 times, targets = array("d"), array(_PARTY)
             elif order_key is None:
@@ -574,7 +557,7 @@ class Network:
             )
         if times:
             order_key = self._schedule_copies(
-                times, self._deliver, sender,
+                times, sender,
                 # All of them, one each: nothing folded or dropped.
                 recipients if len(targets) == len(recipients) else targets,
                 payload, order_key, msg_ids,
@@ -590,58 +573,36 @@ class Network:
         send_time: float,
         order_key: bytes | None,
         instants: array | None = None,
-        transfer: "_Transfer | None" = None,
     ) -> bytes | None:
-        """Emit a fan-out through the per-copy seams, in one pass each.
+        """Emit a fan-out through the fault seam, in one pass.
 
         The fan-out's copies are laid out as columns (:func:`_copies`).
-        Reliable-channel seam: each cross-party copy is tracked *before*
-        the injector gets a chance to drop it — recovering exactly that
-        loss is the channel's job (a retransmission passes the
-        ``transfer`` it is re-sending instead).  Fault seam: one
-        :meth:`FaultInjector.route <repro.sim.faults.FaultInjector.route>`
-        call takes the columns and may drop, retime, or duplicate each
-        copy.  Every surviving landing becomes one ``_deliver`` event
-        (``_deliver_tracked`` on a network with a channel), in recipient
-        order, as the columns :meth:`_emit_run` gathers (plus the
-        transfers, in a list), scheduled as one batch — only then, and
-        only if a copy survived, is the payload digested.  The recipient
-        array gives way to ``recipients`` itself when it holds exactly
-        them, in order.
+        One :meth:`FaultInjector.route
+        <repro.sim.faults.FaultInjector.route>` call takes the columns
+        and may drop, retime, or duplicate each copy.  Every surviving
+        landing becomes one ``_deliver`` event, in recipient order, as
+        the columns :meth:`_emit_run` gathers, scheduled as one batch —
+        only then, and only if a copy survived, is the payload digested.
+        The recipient array gives way to ``recipients`` itself when it
+        holds exactly them, in order.
         """
-        injector = self._injector
-        reliable = self._reliable
         accountant = self._accountant
-        column, landings = _copies(recipients, runs, instants)
+        column, times = _copies(recipients, runs, instants)
+        if not times:
+            return order_key
+        landings, picks = self._injector.route(
+            sender, column, send_time, times
+        )
         if not landings:
             return order_key
-        tracked: list | None = None
-        if transfer is not None:
-            tracked = [transfer] * len(column)
-        elif reliable is not None:
-            tracked = [
-                reliable.register(sender, recipient, payload)
-                if recipient != sender else None
-                for recipient in column
-            ]
-        times = landings
-        picks = None
-        if injector is not None:
-            landings, picks = injector.route(
-                sender, column, send_time, landings
-            )
-            if not landings:
-                return order_key
-            if landings is not times:
-                times = array("d", map(
-                    round, landings, repeat(TIME_DECIMALS, len(landings))
-                ))
+        if landings is not times:
+            times = array("d", map(
+                round, landings, repeat(TIME_DECIMALS, len(landings))
+            ))
         if picks is None:
             targets = column
         else:
             targets = array(_PARTY, [column[pick] for pick in picks])
-            if tracked is not None:
-                tracked = [tracked[pick] for pick in picks]
         # A duplicate can stand in for a dropped copy: compare the
         # recipients, not only their count.
         if targets is not recipients and len(targets) == len(
@@ -649,12 +610,9 @@ class Network:
         ) and targets == array(_PARTY, recipients):
             targets = recipients
         return self._schedule_copies(
-            times,
-            self._deliver_tracked if tracked is not None else self._deliver,
-            sender, targets, payload, order_key,
+            times, sender, targets, payload, order_key,
             array(_PARTY, [accountant.register_send() for _ in times])
             if accountant is not None else None,
-            tracked,
         )
 
     def _emit_remote(
@@ -770,96 +728,12 @@ class Network:
         have been."""
         self.messages_delivered += count
 
-    def _deliver_tracked(
-        self,
-        sender: PartyId,
-        recipient: PartyId,
-        payload: Any,
-        msg_id: int | None,
-        transfer: "_Transfer | None",
-    ) -> None:
-        """The reliable-channel twin of :meth:`_deliver`.
-
-        Same delivery rules; on the first copy that actually reaches the
-        inbox (not discarded by a crash window) the channel is told to
-        ack, stopping the retry chain (``transfer`` is ``None`` for the
-        one copy a channel never tracks, a party's unicast to itself).
-        Only scheduled when a channel is attached, so :meth:`_deliver`
-        itself stays untouched.
-        """
-        inbox = self._inboxes[recipient]
-        if inbox is None:
-            return
-        if self._injector is not None and self._injector.block_delivery(
-            recipient, self._sim.now
-        ):
-            return  # recipient down: no ack, the retry chain recovers it
-        if transfer is not None:
-            self._reliable.acknowledge(transfer)
-        self.messages_delivered += 1
-        if self._accountant is not None and msg_id is not None:
-            self._accountant.begin_delivery_step(recipient, msg_id)
-            try:
-                inbox(sender, payload)
-            finally:
-                self._accountant.end_step()
-        else:
-            inbox(sender, payload)
-
-    def _retransmit(self, transfer: "_Transfer") -> bool:
-        """Re-send one tracked copy (the reliable channel's resend hook).
-
-        The retry is re-priced through the delay policy at the current
-        instant and routed through the injector again — a resend can be
-        dropped, jittered or duplicated exactly like an original.  A
-        sender inside a crash window retransmits nothing (returns
-        ``False``); its chain keeps ticking and resumes after recovery.
-        """
-        send_time = self._sim.now
-        if self._injector is not None and self._injector.block_send(
-            transfer.sender, send_time
-        ):
-            return False
-        delay = self._policy.delay(
-            transfer.sender, transfer.recipient, transfer.payload, send_time
-        )
-        if delay == INF:
-            return False
-        self.messages_sent += 1
-        self._fan_out(
-            transfer.sender, (transfer.recipient,), (delay,),
-            transfer.payload, send_time,
-            partial(self._emit_routed, transfer=transfer),
-        )
-        return True
-
-    # ------------------------------------------------------------------ #
-    # reliable-channel counters (read by World.result)
-    # ------------------------------------------------------------------ #
-
-    @property
-    def retransmissions(self) -> int:
-        return (
-            self._reliable.counters.retransmissions
-            if self._reliable is not None
-            else 0
-        )
-
-    @property
-    def acks_sent(self) -> int:
-        return (
-            self._reliable.counters.acks_sent
-            if self._reliable is not None
-            else 0
-        )
-
-    @property
-    def retries_exhausted(self) -> int:
-        return (
-            self._reliable.counters.retries_exhausted
-            if self._reliable is not None
-            else 0
-        )
+    def _deliver_tracked(self, *args: Any) -> None:
+        """Does nothing and is never called: every copy is a
+        :meth:`_deliver`.  Kept only because ``benchmarks/e2e/adapters.py``
+        still lists it among the traced entry points (it delivered a
+        copy the reliable channel tracked once); it goes when that list
+        does."""
 
 
 def _copies(

@@ -58,7 +58,6 @@ class World:
         start_offsets: list[float] | None = None,
         instrumentation: str | Instrumentation | None = None,
         fault_plan: FaultPlan | None = None,
-        reliable_link: Any = None,
         protocol_name: str | None = None,
         shards: int = 1,
         parties: range | None = None,
@@ -109,10 +108,6 @@ class World:
         self.fault_injector = (
             FaultInjector(fault_plan, n=n) if fault_plan is not None else None
         )
-        # Opt-in reliable channel (``sim/retransmit.py``): like the fault
-        # plan, ``None`` keeps the network free of the per-copy tracking
-        # seams entirely.
-        self.reliable_link = reliable_link
         self.parties = range(n) if parties is None else parties
         self.network = Network(
             self.sim,
@@ -122,7 +117,6 @@ class World:
             start_offsets=self.start_offsets,
             instrumentation=self.instrumentation,
             fault_injector=self.fault_injector,
-            reliable_link=reliable_link,
             parties=self.parties,
         )
         self.agents: dict[PartyId, Agent] = {}
@@ -237,11 +231,11 @@ class World:
 
         Sharding is a pure performance mode: any configured feature whose
         semantics need global per-copy visibility (the observers — round
-        accounting and view digests —, a sequential-stream fault plan,
-        the reliable channel), a delay policy whose pricing is not a
-        pure per-link function, or scripted Byzantine behaviors falls
-        back to ``shards=1`` — the caller's results are identical either
-        way, sharding only changes the wall clock.  Invariant monitors
+        accounting and view digests — and a sequential-stream fault
+        plan), a delay policy whose pricing is not a pure per-link
+        function, or scripted Byzantine behaviors falls back to
+        ``shards=1`` — the caller's results are identical either way,
+        sharding only changes the wall clock.  Invariant monitors
         force nothing: :func:`repro.sim.invariants.judge` replays them
         over the merged result after the run.  The rule that fired is
         recorded as ``shard_fallback_reason`` and surfaced on
@@ -264,8 +258,6 @@ class World:
             reason = "observers"
         elif self.fault_plan is not None and not self.fault_plan.shard_safe():
             reason = "fault-plan"
-        elif self.reliable_link is not None:
-            reason = "reliable-link"
         elif behavior_factory is not None:
             reason = "behavior-factory"
         elif not self._delay_policy.shard_safe():
@@ -328,10 +320,9 @@ class World:
         without effect (the contract on :meth:`Party.deliver
         <repro.sim.process.Party.deliver>`), unless something observes
         the copy on its way in: a view digest or a round accountant (the
-        observers) or a reliable channel's ack.  With none of those,
-        such a copy is indistinguishable from no copy at all, and the
-        simulator may skip it when its window opens
-        (:meth:`~repro.sim.scheduler.Simulator.cull_copies`); it still
+        observers).  Without them, such a copy is indistinguishable from
+        no copy at all, and the simulator may skip it when its window
+        opens (:meth:`~repro.sim.scheduler.Simulator.cull_copies`); it still
         counts as a processed event and a delivered message, so every
         count and instant the run reports is unchanged.  A fault plan
         does not stop this: the one thing it does at delivery is discard
@@ -340,7 +331,7 @@ class World:
         copies keep going through the crash seam and its drops are
         counted.
         """
-        if self.accountant is not None or self.reliable_link is not None:
+        if self.accountant is not None:
             return
         self._terminated = bytearray(self.n)
         self.sim.cull_copies(self._terminated, self.network.note_culled)
@@ -472,9 +463,6 @@ class World:
             ),
             messages_held=injector.messages_held if injector else 0,
             partition_windows=injector.partition_windows if injector else 0,
-            retransmissions=self.network.retransmissions,
-            acks_sent=self.network.acks_sent,
-            retries_exhausted=self.network.retries_exhausted,
             shard_fallback_reason=self.shard_fallback_reason,
             copies_culled=self.sim.copies_culled,
         )
@@ -513,8 +501,7 @@ class RunResult:
     heap_pushes_avoided: int = 0
     #: Copies delivered through batched ``_deliver_many`` run events and
     #: the number of such events; both 0 whenever every copy had to stay
-    #: its own event (an observer, the fault injector or the reliable
-    #: channel attached).
+    #: its own event (an observer or the fault injector attached).
     deliveries_batched: int = 0
     delivery_runs_batched: int = 0
     #: Tally updates across every party's quorum trackers.
@@ -531,10 +518,6 @@ class RunResult:
     messages_duplicated: int = 0
     messages_held: int = 0
     partition_windows: int = 0
-    #: Reliable-channel counters; all 0 without a ``reliable_link``.
-    retransmissions: int = 0
-    acks_sent: int = 0
-    retries_exhausted: int = 0
     #: Worker processes the run executed across (1 = single-process) and
     #: the number of cross-shard message batches the coordinator routed
     #: between them (0 whenever ``shards == 1``).
@@ -542,8 +525,8 @@ class RunResult:
     shard_batches_exchanged: int = 0
     #: Which forced-``shards=1`` rule fired when sharding was requested
     #: but refused (``None`` = never requested, or granted in full).
-    #: One of ``"observers"``, ``"fault-plan"``, ``"reliable-link"``,
-    #: ``"behavior-factory"``, ``"delay-policy"``, ``"world-too-small"``.
+    #: One of ``"observers"``, ``"fault-plan"``, ``"behavior-factory"``,
+    #: ``"delay-policy"``, ``"world-too-small"``.
     shard_fallback_reason: str | None = None
     #: Coordinator-pipe traffic: bytes framed across the barrier in both
     #: directions, and the number of barrier sub-step rounds the
@@ -625,7 +608,6 @@ def run_broadcast(
     max_events: int | None = None,
     instrumentation: str | Instrumentation | None = None,
     fault_plan: FaultPlan | None = None,
-    reliable_link: Any = None,
     protocol_name: str | None = None,
     shards: int = 1,
 ) -> RunResult:
@@ -638,7 +620,6 @@ def run_broadcast(
         start_offsets=start_offsets,
         instrumentation=instrumentation,
         fault_plan=fault_plan,
-        reliable_link=reliable_link,
         protocol_name=protocol_name,
         shards=shards,
     )

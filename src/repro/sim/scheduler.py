@@ -21,7 +21,7 @@ entry or a record that ends up referring to itself would stay in memory
 until the next collection after the run.
 ``tests/sim/test_collector_pause.py`` pins that invariant
 (``gc.collect()`` finds nothing right after a run across the delay,
-fault, retransmit, instrumentation, view-change and witness paths) and
+fault, instrumentation, view-change and witness paths) and
 shows that the check does see a cycle.  ``gc``'s switch is
 process-wide: two drains on different threads can only re-enable it
 early for each other, which costs collector time, never correctness.
@@ -122,8 +122,7 @@ class Simulator:
         copies would have fired.  The caller vouches that every batch
         copy is a delivery to its recipient that such a party would drop
         without effect: the world enables this only where the batches
-        are plain network deliveries (a tracked one needs a reliable
-        link, which keeps culling off) and a terminated party drops what
+        are plain network deliveries and a terminated party drops what
         it is handed unread (see
         :meth:`repro.sim.process.Party.deliver`).  A partial
         drain (``until``, ``max_events``, :meth:`run_before`) never
@@ -193,15 +192,13 @@ class Simulator:
         recipients: Sequence[Any],
         payload: Any,
         msg_ids: Sequence[Any] | None = None,
-        transfers: Sequence[Any] | None = None,
         *,
         priority: int = 0,
         order_key: bytes = b"",
     ) -> int:
         """Schedule a fan-out in one queue call: copy ``i`` fires
         ``action(sender, recipients[i], payload, msg_id)`` at
-        ``times[i]`` (``msg_id`` from the optional ``msg_ids`` column,
-        ``transfers[i]`` appended when that column is given; see
+        ``times[i]`` (``msg_id`` from the optional ``msg_ids`` column; see
         :meth:`~repro.sim.events.EventQueue.push_batch`).  Equivalent to
         a loop of transient :meth:`schedule_at` — same sequence numbers,
         same firing order, the whole batch checked before any of it is
@@ -210,7 +207,7 @@ class Simulator:
         columns until the copies fire: do not change them afterwards.
         """
         count = len(times)
-        for column in (recipients, msg_ids, transfers):
+        for column in (recipients, msg_ids):
             if column is not None and len(column) != count:
                 raise SimulationError(
                     f"{count} instants for {len(column)} copies"
@@ -228,7 +225,7 @@ class Simulator:
         if latest > self._latest:
             self._latest = latest
         return self._queue.push_batch(
-            times, action, sender, recipients, payload, msg_ids, transfers,
+            times, action, sender, recipients, payload, msg_ids,
             priority=priority, order_key=order_key,
         )
 

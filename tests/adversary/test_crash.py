@@ -77,7 +77,7 @@ class TestTimedCrashBehavior:
         assert not crasher.is_down(1.5)
         brain = crasher.hosted[CrashBehavior.BRAIN]
         # Hellos from 0/1/2 arrive at t=1.0 — inside [0.5, 1.5) — and are
-        # lost (crash-faulty parties get no retransmission).
+        # lost (a copy landing in a crash window is dropped, not redelivered).
         assert brain.heard == []
 
     def test_covered_start_reboots_at_recovery(self):

@@ -149,6 +149,6 @@ class TestKindsTable:
             smaller = plan.without(primitive)
             assert len(smaller) == len(KINDS) - 1
             assert primitive not in smaller.primitives()
-            assert primitive.quiet(0.0) > 0.0
+            assert primitive.quiet() > 0.0
         assert plan.quiet_time() == 8.0
         assert FaultPlan.from_json(plan.to_json()) == plan

@@ -1,11 +1,12 @@
-"""Tests for the view-change chaos tier and the reliable-drop demo.
+"""Tests for the view-change chaos tier and the reproducer files.
 
-The PR 8 gates: every psync protocol must commit in a view >= 2 under
-the pinned leader-crash plan with zero violations; the seeded
-view-change generator must stay deterministic and always kill view 1;
-an honest-link total-loss plan must fail termination bare and survive
-with the reliable channel attached; and reproducer files must round-trip
-through JSON so the regression corpus can replay them.
+Every psync protocol must commit in a view >= 2 under the pinned
+leader-crash plan with zero violations; the seeded view-change
+generator must stay deterministic and always kill view 1; total loss
+on an honest party's inbound links must fail termination while the same
+window held is only delay; and reproducer files must round-trip
+through JSON so the regression corpus can replay them, while a file
+naming a retry policy is refused.
 """
 from __future__ import annotations
 
@@ -15,22 +16,30 @@ import pytest
 
 from repro.analysis.chaos import (
     CHAOS_SPECS_VIEWCHANGE,
-    RELIABLE_DEMO_LINK,
-    RELIABLE_DEMO_PLAN,
     VIEWCHANGE_MAX_VIEW,
     load_reproducer,
     random_viewchange_plan,
     run_chaos,
     run_chaos_plan,
-    run_reliable_drop_demo,
     run_reproducer,
     run_viewchange_smoke,
     viewchange_smoke_plans,
     write_reproducer,
 )
 from repro.errors import FaultPlanError
-from repro.sim.faults import CrashLeader, FaultPlan
-from repro.sim.retransmit import ReliableLink
+from repro.sim.faults import CrashLeader, DropLink, FaultPlan, Holdback
+
+#: Total inbound loss for one honest brb_2round party, long enough to
+#: swallow every good-case message: untolerated, and fatal to
+#: termination.
+TOTAL_LOSS_PLAN = FaultPlan(
+    drops=(DropLink(dst=3, start=0.0, end=4.0, prob=1.0),), seed=11
+)
+
+#: The same window held instead of lost: delay, inside the model.
+HELD_PLAN = FaultPlan(
+    holdbacks=(Holdback(dst=3, start=0.0, end=4.0),), seed=11
+)
 
 
 class TestRandomViewchangePlan:
@@ -126,25 +135,24 @@ class TestViewchangeTierExecution:
         assert summary["rows"][0]["tier"] == "good-case"
 
 
-class TestReliableDropDemo:
-    def test_retransmission_turns_fatal_loss_into_delay(self):
-        demo = run_reliable_drop_demo()
-        assert demo["ok"], demo
-        assert demo["without"]["violation"]["invariant"] == "termination"
-        assert demo["with"]["violation"] is None
-        assert demo["with"]["retransmissions"] > 0
-        assert demo["with"]["retries_exhausted"] == 0
+class TestLossVersusHold:
+    def test_holdback_turns_fatal_loss_into_delay(self):
+        lost = run_chaos_plan("brb_2round", TOTAL_LOSS_PLAN)
+        assert lost["violation"]["invariant"] == "termination"
+        assert lost["messages_dropped"] > 0
+        held = run_chaos_plan("brb_2round", HELD_PLAN)
+        assert held["violation"] is None
+        assert held["messages_held"] > 0
+        assert held["messages_dropped"] == 0
 
-    def test_demo_link_tail_outlives_the_drop_window(self):
-        drop = RELIABLE_DEMO_PLAN.drops[0]
-        assert RELIABLE_DEMO_LINK.backoff_tail() > drop.end - drop.start
+    def test_only_the_held_plan_is_tolerated(self):
+        assert TOTAL_LOSS_PLAN.check_tolerated(n=4, f=1, deadline=20.0)
+        assert HELD_PLAN.check_tolerated(n=4, f=1, deadline=20.0) == []
 
-    def test_reliable_deadline_is_stretched_by_the_tail(self):
-        bare = run_chaos_plan("brb_2round", RELIABLE_DEMO_PLAN)["deadline"]
-        stretched = run_chaos_plan(
-            "brb_2round", RELIABLE_DEMO_PLAN, reliable=RELIABLE_DEMO_LINK
-        )["deadline"]
-        assert stretched == bare + RELIABLE_DEMO_LINK.backoff_tail()
+    def test_deadline_is_stretched_by_the_release(self):
+        bare = run_chaos_plan("brb_2round", FaultPlan(seed=11))["deadline"]
+        held = run_chaos_plan("brb_2round", HELD_PLAN)["deadline"]
+        assert held == bare + HELD_PLAN.quiet_time() == bare + 4.0
 
 
 class TestReproducerFiles:
@@ -161,28 +169,31 @@ class TestReproducerFiles:
         loaded = load_reproducer(path)
         assert loaded["plan"] == plan
         assert loaded["tier"] == "viewchange"
-        assert loaded["reliable"] is None
+        assert "reliable" not in json.loads(path.read_text())
         assert loaded["expect"] == "clean"
         replay = run_reproducer(path)
         assert replay["ok"], replay
 
-    def test_reliable_link_survives_the_round_trip(self, tmp_path):
-        link = ReliableLink(rto=1.5, backoff=1.5, max_retries=3)
+    def test_retry_policy_is_rejected_with_the_file_named(self, tmp_path):
+        # An old reproducer that leaned on a retry policy must not replay
+        # without it as an unexplained termination violation.
         path = write_reproducer(
-            tmp_path,
-            protocol="brb_2round",
-            plan=RELIABLE_DEMO_PLAN,
-            reliable=link,
+            tmp_path, protocol="brb_2round", plan=TOTAL_LOSS_PLAN
         )
-        loaded = load_reproducer(path)
-        assert loaded["reliable"] == link
-        replay = run_reproducer(path)
-        assert replay["ok"], replay
+        doc = json.loads(path.read_text())
+        doc["reliable"] = None
+        path.write_text(json.dumps(doc))
+        assert load_reproducer(path)["plan"] == TOTAL_LOSS_PLAN
+        doc["reliable"] = {"rto": 1.5, "backoff": 1.5, "max_retries": 3}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FaultPlanError) as caught:
+            load_reproducer(path)
+        assert str(caught.value).startswith(f"{path}: 'reliable' key set")
 
     def test_malformed_plan_is_rejected_with_the_file_named(self, tmp_path):
         # A typo'd kind must not replay as an empty, vacuously clean plan.
         path = write_reproducer(
-            tmp_path, protocol="brb_2round", plan=RELIABLE_DEMO_PLAN
+            tmp_path, protocol="brb_2round", plan=TOTAL_LOSS_PLAN
         )
         doc = json.loads(path.read_text())
         doc["plan"]["dorps"] = doc["plan"].pop("drops")
@@ -194,7 +205,7 @@ class TestReproducerFiles:
 
     def test_truncated_file_is_rejected_with_the_file_named(self, tmp_path):
         path = write_reproducer(
-            tmp_path, protocol="brb_2round", plan=RELIABLE_DEMO_PLAN
+            tmp_path, protocol="brb_2round", plan=TOTAL_LOSS_PLAN
         )
         text = path.read_text()
         path.write_text(text[: len(text) // 2])
@@ -205,7 +216,7 @@ class TestReproducerFiles:
     @pytest.mark.parametrize("key", ["plan", "protocol"])
     def test_missing_key_is_rejected_with_the_file_named(self, tmp_path, key):
         path = write_reproducer(
-            tmp_path, protocol="brb_2round", plan=RELIABLE_DEMO_PLAN
+            tmp_path, protocol="brb_2round", plan=TOTAL_LOSS_PLAN
         )
         doc = json.loads(path.read_text())
         del doc[key]
@@ -215,12 +226,12 @@ class TestReproducerFiles:
         assert str(caught.value) == f"{path}: no {key!r} key"
 
     def test_expected_violation_reproducers_gate_on_failing(self, tmp_path):
-        # A reproducer may also pin a *known-bad* outcome: the demo plan
-        # without retransmission must keep violating termination.
+        # A reproducer may also pin a *known-bad* outcome: total loss on
+        # an honest party's inbound links must keep violating termination.
         path = write_reproducer(
             tmp_path,
             protocol="brb_2round",
-            plan=RELIABLE_DEMO_PLAN,
+            plan=TOTAL_LOSS_PLAN,
             expect="violation",
         )
         replay = run_reproducer(path)

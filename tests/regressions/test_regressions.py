@@ -2,7 +2,7 @@
 
 Each ``*.json`` file here is a self-contained fault-plan reproducer
 (see ``repro.analysis.chaos.write_reproducer``): protocol, tier, the
-full plan, an optional reliable-link policy, and the expected outcome.
+full plan and the expected outcome.
 ``expect: "clean"`` files pin scenarios that once failed (or that a gate
 depends on) and must stay violation-free; ``expect: "violation"`` files
 pin known-bad contrast cases that must *keep* failing, so a semantics
@@ -24,11 +24,11 @@ from repro.analysis.chaos import load_reproducer, run_reproducer
 CORPUS = sorted(Path(__file__).parent.glob("*.json"))
 
 #: reproducer -> (messages_sent, events_processed, max_commit_view), as
-#: recorded before the psync pacemaker moved into ``ViewParty``: a timer
-#: or view-change step that fires once more or once less fails here, by
-#: reproducer name.
+#: recorded before the psync pacemaker moved into ``ViewParty`` (seed11:
+#: when its plan became a holdback): a timer or view-change step that
+#: fires once more or once less fails here, by reproducer name.
 PINNED = {
-    "brb_2round-good-case-seed11": (119, 210, None),
+    "brb_2round-good-case-seed11": (91, 98, None),
     "brb_2round-good-case-seed12": (78, 73, None),
     "psync_fab-viewchange-seed7": (116, 128, 2),
     "psync_pbft-viewchange-seed7": (58, 66, 2),

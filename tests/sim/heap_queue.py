@@ -38,7 +38,6 @@ class HeapQueue(EventQueue):
         recipients: Sequence[Any],
         payload: Any,
         msg_ids: Sequence[Any] | None = None,
-        transfers: Sequence[Any] | None = None,
         *,
         priority: int = 0,
         order_key: bytes = b"",
@@ -46,15 +45,13 @@ class HeapQueue(EventQueue):
         """Exactly a loop of transient :meth:`push`, one per copy, each
         built and pushed at once: the oracle defers nothing."""
         for i, time in enumerate(times):
-            args = (
-                sender, recipients[i], payload,
-                None if msg_ids is None else msg_ids[i],
-            )
-            if transfers is not None:
-                args += (transfers[i],)
             self.push(
                 time, action, priority=priority, order_key=order_key,
-                args=args, transient=True,
+                args=(
+                    sender, recipients[i], payload,
+                    None if msg_ids is None else msg_ids[i],
+                ),
+                transient=True,
             )
         return len(times)
 

@@ -12,7 +12,7 @@ and compares what they schedule.
 """
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from repro.crypto.messages import digest
 from repro.errors import SimulationError
@@ -53,18 +53,16 @@ class ListNetwork(Network):
     def _schedule_copies(
         self,
         times: list[float],
-        deliver: Callable[..., None],
         sender: PartyId,
         targets: list[PartyId],
         payload: Any,
         order_key: bytes | None,
         msg_ids: list[int] | None = None,
-        transfers: list | None = None,
     ) -> bytes:
         if order_key is None:
             order_key = digest(payload)
         self._sim.schedule_batch(
-            times, deliver, sender, targets, payload, msg_ids, transfers,
+            times, self._deliver, sender, targets, payload, msg_ids,
             order_key=order_key,
         )
         return order_key
@@ -93,7 +91,7 @@ class ListNetwork(Network):
                 continue
             if times:
                 order_key = self._schedule_copies(
-                    times, self._deliver, sender, targets, payload, order_key
+                    times, sender, targets, payload, order_key
                 )
                 times, targets = [], []
             elif order_key is None:
@@ -107,7 +105,7 @@ class ListNetwork(Network):
             )
         if times:
             order_key = self._schedule_copies(
-                times, self._deliver, sender, targets, payload, order_key,
+                times, sender, targets, payload, order_key,
                 msg_ids,
             )
         return order_key
@@ -120,41 +118,24 @@ class ListNetwork(Network):
         payload: Any,
         send_time: float,
         order_key: bytes | None,
-        transfer=None,
     ) -> bytes | None:
         injector = self._injector
-        reliable = self._reliable
         accountant = self._accountant
-        tracking = reliable is not None or transfer is not None
         times: list[float] = []
         targets: list[PartyId] = []
         msg_ids: list[int] | None = [] if accountant is not None else None
-        transfers: list | None = [] if tracking else None
         for start, end, deliver_time in runs:
             for recipient in recipients[start:end]:
-                tracked = transfer
-                if (
-                    tracked is None
-                    and reliable is not None
-                    and recipient != sender
+                for instant in route_copy(
+                    injector, sender, recipient, send_time, deliver_time
                 ):
-                    tracked = reliable.register(sender, recipient, payload)
-                if injector is None:
-                    instants = (deliver_time,)
-                else:
-                    instants = route_copy(
-                        injector, sender, recipient, send_time, deliver_time
-                    )
-                for instant in instants:
                     times.append(quantize(instant))
                     targets.append(recipient)
                     if msg_ids is not None:
                         msg_ids.append(accountant.register_send())
-                    if transfers is not None:
-                        transfers.append(tracked)
         if times:
             order_key = self._schedule_copies(
-                times, self._deliver_tracked if tracking else self._deliver,
-                sender, targets, payload, order_key, msg_ids, transfers,
+                times, sender, targets, payload, order_key,
+                msg_ids,
             )
         return order_key

@@ -6,27 +6,29 @@ whole loop and back on only if its caller had it on.  Reference counting
 keeps freeing every acyclic object, so the pause is safe exactly while a
 run makes no reference cycles; the grid below pins that across the delay
 models (a zero lookahead, and a run cut while fan-out slices are parked
-in the calendar), the fault engine, retransmission, the ``full``
-observers, a view change and a lower-bound witness, and the negative
-control shows that the check does see a cycle when a handler makes one.
+in the calendar), the fault engine, held copies released late, the
+``full`` observers, a view change and a lower-bound witness, and the
+negative control shows that the check does see a cycle when a handler
+makes one.
 """
 import gc
 import os
 
 import pytest
 
-from repro.analysis.chaos import (
-    RELIABLE_DEMO_LINK,
-    RELIABLE_DEMO_PLAN,
-    run_chaos_plan,
-    viewchange_smoke_plans,
-)
+from repro.analysis.chaos import run_chaos_plan, viewchange_smoke_plans
 from repro.errors import SimulationError
 from repro.lowerbounds import run_witness
 from repro.protocols.brb_2round import Brb2Round
 from repro.protocols.psync.vbb_5f1 import PsyncVbb5f1
 from repro.sim.delays import FixedDelay, UniformDelay
-from repro.sim.faults import Crash, DuplicateLink, FaultPlan, ReorderJitter
+from repro.sim.faults import (
+    Crash,
+    DuplicateLink,
+    FaultPlan,
+    Holdback,
+    ReorderJitter,
+)
 from repro.sim.runner import World, run_broadcast
 from repro.sim.scheduler import Simulator
 
@@ -229,12 +231,14 @@ def _counter_fault_plan():
     assert row["messages_duplicated"] > 0
 
 
-def _retransmitting_link():
-    row = run_chaos_plan(
-        "brb_2round", RELIABLE_DEMO_PLAN, reliable=RELIABLE_DEMO_LINK
+def _held_then_released():
+    plan = FaultPlan(
+        holdbacks=(Holdback(dst=3, start=0.0, end=4.0, flush_delay=0.5),),
+        seed=11,
     )
+    row = run_chaos_plan("brb_2round", plan)
     assert row["violation"] is None
-    assert row["retransmissions"] > 0
+    assert row["messages_held"] > 0
 
 
 def _full_preset():
@@ -259,7 +263,7 @@ GRID = {
     "zero_lookahead_counter": _zero_lookahead,
     "vbb_fixed": _vbb_fixed,
     "fault_plan_counter": _counter_fault_plan,
-    "reliable_link": _retransmitting_link,
+    "holdback_release": _held_then_released,
     "full_preset": _full_preset,
     "view_change": _view_change,
     "witness_thm04": _witness,

@@ -1,10 +1,10 @@
 """Culling copies to terminated parties moves nothing a run reports.
 
-A full drain of a world with no observers or reliable link skips each
-per-copy delivery whose recipient has terminated by the time the copy's
-window opens (``Simulator.cull_copies``), counts it as the processed
-event and delivered message it would have been, and ends at the latest
-instant any copy was given.  Under a fault plan a party is culled only
+A full drain of a world with no observers skips each per-copy delivery
+whose recipient has terminated by the time the copy's window opens
+(``Simulator.cull_copies``), counts it as the processed event and
+delivered message it would have been, and ends at the latest instant
+any copy was given.  Under a fault plan a party is culled only
 if no crash window of it is open at or after its termination: a copy
 landing in one is a counted drop, not a delivery.  The heap oracle of
 ``tests/sim/heap_queue.py`` never culls: it builds every copy at push

@@ -1,7 +1,7 @@
 """Rule table for ``Network._fan_out``, run against all three emitters.
 
-Every send in the simulator — unicast, multicast, retransmission, a
-shard's remote ranges — prices its copies and hands the delay vector to
+Every send in the simulator — unicast, multicast, a shard's remote
+ranges — prices its copies and hands the delay vector to
 ``_fan_out``, the one place the delivery rules live.  These tests pin
 the rules once and replay them through each emitter a network can use:
 ``_emit_run`` (nothing attached), ``_emit_routed`` (a fault injector,
@@ -187,9 +187,9 @@ def test_byzantine_override_multicast_is_one_fan_out():
 
 def test_inbound_run_under_a_crash_plan_drops_only_the_down_copies():
     # A shard hands an inbound wire run straight to ``_deliver_many``,
-    # on a network with a plan and no reliable channel: the copy to the
-    # crashed party 3 is discarded and counted, the others land, and the
-    # run still counts one processed event per copy.
+    # on a network with a plan: the copy to the crashed party 3 is
+    # discarded and counted, the others land, and the run still counts
+    # one processed event per copy.
     sim = Simulator()
     injector = FaultInjector(
         FaultPlan(crashes=(Crash(party=3, at=0.0),)), n=N

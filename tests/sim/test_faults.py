@@ -27,7 +27,6 @@ from repro.sim.faults import (
     Partition,
     ReorderJitter,
 )
-from repro.sim.retransmit import ReliableLink
 from repro.sim.runner import World
 from repro.types import INF
 
@@ -152,18 +151,16 @@ class TestViewChangePrimitives:
         assert injector.messages_held == 1
         assert injector.messages_dropped == 0
 
-    def test_quiet_time_grows_a_retransmission_tail(self):
-        link = ReliableLink(rto=1.0, backoff=2.0, max_retries=2)  # tail 3
+    def test_quiet_time_covers_view_change_primitives(self):
         plan = FaultPlan(
             drops=(DropLink(dst=1, start=0.0, end=4.0, prob=1.0),),
             holdbacks=(Holdback(src=0, start=0.0, end=2.0, flush_delay=0.5),),
             leader_crashes=(CrashLeader(view=1, recover=3.0),),
         )
         assert plan.quiet_time() == 4.0
-        assert plan.quiet_time(link) == 7.0
-        # Crash-stop leader crashes stay spent budget, tail or not.
+        # Crash-stop leader crashes stay spent budget.
         stop = FaultPlan(leader_crashes=(CrashLeader(view=1),))
-        assert stop.quiet_time(link) == 0.0
+        assert stop.quiet_time() == 0.0
 
     def test_check_tolerated_with_view_change_primitives(self):
         leader = FaultPlan(leader_crashes=(CrashLeader(view=1),))
@@ -177,20 +174,13 @@ class TestViewChangePrimitives:
         )
         assert late_hold.check_tolerated(n=4, f=1, deadline=20.0)
 
-    def test_reliable_link_makes_finite_honest_drops_tolerated(self):
+    def test_finite_honest_drop_is_untolerated(self):
+        # Honest channels are reliable: even a short drop window on an
+        # honest link is loss, not delay (a late copy is a Holdback).
         plan = FaultPlan(
             drops=(DropLink(dst=1, start=0.0, end=2.0, prob=1.0),),
         )
         assert plan.check_tolerated(n=4, f=1, deadline=20.0)
-        # tail 2+4+8+16=30 > window 2: every copy retries past the loss.
-        assert plan.check_tolerated(
-            n=4, f=1, deadline=20.0, reliable=ReliableLink()
-        ) == []
-        # A never-closing drop window is fatal even with retries.
-        forever = FaultPlan(drops=(DropLink(dst=1, prob=1.0),))
-        assert forever.check_tolerated(
-            n=4, f=1, deadline=20.0, reliable=ReliableLink()
-        )
 
     def test_json_round_trip_covers_every_field(self):
         plan = FaultPlan(

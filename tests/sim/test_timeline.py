@@ -105,15 +105,11 @@ def _random_script(
     return script
 
 
-#: A fan-out's optional columns: none, msg ids, transfers, or both.
-_LAYOUTS = [(False, False), (True, False), (False, True), (True, True)]
-
-
 def _fan_out_script(seed: int) -> list[tuple]:
     """A seeded script of fan-outs wide enough to span several windows.
 
-    Each fan-out draws 5-40 copies, in one of the column layouts, spread
-    over as much as the whole schedule, so one fan-out's copies land in
+    Each fan-out draws 5-40 copies, with or without a msg-id column,
+    spread over as much as the whole schedule, so one fan-out's copies land in
     the open window, below it and in several closed windows.  Between fan-outs: single
     pushes (plain and with a handle), pops, bounded drains, peeks that
     open the next window, pushes *below* the peeked head (which park the
@@ -133,7 +129,7 @@ def _fan_out_script(seed: int) -> list[tuple]:
             ]
             script.append((
                 "fanout", times, rng.randrange(2), rng.choice(_KEYS),
-                rng.choice(_LAYOUTS),
+                rng.random() < 0.5,
             ))
         elif roll < 0.45:
             script.append((
@@ -183,12 +179,11 @@ def _replay(queue: EventQueue, script: list[tuple]) -> list[tuple]:
                 priority=priority, order_key=key,
             )
         elif kind == "fanout":
-            _, times, priority, key, (with_ids, with_transfers) = op
+            _, times, priority, key, with_ids = op
             count = len(times)
             queue.push_batch(
                 times, _noop, "f", range(count), len(log),
                 [("id", i) for i in range(count)] if with_ids else None,
-                [("t", i) for i in range(count)] if with_transfers else None,
                 priority=priority, order_key=key,
             )
         elif kind == "below":
@@ -382,7 +377,7 @@ class TestQueueParity:
         with pytest.raises(ValueError):
             batched.push_batch([1.0, 2.0], _noop, "s", [0], "m")
         with pytest.raises(ValueError):
-            batched.push_batch([1.0], _noop, "s", [0], "m", None, [1, 2])
+            batched.push_batch([1.0], _noop, "s", [0], "m", [1, 2])
 
     def test_copies_admitted_at_once_go_in_index_order(self):
         """A fan-out's copy into the drained-out open window, then one

@@ -166,15 +166,14 @@ def _replay(cls, kind: str, width: float, script) -> list:
     schedule_batch = sim.schedule_batch
 
     def spy(times, action, sender, recipients, payload, msg_ids=None,
-            transfers=None, **kwargs):
+            **kwargs):
         log.append((
             "batch", queue._seq, list(times), list(recipients),
             None if msg_ids is None else list(msg_ids),
             action.__name__, kwargs,
         ))
         return schedule_batch(
-            times, action, sender, recipients, payload, msg_ids, transfers,
-            **kwargs,
+            times, action, sender, recipients, payload, msg_ids, **kwargs,
         )
 
     sim.schedule_batch = spy

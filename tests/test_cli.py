@@ -151,8 +151,17 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "[tiers: good-case, viewchange]" in out
         assert "view-change smoke: commit views" in out
-        assert "reliable-drop demo:" in out
+        assert "reliable-drop demo" not in out
         assert "invariant violations: 0" in out
+
+    def test_chaos_smoke_gates_on_view_changes_only(self, capsys):
+        assert main(
+            ["chaos", "--smoke", "--protocols", "brb_2round"]
+        ) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2].startswith("view-change smoke: commit views")
+        assert lines[-1] == "invariant violations: 0"
+        assert not any("reliable-drop demo" in line for line in lines)
 
     @pytest.mark.parametrize("shards", ["0", "-3"])
     def test_chaos_shards_below_one_exits_two_in_one_line(
